@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race stress bench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck shardcheck
+.PHONY: check build vet test race stress bench metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck perfbench
 
 # check is the CI entry point: build everything, vet, run the suite under
 # the race detector (-short: the stress tests are excluded there), then
@@ -9,7 +9,7 @@ GO ?= go
 # live server to prove the exposition parses end to end. Every test run
 # carries an explicit -timeout so a hung solve fails fast with a goroutine
 # dump instead of stalling CI at the per-package default.
-check: build vet race stress metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck shardcheck
+check: build vet race stress metricscheck tracecheck benchcheck crashcheck analyzecheck healthcheck perfbench
 
 build:
 	$(GO) build ./...
@@ -59,8 +59,7 @@ crashcheck:
 
 # analyzecheck boots a real iqserver, drives a skewed workload through the
 # HTTP API, and validates the workload-analytics surface end to end:
-# /v1/stats/workload, the ?advise=k shard proposal, and /debug/workload
-# (scripts/analyzecheck.sh).
+# /v1/stats/workload and /debug/workload (scripts/analyzecheck.sh).
 analyzecheck:
 	./scripts/analyzecheck.sh
 
@@ -72,15 +71,12 @@ analyzecheck:
 healthcheck:
 	./scripts/healthcheck.sh
 
-# shardcheck is the live bit-identity drill: boot an iqserver with
-# -shards 4 and a -shards 1 twin, drive an identical sequence of solves,
-# commits, batch mutations, and error paths through both HTTP APIs, and
-# require every response pair to match field for field plus nonzero
-# iq_shard_* series on the sharded server's /metrics
-# (scripts/shardcheck.sh). The in-process property test proves engine
-# bit-identity; this proves the deployed binary's full HTTP path does too.
-shardcheck:
-	./scripts/shardcheck.sh
+# perfbench compiles and vets the repository benchmark. perfbench/ is its
+# own Go module, so the root build, vet and test targets never see it; an
+# engine API change could otherwise break the benchmark while CI stays
+# green. -short skips its end-to-end smoke run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/

@@ -26,15 +26,14 @@ go test -race -run TestStress -count=2 -timeout 10m ./...
 # reference solve.
 ./scripts/crashcheck.sh
 # Live workload-analytics gate: boot a real iqserver, drive a skewed
-# workload, and validate /v1/stats/workload, the ?advise=k shard proposal,
-# and /debug/workload end to end.
+# workload, and validate /v1/stats/workload and /debug/workload end to end.
 ./scripts/analyzecheck.sh
 # Live SLO/telemetry gate: boot a real iqserver with an impossible latency
 # target, drive solves until the burn-rate alert fires (on the stats
 # surface and the log stream), then kill -9 and restart to prove the
 # telemetry history journal survived.
 ./scripts/healthcheck.sh
-# Live sharded-engine gate: boot an iqserver with -shards 4 and a -shards 1
-# twin, drive identical solves and mutations through both, and require every
-# response pair bit-identical plus nonzero iq_shard_* series on /metrics.
-./scripts/shardcheck.sh
+# Benchmark compile gate: perfbench/ is its own Go module, so the steps
+# above never build it. Vet it and run its short tests so an engine API
+# change cannot break the benchmark unnoticed.
+(cd perfbench && go vet ./... && go test -short ./...)

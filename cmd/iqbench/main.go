@@ -45,8 +45,6 @@ func main() {
 		analyticsCheck = flag.Bool("analytics-check", false, "run the workload-analytics A/B and exit non-zero when attribution overhead exceeds 2% (the scripts/benchcheck.sh gate)")
 		healthO        = flag.String("health-json", "", "write the health-subsystem benchmark report (solver ns/op with the history sampler + SLO evaluator live vs disabled) to this path and exit")
 		healthCheck    = flag.Bool("health-check", false, "run the health-subsystem A/B and exit non-zero when its overhead exceeds 2% (the scripts/benchcheck.sh gate)")
-		shardO         = flag.String("shard-json", "", "write the sharded-engine benchmark report (1→2→4→8 scaling curve, shards=1 facade overhead, batch-solve throughput A/B) to this path and exit")
-		shardCheck     = flag.Bool("shard-check", false, "run the sharded-engine gates and exit non-zero when shards=1 overhead exceeds 2% or the shards=4 batch throughput win falls below 1.5x (the scripts/benchcheck.sh gate)")
 		trend          = flag.Bool("trend", false, "print the cross-PR BENCH_PR*.json performance trajectory and exit non-zero when the newest ledger regresses >10% against the best known same-keyed value")
 		trendDir       = flag.String("trend-dir", ".", "directory holding the BENCH_PR*.json ledgers for -trend")
 	)
@@ -132,20 +130,6 @@ func main() {
 	if *healthCheck {
 		if err := runHealthCheck(*seed); err != nil {
 			fmt.Fprintf(os.Stderr, "iqbench: -health-check: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shardO != "" {
-		if err := runShardBench(*shardO, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "iqbench: -shard-json: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shardCheck {
-		if err := runShardCheck(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "iqbench: -shard-check: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -144,24 +144,6 @@ func extractHeadlines(doc map[string]any) map[string]float64 {
 				out[fmt.Sprintf("warm-solve production/%v", r["name"])] = v
 			}
 		}
-	case "iqbench -shard-json":
-		for _, r := range rows("curve") {
-			shards, ok := num(r["shards"])
-			if !ok {
-				continue
-			}
-			if v, ok := num(r["mincost_ns_per_op"]); ok {
-				out[fmt.Sprintf("sharded-solve shards=%d/MinCost", int(shards))] = v
-			}
-			if v, ok := num(r["maxhit_ns_per_op"]); ok {
-				out[fmt.Sprintf("sharded-solve shards=%d/MaxHit", int(shards))] = v
-			}
-		}
-		if b, ok := doc["batch"].(map[string]any); ok {
-			if v, ok := num(b["seq_ns_per_item"]); ok {
-				out["batch-item sequential shards=1"] = v
-			}
-		}
 	}
 	return out
 }

@@ -26,7 +26,6 @@ type appConfig struct {
 	maxInflight      int
 	maxBodyBytes     int64
 	maxBatchItems    int
-	shards           int
 	logFormat        string
 	logLevel         string
 	pprof            bool
@@ -101,7 +100,6 @@ func newHTTPServer(cfg appConfig, logger *slog.Logger) (*http.Server, *server) {
 		maxInflight:       cfg.maxInflight,
 		maxBodyBytes:      cfg.maxBodyBytes,
 		maxBatchItems:     cfg.maxBatchItems,
-		shards:            cfg.shards,
 		enablePprof:       cfg.pprof,
 		debugTraces:       cfg.debugTraces,
 		traceAll:          cfg.traceAll,
@@ -173,8 +171,6 @@ func main() {
 		"max request body size in bytes; larger bodies get 413 (0 = unlimited)")
 	flag.IntVar(&cfg.maxBatchItems, "max-batch", defaults.maxBatchItems,
 		"max solve items per /v1/solve/batch request; larger batches get 400 (0 = unlimited)")
-	flag.IntVar(&cfg.shards, "shards", 1,
-		"partition the query workload across this many engine shards; results are bit-identical to -shards 1")
 	flag.StringVar(&cfg.logFormat, "log-format", "json", "log output format: json or text")
 	flag.StringVar(&cfg.logLevel, "log-level", "info",
 		"minimum log level: debug, info, warn, or error (debug includes per-solve engine lines)")
@@ -208,10 +204,6 @@ func main() {
 		return
 	}
 	var err error
-	if cfg.shards < 1 {
-		slog.Error("-shards must be >= 1", "shards", cfg.shards)
-		os.Exit(1)
-	}
 	if cfg.sloTargets, err = parseLatencyTargets(cfg.sloLatencyTarget); err != nil {
 		slog.Error("invalid -slo-latency-target", "err", err)
 		os.Exit(1)
@@ -245,7 +237,6 @@ func main() {
 		"request_timeout", cfg.requestTimeout,
 		"max_inflight", cfg.maxInflight,
 		"max_body_bytes", cfg.maxBodyBytes,
-		"shards", cfg.shards,
 		"pprof", cfg.pprof,
 		"data_dir", cfg.dur.dataDir,
 	)

@@ -80,10 +80,6 @@ type serverConfig struct {
 	// slot however many items it carries, so the cap bounds how much work a
 	// single slot can represent. 0 = unlimited.
 	maxBatchItems int
-	// shards partitions the query workload of every loaded dataset across
-	// this many engine shards (iq.IndexOptions.Shards). 0 or 1 keeps the
-	// single monolithic engine; results are bit-identical either way.
-	shards int
 	// enablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: the profiling endpoints leak heap contents and must be
 	// opted into on trusted networks only.
@@ -671,7 +667,7 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	sys, err := iq.NewWithOptionsCtx(r.Context(),
 		iq.LinearSpace{D: len(req.Objects[0])}, req.Objects, queries,
-		iq.IndexOptions{Shards: s.cfg.shards})
+		iq.IndexOptions{})
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
@@ -697,7 +693,7 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	s.sys = sys
 	s.mu.Unlock()
 	s.log.InfoContext(r.Context(), "dataset loaded",
-		"objects", len(req.Objects), "queries", len(queries), "shards", sys.Shards())
+		"objects", len(req.Objects), "queries", len(queries))
 	s.writeJSON(w, http.StatusOK, map[string]int{
 		"objects": sys.NumObjects(),
 		"queries": sys.NumQueries(),
@@ -745,11 +741,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			// Every registered series, flattened name{labels} -> value:
 			// the /metrics content for clients that prefer JSON.
 			"counters": obs.Default.Snapshot(),
-		}
-		payload["shards"] = sys.Shards()
-		if infos := sys.ShardInfos(); infos != nil {
-			payload["shard_plan"] = sys.ShardPlan()
-			payload["shard_detail"] = infos
 		}
 		if store := s.currentStore(); store != nil {
 			payload["recovery"] = store.RecoveryStats()
@@ -1058,11 +1049,11 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.withSystem(w, func(sys *iq.System) {
-		if req.K < 1 {
-			s.writeErr(w, http.StatusBadRequest, errors.New("k must be >= 1"))
+		ids, err := sys.EvaluateCtx(r.Context(), iq.Query{K: req.K, Point: req.Point})
+		if err != nil {
+			s.writeErr(w, statusFor(err), err)
 			return
 		}
-		ids := sys.Evaluate(iq.Query{K: req.K, Point: req.Point})
 		s.writeJSON(w, http.StatusOK, map[string][]int{"ids": ids})
 	})
 }

@@ -1,51 +1,27 @@
 // Workload analytics endpoints: the JSON view (/v1/stats/workload) for tools
 // and the human view (/debug/workload) for operators. Both read the same
-// process-wide aggregator the engine hooks feed (internal/obs/workload); the
-// JSON endpoint additionally runs the shard advisor on request (?advise=k),
-// so one GET answers "where is the load and how would I split it".
+// process-wide aggregator the engine hooks feed (internal/obs/workload), so
+// one GET answers "where is the load".
 package main
 
 import (
-	"fmt"
 	"html/template"
 	"net/http"
-	"strconv"
 
 	"iq/internal/obs/workload"
-	"iq/internal/shard"
 )
 
 // workloadStatsResponse is the /v1/stats/workload payload: the aggregator
-// snapshot (regions already sorted hottest-first), the same regions re-sorted
-// by write churn, and — when ?advise=k was passed — the advisor's proposal
-// plus the drift between that proposal and the live shard assignment.
+// snapshot (regions already sorted hottest-first) and the same regions
+// re-sorted by write churn.
 type workloadStatsResponse struct {
 	*workload.Snapshot
 	ChurnLeaders []workload.RegionStat `json:"churn_leaders"`
-	Advice       *workload.Proposal    `json:"advice,omitempty"`
-	Applied      *shard.DriftReport    `json:"applied,omitempty"`
 }
 
-func (s *server) handleWorkloadStats(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleWorkloadStats(w http.ResponseWriter, _ *http.Request) {
 	snap := workload.Default.Snapshot()
-	resp := workloadStatsResponse{Snapshot: snap, ChurnLeaders: snap.ChurnLeaders()}
-	if kStr := r.URL.Query().Get("advise"); kStr != "" {
-		k, err := strconv.Atoi(kStr)
-		if err != nil || k < 1 {
-			s.writeErr(w, http.StatusBadRequest,
-				fmt.Errorf("advise must be a positive integer, got %q", kStr))
-			return
-		}
-		resp.Advice = snap.Advise(k)
-		// The applied section compares the proposal against the running
-		// engine's shard layout (1 when no dataset is loaded yet).
-		live := 1
-		if sys := s.system(); sys != nil {
-			live = sys.Shards()
-		}
-		resp.Applied = shard.Drift(live, snap, resp.Advice)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, workloadStatsResponse{Snapshot: snap, ChurnLeaders: snap.ChurnLeaders()})
 }
 
 // debugWorkloadPage is the /debug/workload heatmap: one bar per region scaled

@@ -31,19 +31,11 @@ type workloadStatsWire struct {
 		Solves int64  `json:"solves"`
 	} `json:"targets"`
 	ChurnLeaders []json.RawMessage `json:"churn_leaders"`
-	Advice       *struct {
-		K      int `json:"k"`
-		Shards []struct {
-			Regions []uint64 `json:"regions"`
-			Share   float64  `json:"share"`
-		} `json:"shards"`
-		Imbalance float64 `json:"imbalance"`
-	} `json:"advice"`
 }
 
-func getWorkloadStats(t *testing.T, ts *httptest.Server, query string) (int, []byte) {
+func getWorkloadStats(t *testing.T, ts *httptest.Server) (int, []byte) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/stats/workload" + query)
+	resp, err := http.Get(ts.URL + "/v1/stats/workload")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +48,7 @@ func getWorkloadStats(t *testing.T, ts *httptest.Server, query string) (int, []b
 }
 
 // TestWorkloadStatsEndpoint: after real solves the JSON view reports live
-// regions and targets, and ?advise=k attaches a k-shard proposal.
+// regions and targets.
 func TestWorkloadStatsEndpoint(t *testing.T) {
 	ts := testServer(t)
 	loadDataset(t, ts, 100, 40)
@@ -69,7 +61,7 @@ func TestWorkloadStatsEndpoint(t *testing.T) {
 		}
 	}
 
-	code, body := getWorkloadStats(t, ts, "")
+	code, body := getWorkloadStats(t, ts)
 	if code != http.StatusOK {
 		t.Fatalf("stats: %d %s", code, body)
 	}
@@ -88,44 +80,6 @@ func TestWorkloadStatsEndpoint(t *testing.T) {
 	}
 	if len(st.Targets) != 3 {
 		t.Errorf("want 3 (target, op) rows, got %d", len(st.Targets))
-	}
-	if st.Advice != nil {
-		t.Error("advice attached without ?advise")
-	}
-
-	code, body = getWorkloadStats(t, ts, "?advise=3")
-	if code != http.StatusOK {
-		t.Fatalf("advise: %d %s", code, body)
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Advice == nil {
-		t.Fatalf("no advice in ?advise=3 response: %s", body)
-	}
-	if st.Advice.K < 1 || st.Advice.K > 3 || len(st.Advice.Shards) != st.Advice.K {
-		t.Errorf("malformed proposal: %+v", st.Advice)
-	}
-	var share float64
-	for _, sh := range st.Advice.Shards {
-		if len(sh.Regions) < 1 {
-			t.Errorf("empty shard in proposal: %+v", st.Advice)
-		}
-		share += sh.Share
-	}
-	if share < 0.99 || share > 1.01 {
-		t.Errorf("shard shares sum to %.3f, want 1", share)
-	}
-}
-
-// TestWorkloadStatsAdviseValidation: non-integer and non-positive advise
-// values answer 400, not a panic or a silent default.
-func TestWorkloadStatsAdviseValidation(t *testing.T) {
-	ts := testServer(t)
-	for _, q := range []string{"?advise=abc", "?advise=0", "?advise=-2", "?advise=1.5"} {
-		if code, body := getWorkloadStats(t, ts, q); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d (want 400): %s", q, code, body)
-		}
 	}
 }
 

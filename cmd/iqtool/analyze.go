@@ -3,18 +3,16 @@ package main
 // The -analyze modes exercise the workload analytics layer end to end.
 //
 // -analyze runs entirely in-process: build a deliberately skewed demo
-// workload (four tight query clusters plus a diffuse remainder) on a LIVE
-// sharded engine (-shards shards), drive solves and commits through it so
-// the per-region aggregator fills, then print the windowed report — hottest
-// regions, churn leaders, the shard advisor's proposal for -shards shards,
-// and the drift between that proposal and the engine's running assignment.
+// workload (four tight query clusters plus a diffuse remainder), drive
+// solves and commits through the engine so the per-region aggregator fills,
+// then print the windowed report — hottest regions, churn leaders, and the
+// (target, op) table.
 //
 // -analyze-server URL drives a live iqserver the same way over HTTP, then
-// fetches /v1/stats/workload?advise=k and validates the payload shape: at
-// least one hot region with nonzero attributed load, a target table, and a
-// well-formed shard proposal. ci.sh runs this against a throwaway server
-// (scripts/analyzecheck.sh) so a broken hook, a snapshot regression, or a
-// silent advisor failure fails the build.
+// fetches /v1/stats/workload and validates the payload shape: at least one
+// hot region with nonzero attributed load and a target table. ci.sh runs
+// this against a throwaway server (scripts/analyzecheck.sh) so a broken hook
+// or a snapshot regression fails the build.
 
 import (
 	"bytes"
@@ -22,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"time"
@@ -30,13 +27,12 @@ import (
 	"iq"
 	"iq/internal/dataset"
 	"iq/internal/obs/workload"
-	"iq/internal/shard"
 )
 
 // skewedWorkload builds the demo dataset for the analyze modes: 200 objects
 // and 120 queries of which 80% sit in four tight clusters along the first
-// coordinate — the axis the shard advisor linearises — so the per-region load
-// map has pronounced, spatially separated hot spots.
+// coordinate — the axis region positions are reported on — so the per-region
+// load map has pronounced, spatially separated hot spots.
 func skewedWorkload(seed int64) ([]iq.Vector, []iq.Query) {
 	rng := rand.New(rand.NewSource(seed))
 	objsRaw := dataset.Objects(dataset.Independent, 200, 3, rng)
@@ -66,14 +62,12 @@ func skewedWorkload(seed int64) ([]iq.Vector, []iq.Query) {
 	return objs, queries
 }
 
-// analyzeLocal drives the skewed demo in-process and prints the report. The
-// demo engine itself runs sharded (-shards), so the drift section compares
-// the advisor's proposal against a real live assignment.
-func analyzeLocal(out io.Writer, seed int64, shards int) error {
+// analyzeLocal drives the skewed demo in-process and prints the report.
+func analyzeLocal(out io.Writer, seed int64) error {
 	workload.Default.Reset()
 	objs, queries := skewedWorkload(seed)
 	ctx := context.Background()
-	sys, err := iq.NewWithOptionsCtx(ctx, iq.LinearSpace{D: 3}, objs, queries, iq.IndexOptions{Shards: shards})
+	sys, err := iq.NewWithOptionsCtx(ctx, iq.LinearSpace{D: 3}, objs, queries, iq.IndexOptions{})
 	if err != nil {
 		return err
 	}
@@ -98,11 +92,11 @@ func analyzeLocal(out io.Writer, seed int64, shards int) error {
 		}
 	}
 	snap := workload.Default.Snapshot()
-	printReport(out, snap, shards, sys.Shards())
+	printReport(out, snap)
 	return nil
 }
 
-func printReport(out io.Writer, snap *workload.Snapshot, shards, liveShards int) {
+func printReport(out io.Writer, snap *workload.Snapshot) {
 	fmt.Fprintf(out, "workload report: window %.0fs x %d buckets, %d/%d keys tracked, %d retired\n",
 		snap.Window.Seconds, snap.Window.Buckets, snap.TrackedKeys, snap.MaxKeys, snap.RetiredSlots)
 	fmt.Fprintf(out, "\ntop regions by attributed load\n")
@@ -132,21 +126,6 @@ func printReport(out io.Writer, snap *workload.Snapshot, shards, liveShards int)
 		fmt.Fprintf(out, "%8d %-8s load_us=%d solves=%d probes=%d\n",
 			t.Target, t.Op, t.LoadNS/1000, t.Solves, t.Probes)
 	}
-	if p := snap.Advise(shards); p != nil {
-		fmt.Fprintf(out, "\nshard proposal k=%d: max/mean imbalance %.2f\n", p.K, p.Imbalance)
-		for i, sh := range p.Shards {
-			fmt.Fprintf(out, "  shard %d: pos [%.3f, %.3f], %d regions, %.0f%% of load\n",
-				i, sh.PosMin, sh.PosMax, len(sh.Regions), sh.Share*100)
-		}
-		if rep := shard.Drift(liveShards, snap, p); rep != nil {
-			fmt.Fprintf(out, "\ndrift vs live %d-shard assignment\n", rep.LiveShards)
-			fmt.Fprintf(out, "  live imbalance %.2f -> advised %.2f\n", rep.LiveImbalance, rep.AdvisedImbalance)
-			fmt.Fprintf(out, "  %d of %d regions would move owners (%.0f%% of windowed load)\n",
-				rep.MovedRegions, rep.TotalRegions, rep.MovedLoadShare*100)
-		}
-	} else {
-		fmt.Fprintf(out, "\nno shard proposal (no attributed load in window)\n")
-	}
 }
 
 // workloadWire mirrors the /v1/stats/workload response for validation.
@@ -172,30 +151,11 @@ type workloadWire struct {
 		Region uint64 `json:"region"`
 		Churn  int64  `json:"churn"`
 	} `json:"churn_leaders"`
-	Advice *struct {
-		K      int `json:"k"`
-		Shards []struct {
-			Regions []uint64 `json:"regions"`
-			LoadNS  int64    `json:"load_ns"`
-			Share   float64  `json:"share"`
-		} `json:"shards"`
-		TotalLoadNS int64   `json:"total_load_ns"`
-		MaxLoadNS   int64   `json:"max_load_ns"`
-		Imbalance   float64 `json:"imbalance"`
-	} `json:"advice"`
-	Applied *struct {
-		LiveShards     int     `json:"live_shards"`
-		AdvisedK       int     `json:"advised_k"`
-		LiveImbalance  float64 `json:"live_imbalance"`
-		TotalRegions   int     `json:"total_regions"`
-		MovedRegions   int     `json:"moved_regions"`
-		MovedLoadShare float64 `json:"moved_load_share"`
-	} `json:"applied"`
 }
 
 // analyzeServer drives a live iqserver with the skewed demo, then fetches
-// and validates /v1/stats/workload?advise=k.
-func analyzeServer(out io.Writer, baseURL string, seed int64, shards int, timeout time.Duration) error {
+// and validates /v1/stats/workload.
+func analyzeServer(out io.Writer, baseURL string, seed int64, timeout time.Duration) error {
 	objs, queries := skewedWorkload(seed)
 	type queryWire struct {
 		ID    int       `json:"id"`
@@ -270,7 +230,7 @@ func analyzeServer(out io.Writer, baseURL string, seed int64, shards int, timeou
 		}
 	}
 
-	resp, err := client.Get(fmt.Sprintf("%s/v1/stats/workload?advise=%d", baseURL, shards))
+	resp, err := client.Get(baseURL + "/v1/stats/workload")
 	if err != nil {
 		return err
 	}
@@ -298,31 +258,6 @@ func analyzeServer(out io.Writer, baseURL string, seed int64, shards int, timeou
 	if len(wire.Targets) == 0 {
 		return fmt.Errorf("no (target, op) series after driving solves")
 	}
-	if wire.Advice == nil {
-		return fmt.Errorf("advise=%d returned no proposal", shards)
-	}
-	if wire.Advice.K != shards || len(wire.Advice.Shards) == 0 || len(wire.Advice.Shards) > shards {
-		return fmt.Errorf("bad proposal: k=%d shards=%d (want k=%d, 1..k shards)",
-			wire.Advice.K, len(wire.Advice.Shards), shards)
-	}
-	var share float64
-	for _, sh := range wire.Advice.Shards {
-		if len(sh.Regions) == 0 {
-			return fmt.Errorf("proposal contains an empty shard")
-		}
-		share += sh.Share
-	}
-	if math.Abs(share-1.0) > 0.01 {
-		return fmt.Errorf("shard shares sum to %.3f, want 1.0", share)
-	}
-	// Advice present implies the applied drift section is present too.
-	if wire.Applied == nil {
-		return fmt.Errorf("advise=%d returned no applied drift section", shards)
-	}
-	if wire.Applied.LiveShards < 1 || wire.Applied.AdvisedK != shards ||
-		wire.Applied.TotalRegions == 0 || wire.Applied.LiveImbalance <= 0 {
-		return fmt.Errorf("bad applied drift section: %+v", *wire.Applied)
-	}
 	// The debug page must render.
 	resp, err = client.Get(baseURL + "/debug/workload")
 	if err != nil {
@@ -333,9 +268,7 @@ func analyzeServer(out io.Writer, baseURL string, seed int64, shards int, timeou
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(page, []byte("workload heatmap")) {
 		return fmt.Errorf("/debug/workload status %d or malformed page", resp.StatusCode)
 	}
-	fmt.Fprintf(out, "workload analytics OK: %d regions (hottest %d: %dus), %d target series, advise(%d) -> %d shards, imbalance %.2f, drift: %d/%d regions would move (live %d-shard layout)\n",
-		len(wire.Regions), wire.Regions[0].Region, wire.Regions[0].LoadNS/1000,
-		len(wire.Targets), shards, len(wire.Advice.Shards), wire.Advice.Imbalance,
-		wire.Applied.MovedRegions, wire.Applied.TotalRegions, wire.Applied.LiveShards)
+	fmt.Fprintf(out, "workload analytics OK: %d regions (hottest %d: %dus), %d target series\n",
+		len(wire.Regions), wire.Regions[0].Region, wire.Regions[0].LoadNS/1000, len(wire.Targets))
 	return nil
 }

@@ -43,26 +43,10 @@ func main() {
 	healthRefFile := flag.String("health-ref", "health-ref.json",
 		"reference JSON written by -health-drive and read by -health-verify")
 	analyze := flag.Bool("analyze", false,
-		"drive a skewed demo workload in-process and print the per-region workload report plus a shard proposal")
+		"drive a skewed demo workload in-process and print the per-region workload report")
 	analyzeSrv := flag.String("analyze-server", "",
 		"drive a live iqserver at this base URL with the skewed demo, then fetch and validate /v1/stats/workload (scripts/analyzecheck.sh)")
-	shards := flag.Int("shards", 4, "shard count the analyze modes request from the advisor")
-	shardDrillURL := flag.String("shard-drill", "",
-		"drive the bit-identity drill against the sharded iqserver at this base URL, comparing every response to the -shard-twin server (scripts/shardcheck.sh)")
-	shardTwinURL := flag.String("shard-twin", "",
-		"base URL of the -shards 1 twin iqserver the -shard-drill responses are compared against")
 	flag.Parse()
-	if *shardDrillURL != "" {
-		if *shardTwinURL == "" {
-			fmt.Fprintln(os.Stderr, "iqtool: -shard-drill requires -shard-twin")
-			os.Exit(2)
-		}
-		if err := shardDrill(os.Stdout, *shardDrillURL, *shardTwinURL, *seed, *shards, *scrapeWait); err != nil {
-			fmt.Fprintf(os.Stderr, "iqtool: shard-drill: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *watchURL != "" {
 		if err := healthWatch(os.Stdout, *watchURL, *watchInterval, *watchCount, *scrapeWait); err != nil {
 			fmt.Fprintf(os.Stderr, "iqtool: watch %s: %v\n", *watchURL, err)
@@ -85,14 +69,14 @@ func main() {
 		return
 	}
 	if *analyzeSrv != "" {
-		if err := analyzeServer(os.Stdout, *analyzeSrv, *seed, *shards, *scrapeWait); err != nil {
+		if err := analyzeServer(os.Stdout, *analyzeSrv, *seed, *scrapeWait); err != nil {
 			fmt.Fprintf(os.Stderr, "iqtool: analyze-server %s: %v\n", *analyzeSrv, err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *analyze {
-		if err := analyzeLocal(os.Stdout, *seed, *shards); err != nil {
+		if err := analyzeLocal(os.Stdout, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "iqtool: analyze: %v\n", err)
 			os.Exit(1)
 		}

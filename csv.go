@@ -6,10 +6,13 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"iq/internal/vec"
 )
 
 // CSV loading helpers matching cmd/datagen's output format, so generated
-// workloads round-trip into a System.
+// workloads round-trip into a System. strconv accepts "NaN" and "Inf"; the
+// loaders reject them, since a non-finite score breaks top-k ranking.
 
 // ObjectsCSV parses an object table. The first row is a header; an "id"
 // column, if present, is ignored (row order defines object indices). All
@@ -53,6 +56,9 @@ func ObjectsCSV(r io.Reader) (objects []Vector, attrNames []string, err error) {
 		}
 		if len(row) != len(attrNames) {
 			return nil, nil, fmt.Errorf("iq: CSV line %d has %d attributes, want %d", line, len(row), len(attrNames))
+		}
+		if !vec.AllFinite(row) {
+			return nil, nil, fmt.Errorf("iq: CSV line %d has non-finite attributes %v", line, row)
 		}
 		objects = append(objects, row)
 	}
@@ -114,6 +120,9 @@ func QueriesCSV(r io.Reader) ([]Query, error) {
 				return nil, fmt.Errorf("iq: CSV line %d column %q: %w", line, header[c], err)
 			}
 			q.Point = append(q.Point, x)
+		}
+		if !vec.AllFinite(q.Point) {
+			return nil, fmt.Errorf("iq: CSV line %d has non-finite weights %v", line, q.Point)
 		}
 		out = append(out, q)
 	}

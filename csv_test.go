@@ -43,6 +43,8 @@ func TestObjectsCSVErrors(t *testing.T) {
 		"id\n1\n",         // no attribute columns
 		"a,b\n1,notnum\n", // bad number
 		"a,b\n1\n",        // csv arity error
+		"a,b\n0.5,NaN\n",  // NaN attribute
+		"a,b\n-inf,0.5\n", // infinite attribute
 	}
 	for _, src := range cases {
 		if _, _, err := ObjectsCSV(strings.NewReader(src)); err == nil {
@@ -85,6 +87,8 @@ func TestQueriesCSVErrors(t *testing.T) {
 		"k,w1\nx,0.5\n",      // bad k
 		"k,w1\n2,notnum\n",   // bad weight
 		"id,k,w1\nx,2,0.5\n", // bad id
+		"k,w1\n2,NaN\n",      // NaN weight
+		"k,w1\n2,+Inf\n",     // infinite weight
 	}
 	for _, src := range cases {
 		if _, err := QueriesCSV(strings.NewReader(src)); err == nil {

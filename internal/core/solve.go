@@ -346,7 +346,7 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 	if rec.attrib {
 		if rs.counts == nil {
 			rs.counts = make([]queryCounts, w.NumQueries())
-			rec.attach(rs, idx)
+			rec.rs, rec.idx = rs, idx
 		}
 		for i := range rs.probes {
 			rs.probes[i].counts = rs.counts

@@ -11,7 +11,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,12 +50,6 @@ type SolveStats struct {
 	// when the context stopped it (the Result is nil then; the cause still
 	// reaches the metrics and, for multi-solves, the partial stats).
 	CancelCause string `json:"cancel_cause,omitempty"`
-	// ShardBusy is the per-shard busy time (ns, indexed by shard) a sharded
-	// scatter-gather solve spent inside shard-local work. Empty on the
-	// monolithic path. Busy times feed the iq_shard_busy_nanoseconds_total
-	// counters and iqbench's modeled-speedup gate on hosts with too few
-	// cores to measure real parallel wall time.
-	ShardBusy []int64 `json:"shard_busy_ns,omitempty"`
 }
 
 // recorder accumulates one solve's counters. Probe-level fields are atomics
@@ -73,31 +66,13 @@ type recorder struct {
 	// obs counters aggregate across solves).
 	thrHits   atomic.Int64
 	thrMisses atomic.Int64
-	// attr lets finishSolve flush each dense per-query attribution table
-	// (roundScratch.counts) into per-region samples. A monolithic solve
-	// attaches exactly one pair; a sharded solve runs one generateCandidates
-	// per shard concurrently and each attaches its own (scratch, index) pair,
-	// hence the mutex. Empty for solves that never fan out (exhaustive
-	// verifiers, multi-target solves). Only the coordinator goroutine reads
-	// the slice, after every fan-out has joined.
-	attrMu sync.Mutex
-	attr   []attrPair
-}
-
-// attrPair binds one attribution table to the index whose subdomains resolve
-// its rows into regions. Region IDs are disjoint across shard indexes
-// (subdomain.Options.RegionBase), so concatenating per-pair samples is sound.
-type attrPair struct {
+	// rs/idx let finishSolve flush the solve's dense per-query attribution
+	// table (roundScratch.counts) into per-region samples. Set by the first
+	// generateCandidates call while attribution is on; nil for solves that
+	// never fan out (exhaustive verifiers, multi-target solves). Only the
+	// solve goroutine reads them, after the last fan-out has joined.
 	rs  *roundScratch
 	idx *subdomain.Index
-}
-
-// attach registers one solve-local attribution table. Called at most once
-// per roundScratch (guarded by the counts==nil check at the call site).
-func (r *recorder) attach(rs *roundScratch, idx *subdomain.Index) {
-	r.attrMu.Lock()
-	r.attr = append(r.attr, attrPair{rs: rs, idx: idx})
-	r.attrMu.Unlock()
 }
 
 // thresholdLookup records one cachedHitThreshold outcome. Nil-safe: callers
@@ -126,25 +101,13 @@ func newRecorder() *recorder {
 // fan-out /metrics publishes.
 const maxRegionSamples = 16
 
-// regionSamples folds every attached attribution table into per-region
-// samples and concatenates them. Per-shard region IDs never collide
-// (RegionBase), so the only possible duplicate key across pairs is the
-// synthetic overflow region — the aggregator merges duplicates additively,
-// which is exactly the semantics an overflow tail wants.
+// regionSamples folds the solve's dense per-query counts into per-region
+// samples: the top-maxRegionSamples regions by probes exactly, the rest as
+// one overflow sample. Regions group by the subdomain's representative
+// query — a unique index in [0, NumQueries) — so the fold is in-place over
+// the counts table with no map and no reflection-based sort.
 func (r *recorder) regionSamples() []workload.RegionSample {
-	var out []workload.RegionSample
-	for _, p := range r.attr {
-		out = append(out, regionSamplesOf(p.rs, p.idx)...)
-	}
-	return out
-}
-
-// regionSamplesOf folds one solve-local dense per-query counts table into
-// per-region samples: the top-maxRegionSamples regions by probes exactly,
-// the rest as one overflow sample. Regions group by the subdomain's
-// representative query — a unique index in [0, NumQueries) — so the fold is
-// in-place over the counts table with no map and no reflection-based sort.
-func regionSamplesOf(rs *roundScratch, idx *subdomain.Index) []workload.RegionSample {
+	rs, idx := r.rs, r.idx
 	if rs == nil || len(rs.counts) == 0 {
 		return nil
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // RegionStat is one region's windowed totals. Pos is the region's 1-D
-// query-space position (the representative query's first coordinate), the
-// axis the shard advisor linearises along.
+// query-space position (the representative query's first coordinate), so
+// reports can place a hot region in query space.
 type RegionStat struct {
 	Region    uint64  `json:"region"`
 	Pos       float64 `json:"pos"`

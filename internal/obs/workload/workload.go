@@ -3,9 +3,7 @@
 // subdomain regions its probes touched, every mutation commit reports which
 // regions its dirty set churned, and this package folds those reports into a
 // sliding window of fixed time buckets so "where does the load live *right
-// now*" has an answer. On top of the windowed view, Advise proposes a
-// contiguous k-way sharding of query space (see advise.go) — the data
-// foundation for a sharded deployment.
+// now*" has an answer.
 //
 // Like the rest of internal/obs the package is stdlib-only, and the hot path
 // is deliberately cheap: a disabled aggregator costs one atomic load per

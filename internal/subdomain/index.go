@@ -46,16 +46,6 @@ type Options struct {
 	// SkipRefinement disables the signature-refinement pass. Only safe
 	// when MaxIntersections is 0; exposed for the ablation benchmarks.
 	SkipRefinement bool
-	// Shards records how many query-space shards the owning iq.System
-	// splits the workload across (0 or 1 = unsharded). The index itself
-	// ignores it; it rides in Options so snapshots round-trip the sharding
-	// layout and a recovered System rebuilds with the same shape.
-	Shards int
-	// RegionBase offsets the region IDs this index mints. A sharded System
-	// gives each shard a disjoint base so region identities stay unique
-	// across the whole process — the workload-analytics aggregator keys on
-	// them. 0 (the default) starts the sequence at 1.
-	RegionBase uint64
 }
 
 func (o Options) withDefaults() Options {
@@ -176,7 +166,7 @@ func BuildCtx(ctx context.Context, w *topk.Workload, opts Options) (*Index, erro
 		removedQ:       map[int]bool{},
 		boundaryFilter: bloom.NewWithEstimates(4*w.NumQueries()+64, 0.01),
 		boundaryIndex:  map[[2]int][]int{},
-		nextRegion:     opts.RegionBase + 1, // base+0 reserved: 0 means "no region" (RegionOf on absent queries)
+		nextRegion:     1, // 0 means "no region" (RegionOf on absent queries)
 	}
 	if m := w.NumQueries(); m > 0 {
 		// STR bulk loading: faster than insertion and lower node overlap,

@@ -55,7 +55,7 @@ func NewWorkload(space Space, attrs []vec.Vector, queries []Query) (*Workload, e
 		coeffs: make([]vec.Vector, len(attrs)), removed: make([]bool, len(attrs))}
 	for i, a := range attrs {
 		w.attrs[i] = vec.Clone(a)
-		c, err := space.Embed(a)
+		c, err := w.embed(a)
 		if err != nil {
 			return nil, fmt.Errorf("topk: object %d: %w", i, err)
 		}
@@ -64,11 +64,8 @@ func NewWorkload(space Space, attrs []vec.Vector, queries []Query) (*Workload, e
 	w.queries = make([]Query, len(queries))
 	w.removedQ = make([]bool, len(queries))
 	for i, q := range queries {
-		if len(q.Point) != space.QueryDim() {
-			return nil, fmt.Errorf("topk: query %d has dim %d, space wants %d", i, len(q.Point), space.QueryDim())
-		}
-		if q.K < 1 {
-			return nil, fmt.Errorf("topk: query %d has k=%d", i, q.K)
+		if err := w.CheckQuery(q); err != nil {
+			return nil, fmt.Errorf("topk: query %d: %w", i, err)
 		}
 		if q.K > w.maxK {
 			w.maxK = q.K
@@ -80,6 +77,38 @@ func NewWorkload(space Space, attrs []vec.Vector, queries []Query) (*Workload, e
 
 // Space returns the workload's embedding space.
 func (w *Workload) Space() Space { return w.space }
+
+// embed maps attrs into the space. Attributes and coefficients must both be
+// finite: a NaN or Inf turns scores into NaN, and NaN compares false both
+// ways, so rankings and hit counts would stop agreeing.
+func (w *Workload) embed(attrs vec.Vector) (vec.Vector, error) {
+	if !vec.AllFinite(attrs) {
+		return nil, fmt.Errorf("topk: attributes %v are not finite", attrs)
+	}
+	c, err := w.space.Embed(attrs)
+	if err != nil {
+		return nil, err
+	}
+	if !vec.AllFinite(c) {
+		return nil, fmt.Errorf("topk: attributes %v embed to non-finite coefficients %v", attrs, c)
+	}
+	return c, nil
+}
+
+// CheckQuery reports whether q can run against the workload: its point has
+// the space's query dimension and finite coordinates, and k ≥ 1.
+func (w *Workload) CheckQuery(q Query) error {
+	if len(q.Point) != w.space.QueryDim() {
+		return fmt.Errorf("topk: query dim %d, space wants %d", len(q.Point), w.space.QueryDim())
+	}
+	if q.K < 1 {
+		return fmt.Errorf("topk: query k=%d", q.K)
+	}
+	if !vec.AllFinite(q.Point) {
+		return fmt.Errorf("topk: query point %v is not finite", q.Point)
+	}
+	return nil
+}
 
 // Clone returns an independent copy of the workload for copy-on-write
 // updates: all bookkeeping slices are copied so mutations of the clone never
@@ -121,7 +150,7 @@ func (w *Workload) Queries() []Query { return w.queries }
 
 // UpdateObject replaces object i's attributes, re-embedding it.
 func (w *Workload) UpdateObject(i int, attrs vec.Vector) error {
-	c, err := w.space.Embed(attrs)
+	c, err := w.embed(attrs)
 	if err != nil {
 		return err
 	}
@@ -132,7 +161,7 @@ func (w *Workload) UpdateObject(i int, attrs vec.Vector) error {
 
 // AddObject appends an object and returns its index.
 func (w *Workload) AddObject(attrs vec.Vector) (int, error) {
-	c, err := w.space.Embed(attrs)
+	c, err := w.embed(attrs)
 	if err != nil {
 		return 0, err
 	}
@@ -164,11 +193,8 @@ func (w *Workload) LiveObjects() int {
 
 // AddQuery appends a query and returns its index.
 func (w *Workload) AddQuery(q Query) (int, error) {
-	if len(q.Point) != w.space.QueryDim() {
-		return 0, fmt.Errorf("topk: query dim %d, space wants %d", len(q.Point), w.space.QueryDim())
-	}
-	if q.K < 1 {
-		return 0, fmt.Errorf("topk: query k=%d", q.K)
+	if err := w.CheckQuery(q); err != nil {
+		return 0, err
 	}
 	if q.K > w.maxK {
 		w.maxK = q.K

@@ -46,7 +46,6 @@ import (
 	"iq/internal/obs"
 	"iq/internal/obs/history"
 	"iq/internal/obs/workload"
-	"iq/internal/shard"
 	"iq/internal/subdomain"
 	"iq/internal/topk"
 	"iq/internal/vec"
@@ -146,10 +145,10 @@ func SetMetricsEnabled(enabled bool) bool { return obs.SetEnabled(enabled) }
 
 // SetWorkloadAnalyticsEnabled toggles per-region workload attribution (the
 // internal/obs/workload layer: solve and churn attribution by query-space
-// region, the /v1/stats/workload endpoint's data source, and the shard
-// advisor's input), returning the previous setting. Default on. Disabled,
-// the solve hot path pays exactly one atomic load — the recorder samples the
-// switch once per solve and skips all attribution work.
+// region, and the /v1/stats/workload endpoint's data source), returning the
+// previous setting. Default on. Disabled, the solve hot path pays exactly
+// one atomic load — the recorder samples the switch once per solve and
+// skips all attribution work.
 func SetWorkloadAnalyticsEnabled(enabled bool) bool { return workload.SetEnabled(enabled) }
 
 // WorkloadAnalyticsEnabled reports whether per-region attribution is active.
@@ -271,18 +270,13 @@ type durabilitySink interface {
 	logTxn(ctx context.Context, epoch uint64, muts []Mutation) error
 }
 
-// state is one immutable epoch. Unsharded, it is a workload/index pair that
-// is never mutated after publication (idx built against w, cloned and
-// replaced together). Sharded (opts.Shards > 1), idx is nil and sh carries
-// the per-shard workload/index pairs instead; w remains the GLOBAL workload
-// — the single source of truth for query/object numbering, Evaluate, and
-// snapshots — kept in lockstep with the shards by the sharded commit
-// protocol. opts records the construction options so snapshots round-trip
-// them (a recovered System rebuilds with the same sharding layout).
+// state is one immutable epoch: a workload/index pair that is never mutated
+// after publication. The two are cloned and replaced together — an index is
+// only ever paired with the workload it was built against. opts records the
+// construction options so snapshots round-trip them.
 type state struct {
 	w     *topk.Workload
 	idx   *subdomain.Index
-	sh    *shard.Set
 	opts  IndexOptions
 	epoch uint64
 }
@@ -329,7 +323,7 @@ func (s *System) mutateCtx(ctx context.Context, muts []Mutation, fn func(st *sta
 	defer s.mu.Unlock()
 	old := s.cur.Load()
 	w := old.w.Clone()
-	next := &state{w: w, idx: old.idx.CloneCtx(ctx, w), epoch: old.epoch + 1}
+	next := &state{w: w, idx: old.idx.CloneCtx(ctx, w), opts: old.opts, epoch: old.epoch + 1}
 	if err := fn(next); err != nil {
 		return err
 	}
@@ -410,17 +404,11 @@ func NewWithOptions(space Space, objects []Vector, queries []Query, opts IndexOp
 
 // NewWithOptionsCtx is NewWithOptions under a context: when the context
 // carries a Trace, subdomain-index construction records an "index/build"
-// span into it, so tools can profile startup alongside solves. With
-// opts.Shards > 1 the query workload is partitioned across that many shard
-// indexes behind the same facade; results are bit-identical to the
-// unsharded engine at any shard count.
+// span into it, so tools can profile startup alongside solves.
 func NewWithOptionsCtx(ctx context.Context, space Space, objects []Vector, queries []Query, opts IndexOptions) (*System, error) {
 	w, err := topk.NewWorkload(space, objects, queries)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Shards > 1 {
-		return newShardedSystem(ctx, w, opts)
 	}
 	idx, err := subdomain.BuildCtx(ctx, w, opts)
 	if err != nil {
@@ -458,6 +446,11 @@ func (s *System) MinCostCtx(ctx context.Context, req MinCostRequest) (*Result, e
 	return s.view().solveMinCost(ctx, req)
 }
 
+// solveMinCost answers one Min-Cost solve against this epoch snapshot.
+func (st *state) solveMinCost(ctx context.Context, req MinCostRequest) (*Result, error) {
+	return core.MinCostIQCtx(ctx, st.idx, req)
+}
+
 // MaxHit answers a Max-Hit improvement query (Definition 3 / Algorithm 4).
 func (s *System) MaxHit(req MaxHitRequest) (*Result, error) {
 	return s.MaxHitCtx(context.Background(), req)
@@ -467,6 +460,11 @@ func (s *System) MaxHit(req MaxHitRequest) (*Result, error) {
 // MinCostCtx.
 func (s *System) MaxHitCtx(ctx context.Context, req MaxHitRequest) (*Result, error) {
 	return s.view().solveMaxHit(ctx, req)
+}
+
+// solveMaxHit answers one Max-Hit solve against this epoch snapshot.
+func (st *state) solveMaxHit(ctx context.Context, req MaxHitRequest) (*Result, error) {
+	return core.MaxHitIQCtx(ctx, st.idx, req)
 }
 
 // BatchItem is one solve of a batch: exactly one of MinCost or MaxHit must
@@ -574,15 +572,9 @@ func (s *System) MinCostMulti(specs []TargetSpec, tau int) (*MultiResult, error)
 }
 
 // MinCostMultiCtx is MinCostMulti under a context; cancellation semantics
-// match MinCostCtx. The combinatorial solvers are not sharded (their subset
-// enumeration is only feasible for tiny inputs anyway); on a sharded System
-// they return an error.
+// match MinCostCtx.
 func (s *System) MinCostMultiCtx(ctx context.Context, specs []TargetSpec, tau int) (*MultiResult, error) {
-	st := s.view()
-	if st.sh != nil {
-		return nil, errSharded("MinCostMulti")
-	}
-	return core.CombinatorialMinCostIQCtx(ctx, st.idx, specs, tau)
+	return core.CombinatorialMinCostIQCtx(ctx, s.view().idx, specs, tau)
 }
 
 // MaxHitMulti answers a combinatorial Max-Hit IQ over several targets.
@@ -591,13 +583,9 @@ func (s *System) MaxHitMulti(specs []TargetSpec, budget float64) (*MultiResult, 
 }
 
 // MaxHitMultiCtx is MaxHitMulti under a context; cancellation semantics
-// match MinCostCtx. Unsupported on a sharded System, like MinCostMultiCtx.
+// match MinCostCtx.
 func (s *System) MaxHitMultiCtx(ctx context.Context, specs []TargetSpec, budget float64) (*MultiResult, error) {
-	st := s.view()
-	if st.sh != nil {
-		return nil, errSharded("MaxHitMulti")
-	}
-	return core.CombinatorialMaxHitIQCtx(ctx, st.idx, specs, budget)
+	return core.CombinatorialMaxHitIQCtx(ctx, s.view().idx, specs, budget)
 }
 
 // MinCostExhaustive runs the optimal (exponential-time) solver; only
@@ -610,11 +598,7 @@ func (s *System) MinCostExhaustive(req MinCostRequest) (*Result, error) {
 // enumeration aborts when ctx fails. The exponential solver is where a
 // deadline matters most.
 func (s *System) MinCostExhaustiveCtx(ctx context.Context, req MinCostRequest) (*Result, error) {
-	st := s.view()
-	if st.sh != nil {
-		return nil, errSharded("MinCostExhaustive")
-	}
-	return core.ExhaustiveMinCostCtx(ctx, st.idx, req)
+	return core.ExhaustiveMinCostCtx(ctx, s.view().idx, req)
 }
 
 // MaxHitExhaustive runs the optimal Max-Hit solver for tiny inputs.
@@ -625,11 +609,7 @@ func (s *System) MaxHitExhaustive(req MaxHitRequest) (*Result, error) {
 // MaxHitExhaustiveCtx is MaxHitExhaustive under a context; cancellation
 // semantics match MinCostExhaustiveCtx.
 func (s *System) MaxHitExhaustiveCtx(ctx context.Context, req MaxHitRequest) (*Result, error) {
-	st := s.view()
-	if st.sh != nil {
-		return nil, errSharded("MaxHitExhaustive")
-	}
-	return core.ExhaustiveMaxHitCtx(ctx, st.idx, req)
+	return core.ExhaustiveMaxHitCtx(ctx, s.view().idx, req)
 }
 
 // Hits returns H(p), the number of queries object target currently hits.
@@ -645,6 +625,16 @@ func (s *System) HitsCtx(ctx context.Context, target int) (int, error) {
 	return s.view().baseHitsCtx(ctx, target)
 }
 
+// baseHitsCtx counts the target's current hits on this snapshot.
+func (st *state) baseHitsCtx(ctx context.Context, target int) (int, error) {
+	pool, release, err := core.AcquireEvaluators(ctx, st.idx, target, 1)
+	if err != nil {
+		return 0, err
+	}
+	defer release()
+	return pool[0].BaseHits(), nil
+}
+
 // Evaluate answers a plain top-k query against the dataset.
 func (s *System) Evaluate(q Query) []int {
 	res := s.view().w.Evaluate(q)
@@ -653,12 +643,18 @@ func (s *System) Evaluate(q Query) []int {
 
 // EvaluateCtx is Evaluate under a context. A single top-k evaluation is far
 // cheaper than a solve, so the context is observed once at entry — enough
-// for a server to shed queued work after its deadline passed.
+// for a server to shed queued work after its deadline passed. Unlike
+// Evaluate, it validates q the way AddQuery does (dimension, finite point,
+// k ≥ 1) and returns an error instead of panicking on malformed input.
 func (s *System) EvaluateCtx(ctx context.Context, q Query) ([]int, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	return s.Evaluate(q), nil
+	w := s.view().w
+	if err := w.CheckQuery(q); err != nil {
+		return nil, err
+	}
+	return w.Evaluate(q).Ordered, nil
 }
 
 // EvaluateStrategy returns H(p+strategy) without committing anything — the
@@ -678,24 +674,15 @@ func (s *System) EvaluateStrategyCtx(ctx context.Context, target int, strategy V
 	if err := core.CtxErr(ctx); err != nil {
 		return 0, err
 	}
-	total := 0
-	for _, idx := range st.indexes() {
-		pool, release, err := core.AcquireEvaluators(ctx, idx, target, 1)
-		if err != nil {
-			return 0, err
-		}
-		if err := core.CtxErr(ctx); err != nil {
-			release()
-			return 0, err
-		}
-		h, err := pool[0].Hits(strategy)
-		release()
-		if err != nil {
-			return 0, err
-		}
-		total += h
+	pool, release, err := core.AcquireEvaluators(ctx, st.idx, target, 1)
+	if err != nil {
+		return 0, err
 	}
-	return total, nil
+	defer release()
+	if err := core.CtxErr(ctx); err != nil {
+		return 0, err
+	}
+	return pool[0].Hits(strategy)
 }
 
 // checkStrategy validates a (target, strategy) pair against a workload so
@@ -707,6 +694,9 @@ func checkStrategy(w *topk.Workload, target int, strategy Vector) error {
 	}
 	if d := len(w.Attrs(target)); len(strategy) != d {
 		return fmt.Errorf("iq: strategy has %d dimensions, want %d", len(strategy), d)
+	}
+	if !vec.AllFinite(strategy) {
+		return fmt.Errorf("iq: strategy %v is not finite", strategy)
 	}
 	return nil
 }
@@ -721,10 +711,6 @@ func (s *System) Commit(target int, strategy Vector) error {
 // record spans when the context carries a trace.
 func (s *System) CommitCtx(ctx context.Context, target int, strategy Vector) error {
 	muts := []Mutation{{Commit: &CommitMutation{Target: target, Strategy: strategy}}}
-	if s.view().sh != nil {
-		_, err := s.mutateShardedCtx(ctx, muts, false, nil)
-		return err
-	}
 	return s.mutateCtx(ctx, muts, func(st *state) error {
 		if err := checkStrategy(st.w, target, strategy); err != nil {
 			return err
@@ -744,14 +730,6 @@ func (s *System) CommitAndCount(target int, strategy Vector) (int, error) {
 func (s *System) CommitAndCountCtx(ctx context.Context, target int, strategy Vector) (int, error) {
 	hits := 0
 	muts := []Mutation{{Commit: &CommitMutation{Target: target, Strategy: strategy}}}
-	if s.view().sh != nil {
-		_, err := s.mutateShardedCtx(ctx, muts, false, func(st *state) error {
-			var err error
-			hits, err = shardedBaseHits(ctx, st, target)
-			return err
-		})
-		return hits, err
-	}
 	err := s.mutateCtx(ctx, muts, func(st *state) error {
 		if err := checkStrategy(st.w, target, strategy); err != nil {
 			return err
@@ -779,13 +757,6 @@ func (s *System) AddObject(attrs Vector) (int, error) {
 func (s *System) AddObjectCtx(ctx context.Context, attrs Vector) (int, error) {
 	id := 0
 	muts := []Mutation{{AddObject: &AddObjectMutation{Attrs: attrs}}}
-	if s.view().sh != nil {
-		res, err := s.mutateShardedCtx(ctx, muts, false, nil)
-		if err != nil {
-			return 0, err
-		}
-		return res[0].ID, nil
-	}
 	err := s.mutateCtx(ctx, muts, func(st *state) error {
 		var err error
 		id, err = st.idx.AddObjectCtx(ctx, attrs)
@@ -803,10 +774,6 @@ func (s *System) RemoveObject(id int) error {
 // CommitCtx.
 func (s *System) RemoveObjectCtx(ctx context.Context, id int) error {
 	muts := []Mutation{{RemoveObject: &RemoveObjectMutation{ID: id}}}
-	if s.view().sh != nil {
-		_, err := s.mutateShardedCtx(ctx, muts, false, nil)
-		return err
-	}
 	return s.mutateCtx(ctx, muts, func(st *state) error { return st.idx.RemoveObjectCtx(ctx, id) })
 }
 
@@ -820,13 +787,6 @@ func (s *System) AddQuery(q Query) (int, error) {
 func (s *System) AddQueryCtx(ctx context.Context, q Query) (int, error) {
 	j := 0
 	muts := []Mutation{{AddQuery: &AddQueryMutation{Query: q}}}
-	if s.view().sh != nil {
-		res, err := s.mutateShardedCtx(ctx, muts, false, nil)
-		if err != nil {
-			return 0, err
-		}
-		return res[0].ID, nil
-	}
 	err := s.mutateCtx(ctx, muts, func(st *state) error {
 		var err error
 		j, err = st.idx.AddQueryCtx(ctx, q)
@@ -844,10 +804,6 @@ func (s *System) RemoveQuery(j int) error {
 // CommitCtx.
 func (s *System) RemoveQueryCtx(ctx context.Context, j int) error {
 	muts := []Mutation{{RemoveQuery: &RemoveQueryMutation{Index: j}}}
-	if s.view().sh != nil {
-		_, err := s.mutateShardedCtx(ctx, muts, false, nil)
-		return err
-	}
 	return s.mutateCtx(ctx, muts, func(st *state) error { return st.idx.RemoveQueryCtx(ctx, j) })
 }
 
@@ -912,9 +868,6 @@ func (s *System) ApplyBatchCtx(ctx context.Context, muts []Mutation) ([]Mutation
 	if len(muts) == 0 {
 		return nil, nil
 	}
-	if s.view().sh != nil {
-		return s.mutateShardedCtx(ctx, muts, true, nil)
-	}
 	results := make([]MutationResult, len(muts))
 	err := s.mutateCtx(ctx, muts, func(st *state) error {
 		st.idx.BeginBatch()
@@ -960,6 +913,28 @@ func applyMutation(ctx context.Context, st *state, m Mutation) (int, error) {
 	}
 }
 
+// countMutationOps counts how many operation fields a Mutation sets; valid
+// mutations set exactly one.
+func countMutationOps(m Mutation) int {
+	n := 0
+	if m.Commit != nil {
+		n++
+	}
+	if m.AddObject != nil {
+		n++
+	}
+	if m.RemoveObject != nil {
+		n++
+	}
+	if m.AddQuery != nil {
+		n++
+	}
+	if m.RemoveQuery != nil {
+		n++
+	}
+	return n
+}
+
 // NumObjects returns the dataset size (including tombstoned objects).
 func (s *System) NumObjects() int { return s.view().w.NumObjects() }
 
@@ -969,15 +944,8 @@ func (s *System) NumQueries() int { return s.view().w.NumQueries() }
 // Attrs returns a copy of an object's current attributes.
 func (s *System) Attrs(id int) Vector { return vec.Clone(s.view().w.Attrs(id)) }
 
-// IndexStats reports the subdomain index footprint; on a sharded System the
-// per-shard footprints are summed.
-func (s *System) IndexStats() IndexStats {
-	st := s.view()
-	if st.sh != nil {
-		return st.sh.Stats()
-	}
-	return st.idx.Stats()
-}
+// IndexStats reports the subdomain index footprint.
+func (s *System) IndexStats() IndexStats { return s.view().idx.Stats() }
 
 // Internal accessors for the benchmark harness and tools.
 
@@ -989,7 +957,5 @@ func (s *System) Workload() *topk.Workload { return s.view().w }
 
 // Index exposes the current epoch's subdomain index (immutable, like
 // Workload). Callers needing a consistent workload/index pair should use
-// Index().Workload() rather than two separate System calls. On a sharded
-// System there is no single index and Index returns nil; use ShardInfos and
-// IndexStats instead.
+// Index().Workload() rather than two separate System calls.
 func (s *System) Index() *subdomain.Index { return s.view().idx }

@@ -1,11 +1,15 @@
 package iq
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"iq/internal/dataset"
+	"iq/internal/vec"
 )
 
 func smallSystem(t *testing.T, rng *rand.Rand, n, m int) *System {
@@ -189,5 +193,115 @@ func TestUnreachableGoal(t *testing.T) {
 	sys := smallSystem(t, rng, 30, 10)
 	if _, err := sys.MinCost(MinCostRequest{Target: 0, Tau: 99, Cost: L2Cost{}}); !errors.Is(err, ErrGoalUnreachable) {
 		t.Errorf("err=%v", err)
+	}
+}
+
+// TestSolveBatchParallelMatchesSequential: the batch worker pool answers in
+// item order with the same results and per-item errors at any parallelism.
+func TestSolveBatchParallelMatchesSequential(t *testing.T) {
+	sys := smallSystem(t, rand.New(rand.NewSource(3)), 80, 60)
+	items := make([]BatchItem, 9)
+	for i := range items {
+		if i%3 == 2 {
+			items[i] = BatchItem{MaxHit: &MaxHitRequest{Target: i % 4, Budget: 0.3, Cost: L2Cost{}}}
+		} else {
+			items[i] = BatchItem{MinCost: &MinCostRequest{Target: i % 4, Tau: 1 + i%3, Cost: L2Cost{}}}
+		}
+	}
+	items = append(items, BatchItem{}) // sets neither solve
+	prev := SetBatchParallelism(1)
+	defer SetBatchParallelism(prev)
+	seq := sys.SolveBatch(items)
+	SetBatchParallelism(4)
+	par := sys.SolveBatch(items)
+	for i := range seq {
+		if fmt.Sprint(seq[i].Err) != fmt.Sprint(par[i].Err) {
+			t.Fatalf("item %d: sequential err=%v parallel err=%v", i, seq[i].Err, par[i].Err)
+		}
+		if seq[i].Err == nil && (!vec.Equal(seq[i].Result.Strategy, par[i].Result.Strategy) ||
+			seq[i].Result.Hits != par[i].Result.Hits) {
+			t.Fatalf("item %d: sequential %v/%d != parallel %v/%d", i,
+				seq[i].Result.Strategy, seq[i].Result.Hits, par[i].Result.Strategy, par[i].Result.Hits)
+		}
+	}
+	if par[len(par)-1].Err == nil {
+		t.Fatal("batch item setting neither solve was accepted")
+	}
+}
+
+// TestRejectsNonFinite: NaN and Inf must be refused wherever numbers enter
+// the engine — attributes, embedded coefficients, query points, strategies,
+// and attributes a commit overflows. Every refused write leaves the epoch
+// where it was, and afterwards Hits still agrees with Evaluate.
+func TestRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	queries := []Query{
+		{ID: 0, K: 1, Point: Vector{0.5, 0.5}},
+		{ID: 1, K: 2, Point: Vector{1, 0}},
+		{ID: 2, K: 2, Point: Vector{0, 1}},
+	}
+	objs := []Vector{{0.9, 0.9}, {0.2, 0.3}, {0.4, 0.1}}
+	if _, err := NewLinear([]Vector{{0.2, nan}, {0.3, 0.4}}, queries); err == nil {
+		t.Error("NaN object accepted at construction")
+	}
+	if _, err := NewLinear(objs, []Query{{K: 1, Point: Vector{inf, 0.5}}}); err == nil {
+		t.Error("Inf query point accepted at construction")
+	}
+	space, err := NewExprSpace("w1 * price + w2 * (capacity / mpg)", []string{"price", "mpg", "capacity"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(space, []Vector{{0.5, 0, 0.3}}, nil); err == nil {
+		t.Error("object embedding to an Inf coefficient accepted")
+	}
+
+	sys, err := NewLinear(objs, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One commit of [1e308, 0] is finite; the second overflows to +Inf.
+	if err := sys.Commit(0, Vector{1e308, 0}); err != nil {
+		t.Fatal(err)
+	}
+	epoch := sys.Epoch()
+	rejected := map[string]error{
+		"overflowing commit": sys.Commit(0, Vector{1e308, 0}),
+		"NaN strategy":       sys.Commit(1, Vector{nan, 0}),
+		"Inf object":         func() error { _, err := sys.AddObject(Vector{inf, 0.5}); return err }(),
+		"NaN query":          func() error { _, err := sys.AddQuery(Query{K: 1, Point: Vector{nan, 0.5}}); return err }(),
+		"NaN batch commit": func() error {
+			_, err := sys.ApplyBatch([]Mutation{{Commit: &CommitMutation{Target: 2, Strategy: Vector{0, nan}}}})
+			return err
+		}(),
+		"NaN what-if": func() error { _, err := sys.EvaluateStrategy(1, Vector{nan, 0}); return err }(),
+		"NaN top-k": func() error {
+			_, err := sys.EvaluateCtx(context.Background(), Query{K: 1, Point: Vector{nan, 1}})
+			return err
+		}(),
+	}
+	for name, err := range rejected {
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if got := sys.Epoch(); got != epoch {
+		t.Fatalf("rejected writes moved the epoch %d -> %d", epoch, got)
+	}
+	for target := 0; target < sys.NumObjects(); target++ {
+		hits, err := sys.Hits(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, q := range queries {
+			for _, id := range sys.Evaluate(q) {
+				if id == target {
+					want++
+				}
+			}
+		}
+		if hits != want {
+			t.Errorf("target %d: Hits=%d but %d Evaluate results contain it", target, hits, want)
+		}
 	}
 }

@@ -2,10 +2,9 @@
 # Live workload-analytics smoke test: boot a real iqserver, drive a skewed
 # solver workload plus mutations through the HTTP API with iqtool, and
 # validate the whole analytics surface — /v1/stats/workload reports live
-# per-region load, ?advise=k returns a well-formed k-shard proposal whose
-# shares sum to 1, and /debug/workload renders. Unit tests cover the
+# per-region load and /debug/workload renders. Unit tests cover the
 # aggregator and handlers in isolation; only a live process proves the
-# engine hooks, the HTTP layer, and the advisor compose end to end.
+# engine hooks and the HTTP layer compose end to end.
 set -eu
 
 ADDR=127.0.0.1:19277
@@ -19,4 +18,4 @@ go build -o "$BIN/iqtool" ./cmd/iqtool
 SERVER_PID=$!
 
 # iqtool retries until the server is up (bounded by -scrape-timeout).
-"$BIN/iqtool" -analyze-server "http://$ADDR" -shards 4 -scrape-timeout 15s
+"$BIN/iqtool" -analyze-server "http://$ADDR" -scrape-timeout 15s

@@ -26,14 +26,7 @@
 #    the sampler runs entirely off the hot path. Full-scale report:
 #    BENCH_PR9.json
 #    (regenerate with: go run ./cmd/iqbench -health-json BENCH_PR9.json).
-# 6. Sharded engine (PR 10): the -shards 1 facade must stay within 2% of
-#    the pre-sharding engine (the dispatch layer must be free when unused),
-#    and the shards=4 batch-solve throughput win must be at least 1.5x —
-#    measured as max(actual, modeled) speedup, where the modeled wall
-#    charges serial coordinator work plus the slowest shard's busy time, so
-#    the gate holds on single-core CI. Full-scale report: BENCH_PR10.json
-#    (regenerate with: go run ./cmd/iqbench -shard-json BENCH_PR10.json).
-# 7. Cross-PR trend: the newest BENCH_PR*.json ledger must stay within 10%
+# 6. Cross-PR trend: the newest BENCH_PR*.json ledger must stay within 10%
 #    of the best known value for every metric it shares lineage with —
 #    regressions against history fail even when each individual PR's own
 #    gate passed.
@@ -44,5 +37,4 @@ go run ./cmd/iqbench -write-check
 go run ./cmd/iqbench -wal-check
 go run ./cmd/iqbench -analytics-check
 go run ./cmd/iqbench -health-check
-go run ./cmd/iqbench -shard-check
 go run ./cmd/iqbench -trend

@@ -1,7 +1,6 @@
 package iq
 
 import (
-	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -310,22 +309,6 @@ func buildFromSnapshot(snap snapshot) (*System, error) {
 		if removed {
 			w.RemoveObject(i)
 		}
-	}
-	if snap.Options.Shards > 1 {
-		// Sharded rebuild: tombstone the workload first so the shard builder
-		// partitions with the saved liveness (it replays both tombstone kinds
-		// into every shard index itself), then restore the saved epoch.
-		for j, removed := range snap.QueryRemoved {
-			if removed {
-				w.RemoveQuery(j)
-			}
-		}
-		s, err := newShardedSystem(context.Background(), w, snap.Options)
-		if err != nil {
-			return nil, err
-		}
-		s.cur.Load().epoch = snap.Epoch
-		return s, nil
 	}
 	idx, err := buildIndex(w, snap.Options)
 	if err != nil {

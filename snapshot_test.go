@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"iq/internal/dataset"
+	"iq/internal/vec"
 )
 
 func TestSaveLoadRoundTripLinear(t *testing.T) {
@@ -296,6 +297,101 @@ func TestLoadVersion1Compat(t *testing.T) {
 	}
 	if _, err := sys.Hits(1); err == nil {
 		t.Fatal("v1 object tombstone lost")
+	}
+}
+
+// TestLoadShardedSnapshot: checkpoints written by a server running the
+// former in-process sharded engine carry Options.Shards and
+// Options.RegionBase. gob skips fields the decoding type no longer has, so
+// such a checkpoint must load as the monolithic engine at the saved epoch
+// and answer exactly like the System it was saved from.
+func TestLoadShardedSnapshot(t *testing.T) {
+	// The on-disk layout of those checkpoints, field for field.
+	type legacyOptions struct {
+		TreeFanout       int
+		Slack            int
+		MaxIntersections int
+		SkipRefinement   bool
+		Shards           int
+		RegionBase       uint64
+	}
+	type legacySnapshot struct {
+		Version      int
+		Epoch        uint64
+		Space        spaceSpec
+		Objects      []Vector
+		Removed      []bool
+		QueryID      []int
+		QueryK       []int
+		QueryPt      []Vector
+		QueryRemoved []bool
+		Options      legacyOptions
+	}
+	rng := rand.New(rand.NewSource(11))
+	objs := dataset.Objects(dataset.Independent, 80, 3, rng)
+	queries := dataset.UNQueries(60, 3, 5, false, rng)
+	sys, err := NewWithOptions(LinearSpace{D: 3}, objs, queries, IndexOptions{TreeFanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.AddQuery(Query{ID: 901, K: 2, Point: Vector{0.4, 0.3, 0.3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RemoveQuery(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Commit(1, Vector{-0.02, -0.01, 0}); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := sys.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var legacy legacySnapshot
+	if err := gob.NewDecoder(&buf).Decode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Options.TreeFanout != 8 {
+		t.Fatalf("saved TreeFanout %d after writes, want 8", legacy.Options.TreeFanout)
+	}
+	legacy.Options.Shards = 4
+	legacy.Options.RegionBase = 3 << 40
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Epoch() != sys.Epoch() {
+		t.Fatalf("restored epoch %d, want %d", got.Epoch(), sys.Epoch())
+	}
+	for _, target := range []int{0, 1, 17, 42} {
+		want, err := sys.Hits(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		have, err := got.Hits(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if have != want {
+			t.Fatalf("target %d: restored Hits %d, want %d", target, have, want)
+		}
+		req := MinCostRequest{Target: target, Tau: want + 6, Cost: L2Cost{}}
+		wantRes, wantErr := sys.MinCost(req)
+		haveRes, haveErr := got.MinCost(req)
+		if (wantErr == nil) != (haveErr == nil) {
+			t.Fatalf("target %d: restored MinCost err %v, want %v", target, haveErr, wantErr)
+		}
+		if wantErr == nil && (!vec.Equal(haveRes.Strategy, wantRes.Strategy) ||
+			haveRes.Cost != wantRes.Cost || haveRes.Hits != wantRes.Hits) {
+			t.Fatalf("target %d: restored MinCost %v/%v/%d, want %v/%v/%d", target,
+				haveRes.Strategy, haveRes.Cost, haveRes.Hits, wantRes.Strategy, wantRes.Cost, wantRes.Hits)
+		}
 	}
 }
 
