@@ -10,6 +10,10 @@ set -eux
 go build ./...
 go vet ./...
 go test -race -short -timeout 5m ./...
+# Non-race pass: the race detector instruments allocations, so the
+# allocation pins (//go:build !race, e.g. internal/core/alloc_test.go) only
+# compile and run here.
+go test -short -timeout 5m ./...
 go test -race -run TestStress -count=2 -timeout 10m ./...
 # Live observability gate: boot a real iqserver and validate its /metrics
 # exposition with iqtool's built-in parser (fails on unparseable output or
@@ -18,9 +22,6 @@ go test -race -run TestStress -count=2 -timeout 10m ./...
 # Live tracing gate: boot a real iqserver, capture a traced solve through
 # the flight recorder, and validate the downloaded trace_event JSON.
 ./scripts/tracecheck.sh
-# Solve-cache benchmark gate: reduced-scale cached-vs-uncached A/B of both
-# solvers; fails if the warm-cache path stops saving allocations.
-./scripts/benchcheck.sh
 # Live durability gate: kill -9 a real iqserver mid-commit, restart over the
 # same data dir, and require the acknowledged epoch and a bit-identical
 # reference solve.

@@ -99,6 +99,7 @@ func TestErrorSurfaceTable(t *testing.T) {
 		{"no dataset", empty.URL + "/v1/mincost", `{"target":0,"tau":1}`, http.StatusConflict},
 		{"unreachable tau", loaded.URL + "/v1/mincost", `{"target":5,"tau":999}`, http.StatusUnprocessableEntity},
 		{"bad cost name", loaded.URL + "/v1/mincost", `{"target":5,"tau":1,"cost":{"name":"bogus"}}`, http.StatusBadRequest},
+		{"zero cost weight", loaded.URL + "/v1/mincost", `{"target":5,"tau":6,"cost":{"weighted":[0,1,1]}}`, http.StatusBadRequest},
 		{"topk wrong dimension", loaded.URL + "/v1/topk", `{"k":1,"point":[0.5]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"time"
 
-	"iq"
 	"iq/internal/obs"
 	"iq/internal/obs/history"
 	"iq/internal/obs/slo"
@@ -95,7 +94,6 @@ func (s *server) closeHealth(logger *slog.Logger) {
 
 // historyResponse is the /v1/stats/history payload.
 type historyResponse struct {
-	Enabled          bool             `json:"enabled"`
 	IntervalSeconds  float64          `json:"interval_seconds"`
 	RetentionSeconds float64          `json:"retention_seconds"`
 	Samples          []history.Sample `json:"samples"`
@@ -141,7 +139,6 @@ func (s *server) handleHistoryStats(w http.ResponseWriter, r *http.Request) {
 		samples = []history.Sample{}
 	}
 	s.writeJSON(w, http.StatusOK, historyResponse{
-		Enabled:          iq.HealthEnabled(),
 		IntervalSeconds:  s.cfg.historyInterval.Seconds(),
 		RetentionSeconds: s.cfg.historyRetention.Seconds(),
 		Samples:          samples,
@@ -150,7 +147,6 @@ func (s *server) handleHistoryStats(w http.ResponseWriter, r *http.Request) {
 
 // sloResponse is the /v1/stats/slo payload.
 type sloResponse struct {
-	Enabled    bool                  `json:"enabled"`
 	Objectives []slo.ObjectiveStatus `json:"objectives"`
 	Firing     []slo.RuleStatus      `json:"firing"`
 }
@@ -168,7 +164,6 @@ func (s *server) handleSLOStats(w http.ResponseWriter, _ *http.Request) {
 		firing = []slo.RuleStatus{}
 	}
 	s.writeJSON(w, http.StatusOK, sloResponse{
-		Enabled:    iq.HealthEnabled(),
 		Objectives: objs,
 		Firing:     firing,
 	})
@@ -227,7 +222,6 @@ type healthFamily struct {
 }
 
 type healthView struct {
-	Enabled   bool
 	Samples   int
 	Span      string
 	Interval  time.Duration
@@ -245,7 +239,6 @@ func buildHealthView(samples []history.Sample, interval time.Duration, sloStatus
 		samples = samples[n-maxDashPoints:]
 	}
 	view := healthView{
-		Enabled:  iq.HealthEnabled(),
 		Samples:  len(samples),
 		Interval: interval,
 		SLO:      sloStatus,
@@ -338,12 +331,10 @@ th { border-bottom: 1px solid #888; }
 td.l, th.l { text-align: left; }
 .spark { font-size: 1em; letter-spacing: 0; color: #2c6e91; }
 .meta { color: #666; font-size: 0.85em; }
-.off { color: #c0392b; font-weight: bold; }
 .firing { color: #c0392b; font-weight: bold; }
 .ok { color: #27ae60; }
 </style></head><body>
 <h1>engine health</h1>
-{{if not .Enabled}}<p class="off">health sampling is DISABLED (iq.SetHealthEnabled)</p>{{end}}
 <p class="meta">{{.Samples}} samples &middot; span {{.Span}} &middot; interval {{.Interval}}</p>
 <h2>service objectives</h2>
 {{if .Firing}}<p class="firing">ALERTS FIRING: {{range .Firing}}{{.Name}} ({{.Severity}}) {{end}}</p>

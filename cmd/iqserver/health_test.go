@@ -57,13 +57,11 @@ func getJSONBody(t *testing.T, url string, out interface{}) *http.Response {
 }
 
 type historyWire struct {
-	Enabled         bool             `json:"enabled"`
 	IntervalSeconds float64          `json:"interval_seconds"`
 	Samples         []history.Sample `json:"samples"`
 }
 
 type sloWire struct {
-	Enabled    bool                  `json:"enabled"`
 	Objectives []slo.ObjectiveStatus `json:"objectives"`
 	Firing     []slo.RuleStatus      `json:"firing"`
 }
@@ -81,7 +79,7 @@ func TestHistoryEndpoint(t *testing.T) {
 	if resp := getJSONBody(t, ts.URL+"/v1/stats/history", &hw); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/stats/history status %d", resp.StatusCode)
 	}
-	if !hw.Enabled || hw.IntervalSeconds != defaultConfig().historyInterval.Seconds() {
+	if hw.IntervalSeconds != defaultConfig().historyInterval.Seconds() {
 		t.Fatalf("history metadata wrong: %+v", hw)
 	}
 	if len(hw.Samples) == 0 {

@@ -853,10 +853,11 @@ func (s *server) handleMaxHit(w http.ResponseWriter, r *http.Request) {
 
 // handleSolveBatch answers N independent solves against one epoch snapshot
 // in a single request. The batch passes through the same admission semaphore
-// as the single-solve endpoints and occupies exactly one slot; items run
-// sequentially inside it, sharing the warm threshold/evaluator caches, which
-// is what makes a batch cheaper than N separate requests. Item failures are
-// reported per item; only malformed requests fail the batch as a whole.
+// as the single-solve endpoints and occupies exactly one slot; inside it,
+// items run on SolveBatchCtx's worker pool (min(GOMAXPROCS, items)) and share
+// the warm threshold/evaluator caches, which is what makes a batch cheaper
+// than N separate requests. Item failures are reported per item; only
+// malformed requests fail the batch as a whole.
 func (s *server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !s.decode(w, r, &req) {

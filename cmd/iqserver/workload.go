@@ -47,10 +47,8 @@ td, th { padding: 2px 10px; text-align: right; font-size: 0.9em; }
 th { border-bottom: 1px solid #888; }
 .bar { display: inline-block; height: 12px; background: #c0392b; vertical-align: middle; }
 .meta { color: #666; font-size: 0.85em; }
-.off { color: #c0392b; font-weight: bold; }
 </style></head><body>
 <h1>workload heatmap</h1>
-{{if not .Enabled}}<p class="off">workload analytics are DISABLED (iq.SetWorkloadAnalyticsEnabled)</p>{{end}}
 <p class="meta">window {{printf "%.0f" .Window.Seconds}}s &middot; {{.Window.Buckets}} buckets &middot;
 tracked {{.TrackedKeys}}/{{.MaxKeys}} keys &middot; overflow records {{.OverflowRecs}} &middot;
 retired regions {{.RetiredSlots}}</p>

@@ -14,8 +14,7 @@ import (
 // workloadStatsWire decodes the fields of /v1/stats/workload the tests
 // assert on.
 type workloadStatsWire struct {
-	Enabled bool `json:"enabled"`
-	Window  struct {
+	Window struct {
 		Seconds float64 `json:"seconds"`
 		Buckets int     `json:"buckets"`
 	} `json:"window"`
@@ -68,9 +67,6 @@ func TestWorkloadStatsEndpoint(t *testing.T) {
 	var st workloadStatsWire
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("stats did not decode: %v\n%s", err, body)
-	}
-	if !st.Enabled {
-		t.Error("analytics report disabled on a default server")
 	}
 	if st.Window.Seconds <= 0 || st.Window.Buckets <= 0 {
 		t.Errorf("window not reported: %+v", st.Window)

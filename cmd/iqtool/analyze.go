@@ -130,8 +130,7 @@ func printReport(out io.Writer, snap *workload.Snapshot) {
 
 // workloadWire mirrors the /v1/stats/workload response for validation.
 type workloadWire struct {
-	Enabled bool `json:"enabled"`
-	Window  struct {
+	Window struct {
 		Seconds float64 `json:"seconds"`
 		Buckets int     `json:"buckets"`
 	} `json:"window"`
@@ -242,9 +241,6 @@ func analyzeServer(out io.Writer, baseURL string, seed int64, timeout time.Durat
 	var wire workloadWire
 	if err := json.Unmarshal(data, &wire); err != nil {
 		return fmt.Errorf("workload stats not valid JSON: %w", err)
-	}
-	if !wire.Enabled {
-		return fmt.Errorf("workload analytics report disabled on a default server")
 	}
 	if wire.Window.Seconds <= 0 || wire.Window.Buckets <= 0 {
 		return fmt.Errorf("bad window metadata: %+v", wire.Window)

@@ -33,14 +33,12 @@ import (
 
 // sloPayload mirrors iqserver's /v1/stats/slo response.
 type sloPayload struct {
-	Enabled    bool                  `json:"enabled"`
 	Objectives []slo.ObjectiveStatus `json:"objectives"`
 	Firing     []slo.RuleStatus      `json:"firing"`
 }
 
 // historyPayload mirrors iqserver's /v1/stats/history response.
 type historyPayload struct {
-	Enabled          bool             `json:"enabled"`
 	IntervalSeconds  float64          `json:"interval_seconds"`
 	RetentionSeconds float64          `json:"retention_seconds"`
 	Samples          []history.Sample `json:"samples"`
@@ -134,13 +132,9 @@ func labelValue(labels, key string) string {
 // renderWatch draws one frame of the dashboard. Pure function of its inputs
 // so tests can feed canned payloads and assert on the text.
 func renderWatch(w io.Writer, sp sloPayload, hp historyPayload, now time.Time) {
-	fmt.Fprintf(w, "iq health @ %s — %d samples, interval %s",
+	fmt.Fprintf(w, "iq health @ %s — %d samples, interval %s\n",
 		now.Format("15:04:05"), len(hp.Samples),
 		time.Duration(hp.IntervalSeconds*float64(time.Second)).Truncate(time.Millisecond))
-	if !sp.Enabled {
-		fmt.Fprint(w, "  [SAMPLING DISABLED]")
-	}
-	fmt.Fprintln(w)
 	if len(sp.Firing) > 0 {
 		fmt.Fprint(w, "ALERTS:")
 		for _, r := range sp.Firing {

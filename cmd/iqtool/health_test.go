@@ -11,7 +11,6 @@ import (
 
 func watchFixture() (sloPayload, historyPayload) {
 	sp := sloPayload{
-		Enabled: true,
 		Objectives: []slo.ObjectiveStatus{{
 			Objective:       slo.Objective{Name: "latency-mincost", Target: 0.99},
 			BudgetRemaining: -0.5,
@@ -27,7 +26,6 @@ func watchFixture() (sloPayload, historyPayload) {
 		Firing: []slo.RuleStatus{{Name: "latency-mincost/fast", Severity: "page", Firing: true}},
 	}
 	hp := historyPayload{
-		Enabled:         true,
 		IntervalSeconds: 10,
 		Samples: []history.Sample{
 			{UnixMs: 1000, Dur: 10, Points: []history.Point{
@@ -92,16 +90,6 @@ func TestRenderWatchQuietFrame(t *testing.T) {
 	}
 	if strings.Contains(out, "ALERTS:") || strings.Contains(out, "fast!") {
 		t.Fatalf("quiet frame still shows alert markers:\n%s", out)
-	}
-}
-
-func TestRenderWatchDisabledSampling(t *testing.T) {
-	sp, hp := watchFixture()
-	sp.Enabled = false
-	var b strings.Builder
-	renderWatch(&b, sp, hp, time.Unix(0, 0).UTC())
-	if !strings.Contains(b.String(), "[SAMPLING DISABLED]") {
-		t.Fatalf("disabled-sampling banner missing:\n%s", b.String())
 	}
 }
 

@@ -1,8 +1,9 @@
 //go:build !race
 
-// Allocation regression pins for the PR 5 hot-path sweep. The race detector
-// instruments allocations, so these only run in normal builds (ci.sh runs
-// `go test ./...` without -race alongside the -race pass).
+// Allocation regression pins for the solver hot path and the cross-solve
+// caches. The race detector instruments allocations, so these only run in
+// normal builds (ci.sh runs `go test -short ./...` without -race alongside
+// the -race pass).
 
 package core
 
@@ -87,4 +88,38 @@ func TestGenerateCandidatesAllocsPerRoundWarm(t *testing.T) {
 				perProbe, probes, allocs)
 		}
 	})
+}
+
+// A cache-warm solve must allocate strictly less than the same solve down
+// the uncached reference path: recycled evaluators and threshold tables are
+// what the caches save, so a change that stops reusing them shows here as an
+// allocation count rather than as a noisy timing.
+func TestWarmSolveAllocsBelowUncached(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	idx := fixture(t, rng, 150, 60, 3, 3)
+	solves := []struct {
+		name string
+		run  func()
+	}{
+		{"MinCost", func() {
+			if _, err := MinCostIQ(idx, MinCostRequest{Target: 4, Tau: 8, Cost: L2Cost{}}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"MaxHit", func() {
+			if _, err := MaxHitIQ(idx, MaxHitRequest{Target: 4, Budget: 0.3, Cost: L2Cost{}}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, s := range solves {
+		// AllocsPerRun's untimed warm-up run fills the caches.
+		var warm, uncached float64
+		withCaches(t, true, func() { warm = testing.AllocsPerRun(5, s.run) })
+		withCaches(t, false, func() { uncached = testing.AllocsPerRun(5, s.run) })
+		if warm >= uncached {
+			t.Errorf("%s: cache-warm solve allocates %.0f times, uncached %.0f; the caches no longer save allocations",
+				s.name, warm, uncached)
+		}
+	}
 }

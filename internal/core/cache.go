@@ -50,24 +50,20 @@ var (
 		"Cached values dropped by dirty-set migration because the mutation's dirty set intersected them.")
 )
 
-// cacheEnabled gates both solve caches. On by default; the benchmark
-// harness and the determinism tests flip it to A/B the cached and uncached
-// paths.
+// cacheEnabled gates both solve caches. On by default; the determinism
+// tests flip it to compare the cached path against the uncached reference.
 var cacheEnabled atomic.Bool
 
 func init() { cacheEnabled.Store(true) }
 
 // SetSolveCacheEnabled toggles the cross-solve threshold and evaluator
-// caches and returns the previous setting. Disabling does not purge —
-// re-enabling reuses still-valid entries; call PurgeSolveCaches for a cold
-// start. Results are bit-identical either way; the caches are purely a
-// throughput optimisation.
+// caches and returns the previous setting. It is a test hook, like
+// SetIterationHook: the bit-identity tests use the uncached path as their
+// reference. Disabling does not purge — re-enabling reuses still-valid
+// entries; call PurgeSolveCaches for a cold start.
 func SetSolveCacheEnabled(enabled bool) bool {
 	return cacheEnabled.Swap(enabled)
 }
-
-// SolveCacheEnabled reports whether the cross-solve caches are active.
-func SolveCacheEnabled() bool { return cacheEnabled.Load() }
 
 // PurgeSolveCaches drops every cached threshold table and idle evaluator.
 // Tests use it to force cold-path measurements; production code never needs
@@ -306,24 +302,6 @@ func AcquireEvaluators(ctx context.Context, idx *subdomain.Index, target, worker
 
 // --- dirty-set cache migration ---
 
-// dirtyInvalidation gates the migration layer. On by default; the write
-// benchmark flips it off to A/B dirty-set invalidation against the old
-// whole-epoch behaviour (every write cold-starts every cache).
-var dirtyInvalidation atomic.Bool
-
-func init() { dirtyInvalidation.Store(true) }
-
-// SetDirtyInvalidationEnabled toggles dirty-set cache migration across
-// mutations and returns the previous setting. Disabled, a mutation's new
-// epoch starts with cold caches (the pre-dirty-set behaviour); results are
-// bit-identical either way.
-func SetDirtyInvalidationEnabled(enabled bool) bool {
-	return dirtyInvalidation.Swap(enabled)
-}
-
-// DirtyInvalidationEnabled reports whether dirty-set migration is active.
-func DirtyInvalidationEnabled() bool { return dirtyInvalidation.Load() }
-
 // MigrateSolveCaches carries cached solver state across a copy-on-write
 // mutation: every threshold table and idle evaluator keyed to the
 // pre-mutation snapshot oldIdx is re-keyed to its successor newIdx, minus
@@ -344,7 +322,7 @@ func DirtyInvalidationEnabled() bool { return dirtyInvalidation.Load() }
 // Old-key entries are left to age out of the LRU so in-flight solves against
 // the superseded snapshot stay warm too.
 func MigrateSolveCaches(oldIdx, newIdx *subdomain.Index, ds *subdomain.DirtySet) {
-	if oldIdx == newIdx || !cacheEnabled.Load() || !dirtyInvalidation.Load() {
+	if oldIdx == newIdx || !cacheEnabled.Load() {
 		return
 	}
 	migrateThresholds(oldIdx, newIdx, ds)

@@ -110,6 +110,41 @@ func TestMinCostErrors(t *testing.T) {
 	}
 }
 
+// TestMalformedBoundsAndWeightsRejected: bounds or cost weights that do not
+// fit the target's attributes are input errors at every solver entry point,
+// not a mid-solve panic, a false "goal unreachable", or an empty answer.
+func TestMalformedBoundsAndWeightsRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	idx := fixture(t, rng, 30, 20, 2, 2)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		cost   Cost
+		bounds *Bounds
+	}{
+		{"short bounds", L2Cost{}, &Bounds{Lo: vec.Vector{-1}, Hi: vec.Vector{1}}},
+		{"NaN bound", L2Cost{}, &Bounds{Lo: vec.Vector{-1, nan}, Hi: vec.Vector{1, 1}}},
+		{"Lo above Hi", L2Cost{}, &Bounds{Lo: vec.Vector{-1, 1}, Hi: vec.Vector{1, -1}}},
+		{"+Inf lower bound", L2Cost{}, &Bounds{Lo: vec.Vector{-1, inf}, Hi: vec.Vector{1, inf}}},
+		{"too few weights", WeightedL2Cost{Alpha: vec.Vector{1}}, nil},
+		{"zero weight", WeightedL2Cost{Alpha: vec.Vector{0, 1}}, nil},
+		{"NaN weight", WeightedL2Cost{Alpha: vec.Vector{nan, 1}}, nil},
+	}
+	for _, c := range cases {
+		_, err := MinCostIQ(idx, MinCostRequest{Target: 0, Tau: 3, Cost: c.cost, Bounds: c.bounds})
+		if err == nil || errors.Is(err, ErrGoalUnreachable) {
+			t.Errorf("MinCost with %s: err = %v, want an input error", c.name, err)
+		}
+		if _, err := MaxHitIQ(idx, MaxHitRequest{Target: 0, Budget: 1, Cost: c.cost, Bounds: c.bounds}); err == nil {
+			t.Errorf("MaxHit with %s accepted", c.name)
+		}
+		specs := []TargetSpec{{Target: 0, Cost: c.cost, Bounds: c.bounds}}
+		if _, err := CombinatorialMaxHitIQ(idx, specs, 1); err == nil {
+			t.Errorf("MaxHitMulti with %s accepted", c.name)
+		}
+	}
+}
+
 func TestMinCostWithFrozenAttributesInfeasible(t *testing.T) {
 	// Freezing every attribute makes any improvement impossible.
 	rng := rand.New(rand.NewSource(4))
@@ -180,8 +215,19 @@ func TestMaxHitZeroBudget(t *testing.T) {
 	if !vec.IsZero(res.Strategy) {
 		t.Errorf("zero budget must return zero strategy: %v", res.Strategy)
 	}
-	if _, err := MaxHitIQ(idx, MaxHitRequest{Target: 0, Budget: -1, Cost: L2Cost{}}); err == nil {
-		t.Error("negative budget accepted")
+	small := fixture(t, rng, 5, 3, 2, 2) // within the exhaustive solver's reach
+	solvers := map[string]func(*subdomain.Index, MaxHitRequest) (*Result, error){
+		"MaxHit": MaxHitIQ, "ExhaustiveMaxHit": ExhaustiveMaxHit,
+	}
+	for name, solve := range solvers {
+		for _, budget := range []float64{-1, math.NaN()} {
+			if _, err := solve(small, MaxHitRequest{Target: 0, Budget: budget, Cost: L2Cost{}}); err == nil {
+				t.Errorf("%s accepted budget %g", name, budget)
+			}
+		}
+		if _, err := solve(small, MaxHitRequest{Target: 0, Budget: math.Inf(1), Cost: L2Cost{}}); err != nil {
+			t.Errorf("%s rejected the unbounded budget: %v", name, err)
+		}
 	}
 }
 
@@ -375,8 +421,10 @@ func TestCombinatorialErrors(t *testing.T) {
 	if _, err := CombinatorialMinCostIQ(idx, specs, 1); err == nil {
 		t.Error("duplicate targets accepted")
 	}
-	if _, err := CombinatorialMaxHitIQ(idx, []TargetSpec{{Target: 0, Cost: L2Cost{}}}, -1); err == nil {
-		t.Error("negative budget accepted")
+	for _, budget := range []float64{-1, math.NaN()} {
+		if _, err := CombinatorialMaxHitIQ(idx, []TargetSpec{{Target: 0, Cost: L2Cost{}}}, budget); err == nil {
+			t.Errorf("budget %g accepted", budget)
+		}
 	}
 	if _, err := CombinatorialMinCostIQ(idx, []TargetSpec{{Target: 0, Cost: L2Cost{}}}, 999); err == nil {
 		t.Error("unreachable tau accepted")

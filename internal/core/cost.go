@@ -41,6 +41,26 @@ func Frozen(d int, frozen ...int) *Bounds {
 	return b
 }
 
+// check rejects bounds the solvers cannot index or satisfy: Lo and Hi need
+// one entry per attribute (d), no NaN, Lo[i] ≤ Hi[i], and infinities only on
+// the open side (Lo[i] = -Inf or Hi[i] = +Inf mean unbounded). Nil bounds
+// are valid.
+func (b *Bounds) check(d int) error {
+	if b == nil {
+		return nil
+	}
+	if len(b.Lo) != d || len(b.Hi) != d {
+		return fmt.Errorf("core: bounds have %d lower and %d upper entries, want %d", len(b.Lo), len(b.Hi), d)
+	}
+	for i, lo := range b.Lo {
+		hi := b.Hi[i]
+		if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 1) || math.IsInf(hi, -1) || lo > hi {
+			return fmt.Errorf("core: bounds for attribute %d are [%g, %g]", i, lo, hi)
+		}
+	}
+	return nil
+}
+
 // Contains reports whether strategy s is inside the bounds.
 func (b *Bounds) Contains(s vec.Vector) bool {
 	if b == nil {
@@ -155,6 +175,20 @@ func (L1Cost) MinToHalfspace(n vec.Vector, rhs float64, bounds *Bounds) (vec.Vec
 // change than others (e.g. a camera's sensor vs. its price).
 type WeightedL2Cost struct {
 	Alpha vec.Vector
+}
+
+// check rejects weights the cost cannot price a d-dimensional strategy
+// with: one finite, positive weight per attribute.
+func (c WeightedL2Cost) check(d int) error {
+	if len(c.Alpha) != d {
+		return fmt.Errorf("core: weighted L2 cost has %d weights, want %d", len(c.Alpha), d)
+	}
+	for i, a := range c.Alpha {
+		if !(a > 0) || math.IsInf(a, 1) {
+			return fmt.Errorf("core: weighted L2 cost weight %d is %g, want a finite value > 0", i, a)
+		}
+	}
+	return nil
 }
 
 // Of implements Cost.

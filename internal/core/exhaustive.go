@@ -55,7 +55,7 @@ func ExhaustiveMinCostCtx(ctx context.Context, idx *subdomain.Index, req MinCost
 }
 
 func exhaustiveMinCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest, rec *recorder) (*Result, error) {
-	if err := validateCommon(idx, req.Target, req.Cost); err != nil {
+	if err := validateCommon(idx, req.Target, req.Cost, req.Bounds); err != nil {
 		return nil, err
 	}
 	if err := CtxErr(ctx); err != nil {
@@ -158,7 +158,10 @@ func ExhaustiveMaxHitCtx(ctx context.Context, idx *subdomain.Index, req MaxHitRe
 }
 
 func exhaustiveMaxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, rec *recorder) (*Result, error) {
-	if err := validateCommon(idx, req.Target, req.Cost); err != nil {
+	if err := validateCommon(idx, req.Target, req.Cost, req.Bounds); err != nil {
+		return nil, err
+	}
+	if err := checkBudget(req.Budget); err != nil {
 		return nil, err
 	}
 	if req.Bounds != nil {
@@ -326,7 +329,7 @@ type chunkSpans struct {
 }
 
 func newChunkSpans(ctx context.Context, size int) *chunkSpans {
-	if !obs.TracingEnabled() || obs.TraceFrom(ctx) == nil {
+	if obs.TraceFrom(ctx) == nil {
 		return nil
 	}
 	return &chunkSpans{ctx: ctx, size: size}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -64,12 +65,21 @@ func MaxHitIQCtx(ctx context.Context, idx *subdomain.Index, req MaxHitRequest) (
 	return res, err
 }
 
+// checkBudget rejects a Max-Hit budget no strategy cost can be compared
+// against: negative or NaN. +Inf is valid and means unbounded.
+func checkBudget(budget float64) error {
+	if budget < 0 || math.IsNaN(budget) {
+		return fmt.Errorf("core: budget %g is not a non-negative number", budget)
+	}
+	return nil
+}
+
 func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, rec *recorder) (*Result, error) {
-	if err := validateCommon(idx, req.Target, req.Cost); err != nil {
+	if err := validateCommon(idx, req.Target, req.Cost, req.Bounds); err != nil {
 		return nil, err
 	}
-	if req.Budget < 0 {
-		return nil, fmt.Errorf("core: negative budget %g", req.Budget)
+	if err := checkBudget(req.Budget); err != nil {
+		return nil, err
 	}
 	if err := CtxErr(ctx); err != nil {
 		return nil, err

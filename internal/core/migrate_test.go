@@ -8,15 +8,6 @@ import (
 	"iq/internal/vec"
 )
 
-// withDirtyInvalidation runs fn with dirty-set migration forced on or off,
-// restoring the previous setting afterwards.
-func withDirtyInvalidation(t *testing.T, enabled bool, fn func()) {
-	t.Helper()
-	prev := SetDirtyInvalidationEnabled(enabled)
-	defer SetDirtyInvalidationEnabled(prev)
-	fn()
-}
-
 // farAttrs builds an attribute vector strictly worse than every live object
 // on every axis: such an object is dominated by the whole candidate skyband,
 // never becomes a candidate, and mutating it produces an empty dirty set.
@@ -87,42 +78,6 @@ func TestMigrateKeepsWarmPath(t *testing.T) {
 			t.Fatalf("post-migration result diverged: %v cost=%v vs %v cost=%v",
 				warm.Strategy, warm.Cost, res.Strategy, res.Cost)
 		}
-	})
-}
-
-// TestMigrateDisabledColdStarts pins the A/B lever: with dirty-set
-// invalidation off, the same clean mutation cold-starts the clone's caches
-// (pointer-keyed entries never migrate), re-creating the pre-PR behaviour.
-func TestMigrateDisabledColdStarts(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	idx := fixture(t, rng, 80, 50, 3, 3)
-	farID, err := idx.AddObject(farAttrs(idx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx.TakeDirty()
-	req := MinCostRequest{Target: rng.Intn(40), Tau: 5, Cost: L2Cost{}, Workers: 2}
-
-	withCaches(t, true, func() {
-		withDirtyInvalidation(t, false, func() {
-			if _, err := MinCostIQ(idx, req); err != nil {
-				t.Fatal(err)
-			}
-			next := idx.Clone(idx.Workload().Clone())
-			attrs := vec.Clone(next.Workload().Attrs(farID))
-			attrs[0] += 50
-			if err := next.UpdateObject(farID, attrs); err != nil {
-				t.Fatal(err)
-			}
-			MigrateSolveCaches(idx, next, next.TakeDirty())
-			res, err := MinCostIQ(next, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stats.ThresholdCacheMisses == 0 {
-				t.Fatal("dirty invalidation disabled but clone solve saw zero misses")
-			}
-		})
 	})
 }
 

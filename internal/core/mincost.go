@@ -90,7 +90,7 @@ func MinCostIQCtx(ctx context.Context, idx *subdomain.Index, req MinCostRequest)
 }
 
 func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest, rec *recorder) (*Result, error) {
-	if err := validateCommon(idx, req.Target, req.Cost); err != nil {
+	if err := validateCommon(idx, req.Target, req.Cost, req.Bounds); err != nil {
 		return nil, err
 	}
 	if err := CtxErr(ctx); err != nil {
@@ -179,7 +179,12 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 	return res, nil
 }
 
-func validateCommon(idx *subdomain.Index, target int, cost Cost) error {
+// validateCommon checks the inputs every solver shares: a live target, a
+// cost function, and — sized to the target's attribute dimension — the
+// strategy bounds and a weighted cost's weights. Malformed bounds would
+// otherwise panic mid-solve, and malformed weights fail every per-query
+// probe, which reads as a false "goal unreachable".
+func validateCommon(idx *subdomain.Index, target int, cost Cost, bounds *Bounds) error {
 	w := idx.Workload()
 	if target < 0 || target >= w.NumObjects() {
 		return fmt.Errorf("core: target %d out of range [0,%d)", target, w.NumObjects())
@@ -190,5 +195,11 @@ func validateCommon(idx *subdomain.Index, target int, cost Cost) error {
 	if cost == nil {
 		return fmt.Errorf("core: nil cost function")
 	}
-	return nil
+	d := len(w.Attrs(target))
+	if c, ok := cost.(WeightedL2Cost); ok {
+		if err := c.check(d); err != nil {
+			return err
+		}
+	}
+	return bounds.check(d)
 }

@@ -69,7 +69,7 @@ func newMultiState(ctx context.Context, idx *subdomain.Index, specs []TargetSpec
 	seen := map[int]bool{}
 	st := &multiState{idx: idx, specs: specs, union: map[int]int{}}
 	for _, spec := range specs {
-		if err := validateCommon(idx, spec.Target, spec.Cost); err != nil {
+		if err := validateCommon(idx, spec.Target, spec.Cost, spec.Bounds); err != nil {
 			st.release()
 			return nil, err
 		}
@@ -341,8 +341,8 @@ func CombinatorialMaxHitIQCtx(ctx context.Context, idx *subdomain.Index, specs [
 }
 
 func combMaxHitSolve(ctx context.Context, idx *subdomain.Index, specs []TargetSpec, budget float64, rec *recorder) (*MultiResult, error) {
-	if budget < 0 {
-		return nil, fmt.Errorf("core: negative budget %g", budget)
+	if err := checkBudget(budget); err != nil {
+		return nil, err
 	}
 	st, err := newMultiState(ctx, idx, specs)
 	if err != nil {

@@ -54,13 +54,14 @@ type probeScratch struct {
 	lo, hi   vec.Vector // shifted bounds backing stores
 	bounds   Bounds     // aliases lo/hi so no Bounds escapes per probe
 	// counts aliases the solve's dense per-query attribution table
-	// (roundScratch.counts; nil while analytics are off). Each round probes a
-	// query from exactly one worker (slot striding) and rounds are separated
-	// by the fan-out join, so plain increments need no synchronisation. cur
-	// holds the in-flight probe's query index so the threshold-cache path can
-	// attribute its hit/miss without a second table lookup. Region resolution
-	// is deferred to the per-solve flush (recorder.regionSamples), keeping
-	// the probe hot path to two array writes.
+	// (roundScratch.counts; nil outside a candidate fan-out). Each round
+	// probes a query from exactly one worker (slot striding) and rounds are
+	// separated by the fan-out join, so plain increments need no
+	// synchronisation. cur holds the in-flight probe's query index so the
+	// threshold-cache path can attribute its hit/miss without a second table
+	// lookup. Region resolution is deferred to the per-solve flush
+	// (recorder.regionSamples), keeping the probe hot path to two array
+	// writes.
 	counts []queryCounts
 	cur    int
 }
@@ -71,7 +72,7 @@ type queryCounts struct {
 }
 
 // noteThreshold attributes one threshold-cache lookup to the in-flight
-// probe's query. Nil-safe; a no-op unless analytics attribution is on.
+// probe's query. Nil-safe; a no-op outside a candidate fan-out.
 func (sc *probeScratch) noteThreshold(hit bool) {
 	if sc == nil || sc.counts == nil {
 		return
@@ -292,10 +293,9 @@ type roundScratch struct {
 	probes  []probeScratch // indexed by worker
 	embed   []vec.Vector   // per-worker improved-coefficient buffers
 	// counts is the solve's dense per-query attribution table (one row per
-	// workload query, allocated once per solve while analytics are on). All
-	// workers write into it through their probeScratch; rows accumulate
-	// across rounds and are folded into per-region samples once, at
-	// finishSolve.
+	// workload query, allocated once per solve). All workers write into it
+	// through their probeScratch; rows accumulate across rounds and are
+	// folded into per-region samples once, at finishSolve.
 	counts []queryCounts
 }
 
@@ -343,14 +343,12 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 		rs.probes = make([]probeScratch, len(pool))
 		rs.embed = make([]vec.Vector, len(pool))
 	}
-	if rec.attrib {
-		if rs.counts == nil {
-			rs.counts = make([]queryCounts, w.NumQueries())
-			rec.rs, rec.idx = rs, idx
-		}
-		for i := range rs.probes {
-			rs.probes[i].counts = rs.counts
-		}
+	if rs.counts == nil {
+		rs.counts = make([]queryCounts, w.NumQueries())
+		rec.rs, rec.idx = rs, idx
+	}
+	for i := range rs.probes {
+		rs.probes[i].counts = rs.counts
 	}
 	linear := w.Space().Linear()
 	attrs := w.Attrs(target)
@@ -358,9 +356,7 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 		fireProbe(slot)
 		t0 := rec.probeStart()
 		j := unhit[slot]
-		if rec.attrib {
-			rs.probes[wkr].noteProbe(j)
-		}
+		rs.probes[wkr].noteProbe(j)
 		pctx, psp := obs.StartSpan(pctx, "probe")
 		psp.SetAttr("query", j)
 		u, err := solveHit(idx, target, cur, j, cost, bounds, &rs.probes[wkr], rec)

@@ -22,8 +22,6 @@ import (
 // SolveStats profiles one solve. Stage wall times cover the two halves of
 // every candidate probe: SolveHitWall is the per-query min-cost subproblem
 // (Equations 13–14), EvalWall the ESE hit-count evaluation (Algorithm 2).
-// Timing is sampled only while obs.Enabled(); the integer counters are
-// always collected.
 type SolveStats struct {
 	// Rounds counts greedy iterations (Algorithm 3/4 outer loops).
 	Rounds int `json:"rounds"`
@@ -55,8 +53,6 @@ type SolveStats struct {
 // recorder accumulates one solve's counters. Probe-level fields are atomics
 // because the candidate fan-out updates them from worker goroutines.
 type recorder struct {
-	timed  bool // sample wall clocks? (false when obs is disabled)
-	attrib bool // attribute per-region load? (workload analytics switch)
 	probes atomic.Int64
 	pruned atomic.Int64
 	cands  atomic.Int64
@@ -68,9 +64,9 @@ type recorder struct {
 	thrMisses atomic.Int64
 	// rs/idx let finishSolve flush the solve's dense per-query attribution
 	// table (roundScratch.counts) into per-region samples. Set by the first
-	// generateCandidates call while attribution is on; nil for solves that
-	// never fan out (exhaustive verifiers, multi-target solves). Only the
-	// solve goroutine reads them, after the last fan-out has joined.
+	// generateCandidates call; nil for solves that never fan out
+	// (exhaustive verifiers, multi-target solves). Only the solve goroutine
+	// reads them, after the last fan-out has joined.
 	rs  *roundScratch
 	idx *subdomain.Index
 }
@@ -88,9 +84,7 @@ func (r *recorder) thresholdLookup(hit bool) {
 	}
 }
 
-func newRecorder() *recorder {
-	return &recorder{timed: obs.Enabled(), attrib: workload.Enabled()}
-}
+func newRecorder() *recorder { return &recorder{} }
 
 // maxRegionSamples bounds the per-solve attribution fan-out into the
 // aggregator: the hottest regions (by probe count) are reported exactly and
@@ -209,19 +203,13 @@ func topKByProbes(live []int32, counts []queryCounts, k int) {
 	}
 }
 
-// probeStart returns the probe's start instant (zero when untimed).
+// probeStart returns the probe's start instant.
 func (r *recorder) probeStart() time.Time {
 	r.probes.Add(1)
-	if !r.timed {
-		return time.Time{}
-	}
 	return time.Now()
 }
 
 func (r *recorder) solveDone(t0 time.Time) time.Time {
-	if !r.timed {
-		return time.Time{}
-	}
 	t1 := time.Now()
 	r.solve.Add(t1.Sub(t0).Nanoseconds())
 	return t1
@@ -229,9 +217,7 @@ func (r *recorder) solveDone(t0 time.Time) time.Time {
 
 func (r *recorder) evalDone(t1 time.Time) {
 	r.cands.Add(1)
-	if r.timed {
-		r.eval.Add(time.Since(t1).Nanoseconds())
-	}
+	r.eval.Add(time.Since(t1).Nanoseconds())
 }
 
 func (r *recorder) stats(rounds int, wall time.Duration, err error) SolveStats {
@@ -309,12 +295,10 @@ func endSolveSpan(sp *obs.Span, st SolveStats, err error) {
 func finishSolve(ctx context.Context, op string, target int, start time.Time, rec *recorder, rounds int, err error) SolveStats {
 	wall := time.Since(start)
 	st := rec.stats(rounds, wall, err)
-	if rec.attrib && workload.Enabled() {
-		workload.Default.RecordSolve(op, target, wall,
-			int64(st.Rounds), int64(st.Probes),
-			int64(st.ThresholdCacheHits), int64(st.ThresholdCacheMisses),
-			rec.regionSamples())
-	}
+	workload.Default.RecordSolve(op, target, wall,
+		int64(st.Rounds), int64(st.Probes),
+		int64(st.ThresholdCacheHits), int64(st.ThresholdCacheMisses),
+		rec.regionSamples())
 	obs.Default.Counter("iq_solve_total",
 		"Solves by operation and outcome.", "op", op, "outcome", outcomeOf(err)).Inc()
 	obs.Default.Histogram("iq_solve_duration_seconds",

@@ -14,26 +14,8 @@ package history
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// enabled gates the sampler's per-tick work (the solve hot path has no
-// history code at all; this switch only stops the background ticker from
-// gathering, appending, and evaluating).
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns history sampling (and the SLO evaluation driven by it) on
-// or off process-wide and returns the previous setting. Re-enabling
-// re-baselines: the first tick after a disabled span only records current
-// cumulative values, so the span appears as a gap rather than one giant
-// interval.
-func SetEnabled(on bool) (was bool) { return enabled.Swap(on) }
-
-// Enabled reports whether history sampling is on.
-func Enabled() bool { return enabled.Load() }
 
 // Point is one series' contribution to one interval sample. Kind selects the
 // meaningful fields. Encoding is sparse: series with nothing to report for an

@@ -182,36 +182,6 @@ func TestSamplerGaugeEmittedOncePerRun(t *testing.T) {
 	}
 }
 
-func TestSamplerDisabledGap(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := reg.Counter("test_total", "t")
-	s, clk := newTestSampler(t, reg, "")
-	s.TickNow() // baseline
-
-	SetEnabled(false)
-	c.Add(100) // activity while disabled must NOT appear as one giant interval
-	clk.advance(time.Second)
-	s.TickNow()
-	SetEnabled(true)
-	clk.advance(time.Second)
-	s.TickNow() // re-baseline only
-	c.Add(5)
-	clk.advance(time.Second)
-	s.TickNow()
-
-	var deltas []float64
-	for _, sm := range s.Ring().Samples(time.Time{}) {
-		for _, p := range sm.Points {
-			if p.Name == "test_total" {
-				deltas = append(deltas, p.Delta)
-			}
-		}
-	}
-	if len(deltas) != 1 || deltas[0] != 5 {
-		t.Fatalf("disabled-span activity leaked into history: deltas %v", deltas)
-	}
-}
-
 func TestJournalRestartRoundTrip(t *testing.T) {
 	// Property: for a random workload, closing the sampler and reopening over
 	// the same path yields a ring whose recovered prefix is byte-identical to

@@ -181,12 +181,6 @@ func (s *Sampler) TickNow() {
 
 func (s *Sampler) tickLocked() (Sample, bool) {
 	now := s.cfg.Now()
-	if !Enabled() {
-		// Disabled spans re-baseline on resume, so they read as downtime
-		// gaps, not as one enormous interval.
-		s.prev = nil
-		return Sample{}, false
-	}
 	if s.prev == nil {
 		s.baselineLocked()
 		return Sample{}, false

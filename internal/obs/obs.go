@@ -4,8 +4,8 @@
 // propagates request IDs through context.Context (see log.go).
 //
 // Metrics are cheap enough for solver hot paths — a counter increment is one
-// atomic add behind one atomic enabled-check — and get-or-create access makes
-// a series addressable by name from any package:
+// atomic add — and get-or-create access makes a series addressable by name
+// from any package:
 //
 //	var probes = obs.Default.Counter("iq_solve_probes_total", "Candidate probes attempted.")
 //	probes.Inc()
@@ -25,20 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// enabled gates every mutation. Disabling turns Inc/Add/Set/Observe into
-// near-no-ops so benchmarks can measure the instrumentation overhead itself.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns metric collection on or off process-wide and returns the
-// previous setting. Off also disables the solvers' per-stage wall-clock
-// sampling (their SolveStats timings read zero).
-func SetEnabled(on bool) (was bool) { return enabled.Swap(on) }
-
-// Enabled reports whether metric collection is on.
-func Enabled() bool { return enabled.Load() }
 
 // DurationBuckets is the default histogram layout for latencies in seconds:
 // half a millisecond through 30 s, roughly logarithmic. It covers both a
@@ -61,15 +47,11 @@ var SolveDurationBuckets = append([]float64{
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
-func (c *Counter) Inc() {
-	if enabled.Load() {
-		c.v.Add(1)
-	}
-}
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (negative deltas are ignored: counters only go up).
 func (c *Counter) Add(n int64) {
-	if n > 0 && enabled.Load() {
+	if n > 0 {
 		c.v.Add(n)
 	}
 }
@@ -82,18 +64,10 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(n int64) {
-	if enabled.Load() {
-		g.v.Store(n)
-	}
-}
+func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add moves the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if enabled.Load() {
-		g.v.Add(n)
-	}
-}
+func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current gauge reading.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -104,11 +78,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 type FloatGauge struct{ bits atomic.Uint64 }
 
 // Set replaces the gauge value.
-func (g *FloatGauge) Set(v float64) {
-	if enabled.Load() {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
+func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the current gauge reading.
 func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -137,9 +107,6 @@ func newHistogram(uppers []float64) *Histogram {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if !enabled.Load() {
-		return
-	}
 	placed := false
 	for i, up := range h.uppers {
 		if v <= up {

@@ -124,32 +124,6 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestSetEnabled: disabling collection freezes every series.
-func TestSetEnabled(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("frozen_total", "")
-	c.Inc()
-	was := SetEnabled(false)
-	defer SetEnabled(was)
-	c.Inc()
-	r.Gauge("frozen_gauge", "").Set(9)
-	r.Histogram("frozen_seconds", "", []float64{1}).Observe(0.5)
-	if c.Value() != 1 {
-		t.Errorf("counter moved while disabled: %d", c.Value())
-	}
-	if r.Gauge("frozen_gauge", "").Value() != 0 {
-		t.Error("gauge moved while disabled")
-	}
-	if r.Histogram("frozen_seconds", "", []float64{1}).Count() != 0 {
-		t.Error("histogram moved while disabled")
-	}
-	SetEnabled(true)
-	c.Inc()
-	if c.Value() != 2 {
-		t.Errorf("counter frozen after re-enable: %d", c.Value())
-	}
-}
-
 // TestParseRejects enumerates malformed expositions the CI gate must fail.
 func TestParseRejects(t *testing.T) {
 	cases := map[string]string{

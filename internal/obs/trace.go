@@ -7,9 +7,9 @@
 //
 // The design is capture-on-request: nothing is recorded unless the caller
 // attaches a Trace to the context (WithTrace), so the steady-state cost in
-// the solver hot path is one atomic load (the kill switch) plus one
-// context.Value lookup that misses. Span counts are bounded per trace —
-// a pathological solve drops spans rather than growing without limit.
+// the solver hot path is one context.Value lookup that misses. Span counts
+// are bounded per trace — a pathological solve drops spans rather than
+// growing without limit.
 package obs
 
 import (
@@ -19,21 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// tracingOn is the process-wide kill switch, the tracing sibling of the
-// metrics `enabled` flag. Off short-circuits StartSpan before it even looks
-// at the context.
-var tracingOn atomic.Bool
-
-func init() { tracingOn.Store(true) }
-
-// SetTracingEnabled turns span capture on or off process-wide and returns
-// the previous setting. Off makes StartSpan a single atomic load regardless
-// of what the context carries.
-func SetTracingEnabled(on bool) (was bool) { return tracingOn.Swap(on) }
-
-// TracingEnabled reports whether span capture is on.
-func TracingEnabled() bool { return tracingOn.Load() }
 
 // DefaultMaxSpans bounds a trace's span buffer when NewTrace is given no
 // explicit limit: enough for a large greedy solve (rounds × probes) without
@@ -213,15 +198,11 @@ func TraceFrom(ctx context.Context) *Trace {
 }
 
 // StartSpan begins a span named name under ctx's current span and returns a
-// context under which further spans nest inside it. When tracing is globally
-// disabled, no trace is attached, or the trace's buffer is full, it returns
-// ctx unchanged and a nil span — and every Span method is nil-safe, so the
-// instrumentation site needs no branches. The fast path (no trace) is one
-// atomic load plus one context lookup.
+// context under which further spans nest inside it. When no trace is
+// attached or the trace's buffer is full, it returns ctx unchanged and a nil
+// span — and every Span method is nil-safe, so the instrumentation site
+// needs no branches. The fast path (no trace) is one context lookup.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if !tracingOn.Load() {
-		return ctx, nil
-	}
 	ref, ok := ctx.Value(ctxKeyTrace).(spanRef)
 	if !ok || ref.tr == nil {
 		return ctx, nil

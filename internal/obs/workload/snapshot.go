@@ -51,7 +51,6 @@ type Window struct {
 // accounting. All slices are sorted so the JSON encoding of the same window
 // is byte-identical across calls.
 type Snapshot struct {
-	Enabled      bool         `json:"enabled"`
 	Window       Window       `json:"window"`
 	Regions      []RegionStat `json:"regions"`
 	Targets      []TargetStat `json:"targets"`
@@ -110,7 +109,6 @@ func regionStatOf(s *slot, c [numCounters]int64) RegionStat {
 func (a *Aggregator) Snapshot() *Snapshot {
 	p := a.period()
 	snap := &Snapshot{
-		Enabled: enabled.Load(),
 		Window: Window{
 			Seconds:       float64(a.bucketNS) * float64(a.buckets) / float64(time.Second),
 			Buckets:       a.buckets,

@@ -6,11 +6,10 @@
 // now*" has an answer.
 //
 // Like the rest of internal/obs the package is stdlib-only, and the hot path
-// is deliberately cheap: a disabled aggregator costs one atomic load per
-// solve (the recorder caches the switch), an enabled one costs a read-locked
-// map lookup plus a handful of atomic adds per *region per solve* — never
-// per probe; per-probe counts accumulate in worker-owned scratch upstream
-// and arrive here pre-aggregated.
+// is deliberately cheap: a read-locked map lookup plus a handful of atomic
+// adds per *region per solve* — never per probe; per-probe counts
+// accumulate in worker-owned scratch upstream and arrive here
+// pre-aggregated.
 //
 // Cardinality is bounded: at most MaxKeys distinct attribution keys are
 // tracked; excess keys fold into a per-kind overflow slot, with fold events
@@ -24,19 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// enabled is the layer's kill switch (iq.SetWorkloadAnalyticsEnabled).
-// Solvers sample it once per solve; everything downstream of that sample is
-// skipped entirely when it was off.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// Enabled reports whether workload analytics are collected.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled toggles workload analytics, returning the previous setting.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
 
 // OverflowRegion is the pseudo region ID of the overflow slot: records for
 // keys beyond the cardinality cap are folded into it.
@@ -258,9 +244,6 @@ type RegionSample struct {
 // (regions beyond its per-solve reporting cap) and lands on the overflow
 // slot directly — coarsened, never dropped.
 func (a *Aggregator) RecordSolve(op string, target int, wall time.Duration, rounds, probes, thrHits, thrMisses int64, regions []RegionSample) {
-	if !enabled.Load() {
-		return
-	}
 	p := a.period()
 	ts := a.getSlot(slotKey{kind: kindTarget, id: uint64(int64(target)), op: op})
 	tc := ts.bucket(p)
@@ -312,9 +295,6 @@ type ChurnSample struct {
 // RecordCommit attributes one published mutation's dirty-set churn to the
 // regions holding the dirtied queries.
 func (a *Aggregator) RecordCommit(regions []ChurnSample) {
-	if !enabled.Load() {
-		return
-	}
 	p := a.period()
 	for i := range regions {
 		r := &regions[i]
@@ -330,9 +310,6 @@ func (a *Aggregator) RecordCommit(regions []ChurnSample) {
 // "everything" mode) to the overflow slot: per-region attribution would be
 // meaningless, but the churn volume still counts.
 func (a *Aggregator) RecordCommitAll(dirty int64) {
-	if !enabled.Load() {
-		return
-	}
 	c := a.overflowRegion.Load().bucket(a.period())
 	c.c[cChurn].Add(dirty)
 	c.c[cCommits].Add(1)

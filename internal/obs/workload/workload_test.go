@@ -132,24 +132,6 @@ func TestRetireRegions(t *testing.T) {
 	}
 }
 
-// TestDisabledRecordsNothing flips the kill switch and asserts the record
-// paths are inert.
-func TestDisabledRecordsNothing(t *testing.T) {
-	a, _ := newTestAgg(time.Minute, 6, 64)
-	was := SetEnabled(false)
-	defer SetEnabled(was)
-	recordOne(a, 1, 0.5, 1000)
-	a.RecordCommit([]ChurnSample{{Region: 1, Pos: 0.5, Dirty: 3}})
-	a.RecordCommitAll(10)
-	snap := a.Snapshot()
-	if len(snap.Regions) != 0 || snap.Overflow.Churn != 0 || snap.TrackedKeys != 0 {
-		t.Fatalf("disabled aggregator recorded: %+v", snap)
-	}
-	if snap.Enabled {
-		t.Fatal("snapshot claims enabled while disabled")
-	}
-}
-
 // TestCommitChurnAttribution checks churn lands on the right regions and
 // ChurnLeaders re-sorts by it.
 func TestCommitChurnAttribution(t *testing.T) {

@@ -336,17 +336,29 @@ func TestDumpListsRecordsAndCorruption(t *testing.T) {
 	}
 }
 
+// TestSyncAlwaysAndIntervalPolicies checks both durable policies replay
+// every append, and pins their fsync counts: SyncAlways pays at least one
+// fsync per sequential append, while SyncInterval keeps fsyncs off the
+// append path entirely (its ticker period here outlasts the test).
 func TestSyncAlwaysAndIntervalPolicies(t *testing.T) {
 	for _, pol := range []Policy{SyncAlways, SyncInterval} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := Create(dir, 1, Options{Policy: pol, Interval: 5 * time.Millisecond})
+			l, err := Create(dir, 1, Options{Policy: pol, Interval: time.Hour})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for e := uint64(1); e <= 10; e++ {
+				before := mFsyncs.Value()
 				if err := l.Append([]Record{rec(e, "p")}); err != nil {
 					t.Fatal(err)
+				}
+				added := mFsyncs.Value() - before
+				if pol == SyncAlways && added < 1 {
+					t.Fatalf("append %d under %s added %d fsyncs, want >= 1", e, pol, added)
+				}
+				if pol == SyncInterval && added != 0 {
+					t.Fatalf("append %d under %s added %d fsyncs, want 0", e, pol, added)
 				}
 			}
 			if err := l.Sync(); err != nil {

@@ -54,7 +54,7 @@ func randomMutation(t *testing.T, rng *rand.Rand, sys *System) string {
 			}
 			return "remove-object"
 		case 4:
-			q := Query{ID: 10000 + rng.Intn(1 << 20), K: 1 + rng.Intn(3),
+			q := Query{ID: 10000 + rng.Intn(1<<20), K: 1 + rng.Intn(3),
 				Point: Vector{0.05 + 0.95*rng.Float64(), 0.05 + 0.95*rng.Float64(), 0.05 + 0.95*rng.Float64()}}
 			if _, err := sys.AddQuery(q); err != nil {
 				t.Fatal(err)
@@ -79,18 +79,16 @@ func randomMutation(t *testing.T, rng *rand.Rand, sys *System) string {
 // epoch. Any under-invalidation shows up here as a stale threshold changing
 // a greedy decision.
 func TestInvalidationBitIdentical(t *testing.T) {
-	prevCache := SetSolveCacheEnabled(true)
-	prevDirty := SetDirtyInvalidationEnabled(true)
+	prevCache := core.SetSolveCacheEnabled(true)
 	defer func() {
-		SetSolveCacheEnabled(prevCache)
-		SetDirtyInvalidationEnabled(prevDirty)
-		PurgeSolveCaches()
+		core.SetSolveCacheEnabled(prevCache)
+		core.PurgeSolveCaches()
 	}()
 
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sys := stressFixture(t, 500+seed)
-		PurgeSolveCaches()
+		core.PurgeSolveCaches()
 		for step := 0; step < 8; step++ {
 			op := randomMutation(t, rng, sys)
 			for _, workers := range []int{1, 4} {
@@ -104,9 +102,9 @@ func TestInvalidationBitIdentical(t *testing.T) {
 				// second runs fully warm. Both must match the cold truth.
 				warm1, err1 := sys.MinCost(req)
 				warm2, err2 := sys.MinCost(req)
-				SetSolveCacheEnabled(false)
+				core.SetSolveCacheEnabled(false)
 				cold, coldErr := sys.MinCost(req)
-				SetSolveCacheEnabled(true)
+				core.SetSolveCacheEnabled(true)
 
 				if (err1 == nil) != (coldErr == nil) || (err2 == nil) != (coldErr == nil) {
 					t.Fatalf("seed %d step %d (%s) workers %d: error mismatch warm1=%v warm2=%v cold=%v",
@@ -118,6 +116,48 @@ func TestInvalidationBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCommitKeepsWarmPath drives dirty-set cache migration through the real
+// write path (Commit → mutateCtx → MigrateSolveCaches → publish): commits to
+// an object that every live object dominates change no query's top-k, so the
+// repeat solve must be served entirely from migrated threshold entries.
+func TestCommitKeepsWarmPath(t *testing.T) {
+	prevCache := core.SetSolveCacheEnabled(true)
+	defer func() {
+		core.SetSolveCacheEnabled(prevCache)
+		core.PurgeSolveCaches()
+	}()
+	core.PurgeSolveCaches()
+
+	sys := stressFixture(t, 61)
+	far := Vector{0, 0, 0}
+	for id := 0; id < sys.NumObjects(); id++ {
+		for i, a := range sys.Attrs(id) {
+			far[i] = max(far[i], a+1000)
+		}
+	}
+	farID, err := sys.AddObject(far)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := MinCostRequest{Target: 3, Tau: 5, Cost: L2Cost{}}
+	if _, err := sys.MinCost(req); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []Vector{{1, 0, 0}, {-1, 0, 0}} {
+		if err := sys.Commit(farID, step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := sys.MinCost(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ThresholdCacheMisses != 0 || res.Stats.ThresholdCacheHits == 0 {
+		t.Fatalf("repeat solve after far-object commits: %d threshold misses, %d hits; want 0 misses and some hits",
+			res.Stats.ThresholdCacheMisses, res.Stats.ThresholdCacheHits)
 	}
 }
 
@@ -231,12 +271,12 @@ func TestApplyBatchRejectsMalformed(t *testing.T) {
 // merged dirty set — the published System keeps its epoch, its caches stay
 // warm (zero threshold misses on the next solve), and a retry succeeds.
 func TestBatchCancelDiscardsDirtySet(t *testing.T) {
-	prevCache := SetSolveCacheEnabled(true)
+	prevCache := core.SetSolveCacheEnabled(true)
 	defer func() {
-		SetSolveCacheEnabled(prevCache)
-		PurgeSolveCaches()
+		core.SetSolveCacheEnabled(prevCache)
+		core.PurgeSolveCaches()
 	}()
-	PurgeSolveCaches()
+	core.PurgeSolveCaches()
 
 	sys := stressFixture(t, 41)
 	req := MinCostRequest{Target: 3, Tau: 5, Cost: L2Cost{}}
@@ -301,12 +341,12 @@ func TestStressSolvesDuringBatchedCommits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping concurrency stress test in -short mode")
 	}
-	prevCache := SetSolveCacheEnabled(true)
+	prevCache := core.SetSolveCacheEnabled(true)
 	defer func() {
-		SetSolveCacheEnabled(prevCache)
-		PurgeSolveCaches()
+		core.SetSolveCacheEnabled(prevCache)
+		core.PurgeSolveCaches()
 	}()
-	PurgeSolveCaches()
+	core.PurgeSolveCaches()
 
 	sys := stressFixture(t, 83)
 	const readers, solvesPerG, batches = 4, 25, 12
@@ -352,9 +392,9 @@ func TestStressSolvesDuringBatchedCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetSolveCacheEnabled(false)
+	core.SetSolveCacheEnabled(false)
 	cold, err := sys.MinCost(req)
-	SetSolveCacheEnabled(true)
+	core.SetSolveCacheEnabled(true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,6 @@ import (
 	"iq/internal/core"
 	"iq/internal/ese"
 	"iq/internal/obs"
-	"iq/internal/obs/history"
 	"iq/internal/obs/workload"
 	"iq/internal/subdomain"
 	"iq/internal/topk"
@@ -107,66 +106,6 @@ type Result = core.Result
 // greedy rounds, candidate probes, prune counts, and wall time per stage.
 type SolveStats = core.SolveStats
 
-// SetSolveCacheEnabled toggles the cross-solve caches (hit thresholds and
-// recycled evaluators, both keyed by index epoch) and returns the previous
-// setting. The caches are on by default and bit-identical to the uncached
-// path; disabling them exists for A/B benchmarking and debugging.
-func SetSolveCacheEnabled(enabled bool) bool { return core.SetSolveCacheEnabled(enabled) }
-
-// SolveCacheEnabled reports whether the cross-solve caches are active.
-func SolveCacheEnabled() bool { return core.SolveCacheEnabled() }
-
-// PurgeSolveCaches drops all cached hit thresholds and idle evaluators,
-// forcing the next solves down the cold path. Benchmarks use it between
-// measurement phases; production code never needs it.
-func PurgeSolveCaches() { core.PurgeSolveCaches() }
-
-// SetDirtyInvalidationEnabled toggles dirty-set cache migration across
-// writes and returns the previous setting. Enabled (the default), a
-// mutation invalidates only the cached thresholds and evaluators its dirty
-// set intersects; everything else stays warm into the new epoch. Disabled,
-// every write cold-starts the caches (the pre-dirty-set behaviour). Results
-// are bit-identical either way; the toggle exists for A/B benchmarking.
-func SetDirtyInvalidationEnabled(enabled bool) bool {
-	return core.SetDirtyInvalidationEnabled(enabled)
-}
-
-// DirtyInvalidationEnabled reports whether dirty-set cache migration is
-// active.
-func DirtyInvalidationEnabled() bool { return core.DirtyInvalidationEnabled() }
-
-// SetMetricsEnabled toggles the wall-clock sampling half of the engine's
-// instrumentation (stage timings inside SolveStats and the duration
-// histograms) and returns the previous setting. Counters are a few atomic
-// adds per solve and stay on regardless. Off saves two clock reads per
-// candidate probe — only worth it when the engine sits on a
-// latency-critical path.
-func SetMetricsEnabled(enabled bool) bool { return obs.SetEnabled(enabled) }
-
-// SetWorkloadAnalyticsEnabled toggles per-region workload attribution (the
-// internal/obs/workload layer: solve and churn attribution by query-space
-// region, and the /v1/stats/workload endpoint's data source), returning the
-// previous setting. Default on. Disabled, the solve hot path pays exactly
-// one atomic load — the recorder samples the switch once per solve and
-// skips all attribution work.
-func SetWorkloadAnalyticsEnabled(enabled bool) bool { return workload.SetEnabled(enabled) }
-
-// WorkloadAnalyticsEnabled reports whether per-region attribution is active.
-func WorkloadAnalyticsEnabled() bool { return workload.Enabled() }
-
-// SetHealthEnabled toggles the health subsystem's background work — the
-// telemetry-history sampler and the SLO evaluation it drives — and returns
-// the previous setting. Default on. The solve hot path carries no health
-// code at all (sampling is a background ticker reading registry atomics), so
-// this switch only silences the per-interval gather/persist/evaluate work;
-// disabled spans appear in history as gaps. iqserver wires the switch under
-// its /v1/stats/history and /v1/stats/slo surfaces.
-func SetHealthEnabled(enabled bool) bool { return history.SetEnabled(enabled) }
-
-// HealthEnabled reports whether history sampling and SLO evaluation are
-// active.
-func HealthEnabled() bool { return history.Enabled() }
-
 // Trace is a bounded buffer of hierarchical spans recorded during one solve
 // (or any other traced operation). Attach one to a context with WithTrace
 // and pass that context into the Ctx solver variants; every engine stage —
@@ -183,14 +122,6 @@ type Span = obs.Span
 // is zero.
 const DefaultMaxSpans = obs.DefaultMaxSpans
 
-// SetTracingEnabled toggles span recording globally and returns the previous
-// setting. With tracing disabled (or on a context without a Trace) the
-// per-stage instrumentation reduces to a single atomic load — solves run at
-// full speed. Tracing is enabled by default; spans are only recorded into
-// contexts that carry a Trace, so the default costs nothing for untraced
-// calls.
-func SetTracingEnabled(enabled bool) bool { return obs.SetTracingEnabled(enabled) }
-
 // NewTrace allocates an empty trace. maxSpans bounds the buffer (0 means
 // DefaultMaxSpans); once full, further spans are counted as dropped rather
 // than recorded, so a runaway solve cannot hold unbounded memory.
@@ -202,9 +133,9 @@ func WithTrace(ctx context.Context, t *Trace) context.Context { return obs.WithT
 // TraceFrom returns the trace carried by ctx, or nil.
 func TraceFrom(ctx context.Context) *Trace { return obs.TraceFrom(ctx) }
 
-// StartSpan opens a span on ctx's trace (nil-safe: without a trace, or with
-// tracing disabled, it returns the context unchanged and a nil span whose
-// methods are no-ops). Close it with End.
+// StartSpan opens a span on ctx's trace (nil-safe: without a trace it
+// returns the context unchanged and a nil span whose methods are no-ops).
+// Close it with End.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return obs.StartSpan(ctx, name)
 }
@@ -354,7 +285,7 @@ func (s *System) mutateCtx(ctx context.Context, muts []Mutation, fn func(st *sta
 // A dirty set in "everything changed" mode has no meaningful per-region
 // split and is folded into the aggregator's overflow slot.
 func recordCommitChurn(idx *subdomain.Index, ds *subdomain.DirtySet) {
-	if !workload.Enabled() || ds == nil || ds.Empty() {
+	if ds == nil || ds.Empty() {
 		return
 	}
 	if ds.All() {
@@ -486,45 +417,20 @@ func (s *System) SolveBatch(items []BatchItem) []BatchResult {
 	return s.SolveBatchCtx(context.Background(), items)
 }
 
-// batchParallelism holds the SolveBatch worker-pool bound; 0 means
-// GOMAXPROCS. See SetBatchParallelism.
-var batchParallelism atomic.Int32
-
-// SetBatchParallelism bounds the worker pool SolveBatch/SolveBatchCtx fan
-// items out on and returns the previous setting. 0 (the default) means
-// GOMAXPROCS; 1 restores the strictly sequential pre-pool behaviour. The
-// knob is global because batches from concurrent callers share the same
-// CPUs; per-solve parallelism is still per-request via Workers.
-func SetBatchParallelism(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(batchParallelism.Swap(int32(n)))
-}
-
-// BatchParallelism reports the current SolveBatch worker-pool bound (0 =
-// GOMAXPROCS).
-func BatchParallelism() int { return int(batchParallelism.Load()) }
-
 // SolveBatchCtx answers several independent improvement queries against a
 // single epoch snapshot: every item sees the same immutable workload/index
 // pair even if writers land mid-batch, and all items share the snapshot's
 // warm threshold and evaluator caches, so a batch of N solves pays the
-// cold-path cost at most once per distinct target. Items run on a bounded
-// worker pool (SetBatchParallelism; default GOMAXPROCS) with results
-// delivered in item order regardless of completion order. Per-item failures
-// land in the item's BatchResult; the batch itself never fails. Cancellation
-// marks every not-yet-started item with the translated context error.
+// cold-path cost at most once per distinct target. Items run on a worker
+// pool of min(GOMAXPROCS, len(items)) goroutines with results delivered in
+// item order regardless of completion order; per-solve parallelism stays
+// per-request via Workers. Per-item failures land in the item's
+// BatchResult; the batch itself never fails. Cancellation marks every
+// not-yet-started item with the translated context error.
 func (s *System) SolveBatchCtx(ctx context.Context, items []BatchItem) []BatchResult {
 	st := s.view()
 	out := make([]BatchResult, len(items))
-	workers := int(batchParallelism.Load())
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(items))
 	if workers <= 1 {
 		for i, it := range items {
 			out[i] = st.solveBatchItem(ctx, i, it)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"iq/internal/dataset"
@@ -197,7 +198,8 @@ func TestUnreachableGoal(t *testing.T) {
 }
 
 // TestSolveBatchParallelMatchesSequential: the batch worker pool answers in
-// item order with the same results and per-item errors at any parallelism.
+// item order with the same results and per-item errors as one MinCost or
+// MaxHit call per item.
 func TestSolveBatchParallelMatchesSequential(t *testing.T) {
 	sys := smallSystem(t, rand.New(rand.NewSource(3)), 80, 60)
 	items := make([]BatchItem, 9)
@@ -209,23 +211,29 @@ func TestSolveBatchParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	items = append(items, BatchItem{}) // sets neither solve
-	prev := SetBatchParallelism(1)
-	defer SetBatchParallelism(prev)
-	seq := sys.SolveBatch(items)
-	SetBatchParallelism(4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	par := sys.SolveBatch(items)
-	for i := range seq {
-		if fmt.Sprint(seq[i].Err) != fmt.Sprint(par[i].Err) {
-			t.Fatalf("item %d: sequential err=%v parallel err=%v", i, seq[i].Err, par[i].Err)
+	for i, it := range items {
+		var want *Result
+		var err error
+		switch {
+		case it.MinCost != nil:
+			want, err = sys.MinCost(*it.MinCost)
+		case it.MaxHit != nil:
+			want, err = sys.MaxHit(*it.MaxHit)
+		default:
+			if par[i].Err == nil {
+				t.Fatal("batch item setting neither solve was accepted")
+			}
+			continue
 		}
-		if seq[i].Err == nil && (!vec.Equal(seq[i].Result.Strategy, par[i].Result.Strategy) ||
-			seq[i].Result.Hits != par[i].Result.Hits) {
-			t.Fatalf("item %d: sequential %v/%d != parallel %v/%d", i,
-				seq[i].Result.Strategy, seq[i].Result.Hits, par[i].Result.Strategy, par[i].Result.Hits)
+		if fmt.Sprint(err) != fmt.Sprint(par[i].Err) {
+			t.Fatalf("item %d: single err=%v batch err=%v", i, err, par[i].Err)
 		}
-	}
-	if par[len(par)-1].Err == nil {
-		t.Fatal("batch item setting neither solve was accepted")
+		if err == nil && (!vec.Equal(want.Strategy, par[i].Result.Strategy) || want.Hits != par[i].Result.Hits) {
+			t.Fatalf("item %d: single %v/%d != batch %v/%d", i,
+				want.Strategy, want.Hits, par[i].Result.Strategy, par[i].Result.Hits)
+		}
 	}
 }
 

@@ -15,9 +15,6 @@ import (
 // least three nesting levels (solve → round → probe) and span names covering
 // every engine stage the solve exercised.
 func TestTracedSolveProducesDeepTrace(t *testing.T) {
-	prev := SetTracingEnabled(true)
-	defer SetTracingEnabled(prev)
-
 	rng := rand.New(rand.NewSource(11))
 	sys := smallSystem(t, rng, 120, 60)
 
@@ -64,9 +61,6 @@ func TestTracedSolveProducesDeepTrace(t *testing.T) {
 // TestTracedCommitRecordsIndexSpans checks the write path: a traced Commit
 // records the index clone and the repartition work.
 func TestTracedCommitRecordsIndexSpans(t *testing.T) {
-	prev := SetTracingEnabled(true)
-	defer SetTracingEnabled(prev)
-
 	rng := rand.New(rand.NewSource(12))
 	sys := smallSystem(t, rng, 80, 40)
 	res, err := sys.MinCost(MinCostRequest{Target: 2, Tau: 8, Cost: L2Cost{}})

@@ -19,58 +19,10 @@ func workloadTotalChurn(snap *workload.Snapshot) int64 {
 	return total
 }
 
-// TestWorkloadKillSwitch: with analytics off, a solve and a commit leave the
-// aggregator untouched; re-enabling restores attribution. The toggle returns
-// the previous setting so callers can stack save/restore.
-func TestWorkloadKillSwitch(t *testing.T) {
-	was := SetWorkloadAnalyticsEnabled(true)
-	defer SetWorkloadAnalyticsEnabled(was)
-
-	rng := rand.New(rand.NewSource(5))
-	sys := smallSystem(t, rng, 120, 60)
-
-	if prev := SetWorkloadAnalyticsEnabled(false); !prev {
-		t.Fatal("toggle did not report the previous (enabled) setting")
-	}
-	if WorkloadAnalyticsEnabled() {
-		t.Fatal("accessor disagrees with the toggle")
-	}
-	workload.Default.Reset()
-	if _, err := sys.MinCost(MinCostRequest{Target: 7, Tau: 10, Cost: L2Cost{}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Commit(3, Vector{-0.2, -0.2, -0.2}); err != nil {
-		t.Fatal(err)
-	}
-	snap := workload.Default.Snapshot()
-	if len(snap.Regions) != 0 || len(snap.Targets) != 0 || workloadTotalChurn(snap) != 0 {
-		t.Fatalf("disabled analytics still recorded: %d regions, %d targets, churn %d",
-			len(snap.Regions), len(snap.Targets), workloadTotalChurn(snap))
-	}
-
-	if prev := SetWorkloadAnalyticsEnabled(true); prev {
-		t.Fatal("toggle did not report the previous (disabled) setting")
-	}
-	if _, err := sys.MinCost(MinCostRequest{Target: 7, Tau: 10, Cost: L2Cost{}}); err != nil {
-		t.Fatal(err)
-	}
-	snap = workload.Default.Snapshot()
-	if len(snap.Regions) == 0 || len(snap.Targets) == 0 {
-		t.Fatalf("re-enabled analytics recorded nothing: %d regions, %d targets",
-			len(snap.Regions), len(snap.Targets))
-	}
-	if snap.Targets[0].Solves == 0 || snap.Regions[0].LoadNS == 0 {
-		t.Fatalf("attribution recorded empty stats: %+v / %+v", snap.Targets[0], snap.Regions[0])
-	}
-}
-
 // TestWorkloadCommitChurnFlows: a strategy commit that actually flips query
 // results surfaces as commit churn in the aggregator — the mutateCtx →
 // recordCommitChurn path over the same dirty set the cache migration drained.
 func TestWorkloadCommitChurnFlows(t *testing.T) {
-	was := SetWorkloadAnalyticsEnabled(true)
-	defer SetWorkloadAnalyticsEnabled(was)
-
 	rng := rand.New(rand.NewSource(9))
 	sys := smallSystem(t, rng, 120, 60)
 	workload.Default.Reset()
@@ -106,9 +58,6 @@ func TestWorkloadCommitChurnFlows(t *testing.T) {
 // than inherit. (Sparse workloads degenerate to singleton subdomains, which
 // always re-form identically and always inherit.)
 func TestWorkloadRegionRetirement(t *testing.T) {
-	was := SetWorkloadAnalyticsEnabled(true)
-	defer SetWorkloadAnalyticsEnabled(was)
-
 	rng := rand.New(rand.NewSource(13))
 	objs := dataset.Objects(dataset.Independent, 25, 3, rng)
 	queries := make([]Query, 60)
