@@ -40,7 +40,7 @@ func scrape(t *testing.T, baseURL string) map[string]float64 {
 }
 
 // TestMetricsEndpoint: after a load and a solve, /metrics serves valid
-// Prometheus text covering the HTTP, solver, ESE, and index series.
+// Prometheus text covering the HTTP, solver, hit-table, and index series.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := testServer(t)
 	loadDataset(t, ts, 100, 40)
@@ -55,8 +55,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`iq_solve_total{op="mincost",outcome="ok"}`,
 		`iq_solve_duration_seconds_count{op="mincost"}`,
 		`iq_solve_probes_total{op="mincost"}`,
-		"iq_ese_evaluations_total",
-		"iq_ese_evaluators_built_total",
+		"iq_threshold_cache_misses_total",
 		"iq_index_builds_total",
 		"iq_index_build_seconds_count",
 		"iq_index_subdomains",

@@ -855,8 +855,8 @@ func (s *server) handleMaxHit(w http.ResponseWriter, r *http.Request) {
 // in a single request. The batch passes through the same admission semaphore
 // as the single-solve endpoints and occupies exactly one slot; inside it,
 // items run on SolveBatchCtx's worker pool (min(GOMAXPROCS, items)) and share
-// the warm threshold/evaluator caches, which is what makes a batch cheaper
-// than N separate requests. Item failures are reported per item; only
+// the snapshot's hit tables, which is what makes a batch cheaper than N
+// separate requests. Item failures are reported per item; only
 // malformed requests fail the batch as a whole.
 func (s *server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest

@@ -30,7 +30,7 @@ import (
 
 // traceSpanNames are the engine stages a demo Min-Cost solve must record;
 // depth 3 is the solve → round → probe nesting.
-var traceSpanNames = []string{"solve/mincost", "round", "probe", "eval", "ese/build"}
+var traceSpanNames = []string{"solve/mincost", "round", "probe", "eval", "table/build"}
 
 const traceMinDepth = 3
 

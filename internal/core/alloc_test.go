@@ -29,15 +29,17 @@ func TestSolveHitAllocsLinearWarm(t *testing.T) {
 		cur := make(vec.Vector, 3)
 		bounds := &Bounds{Lo: vec.Vector{-1, -1, -1}, Hi: vec.Vector{1, 1, 1}}
 		sc := &probeScratch{}
-		// Warm the threshold cache and the scratch buffers.
-		for j := 0; j < idx.Workload().NumQueries(); j++ {
-			if _, err := solveHit(idx, target, cur, j, L2Cost{}, bounds, sc, nil); err != nil {
+		w := idx.Workload()
+		tab := hitTableFor(context.Background(), idx, target, nil)
+		// Warm the scratch buffers.
+		for j := 0; j < w.NumQueries(); j++ {
+			if _, err := solveHit(w, tab, cur, j, L2Cost{}, bounds, sc, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		j := 0
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := solveHit(idx, target, cur, j, L2Cost{}, bounds, sc, nil); err != nil {
+			if _, err := solveHit(w, tab, cur, j, L2Cost{}, bounds, sc, nil); err != nil {
 				t.Fatal(err)
 			}
 			j = (j + 1) % idx.Workload().NumQueries()
@@ -52,32 +54,30 @@ func TestSolveHitAllocsLinearWarm(t *testing.T) {
 // the serial path) must allocate proportionally to the number of probes —
 // one strategy vector each — not to the workload size squared. Before the
 // sweep each round also built a fresh unhit slice, a results slice, a
-// map-based hit set per evaluation, and per-probe bounds clones.
+// map-based hit set per evaluation, and per-probe bounds clones; counting
+// hits against the shared table allocates nothing.
 func TestGenerateCandidatesAllocsPerRoundWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	idx := fixture(t, rng, 80, 50, 3, 3)
 	withCaches(t, true, func() {
 		ctx := context.Background()
 		target := 2
-		pool, release, err := AcquireEvaluators(ctx, idx, target, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer release()
-		hit := bitset.New(idx.Workload().NumQueries())
-		pool[0].BaseHitSet(hit)
-		cur := make(vec.Vector, 3)
-		rs := &roundScratch{}
+		w := idx.Workload()
 		rec := newRecorder()
+		rs := newRoundScratch(idx, rec)
+		tab := hitTableFor(ctx, idx, target, rec)
+		hit := bitset.New(w.NumQueries())
+		tab.hitSet(w.Coeff(target), hit)
+		cur := make(vec.Vector, 3)
 		probes := 0
 		warm := func() int {
-			cands, err := generateCandidates(ctx, idx, pool, target, cur, hit, L2Cost{}, nil, rs, rec)
+			cands, err := generateCandidates(ctx, w, tab, 1, cur, hit, L2Cost{}, nil, rs, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return len(cands)
 		}
-		probes = warm() // fill every scratch buffer and the threshold cache
+		probes = warm() // fill every scratch buffer
 		if probes == 0 {
 			t.Fatal("fixture produced no candidates; pick a different target")
 		}
@@ -91,9 +91,9 @@ func TestGenerateCandidatesAllocsPerRoundWarm(t *testing.T) {
 }
 
 // A cache-warm solve must allocate strictly less than the same solve down
-// the uncached reference path: recycled evaluators and threshold tables are
-// what the caches save, so a change that stops reusing them shows here as an
-// allocation count rather than as a noisy timing.
+// the uncached reference path: the stored hit table is what the cache saves,
+// so a change that stops reusing it shows here as an allocation count rather
+// than as a noisy timing.
 func TestWarmSolveAllocsBelowUncached(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	idx := fixture(t, rng, 150, 60, 3, 3)

@@ -1,462 +1,388 @@
 package core
 
-// This file is the cross-solve caching layer. The paper's whole design
-// amortises one precomputed geometric index over many improvement queries,
-// but the runtime used to throw that amortisation away: every greedy round
-// re-ran hitThreshold's full top-k evaluation for every unhit query, and
-// every solve rebuilt its evaluator pool from scratch. Both computations are
-// pure functions of (index epoch, target) — the k-th competitor score at a
-// query never moves while the target improves (the target is excluded from
-// its own competition), and an evaluator's cached ranks stay valid until the
-// index mutates — so both are cached here, keyed by identity of the
-// immutable epoch snapshot (*subdomain.Index pointer) plus the target, and
-// validated against Index.Epoch() for direct in-place mutators.
+// This file is the solvers' Eq. 6 hit table. Under Eq. 6 the improved target
+// hits query q_j iff f′(q_j) < f_{j,k}(q_j), the score of the k-th best
+// competitor there. Algorithms 3 and 4 need every f_{j,k} anyway — the
+// per-query subproblem (Equations 13–14) solves against it — and f_{j,k}
+// never moves while the target improves, because the target is excluded from
+// its own competition. So one table per (index snapshot, target) holds each
+// live query's k-th competitor, and every threshold lookup and every hit
+// count of every solve against that snapshot reads it:
 //
-// Correctness invariant: a cache hit returns bit-identical values to the
-// recomputation it replaces (the cached float64 IS the previously computed
-// one; a recycled evaluator rebuilds itself via ensureFresh when stale), so
-// solver results are unchanged with caches on or off — the determinism
-// property tests assert exactly that.
+//	H(p+s) = |always-hit| + #{j : c′·q_j < bound_j}
 //
-// Memory: both caches are LRU-bounded. An entry's key holds a strong
-// reference to its epoch's index, so an (idx, target) key can never collide
-// with a recycled pointer; superseded epochs age out as new entries land.
+// one dot product per query. It is the simplest reverse top-k index in the
+// sense of "Indexing Reverse Top-k Queries" (Chester et al.).
+//
+// Exactness: each row's bound folds topk.Better's id tie-break into the
+// strict score comparison, and scores are summed by vec.Dot exactly as
+// topk.Workload.HitsExact sums them, so a table count equals HitsExact bit
+// for bit.
+//
+// Lifetime: a table is built on first use and stored on its snapshot
+// (subdomain.Index.Memo), so it dies with the snapshot. An in-place index
+// mutation invalidates it by epoch, PurgeSolveCaches by generation, and
+// MigrateSolveCaches carries its rows across a copy-on-write mutation.
 
 import (
-	"container/list"
 	"context"
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
-	"iq/internal/ese"
+	"iq/internal/bitset"
 	"iq/internal/obs"
 	"iq/internal/subdomain"
+	"iq/internal/topk"
+	"iq/internal/vec"
 )
 
 var (
 	mThresholdCacheHits = obs.Default.Counter("iq_threshold_cache_hits_total",
-		"hitThreshold lookups served from the epoch-keyed cache.")
+		"Hit-threshold lookups served from a stored hit table.")
 	mThresholdCacheMisses = obs.Default.Counter("iq_threshold_cache_misses_total",
-		"hitThreshold lookups that ran a full top-k evaluation.")
-	mEvaluatorCacheHits = obs.Default.Counter("iq_evaluator_cache_hits_total",
-		"Solver evaluators recycled from the cross-solve cache.")
-	mEvaluatorCacheMisses = obs.Default.Counter("iq_evaluator_cache_misses_total",
-		"Solver evaluators constructed because none was cached.")
-	mSolveCacheEvictions = obs.Default.Counter("iq_solve_cache_evictions_total",
-		"Cache entries evicted by the LRU bound (both families).")
+		"Hit-table rows computed by a full top-k evaluation.")
 	mCacheEntriesRetained = obs.Default.Counter("iq_cache_entries_retained_total",
-		"Cached values carried across a mutation by dirty-set migration (threshold slots + evaluators).")
+		"Hit-table rows carried across a mutation by dirty-set migration.")
 	mCacheEntriesInvalidated = obs.Default.Counter("iq_cache_entries_invalidated_total",
-		"Cached values dropped by dirty-set migration because the mutation's dirty set intersected them.")
+		"Hit-table rows dropped by dirty-set migration because the mutation's dirty set intersected them.")
 )
 
-// cacheEnabled gates both solve caches. On by default; the determinism
-// tests flip it to compare the cached path against the uncached reference.
+// cacheEnabled gates storing hit tables on their snapshots. On by default;
+// the determinism tests flip it to compare the stored path against the
+// uncached reference, in which every solve builds a fresh table.
 var cacheEnabled atomic.Bool
+
+// purgeGen is advanced by PurgeSolveCaches; a stored table of an older
+// generation counts as absent.
+var purgeGen atomic.Uint64
 
 func init() { cacheEnabled.Store(true) }
 
-// SetSolveCacheEnabled toggles the cross-solve threshold and evaluator
-// caches and returns the previous setting. It is a test hook, like
-// SetIterationHook: the bit-identity tests use the uncached path as their
-// reference. Disabling does not purge — re-enabling reuses still-valid
-// entries; call PurgeSolveCaches for a cold start.
+// SetSolveCacheEnabled toggles storing hit tables on their snapshots and
+// returns the previous setting. It is a test hook, like SetIterationHook:
+// the bit-identity tests use the uncached path as their reference. Disabling
+// does not purge — re-enabling reuses still-valid tables; call
+// PurgeSolveCaches for a cold start.
 func SetSolveCacheEnabled(enabled bool) bool {
 	return cacheEnabled.Swap(enabled)
 }
 
-// PurgeSolveCaches drops every cached threshold table and idle evaluator.
-// Tests use it to force cold-path measurements; production code never needs
-// it (the LRU bounds already cap memory).
+// PurgeSolveCaches makes every stored hit table stale, so the next solve on
+// any snapshot builds its table cold. Tests use it to force cold-path
+// measurements; production code never needs it (tables die with their
+// snapshots).
 func PurgeSolveCaches() {
-	thresholds.purge()
-	evaluators.purge()
+	purgeGen.Add(1)
 }
 
-// cacheKey identifies one target within one immutable index snapshot. The
-// pointer half keeps the snapshot alive while the entry exists, so a key can
-// never alias a later allocation at the same address.
-type cacheKey struct {
-	idx    *subdomain.Index
-	target int
-}
+// maxIdle is how many consecutive mutations MigrateSolveCaches carries a
+// table that no solve uses, so tables of targets nobody asks about age out
+// instead of riding every later snapshot.
+const maxIdle = 8
 
-// lruTable is a mutex-guarded LRU map shared by both cache families. Values
-// carry their own fine-grained locks; the table lock covers only lookup,
-// insertion, and eviction bookkeeping.
-type lruTable[V any] struct {
-	mu    sync.Mutex
-	max   int
-	items map[cacheKey]*list.Element
-	order *list.List // front = most recently used
-}
-
-type lruSlot[V any] struct {
-	key cacheKey
-	val V
-}
-
-func newLRUTable[V any](max int) *lruTable[V] {
-	return &lruTable[V]{max: max, items: map[cacheKey]*list.Element{}, order: list.New()}
-}
-
-// getOrCreate returns the entry for key, creating it with mk on first use,
-// and marks it most recently used. Eviction of the least recently used entry
-// keeps the table at its bound.
-func (t *lruTable[V]) getOrCreate(key cacheKey, mk func() V) V {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if el, ok := t.items[key]; ok {
-		t.order.MoveToFront(el)
-		return el.Value.(*lruSlot[V]).val
-	}
-	v := mk()
-	t.items[key] = t.order.PushFront(&lruSlot[V]{key: key, val: v})
-	for t.order.Len() > t.max {
-		last := t.order.Back()
-		t.order.Remove(last)
-		delete(t.items, last.Value.(*lruSlot[V]).key)
-		mSolveCacheEvictions.Inc()
-	}
-	return v
-}
-
-func (t *lruTable[V]) purge() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.items = map[cacheKey]*list.Element{}
-	t.order.Init()
-}
-
-// entriesFor snapshots every slot keyed to the given index snapshot. The
-// migration layer iterates the copy outside the table lock; values carry
-// their own locks.
-func (t *lruTable[V]) entriesFor(idx *subdomain.Index) []lruSlot[V] {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []lruSlot[V]
-	for _, el := range t.items {
-		if s := el.Value.(*lruSlot[V]); s.key.idx == idx {
-			out = append(out, *s)
-		}
-	}
-	return out
-}
-
-// --- hit-threshold cache ---
-
-// Threshold lookup states; a byte per query keeps entries compact.
+// Row states, one byte per query.
 const (
-	thrUnknown   uint8 = iota // not computed yet
-	thrBounded                // val holds the k-th competitor score
-	thrUnbounded              // fewer than k competitors: any score hits
+	rowUnknown uint8 = iota // not computed: a migration seed's dirty row
+	rowBounded              // kth/kthID hold the k-th competitor
+	rowAlways               // fewer than k competitors: any score hits
+	rowRemoved              // the query is tombstoned: never hit
 )
 
-// thresholdEntry caches one (index, target)'s per-query hit thresholds. The
-// RWMutex makes the common case — every worker of every solve reading warm
-// values — a shared lock; writes happen once per (epoch, query).
-type thresholdEntry struct {
-	mu    sync.RWMutex
-	epoch uint64
+// hitTable is one target's Eq. 6 thresholds on one index snapshot. Once
+// complete it is immutable and shared by every worker of every solve on the
+// snapshot.
+type hitTable struct {
+	gen, epoch uint64
+	target     int
+	// stored marks a table kept on its snapshot; lookups against it count
+	// as threshold-cache hits.
+	stored bool
+	ready  bool // complete: every row known and the counting form derived
+	// idle counts the mutations a migration seed's rows were carried
+	// across since a solve last used the table.
+	idle int
+	// Per query, indexed by workload query index: the row state and the
+	// k-th competitor's score T_j and id I_j.
 	state []uint8
-	val   []float64
+	kth   []float64
+	kthID []int
+	// The counting form: the live bounded queries in ascending order with
+	// their points and bounds, and the live always-hit queries.
+	rows   []int
+	pts    []vec.Vector
+	bound  []float64
+	always []int
 }
 
-const (
-	thresholdTableMax = 256 // (index, target) threshold tables kept
-	evaluatorTableMax = 64  // (index, target) idle evaluator pools kept
-	idleEvaluatorsMax = 8   // idle evaluators kept per pool
-)
-
-var (
-	thresholds = newLRUTable[*thresholdEntry](thresholdTableMax)
-	evaluators = newLRUTable[*evaluatorEntry](evaluatorTableMax)
-)
-
-// cachedHitThreshold is hitThreshold behind the epoch-keyed cache: the k-th
-// competitor score at query j is invariant under the target's own
-// improvement, so one computation serves every greedy round of every solve
-// against this index snapshot. rec (nil-safe) receives per-solve hit/miss
-// counts; the package counters always accumulate.
-func cachedHitThreshold(idx *subdomain.Index, target, j int, sc *probeScratch, rec *recorder) (float64, bool) {
-	if !cacheEnabled.Load() {
-		return hitThreshold(idx, target, j, sc)
-	}
-	e := thresholds.getOrCreate(cacheKey{idx: idx, target: target}, func() *thresholdEntry {
-		return &thresholdEntry{}
-	})
-	epoch := idx.Epoch()
-	e.mu.RLock()
-	if e.epoch == epoch && j < len(e.state) {
-		switch e.state[j] {
-		case thrBounded:
-			v := e.val[j]
-			e.mu.RUnlock()
-			mThresholdCacheHits.Inc()
-			rec.thresholdLookup(true)
-			sc.noteThreshold(true)
-			return v, true
-		case thrUnbounded:
-			e.mu.RUnlock()
-			mThresholdCacheHits.Inc()
-			rec.thresholdLookup(true)
-			sc.noteThreshold(true)
-			return 0, false
-		}
-	}
-	e.mu.RUnlock()
-	v, bounded := hitThreshold(idx, target, j, sc)
-	mThresholdCacheMisses.Inc()
-	rec.thresholdLookup(false)
-	sc.noteThreshold(false)
+func newHitTable(idx *subdomain.Index, target int, stored bool) *hitTable {
 	n := idx.Workload().NumQueries()
-	e.mu.Lock()
-	if e.epoch != epoch || len(e.state) != n {
-		// First fill, or the index mutated in place: restart the table at
-		// the current epoch. Concurrent writers at the same epoch write
-		// identical values, so last-write-wins is harmless.
-		e.epoch = epoch
-		if cap(e.state) >= n {
-			e.state = e.state[:n]
-			for i := range e.state {
-				e.state[i] = thrUnknown
+	return &hitTable{
+		gen: purgeGen.Load(), epoch: idx.Epoch(), target: target, stored: stored,
+		state: make([]uint8, n), kth: make([]float64, n), kthID: make([]int, n),
+	}
+}
+
+// current reports whether the table was built for idx as it is now.
+func (t *hitTable) current(idx *subdomain.Index) bool {
+	return t.gen == purgeGen.Load() && t.epoch == idx.Epoch() &&
+		len(t.state) == idx.Workload().NumQueries()
+}
+
+// competitor is one object's score at a query.
+type competitor struct {
+	score float64
+	id    int
+}
+
+// build computes every unknown row inside a "table/build" span and derives
+// the counting form. A row is the k-th best among the candidate skyband
+// minus the target: the skyband holds every possible top-k member. Each
+// computed row is a threshold-cache miss charged to rec (nil-safe); build
+// returns how many there were.
+func (t *hitTable) build(ctx context.Context, idx *subdomain.Index, rec *recorder) int {
+	_, sp := obs.StartSpan(ctx, "table/build")
+	defer sp.End()
+	w := idx.Workload()
+	var competitors []int
+	for _, c := range idx.Candidates() {
+		if c != t.target && !w.IsRemoved(c) {
+			competitors = append(competitors, c)
+		}
+	}
+	best := make([]competitor, 0, w.MaxK())
+	computed := 0
+	for j, s := range t.state {
+		if s != rowUnknown {
+			continue
+		}
+		if w.IsQueryRemoved(j) {
+			t.state[j] = rowRemoved
+			continue
+		}
+		// best holds the K best competitors seen so far in topk.Better
+		// order; a score that cannot enter it costs one comparison.
+		q := w.Query(j)
+		best = best[:0]
+		for _, c := range competitors {
+			// w.Score's sum in its order, written out: this form measured
+			// faster in perfbench's loops.
+			score := 0.0
+			for i, x := range w.Coeff(c) {
+				score += x * q.Point[i]
 			}
-			e.val = e.val[:n]
+			if n := len(best); n == q.K && !topk.Better(score, c, best[n-1].score, best[n-1].id) {
+				continue
+			} else if n < q.K {
+				best = append(best, competitor{})
+			}
+			// Insert in order; a full buffer drops its K-th.
+			i := len(best) - 1
+			for ; i > 0 && topk.Better(score, c, best[i-1].score, best[i-1].id); i-- {
+				best[i] = best[i-1]
+			}
+			best[i] = competitor{score, c}
+		}
+		if len(best) < q.K {
+			t.state[j] = rowAlways
 		} else {
-			e.state = make([]uint8, n)
-			e.val = make([]float64, n)
+			t.state[j] = rowBounded
+			t.kth[j], t.kthID[j] = best[q.K-1].score, best[q.K-1].id
+		}
+		computed++
+		rec.thresholdMiss(j)
+	}
+	t.rows = make([]int, 0, len(t.state))
+	t.pts = make([]vec.Vector, 0, len(t.state))
+	t.bound = make([]float64, 0, len(t.state))
+	for j, s := range t.state {
+		switch s {
+		case rowAlways:
+			t.always = append(t.always, j)
+		case rowBounded:
+			b := t.kth[j]
+			if t.target < t.kthID[j] {
+				// topk.Better breaks a score tie by id, so the target
+				// also beats a tied k-th competitor with a larger id.
+				b = math.Nextafter(b, math.Inf(1))
+			}
+			t.rows = append(t.rows, j)
+			t.pts = append(t.pts, w.Query(j).Point)
+			t.bound = append(t.bound, b)
 		}
 	}
-	if j < len(e.state) {
-		if bounded {
-			e.state[j] = thrBounded
-			e.val[j] = v
-		} else {
-			e.state[j] = thrUnbounded
+	t.ready = true
+	sp.SetAttr("target", t.target)
+	sp.SetAttr("computed", computed)
+	sp.SetAttr("carried", len(t.rows)+len(t.always)-computed)
+	return computed
+}
+
+// threshold returns T_j, the score the improved target must beat at query
+// j, and false when the query has no k-th competitor (any score hits).
+func (t *hitTable) threshold(j int) (float64, bool) {
+	return t.kth[j], t.state[j] == rowBounded
+}
+
+// hit reports whether a target with embedded coefficients coeff hits row r.
+// The score is vec.Dot's sum, in its order, so it is bit-identical to the
+// score HitsExact compares; it is written out so the counting loops inline
+// it.
+func (t *hitTable) hit(coeff vec.Vector, r int) bool {
+	q := t.pts[r]
+	s := 0.0
+	for i, c := range coeff {
+		s += c * q[i]
+	}
+	return s < t.bound[r]
+}
+
+// hits returns H for a target whose embedded coefficients are coeff.
+func (t *hitTable) hits(coeff vec.Vector) int {
+	h := len(t.always)
+	for r := range t.bound {
+		if t.hit(coeff, r) {
+			h++
 		}
 	}
-	e.mu.Unlock()
-	return v, bounded
+	return h
 }
 
-// --- evaluator cache ---
-
-// evaluatorEntry holds idle evaluators for one (index, target), ready to be
-// recycled into the next solve. Evaluators are exclusively owned while
-// acquired — they carry mutable scratch state — so the entry only ever holds
-// ones no solve is using.
-type evaluatorEntry struct {
-	mu    sync.Mutex
-	epoch uint64
-	idle  []*ese.Evaluator
+// hitSet fills dst, grown to the workload's query count, with the queries a
+// target with embedded coefficients coeff hits, and returns their number.
+func (t *hitTable) hitSet(coeff vec.Vector, dst *bitset.Bits) int {
+	dst.Grow(len(t.state))
+	dst.Reset()
+	for _, j := range t.always {
+		dst.Set(j)
+	}
+	h := len(t.always)
+	for r, j := range t.rows {
+		if t.hit(coeff, r) {
+			dst.Set(j)
+			h++
+		}
+	}
+	return h
 }
 
-// AcquireEvaluators returns `workers` (after clamping, at least one)
-// evaluators for the target, recycling idle ones cached from previous solves
-// against the same index snapshot and constructing the remainder. The second
-// return value releases the evaluators back to the cache; call it exactly
-// once, after the last use of the pool. With the solve caches disabled it
-// constructs a fresh pool and the release is a no-op.
-func AcquireEvaluators(ctx context.Context, idx *subdomain.Index, target, workers int) ([]*ese.Evaluator, func(), error) {
-	workers = clampWorkers(workers, idx.Workload().NumQueries())
+// tableSlot is one target's place in a snapshot's Memo: the complete table,
+// or the rows a migration carried until the first solve completes them.
+type tableSlot struct {
+	mu sync.Mutex
+	t  *hitTable
+}
+
+// hitTableFor returns target's complete hit table on idx. With the solve
+// caches on, the table is stored on the snapshot: built on first use, or
+// completed from the rows a migration carried, then shared read-only; a
+// concurrent first use waits for the build instead of repeating it. With
+// them off, every call builds a fresh table and charges rec nothing.
+func hitTableFor(ctx context.Context, idx *subdomain.Index, target int, rec *recorder) *hitTable {
 	if !cacheEnabled.Load() {
-		pool, err := evaluatorPool(ctx, idx, target, workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		return pool, func() {}, nil
+		t := newHitTable(idx, target, false)
+		t.build(ctx, idx, nil)
+		return t
 	}
-	key := cacheKey{idx: idx, target: target}
-	e := evaluators.getOrCreate(key, func() *evaluatorEntry { return &evaluatorEntry{} })
-	epoch := idx.Epoch()
-	var pool []*ese.Evaluator
-	e.mu.Lock()
-	if e.epoch != epoch {
-		// The index mutated in place since these were parked. They would
-		// self-heal via their own epoch check, but a rebuild costs as much
-		// as a fresh construction — drop them for clarity.
-		e.idle = nil
-		e.epoch = epoch
+	v, _ := idx.Memo().LoadOrStore(target, &tableSlot{})
+	s := v.(*tableSlot)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.t == nil || !s.t.current(idx) {
+		s.t = newHitTable(idx, target, true)
 	}
-	if n := min(workers, len(e.idle)); n > 0 {
-		pool = append(pool, e.idle[len(e.idle)-n:]...)
-		e.idle = e.idle[:len(e.idle)-n]
+	if !s.t.ready {
+		mThresholdCacheMisses.Add(int64(s.t.build(ctx, idx, rec)))
 	}
-	e.mu.Unlock()
-	mEvaluatorCacheHits.Add(int64(len(pool)))
-	for _, ev := range pool {
-		ev.Bind(ctx)
-	}
-	for len(pool) < workers {
-		ev, err := ese.NewCtx(ctx, idx, target)
-		if err != nil {
-			releaseEvaluators(key, pool)
-			return nil, nil, err
-		}
-		mEvaluatorCacheMisses.Inc()
-		pool = append(pool, ev)
-	}
-	release := func() { releaseEvaluators(key, pool) }
-	return pool, release, nil
+	return s.t
 }
 
-// --- dirty-set cache migration ---
+// CountHits returns H(p+s), the number of queries target hits on idx once
+// improved by strategy s (H(p) when s is nil), by Eq. 6 against target's
+// hit table.
+func CountHits(ctx context.Context, idx *subdomain.Index, target int, s vec.Vector) (int, error) {
+	w := idx.Workload()
+	if target < 0 || target >= w.NumObjects() {
+		return 0, fmt.Errorf("core: target %d out of range [0,%d)", target, w.NumObjects())
+	}
+	if w.IsRemoved(target) {
+		return 0, fmt.Errorf("core: target %d is removed", target)
+	}
+	coeff := w.Coeff(target)
+	if s != nil {
+		var err error
+		if coeff, err = w.Space().Embed(vec.Add(w.Attrs(target), s)); err != nil {
+			return 0, fmt.Errorf("core: embedding improved target: %w", err)
+		}
+	}
+	t := hitTableFor(ctx, idx, target, nil)
+	if err := CtxErr(ctx); err != nil {
+		return 0, err
+	}
+	return t.hits(coeff), nil
+}
 
-// MigrateSolveCaches carries cached solver state across a copy-on-write
-// mutation: every threshold table and idle evaluator keyed to the
-// pre-mutation snapshot oldIdx is re-keyed to its successor newIdx, minus
-// exactly the values the mutation's dirty set invalidates. The write path
-// calls it after the mutation succeeded and before publishing newIdx, so the
-// first post-publish solve finds the surviving entries warm.
-//
-//   - Threshold tables survive per query: a dirty query's slot reverts to
-//     unknown (for every target except the query's sole dirtying object —
-//     a target's threshold excludes the target itself); clean slots keep
-//     their bit-exact values. The epoch advances with the snapshot, ordering
-//     versions without wiping entries.
-//   - Idle evaluators survive whole or not at all: only when the dirty set
-//     is clean for their target (no query changes, candidate skyband
-//     untouched, target unchanged) — then base ranks, hit sets, and the hit
-//     memo are all still exact and the evaluator is rebased onto newIdx.
-//
-// Old-key entries are left to age out of the LRU so in-flight solves against
-// the superseded snapshot stay warm too.
+// MigrateSolveCaches carries hit tables across a copy-on-write mutation:
+// every table stored on the pre-mutation snapshot oldIdx seeds its target's
+// table on the successor newIdx with the rows the mutation's dirty set left
+// exact, and the first solve on newIdx computes only the rest. A row is
+// dropped when its query is dirty and the target is not the query's sole
+// source (a target's row excludes the target itself); every other row is
+// copied bit for bit. A table no solve has used for maxIdle mutations is not
+// carried further. The write path calls it after the mutation succeeded and before
+// publishing newIdx. A table already stored on newIdx is kept.
 func MigrateSolveCaches(oldIdx, newIdx *subdomain.Index, ds *subdomain.DirtySet) {
 	if oldIdx == newIdx || !cacheEnabled.Load() {
 		return
 	}
-	migrateThresholds(oldIdx, newIdx, ds)
-	migrateEvaluators(oldIdx, newIdx, ds)
-}
-
-func migrateThresholds(oldIdx, newIdx *subdomain.Index, ds *subdomain.DirtySet) {
-	slots := thresholds.entriesFor(oldIdx)
-	if len(slots) == 0 {
-		return
-	}
-	if ds.All() {
-		for _, sl := range slots {
-			sl.val.mu.RLock()
-			n := int64(knownSlots(sl.val.state))
-			sl.val.mu.RUnlock()
-			mCacheEntriesInvalidated.Add(n)
+	oldIdx.Memo().Range(func(k, v any) bool {
+		target, s := k.(int), v.(*tableSlot)
+		var seed *hitTable
+		s.mu.Lock()
+		if old := s.t; old != nil && old.current(oldIdx) {
+			idle := 1
+			if !old.ready {
+				idle = old.idle + 1
+			}
+			if idle <= maxIdle {
+				seed = newHitTable(newIdx, target, true)
+				seed.idle = idle
+				copy(seed.state, old.state)
+				copy(seed.kth, old.kth)
+				copy(seed.kthID, old.kthID)
+			}
 		}
-		return
-	}
-	oldEpoch, newEpoch := oldIdx.Epoch(), newIdx.Epoch()
-	n := newIdx.Workload().NumQueries()
-	for _, sl := range slots {
-		old := sl.val
-		ne := &thresholdEntry{epoch: newEpoch, state: make([]uint8, n), val: make([]float64, n)}
-		old.mu.RLock()
-		if old.epoch != oldEpoch {
-			old.mu.RUnlock()
-			continue // stale against its own snapshot; nothing worth moving
+		s.mu.Unlock()
+		if seed == nil {
+			return true
 		}
-		copy(ne.state, old.state)
-		copy(ne.val, old.val)
-		old.mu.RUnlock()
-		invalidated := 0
+		if ds.All() {
+			mCacheEntriesInvalidated.Add(int64(knownRows(seed.state)))
+			return true
+		}
+		dropped := 0
 		ds.ForEachQuery(func(j, source int) {
-			if j < n && source != sl.key.target && ne.state[j] != thrUnknown {
-				ne.state[j] = thrUnknown
-				invalidated++
+			if j < len(seed.state) && source != target && seed.state[j] != rowUnknown {
+				seed.state[j] = rowUnknown
+				dropped++
 			}
 		})
-		retained := knownSlots(ne.state)
-		if retained == 0 {
-			mCacheEntriesInvalidated.Add(int64(invalidated))
-			continue // nothing survived; let the new epoch fill cold
+		mCacheEntriesInvalidated.Add(int64(dropped))
+		if kept := knownRows(seed.state); kept > 0 {
+			mCacheEntriesRetained.Add(int64(kept))
+			newIdx.Memo().LoadOrStore(target, &tableSlot{t: seed})
 		}
-		thresholds.getOrCreate(cacheKey{idx: newIdx, target: sl.key.target}, func() *thresholdEntry {
-			return ne
-		})
-		mCacheEntriesRetained.Add(int64(retained))
-		mCacheEntriesInvalidated.Add(int64(invalidated))
-	}
+		return true
+	})
 }
 
-func knownSlots(state []uint8) int {
+func knownRows(state []uint8) int {
 	n := 0
 	for _, s := range state {
-		if s != thrUnknown {
+		if s != rowUnknown {
 			n++
 		}
 	}
 	return n
-}
-
-func migrateEvaluators(oldIdx, newIdx *subdomain.Index, ds *subdomain.DirtySet) {
-	slots := evaluators.entriesFor(oldIdx)
-	if len(slots) == 0 {
-		return
-	}
-	oldEpoch, newEpoch := oldIdx.Epoch(), newIdx.Epoch()
-	for _, sl := range slots {
-		e := sl.val
-		if !ds.CleanForTarget(sl.key.target) {
-			e.mu.Lock()
-			mCacheEntriesInvalidated.Add(int64(len(e.idle)))
-			e.idle = nil // they could only rebuild from scratch; free them now
-			e.mu.Unlock()
-			continue
-		}
-		e.mu.Lock()
-		idle := e.idle
-		e.idle = nil
-		if e.epoch != oldEpoch {
-			idle = nil
-		}
-		e.mu.Unlock()
-		var moved []*ese.Evaluator
-		for _, ev := range idle {
-			if ev.Rebase(newIdx) {
-				moved = append(moved, ev)
-			}
-		}
-		if len(moved) == 0 {
-			continue
-		}
-		ne := evaluators.getOrCreate(cacheKey{idx: newIdx, target: sl.key.target}, func() *evaluatorEntry {
-			return &evaluatorEntry{}
-		})
-		ne.mu.Lock()
-		if ne.epoch != newEpoch {
-			ne.idle = nil
-			ne.epoch = newEpoch
-		}
-		for _, ev := range moved {
-			if len(ne.idle) >= idleEvaluatorsMax {
-				break
-			}
-			ne.idle = append(ne.idle, ev)
-		}
-		mCacheEntriesRetained.Add(int64(len(ne.idle)))
-		ne.mu.Unlock()
-	}
-}
-
-// releaseEvaluators parks a solve's evaluators for reuse, up to the
-// per-entry idle bound; overflow is simply dropped for the GC.
-func releaseEvaluators(key cacheKey, pool []*ese.Evaluator) {
-	if len(pool) == 0 || !cacheEnabled.Load() {
-		return
-	}
-	e := evaluators.getOrCreate(key, func() *evaluatorEntry { return &evaluatorEntry{} })
-	epoch := key.idx.Epoch()
-	e.mu.Lock()
-	if e.epoch != epoch {
-		e.idle = nil
-		e.epoch = epoch
-	}
-	for _, ev := range pool {
-		if len(e.idle) >= idleEvaluatorsMax {
-			break
-		}
-		// Detach the solve's context so a later epoch-forced rebuild does
-		// not record spans into this finished solve's trace.
-		ev.Bind(nil)
-		e.idle = append(e.idle, ev)
-	}
-	e.mu.Unlock()
 }

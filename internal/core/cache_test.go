@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"iq/internal/topk"
@@ -135,64 +136,6 @@ func TestThresholdCacheStatsZeroWhenDisabled(t *testing.T) {
 	})
 }
 
-// Released evaluators must come back on the next acquire for the same
-// (index, target); an in-place index mutation must invalidate them.
-func TestEvaluatorRecycling(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	idx := fixture(t, rng, 60, 40, 3, 3)
-	ctx := context.Background()
-	withCaches(t, true, func() {
-		pool1, release1, err := AcquireEvaluators(ctx, idx, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := map[interface{}]bool{}
-		for _, ev := range pool1 {
-			first[ev] = true
-		}
-		release1()
-
-		pool2, release2, err := AcquireEvaluators(ctx, idx, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recycled := 0
-		for _, ev := range pool2 {
-			if first[ev] {
-				recycled++
-			}
-		}
-		release2()
-		if recycled == 0 {
-			t.Error("no evaluator recycled on re-acquire")
-		}
-
-		// Mutate the index in place: the epoch advances and parked
-		// evaluators for the old epoch must be dropped, not handed out.
-		epoch := idx.Epoch()
-		if err := idx.UpdateObject(5, vec.Vector{0.5, 0.5, 0.5}); err != nil {
-			t.Fatal(err)
-		}
-		if idx.Epoch() == epoch {
-			t.Fatal("UpdateObject did not advance the epoch")
-		}
-		pool3, release3, err := AcquireEvaluators(ctx, idx, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer release3()
-		for _, ev := range pool3 {
-			if first[ev] {
-				// Recycling across an epoch bump is allowed only because
-				// evaluators self-heal; AcquireEvaluators chooses to drop
-				// them instead, so seeing one here means the epoch check
-				// is broken.
-				t.Error("stale-epoch evaluator recycled")
-			}
-		}
-	})
-}
-
 // In-place mutations (UpdateObject, AddQuery, RemoveQuery) advance the index
 // epoch; cached thresholds from the old epoch must not leak into results.
 // Oracle: the uncached path against the mutated index.
@@ -253,26 +196,70 @@ func TestThresholdCacheInvalidationOnMutation(t *testing.T) {
 	})
 }
 
-// The exhaustive verifier shares cachedHitThreshold with the greedy solvers
-// (with a nil recorder and nil scratch); it too must agree with the uncached
-// path after mutations.
+// The exhaustive verifier reads the same stored hit tables as the greedy
+// solvers; every threshold one serves — on the building lookup and on the
+// stored one — must equal the k-th competitor score among all other live
+// objects, computed directly.
 func TestCachedThresholdMatchesUncached(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	idx := fixture(t, rng, 50, 30, 3, 3)
+	w := idx.Workload()
 	withCaches(t, true, func() {
 		for target := 0; target < 5; target++ {
-			for j := 0; j < idx.Workload().NumQueries(); j++ {
-				// First call fills, second must hit; both must equal the
-				// direct computation bit for bit.
-				want, wantOK := hitThreshold(idx, target, j, nil)
-				for pass := 0; pass < 2; pass++ {
-					got, ok := cachedHitThreshold(idx, target, j, nil, nil)
-					if ok != wantOK || got != want {
-						t.Fatalf("target %d query %d pass %d: cached (%v,%v) != direct (%v,%v)",
-							target, j, pass, got, ok, want, wantOK)
+			var others []int
+			for i := 0; i < w.NumObjects(); i++ {
+				if i != target {
+					others = append(others, i)
+				}
+			}
+			first := hitTableFor(context.Background(), idx, target, nil)
+			for pass := 0; pass < 2; pass++ {
+				tab := hitTableFor(context.Background(), idx, target, nil)
+				if tab != first {
+					t.Fatalf("target %d pass %d: the stored table was rebuilt", target, pass)
+				}
+				for j := 0; j < w.NumQueries(); j++ {
+					res := w.EvaluateAmong(others, w.Query(j))
+					wantOK := len(res.Ordered) >= w.Query(j).K
+					got, ok := tab.threshold(j)
+					if ok != wantOK || (ok && got != res.KthScore) {
+						t.Fatalf("target %d query %d pass %d: table (%v,%v) != direct (%v,%v)",
+							target, j, pass, got, ok, res.KthScore, wantOK)
 					}
 				}
 			}
+		}
+	})
+}
+
+// Concurrent first uses of one (snapshot, target) table share one build:
+// every caller gets the same table, and its rows are computed once.
+func TestHitTableConcurrentFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	idx := fixture(t, rng, 80, 50, 3, 3)
+	withCaches(t, true, func() {
+		const callers = 8
+		tabs := make([]*hitTable, callers)
+		recs := make([]*recorder, callers)
+		var wg sync.WaitGroup
+		for i := range tabs {
+			recs[i] = newRecorder()
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				tabs[i] = hitTableFor(context.Background(), idx, 3, recs[i])
+			}(i)
+		}
+		wg.Wait()
+		misses := 0
+		for i, tab := range tabs {
+			if tab != tabs[0] {
+				t.Fatalf("caller %d got a different table", i)
+			}
+			misses += int(recs[i].thrMisses.Load())
+		}
+		if want := idx.Workload().NumQueries(); misses != want {
+			t.Fatalf("%d rows computed across %d concurrent first uses, want %d (one build)", misses, callers, want)
 		}
 	})
 }

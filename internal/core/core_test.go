@@ -334,6 +334,69 @@ func TestExhaustiveGuards(t *testing.T) {
 	}
 }
 
+// Removed queries must not count toward an exhaustive solve's τ check, its
+// size guard or its constraints: with queries 0–3 tombstoned, both
+// exhaustive solvers must answer exactly as on an index built without them.
+func TestExhaustiveIgnoresRemovedQueries(t *testing.T) {
+	same := func(a, b *Result, errA, errB error) bool {
+		if errA != nil || errB != nil {
+			return errors.Is(errA, ErrGoalUnreachable) && errors.Is(errB, ErrGoalUnreachable)
+		}
+		return vec.Equal(a.Strategy, b.Strategy) && a.Cost == b.Cost &&
+			a.Hits == b.Hits && a.BaseHits == b.BaseHits
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		attrs := make([]vec.Vector, 12)
+		for i := range attrs {
+			attrs[i] = randVec(rng, 3)
+		}
+		queries := make([]topk.Query, 8)
+		for j := range queries {
+			pt := randVec(rng, 3)
+			for i := range pt {
+				pt[i] = 0.05 + 0.95*pt[i]
+			}
+			queries[j] = topk.Query{ID: j, K: 1 + rng.Intn(3), Point: pt}
+		}
+		build := func(qs []topk.Query) *subdomain.Index {
+			w, err := topk.NewWorkload(topk.LinearSpace{D: 3}, attrs, qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := subdomain.Build(w, subdomain.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return idx
+		}
+		removed := build(queries)
+		for j := 0; j < 4; j++ {
+			if err := removed.RemoveQuery(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rebuilt := build(queries[4:])
+		target := rng.Intn(len(attrs))
+		for tau := 1; tau <= 6; tau++ {
+			req := MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}}
+			a, errA := ExhaustiveMinCost(removed, req)
+			b, errB := ExhaustiveMinCost(rebuilt, req)
+			if !same(a, b, errA, errB) {
+				t.Fatalf("seed %d tau %d: MinCost with removed queries %+v (%v), rebuilt %+v (%v)", seed, tau, a, errA, b, errB)
+			}
+		}
+		for _, budget := range []float64{0.05, 0.2, 1} {
+			req := MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}}
+			a, errA := ExhaustiveMaxHit(removed, req)
+			b, errB := ExhaustiveMaxHit(rebuilt, req)
+			if !same(a, b, errA, errB) {
+				t.Fatalf("seed %d budget %g: MaxHit with removed queries %+v (%v), rebuilt %+v (%v)", seed, budget, a, errA, b, errB)
+			}
+		}
+	}
+}
+
 func TestExhaustiveL1Cost(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	idx := fixture(t, rng, 15, 6, 2, 2)

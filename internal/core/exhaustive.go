@@ -68,7 +68,7 @@ func exhaustiveMinCostSolve(ctx context.Context, idx *subdomain.Index, req MinCo
 	if !w.Space().Linear() {
 		return nil, ErrExhaustiveUnsupported
 	}
-	m := w.NumQueries()
+	m := w.LiveQueries()
 	if req.Tau > m {
 		return nil, fmt.Errorf("core: tau %d exceeds query count %d: %w", req.Tau, m, ErrGoalUnreachable)
 	}
@@ -80,36 +80,29 @@ func exhaustiveMinCostSolve(ctx context.Context, idx *subdomain.Index, req MinCo
 		return nil, ErrExhaustiveTooLarge
 	}
 
-	normals, rhs, freebies := constraintSystem(idx, req.Target)
+	normals, rhs, free := constraintSystem(ctx, idx, req.Target, rec)
 	// Queries with no k-th competitor are hit by anything; they reduce the
 	// effective τ.
-	effTau := req.Tau - len(freebies)
+	effTau := req.Tau - free
 	d := len(w.Attrs(req.Target))
 	if effTau <= 0 {
 		return finishExhaustive(idx, req.Target, req.Cost, vec.New(d))
-	}
-	constrained := make([]int, 0, m)
-	for j := 0; j < m; j++ {
-		if !freebies[j] {
-			constrained = append(constrained, j)
-		}
 	}
 
 	bestCost := math.Inf(1)
 	var bestS vec.Vector
 	stop := stopEvery(ctx, 1024)
 	chunks := newChunkSpans(ctx, 2048)
-	forEachSubset(len(constrained), effTau, func(subset []int) bool {
+	forEachSubset(len(normals), effTau, func(subset []int) bool {
 		if stop() {
 			return false
 		}
 		chunks.tick()
 		ns := make([]vec.Vector, len(subset))
 		bs := make([]float64, len(subset))
-		for i, si := range subset {
-			j := constrained[si]
-			ns[i] = normals[j]
-			bs[i] = rhs[j]
+		for i, r := range subset {
+			ns[i] = normals[r]
+			bs[i] = rhs[r]
 		}
 		t0 := rec.probeStart()
 		s, err := solveJoint(req.Cost, ns, bs)
@@ -171,38 +164,30 @@ func exhaustiveMaxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHit
 	if !w.Space().Linear() {
 		return nil, ErrExhaustiveUnsupported
 	}
-	m := w.NumQueries()
-	if m > 22 {
+	if w.LiveQueries() > 22 {
 		return nil, ErrExhaustiveTooLarge // 2^22 subsets ceiling
 	}
-	normals, rhs, freebies := constraintSystem(idx, req.Target)
-	constrained := make([]int, 0, m)
-	for j := 0; j < m; j++ {
-		if !freebies[j] {
-			constrained = append(constrained, j)
-		}
-	}
+	normals, rhs, _ := constraintSystem(ctx, idx, req.Target, rec)
 	d := len(w.Attrs(req.Target))
 	stop := stopEvery(ctx, 1024)
 	chunks := newChunkSpans(ctx, 2048)
-	for h := len(constrained); h >= 0; h-- {
+	for h := len(normals); h >= 0; h-- {
 		var bestS vec.Vector
 		bestCost := math.Inf(1)
 		if h == 0 {
 			chunks.close()
 			return finishExhaustive(idx, req.Target, req.Cost, vec.New(d))
 		}
-		forEachSubset(len(constrained), h, func(subset []int) bool {
+		forEachSubset(len(normals), h, func(subset []int) bool {
 			if stop() {
 				return false
 			}
 			chunks.tick()
 			ns := make([]vec.Vector, len(subset))
 			bs := make([]float64, len(subset))
-			for i, si := range subset {
-				j := constrained[si]
-				ns[i] = normals[j]
-				bs[i] = rhs[j]
+			for i, r := range subset {
+				ns[i] = normals[r]
+				bs[i] = rhs[r]
 			}
 			t0 := rec.probeStart()
 			s, err := solveJoint(req.Cost, ns, bs)
@@ -230,26 +215,19 @@ func exhaustiveMaxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHit
 	return finishExhaustive(idx, req.Target, req.Cost, vec.New(d))
 }
 
-// constraintSystem builds, per query, the halfspace the improved target must
-// satisfy to hit it: normal·s ≤ rhs. freebies marks queries hit by any
-// strategy (fewer than k competitors).
-func constraintSystem(idx *subdomain.Index, target int) (normals []vec.Vector, rhs []float64, freebies map[int]bool) {
-	w := idx.Workload()
-	m := w.NumQueries()
-	normals = make([]vec.Vector, m)
-	rhs = make([]float64, m)
-	freebies = map[int]bool{}
-	for j := 0; j < m; j++ {
-		t, bounded := cachedHitThreshold(idx, target, j, nil, nil)
-		if !bounded {
-			freebies[j] = true
-			continue
-		}
-		q := w.Query(j).Point
-		normals[j] = q
-		rhs[j] = t - vec.Dot(w.Coeff(target), q) - strictMargin(t)
+// constraintSystem builds, per live query with a k-th competitor, the
+// halfspace the improved target must satisfy to hit it: normal·s ≤ rhs.
+// free counts the live queries any strategy hits (fewer than k
+// competitors); removed queries appear in neither.
+func constraintSystem(ctx context.Context, idx *subdomain.Index, target int, rec *recorder) (normals []vec.Vector, rhs []float64, free int) {
+	tab := hitTableFor(ctx, idx, target, rec)
+	coeff := idx.Workload().Coeff(target)
+	for r, j := range tab.rows {
+		t, q := tab.kth[j], tab.pts[r]
+		normals = append(normals, q)
+		rhs = append(rhs, t-vec.Dot(coeff, q)-strictMargin(t))
 	}
-	return normals, rhs, freebies
+	return normals, rhs, len(tab.always)
 }
 
 // solveJoint exactly minimises the cost subject to every halfspace.

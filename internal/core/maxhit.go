@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"iq/internal/bitset"
@@ -36,8 +35,8 @@ func MaxHitIQ(idx *subdomain.Index, req MaxHitRequest) (*Result, error) {
 // MaxHitIQCtx answers a Max-Hit improvement query with the greedy heuristic
 // of Algorithm 4: while budget remains, apply the candidate strategy with
 // the lowest cost per hit; when the best-ratio candidate no longer fits, a
-// final fill pass walks the remaining candidates in cost order and applies
-// any that still fit (lines 13–17). Cancellation is observed at every greedy
+// final fill pass applies the cheapest remaining candidate that still fits
+// and gains a hit (lines 13–17). Cancellation is observed at every greedy
 // round and inside the candidate fan-out; a cancelled solve discards its
 // partial strategy and returns a nil Result with
 // ErrCanceled/ErrDeadlineExceeded wrapping ctx.Err().
@@ -85,20 +84,15 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		return nil, err
 	}
 	w := idx.Workload()
-	pool, release, err := AcquireEvaluators(ctx, idx, req.Target, req.Workers)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	ev := pool[0]
+	rs := newRoundScratch(idx, rec)
+	tab := hitTableFor(ctx, idx, req.Target, rec)
+	workers := clampWorkers(req.Workers, w.NumQueries())
 	d := len(w.Attrs(req.Target))
-	res := &Result{Strategy: vec.New(d), BaseHits: ev.BaseHits(), Hits: ev.BaseHits()}
+	hit := bitset.New(w.NumQueries())
+	curHits := tab.hitSet(w.Coeff(req.Target), hit)
+	res := &Result{Strategy: vec.New(d), BaseHits: curHits, Hits: curHits}
 
 	cur := vec.New(d)
-	hit := bitset.New(w.NumQueries())
-	ev.BaseHitSet(hit)
-	curHits := ev.BaseHits()
-	rs := &roundScratch{}
 
 	for {
 		res.Iterations++
@@ -112,7 +106,7 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		cands, err := generateCandidates(rctx, idx, pool, req.Target, cur, hit, req.Cost, req.Bounds, rs, rec)
+		cands, err := generateCandidates(rctx, w, tab, workers, cur, hit, req.Cost, req.Bounds, rs, rec)
 		if err != nil {
 			rsp.End()
 			return nil, err
@@ -131,7 +125,7 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 				rsp.End()
 				return res, err
 			}
-			ev.HitSetBits(coeff, hit)
+			tab.hitSet(coeff, hit)
 			res.Strategy = vec.Clone(cur)
 			res.Cost = req.Cost.Of(cur)
 			res.Hits = curHits
@@ -139,39 +133,37 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 			rsp.End()
 			continue
 		}
-		// Final fill pass (Algorithm 4 lines 13–18): cheapest-first over
-		// the remaining candidates; apply the first that fits and
-		// re-enter the loop in case the new position unlocks more. Equal
-		// costs order by query index so the pass is deterministic at any
-		// worker count (see DESIGN.md, "Deterministic parallelism").
-		sort.SliceStable(cands, func(a, b int) bool {
-			if cands[a].Cost != cands[b].Cost {
-				return cands[a].Cost < cands[b].Cost
-			}
-			return cands[a].Query < cands[b].Query
-		})
-		applied := false
+		// Final fill pass (Algorithm 4 lines 13–18): apply the cheapest
+		// remaining candidate that fits and gains a hit, and re-enter the
+		// loop in case the new position unlocks more. Equal costs order by
+		// query index — unique within a round — so the pick is
+		// deterministic at any worker count (see DESIGN.md, "Deterministic
+		// parallelism").
+		fill, found := Candidate{}, false
 		for _, c := range cands {
 			if c.Hits <= curHits || c.Cost > req.Budget {
 				continue
 			}
-			cur = c.Strategy
-			curHits = c.Hits
+			if !found || c.Cost < fill.Cost || (c.Cost == fill.Cost && c.Query < fill.Query) {
+				fill, found = c, true
+			}
+		}
+		if found {
+			cur = fill.Strategy
+			curHits = fill.Hits
 			coeff, err := w.Space().Embed(vec.Add(w.Attrs(req.Target), cur))
 			if err != nil {
 				rsp.End()
 				return res, err
 			}
-			ev.HitSetBits(coeff, hit)
+			tab.hitSet(coeff, hit)
 			res.Strategy = vec.Clone(cur)
 			res.Cost = req.Cost.Of(cur)
 			res.Hits = curHits
-			applied = true
-			break
 		}
 		rsp.SetAttr("hits", curHits)
 		rsp.End()
-		if !applied {
+		if !found {
 			break // nothing affordable gains a hit
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -127,4 +128,55 @@ func TestMigrateDirtyMutationStaysCorrect(t *testing.T) {
 				seed, cold.Strategy, cold.Cost, cold.Hits, migrated.Strategy, migrated.Cost, migrated.Hits)
 		}
 	}
+}
+
+// A table no solve uses is carried across at most maxIdle mutations, then
+// dropped, so the tables of targets nobody asks about age out; a solve on
+// any snapshot in between keeps it alive.
+func TestMigrateAgesOutUnusedTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	idx := fixture(t, rng, 60, 40, 3, 3)
+	farID, err := idx.AddObject(farAttrs(idx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.TakeDirty()
+	const target = 3
+	withCaches(t, true, func() {
+		mutate := func() {
+			next := idx.Clone(idx.Workload().Clone())
+			attrs := vec.Clone(next.Workload().Attrs(farID))
+			attrs[0]++
+			if err := next.UpdateObject(farID, attrs); err != nil {
+				t.Fatal(err)
+			}
+			MigrateSolveCaches(idx, next, next.TakeDirty())
+			idx = next
+		}
+		carried := func() bool {
+			_, ok := idx.Memo().Load(target)
+			return ok
+		}
+		hitTableFor(context.Background(), idx, target, nil)
+		for i := 1; i <= maxIdle; i++ {
+			mutate()
+			if !carried() {
+				t.Fatalf("unused table dropped after %d mutations, want %d", i, maxIdle)
+			}
+		}
+		mutate()
+		if carried() {
+			t.Fatalf("table carried across %d mutations without a solve", maxIdle+1)
+		}
+		hitTableFor(context.Background(), idx, target, nil)
+		for i := 0; i < 2*maxIdle; i++ {
+			mutate()
+			if i%maxIdle == 0 {
+				hitTableFor(context.Background(), idx, target, nil)
+			}
+			if !carried() {
+				t.Fatalf("table used every %d mutations dropped at mutation %d", maxIdle, i)
+			}
+		}
+	})
 }

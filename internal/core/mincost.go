@@ -37,7 +37,8 @@ type Result struct {
 	Hits int
 	// BaseHits is H(p) before improvement.
 	BaseHits int
-	// Iterations counts greedy rounds; Evaluations counts ESE calls.
+	// Iterations counts greedy rounds; Evaluations counts hit-count
+	// evaluations of candidate strategies.
 	Iterations  int
 	Evaluations int
 	// Stats is the solve's full work profile: probes, prune counts, and
@@ -65,13 +66,13 @@ func MinCostIQ(idx *subdomain.Index, req MinCostRequest) (*Result, error) {
 
 // MinCostIQCtx answers a Min-Cost improvement query with the greedy
 // heuristic of Algorithm 3: each round generates, for every unhit query, the
-// cheapest strategy hitting it, evaluates the candidates with ESE, and
-// applies the one with the lowest cost per hit; the paper's anti-overshoot
-// rule returns the cheapest candidate reaching τ rather than overshooting
-// it. Cancellation is observed at every greedy round and inside the
-// candidate fan-out; a cancelled solve discards its partial strategy and
-// returns a nil Result with ErrCanceled/ErrDeadlineExceeded wrapping
-// ctx.Err().
+// cheapest strategy hitting it, counts each candidate's hits against the
+// target's Eq. 6 threshold table, and applies the one with the lowest cost
+// per hit; the paper's anti-overshoot rule returns the cheapest candidate
+// reaching τ rather than overshooting it. Cancellation is observed at every
+// greedy round and inside the candidate fan-out; a cancelled solve discards
+// its partial strategy and returns a nil Result with
+// ErrCanceled/ErrDeadlineExceeded wrapping ctx.Err().
 func MinCostIQCtx(ctx context.Context, idx *subdomain.Index, req MinCostRequest) (*Result, error) {
 	start := time.Now()
 	ctx, span := startSolveSpan(ctx, "mincost")
@@ -100,26 +101,21 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 	if req.Tau < 0 {
 		return nil, fmt.Errorf("core: negative tau %d", req.Tau)
 	}
-	if req.Tau > w.NumQueries() {
-		return nil, fmt.Errorf("core: tau %d exceeds query count %d: %w", req.Tau, w.NumQueries(), ErrGoalUnreachable)
+	if live := w.LiveQueries(); req.Tau > live {
+		return nil, fmt.Errorf("core: tau %d exceeds query count %d: %w", req.Tau, live, ErrGoalUnreachable)
 	}
-	pool, release, err := AcquireEvaluators(ctx, idx, req.Target, req.Workers)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	ev := pool[0]
+	rs := newRoundScratch(idx, rec)
+	tab := hitTableFor(ctx, idx, req.Target, rec)
+	workers := clampWorkers(req.Workers, w.NumQueries())
 	d := len(w.Attrs(req.Target))
-	res := &Result{Strategy: vec.New(d), BaseHits: ev.BaseHits(), Hits: ev.BaseHits()}
+	hit := bitset.New(w.NumQueries())
+	curHits := tab.hitSet(w.Coeff(req.Target), hit)
+	res := &Result{Strategy: vec.New(d), BaseHits: curHits, Hits: curHits}
 	if res.Hits >= req.Tau {
 		return res, nil // already satisfied with the zero strategy
 	}
 
 	cur := vec.New(d)
-	hit := bitset.New(w.NumQueries())
-	ev.BaseHitSet(hit)
-	curHits := ev.BaseHits()
-	rs := &roundScratch{}
 
 	for curHits < req.Tau {
 		res.Iterations++
@@ -130,7 +126,7 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		cands, err := generateCandidates(rctx, idx, pool, req.Target, cur, hit, req.Cost, req.Bounds, rs, rec)
+		cands, err := generateCandidates(rctx, w, tab, workers, cur, hit, req.Cost, req.Bounds, rs, rec)
 		if err != nil {
 			rsp.End()
 			return nil, err
@@ -166,7 +162,7 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 			rsp.End()
 			return res, err
 		}
-		ev.HitSetBits(coeff, hit)
+		tab.hitSet(coeff, hit)
 		res.Strategy = vec.Clone(cur)
 		res.Cost = req.Cost.Of(cur)
 		res.Hits = curHits

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"iq/internal/ese"
+	"iq/internal/bitset"
 	"iq/internal/obs"
 	"iq/internal/subdomain"
 	"iq/internal/topk"
@@ -52,60 +52,44 @@ func (r *MultiResult) CostPerHit() float64 {
 
 // multiState carries the per-target search state.
 type multiState struct {
-	idx      *subdomain.Index
-	specs    []TargetSpec
-	evs      []*ese.Evaluator
-	releases []func()       // returns each target's evaluator to the cache
-	cur      []vec.Vector   // cumulative strategy per target
-	hits     []map[int]bool // per-target hit sets
-	union    map[int]int    // query -> number of targets hitting it
-	sc       probeScratch   // candidate generation is serial: one scratch
+	idx     *subdomain.Index
+	specs   []TargetSpec
+	tabs    []*hitTable    // per-target hit tables
+	cur     []vec.Vector   // cumulative strategy per target
+	hits    []*bitset.Bits // per-target hit sets
+	union   map[int]int    // query -> number of targets hitting it
+	sc      probeScratch   // candidate generation is serial: one scratch
+	scratch *bitset.Bits   // one candidate's hit set
 }
 
-func newMultiState(ctx context.Context, idx *subdomain.Index, specs []TargetSpec) (*multiState, error) {
+func newMultiState(ctx context.Context, idx *subdomain.Index, specs []TargetSpec, rec *recorder) (*multiState, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: no target objects")
 	}
+	w := idx.Workload()
 	seen := map[int]bool{}
-	st := &multiState{idx: idx, specs: specs, union: map[int]int{}}
+	st := &multiState{idx: idx, specs: specs, union: map[int]int{}, scratch: bitset.New(w.NumQueries())}
 	for _, spec := range specs {
 		if err := validateCommon(idx, spec.Target, spec.Cost, spec.Bounds); err != nil {
-			st.release()
 			return nil, err
 		}
 		if seen[spec.Target] {
-			st.release()
 			return nil, fmt.Errorf("core: duplicate target %d", spec.Target)
 		}
 		seen[spec.Target] = true
-		pool, release, err := AcquireEvaluators(ctx, idx, spec.Target, 1)
-		if err != nil {
-			st.release()
-			return nil, err
-		}
-		ev := pool[0]
-		st.evs = append(st.evs, ev)
-		st.releases = append(st.releases, release)
-		d := len(idx.Workload().Attrs(spec.Target))
-		st.cur = append(st.cur, vec.New(d))
-		hs := map[int]bool{}
-		for j := 0; j < idx.Workload().NumQueries(); j++ {
-			if ev.BaseHit(j) {
-				hs[j] = true
+		tab := hitTableFor(ctx, idx, spec.Target, rec)
+		st.tabs = append(st.tabs, tab)
+		st.cur = append(st.cur, vec.New(len(w.Attrs(spec.Target))))
+		hs := bitset.New(w.NumQueries())
+		tab.hitSet(w.Coeff(spec.Target), hs)
+		for j := 0; j < w.NumQueries(); j++ {
+			if hs.Get(j) {
 				st.union[j]++
 			}
 		}
 		st.hits = append(st.hits, hs)
 	}
 	return st, nil
-}
-
-// release parks every target's evaluator back in the cross-solve cache.
-func (st *multiState) release() {
-	for _, r := range st.releases {
-		r()
-	}
-	st.releases = nil
 }
 
 func (st *multiState) unionSize() int { return len(st.union) }
@@ -126,17 +110,16 @@ func (st *multiState) apply(i int, u vec.Vector) error {
 	if err != nil {
 		return err
 	}
-	newHits := st.evs[i].HitSet(coeff)
-	for j := range st.hits[i] {
-		if !newHits[j] {
+	newHits := bitset.New(w.NumQueries())
+	st.tabs[i].hitSet(coeff, newHits)
+	for j := 0; j < w.NumQueries(); j++ {
+		was, now := st.hits[i].Get(j), newHits.Get(j)
+		if was && !now {
 			st.union[j]--
 			if st.union[j] == 0 {
 				delete(st.union, j)
 			}
-		}
-	}
-	for j := range newHits {
-		if !st.hits[i][j] {
+		} else if now && !was {
 			st.union[j]++
 		}
 	}
@@ -181,7 +164,7 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 			pctx, psp := obs.StartSpan(ctx, "probe")
 			psp.SetAttr("target", spec.Target)
 			psp.SetAttr("query", j)
-			u, err := solveHit(st.idx, spec.Target, st.cur[i], j, spec.Cost, spec.Bounds, &st.sc, rec)
+			u, err := solveHit(w, st.tabs[i], st.cur[i], j, spec.Cost, spec.Bounds, &st.sc, rec)
 			t1 := rec.solveDone(t0)
 			if err != nil || !spec.Bounds.Contains(u) {
 				rec.pruned.Add(1)
@@ -197,21 +180,19 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 				continue
 			}
 			_, esp := obs.StartSpan(pctx, "eval")
-			newHits := st.evs[i].HitSet(coeff)
-			esp.SetAttr("hits", len(newHits))
+			newHits := st.scratch
+			esp.SetAttr("hits", st.tabs[i].hitSet(coeff, newHits))
 			esp.End()
 			rec.evalDone(t1)
 			psp.End()
 			evals++
 			// Union size if applied.
 			size := st.unionSize()
-			for q := range st.hits[i] {
-				if !newHits[q] && st.union[q] == 1 {
+			for q := 0; q < w.NumQueries(); q++ {
+				was, now := st.hits[i].Get(q), newHits.Get(q)
+				if was && !now && st.union[q] == 1 {
 					size--
-				}
-			}
-			for q := range newHits {
-				if !st.hits[i][q] && st.union[q] == 0 {
+				} else if now && !was && st.union[q] == 0 {
 					size++
 				}
 			}
@@ -254,14 +235,13 @@ func CombinatorialMinCostIQCtx(ctx context.Context, idx *subdomain.Index, specs 
 }
 
 func combMinCostSolve(ctx context.Context, idx *subdomain.Index, specs []TargetSpec, tau int, rec *recorder) (*MultiResult, error) {
-	st, err := newMultiState(ctx, idx, specs)
+	st, err := newMultiState(ctx, idx, specs, rec)
 	if err != nil {
 		return nil, err
 	}
-	defer st.release()
 	w := idx.Workload()
-	if tau > w.NumQueries() {
-		return nil, fmt.Errorf("core: tau %d exceeds query count %d: %w", tau, w.NumQueries(), ErrGoalUnreachable)
+	if live := w.LiveQueries(); tau > live {
+		return nil, fmt.Errorf("core: tau %d exceeds query count %d: %w", tau, live, ErrGoalUnreachable)
 	}
 	res := &MultiResult{Strategies: map[int]vec.Vector{}}
 	for st.unionSize() < tau {
@@ -344,11 +324,10 @@ func combMaxHitSolve(ctx context.Context, idx *subdomain.Index, specs []TargetSp
 	if err := checkBudget(budget); err != nil {
 		return nil, err
 	}
-	st, err := newMultiState(ctx, idx, specs)
+	st, err := newMultiState(ctx, idx, specs, rec)
 	if err != nil {
 		return nil, err
 	}
-	defer st.release()
 	w := idx.Workload()
 	res := &MultiResult{Strategies: map[int]vec.Vector{}}
 	for {

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"iq/internal/bitset"
-	"iq/internal/ese"
 	"iq/internal/obs"
 	"iq/internal/subdomain"
 	"iq/internal/topk"
@@ -45,20 +44,19 @@ func absF(x float64) float64 {
 }
 
 // probeScratch is one worker's reusable buffers for the per-probe subproblem
-// (hitThreshold's filtered candidate list, solveHit's shifted coefficients
-// and bounds). A probeScratch is owned by one goroutine; callers without one
-// may pass nil and pay the original allocations.
+// (solveHit's shifted coefficients and bounds). A probeScratch is owned by
+// one goroutine; callers without one may pass nil and pay the original
+// allocations.
 type probeScratch struct {
-	filtered []int
-	coeff    vec.Vector // coeff(target)+cur for the linear closed form
-	lo, hi   vec.Vector // shifted bounds backing stores
-	bounds   Bounds     // aliases lo/hi so no Bounds escapes per probe
+	coeff  vec.Vector // coeff(target)+cur for the linear closed form
+	lo, hi vec.Vector // shifted bounds backing stores
+	bounds Bounds     // aliases lo/hi so no Bounds escapes per probe
 	// counts aliases the solve's dense per-query attribution table
 	// (roundScratch.counts; nil outside a candidate fan-out). Each round
 	// probes a query from exactly one worker (slot striding) and rounds are
 	// separated by the fan-out join, so plain increments need no
 	// synchronisation. cur holds the in-flight probe's query index so the
-	// threshold-cache path can attribute its hit/miss without a second table
+	// threshold lookup can attribute its hit without a second table
 	// lookup. Region resolution is deferred to the per-solve flush
 	// (recorder.regionSamples), keeping the probe hot path to two array
 	// writes.
@@ -71,17 +69,13 @@ type queryCounts struct {
 	probes, thrHits, thrMisses int32
 }
 
-// noteThreshold attributes one threshold-cache lookup to the in-flight
+// noteThresholdHit attributes one threshold-cache hit to the in-flight
 // probe's query. Nil-safe; a no-op outside a candidate fan-out.
-func (sc *probeScratch) noteThreshold(hit bool) {
+func (sc *probeScratch) noteThresholdHit() {
 	if sc == nil || sc.counts == nil {
 		return
 	}
-	if hit {
-		sc.counts[sc.cur].thrHits++
-	} else {
-		sc.counts[sc.cur].thrMisses++
-	}
+	sc.counts[sc.cur].thrHits++
 }
 
 // noteProbe charges one probe to query j's row.
@@ -90,53 +84,22 @@ func (sc *probeScratch) noteProbe(j int) {
 	sc.cur = j
 }
 
-// hitThreshold computes the score the improved target must beat at query j:
-// the k-th best score among the other live objects (restricted to the
-// candidate skyband, which contains every possible top-k member). It
-// returns ok=false when the query has no k-th competitor (fewer than k other
-// objects — any score hits). sc (optional) supplies the reusable filtered
-// slice; when the target is not itself a candidate the skyband list is used
-// as-is, with no copy at all (EvaluateAmong treats it as read-only).
-func hitThreshold(idx *subdomain.Index, target, j int, sc *probeScratch) (float64, bool) {
-	w := idx.Workload()
-	q := w.Query(j)
-	// Evaluate among candidates excluding the target.
-	cands := idx.Candidates()
-	eval := cands
-	if idx.IsCandidate(target) {
-		var filtered []int
-		if sc != nil {
-			filtered = sc.filtered[:0]
-		} else {
-			filtered = make([]int, 0, len(cands))
-		}
-		for _, c := range cands {
-			if c != target {
-				filtered = append(filtered, c)
-			}
-		}
-		if sc != nil {
-			sc.filtered = filtered
-		}
-		eval = filtered
-	}
-	res := w.EvaluateAmong(eval, q)
-	if len(res.Ordered) < q.K {
-		return 0, false
-	}
-	return res.KthScore, true
-}
-
 // solveHit finds a low-cost cumulative strategy u (relative to the target's
-// original attributes) such that the target improved by u hits query j.
+// original attributes) such that the target improved by u hits query j,
+// against the threshold in the target's hit table tab.
 // cur is the currently accumulated strategy; the returned u extends it
 // (u = cur for queries already hit). The cost minimised is Cost(u), the
 // total cost of the final strategy, matching Definitions 2–3.
-func solveHit(idx *subdomain.Index, target int, cur vec.Vector, j int, cost Cost, bounds *Bounds, sc *probeScratch, rec *recorder) (vec.Vector, error) {
-	w := idx.Workload()
+func solveHit(w *topk.Workload, tab *hitTable, cur vec.Vector, j int, cost Cost, bounds *Bounds, sc *probeScratch, rec *recorder) (vec.Vector, error) {
 	space := w.Space()
 	q := w.Query(j)
-	threshold, bounded := cachedHitThreshold(idx, target, j, sc, rec)
+	target := tab.target
+	threshold, bounded := tab.threshold(j)
+	if tab.stored {
+		mThresholdCacheHits.Inc()
+		rec.thresholdHit()
+		sc.noteThresholdHit()
+	}
 	if !bounded {
 		return vec.Clone(cur), nil // fewer than k competitors: already hit
 	}
@@ -293,18 +256,27 @@ type roundScratch struct {
 	probes  []probeScratch // indexed by worker
 	embed   []vec.Vector   // per-worker improved-coefficient buffers
 	// counts is the solve's dense per-query attribution table (one row per
-	// workload query, allocated once per solve). All workers write into it
-	// through their probeScratch; rows accumulate across rounds and are
+	// workload query, allocated once per solve). The hit-table build and
+	// all workers write into it; rows accumulate across rounds and are
 	// folded into per-region samples once, at finishSolve.
 	counts []queryCounts
 }
 
+// newRoundScratch returns a greedy solve's round buffers, with the dense
+// per-query attribution table registered on rec for the flush at
+// finishSolve.
+func newRoundScratch(idx *subdomain.Index, rec *recorder) *roundScratch {
+	rs := &roundScratch{counts: make([]queryCounts, idx.Workload().NumQueries())}
+	rec.rs, rec.idx = rs, idx
+	return rs
+}
+
 // generateCandidates implements the shared inner loop of Algorithms 3 and 4
 // (lines 4–8): for every query not currently hit, the min-cost strategy that
-// hits it, evaluated with ESE. With more than one evaluator in the pool the
-// per-query work fans out across goroutines (each evaluator owns mutable
-// scratch state, so one goroutine per evaluator, and likewise one
-// probeScratch and embed buffer per worker).
+// hits it, with its hit count from the target's hit table tab. With more
+// than one worker the per-query work fans out across goroutines, which
+// share the read-only table; each worker owns one probeScratch and embed
+// buffer.
 //
 // The returned slice aliases rs.cands and is overwritten by the next call;
 // the Strategy vectors inside it are freshly allocated per probe and safe to
@@ -317,8 +289,7 @@ type roundScratch struct {
 // returns a nil candidate slice with the translated context error, so the
 // solvers discard the round's partial work instead of greedily applying a
 // winner chosen from whatever subset happened to finish.
-func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.Evaluator, target int, cur vec.Vector, hit *bitset.Bits, cost Cost, bounds *Bounds, rs *roundScratch, rec *recorder) ([]Candidate, error) {
-	w := idx.Workload()
+func generateCandidates(ctx context.Context, w *topk.Workload, tab *hitTable, workers int, cur vec.Vector, hit *bitset.Bits, cost Cost, bounds *Bounds, rs *roundScratch, rec *recorder) ([]Candidate, error) {
 	rs.unhit = rs.unhit[:0]
 	for j := 0; j < w.NumQueries(); j++ {
 		if !hit.Get(j) && !w.IsQueryRemoved(j) {
@@ -328,7 +299,7 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 	unhit := rs.unhit
 	ctx, csp := obs.StartSpan(ctx, "candidates")
 	csp.SetAttr("unhit", len(unhit))
-	csp.SetAttr("workers", len(pool))
+	csp.SetAttr("workers", workers)
 	defer csp.End()
 	if cap(rs.results) < len(unhit) {
 		rs.results = make([]Candidate, len(unhit))
@@ -339,27 +310,23 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 	for i := range valid {
 		valid[i] = false
 	}
-	if len(rs.probes) < len(pool) {
-		rs.probes = make([]probeScratch, len(pool))
-		rs.embed = make([]vec.Vector, len(pool))
-	}
-	if rs.counts == nil {
-		rs.counts = make([]queryCounts, w.NumQueries())
-		rec.rs, rec.idx = rs, idx
+	if len(rs.probes) < workers {
+		rs.probes = make([]probeScratch, workers)
+		rs.embed = make([]vec.Vector, workers)
 	}
 	for i := range rs.probes {
 		rs.probes[i].counts = rs.counts
 	}
 	linear := w.Space().Linear()
-	attrs := w.Attrs(target)
-	probe := func(pctx context.Context, ev *ese.Evaluator, wkr, slot int) {
+	attrs := w.Attrs(tab.target)
+	probe := func(pctx context.Context, wkr, slot int) {
 		fireProbe(slot)
 		t0 := rec.probeStart()
 		j := unhit[slot]
 		rs.probes[wkr].noteProbe(j)
 		pctx, psp := obs.StartSpan(pctx, "probe")
 		psp.SetAttr("query", j)
-		u, err := solveHit(idx, target, cur, j, cost, bounds, &rs.probes[wkr], rec)
+		u, err := solveHit(w, tab, cur, j, cost, bounds, &rs.probes[wkr], rec)
 		t1 := rec.solveDone(t0)
 		if err != nil {
 			rec.pruned.Add(1)
@@ -394,7 +361,7 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 			}
 		}
 		_, esp := obs.StartSpan(pctx, "eval")
-		h := ev.HitsWithCoeff(coeff)
+		h := tab.hits(coeff)
 		esp.SetAttr("hits", h)
 		esp.End()
 		rec.evalDone(t1)
@@ -402,27 +369,27 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 		valid[slot] = true
 		psp.End()
 	}
-	if len(pool) <= 1 || len(unhit) < 2*len(pool) {
+	if workers <= 1 || len(unhit) < 2*workers {
 		for slot := range unhit {
 			if ctx.Err() != nil {
 				break
 			}
-			probe(ctx, pool[0], 0, slot)
+			probe(ctx, 0, slot)
 		}
 	} else {
 		var wg sync.WaitGroup
-		for wkr := range pool {
+		for wkr := 0; wkr < workers; wkr++ {
 			wg.Add(1)
 			go func(wkr int) {
 				defer wg.Done()
 				wctx, wsp := obs.StartSpan(ctx, "worker")
 				wsp.SetAttr("worker", wkr)
 				defer wsp.End()
-				for slot := wkr; slot < len(unhit); slot += len(pool) {
+				for slot := wkr; slot < len(unhit); slot += workers {
 					if ctx.Err() != nil {
 						return
 					}
-					probe(wctx, pool[wkr], wkr, slot)
+					probe(wctx, wkr, slot)
 				}
 			}(wkr)
 		}
@@ -441,8 +408,8 @@ func generateCandidates(ctx context.Context, idx *subdomain.Index, pool []*ese.E
 }
 
 // clampWorkers bounds a request's Workers knob to sane values: anything
-// below 1 (including negative) means serial, and there is no point building
-// more evaluators than there are queries to probe or CPUs to run them on.
+// below 1 (including negative) means serial, and there is no point starting
+// more workers than there are queries to probe or CPUs to run them on.
 // GOMAXPROCS is the throughput ceiling, but at least two workers are always
 // allowed so the concurrent path stays exercised (and race-testable) on
 // single-CPU hosts — extra goroutines are harmless there, just not faster.
@@ -461,24 +428,6 @@ func clampWorkers(workers, queries int) int {
 		workers = queries
 	}
 	return workers
-}
-
-// evaluatorPool builds `workers` (after clamping) independent evaluators
-// for one target. Each evaluator carries its own scratch state — the delta
-// buffers and rank caches are mutable — so evaluators are never shared
-// between goroutines; the pool size bounds candidate-generation
-// parallelism. The context is only used for tracing (ese/build spans).
-func evaluatorPool(ctx context.Context, idx *subdomain.Index, target, workers int) ([]*ese.Evaluator, error) {
-	workers = clampWorkers(workers, idx.Workload().NumQueries())
-	pool := make([]*ese.Evaluator, workers)
-	for i := range pool {
-		ev, err := ese.NewCtx(ctx, idx, target)
-		if err != nil {
-			return nil, err
-		}
-		pool[i] = ev
-	}
-	return pool, nil
 }
 
 // bestRatio returns the candidate minimising cost per hit (Algorithm 3

@@ -21,27 +21,29 @@ import (
 
 // SolveStats profiles one solve. Stage wall times cover the two halves of
 // every candidate probe: SolveHitWall is the per-query min-cost subproblem
-// (Equations 13–14), EvalWall the ESE hit-count evaluation (Algorithm 2).
+// (Equations 13–14), EvalWall the Eq. 6 hit count against the threshold
+// table.
 type SolveStats struct {
 	// Rounds counts greedy iterations (Algorithm 3/4 outer loops).
 	Rounds int `json:"rounds"`
 	// Probes counts per-query candidate solves attempted, including ones
 	// discarded as infeasible.
 	Probes int `json:"probes"`
-	// Pruned counts probes discarded before ESE evaluation: the per-query
+	// Pruned counts probes discarded before hit counting: the per-query
 	// subproblem was infeasible, violated bounds, or failed to embed.
 	Pruned int `json:"pruned"`
-	// Candidates counts probes that survived to an ESE evaluation.
+	// Candidates counts probes that survived to a hit count.
 	Candidates int `json:"candidates"`
 	// Wall is the solve's total wall time.
 	Wall time.Duration `json:"wall_ns"`
 	// SolveHitWall accumulates time in per-query min-cost subproblems.
 	SolveHitWall time.Duration `json:"solve_hit_wall_ns"`
-	// EvalWall accumulates time in ESE hit-count evaluations.
+	// EvalWall accumulates time in hit-count evaluations.
 	EvalWall time.Duration `json:"eval_wall_ns"`
-	// ThresholdCacheHits/ThresholdCacheMisses count hit-threshold lookups
-	// served from (resp. filled into) the cross-solve epoch-keyed cache.
-	// Both stay zero when the solve caches are disabled.
+	// ThresholdCacheHits counts hit-threshold lookups served from the
+	// target's hit table stored on the snapshot; ThresholdCacheMisses counts
+	// the table rows this solve had to compute. Both stay zero when the
+	// solve caches are disabled.
 	ThresholdCacheHits   int `json:"threshold_cache_hits"`
 	ThresholdCacheMisses int `json:"threshold_cache_misses"`
 	// CancelCause is "" for a completed solve, "canceled" or "deadline"
@@ -57,7 +59,7 @@ type recorder struct {
 	pruned atomic.Int64
 	cands  atomic.Int64
 	solve  atomic.Int64 // ns in solveHit
-	eval   atomic.Int64 // ns in ESE evaluation
+	eval   atomic.Int64 // ns in hit counting
 	// Threshold-cache traffic attributable to this solve (the process-wide
 	// obs counters aggregate across solves).
 	thrHits   atomic.Int64
@@ -71,16 +73,24 @@ type recorder struct {
 	idx *subdomain.Index
 }
 
-// thresholdLookup records one cachedHitThreshold outcome. Nil-safe: callers
-// outside a solve (the exhaustive verifier) pass a nil recorder.
-func (r *recorder) thresholdLookup(hit bool) {
+// thresholdHit records one threshold lookup served from a stored hit table.
+// Nil-safe, like thresholdMiss.
+func (r *recorder) thresholdHit() {
+	if r != nil {
+		r.thrHits.Add(1)
+	}
+}
+
+// thresholdMiss records one hit-table row this solve computed, attributed to
+// query j when the solve keeps a per-query table. Nil-safe: counts outside a
+// solve pass a nil recorder.
+func (r *recorder) thresholdMiss(j int) {
 	if r == nil {
 		return
 	}
-	if hit {
-		r.thrHits.Add(1)
-	} else {
-		r.thrMisses.Add(1)
+	r.thrMisses.Add(1)
+	if r.rs != nil {
+		r.rs.counts[j].thrMisses++
 	}
 }
 
@@ -308,7 +318,7 @@ func finishSolve(ctx context.Context, op string, target int, start time.Time, re
 	obs.Default.Counter("iq_solve_probes_total",
 		"Candidate probes attempted.", "op", op).Add(int64(st.Probes))
 	obs.Default.Counter("iq_solve_pruned_total",
-		"Candidate probes discarded before ESE evaluation.", "op", op).Add(int64(st.Pruned))
+		"Candidate probes discarded before hit counting.", "op", op).Add(int64(st.Pruned))
 	obs.Log(ctx).DebugContext(ctx, "solve finished",
 		"op", op,
 		"outcome", outcomeOf(err),

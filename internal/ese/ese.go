@@ -101,9 +101,7 @@ type Evaluator struct {
 	// hitMemo caches HitsWithCoeff results by the improved coefficient
 	// vector's bit pattern. Hit counts are a pure function of (epoch,
 	// target, newCoeff), so within one epoch a memoised answer is the
-	// previously computed one — and recycled evaluators carry the memo
-	// across solves, which is what makes repeated improvement queries
-	// against one snapshot cheap. Cleared by rebuild on epoch change.
+	// previously computed one. Cleared by rebuild on epoch change.
 	hitMemo map[string]int
 	keyBuf  []byte // scratch for the memo key (no alloc on the hit path)
 
@@ -112,9 +110,9 @@ type Evaluator struct {
 	pendSlab  int64
 	pendPrune int64
 
-	// ctx carries the solve's trace (if any) for ese/rebuild spans; an
-	// evaluator is a per-solve object owned by one goroutine, so retaining
-	// the solve's context here is sound. Never nil.
+	// ctx carries the creator's trace (if any) for ese/rebuild spans; an
+	// evaluator is owned by one goroutine, so retaining the creator's
+	// context here is sound. Never nil.
 	ctx context.Context
 }
 
@@ -233,42 +231,6 @@ func (e *Evaluator) Target() int { return e.target }
 
 // Index returns the subdomain index the evaluator was built against.
 func (e *Evaluator) Index() *subdomain.Index { return e.idx }
-
-// Rebase re-attaches the evaluator to a successor index snapshot whose
-// mutations left every cached structure bit-identical. The caller — the
-// cache-migration layer in internal/core — guarantees, via
-// DirtySet.CleanForTarget, that between e's snapshot and next: the query set
-// is unchanged, the candidate skyband (membership and coefficients) is
-// unchanged, and the target's coefficients and liveness are unchanged.
-// Under those conditions no repartition ran, so subdomain IDs, per-subdomain
-// ranks, base hit sets, pair normals, and the hit memo all remain exact
-// against next. Rebase refuses (returning false, evaluator unchanged) when
-// the evaluator's cached state is not current for its own snapshot or the
-// query count disagrees — the callers then simply drop it.
-func (e *Evaluator) Rebase(next *subdomain.Index) bool {
-	if e.epoch != e.idx.Epoch() {
-		return false // stale against its own index; a rebuild is due anyway
-	}
-	if next.Workload().NumQueries() != e.w.NumQueries() {
-		return false
-	}
-	e.idx = next
-	e.w = next.Workload()
-	e.epoch = next.Epoch()
-	return true
-}
-
-// Bind re-attaches the evaluator to a caller's context so spans from later
-// epoch-forced rebuilds land in that caller's trace. Evaluator recycling
-// (the solver-side evaluator cache) hands a previous solve's evaluator to a
-// new solve; without rebinding, its rebuild spans would be recorded into the
-// finished solve's trace. A nil ctx binds context.Background().
-func (e *Evaluator) Bind(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	e.ctx = ctx
-}
 
 // BaseHits returns H(p_i), the hit count of the unimproved target.
 func (e *Evaluator) BaseHits() int {

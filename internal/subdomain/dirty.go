@@ -37,9 +37,7 @@ type DirtySet struct {
 	// survive.
 	objects map[int]struct{}
 	// candidatesChanged records any change to the candidate skyband — a
-	// member's coefficients, an arrival, or a departure. Evaluator state
-	// (base ranks, pair normals, the hit memo) is computed over the
-	// candidate list and only survives when this is false.
+	// member's coefficients, an arrival, or a departure.
 	candidatesChanged bool
 }
 
@@ -162,20 +160,6 @@ func (d *DirtySet) ForEachQuery(fn func(j, source int)) {
 	for j, src := range d.queries {
 		fn(j, src)
 	}
-}
-
-// CleanForTarget reports whether every structure an ESE evaluator for target
-// caches survived the mutations bit-identically: the candidate skyband is
-// untouched (base ranks, pair normals and the hit memo are computed over
-// it), no query was added, removed, or re-thresholded (base hit sets span
-// all queries), and the target's own coefficients and liveness are
-// unchanged.
-func (d *DirtySet) CleanForTarget(target int) bool {
-	if d == nil || d.all || d.candidatesChanged || len(d.queries) > 0 {
-		return false
-	}
-	_, dirty := d.objects[target]
-	return !dirty
 }
 
 // dirty returns the index's pending dirty set, allocating it on first use.

@@ -13,7 +13,7 @@ import (
 // thresholdOracle computes, for every (target, query) pair, what the core
 // layer caches: the K-th best score among the live candidates excluding the
 // target, and whether it exists (false = fewer than K competitors, any score
-// hits). This mirrors core's hitThreshold exactly.
+// hits). This mirrors a row of core's hit table exactly.
 func thresholdOracle(x *Index) map[[2]int][2]float64 {
 	w := x.Workload()
 	out := map[[2]int][2]float64{}
@@ -78,8 +78,6 @@ func TestDirtySetSoundness(t *testing.T) {
 						}
 					}
 				}
-				// CleanForTarget implies per-query cleanliness everywhere and
-				// an untouched candidate set.
 				if err := idx.CheckInvariant(); err != nil {
 					t.Fatalf("seed %d step %d (%s): %v", seed, step, op, err)
 				}
@@ -159,7 +157,6 @@ func applyRandomMutation(t *testing.T, rng *rand.Rand, idx *Index) string {
 func TestDirtySetCleanMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	idx := buildRandom(t, rng, 60, 40, 3, 3, Options{})
-	w := idx.Workload()
 
 	// A globally dominated object: worse than everything on every axis. It
 	// can never enter a skyband and dominates nothing.
@@ -190,17 +187,6 @@ func TestDirtySetCleanMutations(t *testing.T) {
 	if !ds.ObjectDirty(id) {
 		t.Fatal("updated object not marked dirty")
 	}
-	for target := 0; target < w.NumObjects(); target++ {
-		if target == id {
-			if ds.CleanForTarget(target) {
-				t.Fatal("mutated object reported clean for itself")
-			}
-			continue
-		}
-		if !ds.CleanForTarget(target) {
-			t.Fatalf("target %d not clean after far-object update", target)
-		}
-	}
 
 	// Removing it likewise.
 	if err := idx.RemoveObject(id); err != nil {
@@ -210,8 +196,8 @@ func TestDirtySetCleanMutations(t *testing.T) {
 	if ds.QueryCount() != 0 || ds.CandidatesChanged() {
 		t.Fatal("removing a dominated object dirtied shared state")
 	}
-	if ds.CleanForTarget(id) {
-		t.Fatal("removed object reported clean for itself")
+	if !ds.ObjectDirty(id) {
+		t.Fatal("removed object not marked dirty")
 	}
 }
 
@@ -235,11 +221,8 @@ func TestDirtySetMergeAndAttribution(t *testing.T) {
 	if !a.QueryDirty(5) || !a.ObjectDirty(9) || !a.CandidatesChanged() {
 		t.Fatal("merge lost state")
 	}
-	if a.CleanForTarget(0) {
-		t.Fatal("set with dirty queries cannot be clean for any target")
-	}
 	a.markAll()
-	if !a.All() || !a.QueryDirtyFor(99, 99) || a.CleanForTarget(123) {
+	if !a.All() || !a.QueryDirtyFor(99, 99) {
 		t.Fatal("markAll must degrade to whole-epoch invalidation")
 	}
 }

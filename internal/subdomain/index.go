@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"sync"
 	"time"
 
 	"iq/internal/bloom"
@@ -98,11 +99,14 @@ type Index struct {
 	intersectionsProcessed int
 	// epoch increments on every mutating operation (object/query add,
 	// remove, update). Consumers that cache derived state — the ESE
-	// evaluator's per-subdomain ranks — tag their caches with it and
-	// rebuild when it moves. Since the dirty-set layer the epoch orders
-	// versions; it is no longer the invalidation signal itself (see
-	// DirtySet).
+	// evaluator's per-subdomain ranks, the solvers' hit tables — tag their
+	// caches with it and rebuild when it moves. Since the dirty-set layer
+	// the epoch orders versions; it is no longer the invalidation signal
+	// itself (see DirtySet).
 	epoch uint64
+	// memo holds what the layers above derive from this snapshot (see
+	// Memo). Clones start with an empty one.
+	memo sync.Map
 	// pending accumulates the dirty set of every mutation since the last
 	// TakeDirty; nil until the first mutation. Clones start with a fresh
 	// accumulator — their caches were exact at clone time.
@@ -617,6 +621,12 @@ func (x *Index) boxFilteredPairs(lo, hi vec.Vector) [][2]int {
 
 // Workload returns the underlying workload.
 func (x *Index) Workload() *topk.Workload { return x.w }
+
+// Memo returns the index's store for state that the layers above derive
+// from this snapshot — the solvers key their hit tables by target here — so
+// that the state lives exactly as long as the snapshot. Clone never copies
+// it. Entries do not follow in-place mutations: consumers check Epoch.
+func (x *Index) Memo() *sync.Map { return &x.memo }
 
 // Epoch returns the index's mutation counter. It changes whenever an
 // object or query is added, removed, or updated, invalidating any caches

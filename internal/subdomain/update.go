@@ -349,9 +349,8 @@ func (x *Index) RemoveObjectCtx(ctx context.Context, id int) error {
 	defer x.publishShape()
 	x.epoch++
 	if !x.candSet[id] {
-		// A non-candidate was in no top-k: thresholds and evaluators for
-		// other targets survive (the object itself is marked dirty above so
-		// its own evaluators are dropped).
+		// A non-candidate was in no top-k: thresholds for other targets
+		// survive (the object itself is marked dirty above).
 		return nil
 	}
 	delete(x.candSet, id)

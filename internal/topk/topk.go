@@ -213,6 +213,18 @@ func (w *Workload) RemoveQuery(j int) {
 // IsQueryRemoved reports whether query j has been tombstoned.
 func (w *Workload) IsQueryRemoved(j int) bool { return w.removedQ[j] }
 
+// LiveQueries returns the number of non-removed queries: the most an
+// object can hit.
+func (w *Workload) LiveQueries() int {
+	n := 0
+	for _, r := range w.removedQ {
+		if !r {
+			n++
+		}
+	}
+	return n
+}
+
 // Score computes object i's ranking score at query point q (lower is
 // better).
 func (w *Workload) Score(i int, q vec.Vector) float64 {

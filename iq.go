@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 
 	"iq/internal/core"
-	"iq/internal/ese"
 	"iq/internal/obs"
 	"iq/internal/obs/workload"
 	"iq/internal/subdomain"
@@ -420,8 +419,8 @@ func (s *System) SolveBatch(items []BatchItem) []BatchResult {
 // SolveBatchCtx answers several independent improvement queries against a
 // single epoch snapshot: every item sees the same immutable workload/index
 // pair even if writers land mid-batch, and all items share the snapshot's
-// warm threshold and evaluator caches, so a batch of N solves pays the
-// cold-path cost at most once per distinct target. Items run on a worker
+// hit tables, so a batch of N solves pays the cold-path cost at most once
+// per distinct target. Items run on a worker
 // pool of min(GOMAXPROCS, len(items)) goroutines with results delivered in
 // item order regardless of completion order; per-solve parallelism stays
 // per-request via Workers. Per-item failures land in the item's
@@ -523,22 +522,11 @@ func (s *System) Hits(target int) (int, error) {
 	return s.HitsCtx(context.Background(), target)
 }
 
-// HitsCtx is Hits under a context; the evaluator build records a span when
-// the context carries a trace. Evaluators are recycled through the
-// cross-solve cache, so repeat hit counts against an unchanged epoch skip
-// the build entirely.
+// HitsCtx is Hits under a context. It counts against the target's hit
+// table on the current snapshot, whose build records a span when the context
+// carries a trace; repeat counts against an unchanged epoch reuse the table.
 func (s *System) HitsCtx(ctx context.Context, target int) (int, error) {
-	return s.view().baseHitsCtx(ctx, target)
-}
-
-// baseHitsCtx counts the target's current hits on this snapshot.
-func (st *state) baseHitsCtx(ctx context.Context, target int) (int, error) {
-	pool, release, err := core.AcquireEvaluators(ctx, st.idx, target, 1)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	return pool[0].BaseHits(), nil
+	return core.CountHits(ctx, s.view().idx, target, nil)
 }
 
 // Evaluate answers a plain top-k query against the dataset.
@@ -564,13 +552,13 @@ func (s *System) EvaluateCtx(ctx context.Context, q Query) ([]int, error) {
 }
 
 // EvaluateStrategy returns H(p+strategy) without committing anything — the
-// "what would happen if" primitive (Algorithm 2 directly).
+// "what would happen if" primitive (Eq. 6 against the target's hit table).
 func (s *System) EvaluateStrategy(target int, strategy Vector) (int, error) {
 	return s.EvaluateStrategyCtx(context.Background(), target, strategy)
 }
 
 // EvaluateStrategyCtx is EvaluateStrategy under a context, observed at entry
-// and between evaluator construction and the hit count — the two non-trivial
+// and between the hit-table lookup and the hit count — the two non-trivial
 // stages of a what-if evaluation.
 func (s *System) EvaluateStrategyCtx(ctx context.Context, target int, strategy Vector) (int, error) {
 	st := s.view()
@@ -580,15 +568,7 @@ func (s *System) EvaluateStrategyCtx(ctx context.Context, target int, strategy V
 	if err := core.CtxErr(ctx); err != nil {
 		return 0, err
 	}
-	pool, release, err := core.AcquireEvaluators(ctx, st.idx, target, 1)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	if err := core.CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	return pool[0].Hits(strategy)
+	return core.CountHits(ctx, st.idx, target, strategy)
 }
 
 // checkStrategy validates a (target, strategy) pair against a workload so
@@ -632,25 +612,24 @@ func (s *System) CommitAndCount(target int, strategy Vector) (int, error) {
 }
 
 // CommitAndCountCtx is CommitAndCount under a context; tracing semantics
-// match CommitCtx.
+// match CommitCtx. The count runs on the epoch the commit published, after
+// the commit migrated the target's hit table onto it.
 func (s *System) CommitAndCountCtx(ctx context.Context, target int, strategy Vector) (int, error) {
-	hits := 0
+	var published *state
 	muts := []Mutation{{Commit: &CommitMutation{Target: target, Strategy: strategy}}}
 	err := s.mutateCtx(ctx, muts, func(st *state) error {
 		if err := checkStrategy(st.w, target, strategy); err != nil {
 			return err
 		}
-		if err := st.idx.UpdateObjectCtx(ctx, target, vec.Add(st.w.Attrs(target), strategy)); err != nil {
-			return err
-		}
-		ev, err := ese.NewCtx(ctx, st.idx, target)
-		if err != nil {
-			return err
-		}
-		hits = ev.BaseHits()
-		return nil
+		published = st
+		return st.idx.UpdateObjectCtx(ctx, target, vec.Add(st.w.Attrs(target), strategy))
 	})
-	return hits, err
+	if err != nil {
+		return 0, err
+	}
+	// The commit is published: cancellation can no longer turn it into an
+	// error, so the count keeps only the context's trace.
+	return core.CountHits(context.WithoutCancel(ctx), published.idx, target, nil)
 }
 
 // AddObject inserts a new object and returns its index.

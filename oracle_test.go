@@ -1,0 +1,187 @@
+package iq
+
+import (
+	"math/rand"
+	"testing"
+
+	"iq/internal/core"
+	"iq/internal/dataset"
+	"iq/internal/obs"
+	"iq/internal/vec"
+)
+
+// checkHitOracle compares every hit count the engine reports for a few live
+// targets — Hits, EvaluateStrategy on random strategies, and a greedy
+// solve's Hits and BaseHits — with brute-force HitsExact on the same
+// snapshot (Eq. 6 by definition). strategy draws one candidate strategy.
+func checkHitOracle(t *testing.T, rng *rand.Rand, sys *System, strategies int, strategy func() Vector) {
+	t.Helper()
+	w := sys.Workload()
+	exact := func(target int, s Vector) int {
+		t.Helper()
+		h, err := w.HitsExact(vec.Add(w.Attrs(target), s), target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	checked := 0
+	for target := 0; target < w.NumObjects() && checked < 4; target++ {
+		if w.IsRemoved(target) {
+			continue
+		}
+		checked++
+		zero := make(Vector, len(w.Attrs(target)))
+		base := exact(target, zero)
+		if h, err := sys.Hits(target); err != nil || h != base {
+			t.Fatalf("target %d: Hits %d (%v), HitsExact %d", target, h, err, base)
+		}
+		for i := 0; i < strategies; i++ {
+			s := strategy()
+			h, err := sys.EvaluateStrategy(target, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := exact(target, s); h != want {
+				t.Fatalf("target %d strategy %v: table counts %d, HitsExact %d", target, s, h, want)
+			}
+		}
+		tau := min(base+1+rng.Intn(6), w.LiveQueries())
+		mc, err := sys.MinCost(MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}})
+		if err == nil && (mc.Hits != exact(target, mc.Strategy) || mc.BaseHits != base) {
+			t.Fatalf("target %d MinCost: Hits %d BaseHits %d, HitsExact %d and %d",
+				target, mc.Hits, mc.BaseHits, exact(target, mc.Strategy), base)
+		}
+		mh, err := sys.MaxHit(MaxHitRequest{Target: target, Budget: 0.2, Cost: L2Cost{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mh.Hits != exact(target, mh.Strategy) || mh.BaseHits != base {
+			t.Fatalf("target %d MaxHit: Hits %d BaseHits %d, HitsExact %d and %d",
+				target, mh.Hits, mh.BaseHits, exact(target, mh.Strategy), base)
+		}
+	}
+}
+
+// uniformStrategy draws strategies of mixed scale and sign in d dimensions.
+func uniformStrategy(rng *rand.Rand, d int) func() Vector {
+	return func() Vector {
+		scale := []float64{0.001, 0.05, 0.3}[rng.Intn(3)]
+		s := make(Vector, d)
+		for i := range s {
+			s[i] = scale * (2*rng.Float64() - 1.3)
+		}
+		return s
+	}
+}
+
+// TestHitTableMatchesHitsExact is the Eq. 6 oracle: the engine counts hits
+// against a per-snapshot threshold table, and every count must equal
+// brute-force HitsExact — on IN and AC data, on integer data where scores
+// tie at the k-th place, in a non-linear space, and after every System
+// mutation kind, which exercises both rows carried by migration and rows
+// recomputed for the new snapshot.
+func TestHitTableMatchesHitsExact(t *testing.T) {
+	prev := core.SetSolveCacheEnabled(true)
+	defer func() {
+		core.SetSolveCacheEnabled(prev)
+		core.PurgeSolveCaches()
+	}()
+	for _, dist := range []dataset.Distribution{dataset.Independent, dataset.AntiCorrelated} {
+		rng := rand.New(rand.NewSource(int64(dist) + 1))
+		sys, err := NewLinear(dataset.Objects(dist, 150, 3, rng), dataset.UNQueries(60, 3, 5, false, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkHitOracle(t, rng, sys, 60, uniformStrategy(rng, 3))
+	}
+
+	t.Run("ties", func(t *testing.T) {
+		// Small integers keep every score exact, so many queries tie at the
+		// k-th score and the id tie-break decides the hit.
+		rng := rand.New(rand.NewSource(3))
+		objects := make([]Vector, 60)
+		for i := range objects {
+			objects[i] = Vector{float64(rng.Intn(4)), float64(rng.Intn(4)), float64(rng.Intn(4))}
+		}
+		queries := make([]Query, 40)
+		for j := range queries {
+			queries[j] = Query{ID: j, K: 1 + rng.Intn(4),
+				Point: Vector{float64(1 + rng.Intn(3)), float64(1 + rng.Intn(3)), float64(1 + rng.Intn(3))}}
+		}
+		sys, err := NewLinear(objects, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkHitOracle(t, rng, sys, 80, func() Vector {
+			return Vector{float64(rng.Intn(5) - 3), float64(rng.Intn(5) - 3), float64(rng.Intn(5) - 3)}
+		})
+	})
+
+	t.Run("nonlinear", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		space, err := NewExprSpace("w1 * a^2 + w2 * (a * b) + w3 * b", []string{"a", "b"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects := make([]Vector, 80)
+		for i := range objects {
+			objects[i] = Vector{0.2 + 0.8*rng.Float64(), 0.2 + 0.8*rng.Float64()}
+		}
+		queries := make([]Query, 40)
+		for j := range queries {
+			queries[j] = Query{ID: j, K: 1 + rng.Intn(3),
+				Point: Vector{0.1 + 0.9*rng.Float64(), 0.1 + 0.9*rng.Float64(), 0.1 + 0.9*rng.Float64()}}
+		}
+		sys, err := New(space, objects, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkHitOracle(t, rng, sys, 60, func() Vector {
+			return Vector{0.15 * (2*rng.Float64() - 1.3), 0.15 * (2*rng.Float64() - 1.3)}
+		})
+	})
+
+	t.Run("mutations", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		sys := stressFixture(t, 77)
+		counter := func(name string) float64 { return obs.Default.Snapshot()[name] }
+		retained := counter("iq_cache_entries_retained_total")
+		dropped := counter("iq_cache_entries_invalidated_total")
+		point := func() Vector {
+			return Vector{0.05 + 0.95*rng.Float64(), 0.05 + 0.95*rng.Float64(), 0.05 + 0.95*rng.Float64()}
+		}
+		mutations := []struct {
+			name string
+			do   func() error
+		}{
+			{"commit", func() error { return sys.Commit(1, Vector{-0.2, -0.1, -0.15}) }},
+			{"add-object", func() error { _, err := sys.AddObject(Vector{0.1, 0.2, 0.1}); return err }},
+			{"remove-object", func() error { return sys.RemoveObject(2) }},
+			{"add-query", func() error { _, err := sys.AddQuery(Query{ID: 900, K: 2, Point: point()}); return err }},
+			{"remove-query", func() error { return sys.RemoveQuery(3) }},
+			{"apply-batch", func() error {
+				_, err := sys.ApplyBatch([]Mutation{
+					{Commit: &CommitMutation{Target: 0, Strategy: Vector{-0.1, 0, -0.1}}},
+					{AddObject: &AddObjectMutation{Attrs: Vector{0.3, 0.05, 0.2}}},
+					{AddQuery: &AddQueryMutation{Query: Query{ID: 901, K: 1, Point: point()}}},
+					{RemoveQuery: &RemoveQueryMutation{Index: 5}},
+				})
+				return err
+			}},
+		}
+		// Each check warms the tables of the targets it visits, so the next
+		// mutation migrates them.
+		checkHitOracle(t, rng, sys, 20, uniformStrategy(rng, 3))
+		for _, m := range mutations {
+			if err := m.do(); err != nil {
+				t.Fatalf("%s: %v", m.name, err)
+			}
+			t.Logf("after %s", m.name)
+			checkHitOracle(t, rng, sys, 20, uniformStrategy(rng, 3))
+		}
+		if counter("iq_cache_entries_retained_total") == retained || counter("iq_cache_entries_invalidated_total") == dropped {
+			t.Error("the mutations neither carried nor dropped any hit-table row; the oracle did not reach both kinds")
+		}
+	})
+}
