@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test short race stress bench metricscheck tracecheck crashcheck analyzecheck healthcheck perfbench
+.PHONY: check build vet test short race stress bench metricscheck tracecheck crashcheck healthcheck perfbench
 
 # check is the CI entry point: build everything, vet, run the suite under
 # the race detector (-short: the stress tests are excluded there) and once
@@ -9,7 +9,7 @@ GO ?= go
 # interleavings, and finally drive live servers through the script gates.
 # Every test run carries an explicit -timeout so a hung solve fails fast
 # with a goroutine dump instead of stalling CI at the per-package default.
-check: build vet race short stress metricscheck tracecheck crashcheck analyzecheck healthcheck perfbench
+check: build vet race short stress metricscheck tracecheck crashcheck healthcheck perfbench
 
 build:
 	$(GO) build ./...
@@ -54,12 +54,6 @@ tracecheck:
 # the deployed binary survives a real SIGKILL.
 crashcheck:
 	./scripts/crashcheck.sh
-
-# analyzecheck boots a real iqserver, drives a skewed workload through the
-# HTTP API, and validates the workload-analytics surface end to end:
-# /v1/stats/workload and /debug/workload (scripts/analyzecheck.sh).
-analyzecheck:
-	./scripts/analyzecheck.sh
 
 # healthcheck is the live SLO drill: boot an iqserver with an impossible
 # latency target, drive real solves until the multi-window burn-rate alert

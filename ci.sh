@@ -26,9 +26,6 @@ go test -race -run TestStress -count=2 -timeout 10m ./...
 # same data dir, and require the acknowledged epoch and a bit-identical
 # reference solve.
 ./scripts/crashcheck.sh
-# Live workload-analytics gate: boot a real iqserver, drive a skewed
-# workload, and validate /v1/stats/workload and /debug/workload end to end.
-./scripts/analyzecheck.sh
 # Live SLO/telemetry gate: boot a real iqserver with an impossible latency
 # target, drive solves until the burn-rate alert fires (on the stats
 # surface and the log stream), then kill -9 and restart to prove the

@@ -212,6 +212,34 @@ func TestRequestTimeoutMS(t *testing.T) {
 	}
 }
 
+// TestExprCostSolveAnswers: a non-convex expression cost drives the numeric
+// minimiser's line search out to where float64 spacing exceeds its
+// tolerance, and the search must still end, or the solve runs past its
+// deadline and keeps its admission slot. The handler runs in-process on its
+// own goroutine, so a regression fails on the timer instead of hanging the
+// test binary (an httptest server's Close would wait for it).
+func TestExprCostSolveAnswers(t *testing.T) {
+	h := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), defaultConfig()).handler()
+	if rec := serveRecorded(h, "/v1/load", datasetJSON(t, 60, 30)); rec.Code != http.StatusOK {
+		t.Fatalf("load: %d %s", rec.Code, rec.Body)
+	}
+	done := make(chan int, 1)
+	go func() {
+		done <- serveRecorded(h, "/v1/mincost",
+			[]byte(`{"target":5,"tau":6,"cost":{"expr":"s1*s2*s2+s3*s3"},"timeout_ms":500}`)).Code
+	}()
+	select {
+	case code := <-done:
+		switch code {
+		case http.StatusOK, http.StatusUnprocessableEntity, http.StatusGatewayTimeout:
+		default:
+			t.Fatalf("status %d, want 200, 422 or 504", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("expression-cost solve did not answer within 5s of a 500ms timeout_ms")
+	}
+}
+
 // TestSolveContextCap is a unit check of the deadline arithmetic: timeout_ms
 // can only tighten the server-wide cap, never extend it, and with no cap
 // configured the request context passes through untouched.
@@ -233,6 +261,14 @@ func TestSolveContextCap(t *testing.T) {
 	defer cancel2()
 	if dl2, ok := ctx2.Deadline(); !ok || dl2.After(dl) {
 		t.Fatalf("timeout_ms=1 failed to tighten the deadline")
+	}
+
+	// A timeout_ms whose Duration overflows int64 must not wrap into "no
+	// deadline".
+	ctx4, cancel4 := s.solveContext(r, 9_300_000_000_000)
+	defer cancel4()
+	if dl4, ok := ctx4.Deadline(); !ok || time.Until(dl4) > 150*time.Millisecond {
+		t.Fatalf("overflowing timeout_ms removed or extended the server cap")
 	}
 
 	s0 := newServer(slog.New(slog.NewTextHandler(io.Discard, nil)), serverConfig{})
@@ -364,8 +400,8 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 }
 
 // datasetJSON builds a /v1/load body for tests that talk to a real listener
-// rather than an httptest server.
-func datasetJSON(t *testing.T, n, m int) []byte {
+// or call the handler directly rather than through an httptest server.
+func datasetJSON(t testing.TB, n, m int) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	var req loadRequest

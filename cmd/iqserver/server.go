@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
@@ -58,7 +59,6 @@ import (
 	"iq/internal/obs"
 	"iq/internal/obs/history"
 	"iq/internal/obs/slo"
-	"iq/internal/obs/workload"
 )
 
 // serverConfig bounds one server's resource envelope. The zero value of a
@@ -215,10 +215,8 @@ func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	s.route(mux, "POST /v1/load", http.HandlerFunc(s.handleLoad))
 	s.route(mux, "GET /v1/stats", http.HandlerFunc(s.handleStats))
-	s.route(mux, "GET /v1/stats/workload", http.HandlerFunc(s.handleWorkloadStats))
 	s.route(mux, "GET /v1/stats/history", http.HandlerFunc(s.handleHistoryStats))
 	s.route(mux, "GET /v1/stats/slo", http.HandlerFunc(s.handleSLOStats))
-	s.route(mux, "GET /debug/workload", http.HandlerFunc(s.handleDebugWorkload))
 	s.route(mux, "GET /debug/health", http.HandlerFunc(s.handleDebugHealth))
 	s.route(mux, "POST /v1/mincost", s.admit(http.HandlerFunc(s.handleMinCost)))
 	s.route(mux, "POST /v1/maxhit", s.admit(http.HandlerFunc(s.handleMaxHit)))
@@ -371,9 +369,7 @@ func (s *server) recoverPanics(next http.Handler) http.Handler {
 // goroutines, scheduling latency) so one scrape covers both the engine and
 // the process hosting it.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	// Scrape-time refreshes: the per-region gauge families from the workload
-	// window, and the Store's on-disk footprint gauges. Both are cold-path.
-	workload.Default.Publish(workload.DefaultTopN)
+	// Scrape-time refresh of the Store's on-disk footprint gauges (cold path).
 	if st := s.currentStore(); st != nil {
 		st.DurabilityStatus()
 	}
@@ -388,10 +384,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // warnIfSlow logs a completed solve that blew the -slow-solve-threshold at
-// WARN with its full work profile, plus the flight-recorder trace ID when
-// the request was captured — the log line links straight to the span tree
-// explaining where the time went.
-func (s *server) warnIfSlow(ctx context.Context, op string, st iq.SolveStats) {
+// WARN with its target and full work profile, plus the flight-recorder trace
+// ID when the request was captured — the log line names the slow target and
+// links straight to the span tree explaining where the time went.
+func (s *server) warnIfSlow(ctx context.Context, op string, target int, st iq.SolveStats) {
 	if s.cfg.slowSolve <= 0 || st.Wall < s.cfg.slowSolve {
 		return
 	}
@@ -399,6 +395,7 @@ func (s *server) warnIfSlow(ctx context.Context, op string, st iq.SolveStats) {
 		"Completed solves slower than -slow-solve-threshold.", "op", op).Inc()
 	attrs := []slog.Attr{
 		slog.String("op", op),
+		slog.Int("target", target),
 		slog.Duration("wall", st.Wall),
 		slog.Duration("threshold", s.cfg.slowSolve),
 		slog.Int("rounds", st.Rounds),
@@ -599,11 +596,12 @@ func (s *server) decode(w http.ResponseWriter, r *http.Request, v interface{}) b
 // solveContext derives the context a solver request runs under: the client's
 // connection context (cancelled when the client disconnects), bounded by the
 // server-wide request timeout, optionally tightened — never loosened — by
-// the request's timeout_ms.
+// the request's timeout_ms. A timeout_ms too large for a Duration (about
+// 292 years) tightens nothing and is ignored rather than left to overflow.
 func (s *server) solveContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
 	timeout := s.cfg.requestTimeout
-	if timeoutMS > 0 {
-		if d := time.Duration(timeoutMS) * time.Millisecond; timeout == 0 || d < timeout {
+	if ms := int64(timeoutMS); ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
+		if d := time.Duration(ms) * time.Millisecond; timeout == 0 || d < timeout {
 			timeout = d
 		}
 	}
@@ -810,7 +808,7 @@ func (s *server) handleMinCost(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, statusFor(err), err)
 			return
 		}
-		s.warnIfSlow(ctx, "mincost", res.Stats)
+		s.warnIfSlow(ctx, "mincost", req.Target, res.Stats)
 		s.writeJSON(w, http.StatusOK, iqResponse{
 			Strategy: res.Strategy, Cost: res.Cost, Hits: res.Hits,
 			BaseHits: res.BaseHits, Iterations: res.Iterations, Stats: res.Stats,
@@ -843,7 +841,7 @@ func (s *server) handleMaxHit(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, statusFor(err), err)
 			return
 		}
-		s.warnIfSlow(ctx, "maxhit", res.Stats)
+		s.warnIfSlow(ctx, "maxhit", req.Target, res.Stats)
 		s.writeJSON(w, http.StatusOK, iqResponse{
 			Strategy: res.Strategy, Cost: res.Cost, Hits: res.Hits,
 			BaseHits: res.BaseHits, Iterations: res.Iterations, Stats: res.Stats,
@@ -912,7 +910,7 @@ func (s *server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			res := br.Result
-			s.warnIfSlow(ctx, req.Items[i].Op, res.Stats)
+			s.warnIfSlow(ctx, req.Items[i].Op, req.Items[i].Target, res.Stats)
 			resp.Results[i] = batchItemResponse{
 				Strategy: res.Strategy, Cost: res.Cost, Hits: res.Hits,
 				BaseHits: res.BaseHits, Iterations: res.Iterations, Stats: res.Stats,

@@ -224,7 +224,7 @@ func TestSlowSolveWarnLog(t *testing.T) {
 	if !strings.Contains(out, "slow solve") {
 		t.Fatalf("no WARN slow-solve line:\n%s", out)
 	}
-	for _, want := range []string{`"level":"WARN"`, `"rounds"`, `"probes"`, `"trace_id":"` + id + `"`} {
+	for _, want := range []string{`"level":"WARN"`, `"target":5`, `"rounds"`, `"probes"`, `"trace_id":"` + id + `"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("slow-solve log missing %s:\n%s", want, out)
 		}

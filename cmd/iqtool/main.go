@@ -42,10 +42,6 @@ func main() {
 		"assert the restarted iqserver at this base URL still serves the pre-kill telemetry history from -health-ref")
 	healthRefFile := flag.String("health-ref", "health-ref.json",
 		"reference JSON written by -health-drive and read by -health-verify")
-	analyze := flag.Bool("analyze", false,
-		"drive a skewed demo workload in-process and print the per-region workload report")
-	analyzeSrv := flag.String("analyze-server", "",
-		"drive a live iqserver at this base URL with the skewed demo, then fetch and validate /v1/stats/workload (scripts/analyzecheck.sh)")
 	flag.Parse()
 	if *watchURL != "" {
 		if err := healthWatch(os.Stdout, *watchURL, *watchInterval, *watchCount, *scrapeWait); err != nil {
@@ -64,20 +60,6 @@ func main() {
 	if *healthVerifyURL != "" {
 		if err := healthVerify(*healthVerifyURL, *healthRefFile, *scrapeWait); err != nil {
 			fmt.Fprintf(os.Stderr, "iqtool: health-verify: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *analyzeSrv != "" {
-		if err := analyzeServer(os.Stdout, *analyzeSrv, *seed, *scrapeWait); err != nil {
-			fmt.Fprintf(os.Stderr, "iqtool: analyze-server %s: %v\n", *analyzeSrv, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *analyze {
-		if err := analyzeLocal(os.Stdout, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "iqtool: analyze: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -64,7 +64,7 @@ func TestGenerateCandidatesAllocsPerRoundWarm(t *testing.T) {
 		target := 2
 		w := idx.Workload()
 		rec := newRecorder()
-		rs := newRoundScratch(idx, rec)
+		rs := &roundScratch{}
 		tab := hitTableFor(ctx, idx, target, rec)
 		hit := bitset.New(w.NumQueries())
 		tab.hitSet(w.Coeff(target), hit)

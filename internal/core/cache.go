@@ -191,7 +191,7 @@ func (t *hitTable) build(ctx context.Context, idx *subdomain.Index, rec *recorde
 			t.kth[j], t.kthID[j] = best[q.K-1].score, best[q.K-1].id
 		}
 		computed++
-		rec.thresholdMiss(j)
+		rec.thresholdMiss()
 	}
 	t.rows = make([]int, 0, len(t.state))
 	t.pts = make([]vec.Vector, 0, len(t.state))

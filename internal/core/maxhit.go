@@ -84,7 +84,7 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		return nil, err
 	}
 	w := idx.Workload()
-	rs := newRoundScratch(idx, rec)
+	rs := &roundScratch{}
 	tab := hitTableFor(ctx, idx, req.Target, rec)
 	workers := clampWorkers(req.Workers, w.NumQueries())
 	d := len(w.Attrs(req.Target))

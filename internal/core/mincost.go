@@ -104,7 +104,7 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 	if live := w.LiveQueries(); req.Tau > live {
 		return nil, fmt.Errorf("core: tau %d exceeds query count %d: %w", req.Tau, live, ErrGoalUnreachable)
 	}
-	rs := newRoundScratch(idx, rec)
+	rs := &roundScratch{}
 	tab := hitTableFor(ctx, idx, req.Target, rec)
 	workers := clampWorkers(req.Workers, w.NumQueries())
 	d := len(w.Attrs(req.Target))

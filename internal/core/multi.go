@@ -172,6 +172,13 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 				psp.End()
 				continue
 			}
+			uCost := spec.Cost.Of(u)
+			if !finiteStep(u, uCost) {
+				rec.pruned.Add(1)
+				psp.SetAttr("pruned", "nonfinite")
+				psp.End()
+				continue
+			}
 			coeff, err := w.Space().Embed(vec.Add(w.Attrs(spec.Target), u))
 			if err != nil {
 				rec.pruned.Add(1)
@@ -199,7 +206,7 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 			out = append(out, multiCandidate{
 				slot:      i,
 				strategy:  u,
-				cost:      baseCostOthers + spec.Cost.Of(u),
+				cost:      baseCostOthers + uCost,
 				unionSize: size,
 			})
 		}

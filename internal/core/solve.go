@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
 	"iq/internal/bitset"
 	"iq/internal/obs"
-	"iq/internal/subdomain"
 	"iq/internal/topk"
 	"iq/internal/vec"
 )
@@ -51,37 +51,6 @@ type probeScratch struct {
 	coeff  vec.Vector // coeff(target)+cur for the linear closed form
 	lo, hi vec.Vector // shifted bounds backing stores
 	bounds Bounds     // aliases lo/hi so no Bounds escapes per probe
-	// counts aliases the solve's dense per-query attribution table
-	// (roundScratch.counts; nil outside a candidate fan-out). Each round
-	// probes a query from exactly one worker (slot striding) and rounds are
-	// separated by the fan-out join, so plain increments need no
-	// synchronisation. cur holds the in-flight probe's query index so the
-	// threshold lookup can attribute its hit without a second table
-	// lookup. Region resolution is deferred to the per-solve flush
-	// (recorder.regionSamples), keeping the probe hot path to two array
-	// writes.
-	counts []queryCounts
-	cur    int
-}
-
-// queryCounts is one query's row in a solve's dense attribution table.
-type queryCounts struct {
-	probes, thrHits, thrMisses int32
-}
-
-// noteThresholdHit attributes one threshold-cache hit to the in-flight
-// probe's query. Nil-safe; a no-op outside a candidate fan-out.
-func (sc *probeScratch) noteThresholdHit() {
-	if sc == nil || sc.counts == nil {
-		return
-	}
-	sc.counts[sc.cur].thrHits++
-}
-
-// noteProbe charges one probe to query j's row.
-func (sc *probeScratch) noteProbe(j int) {
-	sc.counts[j].probes++
-	sc.cur = j
 }
 
 // solveHit finds a low-cost cumulative strategy u (relative to the target's
@@ -98,7 +67,6 @@ func solveHit(w *topk.Workload, tab *hitTable, cur vec.Vector, j int, cost Cost,
 	if tab.stored {
 		mThresholdCacheHits.Inc()
 		rec.thresholdHit()
-		sc.noteThresholdHit()
 	}
 	if !bounded {
 		return vec.Clone(cur), nil // fewer than k competitors: already hit
@@ -151,6 +119,15 @@ func solveHit(w *topk.Workload, tab *hitTable, cur vec.Vector, j int, cost Cost,
 		return delta, nil
 	}
 	return solveHitNonLinear(w, target, cur, q, threshold, cost, bounds)
+}
+
+// finiteStep reports whether a probe's strategy u and its cost c are finite.
+// The numeric minimiser behind an expression cost can run off towards
+// infinity on a non-convex cost or extreme data, and an expression can
+// overflow or leave its domain; such a step has no cost to rank, so the
+// probe is pruned.
+func finiteStep(u vec.Vector, c float64) bool {
+	return vec.AllFinite(u) && !math.IsInf(c, 0) && !math.IsNaN(c)
 }
 
 // growVec returns v resized to d, reusing its backing array when possible.
@@ -255,20 +232,6 @@ type roundScratch struct {
 	cands   []Candidate
 	probes  []probeScratch // indexed by worker
 	embed   []vec.Vector   // per-worker improved-coefficient buffers
-	// counts is the solve's dense per-query attribution table (one row per
-	// workload query, allocated once per solve). The hit-table build and
-	// all workers write into it; rows accumulate across rounds and are
-	// folded into per-region samples once, at finishSolve.
-	counts []queryCounts
-}
-
-// newRoundScratch returns a greedy solve's round buffers, with the dense
-// per-query attribution table registered on rec for the flush at
-// finishSolve.
-func newRoundScratch(idx *subdomain.Index, rec *recorder) *roundScratch {
-	rs := &roundScratch{counts: make([]queryCounts, idx.Workload().NumQueries())}
-	rec.rs, rec.idx = rs, idx
-	return rs
 }
 
 // generateCandidates implements the shared inner loop of Algorithms 3 and 4
@@ -314,16 +277,12 @@ func generateCandidates(ctx context.Context, w *topk.Workload, tab *hitTable, wo
 		rs.probes = make([]probeScratch, workers)
 		rs.embed = make([]vec.Vector, workers)
 	}
-	for i := range rs.probes {
-		rs.probes[i].counts = rs.counts
-	}
 	linear := w.Space().Linear()
 	attrs := w.Attrs(tab.target)
 	probe := func(pctx context.Context, wkr, slot int) {
 		fireProbe(slot)
 		t0 := rec.probeStart()
 		j := unhit[slot]
-		rs.probes[wkr].noteProbe(j)
 		pctx, psp := obs.StartSpan(pctx, "probe")
 		psp.SetAttr("query", j)
 		u, err := solveHit(w, tab, cur, j, cost, bounds, &rs.probes[wkr], rec)
@@ -337,6 +296,13 @@ func generateCandidates(ctx context.Context, w *topk.Workload, tab *hitTable, wo
 		if !bounds.Contains(u) {
 			rec.pruned.Add(1)
 			psp.SetAttr("pruned", "bounds")
+			psp.End()
+			return
+		}
+		c := cost.Of(u)
+		if !finiteStep(u, c) {
+			rec.pruned.Add(1)
+			psp.SetAttr("pruned", "nonfinite")
 			psp.End()
 			return
 		}
@@ -365,7 +331,7 @@ func generateCandidates(ctx context.Context, w *topk.Workload, tab *hitTable, wo
 		esp.SetAttr("hits", h)
 		esp.End()
 		rec.evalDone(t1)
-		results[slot] = Candidate{Query: j, Strategy: u, Cost: cost.Of(u), Hits: h}
+		results[slot] = Candidate{Query: j, Strategy: u, Cost: c, Hits: h}
 		valid[slot] = true
 		psp.End()
 	}

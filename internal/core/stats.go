@@ -15,8 +15,6 @@ import (
 	"time"
 
 	"iq/internal/obs"
-	"iq/internal/obs/workload"
-	"iq/internal/subdomain"
 )
 
 // SolveStats profiles one solve. Stage wall times cover the two halves of
@@ -64,13 +62,6 @@ type recorder struct {
 	// obs counters aggregate across solves).
 	thrHits   atomic.Int64
 	thrMisses atomic.Int64
-	// rs/idx let finishSolve flush the solve's dense per-query attribution
-	// table (roundScratch.counts) into per-region samples. Set by the first
-	// generateCandidates call; nil for solves that never fan out
-	// (exhaustive verifiers, multi-target solves). Only the solve goroutine
-	// reads them, after the last fan-out has joined.
-	rs  *roundScratch
-	idx *subdomain.Index
 }
 
 // thresholdHit records one threshold lookup served from a stored hit table.
@@ -81,137 +72,15 @@ func (r *recorder) thresholdHit() {
 	}
 }
 
-// thresholdMiss records one hit-table row this solve computed, attributed to
-// query j when the solve keeps a per-query table. Nil-safe: counts outside a
-// solve pass a nil recorder.
-func (r *recorder) thresholdMiss(j int) {
-	if r == nil {
-		return
-	}
-	r.thrMisses.Add(1)
-	if r.rs != nil {
-		r.rs.counts[j].thrMisses++
+// thresholdMiss records one hit-table row this solve computed. Nil-safe:
+// counts outside a solve pass a nil recorder.
+func (r *recorder) thresholdMiss() {
+	if r != nil {
+		r.thrMisses.Add(1)
 	}
 }
 
 func newRecorder() *recorder { return &recorder{} }
-
-// maxRegionSamples bounds the per-solve attribution fan-out into the
-// aggregator: the hottest regions (by probe count) are reported exactly and
-// the tail is folded into one pre-aggregated overflow sample, so a solve
-// over thousands of singleton regions costs a bounded number of slot
-// updates. 16 keeps flush + RecordSolve inside the analytics overhead
-// budget (≤2% of a warm solve) while still covering the per-region gauge
-// fan-out /metrics publishes.
-const maxRegionSamples = 16
-
-// regionSamples folds the solve's dense per-query counts into per-region
-// samples: the top-maxRegionSamples regions by probes exactly, the rest as
-// one overflow sample. Regions group by the subdomain's representative
-// query — a unique index in [0, NumQueries) — so the fold is in-place over
-// the counts table with no map and no reflection-based sort.
-func (r *recorder) regionSamples() []workload.RegionSample {
-	rs, idx := r.rs, r.idx
-	if rs == nil || len(rs.counts) == 0 {
-		return nil
-	}
-	counts := rs.counts
-	// Pass 1: fold every touched query's row into its subdomain
-	// representative's row. Ungrouped queries have no region to charge and
-	// are dropped, as before.
-	for j := range counts {
-		c := &counts[j]
-		if c.probes == 0 && c.thrHits == 0 && c.thrMisses == 0 {
-			continue
-		}
-		sd := idx.SubdomainOf(j)
-		if sd == nil {
-			*c = queryCounts{}
-			continue
-		}
-		if rep := sd.Representative(); rep != j {
-			dst := &counts[rep]
-			dst.probes += c.probes
-			dst.thrHits += c.thrHits
-			dst.thrMisses += c.thrMisses
-			*c = queryCounts{}
-		}
-	}
-	// Pass 2: the surviving nonzero rows are exactly the touched
-	// representatives, one per region.
-	var live []int32
-	for j := range counts {
-		c := &counts[j]
-		if c.probes != 0 || c.thrHits != 0 || c.thrMisses != 0 {
-			live = append(live, int32(j))
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	m := maxRegionSamples
-	if len(live) <= m {
-		m = len(live)
-	} else {
-		topKByProbes(live, counts, m)
-	}
-	out := make([]workload.RegionSample, 0, m+1)
-	w := idx.Workload()
-	for _, j := range live[:m] {
-		c := &counts[j]
-		sd := idx.SubdomainOf(int(j))
-		out = append(out, workload.RegionSample{
-			Region:    sd.Region,
-			Pos:       w.Query(sd.Representative()).Point[0],
-			Probes:    int64(c.probes),
-			ThrHits:   int64(c.thrHits),
-			ThrMisses: int64(c.thrMisses),
-		})
-	}
-	if len(live) > m {
-		tail := workload.RegionSample{Region: workload.OverflowRegion}
-		for _, j := range live[m:] {
-			c := &counts[j]
-			tail.Probes += int64(c.probes)
-			tail.ThrHits += int64(c.thrHits)
-			tail.ThrMisses += int64(c.thrMisses)
-		}
-		out = append(out, tail)
-	}
-	return out
-}
-
-// topKByProbes partially orders live (quickselect, Hoare partition) so its
-// first k entries are the k highest-probe rows. Deterministic: the pivot is
-// positional and the input order (ascending query index) is fixed.
-func topKByProbes(live []int32, counts []queryCounts, k int) {
-	lo, hi := 0, len(live)
-	for hi-lo > 1 {
-		p := counts[live[(lo+hi)/2]].probes
-		i, j := lo, hi-1
-		for i <= j {
-			for counts[live[i]].probes > p {
-				i++
-			}
-			for counts[live[j]].probes < p {
-				j--
-			}
-			if i <= j {
-				live[i], live[j] = live[j], live[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j+1:
-			hi = j + 1
-		case k >= i:
-			lo = i
-		default:
-			return
-		}
-	}
-}
 
 // probeStart returns the probe's start instant.
 func (r *recorder) probeStart() time.Time {
@@ -299,16 +168,11 @@ func endSolveSpan(sp *obs.Span, st SolveStats, err error) {
 }
 
 // finishSolve publishes one solve's metrics and emits the engine's Debug log
-// line (carrying the caller's request ID when the context has one). target
-// feeds the workload analytics (target, op) attribution; multi-target
-// operations pass -1.
+// line (carrying the caller's request ID when the context has one), stamped
+// with the solve's target; multi-target operations pass -1.
 func finishSolve(ctx context.Context, op string, target int, start time.Time, rec *recorder, rounds int, err error) SolveStats {
 	wall := time.Since(start)
 	st := rec.stats(rounds, wall, err)
-	workload.Default.RecordSolve(op, target, wall,
-		int64(st.Rounds), int64(st.Probes),
-		int64(st.ThresholdCacheHits), int64(st.ThresholdCacheMisses),
-		rec.regionSamples())
 	obs.Default.Counter("iq_solve_total",
 		"Solves by operation and outcome.", "op", op, "outcome", outcomeOf(err)).Inc()
 	obs.Default.Histogram("iq_solve_duration_seconds",
@@ -321,6 +185,7 @@ func finishSolve(ctx context.Context, op string, target int, start time.Time, re
 		"Candidate probes discarded before hit counting.", "op", op).Add(int64(st.Pruned))
 	obs.Log(ctx).DebugContext(ctx, "solve finished",
 		"op", op,
+		"target", target,
 		"outcome", outcomeOf(err),
 		"rounds", st.Rounds,
 		"probes", st.Probes,

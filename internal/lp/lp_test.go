@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"iq/internal/vec"
 )
@@ -308,6 +309,25 @@ func TestMinCostToHalfspaceMatchesClosedForm(t *testing.T) {
 	s, err := MinCostToHalfspace(vec.Norm2, vec.Vector{1, 1}, 1)
 	if err != nil || !vec.IsZero(s) {
 		t.Errorf("s=%v err=%v", s, err)
+	}
+}
+
+// The minimum of (x-3e8)² on [-1e9, 1e9] lies where float64 values are
+// 6e-8 apart: the interval can never narrow below the 1e-9 tolerance, so
+// only the iteration cap ends the search. The search runs on a goroutine so
+// a regression fails on the timer instead of hanging the test binary.
+func TestGoldenSectionTerminatesWhereSpacingExceedsTol(t *testing.T) {
+	done := make(chan float64, 1)
+	go func() {
+		done <- goldenSection(func(x float64) float64 { return (x - 3e8) * (x - 3e8) }, -1e9, 1e9, 1e-9)
+	}()
+	select {
+	case x := <-done:
+		if math.Abs(x-3e8) > 1e-3 {
+			t.Errorf("minimum of (x-3e8)² on [-1e9, 1e9] found at %v, want 3e8", x)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("goldenSection on [-1e9, 1e9] did not terminate within 5s")
 	}
 }
 

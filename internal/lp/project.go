@@ -231,6 +231,14 @@ func MinCostToHalfspace(cost CostFunc, n vec.Vector, rhs float64) (vec.Vector, e
 	return s, nil
 }
 
+// goldenSectionMaxIter bounds goldenSection's loop. The tolerance is
+// absolute, and beyond |x| ≈ 8e6 adjacent float64 values are more than 1e-9
+// apart, so an interval out there stops shrinking before it meets the
+// tolerance; only the cap ends that loop. Each iteration shrinks the
+// interval by the golden ratio, so an interval that does converge meets the
+// tolerance in about 100 iterations, well inside the cap.
+const goldenSectionMaxIter = 200
+
 // goldenSection minimises a unimodal function on [lo, hi].
 func goldenSection(f func(float64) float64, lo, hi, tol float64) float64 {
 	const phi = 0.6180339887498949
@@ -238,7 +246,7 @@ func goldenSection(f func(float64) float64, lo, hi, tol float64) float64 {
 	c := b - phi*(b-a)
 	d := a + phi*(b-a)
 	fc, fd := f(c), f(d)
-	for b-a > tol {
+	for iter := 0; b-a > tol && iter < goldenSectionMaxIter; iter++ {
 		if fc < fd {
 			b, d, fd = d, c, fc
 			c = b - phi*(b-a)

@@ -71,11 +71,6 @@ type Subdomain struct {
 	ID         int
 	Boundaries []Boundary
 	Queries    []int // workload query indices
-	// Region is the subdomain's stable attribution identity (see the Region
-	// lifecycle comment on Index). Unlike ID it survives clones verbatim and
-	// survives a repartition whenever the exact same query group re-forms;
-	// it is never reused for a different group.
-	Region uint64
 	// rep is the representative query index used for cached evaluation.
 	rep int
 }
@@ -121,30 +116,6 @@ type Index struct {
 	batchAllPairs bool     // some deferred repartition wanted the full pair set
 	batchPairs    [][2]int // union of deferred pair restrictions
 	batchPairSeen map[[2]int]bool
-	// Region lifecycle. Every subdomain carries a Region — a monotonically
-	// minted identity that, unlike the subdomain ID, is meant to be stable
-	// enough to hang externally accumulated statistics on (the workload
-	// analytics layer keys per-region load by it). The rules:
-	//
-	//   - registerSubdomain re-uses ("inherits") the old Region when the new
-	//     group's membership is exactly one dissolved subdomain's membership —
-	//     the common case where a repartition re-forms untouched groups.
-	//   - Otherwise a fresh Region is minted, and every dissolved Region that
-	//     no new group inherited is recorded as *reset* at the end of the
-	//     repartition cycle (iq_region_reset_total; TakeRegionResets).
-	//   - A Region is therefore never attached to two different query sets:
-	//     consumers either keep attributing to the same group or are told the
-	//     lineage ended.
-	//
-	// priorRegion/priorSize/claimedRegion hold one repartition cycle's
-	// dissolved state (nil outside a cycle; batches stretch one cycle across
-	// all deferred dissolves); pendingResets accumulates terminated Regions
-	// until TakeRegionResets drains them at commit.
-	nextRegion    uint64
-	priorRegion   map[int]uint64
-	priorSize     map[uint64]int
-	claimedRegion map[uint64]bool
-	pendingResets []uint64
 }
 
 // Build constructs the index over the workload per Algorithm 1.
@@ -170,7 +141,6 @@ func BuildCtx(ctx context.Context, w *topk.Workload, opts Options) (*Index, erro
 		removedQ:       map[int]bool{},
 		boundaryFilter: bloom.NewWithEstimates(4*w.NumQueries()+64, 0.01),
 		boundaryIndex:  map[[2]int][]int{},
-		nextRegion:     1, // 0 means "no region" (RegionOf on absent queries)
 	}
 	if m := w.NumQueries(); m > 0 {
 		// STR bulk loading: faster than insertion and lower node overlap,
@@ -387,12 +357,6 @@ func (x *Index) registerSubdomain(g *group) {
 	}
 	s := &Subdomain{ID: x.nextSubID, Boundaries: g.boundaries, Queries: g.queries, rep: g.queries[0]}
 	x.nextSubID++
-	if r, ok := x.inheritRegion(g.queries); ok {
-		s.Region = r
-	} else {
-		s.Region = x.nextRegion
-		x.nextRegion++
-	}
 	x.subs[s.ID] = s
 	for _, q := range g.queries {
 		x.queryToSub[q] = s.ID
@@ -402,90 +366,6 @@ func (x *Index) registerSubdomain(g *group) {
 		x.boundaryFilter.AddPair(key[0], key[1])
 		x.boundaryIndex[key] = append(x.boundaryIndex[key], s.ID)
 	}
-}
-
-// inheritRegion decides whether a freshly registered group may keep a
-// dissolved subdomain's Region: every member must come from the same prior
-// Region, the group must be that Region's complete former membership, and no
-// other group this cycle may have claimed it. Outside a repartition cycle
-// (initial build, AddQuery singletons) there is nothing to inherit.
-func (x *Index) inheritRegion(queries []int) (uint64, bool) {
-	if len(x.priorRegion) == 0 {
-		return 0, false
-	}
-	r, ok := x.priorRegion[queries[0]]
-	if !ok || x.claimedRegion[r] || x.priorSize[r] != len(queries) {
-		return 0, false
-	}
-	for _, q := range queries[1:] {
-		if x.priorRegion[q] != r {
-			return 0, false
-		}
-	}
-	if x.claimedRegion == nil {
-		x.claimedRegion = map[uint64]bool{}
-	}
-	x.claimedRegion[r] = true
-	return r, true
-}
-
-// notePriorRegion records a subdomain's membership at dissolve time so the
-// repartition cycle can decide inheritance vs. reset.
-func (x *Index) notePriorRegion(s *Subdomain) {
-	if x.priorRegion == nil {
-		x.priorRegion = map[int]uint64{}
-		x.priorSize = map[uint64]int{}
-	}
-	for _, q := range s.Queries {
-		x.priorRegion[q] = s.Region
-	}
-	x.priorSize[s.Region] = len(s.Queries)
-}
-
-// finishRegionCycle closes a repartition cycle: every dissolved Region that
-// no new group inherited is terminated — appended to pendingResets (drained
-// by TakeRegionResets at commit) and counted on iq_region_reset_total. The
-// terminated IDs are sorted so reset order is deterministic.
-func (x *Index) finishRegionCycle() {
-	if len(x.priorSize) > 0 {
-		var gone []uint64
-		for r := range x.priorSize {
-			if !x.claimedRegion[r] {
-				gone = append(gone, r)
-			}
-		}
-		sort.Slice(gone, func(i, j int) bool { return gone[i] < gone[j] })
-		for _, r := range gone {
-			x.resetRegion(r)
-		}
-	}
-	x.priorRegion = nil
-	x.priorSize = nil
-	x.claimedRegion = nil
-}
-
-func (x *Index) resetRegion(r uint64) {
-	x.pendingResets = append(x.pendingResets, r)
-	mRegionResets.Inc()
-}
-
-// TakeRegionResets drains the Regions terminated since the last call (or
-// since the clone), in the order they were terminated. The commit path hands
-// them to the workload analytics layer so stale per-region statistics are
-// retired rather than silently misattributed.
-func (x *Index) TakeRegionResets() []uint64 {
-	out := x.pendingResets
-	x.pendingResets = nil
-	return out
-}
-
-// RegionOf returns the stable region identity of the subdomain holding query
-// j, or 0 when the query is not currently grouped.
-func (x *Index) RegionOf(j int) uint64 {
-	if s := x.SubdomainOf(j); s != nil {
-		return s.Region
-	}
-	return 0
 }
 
 func pairKey(a, b int) [2]int {
@@ -666,13 +546,6 @@ func (x *Index) CloneCtx(ctx context.Context, w *topk.Workload) *Index {
 		boundaryIndex:          make(map[[2]int][]int, len(x.boundaryIndex)),
 		intersectionsProcessed: x.intersectionsProcessed,
 		epoch:                  x.epoch,
-		// Region identities transfer verbatim: the clone is the same logical
-		// grouping, so externally keyed per-region state stays valid. Clones
-		// are only taken between mutations, so no repartition cycle
-		// (priorRegion et al.) can be in flight; undelivered resets transfer
-		// so they are not lost if the pre-clone index is discarded unread.
-		nextRegion:    x.nextRegion,
-		pendingResets: append([]uint64(nil), x.pendingResets...),
 		// pending stays nil: the clone's caches (keyed by the clone's
 		// identity) do not exist yet, so its dirty window starts empty —
 		// TakeDirty after mutating the clone describes exactly the delta
@@ -683,7 +556,6 @@ func (x *Index) CloneCtx(ctx context.Context, w *topk.Workload) *Index {
 			ID:         s.ID,
 			Boundaries: append([]Boundary(nil), s.Boundaries...),
 			Queries:    append([]int(nil), s.Queries...),
-			Region:     s.Region,
 			rep:        s.rep,
 		}
 	}

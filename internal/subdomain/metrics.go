@@ -24,8 +24,6 @@ var (
 	mDirtySetSize = obs.Default.Histogram("iq_dirty_set_size",
 		"Dirty queries per published mutation (TakeDirty): how much cached state each write invalidates.",
 		[]float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
-	mRegionResets = obs.Default.Counter("iq_region_reset_total",
-		"Region lineages terminated by repartition or deletion; per-region analytics for these IDs were reset, never reattached.")
 	mSubdomains = obs.Default.Gauge("iq_index_subdomains",
 		"Subdomains in the most recently built or mutated index.")
 	mCandidates = obs.Default.Gauge("iq_index_candidates",

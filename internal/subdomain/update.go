@@ -123,9 +123,6 @@ func (x *Index) RemoveQueryCtx(ctx context.Context, j int) error {
 		if len(s.Queries) == 0 {
 			delete(x.subs, subID)
 			x.dropBoundaryLinks(s)
-			// The lineage ends with its last query; no repartition cycle will
-			// see it, so the reset is recorded here.
-			x.resetRegion(s.Region)
 		} else if s.rep == j {
 			s.rep = s.Queries[0]
 		}
@@ -289,7 +286,6 @@ func (x *Index) UpdateObjectCtx(ctx context.Context, id int, attrs vec.Vector) e
 			if !ok {
 				continue
 			}
-			x.notePriorRegion(s)
 			queries = append(queries, s.Queries...)
 			delete(x.subs, subID)
 			x.dropBoundaryLinks(s)
@@ -406,7 +402,6 @@ func (x *Index) RemoveObjectCtx(ctx context.Context, id int) error {
 		if !ok {
 			continue
 		}
-		x.notePriorRegion(s)
 		queries = append(queries, s.Queries...)
 		delete(x.subs, subID)
 		x.dropBoundaryLinks(s)
@@ -465,7 +460,6 @@ func (x *Index) repartition(ctx context.Context, queries []int, pairs [][2]int) 
 		return
 	}
 	x.partitionOrphans(ctx, pairs, len(queries))
-	x.finishRegionCycle()
 }
 
 // dissolve removes the given queries' subdomains (and their siblings — the
@@ -477,7 +471,6 @@ func (x *Index) dissolve(queries []int) {
 			continue
 		}
 		if s, ok := x.subs[subID]; ok {
-			x.notePriorRegion(s)
 			delete(x.subs, subID)
 			x.dropBoundaryLinks(s)
 			for _, sib := range s.Queries {
@@ -547,12 +540,10 @@ func (x *Index) EndBatchCtx(ctx context.Context) {
 	x.batchPairs = nil
 	x.batchPairSeen = nil
 	if !deferred {
-		x.finishRegionCycle()
 		return
 	}
 	mBatchedRepartitions.Inc()
 	x.partitionOrphans(ctx, pairs, 0)
-	x.finishRegionCycle()
 	x.publishShape()
 }
 

@@ -37,13 +37,11 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"iq/internal/core"
 	"iq/internal/obs"
-	"iq/internal/obs/workload"
 	"iq/internal/subdomain"
 	"iq/internal/topk"
 	"iq/internal/vec"
@@ -221,17 +219,12 @@ func newSystem(w *topk.Workload, idx *subdomain.Index, opts IndexOptions) *Syste
 	return s
 }
 
-// mutate runs fn against a private clone of the current epoch under the
+// mutateCtx runs fn against a private clone of the current epoch under the
 // writer lock and publishes the clone when fn succeeds. On error the clone
 // is discarded and the visible state is unchanged — failed writes are
 // all-or-nothing. muts is the logical description of the write, handed to
-// the durability sink (if attached) before publication.
-func (s *System) mutate(muts []Mutation, fn func(st *state) error) error {
-	return s.mutateCtx(context.Background(), muts, fn)
-}
-
-// mutateCtx is mutate under a context so write operations record their
-// clone/update spans into the caller's trace.
+// the durability sink (if attached) before publication; ctx carries the
+// caller's trace, so the clone and update work records spans into it.
 //
 // After fn succeeds, the clone's accumulated dirty set is taken and the
 // cross-solve caches are migrated from the superseded snapshot to the clone
@@ -265,57 +258,23 @@ func (s *System) mutateCtx(ctx context.Context, muts []Mutation, fn func(st *sta
 			return err
 		}
 	}
-	ds := next.idx.TakeDirty()
-	core.MigrateSolveCaches(old.idx, next.idx, ds)
-	// Region lifecycle bookkeeping for the analytics layer: lineages the
-	// mutation terminated are retired (their accumulated stats must never be
-	// read as a live region's), then the commit's dirty-set churn is
-	// attributed to the surviving regions. Both piggyback on the same drained
-	// dirty set the cache migration used.
-	if resets := next.idx.TakeRegionResets(); len(resets) > 0 {
-		workload.Default.RetireRegions(resets)
-	}
-	recordCommitChurn(next.idx, ds)
+	core.MigrateSolveCaches(old.idx, next.idx, next.idx.TakeDirty())
 	s.cur.Store(next)
 	return nil
 }
 
-// recordCommitChurn attributes one commit's dirty queries to their regions.
-// A dirty set in "everything changed" mode has no meaningful per-region
-// split and is folded into the aggregator's overflow slot.
-func recordCommitChurn(idx *subdomain.Index, ds *subdomain.DirtySet) {
-	if ds == nil || ds.Empty() {
-		return
-	}
-	if ds.All() {
-		workload.Default.RecordCommitAll(int64(idx.Workload().NumQueries()))
-		return
-	}
-	churn := map[uint64]*workload.ChurnSample{}
-	ds.ForEachQuery(func(j, _ int) {
-		sd := idx.SubdomainOf(j)
-		if sd == nil {
-			return
-		}
-		c := churn[sd.Region]
-		if c == nil {
-			c = &workload.ChurnSample{
-				Region: sd.Region,
-				Pos:    idx.Workload().Query(sd.Representative()).Point[0],
-			}
-			churn[sd.Region] = c
-		}
-		c.Dirty++
+// apply publishes one mutation as its own epoch. It returns the id
+// applyMutation assigned and the published state.
+func (s *System) apply(ctx context.Context, m Mutation) (int, *state, error) {
+	var id int
+	var published *state
+	err := s.mutateCtx(ctx, []Mutation{m}, func(st *state) error {
+		var err error
+		id, err = applyMutation(ctx, st, m)
+		published = st
+		return err
 	})
-	if len(churn) == 0 {
-		return
-	}
-	samples := make([]workload.ChurnSample, 0, len(churn))
-	for _, c := range churn {
-		samples = append(samples, *c)
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i].Region < samples[j].Region })
-	workload.Default.RecordCommit(samples)
+	return id, published, err
 }
 
 // Epoch returns the number of committed writes. Two reads returning the
@@ -345,10 +304,6 @@ func NewWithOptionsCtx(ctx context.Context, space Space, objects []Vector, queri
 		return nil, err
 	}
 	return newSystem(w, idx, opts), nil
-}
-
-func buildIndex(w *topk.Workload, opts IndexOptions) (*subdomain.Index, error) {
-	return subdomain.Build(w, opts)
 }
 
 // NewLinear builds a System for linear utility functions: query points are
@@ -596,13 +551,8 @@ func (s *System) Commit(target int, strategy Vector) error {
 // CommitCtx is Commit under a context; the index clone and repartition work
 // record spans when the context carries a trace.
 func (s *System) CommitCtx(ctx context.Context, target int, strategy Vector) error {
-	muts := []Mutation{{Commit: &CommitMutation{Target: target, Strategy: strategy}}}
-	return s.mutateCtx(ctx, muts, func(st *state) error {
-		if err := checkStrategy(st.w, target, strategy); err != nil {
-			return err
-		}
-		return st.idx.UpdateObjectCtx(ctx, target, vec.Add(st.w.Attrs(target), strategy))
-	})
+	_, _, err := s.apply(ctx, Mutation{Commit: &CommitMutation{Target: target, Strategy: strategy}})
+	return err
 }
 
 // CommitAndCount applies a strategy and returns the target's hit count in
@@ -615,15 +565,7 @@ func (s *System) CommitAndCount(target int, strategy Vector) (int, error) {
 // match CommitCtx. The count runs on the epoch the commit published, after
 // the commit migrated the target's hit table onto it.
 func (s *System) CommitAndCountCtx(ctx context.Context, target int, strategy Vector) (int, error) {
-	var published *state
-	muts := []Mutation{{Commit: &CommitMutation{Target: target, Strategy: strategy}}}
-	err := s.mutateCtx(ctx, muts, func(st *state) error {
-		if err := checkStrategy(st.w, target, strategy); err != nil {
-			return err
-		}
-		published = st
-		return st.idx.UpdateObjectCtx(ctx, target, vec.Add(st.w.Attrs(target), strategy))
-	})
+	_, published, err := s.apply(ctx, Mutation{Commit: &CommitMutation{Target: target, Strategy: strategy}})
 	if err != nil {
 		return 0, err
 	}
@@ -640,13 +582,7 @@ func (s *System) AddObject(attrs Vector) (int, error) {
 // AddObjectCtx is AddObject under a context; tracing semantics match
 // CommitCtx.
 func (s *System) AddObjectCtx(ctx context.Context, attrs Vector) (int, error) {
-	id := 0
-	muts := []Mutation{{AddObject: &AddObjectMutation{Attrs: attrs}}}
-	err := s.mutateCtx(ctx, muts, func(st *state) error {
-		var err error
-		id, err = st.idx.AddObjectCtx(ctx, attrs)
-		return err
-	})
+	id, _, err := s.apply(ctx, Mutation{AddObject: &AddObjectMutation{Attrs: attrs}})
 	return id, err
 }
 
@@ -658,8 +594,8 @@ func (s *System) RemoveObject(id int) error {
 // RemoveObjectCtx is RemoveObject under a context; tracing semantics match
 // CommitCtx.
 func (s *System) RemoveObjectCtx(ctx context.Context, id int) error {
-	muts := []Mutation{{RemoveObject: &RemoveObjectMutation{ID: id}}}
-	return s.mutateCtx(ctx, muts, func(st *state) error { return st.idx.RemoveObjectCtx(ctx, id) })
+	_, _, err := s.apply(ctx, Mutation{RemoveObject: &RemoveObjectMutation{ID: id}})
+	return err
 }
 
 // AddQuery inserts a new top-k query and returns its index.
@@ -670,13 +606,7 @@ func (s *System) AddQuery(q Query) (int, error) {
 // AddQueryCtx is AddQuery under a context; tracing semantics match
 // CommitCtx.
 func (s *System) AddQueryCtx(ctx context.Context, q Query) (int, error) {
-	j := 0
-	muts := []Mutation{{AddQuery: &AddQueryMutation{Query: q}}}
-	err := s.mutateCtx(ctx, muts, func(st *state) error {
-		var err error
-		j, err = st.idx.AddQueryCtx(ctx, q)
-		return err
-	})
+	j, _, err := s.apply(ctx, Mutation{AddQuery: &AddQueryMutation{Query: q}})
 	return j, err
 }
 
@@ -688,8 +618,8 @@ func (s *System) RemoveQuery(j int) error {
 // RemoveQueryCtx is RemoveQuery under a context; tracing semantics match
 // CommitCtx.
 func (s *System) RemoveQueryCtx(ctx context.Context, j int) error {
-	muts := []Mutation{{RemoveQuery: &RemoveQueryMutation{Index: j}}}
-	return s.mutateCtx(ctx, muts, func(st *state) error { return st.idx.RemoveQueryCtx(ctx, j) })
+	_, _, err := s.apply(ctx, Mutation{RemoveQuery: &RemoveQueryMutation{Index: j}})
+	return err
 }
 
 // Mutation is one write operation of a batch; exactly one field must be
@@ -775,7 +705,7 @@ func (s *System) ApplyBatchCtx(ctx context.Context, muts []Mutation) ([]Mutation
 	return results, nil
 }
 
-// applyMutation dispatches one batch operation against the private clone.
+// applyMutation dispatches one mutation against the private clone.
 func applyMutation(ctx context.Context, st *state, m Mutation) (int, error) {
 	if n := countMutationOps(m); n != 1 {
 		return -1, fmt.Errorf("exactly one operation must be set, got %d", n)

@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"iq/internal/fsatomic"
+	"iq/internal/subdomain"
 	"iq/internal/topk"
 	"iq/internal/vec"
 )
@@ -310,7 +311,7 @@ func buildFromSnapshot(snap snapshot) (*System, error) {
 			w.RemoveObject(i)
 		}
 	}
-	idx, err := buildIndex(w, snap.Options)
+	idx, err := subdomain.Build(w, snap.Options)
 	if err != nil {
 		return nil, err
 	}
