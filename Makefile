@@ -1,18 +1,23 @@
 GO ?= go
 
-.PHONY: check build vet test short race stress bench metricscheck tracecheck crashcheck healthcheck perfbench
+.PHONY: check build fmt vet test short race stress bench metricscheck tracecheck crashcheck healthcheck perfbench
 
-# check is the CI entry point: build everything, vet, run the suite under
-# the race detector (-short: the stress tests are excluded there) and once
-# more without it (the allocation pins are //go:build !race), then re-run
-# the concurrency stress tests twice to shake out scheduling-dependent
-# interleavings, and finally drive live servers through the script gates.
+# check is the CI entry point: build everything, check formatting, vet, run
+# the suite under the race detector (-short: the stress tests are excluded
+# there) and once more without it (the allocation pins are //go:build
+# !race), then re-run the concurrency stress tests twice to shake out
+# scheduling-dependent interleavings, and finally drive live servers through
+# the script gates.
 # Every test run carries an explicit -timeout so a hung solve fails fast
 # with a goroutine dump instead of stalling CI at the per-package default.
-check: build vet race short stress metricscheck tracecheck crashcheck healthcheck perfbench
+check: build fmt vet race short stress metricscheck tracecheck crashcheck healthcheck perfbench
 
 build:
 	$(GO) build ./...
+
+# fmt fails when gofmt would rewrite any file.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

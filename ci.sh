@@ -8,6 +8,8 @@
 # skipped there and run separately, twice, with its own budget.
 set -eux
 go build ./...
+# Formatting gate: gofmt must have nothing to rewrite.
+test -z "$(gofmt -l .)"
 go vet ./...
 go test -race -short -timeout 5m ./...
 # Non-race pass: the race detector instruments allocations, so the

@@ -58,7 +58,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"iq_threshold_cache_misses_total",
 		"iq_index_builds_total",
 		"iq_index_build_seconds_count",
-		"iq_index_subdomains",
+		"iq_index_candidates",
 	} {
 		if _, ok := vals[want]; !ok {
 			t.Errorf("series %s missing from /metrics", want)

@@ -725,13 +725,11 @@ func (s *server) withSystemExclusive(w http.ResponseWriter, fn func(*iq.System))
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.withSystem(w, func(sys *iq.System) {
-		st := sys.IndexStats()
+		// Not IndexStats: it runs Algorithm 1 once per epoch.
 		payload := map[string]any{
 			"objects":        sys.NumObjects(),
-			"queries":        st.Queries,
-			"subdomains":     st.Subdomains,
-			"candidates":     st.Candidates,
-			"size_bytes":     st.SizeBytes,
+			"queries":        sys.NumQueries(),
+			"candidates":     len(sys.Index().Candidates()),
 			"epoch":          int(sys.Epoch()),
 			"uptime_seconds": time.Since(s.start).Seconds(),
 			"version":        iq.Version,
@@ -954,10 +952,10 @@ func (s *server) handleCommit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCommitBatch applies several mutations as one atomic epoch via
-// iq.(*System).ApplyBatch: one clone, one repartition, one merged dirty set,
-// one publish. Malformed items are a 400 before anything is applied; an
-// error from any mutation rolls the whole batch back (ApplyBatch is
-// all-or-nothing), so the response either carries every result or none.
+// iq.(*System).ApplyBatch: one clone, one merged dirty set, one publish.
+// Malformed items are a 400 before anything is applied; an error from any
+// mutation rolls the whole batch back (ApplyBatch is all-or-nothing), so
+// the response either carries every result or none.
 func (s *server) handleCommitBatch(w http.ResponseWriter, r *http.Request) {
 	var req commitBatchRequest
 	if !s.decode(w, r, &req) {

@@ -68,9 +68,7 @@ func loadDataset(t *testing.T, ts *httptest.Server, n, m int) {
 type statsWire struct {
 	Objects    int `json:"objects"`
 	Queries    int `json:"queries"`
-	Subdomains int `json:"subdomains"`
 	Candidates int `json:"candidates"`
-	SizeBytes  int `json:"size_bytes"`
 	Epoch      int `json:"epoch"`
 }
 
@@ -86,7 +84,7 @@ func TestLoadAndStats(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Objects != 100 || stats.Queries != 40 || stats.Subdomains == 0 {
+	if stats.Objects != 100 || stats.Queries != 40 || stats.Candidates == 0 {
 		t.Errorf("stats %+v", stats)
 	}
 }

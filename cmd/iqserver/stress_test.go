@@ -130,7 +130,7 @@ func TestStressServerCommitTopK(t *testing.T) {
 	if want := writers * writesPerG; st.Epoch != want {
 		t.Errorf("final epoch %d, want %d", st.Epoch, want)
 	}
-	if st.Subdomains == 0 || st.Queries == 0 {
+	if st.Candidates == 0 || st.Queries == 0 {
 		t.Errorf("degenerate stats after stress: %+v", st)
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -39,6 +40,7 @@ func AblationFanout(cfg Config, progress io.Writer) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
+		idx.Partition(context.Background())
 		buildPanel.addPoint("Efficient-IQ", float64(fanout), time.Since(start).Seconds())
 
 		var total time.Duration
@@ -84,9 +86,10 @@ func AblationIntersectionCap(cfg Config, progress io.Writer) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
+		subs := idx.NumSubdomains()
 		x := float64(cap)
 		timePanel.addPoint("Efficient-IQ", x, time.Since(start).Seconds())
-		subPanel.addPoint("Efficient-IQ", x, float64(idx.NumSubdomains()))
+		subPanel.addPoint("Efficient-IQ", x, float64(subs))
 		if progress != nil {
 			fmt.Fprintf(progress, "ablation-cap: %d done\n", cap)
 		}
@@ -118,6 +121,8 @@ func EvaluatorCost(cfg Config, progress io.Writer) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The partition is index build work, not evaluator setup.
+		idx.Partition(context.Background())
 		target := rng.Intn(n)
 
 		// Pre-draw the probe strategies so every evaluator sees the same
@@ -210,6 +215,7 @@ func AblationSkybandSlack(cfg Config, progress io.Writer) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
+		idx.Partition(context.Background())
 		candPanel.addPoint("Efficient-IQ", float64(slack), float64(len(idx.Candidates())))
 		timePanel.addPoint("Efficient-IQ", float64(slack), time.Since(start).Seconds())
 		if progress != nil {

@@ -123,7 +123,8 @@ func New(idx *subdomain.Index, target int) (*Evaluator, error) {
 
 // NewCtx is New with tracing: when ctx carries a trace, construction records
 // an "ese/build" span and later epoch-forced rebuilds record "ese/rebuild"
-// spans against the same trace.
+// spans against the same trace, each with the index's "index/partition"
+// span inside when the evaluator is the partition's first reader.
 func NewCtx(ctx context.Context, idx *subdomain.Index, target int) (*Evaluator, error) {
 	w := idx.Workload()
 	if target < 0 || target >= w.NumObjects() {
@@ -133,8 +134,9 @@ func NewCtx(ctx context.Context, idx *subdomain.Index, target int) (*Evaluator, 
 		return nil, fmt.Errorf("ese: target %d is removed", target)
 	}
 	e := &Evaluator{idx: idx, w: w, target: target, ctx: ctx}
-	_, sp := obs.StartSpan(ctx, "ese/build")
+	spCtx, sp := obs.StartSpan(ctx, "ese/build")
 	sp.SetAttr("target", target)
+	idx.Partition(spCtx)
 	e.rebuild()
 	sp.End()
 	mEvaluatorsBuilt.Inc()
@@ -208,7 +210,8 @@ func (e *Evaluator) rebuild() {
 func (e *Evaluator) ensureFresh() {
 	if e.idx.Epoch() != e.epoch {
 		mRebuilds.Inc()
-		_, sp := obs.StartSpan(e.ctx, "ese/rebuild")
+		spCtx, sp := obs.StartSpan(e.ctx, "ese/rebuild")
+		e.idx.Partition(spCtx)
 		e.rebuild()
 		sp.End()
 	}

@@ -12,8 +12,7 @@ import (
 // dimension at a time so each leaf covers a compact tile. Compared to
 // one-by-one insertion the build is faster and the resulting tree has less
 // node overlap, which tightens the slab searches the improvement-query
-// evaluator issues. The returned tree supports the full dynamic API
-// (Insert/Delete) afterwards.
+// evaluator issues. The returned tree accepts Insert afterwards.
 func BulkLoad(points []vec.Vector, keys []int, maxEntries int) *Tree {
 	if len(points) != len(keys) {
 		panic("rtree: BulkLoad points/keys length mismatch")

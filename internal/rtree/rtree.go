@@ -2,13 +2,10 @@
 // reference [10]) over d-dimensional points. The improvement-query index uses
 // it to store top-k query points in the function-domain (weight) space and to
 // retrieve the queries falling inside an improvement strategy's affected
-// subspace via range and slab searches. k-nearest-neighbour search supports
-// the data-update heuristic of Section 4.3 (candidate subdomains for a newly
-// inserted query point).
+// subspace via range and slab searches.
 package rtree
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -68,23 +65,6 @@ func (r Rect) EnlargementTo(o Rect) float64 {
 	return r.Enlarged(o).Area() - r.Area()
 }
 
-// MinDistSq returns the squared minimum distance from point p to the
-// rectangle (0 if inside). Used for best-first kNN search.
-func (r Rect) MinDistSq(p vec.Vector) float64 {
-	d := 0.0
-	for i := range p {
-		switch {
-		case p[i] < r.Lo[i]:
-			diff := r.Lo[i] - p[i]
-			d += diff * diff
-		case p[i] > r.Hi[i]:
-			diff := p[i] - r.Hi[i]
-			d += diff * diff
-		}
-	}
-	return d
-}
-
 // Entry is a stored point with an opaque integer key (typically a query
 // index). Duplicate points with distinct keys are allowed.
 type Entry struct {
@@ -133,30 +113,6 @@ func New(dim, maxEntries int) *Tree {
 
 // Dim returns the tree's dimensionality.
 func (t *Tree) Dim() int { return t.dim }
-
-// Clone returns an independent copy of the tree for copy-on-write updates.
-// Node structures and entry slices are duplicated so inserts and deletes on
-// either tree never affect the other; the stored point vectors and rect
-// bounds are shared because the tree never writes into them in place (rects
-// are replaced wholesale when recomputed).
-func (t *Tree) Clone() *Tree {
-	c := &Tree{dim: t.dim, size: t.size, maxEntries: t.maxEntries, minEntries: t.minEntries}
-	c.root = cloneNode(t.root, nil)
-	return c
-}
-
-func cloneNode(n *node, parent *node) *node {
-	c := &node{leaf: n.leaf, rect: n.rect, parent: parent}
-	if n.leaf {
-		c.entries = append([]Entry(nil), n.entries...)
-		return c
-	}
-	c.children = make([]*node, len(n.children))
-	for i, child := range n.children {
-		c.children[i] = cloneNode(child, c)
-	}
-	return c
-}
 
 // Len returns the number of stored entries.
 func (t *Tree) Len() int { return t.size }
@@ -372,91 +328,6 @@ func pickSeeds(items []splitItem) (int, int) {
 	return bestA, bestB
 }
 
-// Delete removes one entry matching the point and key exactly. It returns
-// false when no such entry exists. Underfull nodes are condensed by
-// reinsertion, per Guttman.
-func (t *Tree) Delete(p vec.Vector, key int) bool {
-	leaf := t.findLeaf(t.root, p, key)
-	if leaf == nil {
-		return false
-	}
-	for i, e := range leaf.entries {
-		if e.Key == key && vec.Equal(e.Point, p) {
-			leaf.entries = append(leaf.entries[:i], leaf.entries[i+1:]...)
-			t.size--
-			t.condense(leaf)
-			return true
-		}
-	}
-	return false
-}
-
-func (t *Tree) findLeaf(n *node, p vec.Vector, key int) *node {
-	if n.leaf {
-		for _, e := range n.entries {
-			if e.Key == key && vec.Equal(e.Point, p) {
-				return n
-			}
-		}
-		return nil
-	}
-	for _, c := range n.children {
-		if c.rect.Contains(p) {
-			if found := t.findLeaf(c, p, key); found != nil {
-				return found
-			}
-		}
-	}
-	return nil
-}
-
-// condense removes underfull nodes along the path to the root, collecting
-// orphaned entries for reinsertion.
-func (t *Tree) condense(n *node) {
-	var orphans []Entry
-	for n.parent != nil {
-		parent := n.parent
-		underfull := (n.leaf && len(n.entries) < t.minEntries) ||
-			(!n.leaf && len(n.children) < t.minEntries)
-		if underfull {
-			// Detach n, collect its entries.
-			for i, c := range parent.children {
-				if c == n {
-					parent.children = append(parent.children[:i], parent.children[i+1:]...)
-					break
-				}
-			}
-			collectEntries(n, &orphans)
-		} else {
-			n.rect = t.computeRect(n)
-		}
-		n = parent
-	}
-	t.root.rect = t.computeRect(t.root)
-	// Shrink a root with a single internal child.
-	for !t.root.leaf && len(t.root.children) == 1 {
-		t.root = t.root.children[0]
-		t.root.parent = nil
-	}
-	if !t.root.leaf && len(t.root.children) == 0 {
-		t.root = &node{leaf: true, rect: emptyRect(t.dim)}
-	}
-	t.size -= len(orphans)
-	for _, e := range orphans {
-		t.Insert(e.Point, e.Key)
-	}
-}
-
-func collectEntries(n *node, out *[]Entry) {
-	if n.leaf {
-		*out = append(*out, n.entries...)
-		return
-	}
-	for _, c := range n.children {
-		collectEntries(c, out)
-	}
-}
-
 // Search appends to dst the entries whose points lie inside rect (inclusive)
 // and returns the extended slice.
 func (t *Tree) Search(rect Rect, dst []Entry) []Entry {
@@ -524,67 +395,6 @@ func (t *Tree) All(dst []Entry) []Entry {
 	}
 	walk(t.root)
 	return dst
-}
-
-// Neighbor is a kNN search result.
-type Neighbor struct {
-	Entry Entry
-	// DistSq is the squared Euclidean distance to the query point.
-	DistSq float64
-}
-
-// knnItem is a heap element: either a node (best-first expansion) or an entry.
-type knnItem struct {
-	distSq float64
-	node   *node
-	entry  *Entry
-}
-
-type knnHeap []knnItem
-
-func (h knnHeap) Len() int            { return len(h) }
-func (h knnHeap) Less(i, j int) bool  { return h[i].distSq < h[j].distSq }
-func (h knnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *knnHeap) Push(x interface{}) { *h = append(*h, x.(knnItem)) }
-func (h *knnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// NearestNeighbors returns the k entries closest to p in ascending distance
-// order, using best-first traversal. Fewer than k results are returned when
-// the tree is smaller than k.
-func (t *Tree) NearestNeighbors(p vec.Vector, k int) []Neighbor {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	h := &knnHeap{{distSq: t.root.rect.MinDistSq(p), node: t.root}}
-	var out []Neighbor
-	for h.Len() > 0 && len(out) < k {
-		it := heap.Pop(h).(knnItem)
-		switch {
-		case it.entry != nil:
-			out = append(out, Neighbor{Entry: *it.entry, DistSq: it.distSq})
-		case it.node.leaf:
-			for i := range it.node.entries {
-				e := &it.node.entries[i]
-				d := 0.0
-				for j := range p {
-					diff := p[j] - e.Point[j]
-					d += diff * diff
-				}
-				heap.Push(h, knnItem{distSq: d, entry: e})
-			}
-		default:
-			for _, c := range it.node.children {
-				heap.Push(h, knnItem{distSq: c.rect.MinDistSq(p), node: c})
-			}
-		}
-	}
-	return out
 }
 
 // Height returns the tree height (1 for a single leaf root). Exposed for

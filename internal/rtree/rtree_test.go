@@ -81,121 +81,6 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	tr := New(3, 6)
-	pts := make([]vec.Vector, 300)
-	for i := range pts {
-		pts[i] = randPoint(rng, 3)
-		tr.Insert(pts[i], i)
-	}
-	// Delete a random half.
-	perm := rng.Perm(300)
-	deleted := map[int]bool{}
-	for _, i := range perm[:150] {
-		if !tr.Delete(pts[i], i) {
-			t.Fatalf("Delete(%d) failed", i)
-		}
-		deleted[i] = true
-	}
-	if tr.Len() != 150 {
-		t.Fatalf("Len=%d want 150", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Deleted entries are gone, others intact.
-	all := tr.All(nil)
-	if len(all) != 150 {
-		t.Fatalf("All returned %d", len(all))
-	}
-	for _, e := range all {
-		if deleted[e.Key] {
-			t.Errorf("deleted key %d still present", e.Key)
-		}
-	}
-	// Delete of a non-existent entry returns false.
-	if tr.Delete(vec.Vector{-1, -1, -1}, 9999) {
-		t.Error("Delete of absent entry returned true")
-	}
-}
-
-func TestDeleteToEmptyAndReuse(t *testing.T) {
-	tr := New(2, 4)
-	for i := 0; i < 50; i++ {
-		tr.Insert(vec.Vector{float64(i), float64(i)}, i)
-	}
-	for i := 0; i < 50; i++ {
-		if !tr.Delete(vec.Vector{float64(i), float64(i)}, i) {
-			t.Fatalf("Delete(%d)", i)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len=%d", tr.Len())
-	}
-	// Tree must be reusable after emptying.
-	tr.Insert(vec.Vector{0.5, 0.5}, 7)
-	got := tr.Search(Rect{Lo: vec.Vector{0, 0}, Hi: vec.Vector{1, 1}}, nil)
-	if len(got) != 1 || got[0].Key != 7 {
-		t.Errorf("reuse after empty: %v", got)
-	}
-}
-
-func TestNearestNeighbors(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 10; trial++ {
-		n, d := 200, 3
-		tr := New(d, 8)
-		pts := make([]vec.Vector, n)
-		for i := range pts {
-			pts[i] = randPoint(rng, d)
-			tr.Insert(pts[i], i)
-		}
-		q := randPoint(rng, d)
-		k := 1 + rng.Intn(10)
-		got := tr.NearestNeighbors(q, k)
-		if len(got) != k {
-			t.Fatalf("kNN returned %d want %d", len(got), k)
-		}
-		// Compare against sorted linear scan.
-		type distKey struct {
-			d float64
-			k int
-		}
-		all := make([]distKey, n)
-		for i, p := range pts {
-			dd := vec.Dist2(q, p)
-			all[i] = distKey{dd * dd, i}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-		for i := 0; i < k; i++ {
-			if got[i].DistSq > all[i].d+1e-9 {
-				t.Fatalf("kNN result %d dist %v, optimal %v", i, got[i].DistSq, all[i].d)
-			}
-		}
-		// Ascending order.
-		for i := 1; i < k; i++ {
-			if got[i].DistSq < got[i-1].DistSq {
-				t.Fatal("kNN results not sorted")
-			}
-		}
-	}
-}
-
-func TestNearestNeighborsEdge(t *testing.T) {
-	tr := New(2, 4)
-	if got := tr.NearestNeighbors(vec.Vector{0, 0}, 5); got != nil {
-		t.Errorf("empty tree kNN: %v", got)
-	}
-	tr.Insert(vec.Vector{1, 1}, 1)
-	if got := tr.NearestNeighbors(vec.Vector{0, 0}, 5); len(got) != 1 {
-		t.Errorf("kNN on 1-entry tree: %v", got)
-	}
-	if got := tr.NearestNeighbors(vec.Vector{0, 0}, 0); got != nil {
-		t.Errorf("k=0: %v", got)
-	}
-}
-
 func TestSearchFuncSlab(t *testing.T) {
 	// A diagonal band x+y in [0.9, 1.1] over the unit square.
 	rng := rand.New(rand.NewSource(4))
@@ -242,11 +127,11 @@ func TestDuplicatePoints(t *testing.T) {
 	if len(got) != 20 {
 		t.Fatalf("duplicates: found %d want 20", len(got))
 	}
-	if !tr.Delete(p, 13) {
-		t.Fatal("delete one duplicate failed")
-	}
-	if tr.Len() != 19 {
+	if tr.Len() != 20 {
 		t.Fatalf("Len=%d", tr.Len())
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -301,11 +186,5 @@ func TestRectHelpers(t *testing.T) {
 	e := r.Enlarged(far)
 	if !vec.Equal(e.Lo, vec.Vector{0, 0}) || !vec.Equal(e.Hi, vec.Vector{6, 6}) {
 		t.Errorf("Enlarged=%v", e)
-	}
-	if d := far.MinDistSq(vec.Vector{5.5, 5.5}); d != 0 {
-		t.Errorf("MinDistSq inside=%v", d)
-	}
-	if d := far.MinDistSq(vec.Vector{4, 5}); d != 1 {
-		t.Errorf("MinDistSq=%v want 1", d)
 	}
 }

@@ -202,7 +202,7 @@ func (x *Index) markRankDirty(cands []int, objID int, coeff vec.Vector, override
 	}
 	w := x.w
 	for j := 0; j < w.NumQueries(); j++ {
-		if x.removedQ[j] {
+		if w.IsQueryRemoved(j) {
 			continue
 		}
 		q := w.Query(j)

@@ -29,7 +29,7 @@ func thresholdOracle(x *Index) map[[2]int][2]float64 {
 			}
 		}
 		for j := 0; j < w.NumQueries(); j++ {
-			if x.removedQ[j] {
+			if w.IsQueryRemoved(j) {
 				continue
 			}
 			q := w.Query(j)
@@ -224,106 +224,5 @@ func TestDirtySetMergeAndAttribution(t *testing.T) {
 	a.markAll()
 	if !a.All() || !a.QueryDirtyFor(99, 99) {
 		t.Fatal("markAll must degrade to whole-epoch invalidation")
-	}
-}
-
-// TestBatchEquivalence applies the same mutation sequence once operation by
-// operation and once under BeginBatch/EndBatch, and requires both indices to
-// satisfy the grouping invariant, agree on candidates, live queries, and the
-// merged dirty set to be at least as dirty as the union of the per-op sets.
-func TestBatchEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		base := buildRandom(t, rng, 50, 35, 3, 3, Options{})
-		seq := base.Clone(base.Workload().Clone())
-		bat := base.Clone(base.Workload().Clone())
-
-		type op struct {
-			kind  int
-			id    int
-			attrs vec.Vector
-			q     topk.Query
-		}
-		var ops []op
-		for i := 0; i < 8; i++ {
-			kind := rng.Intn(4)
-			o := op{kind: kind}
-			switch kind {
-			case 0:
-				o.id = rng.Intn(base.Workload().NumObjects())
-				o.attrs = randVec(rng, 3)
-			case 1:
-				o.attrs = randVec(rng, 3)
-			case 2:
-				o.q = topk.Query{ID: 5000 + i, K: 1 + rng.Intn(3), Point: randVec(rng, 3)}
-			case 3:
-				o.id = rng.Intn(base.Workload().NumQueries())
-			}
-			ops = append(ops, o)
-		}
-		apply := func(x *Index, o op) error {
-			switch o.kind {
-			case 0:
-				if x.Workload().IsRemoved(o.id) {
-					return nil
-				}
-				return x.UpdateObject(o.id, o.attrs)
-			case 1:
-				_, err := x.AddObject(o.attrs)
-				return err
-			case 2:
-				_, err := x.AddQuery(o.q)
-				return err
-			default:
-				if x.Workload().IsQueryRemoved(o.id) {
-					return nil
-				}
-				return x.RemoveQuery(o.id)
-			}
-		}
-		seqDirty := newDirtySet()
-		for _, o := range ops {
-			if err := apply(seq, o); err != nil {
-				t.Fatal(err)
-			}
-			seqDirty.merge(seq.TakeDirty())
-		}
-		bat.BeginBatch()
-		for _, o := range ops {
-			if err := apply(bat, o); err != nil {
-				t.Fatal(err)
-			}
-		}
-		bat.EndBatch()
-		batDirty := bat.TakeDirty()
-
-		if err := seq.CheckInvariant(); err != nil {
-			t.Fatalf("seed %d sequential: %v", seed, err)
-		}
-		if err := bat.CheckInvariant(); err != nil {
-			t.Fatalf("seed %d batched: %v", seed, err)
-		}
-		if len(seq.Candidates()) != len(bat.Candidates()) {
-			t.Fatalf("seed %d candidate sets diverged: %d vs %d", seed, len(seq.Candidates()), len(bat.Candidates()))
-		}
-		for _, c := range seq.Candidates() {
-			if !bat.IsCandidate(c) {
-				t.Fatalf("seed %d candidate %d missing from batched index", seed, c)
-			}
-		}
-		for j := 0; j < seq.Workload().NumQueries(); j++ {
-			if (seq.SubdomainOf(j) == nil) != (bat.SubdomainOf(j) == nil) {
-				t.Fatalf("seed %d query %d membership diverged", seed, j)
-			}
-		}
-		// The batched dirty set must cover the sequential union for shared
-		// state (object attribution may differ; query coverage must not).
-		if !seqDirty.All() && !batDirty.All() {
-			seqDirty.ForEachQuery(func(j, _ int) {
-				if !batDirty.QueryDirty(j) {
-					t.Fatalf("seed %d: query %d dirty sequentially but not in batch", seed, j)
-				}
-			})
-		}
 	}
 }

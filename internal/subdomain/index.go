@@ -2,10 +2,8 @@
 // Algorithm 1): the intersections of object functions partition the query
 // (weight) space into subdomains; all query points inside one subdomain
 // share the same ranking of the functions, so at most one query per
-// subdomain ever needs evaluating. Query points are grouped by subdomain,
-// indexed in an R-tree for affected-subspace (slab) retrieval, and subdomain
-// boundaries are tracked — with a Bloom filter in front, as Section 4.3
-// prescribes — to support object and query updates.
+// subdomain ever needs evaluating. Query points are grouped by subdomain and
+// indexed in an R-tree for affected-subspace (slab) retrieval.
 //
 // Partitioning intersections are restricted to the workload's k-skyband
 // candidates: only those objects can appear in any top-k result, so queries
@@ -13,6 +11,11 @@
 // (see DESIGN.md, "Arrangement scale"). A final signature-refinement pass
 // guarantees the grouping invariant even when the intersection budget is
 // capped.
+//
+// The index keeps the skyband current under every update (Section 4.3).
+// The partition — the query R-tree, the subdomains and the query→subdomain
+// map — is derived state: the first read after a build or a mutation runs
+// Algorithm 1 over the current state, and every mutation drops it.
 package subdomain
 
 import (
@@ -22,9 +25,9 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"iq/internal/bloom"
 	"iq/internal/geom"
 	"iq/internal/obs"
 	"iq/internal/rtree"
@@ -41,12 +44,9 @@ type Options struct {
 	Slack int
 	// MaxIntersections caps how many candidate-pair intersections
 	// Algorithm 1 processes (0 = all). The signature refinement keeps the
-	// grouping sound regardless; a cap trades boundary bookkeeping detail
-	// for indexing speed.
+	// grouping sound regardless; a cap trades grouping detail for indexing
+	// speed.
 	MaxIntersections int
-	// SkipRefinement disables the signature-refinement pass. Only safe
-	// when MaxIntersections is 0; exposed for the ablation benchmarks.
-	SkipRefinement bool
 }
 
 func (o Options) withDefaults() Options {
@@ -79,19 +79,8 @@ type Subdomain struct {
 type Index struct {
 	w          *topk.Workload
 	opts       Options
-	tree       *rtree.Tree
-	subs       map[int]*Subdomain
-	queryToSub []int        // query index -> subdomain ID (-1 when absent)
-	removedQ   map[int]bool // queries removed via RemoveQuery
-	nextSubID  int
 	candidates []int
 	candSet    map[int]bool
-	// boundaryFilter fronts boundaryIndex, as in Section 4.3.
-	boundaryFilter *bloom.Filter
-	boundaryIndex  map[[2]int][]int // object pair -> subdomain IDs it bounds
-	// intersectionsProcessed counts Algorithm 1 split steps, reported by
-	// the benchmark harness.
-	intersectionsProcessed int
 	// epoch increments on every mutating operation (object/query add,
 	// remove, update). Consumers that cache derived state — the ESE
 	// evaluator's per-subdomain ranks, the solvers' hit tables — tag their
@@ -106,19 +95,25 @@ type Index struct {
 	// TakeDirty; nil until the first mutation. Clones start with a fresh
 	// accumulator — their caches were exact at clone time.
 	pending *DirtySet
-	// Batch mode (BeginBatch/EndBatch): mutations dissolve affected
-	// subdomains eagerly — keeping the boundary tables and query mapping
-	// consistent for subsequent operations — but defer the expensive
-	// partitioning of the orphaned queries, coalescing N mutations into one
-	// partitionQueries run at EndBatch.
-	batching      bool
-	batchDeferred bool     // at least one repartition was deferred
-	batchAllPairs bool     // some deferred repartition wanted the full pair set
-	batchPairs    [][2]int // union of deferred pair restrictions
-	batchPairSeen map[[2]int]bool
+	// part is Algorithm 1's partition of the current state: nil until the
+	// first read (see partition) and again after every mutation. partMu
+	// makes concurrent first readers of a published snapshot build it once.
+	part   atomic.Pointer[partition]
+	partMu sync.Mutex
 }
 
-// Build constructs the index over the workload per Algorithm 1.
+// partition is Algorithm 1's output over one index state.
+type partition struct {
+	tree       *rtree.Tree // the live queries
+	subs       []*Subdomain
+	queryToSub []int // query index -> subdomain ID (-1 for removed queries)
+	// intersections counts Algorithm 1 split steps, reported by the
+	// benchmark harness.
+	intersections int
+}
+
+// Build constructs the index over the workload: the candidate skyband now,
+// Algorithm 1's partition on its first read.
 func Build(w *topk.Workload, opts Options) (*Index, error) {
 	return BuildCtx(context.Background(), w, opts)
 }
@@ -133,51 +128,97 @@ func BuildCtx(ctx context.Context, w *topk.Workload, opts Options) (*Index, erro
 	if w.Space().QueryDim() < 1 {
 		return nil, errors.New("subdomain: query space has dimension 0")
 	}
-	idx := &Index{
-		w:              w,
-		opts:           opts,
-		subs:           map[int]*Subdomain{},
-		queryToSub:     make([]int, w.NumQueries()),
-		removedQ:       map[int]bool{},
-		boundaryFilter: bloom.NewWithEstimates(4*w.NumQueries()+64, 0.01),
-		boundaryIndex:  map[[2]int][]int{},
-	}
-	if m := w.NumQueries(); m > 0 {
-		// STR bulk loading: faster than insertion and lower node overlap,
-		// which tightens the evaluator's slab searches.
-		points := make([]vec.Vector, m)
-		keys := make([]int, m)
-		for j := 0; j < m; j++ {
-			points[j] = w.Query(j).Point
-			keys[j] = j
-			idx.queryToSub[j] = -1
-		}
-		idx.tree = rtree.BulkLoad(points, keys, opts.TreeFanout)
-	} else {
-		idx.tree = rtree.New(w.Space().QueryDim(), opts.TreeFanout)
-	}
-	idx.candidates = w.Candidates(opts.Slack)
-	idx.candSet = make(map[int]bool, len(idx.candidates))
-	for _, c := range idx.candidates {
-		idx.candSet[c] = true
-	}
-	idx.partitionAll()
+	idx := &Index{w: w, opts: opts}
+	idx.setCandidates(w.Candidates(opts.Slack))
 	mBuilds.Inc()
 	mBuildSeconds.Observe(time.Since(start).Seconds())
-	idx.publishShape()
 	sp.SetAttr("queries", w.NumQueries())
-	sp.SetAttr("subdomains", len(idx.subs))
 	sp.SetAttr("candidates", len(idx.candidates))
 	return idx, nil
 }
 
-// partitionAll runs Algorithm 1 over all queries.
-func (x *Index) partitionAll() {
-	all := make([]int, x.w.NumQueries())
-	for j := range all {
-		all[j] = j
+// setCandidates installs a skyband and publishes its size.
+func (x *Index) setCandidates(cands []int) {
+	x.candidates = cands
+	x.candSet = make(map[int]bool, len(cands))
+	for _, c := range cands {
+		x.candSet[c] = true
 	}
-	x.partitionQueries(all, nil, false)
+	mCandidates.Set(int64(len(cands)))
+}
+
+// mutated records a mutation: it advances the epoch and drops the
+// partition, which the next read rebuilds from the new state.
+func (x *Index) mutated() {
+	x.epoch++
+	x.part.Store(nil)
+}
+
+// Partition builds Algorithm 1's partition of the current state, unless a
+// read since the last mutation already did, and records an
+// "index/partition" span when ctx carries a trace. Every partition reader —
+// SubdomainOf, Tree, NumSubdomains, IntersectionsProcessed, Stats and
+// CheckInvariant — builds it on first use; callers call Partition first to
+// place that build in their trace or outside a timer.
+func (x *Index) Partition(ctx context.Context) { x.partition(ctx) }
+
+// partition returns the current partition, building it on first use.
+func (x *Index) partition(ctx context.Context) *partition {
+	if p := x.part.Load(); p != nil {
+		return p
+	}
+	x.partMu.Lock()
+	defer x.partMu.Unlock()
+	if p := x.part.Load(); p != nil {
+		return p
+	}
+	_, sp := obs.StartSpan(ctx, "index/partition")
+	defer sp.End()
+	p := x.algorithm1(true)
+	sp.SetAttr("queries", p.tree.Len())
+	sp.SetAttr("subdomains", len(p.subs))
+	x.part.Store(p)
+	return p
+}
+
+// algorithm1 partitions the live queries per Algorithm 1. refine adds the
+// signature-refinement pass that guarantees the invariant "same subdomain ⇒
+// same candidate ranking" even under an intersection cap or numerically
+// degenerate planes; only tests turn it off, to check the unrefined
+// grouping.
+func (x *Index) algorithm1(refine bool) *partition {
+	w := x.w
+	p := &partition{queryToSub: make([]int, w.NumQueries())}
+	var live []int
+	var points []vec.Vector
+	for j := range p.queryToSub {
+		p.queryToSub[j] = -1
+		if !w.IsQueryRemoved(j) {
+			live = append(live, j)
+			points = append(points, w.Query(j).Point)
+		}
+	}
+	if len(live) == 0 {
+		p.tree = rtree.New(w.Space().QueryDim(), x.opts.TreeFanout)
+		return p
+	}
+	// STR bulk loading: faster than insertion and lower node overlap,
+	// which tightens the evaluator's slab searches.
+	p.tree = rtree.BulkLoad(points, live, x.opts.TreeFanout)
+
+	groups, splits := x.partitionQueries(live)
+	p.intersections = splits
+	if refine {
+		var refined []*group
+		for _, g := range groups {
+			refined = append(refined, x.refineBySignature(g)...)
+		}
+		groups = refined
+	}
+	for _, g := range groups {
+		p.register(g)
+	}
+	return p
 }
 
 // group is Algorithm 1's working unit: a set of queries plus the boundaries
@@ -204,26 +245,15 @@ func (x *Index) newGroup(queries []int, boundaries []Boundary) *group {
 	return g
 }
 
-// partitionQueries groups the given queries by candidate-pair intersections
-// (Algorithm 1) and registers the resulting subdomains. pairs restricts the
-// intersections considered (nil = all candidate pairs); updates pass only
-// the newly created intersections, as Section 4.3 describes, and set
-// forceRefine because a pair-restricted split alone cannot guarantee the
-// grouping invariant.
-func (x *Index) partitionQueries(queries []int, pairs [][2]int, forceRefine bool) {
-	if len(queries) == 0 {
-		return
-	}
+// partitionQueries groups the given (non-empty) queries by candidate-pair
+// intersections, Algorithm 1's lines 1-26, and counts the split steps.
+func (x *Index) partitionQueries(queries []int) (groups []*group, splits int) {
 	// Line 1-5 of Algorithm 1: a single subdomain holding every query.
-	groups := []*group{x.newGroup(queries, nil)}
-
-	if pairs == nil {
-		pairs = x.allCandidatePairs()
-	}
+	groups = []*group{x.newGroup(queries, nil)}
 	budget := x.opts.MaxIntersections
 	// Lines 6-26: split groups one intersection at a time.
-	for _, pair := range pairs {
-		if budget > 0 && x.intersectionsProcessed >= budget {
+	for _, pair := range x.allCandidatePairs(queries) {
+		if budget > 0 && splits >= budget {
 			break
 		}
 		multi := false
@@ -240,7 +270,7 @@ func (x *Index) partitionQueries(queries []int, pairs [][2]int, forceRefine bool
 		if plane.IsDegenerate(1e-12) {
 			continue
 		}
-		x.intersectionsProcessed++
+		splits++
 		var next []*group
 		for _, g := range groups {
 			if len(g.queries) <= 1 || !planeMaySplitBox(plane, g.lo, g.hi) {
@@ -267,21 +297,7 @@ func (x *Index) partitionQueries(queries []int, pairs [][2]int, forceRefine bool
 		}
 		groups = next
 	}
-
-	// Signature refinement: guarantee the invariant "same subdomain ⇒ same
-	// candidate ranking" even under an intersection cap or numerically
-	// degenerate planes.
-	if forceRefine || !x.opts.SkipRefinement {
-		var refined []*group
-		for _, g := range groups {
-			refined = append(refined, x.refineBySignature(g)...)
-		}
-		groups = refined
-	}
-
-	for _, g := range groups {
-		x.registerSubdomain(g)
-	}
+	return groups, splits
 }
 
 // planeMaySplitBox reports whether the hyperplane can separate points inside
@@ -350,21 +366,14 @@ func (x *Index) rankingSignature(q vec.Vector) uint64 {
 	return h.Sum64()
 }
 
-// registerSubdomain files a finished group as a subdomain.
-func (x *Index) registerSubdomain(g *group) {
-	if len(g.queries) == 0 {
-		return // line 19-24: empty subdomains are discarded
-	}
-	s := &Subdomain{ID: x.nextSubID, Boundaries: g.boundaries, Queries: g.queries, rep: g.queries[0]}
-	x.nextSubID++
-	x.subs[s.ID] = s
+// register files a finished group as the next subdomain. Groups are never
+// empty: Algorithm 1 only keeps a split whose sides both hold queries
+// (lines 19-24 discard empty subdomains).
+func (p *partition) register(g *group) {
+	s := &Subdomain{ID: len(p.subs), Boundaries: g.boundaries, Queries: g.queries, rep: g.queries[0]}
+	p.subs = append(p.subs, s)
 	for _, q := range g.queries {
-		x.queryToSub[q] = s.ID
-	}
-	for _, b := range g.boundaries {
-		key := pairKey(b.A, b.B)
-		x.boundaryFilter.AddPair(key[0], key[1])
-		x.boundaryIndex[key] = append(x.boundaryIndex[key], s.ID)
+		p.queryToSub[q] = s.ID
 	}
 }
 
@@ -386,34 +395,33 @@ func pairKey(a, b int) [2]int {
 //   - Otherwise a box-straddle filter keeps a pair only when its hyperplane
 //     separates the corners of the query bounding box (exact for boxes,
 //     conservative for the point cloud inside).
-func (x *Index) allCandidatePairs() [][2]int {
-	if x.w.NumQueries() == 0 || len(x.candidates) < 2 {
+func (x *Index) allCandidatePairs(queries []int) [][2]int {
+	if len(x.candidates) < 2 {
 		return nil
 	}
-	lo := vec.Clone(x.w.Query(0).Point)
+	if a, b, ok := x.queryHullSegment(queries); ok {
+		return x.sweepPairs(a, b)
+	}
+	lo := vec.Clone(x.w.Query(queries[0]).Point)
 	hi := vec.Clone(lo)
-	for j := 1; j < x.w.NumQueries(); j++ {
+	for _, j := range queries[1:] {
 		p := x.w.Query(j).Point
 		lo = vec.Min(lo, p)
 		hi = vec.Max(hi, p)
 	}
-	if a, b, ok := x.queryHullSegment(); ok {
-		return x.sweepPairs(a, b)
-	}
 	return x.boxFilteredPairs(lo, hi)
 }
 
-// queryHullSegment reports whether every query point lies (within tolerance)
-// on one line segment — e.g. weight vectors normalised to sum 1 in two
+// queryHullSegment reports whether the given (non-empty) queries' points lie
+// (within tolerance) on one line segment — e.g. weight vectors normalised to sum 1 in two
 // dimensions — returning the segment's endpoints. The line direction comes
 // from the point farthest from an arbitrary anchor, not the bounding-box
 // diagonal (which points the wrong way for anti-correlated lines).
-func (x *Index) queryHullSegment() (a, b vec.Vector, ok bool) {
-	m := x.w.NumQueries()
-	anchor := x.w.Query(0).Point
+func (x *Index) queryHullSegment(queries []int) (a, b vec.Vector, ok bool) {
+	anchor := x.w.Query(queries[0]).Point
 	far := anchor
 	farDist := 0.0
-	for j := 1; j < m; j++ {
+	for _, j := range queries[1:] {
 		p := x.w.Query(j).Point
 		if d := vec.Dist2(anchor, p); d > farDist {
 			far, farDist = p, d
@@ -426,7 +434,7 @@ func (x *Index) queryHullSegment() (a, b vec.Vector, ok bool) {
 	vec.ScaleInPlace(dir, 1/farDist)
 	tol := 1e-9 * (1 + farDist)
 	tMin, tMax := 0.0, 0.0
-	for j := 0; j < m; j++ {
+	for _, j := range queries {
 		rel := vec.Sub(x.w.Query(j).Point, anchor)
 		t := vec.Dot(rel, dir)
 		perp := vec.Sub(rel, vec.Scale(dir, t))
@@ -515,12 +523,12 @@ func (x *Index) Epoch() uint64 { return x.epoch }
 
 // Clone returns an independent copy of the index bound to workload w, which
 // must be a Clone of the index's current workload (the two structures are
-// updated in lockstep, so they must be snapshotted together). All grouping
-// state — subdomains, boundary tables, the query R-tree, and the Bloom
-// filter — is deep-copied; mutating either index afterwards never affects
-// the other. This is the write-path primitive for epoch-based snapshots:
-// writers clone, mutate the clone, and publish it, while in-flight readers
-// keep their immutable epoch.
+// updated in lockstep, so they must be snapshotted together). The copy
+// holds its own candidate skyband and no partition: it builds one on its
+// first read. Mutating either index afterwards never affects the other.
+// This is the write-path primitive for epoch-based snapshots: writers
+// clone, mutate the clone, and publish it, while in-flight readers keep
+// their immutable epoch.
 func (x *Index) Clone(w *topk.Workload) *Index {
 	return x.CloneCtx(context.Background(), w)
 }
@@ -533,40 +541,18 @@ func (x *Index) CloneCtx(ctx context.Context, w *topk.Workload) *Index {
 	_, sp := obs.StartSpan(ctx, "index/clone")
 	defer sp.End()
 	c := &Index{
-		w:                      w,
-		opts:                   x.opts,
-		tree:                   x.tree.Clone(),
-		subs:                   make(map[int]*Subdomain, len(x.subs)),
-		queryToSub:             append([]int(nil), x.queryToSub...),
-		removedQ:               make(map[int]bool, len(x.removedQ)),
-		nextSubID:              x.nextSubID,
-		candidates:             append([]int(nil), x.candidates...),
-		candSet:                make(map[int]bool, len(x.candSet)),
-		boundaryFilter:         x.boundaryFilter.Clone(),
-		boundaryIndex:          make(map[[2]int][]int, len(x.boundaryIndex)),
-		intersectionsProcessed: x.intersectionsProcessed,
-		epoch:                  x.epoch,
+		w:          w,
+		opts:       x.opts,
+		candidates: append([]int(nil), x.candidates...),
+		candSet:    make(map[int]bool, len(x.candSet)),
+		epoch:      x.epoch,
 		// pending stays nil: the clone's caches (keyed by the clone's
 		// identity) do not exist yet, so its dirty window starts empty —
 		// TakeDirty after mutating the clone describes exactly the delta
 		// from the cloned state.
 	}
-	for id, s := range x.subs {
-		c.subs[id] = &Subdomain{
-			ID:         s.ID,
-			Boundaries: append([]Boundary(nil), s.Boundaries...),
-			Queries:    append([]int(nil), s.Queries...),
-			rep:        s.rep,
-		}
-	}
-	for j := range x.removedQ {
-		c.removedQ[j] = true
-	}
 	for id := range x.candSet {
 		c.candSet[id] = true
-	}
-	for key, subs := range x.boundaryIndex {
-		c.boundaryIndex[key] = append([]int(nil), subs...)
 	}
 	mClones.Inc()
 	mCloneSeconds.Observe(time.Since(start).Seconds())
@@ -580,25 +566,28 @@ func (x *Index) Candidates() []int { return x.candidates }
 func (x *Index) IsCandidate(id int) bool { return x.candSet[id] }
 
 // NumSubdomains returns the number of non-empty subdomains.
-func (x *Index) NumSubdomains() int { return len(x.subs) }
+func (x *Index) NumSubdomains() int { return len(x.partition(context.Background()).subs) }
 
 // SubdomainOf returns the subdomain containing query j, or nil when the
 // query is not in the index.
 func (x *Index) SubdomainOf(j int) *Subdomain {
-	if j < 0 || j >= len(x.queryToSub) || x.queryToSub[j] < 0 {
+	p := x.partition(context.Background())
+	if j < 0 || j >= len(p.queryToSub) || p.queryToSub[j] < 0 {
 		return nil
 	}
-	return x.subs[x.queryToSub[j]]
+	return p.subs[p.queryToSub[j]]
 }
 
 // Representative returns the representative query index of subdomain s.
 func (s *Subdomain) Representative() int { return s.rep }
 
 // Tree exposes the query R-tree for slab searches.
-func (x *Index) Tree() *rtree.Tree { return x.tree }
+func (x *Index) Tree() *rtree.Tree { return x.partition(context.Background()).tree }
 
 // IntersectionsProcessed reports how many Algorithm 1 splits ran.
-func (x *Index) IntersectionsProcessed() int { return x.intersectionsProcessed }
+func (x *Index) IntersectionsProcessed() int {
+	return x.partition(context.Background()).intersections
+}
 
 // Stats summarises index footprint for the benchmark harness.
 type Stats struct {
@@ -610,25 +599,22 @@ type Stats struct {
 	Intersections int
 }
 
-// Stats computes the index's footprint. SizeBytes covers the R-tree, the
-// subdomain tables, and the boundary structures.
+// Stats computes the index's footprint, partition included. SizeBytes
+// covers the R-tree and the subdomain tables.
 func (x *Index) Stats() Stats {
-	bytes := x.tree.SizeBytes()
-	for _, s := range x.subs {
+	p := x.partition(context.Background())
+	bytes := p.tree.SizeBytes()
+	for _, s := range p.subs {
 		bytes += 48 + 8*len(s.Queries) + 24*len(s.Boundaries)
 	}
-	bytes += 8 * len(x.queryToSub)
-	bytes += x.boundaryFilter.SizeBytes()
-	for _, subs := range x.boundaryIndex {
-		bytes += 16 + 8*len(subs)
-	}
+	bytes += 8 * len(p.queryToSub)
 	return Stats{
 		Queries:       x.w.NumQueries(),
-		Subdomains:    len(x.subs),
+		Subdomains:    len(p.subs),
 		Candidates:    len(x.candidates),
-		TreeNodes:     x.tree.NodeCount(),
+		TreeNodes:     p.tree.NodeCount(),
 		SizeBytes:     bytes,
-		Intersections: x.intersectionsProcessed,
+		Intersections: p.intersections,
 	}
 }
 
@@ -636,9 +622,12 @@ func (x *Index) Stats() Stats {
 // mapped to the same subdomain shares an identical candidate ranking.
 // Intended for tests; cost O(queries × candidates log candidates).
 func (x *Index) CheckInvariant() error {
+	return x.checkInvariant(x.partition(context.Background()))
+}
+
+func (x *Index) checkInvariant(p *partition) error {
 	repSig := map[int]uint64{}
-	for j := 0; j < x.w.NumQueries(); j++ {
-		subID := x.queryToSub[j]
+	for j, subID := range p.queryToSub {
 		if subID < 0 {
 			continue
 		}

@@ -2,8 +2,10 @@ package subdomain
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
+	"iq/internal/rtree"
 	"iq/internal/topk"
 	"iq/internal/vec"
 )
@@ -94,10 +96,10 @@ func TestCappedIntersectionsStillSound(t *testing.T) {
 	}
 }
 
-func TestSkipRefinementUncappedStillSound(t *testing.T) {
+func TestUnrefinedUncappedStillSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	idx := buildRandom(t, rng, 80, 60, 2, 3, Options{SkipRefinement: true})
-	if err := idx.CheckInvariant(); err != nil {
+	idx := buildRandom(t, rng, 80, 60, 2, 3, Options{})
+	if err := idx.checkInvariant(idx.algorithm1(false)); err != nil {
 		t.Errorf("uncapped Algorithm 1 should be exact: %v", err)
 	}
 }
@@ -291,5 +293,33 @@ func TestUpdatesMatchRebuild(t *testing.T) {
 		if err := idx.CheckInvariant(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+	}
+}
+
+// TestPartitionConcurrentFirstUse: readers racing to a snapshot's first
+// partition read all get the one partition it builds.
+func TestPartitionConcurrentFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	idx := buildRandom(t, rng, 80, 60, 3, 3, Options{})
+	trees := make([]*rtree.Tree, 8)
+	var wg sync.WaitGroup
+	for i := range trees {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if idx.SubdomainOf(i) == nil {
+				t.Errorf("query %d unmapped", i)
+			}
+			trees[i] = idx.Tree()
+		}(i)
+	}
+	wg.Wait()
+	for i, tr := range trees {
+		if tr != trees[0] {
+			t.Fatalf("reader %d saw a second partition", i)
+		}
+	}
+	if err := idx.CheckInvariant(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,30 +2,24 @@ package subdomain
 
 import "iq/internal/obs"
 
-// Index-side observability: build/clone latencies and structural gauges for
-// /metrics. Gauges report the most recently built or mutated index — under
-// the epoch-snapshot System that is the live epoch, which is the one worth
-// watching. Timings are recorded unconditionally; Build and Clone are cold
-// paths (one per workload load or write commit), so the time.Now pair is
-// noise next to the partitioning work itself.
+// Index-side observability: build/clone latencies and the skyband gauge for
+// /metrics. The gauge reports the most recently built or mutated index —
+// under the epoch-snapshot System that is the live epoch, which is the one
+// worth watching. Timings are recorded unconditionally; Build and Clone are
+// cold paths (one per workload load or write commit), so the time.Now pair
+// is noise next to the skyband computation itself.
 var (
 	mBuilds = obs.Default.Counter("iq_index_builds_total",
-		"Full index constructions (Algorithm 1 runs).")
+		"Index constructions (candidate skyband computations).")
 	mBuildSeconds = obs.Default.Histogram("iq_index_build_seconds",
-		"Wall time of full index constructions.", nil)
+		"Wall time of index constructions: the candidate skyband; Algorithm 1 runs on the partition's first read.", nil)
 	mClones = obs.Default.Counter("iq_index_clones_total",
 		"Copy-on-write index clones taken by the write path.")
 	mCloneSeconds = obs.Default.Histogram("iq_index_clone_seconds",
 		"Wall time of copy-on-write index clones.", nil)
-	mRepartitions = obs.Default.Counter("iq_index_repartitions_total",
-		"Partial repartitions triggered by updates.")
-	mBatchedRepartitions = obs.Default.Counter("iq_index_batched_repartitions_total",
-		"Deferred repartitions coalesced by BeginBatch/EndBatch (one per batch that needed any).")
 	mDirtySetSize = obs.Default.Histogram("iq_dirty_set_size",
 		"Dirty queries per published mutation (TakeDirty): how much cached state each write invalidates.",
 		[]float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
-	mSubdomains = obs.Default.Gauge("iq_index_subdomains",
-		"Subdomains in the most recently built or mutated index.")
 	mCandidates = obs.Default.Gauge("iq_index_candidates",
 		"Skyband candidates in the most recently built or mutated index.")
 )
@@ -44,9 +38,3 @@ var (
 	mUpdateObject = updatesCounter("update_object")
 	mRemoveObject = updatesCounter("remove_object")
 )
-
-// publishShape refreshes the structural gauges from one index's state.
-func (x *Index) publishShape() {
-	mSubdomains.Set(int64(len(x.subs)))
-	mCandidates.Set(int64(len(x.candidates)))
-}

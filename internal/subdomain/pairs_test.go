@@ -30,15 +30,19 @@ func TestSweepPathForNormalizedWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The sweep alone must produce a sound grouping (no refinement).
-	idx, err := Build(w, Options{SkipRefinement: true})
+	idx, err := Build(w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.CheckInvariant(); err != nil {
+	if err := idx.checkInvariant(idx.algorithm1(false)); err != nil {
 		t.Fatalf("sweep-based partition unsound: %v", err)
 	}
 	// The hull-segment detector must have fired.
-	if _, _, ok := idx.queryHullSegment(); !ok {
+	all := make([]int, m)
+	for j := range all {
+		all[j] = j
+	}
+	if _, _, ok := idx.queryHullSegment(all); !ok {
 		t.Error("normalised weights should form a 1-D hull")
 	}
 }
@@ -67,11 +71,11 @@ func TestBoxFilterPrunesButStaysSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Build(w, Options{SkipRefinement: true})
+	idx, err := Build(w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.CheckInvariant(); err != nil {
+	if err := idx.checkInvariant(idx.algorithm1(false)); err != nil {
 		t.Fatalf("box-filtered partition unsound: %v", err)
 	}
 	cands := len(idx.Candidates())

@@ -163,8 +163,8 @@ func TestCommitKeepsWarmPath(t *testing.T) {
 
 // TestApplyBatchMatchesSequential drives the same mutation list through
 // ApplyBatch on one System and one-at-a-time on another, then requires both
-// to agree on every solve — the batched path (shared clone, deferred
-// repartition, merged dirty set) must be observationally identical.
+// to agree on every solve — the batched path (shared clone, merged dirty
+// set) must be observationally identical.
 func TestApplyBatchMatchesSequential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(700 + seed))

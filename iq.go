@@ -106,8 +106,8 @@ type SolveStats = core.SolveStats
 // Trace is a bounded buffer of hierarchical spans recorded during one solve
 // (or any other traced operation). Attach one to a context with WithTrace
 // and pass that context into the Ctx solver variants; every engine stage —
-// greedy rounds, candidate probes, ESE builds and rebuilds, index
-// repartitions — records a span into it. Export the result with
+// greedy rounds, candidate probes, hit-table builds, index builds, clones
+// and updates — records a span into it. Export the result with
 // WriteTraceEvent (Perfetto / chrome://tracing) or WriteTree (human-readable).
 type Trace = obs.Trace
 
@@ -548,8 +548,8 @@ func (s *System) Commit(target int, strategy Vector) error {
 	return s.CommitCtx(context.Background(), target, strategy)
 }
 
-// CommitCtx is Commit under a context; the index clone and repartition work
-// record spans when the context carries a trace.
+// CommitCtx is Commit under a context; the index clone and update record
+// spans when the context carries a trace.
 func (s *System) CommitCtx(ctx context.Context, target int, strategy Vector) error {
 	_, _, err := s.apply(ctx, Mutation{Commit: &CommitMutation{Target: target, Strategy: strategy}})
 	return err
@@ -670,22 +670,19 @@ func (s *System) ApplyBatch(muts []Mutation) ([]MutationResult, error) {
 	return s.ApplyBatchCtx(context.Background(), muts)
 }
 
-// ApplyBatchCtx coalesces N mutations into a single copy-on-write commit:
-// one workload/index clone, one deferred repartition covering every affected
-// subdomain, one merged dirty set driving one cache migration, and one epoch
-// publish. For write-heavy traffic this replaces N clones and up to 2N
-// repartitions with one of each. The batch is all-or-nothing: if any
-// mutation fails — or the context is cancelled between mutations — the clone
-// and its accumulated dirty set are discarded together and the visible
-// System is unchanged, with the failing operation's error returned. Readers
-// never observe intermediate states. An empty batch publishes nothing.
+// ApplyBatchCtx applies N mutations to one workload/index clone and
+// publishes it as one epoch, with one merged dirty set driving one cache
+// migration. The batch is all-or-nothing: if any mutation fails — or the
+// context is cancelled between mutations — the clone and its accumulated
+// dirty set are discarded together and the visible System is unchanged,
+// with the failing operation's error returned. Readers never observe
+// intermediate states. An empty batch publishes nothing.
 func (s *System) ApplyBatchCtx(ctx context.Context, muts []Mutation) ([]MutationResult, error) {
 	if len(muts) == 0 {
 		return nil, nil
 	}
 	results := make([]MutationResult, len(muts))
 	err := s.mutateCtx(ctx, muts, func(st *state) error {
-		st.idx.BeginBatch()
 		for i, m := range muts {
 			if err := core.MutationCheckpoint(ctx, i); err != nil {
 				return err
@@ -696,7 +693,6 @@ func (s *System) ApplyBatchCtx(ctx context.Context, muts []Mutation) ([]Mutation
 			}
 			results[i] = MutationResult{ID: id}
 		}
-		st.idx.EndBatchCtx(ctx)
 		return nil
 	})
 	if err != nil {
@@ -759,7 +755,9 @@ func (s *System) NumQueries() int { return s.view().w.NumQueries() }
 // Attrs returns a copy of an object's current attributes.
 func (s *System) Attrs(id int) Vector { return vec.Clone(s.view().w.Attrs(id)) }
 
-// IndexStats reports the subdomain index footprint.
+// IndexStats reports the subdomain index footprint. The first call per
+// snapshot runs Algorithm 1 to build the partition it measures, which no
+// solve reads.
 func (s *System) IndexStats() IndexStats { return s.view().idx.Stats() }
 
 // Internal accessors for the benchmark harness and tools.

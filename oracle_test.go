@@ -6,17 +6,21 @@ import (
 
 	"iq/internal/core"
 	"iq/internal/dataset"
+	"iq/internal/ese"
 	"iq/internal/obs"
 	"iq/internal/vec"
 )
 
 // checkHitOracle compares every hit count the engine reports for a few live
-// targets — Hits, EvaluateStrategy on random strategies, and a greedy
-// solve's Hits and BaseHits — with brute-force HitsExact on the same
-// snapshot (Eq. 6 by definition). strategy draws one candidate strategy.
+// targets — Hits, EvaluateStrategy and an ESE evaluator on random
+// strategies, and a greedy solve's Hits and BaseHits — with brute-force
+// HitsExact on the same snapshot (Eq. 6 by definition). It also checks the
+// grouping invariant of the snapshot's partition, which the ESE evaluator
+// builds on first use. strategy draws one candidate strategy.
 func checkHitOracle(t *testing.T, rng *rand.Rand, sys *System, strategies int, strategy func() Vector) {
 	t.Helper()
-	w := sys.Workload()
+	idx := sys.Index()
+	w := idx.Workload()
 	exact := func(target int, s Vector) int {
 		t.Helper()
 		h, err := w.HitsExact(vec.Add(w.Attrs(target), s), target)
@@ -36,14 +40,22 @@ func checkHitOracle(t *testing.T, rng *rand.Rand, sys *System, strategies int, s
 		if h, err := sys.Hits(target); err != nil || h != base {
 			t.Fatalf("target %d: Hits %d (%v), HitsExact %d", target, h, err, base)
 		}
+		ev, err := ese.New(idx, target)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < strategies; i++ {
 			s := strategy()
 			h, err := sys.EvaluateStrategy(target, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := exact(target, s); h != want {
+			want := exact(target, s)
+			if h != want {
 				t.Fatalf("target %d strategy %v: table counts %d, HitsExact %d", target, s, h, want)
+			}
+			if h, err := ev.Hits(s); err != nil || h != want {
+				t.Fatalf("target %d strategy %v: ESE counts %d (%v), HitsExact %d", target, s, h, err, want)
 			}
 		}
 		tau := min(base+1+rng.Intn(6), w.LiveQueries())
@@ -60,6 +72,9 @@ func checkHitOracle(t *testing.T, rng *rand.Rand, sys *System, strategies int, s
 			t.Fatalf("target %d MaxHit: Hits %d BaseHits %d, HitsExact %d and %d",
 				target, mh.Hits, mh.BaseHits, exact(target, mh.Strategy), base)
 		}
+	}
+	if err := idx.CheckInvariant(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -140,6 +155,32 @@ func TestHitTableMatchesHitsExact(t *testing.T) {
 		checkHitOracle(t, rng, sys, 60, func() Vector {
 			return Vector{0.15 * (2*rng.Float64() - 1.3), 0.15 * (2*rng.Float64() - 1.3)}
 		})
+	})
+
+	t.Run("max-k-grows", func(t *testing.T) {
+		// Thirty k = 1 queries leave a skyband of 21 of the 200 objects,
+		// too narrow once a query asks for k = 20: rows drawn from the old
+		// skyband count hits the new query's top 20 does not give. Only some
+		// targets show it, so every object is checked.
+		rng := rand.New(rand.NewSource(9))
+		sys, err := NewLinear(dataset.Objects(dataset.Independent, 200, 3, rng), dataset.UNQueries(30, 3, 1, false, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.AddQuery(Query{ID: 900, K: 20, Point: Vector{0.3, 0.3, 0.4}}); err != nil {
+			t.Fatal(err)
+		}
+		w := sys.Workload()
+		for target := 0; target < w.NumObjects(); target++ {
+			want, err := w.HitsExact(w.Attrs(target), target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h, err := sys.Hits(target); err != nil || h != want {
+				t.Fatalf("target %d: Hits %d (%v), HitsExact %d", target, h, err, want)
+			}
+		}
+		checkHitOracle(t, rng, sys, 20, uniformStrategy(rng, 3))
 	})
 
 	t.Run("mutations", func(t *testing.T) {

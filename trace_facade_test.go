@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"iq/internal/dataset"
 	"iq/internal/obs"
 )
 
@@ -58,29 +59,47 @@ func TestTracedSolveProducesDeepTrace(t *testing.T) {
 	}
 }
 
-// TestTracedCommitRecordsIndexSpans checks the write path: a traced Commit
-// records the index clone and the repartition work.
+// TestTracedCommitRecordsIndexSpans checks the write path: a traced build
+// records the skyband computation and a traced Commit the index clone and
+// update, and neither runs Algorithm 1 — no solve reads its partition.
 func TestTracedCommitRecordsIndexSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	sys := smallSystem(t, rng, 80, 40)
+	objs := dataset.Objects(dataset.Independent, 80, 3, rng)
+	queries := dataset.UNQueries(40, 3, 5, false, rng)
+	traced := func(name string, want []string, depth int, fn func(context.Context) error) {
+		t.Helper()
+		tr := NewTrace(name, 0)
+		if err := fn(WithTrace(context.Background(), tr)); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteTraceEvent(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := obs.ValidateTraceEvent(buf.Bytes(), want, depth)
+		if err != nil {
+			t.Fatalf("%s trace: %v\n%s", name, err, buf.String())
+		}
+		for _, banned := range []string{"index/partition", "index/repartition"} {
+			if parsed.Names[banned] > 0 {
+				t.Errorf("%s trace records %q:\n%s", name, banned, buf.String())
+			}
+		}
+	}
+
+	var sys *System
+	traced("build", []string{"index/build"}, 1, func(ctx context.Context) error {
+		var err error
+		sys, err = NewWithOptionsCtx(ctx, LinearSpace{D: 3}, objs, queries, IndexOptions{})
+		return err
+	})
 	res, err := sys.MinCost(MinCostRequest{Target: 2, Tau: 8, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	tr := NewTrace("commit", 0)
-	ctx := WithTrace(context.Background(), tr)
-	if err := sys.CommitCtx(ctx, 2, res.Strategy); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTraceEvent(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.ValidateTraceEvent(buf.Bytes(),
-		[]string{"index/clone", "index/update_object", "index/repartition"}, 2); err != nil {
-		t.Fatalf("commit trace: %v\n%s", err, buf.String())
-	}
+	traced("commit", []string{"index/clone", "index/update_object"}, 1, func(ctx context.Context) error {
+		return sys.CommitCtx(ctx, 2, res.Strategy)
+	})
 }
 
 // TestExhaustiveSolveStats asserts the work profile on the exhaustive path:
