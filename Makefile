@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: check build fmt vet test short race stress bench metricscheck tracecheck crashcheck healthcheck perfbench
+.PHONY: check build fmt vet test short race stress fuzz bench metricscheck tracecheck crashcheck healthcheck perfbench
 
 # check is the CI entry point: build everything, check formatting, vet, run
 # the suite under the race detector (-short: the stress tests are excluded
 # there) and once more without it (the allocation pins are //go:build
 # !race), then re-run the concurrency stress tests twice to shake out
-# scheduling-dependent interleavings, and finally drive live servers through
-# the script gates.
+# scheduling-dependent interleavings, fuzz each native fuzz target briefly,
+# and finally drive live servers through the script gates.
 # Every test run carries an explicit -timeout so a hung solve fails fast
 # with a goroutine dump instead of stalling CI at the per-package default.
-check: build fmt vet race short stress metricscheck tracecheck crashcheck healthcheck perfbench
+check: build fmt vet race short stress fuzz metricscheck tracecheck crashcheck healthcheck perfbench
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,12 @@ short:
 
 stress:
 	$(GO) test -race -run TestStress -count=2 -timeout 10m ./...
+
+# fuzz runs ten seconds of coverage-guided inputs per native fuzz target;
+# every test run already replays their seed corpora (testdata/fuzz).
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzHitBound$$' -fuzztime 10s -timeout 5m ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime 10s -timeout 5m ./cmd/iqserver
 
 # metricscheck boots a real iqserver and validates its /metrics output with
 # iqtool -scrape-metrics (a built-in Prometheus text parser — no curl or

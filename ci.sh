@@ -17,6 +17,10 @@ go test -race -short -timeout 5m ./...
 # compile and run here.
 go test -short -timeout 5m ./...
 go test -race -run TestStress -count=2 -timeout 10m ./...
+# Fuzz smoke: ten seconds of coverage-guided inputs per native fuzz target,
+# beyond the seed corpora every test run replays.
+go test -run '^$' -fuzz '^FuzzHitBound$' -fuzztime 10s -timeout 5m ./internal/core
+go test -run '^$' -fuzz '^FuzzHandlers$' -fuzztime 10s -timeout 5m ./cmd/iqserver
 # Live observability gate: boot a real iqserver and validate its /metrics
 # exposition with iqtool's built-in parser (fails on unparseable output or
 # a registry with no engine series).

@@ -402,6 +402,7 @@ func (s *server) warnIfSlow(ctx context.Context, op string, target int, st iq.So
 		slog.Int("probes", st.Probes),
 		slog.Int("pruned", st.Pruned),
 		slog.Int("candidates", st.Candidates),
+		slog.Int("counted", st.Counted),
 		slog.Duration("solve_hit_wall", st.SolveHitWall),
 		slog.Duration("eval_wall", st.EvalWall),
 	}

@@ -23,11 +23,17 @@ package core
 // (subdomain.Index.Memo), so it dies with the snapshot. An in-place index
 // mutation invalidates it by epoch, PurgeSolveCaches by generation, and
 // MigrateSolveCaches carries its rows across a copy-on-write mutation.
+//
+// Bounds: a greedy round needs exact counts only for the candidates that can
+// win it, so hitBound gives every probe of a round an upper bound on its hits
+// from one sorted key per row (see hitBound).
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -109,10 +115,11 @@ type hitTable struct {
 	kth   []float64
 	kthID []int
 	// The counting form: the live bounded queries in ascending order with
-	// their points and bounds, and the live always-hit queries.
+	// their points, bounds and point norms, and the live always-hit queries.
 	rows   []int
 	pts    []vec.Vector
 	bound  []float64
+	norm   []float64
 	always []int
 }
 
@@ -196,6 +203,7 @@ func (t *hitTable) build(ctx context.Context, idx *subdomain.Index, rec *recorde
 	t.rows = make([]int, 0, len(t.state))
 	t.pts = make([]vec.Vector, 0, len(t.state))
 	t.bound = make([]float64, 0, len(t.state))
+	t.norm = make([]float64, 0, len(t.state))
 	for j, s := range t.state {
 		switch s {
 		case rowAlways:
@@ -210,6 +218,7 @@ func (t *hitTable) build(ctx context.Context, idx *subdomain.Index, rec *recorde
 			t.rows = append(t.rows, j)
 			t.pts = append(t.pts, w.Query(j).Point)
 			t.bound = append(t.bound, b)
+			t.norm = append(t.norm, vec.Norm2(w.Query(j).Point))
 		}
 	}
 	t.ready = true
@@ -265,6 +274,92 @@ func (t *hitTable) hitSet(coeff vec.Vector, dst *bitset.Bits) int {
 		}
 	}
 	return h
+}
+
+// hitBound bounds from above the hits of every probe of one greedy round, so
+// the round counts exactly only the candidates that can win it. At the
+// round's coefficients c, bounded row r has the key
+//
+//	key_r = (c·q_r − bound_r − margin_r) / ‖q_r‖
+//
+// By Cauchy–Schwarz a target moved to c′ scores c′·q_r ≥ c·q_r − D‖q_r‖ with
+// D = ‖c′ − c‖, so it hits row r only if key_r ≤ D: at most
+// |always| + #{r : key_r ≤ D(1+ε)} queries, one binary search over the
+// sorted keys. margin_r and ε absorb the rounding of both scores, of D and of
+// the key itself; slack covers underflow.
+type hitBound struct {
+	at vec.Vector
+	// fixed counts the rows every probe may hit: the always-hit rows, rows
+	// with key ≤ 0, and rows whose key is not finite or whose norm is tiny.
+	fixed int
+	// keys holds the other rows' keys as IEEE bits, ascending: positive
+	// floats order as their bits, so the search compares integers.
+	keys []uint64
+	grow float64 // 1+ε
+}
+
+// slack is the bound's absolute allowance for underflow: it is added to every
+// margin and to every D, and rows whose norm is below it always count.
+const slack = 0x1p-400
+
+// roundBound fills b for a round whose target sits at coefficients at.
+//
+// Rounding: a score s = fl(Σ x_i·q_i) is within γ_d·Σ|x_i·q_i| of the exact
+// dot product (γ_d ≈ d·2⁻⁵³), and Σ|c′_i·q_i| ≤ Σ|c_i·q_i| + D‖q‖. So a hit,
+// fl(c′·q) < bound, implies fl(c·q) − bound − 2γ_d·Σ|c_i·q_i| <
+// D‖q‖(1+γ_d). margin = ε·(Σ|c_i·q_i| + |fl(c·q)| + |bound|) with
+// ε = (d+4)·2⁻⁵⁰ covers that term and the key's own subtraction; the
+// factor 1+ε on D covers the rest (the norms and the division).
+func (t *hitTable) roundBound(at vec.Vector, b *hitBound) {
+	eps := float64(len(at)+4) * 0x1p-50
+	b.at, b.fixed, b.grow = at, len(t.always), 1+eps
+	b.keys = b.keys[:0]
+	for r, q := range t.pts {
+		s, a := 0.0, 0.0
+		for i, x := range at {
+			p := x * q[i]
+			s += p
+			a += math.Abs(p)
+		}
+		margin := eps*(a+math.Abs(s)+math.Abs(t.bound[r])) + slack
+		key := (s - t.bound[r] - margin) / t.norm[r]
+		if key > 0 && key <= math.MaxFloat64 && t.norm[r] >= slack {
+			b.keys = append(b.keys, math.Float64bits(key))
+		} else {
+			b.fixed++
+		}
+	}
+	slices.Sort(b.keys)
+}
+
+// upper returns the most queries a target with coefficients c can hit: the
+// fixed rows plus every row whose key is at most D(1+ε). A D that is not
+// finite bounds nothing, so every row counts.
+func (b *hitBound) upper(c vec.Vector) int {
+	dd := 0.0
+	for i, x := range c {
+		e := x - b.at[i]
+		dd += e * e
+	}
+	lim := math.Sqrt(dd)*b.grow + slack
+	if !(lim <= math.MaxFloat64) {
+		return b.fixed + len(b.keys)
+	}
+	// Count the keys ≤ lim, which is positive: the count lies in
+	// [base, base+n]. The step is branch-free (borrow is 1 when the key is
+	// above lim), because a probe's side of each key is unpredictable.
+	x := math.Float64bits(lim)
+	base, n := 0, len(b.keys)
+	for n > 1 {
+		half := n / 2
+		_, borrow := bits.Sub64(x, b.keys[base+half], 0)
+		base += half &^ -int(borrow)
+		n -= half
+	}
+	if n == 1 && b.keys[base] <= x {
+		base++
+	}
+	return b.fixed + base
 }
 
 // tableSlot is one target's place in a snapshot's Memo: the complete table,

@@ -59,7 +59,7 @@ func MaxHitIQCtx(ctx context.Context, idx *subdomain.Index, req MaxHitRequest) (
 	st := finishSolve(ctx, "maxhit", req.Target, start, rec, rounds, err)
 	endSolveSpan(span, st, err)
 	if res != nil {
-		res.Stats = st
+		res.Stats, res.Evaluations = st, st.Counted
 	}
 	return res, err
 }
@@ -84,12 +84,13 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		return nil, err
 	}
 	w := idx.Workload()
-	rs := &roundScratch{}
 	tab := hitTableFor(ctx, idx, req.Target, rec)
+	rs := &roundScratch{tab: tab, rec: rec}
 	workers := clampWorkers(req.Workers, w.NumQueries())
 	d := len(w.Attrs(req.Target))
 	hit := bitset.New(w.NumQueries())
-	curHits := tab.hitSet(w.Coeff(req.Target), hit)
+	at := w.Coeff(req.Target)
+	curHits := tab.hitSet(at, hit)
 	res := &Result{Strategy: vec.New(d), BaseHits: curHits, Hits: curHits}
 
 	cur := vec.New(d)
@@ -106,13 +107,11 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		cands, err := generateCandidates(rctx, w, tab, workers, cur, hit, req.Cost, req.Bounds, rs, rec)
-		if err != nil {
+		if err := generateCandidates(rctx, w, workers, cur, at, hit, req.Cost, req.Bounds, rs); err != nil {
 			rsp.End()
 			return nil, err
 		}
-		res.Evaluations += len(cands)
-		best, ok := bestRatio(cands, curHits)
+		best, ok := rs.best(rctx, curHits)
 		if !ok {
 			rsp.End()
 			break // no candidate gains hits: every query hit or infeasible
@@ -126,6 +125,7 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 				return res, err
 			}
 			tab.hitSet(coeff, hit)
+			at = coeff
 			res.Strategy = vec.Clone(cur)
 			res.Cost = req.Cost.Of(cur)
 			res.Hits = curHits
@@ -139,15 +139,7 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		// query index — unique within a round — so the pick is
 		// deterministic at any worker count (see DESIGN.md, "Deterministic
 		// parallelism").
-		fill, found := Candidate{}, false
-		for _, c := range cands {
-			if c.Hits <= curHits || c.Cost > req.Budget {
-				continue
-			}
-			if !found || c.Cost < fill.Cost || (c.Cost == fill.Cost && c.Query < fill.Query) {
-				fill, found = c, true
-			}
-		}
+		fill, found := rs.cheapest(rctx, curHits+1, req.Budget)
 		if found {
 			cur = fill.Strategy
 			curHits = fill.Hits
@@ -157,6 +149,7 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 				return res, err
 			}
 			tab.hitSet(coeff, hit)
+			at = coeff
 			res.Strategy = vec.Clone(cur)
 			res.Cost = req.Cost.Of(cur)
 			res.Hits = curHits

@@ -37,8 +37,8 @@ type Result struct {
 	Hits int
 	// BaseHits is H(p) before improvement.
 	BaseHits int
-	// Iterations counts greedy rounds; Evaluations counts hit-count
-	// evaluations of candidate strategies.
+	// Iterations counts greedy rounds; Evaluations counts exact hit counts
+	// of candidate strategies (Stats.Counted).
 	Iterations  int
 	Evaluations int
 	// Stats is the solve's full work profile: probes, prune counts, and
@@ -66,13 +66,14 @@ func MinCostIQ(idx *subdomain.Index, req MinCostRequest) (*Result, error) {
 
 // MinCostIQCtx answers a Min-Cost improvement query with the greedy
 // heuristic of Algorithm 3: each round generates, for every unhit query, the
-// cheapest strategy hitting it, counts each candidate's hits against the
-// target's Eq. 6 threshold table, and applies the one with the lowest cost
-// per hit; the paper's anti-overshoot rule returns the cheapest candidate
-// reaching τ rather than overshooting it. Cancellation is observed at every
-// greedy round and inside the candidate fan-out; a cancelled solve discards
-// its partial strategy and returns a nil Result with
-// ErrCanceled/ErrDeadlineExceeded wrapping ctx.Err().
+// cheapest strategy hitting it, and applies the one with the lowest cost per
+// hit, counting hits against the target's Eq. 6 threshold table only for
+// the candidates a hit bound leaves in the running; the paper's
+// anti-overshoot rule returns the cheapest candidate reaching τ rather than
+// overshooting it. Cancellation is observed at every greedy round and inside
+// the candidate fan-out; a cancelled solve discards its partial strategy and
+// returns a nil Result with ErrCanceled/ErrDeadlineExceeded wrapping
+// ctx.Err().
 func MinCostIQCtx(ctx context.Context, idx *subdomain.Index, req MinCostRequest) (*Result, error) {
 	start := time.Now()
 	ctx, span := startSolveSpan(ctx, "mincost")
@@ -85,7 +86,7 @@ func MinCostIQCtx(ctx context.Context, idx *subdomain.Index, req MinCostRequest)
 	st := finishSolve(ctx, "mincost", req.Target, start, rec, rounds, err)
 	endSolveSpan(span, st, err)
 	if res != nil {
-		res.Stats = st
+		res.Stats, res.Evaluations = st, st.Counted
 	}
 	return res, err
 }
@@ -104,12 +105,13 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 	if live := w.LiveQueries(); req.Tau > live {
 		return nil, fmt.Errorf("core: tau %d exceeds query count %d: %w", req.Tau, live, ErrGoalUnreachable)
 	}
-	rs := &roundScratch{}
 	tab := hitTableFor(ctx, idx, req.Target, rec)
+	rs := &roundScratch{tab: tab, rec: rec}
 	workers := clampWorkers(req.Workers, w.NumQueries())
 	d := len(w.Attrs(req.Target))
 	hit := bitset.New(w.NumQueries())
-	curHits := tab.hitSet(w.Coeff(req.Target), hit)
+	at := w.Coeff(req.Target)
+	curHits := tab.hitSet(at, hit)
 	res := &Result{Strategy: vec.New(d), BaseHits: curHits, Hits: curHits}
 	if res.Hits >= req.Tau {
 		return res, nil // already satisfied with the zero strategy
@@ -126,13 +128,11 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		cands, err := generateCandidates(rctx, w, tab, workers, cur, hit, req.Cost, req.Bounds, rs, rec)
-		if err != nil {
+		if err := generateCandidates(rctx, w, workers, cur, at, hit, req.Cost, req.Bounds, rs); err != nil {
 			rsp.End()
 			return nil, err
 		}
-		res.Evaluations += len(cands)
-		best, ok := bestRatio(cands, curHits)
+		best, ok := rs.best(rctx, curHits)
 		if !ok {
 			rsp.End()
 			return res, fmt.Errorf("core: stalled at %d of %d hits: %w", curHits, req.Tau, ErrGoalUnreachable)
@@ -140,19 +140,10 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 		if best.Hits > req.Tau {
 			// Anti-overshoot (Algorithm 3 lines 10–13): prefer the
 			// cheapest candidate that reaches τ without overshooting cost;
-			// equal costs break by query index for determinism.
-			cheapest, found := best, false
-			for _, c := range cands {
-				if c.Hits < req.Tau {
-					continue
-				}
-				if !found || c.Cost < cheapest.Cost ||
-					(c.Cost == cheapest.Cost && c.Query < cheapest.Query) {
-					cheapest, found = c, true
-				}
-			}
-			if found {
-				best = cheapest
+			// equal costs break by query index for determinism. The best
+			// candidate qualifies, so one is always found.
+			if c, ok := rs.cheapest(rctx, req.Tau, math.Inf(1)); ok {
+				best = c
 			}
 		}
 		cur = best.Strategy
@@ -163,6 +154,7 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 			return res, err
 		}
 		tab.hitSet(coeff, hit)
+		at = coeff
 		res.Strategy = vec.Clone(cur)
 		res.Cost = req.Cost.Of(cur)
 		res.Hits = curHits

@@ -162,9 +162,15 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 			}
 			t0 := rec.probeStart()
 			pctx, psp := obs.StartSpan(ctx, "probe")
-			psp.SetAttr("target", spec.Target)
-			psp.SetAttr("query", j)
-			u, err := solveHit(w, st.tabs[i], st.cur[i], j, spec.Cost, spec.Bounds, &st.sc, rec)
+			if psp != nil {
+				// SetAttr boxes its ints, which allocates from 256 up.
+				psp.SetAttr("target", spec.Target)
+				psp.SetAttr("query", j)
+			}
+			u, err := solveHit(w, st.tabs[i], st.cur[i], j, spec.Cost, spec.Bounds, &st.sc)
+			if st.tabs[i].stored {
+				rec.thresholdHit()
+			}
 			t1 := rec.solveDone(t0)
 			if err != nil || !spec.Bounds.Contains(u) {
 				rec.pruned.Add(1)
@@ -188,9 +194,12 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 			}
 			_, esp := obs.StartSpan(pctx, "eval")
 			newHits := st.scratch
-			esp.SetAttr("hits", st.tabs[i].hitSet(coeff, newHits))
+			if h := st.tabs[i].hitSet(coeff, newHits); esp != nil {
+				esp.SetAttr("hits", h)
+			}
 			esp.End()
-			rec.evalDone(t1)
+			rec.cands.Add(1)
+			rec.countDone(t1)
 			psp.End()
 			evals++
 			// Union size if applied.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"time"
 
 	"iq/internal/bitset"
 	"iq/internal/obs"
@@ -58,16 +59,13 @@ type probeScratch struct {
 // against the threshold in the target's hit table tab.
 // cur is the currently accumulated strategy; the returned u extends it
 // (u = cur for queries already hit). The cost minimised is Cost(u), the
-// total cost of the final strategy, matching Definitions 2–3.
-func solveHit(w *topk.Workload, tab *hitTable, cur vec.Vector, j int, cost Cost, bounds *Bounds, sc *probeScratch, rec *recorder) (vec.Vector, error) {
+// total cost of the final strategy, matching Definitions 2–3. Each call is
+// one threshold lookup; callers account for it.
+func solveHit(w *topk.Workload, tab *hitTable, cur vec.Vector, j int, cost Cost, bounds *Bounds, sc *probeScratch) (vec.Vector, error) {
 	space := w.Space()
 	q := w.Query(j)
 	target := tab.target
 	threshold, bounded := tab.threshold(j)
-	if tab.stored {
-		mThresholdCacheHits.Inc()
-		rec.thresholdHit()
-	}
 	if !bounded {
 		return vec.Clone(cur), nil // fewer than k competitors: already hit
 	}
@@ -212,47 +210,65 @@ func solveHitNonLinear(w *topk.Workload, target int, cur vec.Vector, q topk.Quer
 }
 
 // Candidate is one probe of the greedy search: the cumulative strategy, its
-// total cost, and its evaluated hit count.
+// total cost, and its hit count. Every candidate of a round carries an upper
+// bound on its hits; Hits is exact once the round has counted it, and a
+// round counts only the candidates that can win it.
 type Candidate struct {
 	Query    int
 	Strategy vec.Vector
 	Cost     float64
 	Hits     int
+	bound    int     // Hits ≤ bound, from the round's hitBound
+	ratio    float64 // Cost/bound ≤ Cost/Hits; −Inf when Cost ≤ 0
+	counted  bool
 }
 
-// roundScratch carries the buffers one solve reuses across its greedy
-// rounds: the unhit worklist, the slot-indexed result arrays, the surviving
-// candidate slice handed back to the caller, and per-worker probe/embed
-// scratch. One roundScratch is owned by one solve; the candidate slice it
-// returns is only valid until the next generateCandidates call.
+// roundScratch carries one solve's greedy rounds: the target's hit table and
+// the solve's recorder, the round's slot-indexed candidates (cands[slot]
+// probes unhit[slot]; valid marks those not pruned) with their improved
+// coefficients, and the buffers reused across rounds. One roundScratch is
+// owned by one solve; the candidates are valid until the next
+// generateCandidates call.
 type roundScratch struct {
-	unhit   []int
-	results []Candidate
-	valid   []bool
-	cands   []Candidate
-	probes  []probeScratch // indexed by worker
-	embed   []vec.Vector   // per-worker improved-coefficient buffers
+	tab    *hitTable
+	rec    *recorder
+	unhit  []int
+	cands  []Candidate
+	valid  []bool
+	coeffs vec.Vector // slot-major, dim per slot
+	dim    int
+	bound  hitBound
+	queue  queue
+	probes []probeScratch // indexed by worker
+}
+
+// tally is one fan-out worker's share of a round's counters; it reaches the
+// recorder once, when the worker finishes.
+type tally struct {
+	probes, pruned int64
 }
 
 // generateCandidates implements the shared inner loop of Algorithms 3 and 4
 // (lines 4–8): for every query not currently hit, the min-cost strategy that
-// hits it, with its hit count from the target's hit table tab. With more
-// than one worker the per-query work fans out across goroutines, which
-// share the read-only table; each worker owns one probeScratch and embed
-// buffer.
+// hits it, with an upper bound on its hit count from the round's hitBound
+// around at, the target's current coefficients. The exact counts are left to
+// best and cheapest. With more than one worker the per-query work fans out
+// across goroutines, which share the read-only table and bound; each worker
+// owns one probeScratch.
 //
-// The returned slice aliases rs.cands and is overwritten by the next call;
-// the Strategy vectors inside it are freshly allocated per probe and safe to
-// retain. Bit-for-bit determinism is preserved: probes still land in
-// slot-indexed order and the scratch paths reproduce the original arithmetic
-// exactly.
+// The round's candidates land in rs.cands, indexed by slot; the Strategy
+// vectors inside them are freshly allocated per probe and safe to retain.
+// Bit-for-bit determinism is preserved: probes still land in slot-indexed
+// order and the scratch paths reproduce the original arithmetic exactly.
 //
 // Cancellation is checked before every probe, serial or parallel: workers
 // stop picking up slots as soon as ctx fails, and a cancelled fan-out
-// returns a nil candidate slice with the translated context error, so the
-// solvers discard the round's partial work instead of greedily applying a
-// winner chosen from whatever subset happened to finish.
-func generateCandidates(ctx context.Context, w *topk.Workload, tab *hitTable, workers int, cur vec.Vector, hit *bitset.Bits, cost Cost, bounds *Bounds, rs *roundScratch, rec *recorder) ([]Candidate, error) {
+// returns the translated context error, so the solvers discard the round's
+// partial work instead of greedily applying a winner chosen from whatever
+// subset happened to finish.
+func generateCandidates(ctx context.Context, w *topk.Workload, workers int, cur, at vec.Vector, hit *bitset.Bits, cost Cost, bounds *Bounds, rs *roundScratch) error {
+	start := time.Now()
+	tab, rec := rs.tab, rs.rec
 	rs.unhit = rs.unhit[:0]
 	for j := 0; j < w.NumQueries(); j++ {
 		if !hit.Get(j) && !w.IsQueryRemoved(j) {
@@ -264,84 +280,96 @@ func generateCandidates(ctx context.Context, w *topk.Workload, tab *hitTable, wo
 	csp.SetAttr("unhit", len(unhit))
 	csp.SetAttr("workers", workers)
 	defer csp.End()
-	if cap(rs.results) < len(unhit) {
-		rs.results = make([]Candidate, len(unhit))
+	if cap(rs.cands) < len(unhit) {
+		rs.cands = make([]Candidate, len(unhit))
 		rs.valid = make([]bool, len(unhit))
 	}
-	results := rs.results[:len(unhit)]
-	valid := rs.valid[:len(unhit)]
+	rs.cands = rs.cands[:len(unhit)]
+	rs.valid = rs.valid[:len(unhit)]
+	cands, valid := rs.cands, rs.valid
 	for i := range valid {
 		valid[i] = false
 	}
 	if len(rs.probes) < workers {
 		rs.probes = make([]probeScratch, workers)
-		rs.embed = make([]vec.Vector, workers)
 	}
+	dim := len(at)
+	rs.dim = dim
+	rs.coeffs = growVec(rs.coeffs, len(unhit)*dim)
+	tab.roundBound(at, &rs.bound)
+	rec.solve.Add(int64(time.Since(start)))
 	linear := w.Space().Linear()
 	attrs := w.Attrs(tab.target)
-	probe := func(pctx context.Context, wkr, slot int) {
+	probe := func(pctx context.Context, wkr, slot int, t *tally) {
 		fireProbe(slot)
-		t0 := rec.probeStart()
+		t.probes++
 		j := unhit[slot]
-		pctx, psp := obs.StartSpan(pctx, "probe")
-		psp.SetAttr("query", j)
-		u, err := solveHit(w, tab, cur, j, cost, bounds, &rs.probes[wkr], rec)
-		t1 := rec.solveDone(t0)
+		_, psp := obs.StartSpan(pctx, "probe")
+		if psp != nil {
+			// SetAttr boxes j, which allocates from 256 up.
+			psp.SetAttr("query", j)
+		}
+		u, err := solveHit(w, tab, cur, j, cost, bounds, &rs.probes[wkr])
 		if err != nil {
-			rec.pruned.Add(1)
+			t.pruned++
 			psp.SetAttr("pruned", "infeasible")
 			psp.End()
 			return // infeasible for this query (e.g. bounds); skip
 		}
 		if !bounds.Contains(u) {
-			rec.pruned.Add(1)
+			t.pruned++
 			psp.SetAttr("pruned", "bounds")
 			psp.End()
 			return
 		}
 		c := cost.Of(u)
 		if !finiteStep(u, c) {
-			rec.pruned.Add(1)
+			t.pruned++
 			psp.SetAttr("pruned", "nonfinite")
 			psp.End()
 			return
 		}
-		var coeff vec.Vector
+		coeff := rs.coeffs[slot*dim : (slot+1)*dim : (slot+1)*dim]
 		if linear {
 			// A linear space's Embed is the identity (a dimension check plus
 			// a clone), so the improved coefficients can be summed straight
-			// into the worker's buffer — same values, no temporaries.
-			buf := growVec(rs.embed[wkr], len(attrs))
-			rs.embed[wkr] = buf
+			// into the slot's buffer — same values, no temporaries.
 			for i := range attrs {
-				buf[i] = attrs[i] + u[i]
+				coeff[i] = attrs[i] + u[i]
 			}
-			coeff = buf
 		} else {
-			coeff, err = w.Space().Embed(vec.Add(attrs, u))
+			e, err := w.Space().Embed(vec.Add(attrs, u))
 			if err != nil {
-				rec.pruned.Add(1)
+				t.pruned++
 				psp.SetAttr("pruned", "embed")
 				psp.End()
 				return
 			}
+			copy(coeff, e)
 		}
-		_, esp := obs.StartSpan(pctx, "eval")
-		h := tab.hits(coeff)
-		esp.SetAttr("hits", h)
-		esp.End()
-		rec.evalDone(t1)
-		results[slot] = Candidate{Query: j, Strategy: u, Cost: c, Hits: h}
+		cands[slot] = ranked(j, u, c, rs.bound.upper(coeff))
 		valid[slot] = true
 		psp.End()
 	}
-	if workers <= 1 || len(unhit) < 2*workers {
-		for slot := range unhit {
+	serial := workers <= 1 || len(unhit) < 2*workers
+	if serial {
+		workers = 1
+	}
+	// Each worker times its whole share of the fan-out and adds its counters
+	// once, so the probe loop reads no clock and touches no shared counter.
+	run := func(wctx context.Context, wkr int) {
+		t0 := time.Now()
+		var t tally
+		for slot := wkr; slot < len(unhit); slot += workers {
 			if ctx.Err() != nil {
 				break
 			}
-			probe(ctx, 0, slot)
+			probe(wctx, wkr, slot, &t)
 		}
+		rec.fanOut(t, tab.stored, time.Since(t0))
+	}
+	if serial {
+		run(ctx, 0)
 	} else {
 		var wg sync.WaitGroup
 		for wkr := 0; wkr < workers; wkr++ {
@@ -351,26 +379,155 @@ func generateCandidates(ctx context.Context, w *topk.Workload, tab *hitTable, wo
 				wctx, wsp := obs.StartSpan(ctx, "worker")
 				wsp.SetAttr("worker", wkr)
 				defer wsp.End()
-				for slot := wkr; slot < len(unhit); slot += workers {
-					if ctx.Err() != nil {
-						return
-					}
-					probe(wctx, wkr, slot)
-				}
+				run(wctx, wkr)
 			}(wkr)
 		}
 		wg.Wait()
 	}
-	if err := CtxErr(ctx); err != nil {
-		return nil, err
+	return CtxErr(ctx)
+}
+
+// ranked returns the candidate for query j with strategy u at cost c whose
+// hits are at most bound.
+func ranked(j int, u vec.Vector, c float64, bound int) Candidate {
+	ratio := math.Inf(-1)
+	if c > 0 {
+		ratio = c / float64(bound)
 	}
-	rs.cands = rs.cands[:0]
-	for slot, c := range results {
-		if valid[slot] {
-			rs.cands = append(rs.cands, c)
+	return Candidate{Query: j, Strategy: u, Cost: c, bound: bound, ratio: ratio}
+}
+
+// hits returns the exact hit count of the candidate in slot, counting it
+// against the table on first use inside an "eval" span.
+func (rs *roundScratch) hits(ctx context.Context, slot int) int {
+	c := &rs.cands[slot]
+	if !c.counted {
+		_, esp := obs.StartSpan(ctx, "eval")
+		t0 := time.Now()
+		c.Hits = rs.tab.hits(rs.coeffs[slot*rs.dim : (slot+1)*rs.dim])
+		c.counted = true
+		rs.rec.countDone(t0)
+		if esp != nil {
+			esp.SetAttr("hits", c.Hits)
+		}
+		esp.End()
+	}
+	return c.Hits
+}
+
+// best returns the round's candidate minimising cost per hit (Algorithm 3
+// line 9 / Algorithm 4 line 9); candidates that gain no hits over baseHits
+// are skipped. Ties are broken deterministically — lower cost, then lower
+// query index — so parallel and serial candidate generation always pick the
+// same winner (see DESIGN.md, "Deterministic parallelism").
+//
+// Only candidates that can win are counted: in ascending Cost/bound order,
+// a lower bound on Cost/Hits, until that bound is strictly above the best
+// ratio found. A candidate with Cost ≤ 0 has no such bound and is always
+// counted. The pick equals the one from counting every candidate.
+func (rs *roundScratch) best(ctx context.Context, baseHits int) (Candidate, bool) {
+	q := rs.queue[:0]
+	for slot := range rs.cands {
+		if c := &rs.cands[slot]; rs.valid[slot] && c.bound > baseHits {
+			q = append(q, queued{c.ratio, c.Query, slot})
 		}
 	}
-	return rs.cands, nil
+	rs.queue = q // keep the grown buffer
+	q.init()
+	best := Candidate{}
+	bestVal := 0.0
+	found := false
+	for len(q) > 0 {
+		slot := q.pop()
+		c := &rs.cands[slot]
+		if found && c.ratio > bestVal {
+			break // every candidate left has a ratio above bestVal too
+		}
+		h := rs.hits(ctx, slot)
+		if h <= baseHits {
+			continue // no progress; a ratio over stale hits would stall
+		}
+		ratio := c.Cost / float64(h)
+		better := !found || ratio < bestVal ||
+			(ratio == bestVal && (c.Cost < best.Cost ||
+				(c.Cost == best.Cost && c.Query < best.Query)))
+		if better {
+			best, bestVal, found = *c, ratio, true
+		}
+	}
+	return best, found
+}
+
+// cheapest returns the round's minimum (Cost, Query) candidate with at least
+// minHits hits and cost at most maxCost: the Min-Cost anti-overshoot pick and
+// the Max-Hit fill pick. Candidates are counted in that order, so only those
+// up to the first that qualifies are.
+func (rs *roundScratch) cheapest(ctx context.Context, minHits int, maxCost float64) (Candidate, bool) {
+	q := rs.queue[:0]
+	for slot := range rs.cands {
+		if c := &rs.cands[slot]; rs.valid[slot] && c.bound >= minHits && c.Cost <= maxCost {
+			q = append(q, queued{c.Cost, c.Query, slot})
+		}
+	}
+	rs.queue = q
+	q.init()
+	for len(q) > 0 {
+		if slot := q.pop(); rs.hits(ctx, slot) >= minHits {
+			return rs.cands[slot], true
+		}
+	}
+	return Candidate{}, false
+}
+
+// queued is a candidate waiting in a round's selection queue, ordered by
+// (key, query): its ratio bound for best, its cost for cheapest. Query
+// indices are unique within a round, so the order is total.
+type queued struct {
+	key   float64
+	query int
+	slot  int
+}
+
+func (a queued) before(b queued) bool {
+	return a.key < b.key || (a.key == b.key && a.query < b.query)
+}
+
+// queue is a binary min-heap of queued candidates, so a round takes them in
+// order and only as far as it counts: O(n) to build, O(log n) per pop.
+type queue []queued
+
+func (q queue) init() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+}
+
+// pop removes the first candidate and returns its slot; q must be non-empty.
+func (q *queue) pop() int {
+	h := *q
+	top := h[0].slot
+	n := len(h) - 1
+	h[0] = h[n]
+	*q = h[:n]
+	q.down(0)
+	return top
+}
+
+func (q queue) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(q) {
+			return
+		}
+		if r := m + 1; r < len(q) && q[r].before(q[m]) {
+			m = r
+		}
+		if !q[m].before(q[i]) {
+			return
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
 }
 
 // clampWorkers bounds a request's Workers knob to sane values: anything
@@ -394,28 +551,4 @@ func clampWorkers(workers, queries int) int {
 		workers = queries
 	}
 	return workers
-}
-
-// bestRatio returns the candidate minimising cost per hit (Algorithm 3
-// line 9 / Algorithm 4 line 9); candidates that gain no hits are skipped.
-// Ties are broken deterministically — lower cost, then lower query index —
-// so parallel and serial candidate generation always pick the same winner
-// (see DESIGN.md, "Deterministic parallelism").
-func bestRatio(cands []Candidate, baseHits int) (Candidate, bool) {
-	best := Candidate{}
-	bestVal := 0.0
-	found := false
-	for _, c := range cands {
-		if c.Hits <= baseHits {
-			continue // no progress; a ratio over stale hits would stall
-		}
-		ratio := c.Cost / float64(c.Hits)
-		better := !found || ratio < bestVal ||
-			(ratio == bestVal && (c.Cost < best.Cost ||
-				(c.Cost == best.Cost && c.Query < best.Query)))
-		if better {
-			best, bestVal, found = c, ratio, true
-		}
-	}
-	return best, found
 }

@@ -2,11 +2,13 @@ package core
 
 // This file is the solver-side flight recorder: every public solve returns
 // per-solve SolveStats inside its Result (greedy rounds, candidate probes,
-// prune counts, wall time per stage) and feeds the process-wide obs registry
-// (solve totals by outcome, duration histograms) so /metrics shows where
-// time goes. Collection must never perturb results — the recorder only
-// counts and times; it makes no decisions — and costs a handful of atomic
-// adds per probe, far below the LP solve each probe performs.
+// prune counts, exact hit counts, wall time per stage) and feeds the
+// process-wide obs registry (solve totals by outcome, duration histograms,
+// threshold-cache hits) so /metrics shows where time goes. Collection must
+// never perturb results — the recorder only counts and times; it makes no
+// decisions. The greedy fan-out adds to it once per worker and round, and
+// each exact hit count once; the process-wide series are published once per
+// solve.
 
 import (
 	"context"
@@ -18,25 +20,30 @@ import (
 )
 
 // SolveStats profiles one solve. Stage wall times cover the two halves of
-// every candidate probe: SolveHitWall is the per-query min-cost subproblem
-// (Equations 13–14), EvalWall the Eq. 6 hit count against the threshold
-// table.
+// the greedy search: SolveHitWall is the candidate fan-out — the per-query
+// min-cost subproblem (Equations 13–14) of every probe and its hit bound —
+// and EvalWall the exact Eq. 6 hit counts against the threshold table.
 type SolveStats struct {
 	// Rounds counts greedy iterations (Algorithm 3/4 outer loops).
 	Rounds int `json:"rounds"`
 	// Probes counts per-query candidate solves attempted, including ones
 	// discarded as infeasible.
 	Probes int `json:"probes"`
-	// Pruned counts probes discarded before hit counting: the per-query
+	// Pruned counts probes discarded before ranking: the per-query
 	// subproblem was infeasible, violated bounds, or failed to embed.
 	Pruned int `json:"pruned"`
-	// Candidates counts probes that survived to a hit count.
+	// Candidates counts probes ranked: those that survived to a hit bound.
+	// Pruned + Candidates = Probes.
 	Candidates int `json:"candidates"`
+	// Counted counts exact hit counts: the candidates a round had to count
+	// to pick its winner (every candidate, for the multi-target solvers).
+	Counted int `json:"counted"`
 	// Wall is the solve's total wall time.
 	Wall time.Duration `json:"wall_ns"`
-	// SolveHitWall accumulates time in per-query min-cost subproblems.
+	// SolveHitWall accumulates time in the candidate fan-out: per-query
+	// min-cost subproblems and hit bounds.
 	SolveHitWall time.Duration `json:"solve_hit_wall_ns"`
-	// EvalWall accumulates time in hit-count evaluations.
+	// EvalWall accumulates time in exact hit counts.
 	EvalWall time.Duration `json:"eval_wall_ns"`
 	// ThresholdCacheHits counts hit-threshold lookups served from the
 	// target's hit table stored on the snapshot; ThresholdCacheMisses counts
@@ -50,16 +57,17 @@ type SolveStats struct {
 	CancelCause string `json:"cancel_cause,omitempty"`
 }
 
-// recorder accumulates one solve's counters. Probe-level fields are atomics
-// because the candidate fan-out updates them from worker goroutines.
+// recorder accumulates one solve's counters. Its fields are atomics because
+// the candidate fan-out's workers add their tallies concurrently.
 type recorder struct {
-	probes atomic.Int64
-	pruned atomic.Int64
-	cands  atomic.Int64
-	solve  atomic.Int64 // ns in solveHit
-	eval   atomic.Int64 // ns in hit counting
-	// Threshold-cache traffic attributable to this solve (the process-wide
-	// obs counters aggregate across solves).
+	probes  atomic.Int64
+	pruned  atomic.Int64
+	cands   atomic.Int64
+	counted atomic.Int64
+	solve   atomic.Int64 // ns in the candidate fan-out
+	eval    atomic.Int64 // ns in exact hit counts
+	// Threshold-cache traffic attributable to this solve; finishSolve
+	// publishes the hits to the process-wide counter.
 	thrHits   atomic.Int64
 	thrMisses atomic.Int64
 }
@@ -82,7 +90,21 @@ func (r *recorder) thresholdMiss() {
 
 func newRecorder() *recorder { return &recorder{} }
 
-// probeStart returns the probe's start instant.
+// fanOut adds one worker's share of a round: its probes, one threshold
+// lookup each (served from a stored table when stored), the pruned ones,
+// the rest as ranked candidates, and the worker's wall time.
+func (r *recorder) fanOut(t tally, stored bool, d time.Duration) {
+	r.probes.Add(t.probes)
+	r.pruned.Add(t.pruned)
+	r.cands.Add(t.probes - t.pruned)
+	if stored {
+		r.thrHits.Add(t.probes)
+	}
+	r.solve.Add(int64(d))
+}
+
+// probeStart returns the probe's start instant; the serial multi-target and
+// exhaustive solvers time each probe.
 func (r *recorder) probeStart() time.Time {
 	r.probes.Add(1)
 	return time.Now()
@@ -94,9 +116,10 @@ func (r *recorder) solveDone(t0 time.Time) time.Time {
 	return t1
 }
 
-func (r *recorder) evalDone(t1 time.Time) {
-	r.cands.Add(1)
-	r.eval.Add(time.Since(t1).Nanoseconds())
+// countDone records one exact hit count that started at t0.
+func (r *recorder) countDone(t0 time.Time) {
+	r.counted.Add(1)
+	r.eval.Add(time.Since(t0).Nanoseconds())
 }
 
 func (r *recorder) stats(rounds int, wall time.Duration, err error) SolveStats {
@@ -105,6 +128,7 @@ func (r *recorder) stats(rounds int, wall time.Duration, err error) SolveStats {
 		Probes:               int(r.probes.Load()),
 		Pruned:               int(r.pruned.Load()),
 		Candidates:           int(r.cands.Load()),
+		Counted:              int(r.counted.Load()),
 		Wall:                 wall,
 		SolveHitWall:         time.Duration(r.solve.Load()),
 		EvalWall:             time.Duration(r.eval.Load()),
@@ -162,6 +186,7 @@ func endSolveSpan(sp *obs.Span, st SolveStats, err error) {
 	sp.SetAttr("probes", st.Probes)
 	sp.SetAttr("pruned", st.Pruned)
 	sp.SetAttr("candidates", st.Candidates)
+	sp.SetAttr("counted", st.Counted)
 	sp.SetAttr("solve_hit_wall", st.SolveHitWall)
 	sp.SetAttr("eval_wall", st.EvalWall)
 	sp.End()
@@ -183,6 +208,7 @@ func finishSolve(ctx context.Context, op string, target int, start time.Time, re
 		"Candidate probes attempted.", "op", op).Add(int64(st.Probes))
 	obs.Default.Counter("iq_solve_pruned_total",
 		"Candidate probes discarded before hit counting.", "op", op).Add(int64(st.Pruned))
+	mThresholdCacheHits.Add(int64(st.ThresholdCacheHits))
 	obs.Log(ctx).DebugContext(ctx, "solve finished",
 		"op", op,
 		"target", target,
