@@ -40,6 +40,7 @@ stress:
 # every test run already replays their seed corpora (testdata/fuzz).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHitBound$$' -fuzztime 10s -timeout 5m ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSkybandUpdate$$' -fuzztime 10s -timeout 5m ./internal/subdomain
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime 10s -timeout 5m ./cmd/iqserver
 
 # metricscheck boots a real iqserver and validates its /metrics output with

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -173,6 +174,11 @@ func assertSameWorkload(t *testing.T, label string, got, want *System) {
 		if gw.IsQueryRemoved(j) != ww.IsQueryRemoved(j) {
 			t.Fatalf("%s: query %d removed=%v, want %v", label, j, gw.IsQueryRemoved(j), ww.IsQueryRemoved(j))
 		}
+	}
+	// A rebuilt index and one kept current mutation by mutation must hold
+	// the same skyband.
+	if gc, wc := got.Index().Candidates(), want.Index().Candidates(); !slices.Equal(gc, wc) {
+		t.Fatalf("%s: skyband %v, want %v", label, gc, wc)
 	}
 }
 

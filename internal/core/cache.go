@@ -158,7 +158,8 @@ func (t *hitTable) build(ctx context.Context, idx *subdomain.Index, rec *recorde
 			competitors = append(competitors, c)
 		}
 	}
-	best := make([]competitor, 0, w.MaxK())
+	// No row keeps more than every competitor, however large its K.
+	best := make([]competitor, 0, min(w.MaxK(), len(competitors)))
 	computed := 0
 	for j, s := range t.state {
 		if s != rowUnknown {
@@ -420,13 +421,14 @@ func CountHits(ctx context.Context, idx *subdomain.Index, target int, s vec.Vect
 
 // MigrateSolveCaches carries hit tables across a copy-on-write mutation:
 // every table stored on the pre-mutation snapshot oldIdx seeds its target's
-// table on the successor newIdx with the rows the mutation's dirty set left
-// exact, and the first solve on newIdx computes only the rest. A row is
-// dropped when its query is dirty and the target is not the query's sole
-// source (a target's row excludes the target itself); every other row is
-// copied bit for bit. A table no solve has used for maxIdle mutations is not
-// carried further. The write path calls it after the mutation succeeded and before
-// publishing newIdx. A table already stored on newIdx is kept.
+// table on the successor newIdx with the rows the mutation's dirty set ds
+// (newIdx's TakeDirty) left exact, and the first solve on newIdx computes
+// only the rest. A row is dropped when its query is dirty and the target is
+// not the query's sole source (a target's row excludes the target itself);
+// every other row is copied bit for bit. A table no solve has used for
+// maxIdle mutations is not carried further. The write path calls it after
+// the mutation succeeded and before publishing newIdx. A table already
+// stored on newIdx is kept.
 func MigrateSolveCaches(oldIdx, newIdx *subdomain.Index, ds *subdomain.DirtySet) {
 	if oldIdx == newIdx || !cacheEnabled.Load() {
 		return
@@ -450,10 +452,6 @@ func MigrateSolveCaches(oldIdx, newIdx *subdomain.Index, ds *subdomain.DirtySet)
 		}
 		s.mu.Unlock()
 		if seed == nil {
-			return true
-		}
-		if ds.All() {
-			mCacheEntriesInvalidated.Add(int64(knownRows(seed.state)))
 			return true
 		}
 		dropped := 0

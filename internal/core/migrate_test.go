@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iq/internal/subdomain"
@@ -62,8 +63,8 @@ func TestMigrateKeepsWarmPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		ds := next.TakeDirty()
-		if ds.QueryCount() != 0 || ds.CandidatesChanged() {
-			t.Fatalf("far-object update was not clean: queries=%d candChanged=%v", ds.QueryCount(), ds.CandidatesChanged())
+		if ds.QueryCount() != 0 || !slices.Equal(next.Candidates(), idx.Candidates()) {
+			t.Fatalf("far-object update was not clean: queries=%d, skyband %v -> %v", ds.QueryCount(), idx.Candidates(), next.Candidates())
 		}
 		MigrateSolveCaches(idx, next, ds)
 

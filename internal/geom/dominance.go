@@ -1,6 +1,8 @@
 package geom
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"iq/internal/vec"
@@ -14,8 +16,8 @@ import (
 // DESIGN.md, "Arrangement scale").
 
 // DominanceCount returns, for every point, how many other points dominate it
-// (lower-is-better semantics). The simple O(n²·d) algorithm is used for the
-// baseline path; KSkyband uses a sorted sweep with early exit for speed.
+// (lower-is-better semantics). The simple O(n²·d) algorithm is the tests'
+// oracle; KSkyband uses a sorted sweep with early exit for speed.
 func DominanceCount(points []vec.Vector) []int {
 	counts := make([]int, len(points))
 	for i := range points {
@@ -29,31 +31,27 @@ func DominanceCount(points []vec.Vector) []int {
 }
 
 // KSkyband returns the indices of all points dominated by fewer than k other
-// points. Only those points can appear in the top-k of any query with
-// non-negative weights, so intersections among them are the only ones that
-// can move an object into or out of a top-k result.
+// points, ascending, and each one's exact dominator count. Only those points
+// can appear in the top-k of any query with non-negative weights, so
+// intersections among them are the only ones that can move an object into
+// or out of a top-k result.
 //
-// The implementation sorts by attribute sum ascending (a point can only be
-// dominated by points with smaller or equal sum under lower-is-better) and
-// stops counting a point's dominators at k, giving O(n·s·d) where s is the
-// skyband size for typical inputs.
-func KSkyband(points []vec.Vector, k int) []int {
+// The implementation sweeps the points in SweepOrder and counts a point's
+// dominators among the band found so far, stopping at k, giving O(n·s·d)
+// where s is the skyband size for typical inputs. Every dominator of a band
+// member is itself a member and comes earlier in the sweep, so a member's
+// count is exact.
+func KSkyband(points []vec.Vector, k int) (band, counts []int) {
 	if k <= 0 {
-		return nil
+		return nil, nil
 	}
-	n := len(points)
-	order := make([]int, n)
+	order := make([]int, len(points))
 	for i := range order {
 		order[i] = i
 	}
-	sums := make([]float64, n)
-	for i, p := range points {
-		sums[i] = vec.Sum(p)
-	}
-	sort.Slice(order, func(a, b int) bool { return sums[order[a]] < sums[order[b]] })
+	SweepOrder(order, func(i int) vec.Vector { return points[i] })
 
-	var band []int // indices, in sum order, that made the skyband so far
-	var out []int
+	count := make([]int, len(points))
 	for _, idx := range order {
 		p := points[idx]
 		dominators := 0
@@ -67,11 +65,46 @@ func KSkyband(points []vec.Vector, k int) []int {
 		}
 		if dominators < k {
 			band = append(band, idx)
-			out = append(out, idx)
+			count[idx] = dominators
 		}
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(band)
+	counts = make([]int, len(band))
+	for i, b := range band {
+		counts[i] = count[b]
+	}
+	return band, counts
+}
+
+// SweepOrder sorts ids, which name the points at(id), into a linear
+// extension of dominance: by coordinate sum, then lexicographically by
+// coordinates, then by id. A dominator's sum is never larger, even rounded
+// (floating-point addition is monotone), and when rounding ties the sums its
+// first differing coordinate is the smaller one, so every point comes after
+// all the points that dominate it.
+func SweepOrder(ids []int, at func(int) vec.Vector) {
+	type key struct {
+		p   vec.Vector
+		sum float64
+		id  int
+	}
+	keys := make([]key, len(ids))
+	for i, id := range ids {
+		p := at(id)
+		keys[i] = key{p: p, sum: vec.Sum(p), id: id}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.sum != b.sum {
+			return cmp.Compare(a.sum, b.sum)
+		}
+		if c := slices.Compare(a.p, b.p); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	for i, k := range keys {
+		ids[i] = k.id
+	}
 }
 
 // ConvexHull2 computes the convex hull of 2-D points using Andrew's monotone

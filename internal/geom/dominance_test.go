@@ -38,7 +38,7 @@ func TestKSkybandMatchesDominanceCount(t *testing.T) {
 			}
 		}
 		for _, k := range []int{1, 2, 5} {
-			got := KSkyband(pts, k)
+			got, gotCounts := KSkyband(pts, k)
 			counts := DominanceCount(pts)
 			var want []int
 			for i, c := range counts {
@@ -54,22 +54,34 @@ func TestKSkybandMatchesDominanceCount(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("iter %d k=%d member %d: got %d want %d", iter, k, i, got[i], want[i])
 				}
+				if gotCounts[i] != counts[got[i]] {
+					t.Fatalf("iter %d k=%d member %d: count %d want %d", iter, k, got[i], gotCounts[i], counts[got[i]])
+				}
 			}
 		}
 	}
 }
 
 func TestKSkybandEdgeCases(t *testing.T) {
-	if got := KSkyband(nil, 3); got != nil {
+	if got, _ := KSkyband(nil, 3); got != nil {
 		t.Errorf("empty input: %v", got)
 	}
-	if got := KSkyband([]vec.Vector{{1, 2}}, 0); got != nil {
+	if got, _ := KSkyband([]vec.Vector{{1, 2}}, 0); got != nil {
 		t.Errorf("k=0: %v", got)
 	}
 	// Duplicates never dominate each other (strict), so all stay for k=1.
 	dups := []vec.Vector{{1, 1}, {1, 1}, {1, 1}}
-	if got := KSkyband(dups, 1); len(got) != 3 {
+	if got, _ := KSkyband(dups, 1); len(got) != 3 {
 		t.Errorf("duplicates: got %d members, want 3", len(got))
+	}
+	// Rounding ties the two sums at 1e16, so only the coordinate order
+	// sweeps the dominator first: point 1 dominates point 0.
+	tie := []vec.Vector{{1e16, 1, 0}, {1e16, 0, 0}}
+	if vec.Sum(tie[0]) != vec.Sum(tie[1]) {
+		t.Fatal("the sums no longer tie")
+	}
+	if got, counts := KSkyband(tie, 1); len(got) != 1 || got[0] != 1 || counts[0] != 0 {
+		t.Errorf("sum tie: got %v with counts %v, want [1] with [0] (DominanceCount %v)", got, counts, DominanceCount(tie))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iq/internal/topk"
@@ -152,11 +153,13 @@ func applyRandomMutation(t *testing.T, rng *rand.Rand, idx *Index) string {
 }
 
 // TestDirtySetCleanMutations asserts the headline cases: mutations that
-// cannot touch any top-k leave the dirty set completely empty, so every
-// cache survives.
+// cannot touch any top-k dirty no query and leave the skyband as it was, so
+// every cache survives.
 func TestDirtySetCleanMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	idx := buildRandom(t, rng, 60, 40, 3, 3, Options{})
+	band := append([]int(nil), idx.Candidates()...)
+	sameBand := func() bool { return slices.Equal(idx.Candidates(), band) }
 
 	// A globally dominated object: worse than everything on every axis. It
 	// can never enter a skyband and dominates nothing.
@@ -169,23 +172,20 @@ func TestDirtySetCleanMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := idx.TakeDirty()
-	if !ds.Empty() {
-		t.Fatalf("adding a dominated object dirtied state: %d queries, candChanged=%v", ds.QueryCount(), ds.CandidatesChanged())
+	if ds.QueryCount() != 0 || !sameBand() {
+		t.Fatalf("adding a dominated object dirtied state: %d queries, skyband %v -> %v", ds.QueryCount(), band, idx.Candidates())
 	}
 	if idx.IsCandidate(id) {
 		t.Fatal("dominated object became a candidate")
 	}
 
-	// Updating it (still dominated) dirties only the object itself.
+	// Updating it (still dominated) dirties nothing either.
 	if err := idx.UpdateObject(id, vec.Vector{90, 95, 92}); err != nil {
 		t.Fatal(err)
 	}
 	ds = idx.TakeDirty()
-	if ds.QueryCount() != 0 || ds.CandidatesChanged() {
-		t.Fatalf("updating a dominated object dirtied queries=%d candChanged=%v", ds.QueryCount(), ds.CandidatesChanged())
-	}
-	if !ds.ObjectDirty(id) {
-		t.Fatal("updated object not marked dirty")
+	if ds.QueryCount() != 0 || !sameBand() {
+		t.Fatalf("updating a dominated object dirtied queries=%d, skyband %v -> %v", ds.QueryCount(), band, idx.Candidates())
 	}
 
 	// Removing it likewise.
@@ -193,36 +193,33 @@ func TestDirtySetCleanMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds = idx.TakeDirty()
-	if ds.QueryCount() != 0 || ds.CandidatesChanged() {
+	if ds.QueryCount() != 0 || !sameBand() {
 		t.Fatal("removing a dominated object dirtied shared state")
-	}
-	if !ds.ObjectDirty(id) {
-		t.Fatal("removed object not marked dirty")
 	}
 }
 
-// TestDirtySetMergeAndAttribution covers the sole-source bookkeeping.
-func TestDirtySetMergeAndAttribution(t *testing.T) {
-	a := newDirtySet()
-	a.markQuery(3, 7)
-	a.markQuery(4, 7)
-	b := newDirtySet()
-	b.markQuery(4, 9)
-	b.markQuery(5, -1)
-	b.markObject(9)
-	b.markCandidatesChanged()
-	a.merge(b)
-	if !a.QueryDirtyFor(3, 0) || a.QueryDirtyFor(3, 7) {
+// TestDirtySetAttribution covers the sole-source bookkeeping: a query keeps
+// its source while every mark names the same object, and loses it to -1 at
+// the first mark from another object or a structural change.
+func TestDirtySetAttribution(t *testing.T) {
+	d := newDirtySet()
+	d.markQuery(3, 7)
+	d.markQuery(3, 7)
+	d.markQuery(4, 7)
+	d.markQuery(4, 9)
+	d.markQuery(5, -1)
+	d.markQuery(6, 9)
+	d.markQuery(6, -1)
+	if !d.QueryDirtyFor(3, 0) || d.QueryDirtyFor(3, 7) {
 		t.Fatal("sole-source query 3 misattributed")
 	}
-	if !a.QueryDirtyFor(4, 7) || !a.QueryDirtyFor(4, 9) {
+	if !d.QueryDirtyFor(4, 7) || !d.QueryDirtyFor(4, 9) {
 		t.Fatal("query 4 with two sources must be dirty for both")
 	}
-	if !a.QueryDirty(5) || !a.ObjectDirty(9) || !a.CandidatesChanged() {
-		t.Fatal("merge lost state")
+	if !d.QueryDirtyFor(5, 0) || !d.QueryDirtyFor(6, 9) {
+		t.Fatal("a structural mark must dirty the query for every target")
 	}
-	a.markAll()
-	if !a.All() || !a.QueryDirtyFor(99, 99) {
-		t.Fatal("markAll must degrade to whole-epoch invalidation")
+	if d.QueryDirtyFor(8, 0) || d.QueryCount() != 4 {
+		t.Fatalf("clean query 8 dirty, or %d dirty queries, want 4", d.QueryCount())
 	}
 }

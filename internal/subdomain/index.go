@@ -12,7 +12,8 @@
 // guarantees the grouping invariant even when the intersection budget is
 // capped.
 //
-// The index keeps the skyband current under every update (Section 4.3).
+// The index keeps the skyband exact under every update (Section 4.3) by
+// adjusting its members' dominator counts (see update.go).
 // The partition — the query R-tree, the subdomains and the query→subdomain
 // map — is derived state: the first read after a build or a mutation runs
 // Algorithm 1 over the current state, and every mutation drops it.
@@ -79,8 +80,12 @@ type Subdomain struct {
 type Index struct {
 	w          *topk.Workload
 	opts       Options
-	candidates []int
-	candSet    map[int]bool
+	candidates []int // ascending
+	// dominators[id] is object id's exact dominator count among the live
+	// objects when id is a candidate and -1 when it is not. Every dominator
+	// of a candidate is a candidate, which is what lets mutations keep the
+	// counts exact by touching only candidates (see update.go).
+	dominators []int32
 	// epoch increments on every mutating operation (object/query add,
 	// remove, update). Consumers that cache derived state — the ESE
 	// evaluator's per-subdomain ranks, the solvers' hit tables — tag their
@@ -129,7 +134,7 @@ func BuildCtx(ctx context.Context, w *topk.Workload, opts Options) (*Index, erro
 		return nil, errors.New("subdomain: query space has dimension 0")
 	}
 	idx := &Index{w: w, opts: opts}
-	idx.setCandidates(w.Candidates(opts.Slack))
+	idx.rebuildBand()
 	mBuilds.Inc()
 	mBuildSeconds.Observe(time.Since(start).Seconds())
 	sp.SetAttr("queries", w.NumQueries())
@@ -137,13 +142,29 @@ func BuildCtx(ctx context.Context, w *topk.Workload, opts Options) (*Index, erro
 	return idx, nil
 }
 
-// setCandidates installs a skyband and publishes its size.
+// rebuildBand computes the skyband and its members' dominator counts from
+// scratch and returns the objects that were not candidates before.
+func (x *Index) rebuildBand() (promoted []int) {
+	cands, counts := x.w.Candidates(x.opts.Slack)
+	dom := make([]int32, x.w.NumObjects())
+	for i := range dom {
+		dom[i] = -1
+	}
+	for i, c := range cands {
+		if !x.IsCandidate(c) {
+			promoted = append(promoted, c)
+		}
+		dom[c] = int32(counts[i])
+	}
+	x.dominators = dom
+	x.setCandidates(cands)
+	return promoted
+}
+
+// setCandidates installs the ascending skyband the dominator counts
+// describe and publishes its size.
 func (x *Index) setCandidates(cands []int) {
 	x.candidates = cands
-	x.candSet = make(map[int]bool, len(cands))
-	for _, c := range cands {
-		x.candSet[c] = true
-	}
 	mCandidates.Set(int64(len(cands)))
 }
 
@@ -524,11 +545,11 @@ func (x *Index) Epoch() uint64 { return x.epoch }
 // Clone returns an independent copy of the index bound to workload w, which
 // must be a Clone of the index's current workload (the two structures are
 // updated in lockstep, so they must be snapshotted together). The copy
-// holds its own candidate skyband and no partition: it builds one on its
-// first read. Mutating either index afterwards never affects the other.
-// This is the write-path primitive for epoch-based snapshots: writers
-// clone, mutate the clone, and publish it, while in-flight readers keep
-// their immutable epoch.
+// holds its own candidate skyband and dominator counts and no partition: it
+// builds one on its first read. Mutating either index afterwards never
+// affects the other. This is the write-path primitive for epoch-based
+// snapshots: writers clone, mutate the clone, and publish it, while
+// in-flight readers keep their immutable epoch.
 func (x *Index) Clone(w *topk.Workload) *Index {
 	return x.CloneCtx(context.Background(), w)
 }
@@ -544,15 +565,12 @@ func (x *Index) CloneCtx(ctx context.Context, w *topk.Workload) *Index {
 		w:          w,
 		opts:       x.opts,
 		candidates: append([]int(nil), x.candidates...),
-		candSet:    make(map[int]bool, len(x.candSet)),
+		dominators: append([]int32(nil), x.dominators...),
 		epoch:      x.epoch,
 		// pending stays nil: the clone's caches (keyed by the clone's
 		// identity) do not exist yet, so its dirty window starts empty —
 		// TakeDirty after mutating the clone describes exactly the delta
 		// from the cloned state.
-	}
-	for id := range x.candSet {
-		c.candSet[id] = true
 	}
 	mClones.Inc()
 	mCloneSeconds.Observe(time.Since(start).Seconds())
@@ -563,7 +581,9 @@ func (x *Index) CloneCtx(ctx context.Context, w *topk.Workload) *Index {
 func (x *Index) Candidates() []int { return x.candidates }
 
 // IsCandidate reports whether object id is in the candidate skyband.
-func (x *Index) IsCandidate(id int) bool { return x.candSet[id] }
+func (x *Index) IsCandidate(id int) bool {
+	return id >= 0 && id < len(x.dominators) && x.dominators[id] >= 0
+}
 
 // NumSubdomains returns the number of non-empty subdomains.
 func (x *Index) NumSubdomains() int { return len(x.partition(context.Background()).subs) }

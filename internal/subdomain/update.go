@@ -3,7 +3,9 @@ package subdomain
 import (
 	"context"
 	"fmt"
+	"sort"
 
+	"iq/internal/geom"
 	"iq/internal/obs"
 	"iq/internal/topk"
 	"iq/internal/vec"
@@ -15,6 +17,9 @@ import (
 // has a Ctx variant recording an "index/<op>" span when the context carries
 // a trace; the plain variants delegate with context.Background() so
 // existing call sites keep working untraced.
+//
+// Object mutations keep the skyband exact by dominance counting (see move);
+// only an added query that deepens the band recomputes it from scratch.
 
 // AddQuery inserts a new top-k query into the workload and the index.
 func (x *Index) AddQuery(q topk.Query) (int, error) {
@@ -40,9 +45,7 @@ func (x *Index) AddQueryCtx(ctx context.Context, q topk.Query) (int, error) {
 		// A larger k widens the skyband. Every other query's K+1 prefix lies
 		// inside the old skyband, so the promotions rank below it and their
 		// rows stay exact; the rank checks confirm it query by query.
-		promoted, _ := x.recomputeCandidates()
-		x.dirty().markCandidatesChanged()
-		for _, p := range promoted {
+		for _, p := range x.rebuildBand() {
 			x.markRankDirty(x.candidates, p, x.w.Coeff(p), -1, nil)
 		}
 	}
@@ -72,7 +75,7 @@ func (x *Index) RemoveQueryCtx(ctx context.Context, j int) error {
 
 // AddObject inserts a new object into the workload and updates the index:
 // the object joins the candidate skyband unless enough candidates dominate
-// it.
+// it, and then the candidates it pushes to the band's depth leave.
 func (x *Index) AddObject(attrs vec.Vector) (int, error) {
 	return x.AddObjectCtx(context.Background(), attrs)
 }
@@ -87,37 +90,24 @@ func (x *Index) AddObjectCtx(ctx context.Context, attrs vec.Vector) (int, error)
 	}
 	mAddObject.Inc()
 	x.mutated()
-	// Does the new object join the candidate set? Conservative test: count
-	// skyband-style dominators among current candidates.
-	kLimit := x.w.MaxK() + x.opts.Slack
-	dominators := 0
-	coeff := x.w.Coeff(id)
-	for _, c := range x.candidates {
-		if vec.Dominates(x.w.Coeff(c), coeff) {
-			dominators++
-			if dominators >= kLimit {
-				break
-			}
-		}
-	}
-	if dominators >= kLimit {
-		// Cannot enter any top-k: no threshold or evaluator state can
-		// change, so the dirty set stays empty and every cache survives the
-		// epoch bump untouched.
+	x.dominators = append(x.dominators, -1)
+	x.move(id, nil, x.w.Coeff(id))
+	if !x.IsCandidate(id) {
+		// Cannot enter any top-k, and dominates no candidate: no threshold
+		// can change, so the dirty set stays empty and every cache survives
+		// the epoch bump untouched.
 		return id, nil
 	}
-	x.candidates = append(x.candidates, id)
-	x.candSet[id] = true
-	mCandidates.Set(int64(len(x.candidates)))
-	x.dirty().markObject(id)
-	x.dirty().markCandidatesChanged()
-	x.markRankDirty(x.candidates, id, coeff, -1, nil)
+	// The candidates the new object demoted are dominated by it, so under
+	// positive weights they rank below it at every query: its own rank
+	// check covers every query they could dirty.
+	x.markRankDirty(x.candidates, id, x.w.Coeff(id), -1, nil)
 	return id, nil
 }
 
 // UpdateObject changes an object's attributes in place (same id) and
-// recomputes the candidate skyband. Committing an improvement strategy to
-// the dataset goes through here.
+// updates the candidate skyband. Committing an improvement strategy to the
+// dataset goes through here.
 func (x *Index) UpdateObject(id int, attrs vec.Vector) error {
 	return x.UpdateObjectCtx(context.Background(), id, attrs)
 }
@@ -129,7 +119,7 @@ func (x *Index) UpdateObjectCtx(ctx context.Context, id int, attrs vec.Vector) e
 	if id < 0 || id >= x.w.NumObjects() || x.w.IsRemoved(id) {
 		return fmt.Errorf("subdomain: object %d not updatable", id)
 	}
-	wasCandidate := x.candSet[id]
+	wasCandidate := x.IsCandidate(id)
 	// Snapshot pre-mutation state for the dirty computation: departures are
 	// judged against the old candidate list with the old coefficients.
 	oldCands := x.candidates
@@ -144,33 +134,25 @@ func (x *Index) UpdateObjectCtx(ctx context.Context, id int, attrs vec.Vector) e
 	}
 	mUpdateObject.Inc()
 	x.mutated()
-	x.dirty().markObject(id)
-	promoted, demoted := x.recomputeCandidates()
-	if wasCandidate || x.candSet[id] || len(promoted) > 0 || len(demoted) > 0 {
-		x.dirty().markCandidatesChanged()
-	}
+	promoted, demoted := x.move(id, oldCoeff, x.w.Coeff(id))
 	// New-state checks: the updated object with its new coefficients and
 	// every promotion, ranked among the current candidates. Demotions rank
 	// among the old candidates — their own coefficients are unchanged, but
 	// the updated object's must be overridden back to its old value.
-	if x.candSet[id] {
+	if x.IsCandidate(id) {
 		x.markRankDirty(x.candidates, id, x.w.Coeff(id), -1, nil)
 	}
 	for _, p := range promoted {
-		if p != id {
-			x.markRankDirty(x.candidates, p, x.w.Coeff(p), -1, nil)
-		}
+		x.markRankDirty(x.candidates, p, x.w.Coeff(p), -1, nil)
 	}
 	for _, c := range demoted {
-		if c != id {
-			x.markRankDirty(oldCands, c, x.w.Coeff(c), id, oldCoeff)
-		}
+		x.markRankDirty(oldCands, c, x.w.Coeff(c), id, oldCoeff)
 	}
 	return nil
 }
 
-// RemoveObject tombstones an object and recomputes the candidate skyband
-// when the object was a candidate.
+// RemoveObject tombstones an object and, when the object was a candidate,
+// updates the candidate skyband.
 func (x *Index) RemoveObject(id int) error {
 	return x.RemoveObjectCtx(context.Background(), id)
 }
@@ -185,44 +167,106 @@ func (x *Index) RemoveObjectCtx(ctx context.Context, id int) error {
 	if x.w.IsRemoved(id) {
 		return fmt.Errorf("subdomain: object %d already removed", id)
 	}
-	x.dirty().markObject(id)
-	if x.candSet[id] {
+	wasCandidate := x.IsCandidate(id)
+	if wasCandidate {
 		// Departure check against the pre-removal state, while the object
 		// still scores among the candidates.
 		x.markRankDirty(x.candidates, id, x.w.Coeff(id), -1, nil)
-		x.dirty().markCandidatesChanged()
 	}
 	x.w.RemoveObject(id)
 	mRemoveObject.Inc()
 	x.mutated()
-	if !x.candSet[id] {
-		// A non-candidate was in no top-k: thresholds for other targets
-		// survive (the object itself is marked dirty above).
+	if !wasCandidate {
+		// A non-candidate was in no top-k and dominates no candidate:
+		// neither the skyband nor any threshold changes.
 		return nil
 	}
 	// Removing a candidate can promote previously-pruned objects into the
 	// skyband; arrival checks for them rank in the post-removal state.
-	promoted, _ := x.recomputeCandidates()
+	promoted, _ := x.move(id, x.w.Coeff(id), nil)
 	for _, p := range promoted {
 		x.markRankDirty(x.candidates, p, x.w.Coeff(p), -1, nil)
 	}
 	return nil
 }
 
-// recomputeCandidates recomputes the skyband from the workload and returns
-// the objects that entered and left it.
-func (x *Index) recomputeCandidates() (promoted, demoted []int) {
-	old := x.candSet
-	x.setCandidates(x.w.Candidates(x.opts.Slack))
+// move updates the skyband after object id moved from old to cur, given
+// the candidates' exact dominator counts in the state before: old is nil
+// for an added object (never a candidate before) and cur is nil for a
+// removed one (already tombstoned in the workload). It returns the objects
+// other than id that entered and left the band.
+//
+// Every other live object x gains a dominator when cur dominates it and
+// loses one when old did, so x's count moves by at most one. A candidate's
+// count is adjusted with those two tests and the candidate leaves when it
+// reaches the band's depth k (Workload.SkybandDepth, the depth a rebuild
+// uses). A non-candidate can only enter by losing old
+// as a dominator, and only when id was a candidate: a non-candidate's
+// dominators (k of them at least) also dominate everything it dominates.
+// The entrants — those objects and id itself at cur — are recounted in
+// SweepOrder against the remaining candidates and the entrants admitted so
+// far. That count is exact: a point with fewer than k dominators has only
+// candidates as dominators, and those precede it in the sweep; a point with
+// k or more has k among the candidates, its first k dominators in the
+// sweep. So the band equals a from-scratch k-skyband after every mutation.
+func (x *Index) move(id int, old, cur vec.Vector) (promoted, demoted []int) {
+	w := x.w
+	k := w.SkybandDepth(x.opts.Slack)
+	wasCandidate := x.dominators[id] >= 0
+	x.dominators[id] = -1
+	band := make([]int, 0, len(x.candidates)+1)
 	for _, c := range x.candidates {
-		if !old[c] {
-			promoted = append(promoted, c)
+		if c == id {
+			continue
 		}
-	}
-	for c := range old {
-		if !x.candSet[c] {
+		n := x.dominators[c]
+		if wasCandidate && vec.Dominates(old, w.Coeff(c)) {
+			n--
+		}
+		if cur != nil && vec.Dominates(cur, w.Coeff(c)) {
+			n++
+		}
+		if int(n) >= k {
+			n = -1
 			demoted = append(demoted, c)
+		} else {
+			band = append(band, c)
+		}
+		x.dominators[c] = n
+	}
+
+	var entrants []int
+	if cur != nil {
+		entrants = append(entrants, id)
+	}
+	if wasCandidate {
+		for i := 0; i < w.NumObjects(); i++ {
+			if x.dominators[i] < 0 && i != id && !w.IsRemoved(i) &&
+				vec.Dominates(old, w.Coeff(i)) && (cur == nil || !vec.Dominates(cur, w.Coeff(i))) {
+				entrants = append(entrants, i)
+			}
 		}
 	}
+	geom.SweepOrder(entrants, w.Coeff)
+	for _, e := range entrants {
+		p := w.Coeff(e)
+		n := 0
+		for _, c := range band {
+			if vec.Dominates(w.Coeff(c), p) {
+				if n++; n >= k {
+					break
+				}
+			}
+		}
+		if n < k {
+			x.dominators[e] = int32(n)
+			band = append(band, e)
+			if e != id {
+				promoted = append(promoted, e)
+			}
+		}
+	}
+	sort.Ints(band)
+	x.setCandidates(band)
 	return promoted, demoted
 }

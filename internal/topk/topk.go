@@ -397,15 +397,10 @@ func (w *Workload) HitSet(attrs vec.Vector, id int) ([]int, error) {
 // top-k result (k ≤ maxK) under non-negative query weights, so function
 // intersections among them are the only ones the subdomain index needs.
 // slack ≥ 1 keeps the set valid when one target object is removed or
-// arbitrarily degraded (see DESIGN.md).
-func (w *Workload) Candidates(slack int) []int {
-	if slack < 0 {
-		slack = 0
-	}
-	k := w.maxK + slack
-	if k < 1 {
-		k = 1
-	}
+// arbitrarily degraded (see DESIGN.md). dominators[i] is candidate ids[i]'s
+// exact dominator count among the live objects.
+func (w *Workload) Candidates(slack int) (ids, dominators []int) {
+	k := w.SkybandDepth(slack)
 	live := make([]vec.Vector, 0, len(w.coeffs))
 	backMap := make([]int, 0, len(w.coeffs))
 	for i, c := range w.coeffs {
@@ -414,12 +409,21 @@ func (w *Workload) Candidates(slack int) []int {
 			backMap = append(backMap, i)
 		}
 	}
-	band := geom.KSkyband(live, k)
-	out := make([]int, len(band))
+	band, dominators := geom.KSkyband(live, k)
 	for i, b := range band {
-		out[i] = backMap[b]
+		band[i] = backMap[b]
 	}
-	return out
+	return band, dominators
+}
+
+// SkybandDepth returns the k of the k-skyband Candidates(slack) keeps:
+// maxK+slack (a negative slack counts as 0), at least 1. No object has as
+// many dominators as there are objects, so every depth from the object
+// count up keeps every live object; each term is capped there, which keeps
+// the band and cannot overflow however large a query's K is.
+func (w *Workload) SkybandDepth(slack int) int {
+	n := len(w.coeffs)
+	return max(1, min(w.maxK, n)+min(max(slack, 0), n))
 }
 
 // KthResult returns the object at rank k and its score for query j,

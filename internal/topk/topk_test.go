@@ -178,7 +178,7 @@ func TestCandidatesSkybandCorrectness(t *testing.T) {
 		queries[j] = Query{ID: j, K: 1 + rng.Intn(5), Point: randVec(rng, d)}
 	}
 	w := linWorkload(t, attrs, queries)
-	cands := w.Candidates(1)
+	cands, _ := w.Candidates(1)
 	candSet := map[int]bool{}
 	for _, c := range cands {
 		candSet[c] = true

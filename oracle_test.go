@@ -1,6 +1,7 @@
 package iq
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -179,6 +180,39 @@ func TestHitTableMatchesHitsExact(t *testing.T) {
 			if h, err := sys.Hits(target); err != nil || h != want {
 				t.Fatalf("target %d: Hits %d (%v), HitsExact %d", target, h, err, want)
 			}
+		}
+		checkHitOracle(t, rng, sys, 20, uniformStrategy(rng, 3))
+	})
+
+	t.Run("huge-k", func(t *testing.T) {
+		// A K past the object count puts every object in the query's top-k.
+		// MaxK+Slack must not overflow the skyband depth, and no row may
+		// size a buffer by K.
+		rng := rand.New(rand.NewSource(6))
+		sys, err := NewLinear(dataset.Objects(dataset.Independent, 80, 3, rng), dataset.UNQueries(30, 3, 3, false, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range []int{math.MaxInt32, math.MaxInt} {
+			if _, err := sys.AddQuery(Query{ID: 900 + i, K: k, Point: Vector{0.3, 0.3, 0.4}}); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := len(sys.Index().Candidates()), sys.Workload().LiveObjects(); got != want {
+				t.Fatalf("K=%d: %d candidates, want every one of the %d objects", k, got, want)
+			}
+			checkHitOracle(t, rng, sys, 20, uniformStrategy(rng, 3))
+		}
+		if err := sys.Commit(1, Vector{-0.2, -0.1, -0.15}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.AddObject(Vector{0.9, 0.95, 0.9}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RemoveObject(2); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(sys.Index().Candidates()), sys.Workload().LiveObjects(); got != want {
+			t.Fatalf("after writes: %d candidates, want every one of the %d objects", got, want)
 		}
 		checkHitOracle(t, rng, sys, 20, uniformStrategy(rng, 3))
 	})
