@@ -953,7 +953,7 @@ func (s *server) handleCommit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCommitBatch applies several mutations as one atomic epoch via
-// iq.(*System).ApplyBatch: one clone, one merged dirty set, one publish.
+// iq.(*System).ApplyBatch: one clone, one publish.
 // Malformed items are a 400 before anything is applied; an error from any
 // mutation rolls the whole batch back (ApplyBatch is all-or-nothing), so
 // the response either carries every result or none.

@@ -176,9 +176,14 @@ func assertSameWorkload(t *testing.T, label string, got, want *System) {
 		}
 	}
 	// A rebuilt index and one kept current mutation by mutation must hold
-	// the same skyband.
+	// the same skyband and the same rows.
 	if gc, wc := got.Index().Candidates(), want.Index().Candidates(); !slices.Equal(gc, wc) {
 		t.Fatalf("%s: skyband %v, want %v", label, gc, wc)
+	}
+	for j := 0; j < ww.NumQueries(); j++ {
+		if gr, wr := got.Index().Row(j), want.Index().Row(j); !sameRow(gr, wr) {
+			t.Fatalf("%s: query %d row %v, want %v", label, j, gr, wr)
+		}
 	}
 }
 

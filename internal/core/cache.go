@@ -14,15 +14,21 @@ package core
 // one dot product per query. It is the simplest reverse top-k index in the
 // sense of "Indexing Reverse Top-k Queries" (Chester et al.).
 //
+// Derivation: the snapshot's index keeps, for every live query, its best
+// K+1 skyband members in topk.Better order (subdomain.Index.Row), and the
+// skyband holds every possible top-k member. So T_j is the K-th row entry
+// that is not the target, and a query whose row has fewer than K such
+// entries is always hit: a table costs O(queries·K), with no band scan.
+//
 // Exactness: each row's bound folds topk.Better's id tie-break into the
 // strict score comparison, and scores are summed by vec.Dot exactly as
 // topk.Workload.HitsExact sums them, so a table count equals HitsExact bit
 // for bit.
 //
-// Lifetime: a table is built on first use and stored on its snapshot
-// (subdomain.Index.Memo), so it dies with the snapshot. An in-place index
-// mutation invalidates it by epoch, PurgeSolveCaches by generation, and
-// MigrateSolveCaches carries its rows across a copy-on-write mutation.
+// Lifetime: a table is derived on first use and stored on its snapshot
+// (subdomain.Index.Memo), so it dies with the snapshot; an in-place index
+// mutation invalidates it by epoch. A copy-on-write mutation keeps the rows
+// exact in the new snapshot, whose first solve per target derives its table.
 //
 // Bounds: a greedy round needs exact counts only for the candidates that can
 // win it, so hitBound gives every probe of a round an upper bound on its hits
@@ -35,7 +41,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"iq/internal/bitset"
 	"iq/internal/obs"
@@ -48,67 +53,21 @@ var (
 	mThresholdCacheHits = obs.Default.Counter("iq_threshold_cache_hits_total",
 		"Hit-threshold lookups served from a stored hit table.")
 	mThresholdCacheMisses = obs.Default.Counter("iq_threshold_cache_misses_total",
-		"Hit-table rows computed by a full top-k evaluation.")
-	mCacheEntriesRetained = obs.Default.Counter("iq_cache_entries_retained_total",
-		"Hit-table rows carried across a mutation by dirty-set migration.")
-	mCacheEntriesInvalidated = obs.Default.Counter("iq_cache_entries_invalidated_total",
-		"Hit-table rows dropped by dirty-set migration because the mutation's dirty set intersected them.")
+		"Hit-table rows derived from the index rows because the snapshot had no stored table for the target.")
 )
-
-// cacheEnabled gates storing hit tables on their snapshots. On by default;
-// the determinism tests flip it to compare the stored path against the
-// uncached reference, in which every solve builds a fresh table.
-var cacheEnabled atomic.Bool
-
-// purgeGen is advanced by PurgeSolveCaches; a stored table of an older
-// generation counts as absent.
-var purgeGen atomic.Uint64
-
-func init() { cacheEnabled.Store(true) }
-
-// SetSolveCacheEnabled toggles storing hit tables on their snapshots and
-// returns the previous setting. It is a test hook, like SetIterationHook:
-// the bit-identity tests use the uncached path as their reference. Disabling
-// does not purge — re-enabling reuses still-valid tables; call
-// PurgeSolveCaches for a cold start.
-func SetSolveCacheEnabled(enabled bool) bool {
-	return cacheEnabled.Swap(enabled)
-}
-
-// PurgeSolveCaches makes every stored hit table stale, so the next solve on
-// any snapshot builds its table cold. Tests use it to force cold-path
-// measurements; production code never needs it (tables die with their
-// snapshots).
-func PurgeSolveCaches() {
-	purgeGen.Add(1)
-}
-
-// maxIdle is how many consecutive mutations MigrateSolveCaches carries a
-// table that no solve uses, so tables of targets nobody asks about age out
-// instead of riding every later snapshot.
-const maxIdle = 8
 
 // Row states, one byte per query.
 const (
-	rowUnknown uint8 = iota // not computed: a migration seed's dirty row
+	rowRemoved uint8 = iota // the query is tombstoned: never hit
 	rowBounded              // kth/kthID hold the k-th competitor
 	rowAlways               // fewer than k competitors: any score hits
-	rowRemoved              // the query is tombstoned: never hit
 )
 
-// hitTable is one target's Eq. 6 thresholds on one index snapshot. Once
-// complete it is immutable and shared by every worker of every solve on the
-// snapshot.
+// hitTable is one target's Eq. 6 thresholds on one index snapshot. It is
+// immutable and shared by every worker of every solve on the snapshot.
 type hitTable struct {
-	gen, epoch uint64
-	target     int
-	// stored marks a table kept on its snapshot; lookups against it count
-	// as threshold-cache hits.
-	stored bool
-	ready  bool // complete: every row known and the counting form derived
-	// idle counts the mutations a migration seed's rows were carried
-	// across since a solve last used the table.
-	idle int
+	epoch  uint64
+	target int
 	// Per query, indexed by workload query index: the row state and the
 	// k-th competitor's score T_j and id I_j.
 	state []uint8
@@ -123,84 +82,53 @@ type hitTable struct {
 	always []int
 }
 
-func newHitTable(idx *subdomain.Index, target int, stored bool) *hitTable {
+// newHitTable allocates target's table on idx with every row removed.
+func newHitTable(idx *subdomain.Index, target int) *hitTable {
 	n := idx.Workload().NumQueries()
 	return &hitTable{
-		gen: purgeGen.Load(), epoch: idx.Epoch(), target: target, stored: stored,
+		epoch: idx.Epoch(), target: target,
 		state: make([]uint8, n), kth: make([]float64, n), kthID: make([]int, n),
 	}
 }
 
-// current reports whether the table was built for idx as it is now.
+// current reports whether the table was derived for idx as it is now.
 func (t *hitTable) current(idx *subdomain.Index) bool {
-	return t.gen == purgeGen.Load() && t.epoch == idx.Epoch() &&
-		len(t.state) == idx.Workload().NumQueries()
+	return t.epoch == idx.Epoch() && len(t.state) == idx.Workload().NumQueries()
 }
 
-// competitor is one object's score at a query.
-type competitor struct {
-	score float64
-	id    int
-}
-
-// build computes every unknown row inside a "table/build" span and derives
-// the counting form. A row is the k-th best among the candidate skyband
-// minus the target: the skyband holds every possible top-k member. Each
-// computed row is a threshold-cache miss charged to rec (nil-safe); build
-// returns how many there were.
-func (t *hitTable) build(ctx context.Context, idx *subdomain.Index, rec *recorder) int {
+// deriveHitTable derives target's table from idx's rows inside a
+// "table/build" span and returns it with the number of rows it derived.
+func deriveHitTable(ctx context.Context, idx *subdomain.Index, target int) (*hitTable, int) {
 	_, sp := obs.StartSpan(ctx, "table/build")
 	defer sp.End()
 	w := idx.Workload()
-	var competitors []int
-	for _, c := range idx.Candidates() {
-		if c != t.target && !w.IsRemoved(c) {
-			competitors = append(competitors, c)
-		}
-	}
-	// No row keeps more than every competitor, however large its K.
-	best := make([]competitor, 0, min(w.MaxK(), len(competitors)))
-	computed := 0
-	for j, s := range t.state {
-		if s != rowUnknown {
-			continue
-		}
+	t := newHitTable(idx, target)
+	derived := 0
+	for j := range t.state {
 		if w.IsQueryRemoved(j) {
-			t.state[j] = rowRemoved
 			continue
 		}
-		// best holds the K best competitors seen so far in topk.Better
-		// order; a score that cannot enter it costs one comparison.
-		q := w.Query(j)
-		best = best[:0]
-		for _, c := range competitors {
-			// w.Score's sum in its order, written out: this form measured
-			// faster in perfbench's loops.
-			score := 0.0
-			for i, x := range w.Coeff(c) {
-				score += x * q.Point[i]
-			}
-			if n := len(best); n == q.K && !topk.Better(score, c, best[n-1].score, best[n-1].id) {
+		derived++
+		t.state[j] = rowAlways
+		k := w.Query(j).K
+		for _, e := range idx.Row(j) {
+			if e.ID == target {
 				continue
-			} else if n < q.K {
-				best = append(best, competitor{})
 			}
-			// Insert in order; a full buffer drops its K-th.
-			i := len(best) - 1
-			for ; i > 0 && topk.Better(score, c, best[i-1].score, best[i-1].id); i-- {
-				best[i] = best[i-1]
+			if k--; k == 0 {
+				t.state[j], t.kth[j], t.kthID[j] = rowBounded, e.Score, e.ID
+				break
 			}
-			best[i] = competitor{score, c}
 		}
-		if len(best) < q.K {
-			t.state[j] = rowAlways
-		} else {
-			t.state[j] = rowBounded
-			t.kth[j], t.kthID[j] = best[q.K-1].score, best[q.K-1].id
-		}
-		computed++
-		rec.thresholdMiss()
 	}
+	t.index(w)
+	sp.SetAttr("target", target)
+	sp.SetAttr("rows", derived)
+	return t, derived
+}
+
+// index derives the counting form from the row states and thresholds.
+func (t *hitTable) index(w *topk.Workload) {
 	t.rows = make([]int, 0, len(t.state))
 	t.pts = make([]vec.Vector, 0, len(t.state))
 	t.bound = make([]float64, 0, len(t.state))
@@ -222,11 +150,6 @@ func (t *hitTable) build(ctx context.Context, idx *subdomain.Index, rec *recorde
 			t.norm = append(t.norm, vec.Norm2(w.Query(j).Point))
 		}
 	}
-	t.ready = true
-	sp.SetAttr("target", t.target)
-	sp.SetAttr("computed", computed)
-	sp.SetAttr("carried", len(t.rows)+len(t.always)-computed)
-	return computed
 }
 
 // threshold returns T_j, the score the improved target must beat at query
@@ -363,33 +286,26 @@ func (b *hitBound) upper(c vec.Vector) int {
 	return b.fixed + base
 }
 
-// tableSlot is one target's place in a snapshot's Memo: the complete table,
-// or the rows a migration carried until the first solve completes them.
+// tableSlot is one target's place in a snapshot's Memo.
 type tableSlot struct {
 	mu sync.Mutex
 	t  *hitTable
 }
 
-// hitTableFor returns target's complete hit table on idx. With the solve
-// caches on, the table is stored on the snapshot: built on first use, or
-// completed from the rows a migration carried, then shared read-only; a
-// concurrent first use waits for the build instead of repeating it. With
-// them off, every call builds a fresh table and charges rec nothing.
+// hitTableFor returns target's hit table on idx, stored on the snapshot:
+// derived on first use, then shared read-only; a concurrent first use waits
+// for the derivation instead of repeating it. The derived rows are
+// threshold-cache misses charged to rec (nil-safe).
 func hitTableFor(ctx context.Context, idx *subdomain.Index, target int, rec *recorder) *hitTable {
-	if !cacheEnabled.Load() {
-		t := newHitTable(idx, target, false)
-		t.build(ctx, idx, nil)
-		return t
-	}
 	v, _ := idx.Memo().LoadOrStore(target, &tableSlot{})
 	s := v.(*tableSlot)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.t == nil || !s.t.current(idx) {
-		s.t = newHitTable(idx, target, true)
-	}
-	if !s.t.ready {
-		mThresholdCacheMisses.Add(int64(s.t.build(ctx, idx, rec)))
+		var derived int
+		s.t, derived = deriveHitTable(ctx, idx, target)
+		rec.thresholdMisses(derived)
+		mThresholdCacheMisses.Add(int64(derived))
 	}
 	return s.t
 }
@@ -417,65 +333,4 @@ func CountHits(ctx context.Context, idx *subdomain.Index, target int, s vec.Vect
 		return 0, err
 	}
 	return t.hits(coeff), nil
-}
-
-// MigrateSolveCaches carries hit tables across a copy-on-write mutation:
-// every table stored on the pre-mutation snapshot oldIdx seeds its target's
-// table on the successor newIdx with the rows the mutation's dirty set ds
-// (newIdx's TakeDirty) left exact, and the first solve on newIdx computes
-// only the rest. A row is dropped when its query is dirty and the target is
-// not the query's sole source (a target's row excludes the target itself);
-// every other row is copied bit for bit. A table no solve has used for
-// maxIdle mutations is not carried further. The write path calls it after
-// the mutation succeeded and before publishing newIdx. A table already
-// stored on newIdx is kept.
-func MigrateSolveCaches(oldIdx, newIdx *subdomain.Index, ds *subdomain.DirtySet) {
-	if oldIdx == newIdx || !cacheEnabled.Load() {
-		return
-	}
-	oldIdx.Memo().Range(func(k, v any) bool {
-		target, s := k.(int), v.(*tableSlot)
-		var seed *hitTable
-		s.mu.Lock()
-		if old := s.t; old != nil && old.current(oldIdx) {
-			idle := 1
-			if !old.ready {
-				idle = old.idle + 1
-			}
-			if idle <= maxIdle {
-				seed = newHitTable(newIdx, target, true)
-				seed.idle = idle
-				copy(seed.state, old.state)
-				copy(seed.kth, old.kth)
-				copy(seed.kthID, old.kthID)
-			}
-		}
-		s.mu.Unlock()
-		if seed == nil {
-			return true
-		}
-		dropped := 0
-		ds.ForEachQuery(func(j, source int) {
-			if j < len(seed.state) && source != target && seed.state[j] != rowUnknown {
-				seed.state[j] = rowUnknown
-				dropped++
-			}
-		})
-		mCacheEntriesInvalidated.Add(int64(dropped))
-		if kept := knownRows(seed.state); kept > 0 {
-			mCacheEntriesRetained.Add(int64(kept))
-			newIdx.Memo().LoadOrStore(target, &tableSlot{t: seed})
-		}
-		return true
-	})
-}
-
-func knownRows(state []uint8) int {
-	n := 0
-	for _, s := range state {
-		if s != rowUnknown {
-			n++
-		}
-	}
-	return n
 }

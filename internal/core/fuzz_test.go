@@ -93,8 +93,7 @@ func FuzzHitBound(f *testing.F) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		tab := newHitTable(idx, target, false)
-		tab.build(ctx, idx, nil)
+		tab, _ := deriveHitTable(ctx, idx, target)
 		at := make(vec.Vector, d)
 		for k := range at {
 			at[k] = w.Coeff(target)[k] + in.eighth()

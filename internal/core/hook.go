@@ -84,10 +84,9 @@ func checkpoint(ctx context.Context, op string, iteration int) error {
 // solver fault-injection hook: op is "mutation" and iteration identifies the
 // position within a batch (0-based; -1 for the pre-publish check of a single
 // mutation). The copy-on-write mutator calls it between batch operations and
-// once more after the mutation function succeeded, before cache migration
-// and publish — a cancellation observed there discards the clone and its
-// accumulated dirty set whole, so no partially merged dirty set or stale
-// pending batch entry can ever be published.
+// once more after the mutation function succeeded, before publish — a
+// cancellation observed there discards the clone, with every row it
+// replaced, whole, so no partially applied batch can ever be published.
 func MutationCheckpoint(ctx context.Context, iteration int) error {
 	return checkpoint(ctx, "mutation", iteration)
 }

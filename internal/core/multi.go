@@ -168,9 +168,7 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 				psp.SetAttr("query", j)
 			}
 			u, err := solveHit(w, st.tabs[i], st.cur[i], j, spec.Cost, spec.Bounds, &st.sc)
-			if st.tabs[i].stored {
-				rec.thresholdHit()
-			}
+			rec.thresholdHit()
 			t1 := rec.solveDone(t0)
 			if err != nil || !spec.Bounds.Contains(u) {
 				rec.pruned.Add(1)

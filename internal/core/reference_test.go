@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,11 +12,11 @@ import (
 )
 
 // This file is the greedy solvers' reference oracle: Algorithms 3 and 4 as
-// the paper states them, serial, with no stored table, no hit bounds and no
-// scratch reuse. A fresh table built for the call serves only the per-query
-// thresholds (Equations 13–14); every candidate's hits are counted by brute
-// force (topk.Workload.HitsExact), and each round's pick scans all
-// candidates.
+// the paper states them, serial, with no stored table, no index rows, no hit
+// bounds and no scratch reuse. A table scanned from the whole skyband for the
+// call (refTable) serves only the per-query thresholds (Equations 13–14);
+// every candidate's hits are counted by brute force
+// (topk.Workload.HitsExact), and each round's pick scans all candidates.
 
 // refCandidates returns one greedy round's candidates: for every live query
 // the target improved by cur does not hit, the min-cost strategy hitting it
@@ -89,9 +88,55 @@ func refCheapest(cands []Candidate, minHits int, maxCost float64) (Candidate, bo
 	return best, found
 }
 
+// refTable scans target's hit table from the whole skyband: row j is the
+// K-th best band member other than the target at q_j, and always-hit when
+// there are fewer than K. It is the oracle of the tables the solvers derive
+// from the index rows.
 func refTable(idx *subdomain.Index, target int) *hitTable {
-	tab := newHitTable(idx, target, false)
-	tab.build(context.Background(), idx, nil)
+	w := idx.Workload()
+	tab := newHitTable(idx, target)
+	var competitors []int
+	for _, c := range idx.Candidates() {
+		if c != target && !w.IsRemoved(c) {
+			competitors = append(competitors, c)
+		}
+	}
+	type competitor struct {
+		score float64
+		id    int
+	}
+	// No row keeps more than every competitor, however large its K.
+	best := make([]competitor, 0, min(w.MaxK(), len(competitors)))
+	for j := range tab.state {
+		if w.IsQueryRemoved(j) {
+			continue
+		}
+		// best holds the K best competitors seen so far in topk.Better
+		// order.
+		q := w.Query(j)
+		best = best[:0]
+		for _, c := range competitors {
+			score := w.Score(c, q.Point)
+			if n := len(best); n == q.K && !topk.Better(score, c, best[n-1].score, best[n-1].id) {
+				continue
+			} else if n < q.K {
+				best = append(best, competitor{})
+			}
+			// Insert in order; a full buffer drops its K-th.
+			i := len(best) - 1
+			for ; i > 0 && topk.Better(score, c, best[i-1].score, best[i-1].id); i-- {
+				best[i] = best[i-1]
+			}
+			best[i] = competitor{score, c}
+		}
+		if len(best) < q.K {
+			tab.state[j] = rowAlways
+		} else {
+			tab.state[j] = rowBounded
+			tab.kth[j], tab.kthID[j] = best[q.K-1].score, best[q.K-1].id
+		}
+	}
+	tab.index(w)
 	return tab
 }
 
@@ -182,15 +227,27 @@ func sameAnswer(got, want *Result, gotErr, wantErr error) string {
 }
 
 // commitTarget is the core-layer Commit: a clone of idx with target moved by
-// s, its solve caches migrated as the System's write path migrates them.
+// s, its rows kept current by the update as the System's write path keeps
+// them.
 func commitTarget(t *testing.T, idx *subdomain.Index, target int, s vec.Vector) *subdomain.Index {
 	t.Helper()
 	next := idx.Clone(idx.Workload().Clone())
 	if err := next.UpdateObject(target, vec.Add(idx.Workload().Attrs(target), s)); err != nil {
 		t.Fatal(err)
 	}
-	MigrateSolveCaches(idx, next, next.TakeDirty())
 	return next
+}
+
+// rebuilt builds a from-scratch index over a clone of idx's workload: its
+// band and rows are computed whole, not maintained mutation by mutation, and
+// it has no stored tables.
+func rebuilt(t *testing.T, idx *subdomain.Index) *subdomain.Index {
+	t.Helper()
+	fresh, err := subdomain.Build(idx.Workload().Clone(), subdomain.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fresh
 }
 
 // greedyTargets picks two skyband objects that already hit a query or two,
@@ -220,10 +277,11 @@ func greedyTargets(t *testing.T, rng *rand.Rand, idx *subdomain.Index) (targets,
 // TestGreedyMatchesReference is the greedy solvers' differential matrix:
 // MinCostIQ and MaxHitIQ against the reference Algorithms 3/4 above, over
 // L2, L1, weighted L2 and an expression cost that goes negative; without and
-// with bounds; 1 and 3 workers; solve caches on and off; a linear and a
-// polynomial space; before and after a commit. Strategy and cost bits, hits,
-// base hits and rounds must be identical. It subsumes the pairwise
-// cached-vs-uncached and parallel-vs-serial checks.
+// with bounds; 1 and 3 workers; on the solved snapshot, whose tables are
+// stored across the solves, and on a from-scratch rebuild of it; a linear
+// and a polynomial space; before and after a commit. Strategy and cost bits,
+// hits, base hits and rounds must be identical. It subsumes the pairwise
+// stored-vs-rebuilt and parallel-vs-serial checks.
 func TestGreedyMatchesReference(t *testing.T) {
 	negative, err := NewExprCost("s1^2 + s2^2 + 0.01*s1", 2)
 	if err != nil {
@@ -261,20 +319,24 @@ func TestGreedyMatchesReference(t *testing.T) {
 					}
 					refs := map[string]*Result{}
 					refErrs := map[string]error{}
-					for _, caches := range []bool{true, false} {
-						withCaches(t, caches, func() {
+					for _, fresh := range []bool{false, true} {
+						func() {
 							at := idx
 							for phase := 0; phase < 2; phase++ {
 								if phase == 1 {
 									// Commit the first target's Min-Cost
 									// answer (a small fixed move when it has
-									// none) after the caches warmed on idx, so
-									// the stored path runs on migrated rows.
+									// none) after the tables were stored on
+									// idx, so the solves run on rows the
+									// update maintained.
 									move := vec.Vector{-0.05, -0.02}
 									if refErrs["mc0/0"] == nil {
 										move = refs["mc0/0"].Strategy
 									}
 									at = commitTarget(t, idx, targets[0], move)
+								}
+								if fresh {
+									at = rebuilt(t, at)
 								}
 								for i, target := range targets {
 									mc := MinCostRequest{Target: target, Tau: taus[i], Cost: cst.cost, Bounds: b}
@@ -288,18 +350,18 @@ func TestGreedyMatchesReference(t *testing.T) {
 										mc.Workers, mh.Workers = workers, workers
 										got, err := MinCostIQ(at, mc)
 										if d := sameAnswer(got, refs["mc"+key], err, refErrs["mc"+key]); d != "" {
-											t.Errorf("caches=%v phase=%d target=%d tau=%d workers=%d MinCost: %s",
-												caches, phase, target, mc.Tau, workers, d)
+											t.Errorf("fresh=%v phase=%d target=%d tau=%d workers=%d MinCost: %s",
+												fresh, phase, target, mc.Tau, workers, d)
 										}
 										got, err = MaxHitIQ(at, mh)
 										if d := sameAnswer(got, refs["mh"+key], err, nil); d != "" {
-											t.Errorf("caches=%v phase=%d target=%d budget=%v workers=%d MaxHit: %s",
-												caches, phase, target, mh.Budget, workers, d)
+											t.Errorf("fresh=%v phase=%d target=%d budget=%v workers=%d MaxHit: %s",
+												fresh, phase, target, mh.Budget, workers, d)
 										}
 									}
 								}
 							}
-						})
+						}()
 					}
 				})
 			}

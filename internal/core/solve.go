@@ -366,7 +366,7 @@ func generateCandidates(ctx context.Context, w *topk.Workload, workers int, cur,
 			}
 			probe(wctx, wkr, slot, &t)
 		}
-		rec.fanOut(t, tab.stored, time.Since(t0))
+		rec.fanOut(t, time.Since(t0))
 	}
 	if serial {
 		run(ctx, 0)

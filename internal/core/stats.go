@@ -47,8 +47,9 @@ type SolveStats struct {
 	EvalWall time.Duration `json:"eval_wall_ns"`
 	// ThresholdCacheHits counts hit-threshold lookups served from the
 	// target's hit table stored on the snapshot; ThresholdCacheMisses counts
-	// the table rows this solve had to compute. Both stay zero when the
-	// solve caches are disabled.
+	// the table rows this solve derived from the index rows because the
+	// snapshot had no stored table for the target. A solve with misses
+	// derived its table: it ran cold.
 	ThresholdCacheHits   int `json:"threshold_cache_hits"`
 	ThresholdCacheMisses int `json:"threshold_cache_misses"`
 	// CancelCause is "" for a completed solve, "canceled" or "deadline"
@@ -73,33 +74,31 @@ type recorder struct {
 }
 
 // thresholdHit records one threshold lookup served from a stored hit table.
-// Nil-safe, like thresholdMiss.
+// Nil-safe, like thresholdMisses.
 func (r *recorder) thresholdHit() {
 	if r != nil {
 		r.thrHits.Add(1)
 	}
 }
 
-// thresholdMiss records one hit-table row this solve computed. Nil-safe:
+// thresholdMisses records n hit-table rows this solve derived. Nil-safe:
 // counts outside a solve pass a nil recorder.
-func (r *recorder) thresholdMiss() {
+func (r *recorder) thresholdMisses(n int) {
 	if r != nil {
-		r.thrMisses.Add(1)
+		r.thrMisses.Add(int64(n))
 	}
 }
 
 func newRecorder() *recorder { return &recorder{} }
 
 // fanOut adds one worker's share of a round: its probes, one threshold
-// lookup each (served from a stored table when stored), the pruned ones,
-// the rest as ranked candidates, and the worker's wall time.
-func (r *recorder) fanOut(t tally, stored bool, d time.Duration) {
+// lookup each, the pruned ones, the rest as ranked candidates, and the
+// worker's wall time.
+func (r *recorder) fanOut(t tally, d time.Duration) {
 	r.probes.Add(t.probes)
 	r.pruned.Add(t.pruned)
 	r.cands.Add(t.probes - t.pruned)
-	if stored {
-		r.thrHits.Add(t.probes)
-	}
+	r.thrHits.Add(t.probes)
 	r.solve.Add(int64(d))
 }
 

@@ -13,7 +13,8 @@
 // capped.
 //
 // The index keeps the skyband exact under every update (Section 4.3) by
-// adjusting its members' dominator counts (see update.go).
+// adjusting its members' dominator counts (see update.go), and with it one
+// row per live query: the query's best K+1 band members (see rows.go).
 // The partition — the query R-tree, the subdomains and the query→subdomain
 // map — is derived state: the first read after a build or a mutation runs
 // Algorithm 1 over the current state, and every mutation drops it.
@@ -86,20 +87,18 @@ type Index struct {
 	// of a candidate is a candidate, which is what lets mutations keep the
 	// counts exact by touching only candidates (see update.go).
 	dominators []int32
+	// rows[j] is live query j's row (see Row) and nil for a removed query.
+	// Rows are never written in place: a mutation replaces the rows it
+	// changes, so a clone shares the rest with its parent.
+	rows [][]Entry
 	// epoch increments on every mutating operation (object/query add,
 	// remove, update). Consumers that cache derived state — the ESE
 	// evaluator's per-subdomain ranks, the solvers' hit tables — tag their
-	// caches with it and rebuild when it moves. Since the dirty-set layer
-	// the epoch orders versions; it is no longer the invalidation signal
-	// itself (see DirtySet).
+	// caches with it and rebuild when it moves.
 	epoch uint64
 	// memo holds what the layers above derive from this snapshot (see
 	// Memo). Clones start with an empty one.
 	memo sync.Map
-	// pending accumulates the dirty set of every mutation since the last
-	// TakeDirty; nil until the first mutation. Clones start with a fresh
-	// accumulator — their caches were exact at clone time.
-	pending *DirtySet
 	// part is Algorithm 1's partition of the current state: nil until the
 	// first read (see partition) and again after every mutation. partMu
 	// makes concurrent first readers of a published snapshot build it once.
@@ -117,8 +116,8 @@ type partition struct {
 	intersections int
 }
 
-// Build constructs the index over the workload: the candidate skyband now,
-// Algorithm 1's partition on its first read.
+// Build constructs the index over the workload: the candidate skyband and
+// the rows now, Algorithm 1's partition on its first read.
 func Build(w *topk.Workload, opts Options) (*Index, error) {
 	return BuildCtx(context.Background(), w, opts)
 }
@@ -135,6 +134,7 @@ func BuildCtx(ctx context.Context, w *topk.Workload, opts Options) (*Index, erro
 	}
 	idx := &Index{w: w, opts: opts}
 	idx.rebuildBand()
+	idx.buildRows()
 	mBuilds.Inc()
 	mBuildSeconds.Observe(time.Since(start).Seconds())
 	sp.SetAttr("queries", w.NumQueries())
@@ -143,22 +143,18 @@ func BuildCtx(ctx context.Context, w *topk.Workload, opts Options) (*Index, erro
 }
 
 // rebuildBand computes the skyband and its members' dominator counts from
-// scratch and returns the objects that were not candidates before.
-func (x *Index) rebuildBand() (promoted []int) {
+// scratch.
+func (x *Index) rebuildBand() {
 	cands, counts := x.w.Candidates(x.opts.Slack)
 	dom := make([]int32, x.w.NumObjects())
 	for i := range dom {
 		dom[i] = -1
 	}
 	for i, c := range cands {
-		if !x.IsCandidate(c) {
-			promoted = append(promoted, c)
-		}
 		dom[c] = int32(counts[i])
 	}
 	x.dominators = dom
 	x.setCandidates(cands)
-	return promoted
 }
 
 // setCandidates installs the ascending skyband the dominator counts
@@ -545,9 +541,10 @@ func (x *Index) Epoch() uint64 { return x.epoch }
 // Clone returns an independent copy of the index bound to workload w, which
 // must be a Clone of the index's current workload (the two structures are
 // updated in lockstep, so they must be snapshotted together). The copy
-// holds its own candidate skyband and dominator counts and no partition: it
-// builds one on its first read. Mutating either index afterwards never
-// affects the other. This is the write-path primitive for epoch-based
+// holds its own candidate skyband and dominator counts, shares the parent's
+// rows until a mutation replaces them, and has no partition: it builds one
+// on its first read. Mutating either index afterwards never affects the
+// other. This is the write-path primitive for epoch-based
 // snapshots: writers clone, mutate the clone, and publish it, while
 // in-flight readers keep their immutable epoch.
 func (x *Index) Clone(w *topk.Workload) *Index {
@@ -566,11 +563,8 @@ func (x *Index) CloneCtx(ctx context.Context, w *topk.Workload) *Index {
 		opts:       x.opts,
 		candidates: append([]int(nil), x.candidates...),
 		dominators: append([]int32(nil), x.dominators...),
+		rows:       append([][]Entry(nil), x.rows...),
 		epoch:      x.epoch,
-		// pending stays nil: the clone's caches (keyed by the clone's
-		// identity) do not exist yet, so its dirty window starts empty —
-		// TakeDirty after mutating the clone describes exactly the delta
-		// from the cloned state.
 	}
 	mClones.Inc()
 	mCloneSeconds.Observe(time.Since(start).Seconds())

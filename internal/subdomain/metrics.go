@@ -10,16 +10,13 @@ import "iq/internal/obs"
 // is noise next to the skyband computation itself.
 var (
 	mBuilds = obs.Default.Counter("iq_index_builds_total",
-		"Index constructions (candidate skyband computations).")
+		"Index constructions (candidate skyband and per-query rows).")
 	mBuildSeconds = obs.Default.Histogram("iq_index_build_seconds",
-		"Wall time of index constructions: the candidate skyband; Algorithm 1 runs on the partition's first read.", nil)
+		"Wall time of index constructions: the candidate skyband and the per-query rows; Algorithm 1 runs on the partition's first read.", nil)
 	mClones = obs.Default.Counter("iq_index_clones_total",
 		"Copy-on-write index clones taken by the write path.")
 	mCloneSeconds = obs.Default.Histogram("iq_index_clone_seconds",
 		"Wall time of copy-on-write index clones.", nil)
-	mDirtySetSize = obs.Default.Histogram("iq_dirty_set_size",
-		"Dirty queries per published mutation (TakeDirty): how much cached state each write invalidates.",
-		[]float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 	mCandidates = obs.Default.Gauge("iq_index_candidates",
 		"Skyband candidates in the most recently built or mutated index.")
 )

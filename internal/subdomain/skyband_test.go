@@ -13,7 +13,8 @@ import (
 )
 
 // checkBand asserts that the index's skyband, and every object's stored
-// dominator count, equal a brute-force recount over the live objects.
+// dominator count, equal a brute-force recount over the live objects, and
+// that its rows equal a brute-force ranking of that band (see checkRows).
 func checkBand(t testing.TB, x *Index, step string) {
 	t.Helper()
 	w := x.Workload()
@@ -49,6 +50,66 @@ func checkBand(t testing.TB, x *Index, step string) {
 	if !slices.Equal(x.Candidates(), want) {
 		t.Fatalf("%s: skyband %v, brute force %v", step, x.Candidates(), want)
 	}
+	checkRows(t, x, step)
+}
+
+// bruteRow ranks the whole band at query j by topk.Better and keeps the
+// best K+1 (all of them when the band is smaller).
+func bruteRow(x *Index, j int) []Entry {
+	w := x.Workload()
+	q := w.Query(j)
+	var row []Entry
+	for _, c := range x.Candidates() {
+		row = append(row, Entry{Score: w.Score(c, q.Point), ID: c})
+	}
+	slices.SortFunc(row, func(a, b Entry) int {
+		if topk.Better(a.Score, a.ID, b.Score, b.ID) {
+			return -1
+		}
+		return 1
+	})
+	if q.K < len(row) {
+		row = row[:q.K+1]
+	}
+	return row
+}
+
+// sameRow reports whether two rows hold the same ids with the same score
+// bits, in the same order.
+func sameRow(a, b []Entry) bool {
+	return slices.EqualFunc(a, b, func(x, y Entry) bool {
+		return x.ID == y.ID && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
+}
+
+// checkRows asserts that every live query's row equals bruteRow, ids and
+// score bits, and that removed queries have no row.
+func checkRows(t testing.TB, x *Index, step string) {
+	t.Helper()
+	w := x.Workload()
+	if len(x.rows) != w.NumQueries() {
+		t.Fatalf("%s: %d rows for %d queries", step, len(x.rows), w.NumQueries())
+	}
+	for j := range x.rows {
+		if w.IsQueryRemoved(j) {
+			if x.Row(j) != nil {
+				t.Fatalf("%s: removed query %d has row %v", step, j, x.Row(j))
+			}
+			continue
+		}
+		if want := bruteRow(x, j); !sameRow(x.Row(j), want) {
+			t.Fatalf("%s: query %d (k=%d) row %v, brute force %v", step, j, w.Query(j).K, x.Row(j), want)
+		}
+	}
+}
+
+// copyRows deep-copies the index's rows.
+func copyRows(x *Index) [][]Entry {
+	rows := make([][]Entry, len(x.rows))
+	for j, r := range x.rows {
+		rows[j] = slices.Clone(r)
+	}
+	return rows
 }
 
 // bandScript decodes a small linear workload and a mutation sequence from
@@ -113,7 +174,9 @@ func (s *bandScript) query(d, id int) topk.Query {
 // runBandScript builds the scripted index and applies every scripted
 // mutation — object updates (degrading moves included), adds and removals,
 // query adds (deepening the band when they raise MaxK) and query removals —
-// checking the skyband against a brute-force recount after each.
+// to a clone of the index, as the System's write path does. After each it
+// checks the clone's skyband and rows against brute force, and that the
+// parent's rows did not change.
 //
 // Layout: dimension, object count, query count; each query (k, weights);
 // each object (coordinates); then operations, each an opcode byte and its
@@ -142,6 +205,9 @@ func runBandScript(t testing.TB, data []byte) {
 	}
 	checkBand(t, x, "build")
 	for op := 0; op < 80 && !s.done(); op++ {
+		parent, before := x, copyRows(x)
+		w = x.Workload().Clone()
+		x = x.Clone(w)
 		var step string
 		switch s.next() % 5 {
 		case 0:
@@ -178,11 +244,17 @@ func runBandScript(t testing.TB, data []byte) {
 			t.Fatalf("%s: %v", step, err)
 		}
 		checkBand(t, x, step)
+		for j, r := range parent.rows {
+			if !sameRow(r, before[j]) || (r == nil) != (before[j] == nil) {
+				t.Fatalf("%s: the parent's row %d changed from %v to %v", step, j, before[j], r)
+			}
+		}
 	}
 }
 
 // FuzzSkybandUpdate checks that per-mutation dominator counting keeps the
-// skyband equal to a from-scratch one. Named seeds live in
+// skyband equal to a from-scratch one, and row maintenance every row equal to
+// a brute-force ranking of it. Named seeds live in
 // testdata/fuzz/FuzzSkybandUpdate.
 func FuzzSkybandUpdate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -197,8 +269,8 @@ func FuzzSkybandUpdate(f *testing.F) {
 
 // TestSkybandStaysExact is the exactness oracle: random and tie-heavy
 // (integer grid, duplicates) workloads go through every mutation kind, and
-// after each one the skyband and every member's count equal a brute-force
-// recount.
+// after each one the skyband, every member's count and every row equal a
+// brute-force recount.
 func TestSkybandStaysExact(t *testing.T) {
 	seeds := 300
 	if testing.Short() {

@@ -12,14 +12,16 @@ import (
 )
 
 // This file implements the data-updating operations of Section 4.3. They
-// keep the candidate skyband and the dirty set current; the partition is
+// keep the candidate skyband and the per-query rows current; the partition is
 // dropped and rebuilt from the new state on its next read. Every operation
 // has a Ctx variant recording an "index/<op>" span when the context carries
 // a trace; the plain variants delegate with context.Background() so
-// existing call sites keep working untraced.
+// existing call sites keep working untraced. The object and query adds and
+// the object mutations stamp rows_changed and rows_rescanned on their spans.
 //
-// Object mutations keep the skyband exact by dominance counting (see move);
-// only an added query that deepens the band recomputes it from scratch.
+// Object mutations keep the skyband exact by dominance counting (see move)
+// and each row exact by its band's leavers and entrants (see updateRows);
+// only an added query that deepens the band recomputes both from scratch.
 
 // AddQuery inserts a new top-k query into the workload and the index.
 func (x *Index) AddQuery(q topk.Query) (int, error) {
@@ -37,18 +39,17 @@ func (x *Index) AddQueryCtx(ctx context.Context, q topk.Query) (int, error) {
 	}
 	mAddQuery.Inc()
 	x.mutated()
-	// A new query dirties exactly itself: thresholds of other queries are
-	// untouched, but whole-workload aggregates (evaluator base hit sets)
-	// must go.
-	x.dirty().markQuery(j, -1)
+	rows := 1
 	if x.w.MaxK() > maxK {
-		// A larger k widens the skyband. Every other query's K+1 prefix lies
-		// inside the old skyband, so the promotions rank below it and their
-		// rows stay exact; the rank checks confirm it query by query.
-		for _, p := range x.rebuildBand() {
-			x.markRankDirty(x.candidates, p, x.w.Coeff(p), -1, nil)
-		}
+		// A larger k widens the skyband, and the promotions may enter any row.
+		x.rebuildBand()
+		x.buildRows()
+		rows = x.w.LiveQueries()
+	} else {
+		x.rows = append(x.rows, x.scanRow(j))
 	}
+	sp.SetAttr("rows_changed", rows)
+	sp.SetAttr("rows_rescanned", rows)
 	return j, nil
 }
 
@@ -68,8 +69,8 @@ func (x *Index) RemoveQueryCtx(ctx context.Context, j int) error {
 	}
 	mRemoveQuery.Inc()
 	x.mutated()
-	x.dirty().markQuery(j, -1)
 	x.w.RemoveQuery(j)
+	x.rows[j] = nil
 	return nil
 }
 
@@ -91,17 +92,13 @@ func (x *Index) AddObjectCtx(ctx context.Context, attrs vec.Vector) (int, error)
 	mAddObject.Inc()
 	x.mutated()
 	x.dominators = append(x.dominators, -1)
-	x.move(id, nil, x.w.Coeff(id))
-	if !x.IsCandidate(id) {
-		// Cannot enter any top-k, and dominates no candidate: no threshold
-		// can change, so the dirty set stays empty and every cache survives
-		// the epoch bump untouched.
-		return id, nil
+	oldBand := len(x.candidates)
+	_, demoted := x.move(id, nil, x.w.Coeff(id))
+	var entered []member
+	if x.IsCandidate(id) {
+		entered = x.members(id)
 	}
-	// The candidates the new object demoted are dominated by it, so under
-	// positive weights they rank below it at every query: its own rank
-	// check covers every query they could dirty.
-	x.markRankDirty(x.candidates, id, x.w.Coeff(id), -1, nil)
+	x.updateRows(sp, oldBand, x.members(demoted...), entered)
 	return id, nil
 }
 
@@ -120,34 +117,25 @@ func (x *Index) UpdateObjectCtx(ctx context.Context, id int, attrs vec.Vector) e
 		return fmt.Errorf("subdomain: object %d not updatable", id)
 	}
 	wasCandidate := x.IsCandidate(id)
-	// Snapshot pre-mutation state for the dirty computation: departures are
-	// judged against the old candidate list with the old coefficients.
-	oldCands := x.candidates
-	oldCoeff := vec.Clone(x.w.Coeff(id))
-	if wasCandidate {
-		// Old-state check for the updated candidate itself, while the
-		// workload still scores it with the old coefficients.
-		x.markRankDirty(oldCands, id, oldCoeff, -1, nil)
-	}
+	// The workload replaces the coefficient vector; the old one stays as it
+	// was, and scores the object's old row entries.
+	oldCoeff := x.w.Coeff(id)
 	if err := x.w.UpdateObject(id, attrs); err != nil {
 		return err
 	}
 	mUpdateObject.Inc()
 	x.mutated()
+	oldBand := len(x.candidates)
 	promoted, demoted := x.move(id, oldCoeff, x.w.Coeff(id))
-	// New-state checks: the updated object with its new coefficients and
-	// every promotion, ranked among the current candidates. Demotions rank
-	// among the old candidates — their own coefficients are unchanged, but
-	// the updated object's must be overridden back to its old value.
+	left := x.members(demoted...)
+	if wasCandidate {
+		left = append(left, member{id, oldCoeff})
+	}
+	entered := x.members(promoted...)
 	if x.IsCandidate(id) {
-		x.markRankDirty(x.candidates, id, x.w.Coeff(id), -1, nil)
+		entered = append(entered, member{id, x.w.Coeff(id)})
 	}
-	for _, p := range promoted {
-		x.markRankDirty(x.candidates, p, x.w.Coeff(p), -1, nil)
-	}
-	for _, c := range demoted {
-		x.markRankDirty(oldCands, c, x.w.Coeff(c), id, oldCoeff)
-	}
+	x.updateRows(sp, oldBand, left, entered)
 	return nil
 }
 
@@ -168,26 +156,31 @@ func (x *Index) RemoveObjectCtx(ctx context.Context, id int) error {
 		return fmt.Errorf("subdomain: object %d already removed", id)
 	}
 	wasCandidate := x.IsCandidate(id)
-	if wasCandidate {
-		// Departure check against the pre-removal state, while the object
-		// still scores among the candidates.
-		x.markRankDirty(x.candidates, id, x.w.Coeff(id), -1, nil)
-	}
 	x.w.RemoveObject(id)
 	mRemoveObject.Inc()
 	x.mutated()
 	if !wasCandidate {
-		// A non-candidate was in no top-k and dominates no candidate:
-		// neither the skyband nor any threshold changes.
+		// A non-candidate is in no row and dominates no candidate: neither
+		// the skyband nor any row changes.
+		sp.SetAttr("rows_changed", 0)
+		sp.SetAttr("rows_rescanned", 0)
 		return nil
 	}
 	// Removing a candidate can promote previously-pruned objects into the
-	// skyband; arrival checks for them rank in the post-removal state.
+	// skyband.
+	oldBand := len(x.candidates)
 	promoted, _ := x.move(id, x.w.Coeff(id), nil)
-	for _, p := range promoted {
-		x.markRankDirty(x.candidates, p, x.w.Coeff(p), -1, nil)
-	}
+	x.updateRows(sp, oldBand, x.members(id), x.members(promoted...))
 	return nil
+}
+
+// members pairs objects with their current coefficients.
+func (x *Index) members(ids ...int) []member {
+	ms := make([]member, len(ids))
+	for i, id := range ids {
+		ms[i] = member{id, x.w.Coeff(id)}
+	}
+	return ms
 }
 
 // move updates the skyband after object id moved from old to cur, given

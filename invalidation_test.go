@@ -3,11 +3,13 @@ package iq
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"iq/internal/core"
+	"iq/internal/subdomain"
 	"iq/internal/vec"
 )
 
@@ -21,6 +23,43 @@ func identicalResults(a, b *Result) bool {
 	}
 	return vec.Equal(a.Strategy, b.Strategy) && a.Cost == b.Cost &&
 		a.Hits == b.Hits && a.BaseHits == b.BaseHits
+}
+
+// rebuiltSystem returns a System over a from-scratch index built on a clone
+// of sys's current workload: its band and rows are computed whole rather
+// than maintained mutation by mutation, and it has no stored tables.
+func rebuiltSystem(t *testing.T, sys *System) *System {
+	t.Helper()
+	st := sys.view()
+	w := st.w.Clone()
+	idx, err := subdomain.Build(w, st.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newSystem(w, idx, st.opts)
+}
+
+// rowsOf deep-copies every query's row of idx.
+func rowsOf(idx *subdomain.Index) [][]subdomain.Entry {
+	rows := make([][]subdomain.Entry, idx.Workload().NumQueries())
+	for j := range rows {
+		rows[j] = append([]subdomain.Entry(nil), idx.Row(j)...)
+	}
+	return rows
+}
+
+// sameRow reports whether two rows hold the same ids with the same score
+// bits, in the same order.
+func sameRow(a, b []subdomain.Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
 }
 
 // randomMutation applies one random System mutation and reports its name.
@@ -73,22 +112,16 @@ func randomMutation(t *testing.T, rng *rand.Rand, sys *System) string {
 	}
 }
 
-// TestInvalidationBitIdentical is the PR's correctness bar: across seeds and
-// worker counts, interleaving mutations with solves, a dirty-set-migrated
-// warm cache must answer bit-identically to a cold-cache solve on the same
-// epoch. Any under-invalidation shows up here as a stale threshold changing
-// a greedy decision.
+// TestInvalidationBitIdentical is the write path's correctness bar: across
+// seeds and worker counts, interleaving mutations with solves, the System —
+// whose rows each mutation maintained and whose tables are stored across
+// solves — must answer bit-identically to a from-scratch rebuild of the same
+// epoch. A row the maintenance got wrong shows up here as a stale threshold
+// changing a greedy decision.
 func TestInvalidationBitIdentical(t *testing.T) {
-	prevCache := core.SetSolveCacheEnabled(true)
-	defer func() {
-		core.SetSolveCacheEnabled(prevCache)
-		core.PurgeSolveCaches()
-	}()
-
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sys := stressFixture(t, 500+seed)
-		core.PurgeSolveCaches()
 		for step := 0; step < 8; step++ {
 			op := randomMutation(t, rng, sys)
 			for _, workers := range []int{1, 4} {
@@ -98,20 +131,18 @@ func TestInvalidationBitIdentical(t *testing.T) {
 				}
 				req := MinCostRequest{Target: target, Tau: 3 + rng.Intn(6), Cost: L2Cost{}, Workers: workers}
 
-				// Two warm passes: the first may fill migrated gaps, the
-				// second runs fully warm. Both must match the cold truth.
+				// Two passes: the first may derive the table, the second
+				// reads it stored. Both must match the rebuild.
 				warm1, err1 := sys.MinCost(req)
 				warm2, err2 := sys.MinCost(req)
-				core.SetSolveCacheEnabled(false)
-				cold, coldErr := sys.MinCost(req)
-				core.SetSolveCacheEnabled(true)
+				cold, coldErr := rebuiltSystem(t, sys).MinCost(req)
 
 				if (err1 == nil) != (coldErr == nil) || (err2 == nil) != (coldErr == nil) {
-					t.Fatalf("seed %d step %d (%s) workers %d: error mismatch warm1=%v warm2=%v cold=%v",
+					t.Fatalf("seed %d step %d (%s) workers %d: error mismatch warm1=%v warm2=%v rebuilt=%v",
 						seed, step, op, workers, err1, err2, coldErr)
 				}
 				if !identicalResults(cold, warm1) || !identicalResults(cold, warm2) {
-					t.Fatalf("seed %d step %d (%s) workers %d target %d: warm diverged from cold\n cold  %+v\n warm1 %+v\n warm2 %+v",
+					t.Fatalf("seed %d step %d (%s) workers %d target %d: maintained diverged from rebuilt\n rebuilt %+v\n warm1   %+v\n warm2   %+v",
 						seed, step, op, workers, target, cold, warm1, warm2)
 				}
 			}
@@ -119,18 +150,11 @@ func TestInvalidationBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCommitKeepsWarmPath drives dirty-set cache migration through the real
-// write path (Commit → mutateCtx → MigrateSolveCaches → publish): commits to
-// an object that every live object dominates change no query's top-k, so the
-// repeat solve must be served entirely from migrated threshold entries.
+// TestCommitKeepsWarmPath drives row maintenance through the real write
+// path (Commit → mutateCtx → publish): commits to an object that every live
+// object dominates change no query's top-k, so every row of the published
+// snapshot equals the parent's and the repeat solve is bit-identical.
 func TestCommitKeepsWarmPath(t *testing.T) {
-	prevCache := core.SetSolveCacheEnabled(true)
-	defer func() {
-		core.SetSolveCacheEnabled(prevCache)
-		core.PurgeSolveCaches()
-	}()
-	core.PurgeSolveCaches()
-
 	sys := stressFixture(t, 61)
 	far := Vector{0, 0, 0}
 	for id := 0; id < sys.NumObjects(); id++ {
@@ -143,28 +167,34 @@ func TestCommitKeepsWarmPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := MinCostRequest{Target: 3, Tau: 5, Cost: L2Cost{}}
-	if _, err := sys.MinCost(req); err != nil {
+	before, err := sys.MinCost(req)
+	if err != nil {
 		t.Fatal(err)
 	}
+	rows := rowsOf(sys.Index())
 	for _, step := range []Vector{{1, 0, 0}, {-1, 0, 0}} {
 		if err := sys.Commit(farID, step); err != nil {
 			t.Fatal(err)
+		}
+	}
+	for j, r := range rowsOf(sys.Index()) {
+		if !sameRow(r, rows[j]) {
+			t.Fatalf("far-object commits changed query %d's row: %v -> %v", j, rows[j], r)
 		}
 	}
 	res, err := sys.MinCost(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.ThresholdCacheMisses != 0 || res.Stats.ThresholdCacheHits == 0 {
-		t.Fatalf("repeat solve after far-object commits: %d threshold misses, %d hits; want 0 misses and some hits",
-			res.Stats.ThresholdCacheMisses, res.Stats.ThresholdCacheHits)
+	if !identicalResults(before, res) {
+		t.Fatalf("repeat solve after far-object commits diverged: %+v vs %+v", res, before)
 	}
 }
 
 // TestApplyBatchMatchesSequential drives the same mutation list through
 // ApplyBatch on one System and one-at-a-time on another, then requires both
-// to agree on every solve — the batched path (shared clone, merged dirty
-// set) must be observationally identical.
+// to agree on every solve — the batched path (one clone for every mutation)
+// must be observationally identical.
 func TestApplyBatchMatchesSequential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(700 + seed))
@@ -266,25 +296,15 @@ func TestApplyBatchRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestBatchCancelDiscardsDirtySet is the cancel-path audit from the issue: a
-// batch cancelled between mutations must discard the clone AND its partially
-// merged dirty set — the published System keeps its epoch, its caches stay
-// warm (zero threshold misses on the next solve), and a retry succeeds.
+// TestBatchCancelDiscardsDirtySet is the cancel-path audit: a batch
+// cancelled between mutations must discard the clone with every row it
+// changed — the published System keeps its epoch, its attributes and its
+// rows — and a retry succeeds.
 func TestBatchCancelDiscardsDirtySet(t *testing.T) {
-	prevCache := core.SetSolveCacheEnabled(true)
-	defer func() {
-		core.SetSolveCacheEnabled(prevCache)
-		core.PurgeSolveCaches()
-	}()
-	core.PurgeSolveCaches()
-
 	sys := stressFixture(t, 41)
-	req := MinCostRequest{Target: 3, Tau: 5, Cost: L2Cost{}}
-	if _, err := sys.MinCost(req); err != nil { // warm the caches
-		t.Fatal(err)
-	}
 	epoch := sys.Epoch()
 	attrs := sys.Attrs(5)
+	rows := rowsOf(sys.Index())
 
 	muts := []Mutation{
 		{Commit: &CommitMutation{Target: 5, Strategy: Vector{-0.05, 0, 0}}},
@@ -313,12 +333,10 @@ func TestBatchCancelDiscardsDirtySet(t *testing.T) {
 	if !vec.Equal(sys.Attrs(5), attrs) {
 		t.Fatal("cancelled batch leaked a mutation into the published workload")
 	}
-	res, err := sys.MinCost(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.ThresholdCacheMisses != 0 {
-		t.Fatalf("cancelled batch cold-started the warm path: %d threshold misses", res.Stats.ThresholdCacheMisses)
+	for j, r := range rowsOf(sys.Index()) {
+		if !sameRow(r, rows[j]) {
+			t.Fatalf("cancelled batch changed query %d's published row: %v -> %v", j, rows[j], r)
+		}
 	}
 
 	// The retry (no cancellation) applies cleanly.
@@ -336,18 +354,11 @@ func TestBatchCancelDiscardsDirtySet(t *testing.T) {
 // TestStressSolvesDuringBatchedCommits races concurrent warm solves against
 // batched commits under the race detector: every solve must complete without
 // error and the final index must satisfy the grouping invariant and answer
-// bit-identically to a cold solve.
+// bit-identically to a from-scratch rebuild.
 func TestStressSolvesDuringBatchedCommits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping concurrency stress test in -short mode")
 	}
-	prevCache := core.SetSolveCacheEnabled(true)
-	defer func() {
-		core.SetSolveCacheEnabled(prevCache)
-		core.PurgeSolveCaches()
-	}()
-	core.PurgeSolveCaches()
-
 	sys := stressFixture(t, 83)
 	const readers, solvesPerG, batches = 4, 25, 12
 	var wg sync.WaitGroup
@@ -392,13 +403,11 @@ func TestStressSolvesDuringBatchedCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetSolveCacheEnabled(false)
-	cold, err := sys.MinCost(req)
-	core.SetSolveCacheEnabled(true)
+	cold, err := rebuiltSystem(t, sys).MinCost(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !identicalResults(cold, warm) {
-		t.Fatalf("post-stress warm solve diverged from cold: %+v vs %+v", warm, cold)
+		t.Fatalf("post-stress warm solve diverged from the rebuild: %+v vs %+v", warm, cold)
 	}
 }

@@ -226,14 +226,12 @@ func newSystem(w *topk.Workload, idx *subdomain.Index, opts IndexOptions) *Syste
 // the durability sink (if attached) before publication; ctx carries the
 // caller's trace, so the clone and update work records spans into it.
 //
-// After fn succeeds, the clone's accumulated dirty set is taken and the
-// cross-solve caches are migrated from the superseded snapshot to the clone
-// before it is published: entries the mutation did not dirty stay warm
-// across the write. The migration runs pre-publish so the first post-commit
-// solve already finds them. A failed — or cancelled — fn discards the clone
-// and its dirty set together: cancellation is re-checked at the
-// MutationCheckpoint after fn, so a cancelled mutation never publishes a
-// partially merged dirty set or migrated cache state.
+// The clone's index keeps its per-query rows exact mutation by mutation, so
+// the published snapshot needs nothing carried over: its first solve per
+// target derives that target's hit table from the rows. A failed — or
+// cancelled — fn discards the clone and its rows together: cancellation is
+// re-checked at the MutationCheckpoint after fn, so a cancelled mutation
+// never publishes a partially applied batch.
 //
 // When a durability sink is attached, the transaction is appended to the
 // WAL — stamped with the post-mutation epoch — after fn succeeds and before
@@ -258,7 +256,6 @@ func (s *System) mutateCtx(ctx context.Context, muts []Mutation, fn func(st *sta
 			return err
 		}
 	}
-	core.MigrateSolveCaches(old.idx, next.idx, next.idx.TakeDirty())
 	s.cur.Store(next)
 	return nil
 }
@@ -562,8 +559,8 @@ func (s *System) CommitAndCount(target int, strategy Vector) (int, error) {
 }
 
 // CommitAndCountCtx is CommitAndCount under a context; tracing semantics
-// match CommitCtx. The count runs on the epoch the commit published, after
-// the commit migrated the target's hit table onto it.
+// match CommitCtx. The count runs on the epoch the commit published, against
+// the target's hit table derived from that epoch's rows.
 func (s *System) CommitAndCountCtx(ctx context.Context, target int, strategy Vector) (int, error) {
 	_, published, err := s.apply(ctx, Mutation{Commit: &CommitMutation{Target: target, Strategy: strategy}})
 	if err != nil {
@@ -671,11 +668,10 @@ func (s *System) ApplyBatch(muts []Mutation) ([]MutationResult, error) {
 }
 
 // ApplyBatchCtx applies N mutations to one workload/index clone and
-// publishes it as one epoch, with one merged dirty set driving one cache
-// migration. The batch is all-or-nothing: if any mutation fails — or the
-// context is cancelled between mutations — the clone and its accumulated
-// dirty set are discarded together and the visible System is unchanged,
-// with the failing operation's error returned. Readers never observe
+// publishes it as one epoch. The batch is all-or-nothing: if any mutation
+// fails — or the context is cancelled between mutations — the clone and
+// every row it replaced are discarded together and the visible System is
+// unchanged, with the failing operation's error returned. Readers never observe
 // intermediate states. An empty batch publishes nothing.
 func (s *System) ApplyBatchCtx(ctx context.Context, muts []Mutation) ([]MutationResult, error) {
 	if len(muts) == 0 {

@@ -38,9 +38,8 @@ import (
 // unbounded allocation.
 //
 // Load never reuses cache state: the rebuilt index is a fresh identity, so
-// the solve caches (keyed by index identity) start cold by construction, and
-// the dirty set accumulated while re-applying query tombstones is drained
-// before the System is handed out.
+// it stores no hit table until its first solve, and its rows are scanned
+// from the rebuilt band.
 
 // spaceSpec is the serialisable description of an embedding space.
 type spaceSpec struct {
@@ -325,10 +324,6 @@ func buildFromSnapshot(snap snapshot) (*System, error) {
 			}
 		}
 	}
-	// Drain the dirt from replaying tombstones: this index identity is
-	// brand-new, so there are no cache entries to migrate, and the first real
-	// mutation's dirty set must describe only that mutation.
-	idx.TakeDirty()
 	s := newSystem(w, idx, snap.Options)
 	s.cur.Load().epoch = snap.Epoch
 	return s, nil
