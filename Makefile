@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHitBound$$' -fuzztime 10s -timeout 5m ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSkybandUpdate$$' -fuzztime 10s -timeout 5m ./internal/subdomain
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime 10s -timeout 5m ./cmd/iqserver
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -timeout 5m ./internal/expr
 
 # metricscheck boots a real iqserver and validates its /metrics output with
 # iqtool -scrape-metrics (a built-in Prometheus text parser — no curl or

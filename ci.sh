@@ -22,6 +22,7 @@ go test -race -run TestStress -count=2 -timeout 10m ./...
 go test -run '^$' -fuzz '^FuzzHitBound$' -fuzztime 10s -timeout 5m ./internal/core
 go test -run '^$' -fuzz '^FuzzSkybandUpdate$' -fuzztime 10s -timeout 5m ./internal/subdomain
 go test -run '^$' -fuzz '^FuzzHandlers$' -fuzztime 10s -timeout 5m ./cmd/iqserver
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -timeout 5m ./internal/expr
 # Live observability gate: boot a real iqserver and validate its /metrics
 # exposition with iqtool's built-in parser (fails on unparseable output or
 # a registry with no engine series).

@@ -9,88 +9,97 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
-	"iq/internal/bitset"
+	"iq/internal/lp"
 	"iq/internal/subdomain"
 	"iq/internal/vec"
 )
 
-// A cache-warm linear-path probe (threshold lookup + closed-form halfspace
-// projection) must allocate only the returned strategy vector — everything
-// else lives in probeScratch. The ceiling is deliberately a little loose so
-// runtime-internal noise cannot flake the build, but map-per-call or
-// clone-per-call regressions (dozens of allocations) trip it immediately.
+// A cache-warm linear-path probe (threshold lookup, then a built-in cost's
+// closed form) writes its strategy into the caller's buffer and its shifted
+// bounds into probeScratch. Without bounds it allocates nothing: a
+// per-probe strategy vector, a map or a clone shows here at once. With
+// bounds a closed form allocates only its own temporaries: the boxed L2
+// projection its per-coordinate flags, the L1 fill its order, and the
+// weighted L2 cost three rescaled vectors besides the flags.
 func TestSolveHitAllocsLinearWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	idx := fixture(t, rng, 80, 50, 3, 3)
 	target := 3
-	cur := make(vec.Vector, 3)
-	bounds := &Bounds{Lo: vec.Vector{-1, -1, -1}, Hi: vec.Vector{1, 1, 1}}
-	sc := &probeScratch{}
 	w := idx.Workload()
 	tab := hitTableFor(context.Background(), idx, target, nil)
-	// Warm the scratch buffers.
-	for j := 0; j < w.NumQueries(); j++ {
-		if _, err := solveHit(w, tab, cur, j, L2Cost{}, bounds, sc); err != nil {
-			t.Fatal(err)
+	cur := make(vec.Vector, 3)
+	u := make(vec.Vector, 3)
+	sc := &probeScratch{}
+	box := &Bounds{Lo: vec.Vector{-1, -1, -1}, Hi: vec.Vector{1, 1, 1}}
+	weighted := WeightedL2Cost{Alpha: vec.Vector{1, 2, 3}}
+	for _, c := range []struct {
+		cost    Cost
+		bounds  *Bounds
+		ceiling float64
+	}{
+		{L2Cost{}, nil, 0}, {L1Cost{}, nil, 0}, {weighted, nil, 0},
+		{L2Cost{}, box, 1}, {L1Cost{}, box, 1}, {weighted, box, 4},
+	} {
+		j, solved := 0, 0
+		probe := func() {
+			q := w.Query(j).Point
+			if err := solveHit(u, w, tab, cur, j, vec.Dot(w.Coeff(target), q), c.cost, c.bounds, sc); err == nil {
+				solved++
+			} else if !errors.Is(err, lp.ErrInfeasible) {
+				t.Fatal(err)
+			}
+			j = (j + 1) % w.NumQueries()
 		}
-	}
-	j := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := solveHit(w, tab, cur, j, L2Cost{}, bounds, sc); err != nil {
-			t.Fatal(err)
+		probe() // warm the scratch buffers
+		allocs := testing.AllocsPerRun(200, probe)
+		if solved == 0 {
+			t.Fatalf("%T bounds=%v: no probe was feasible", c.cost, c.bounds != nil)
 		}
-		j = (j + 1) % idx.Workload().NumQueries()
-	})
-	if allocs > 4 {
-		t.Errorf("warm linear probe allocates %.1f times per call; want <= 4", allocs)
+		if allocs > c.ceiling {
+			t.Errorf("%T bounds=%v: warm linear probe allocates %.1f times per call; want <= %g",
+				c.cost, c.bounds != nil, allocs, c.ceiling)
+		}
 	}
 }
 
 // A cache-warm greedy round (generateCandidates over the full unhit set on
-// the serial path, then the round's pick) must allocate proportionally to
-// the number of probes — one strategy vector each — not to the workload size
-// squared. Before the sweep each round also built a fresh unhit slice, a
-// results slice, a map-based hit set per evaluation, and per-probe bounds
-// clones; bounding and counting hits against the shared table allocates
-// nothing. At 600 queries the per-probe ceiling is tight: an untraced span
-// attribute that boxes a query index or hit count (≥ 256) shows here.
+// the serial path, then the round's pick) allocates nothing, whatever its
+// probe count: the round's one pass over the table, its bound and its
+// selection heap reuse their buffers, each probe writes its strategy and
+// improved coefficients into the round's slot buffers, and untraced spans
+// box no attribute (SetAttr boxes an int, which allocates from 256 up, so a
+// boxed unhit count or query index shows at 600 queries).
 func TestGenerateCandidatesAllocsPerRoundWarm(t *testing.T) {
-	for _, c := range []struct {
-		queries int
-		ceiling float64
-	}{{50, 4}, {600, 1.1}} {
+	for _, queries := range []int{50, 600} {
 		rng := rand.New(rand.NewSource(22))
-		idx := fixture(t, rng, 80, c.queries, 3, 3)
+		idx := fixture(t, rng, 80, queries, 3, 3)
 		ctx := context.Background()
 		target := 2
 		w := idx.Workload()
 		rec := newRecorder()
 		tab := hitTableFor(ctx, idx, target, rec)
 		rs := &roundScratch{tab: tab, rec: rec}
-		hit := bitset.New(w.NumQueries())
-		base := tab.hitSet(w.Coeff(target), hit)
+		base := tab.hits(w.Coeff(target))
 		cur := make(vec.Vector, 3)
-		round := func() int {
-			if err := generateCandidates(ctx, w, 1, cur, w.Coeff(target), hit, L2Cost{}, nil, rs); err != nil {
+		round := func() {
+			if err := generateCandidates(ctx, w, 1, cur, w.Coeff(target), L2Cost{}, nil, rs); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := rs.best(ctx, base); !ok {
 				t.Fatal("round found no candidate gaining a hit")
 			}
-			return len(rs.cands)
 		}
-		probes := round() // fill every scratch buffer
-		if probes == 0 {
+		round() // fill every scratch buffer
+		if len(rs.cands) == 0 {
 			t.Fatal("fixture produced no candidates; pick a different target")
 		}
-		allocs := testing.AllocsPerRun(20, func() { round() })
-		perProbe := allocs / float64(probes)
-		if perProbe > c.ceiling {
-			t.Errorf("%d queries: warm round allocates %.2f per probe (%d probes, %.0f total); want <= %g",
-				c.queries, perProbe, probes, allocs, c.ceiling)
+		if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+			t.Errorf("%d queries: warm round allocates %.0f times (%d probes); want 0",
+				queries, allocs, len(rs.cands))
 		}
 	}
 }

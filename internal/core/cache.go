@@ -30,16 +30,17 @@ package core
 // mutation invalidates it by epoch. A copy-on-write mutation keeps the rows
 // exact in the new snapshot, whose first solve per target derives its table.
 //
-// Bounds: a greedy round needs exact counts only for the candidates that can
-// win it, so hitBound gives every probe of a round an upper bound on its hits
-// from one sorted key per row (see hitBound).
+// Rounds: a greedy round reads the table once (round): each bounded row's
+// score at the target's current coefficients decides whether the row is hit,
+// starts its probe's right-hand side, and gives the row a key in a histogram
+// from which hitBound bounds every probe's hits, so the round counts exactly
+// only the candidates that can win it (see hitBound).
 
 import (
 	"context"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"iq/internal/bitset"
@@ -208,33 +209,59 @@ func (t *hitTable) hitSet(coeff vec.Vector, dst *bitset.Bits) int {
 //
 // By Cauchy–Schwarz a target moved to c′ scores c′·q_r ≥ c·q_r − D‖q_r‖ with
 // D = ‖c′ − c‖, so it hits row r only if key_r ≤ D: at most
-// |always| + #{r : key_r ≤ D(1+ε)} queries, one binary search over the
-// sorted keys. margin_r and ε absorb the rounding of both scores, of D and of
-// the key itself; slack covers underflow.
+// |always| + #{r : key_r ≤ D(1+ε)} queries. margin_r and ε absorb the
+// rounding of both scores, of D and of the key itself; slack covers
+// underflow.
+//
+// The count is read from a fixed-size histogram of the keys' IEEE bits
+// (positive floats order as their bits): a probe's bound is the number of
+// keys in its bucket and every bucket below, an O(1) lookup that can only
+// over-count the keys ≤ D(1+ε), so it is still an upper bound.
 type hitBound struct {
 	at vec.Vector
 	// fixed counts the rows every probe may hit: the always-hit rows, rows
-	// with key ≤ 0, and rows whose key is not finite or whose norm is tiny.
+	// with key ≤ 0 (every row the round's target already hits among them),
+	// and rows whose key is not finite or whose norm is tiny.
 	fixed int
-	// keys holds the other rows' keys as IEEE bits, ascending: positive
-	// floats order as their bits, so the search compares integers.
-	keys []uint64
-	grow float64 // 1+ε
+	// keys holds the other rows' keys as IEEE bits, in row order; lo and hi
+	// are the smallest and largest.
+	keys   []uint64
+	lo, hi uint64
+	// A key k falls in bucket (k−lo)>>shift; cum[b] counts the keys in
+	// buckets 0…b. int32 keeps the histogram small: a round has far fewer
+	// than 2³¹ rows.
+	shift uint
+	cum   [histBuckets]int32
+	grow  float64 // 1+ε
 }
+
+// histBuckets is the size of hitBound's histogram. The buckets split the
+// round's key range [lo, hi] evenly in IEEE bits, so each spans a fixed
+// share of the binades between the smallest and largest key.
+const (
+	histBits    = 10
+	histBuckets = 1 << histBits
+)
 
 // slack is the bound's absolute allowance for underflow: it is added to every
 // margin and to every D, and rows whose norm is below it always count.
 const slack = 0x1p-400
 
-// roundBound fills b for a round whose target sits at coefficients at.
+// round is one greedy round's single read of the table, with the target at
+// coefficients at. Each bounded row's score s_r = at·q_r is summed once, in
+// the order hit sums it, and serves every reader of the round: the row is
+// hit iff s_r < bound_r, exactly as hits counts it; an unhit row's query and
+// score are appended to unhit and scores, for its probe's right-hand side
+// T_j − s_r − margin (Eq. 14); and the row's key fills b.
 //
 // Rounding: a score s = fl(Σ x_i·q_i) is within γ_d·Σ|x_i·q_i| of the exact
 // dot product (γ_d ≈ d·2⁻⁵³), and Σ|c′_i·q_i| ≤ Σ|c_i·q_i| + D‖q‖. So a hit,
 // fl(c′·q) < bound, implies fl(c·q) − bound − 2γ_d·Σ|c_i·q_i| <
 // D‖q‖(1+γ_d). margin = ε·(Σ|c_i·q_i| + |fl(c·q)| + |bound|) with
 // ε = (d+4)·2⁻⁵⁰ covers that term and the key's own subtraction; the
-// factor 1+ε on D covers the rest (the norms and the division).
-func (t *hitTable) roundBound(at vec.Vector, b *hitBound) {
+// factor 1+ε on D covers the rest (the norms and the division). A row the
+// target hits has s − bound < 0, so its key is negative: it is fixed.
+func (t *hitTable) round(at vec.Vector, b *hitBound, unhit []int, scores []float64) ([]int, []float64) {
 	eps := float64(len(at)+4) * 0x1p-50
 	b.at, b.fixed, b.grow = at, len(t.always), 1+eps
 	b.keys = b.keys[:0]
@@ -245,6 +272,12 @@ func (t *hitTable) roundBound(at vec.Vector, b *hitBound) {
 			s += p
 			a += math.Abs(p)
 		}
+		if s < t.bound[r] {
+			b.fixed++
+			continue
+		}
+		unhit = append(unhit, t.rows[r])
+		scores = append(scores, s)
 		margin := eps*(a+math.Abs(s)+math.Abs(t.bound[r])) + slack
 		key := (s - t.bound[r] - margin) / t.norm[r]
 		if key > 0 && key <= math.MaxFloat64 && t.norm[r] >= slack {
@@ -253,12 +286,34 @@ func (t *hitTable) roundBound(at vec.Vector, b *hitBound) {
 			b.fixed++
 		}
 	}
-	slices.Sort(b.keys)
+	b.index()
+	return unhit, scores
+}
+
+// index builds the histogram of b.keys.
+func (b *hitBound) index() {
+	if len(b.keys) == 0 {
+		return
+	}
+	b.lo, b.hi = b.keys[0], b.keys[0]
+	for _, k := range b.keys {
+		b.lo, b.hi = min(b.lo, k), max(b.hi, k)
+	}
+	b.shift = uint(max(0, bits.Len64(b.hi-b.lo)-histBits))
+	top := (b.hi - b.lo) >> b.shift
+	cum := b.cum[:top+1]
+	clear(cum)
+	for _, k := range b.keys {
+		cum[(k-b.lo)>>b.shift]++
+	}
+	for i := 1; i < len(cum); i++ {
+		cum[i] += cum[i-1]
+	}
 }
 
 // upper returns the most queries a target with coefficients c can hit: the
-// fixed rows plus every row whose key is at most D(1+ε). A D that is not
-// finite bounds nothing, so every row counts.
+// fixed rows plus every key in the bucket of D(1+ε) and below. A D that is
+// not finite bounds nothing, so every row counts.
 func (b *hitBound) upper(c vec.Vector) int {
 	dd := 0.0
 	for i, x := range c {
@@ -269,21 +324,15 @@ func (b *hitBound) upper(c vec.Vector) int {
 	if !(lim <= math.MaxFloat64) {
 		return b.fixed + len(b.keys)
 	}
-	// Count the keys ≤ lim, which is positive: the count lies in
-	// [base, base+n]. The step is branch-free (borrow is 1 when the key is
-	// above lim), because a probe's side of each key is unpredictable.
+	// lim is positive, so its bits order it among the keys.
 	x := math.Float64bits(lim)
-	base, n := 0, len(b.keys)
-	for n > 1 {
-		half := n / 2
-		_, borrow := bits.Sub64(x, b.keys[base+half], 0)
-		base += half &^ -int(borrow)
-		n -= half
+	switch {
+	case len(b.keys) == 0 || x < b.lo:
+		return b.fixed
+	case x >= b.hi:
+		return b.fixed + len(b.keys)
 	}
-	if n == 1 && b.keys[base] <= x {
-		base++
-	}
-	return b.fixed + base
+	return b.fixed + int(b.cum[(x-b.lo)>>b.shift])
 }
 
 // tableSlot is one target's place in a snapshot's Memo.

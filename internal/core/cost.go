@@ -87,6 +87,44 @@ type Cost interface {
 	MinToHalfspace(n vec.Vector, rhs float64, bounds *Bounds) (vec.Vector, error)
 }
 
+// fresh runs a built-in cost's in-place closed form on a new vector: each
+// built-in cost has one, a minToHalfspace method that writes
+// MinToHalfspace's solution into s (len(n) entries); without bounds it
+// allocates nothing. The greedy rounds call it once per probe
+// (costMinToHalfspace); the exported MinToHalfspace wraps it.
+func fresh(solve func(s, n vec.Vector, rhs float64, bounds *Bounds) error, n vec.Vector, rhs float64, bounds *Bounds) (vec.Vector, error) {
+	s := make(vec.Vector, len(n))
+	if err := solve(s, n, rhs, bounds); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// costMinToHalfspace writes cost's solution of the per-query subproblem
+// into s: in place for a built-in cost, and through the allocating
+// MinToHalfspace, copied into s, for any other. The switch matches the
+// built-in types exactly, so a user type that embeds one and overrides
+// MinToHalfspace keeps its own.
+func costMinToHalfspace(cost Cost, s, n vec.Vector, rhs float64, bounds *Bounds) error {
+	switch c := cost.(type) {
+	case L2Cost:
+		return c.minToHalfspace(s, n, rhs, bounds)
+	case L1Cost:
+		return c.minToHalfspace(s, n, rhs, bounds)
+	case WeightedL2Cost:
+		return c.minToHalfspace(s, n, rhs, bounds)
+	}
+	u, err := cost.MinToHalfspace(n, rhs, bounds)
+	if err != nil {
+		return err
+	}
+	if len(u) != len(s) {
+		return fmt.Errorf("core: cost returned a %d-dimensional strategy, want %d", len(u), len(s))
+	}
+	copy(s, u)
+	return nil
+}
+
 // L2Cost is the paper's experimental cost function (Equation 30):
 // Cost(s) = sqrt(Σ sᵢ²).
 type L2Cost struct{}
@@ -95,11 +133,15 @@ type L2Cost struct{}
 func (L2Cost) Of(s vec.Vector) float64 { return vec.Norm2(s) }
 
 // MinToHalfspace implements Cost with the closed-form projection.
-func (L2Cost) MinToHalfspace(n vec.Vector, rhs float64, bounds *Bounds) (vec.Vector, error) {
+func (c L2Cost) MinToHalfspace(n vec.Vector, rhs float64, bounds *Bounds) (vec.Vector, error) {
+	return fresh(c.minToHalfspace, n, rhs, bounds)
+}
+
+func (L2Cost) minToHalfspace(s, n vec.Vector, rhs float64, bounds *Bounds) error {
 	if bounds == nil {
-		return lp.MinL2ToHalfspace(n, rhs)
+		return lp.MinL2ToHalfspace(s, n, rhs)
 	}
-	return lp.BoxedMinL2ToHalfspace(n, rhs, bounds.Lo, bounds.Hi)
+	return lp.BoxedMinL2ToHalfspace(s, n, rhs, bounds.Lo, bounds.Hi)
 }
 
 // L1Cost prices each unit of attribute change equally:
@@ -112,12 +154,17 @@ func (L1Cost) Of(s vec.Vector) float64 { return vec.Norm1(s) }
 // MinToHalfspace implements Cost. Without bounds the optimum concentrates
 // on the most effective coordinate; with bounds, coordinates are filled
 // greedily in effectiveness order.
-func (L1Cost) MinToHalfspace(n vec.Vector, rhs float64, bounds *Bounds) (vec.Vector, error) {
+func (c L1Cost) MinToHalfspace(n vec.Vector, rhs float64, bounds *Bounds) (vec.Vector, error) {
+	return fresh(c.minToHalfspace, n, rhs, bounds)
+}
+
+func (L1Cost) minToHalfspace(s, n vec.Vector, rhs float64, bounds *Bounds) error {
 	if bounds == nil {
-		return lp.MinL1ToHalfspace(n, rhs)
+		return lp.MinL1ToHalfspace(s, n, rhs)
 	}
+	clear(s)
 	if rhs >= 0 {
-		return vec.New(len(n)), nil
+		return nil
 	}
 	// Greedy fill: coordinates sorted by |n_i| descending; each moves to
 	// its bound (or just far enough) until the constraint holds.
@@ -136,7 +183,6 @@ func (L1Cost) MinToHalfspace(n vec.Vector, rhs float64, bounds *Bounds) (vec.Vec
 			order[b], order[b-1] = order[b-1], order[b]
 		}
 	}
-	s := vec.New(len(n))
 	remaining := rhs // need n·s ≤ rhs < 0
 	for _, e := range order {
 		if remaining >= 0 {
@@ -164,10 +210,10 @@ func (L1Cost) MinToHalfspace(n vec.Vector, rhs float64, bounds *Bounds) (vec.Vec
 	if remaining < -1e-9 || vec.Dot(n, s) > rhs+1e-9 {
 		// Bounds exhausted before satisfying the constraint.
 		if vec.Dot(n, s) > rhs+1e-9 {
-			return nil, lp.ErrInfeasible
+			return lp.ErrInfeasible
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // WeightedL2Cost prices attribute i changes at weight Alpha[i] > 0:
@@ -203,8 +249,12 @@ func (c WeightedL2Cost) Of(s vec.Vector) float64 {
 // MinToHalfspace implements Cost via the substitution uᵢ = √αᵢ·sᵢ, which
 // turns both the objective and the box into plain L2 form.
 func (c WeightedL2Cost) MinToHalfspace(n vec.Vector, rhs float64, bounds *Bounds) (vec.Vector, error) {
+	return fresh(c.minToHalfspace, n, rhs, bounds)
+}
+
+func (c WeightedL2Cost) minToHalfspace(s, n vec.Vector, rhs float64, bounds *Bounds) error {
 	if bounds == nil {
-		return lp.MinWeightedL2ToHalfspace(n, c.Alpha, rhs)
+		return lp.MinWeightedL2ToHalfspace(s, n, c.Alpha, rhs)
 	}
 	d := len(n)
 	sn := make(vec.Vector, d)
@@ -212,22 +262,20 @@ func (c WeightedL2Cost) MinToHalfspace(n vec.Vector, rhs float64, bounds *Bounds
 	hi := make(vec.Vector, d)
 	for i := 0; i < d; i++ {
 		if c.Alpha[i] <= 0 {
-			return nil, errors.New("core: weighted L2 cost requires positive weights")
+			return errors.New("core: weighted L2 cost requires positive weights")
 		}
 		r := math.Sqrt(c.Alpha[i])
 		sn[i] = n[i] / r
 		lo[i] = bounds.Lo[i] * r
 		hi[i] = bounds.Hi[i] * r
 	}
-	u, err := lp.BoxedMinL2ToHalfspace(sn, rhs, lo, hi)
-	if err != nil {
-		return nil, err
+	if err := lp.BoxedMinL2ToHalfspace(s, sn, rhs, lo, hi); err != nil {
+		return err
 	}
-	s := make(vec.Vector, d)
 	for i := 0; i < d; i++ {
-		s[i] = u[i] / math.Sqrt(c.Alpha[i])
+		s[i] /= math.Sqrt(c.Alpha[i])
 	}
-	return s, nil
+	return nil
 }
 
 // ExprCost evaluates a user-written cost expression over variables s1…sd
@@ -296,8 +344,8 @@ func (c *ExprCost) MinToHalfspace(n vec.Vector, rhs float64, bounds *Bounds) (ve
 	}
 	// Fall back to the boxed L2 geometry to find a feasible point, then
 	// report it even though it may be suboptimal for the custom cost.
-	boxed, err := lp.BoxedMinL2ToHalfspace(n, rhs, bounds.Lo, bounds.Hi)
-	if err != nil {
+	boxed := make(vec.Vector, len(n))
+	if err := lp.BoxedMinL2ToHalfspace(boxed, n, rhs, bounds.Lo, bounds.Hi); err != nil {
 		return nil, err
 	}
 	return boxed, nil

@@ -152,7 +152,7 @@ func TestExprCostMinToHalfspace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := lp.MinL2ToHalfspace(n, -3)
+	want, _ := L2Cost{}.MinToHalfspace(n, -3, nil)
 	if c.Of(s) > vec.Norm2(want)*1.01+1e-9 {
 		t.Errorf("numeric cost %v much worse than closed form %v", c.Of(s), vec.Norm2(want))
 	}
@@ -217,5 +217,43 @@ func TestMinCostWithExprCost(t *testing.T) {
 	}
 	if math.Abs(res.Strategy[2]) > math.Abs(plain.Strategy[2])+0.05 {
 		t.Errorf("weighted expr cost ignored: expr %v vs plain %v", res.Strategy, plain.Strategy)
+	}
+}
+
+// doubledL2 embeds L2Cost but overrides MinToHalfspace, as a user-defined
+// cost may: the solvers must call its own method, not L2Cost's closed form.
+type doubledL2 struct{ L2Cost }
+
+func (c doubledL2) MinToHalfspace(n vec.Vector, rhs float64, b *Bounds) (vec.Vector, error) {
+	s, err := c.L2Cost.MinToHalfspace(n, rhs, b)
+	if err == nil {
+		vec.ScaleInPlace(s, 2)
+	}
+	return s, err
+}
+
+// shortStep returns a strategy of the wrong dimension.
+type shortStep struct{ L2Cost }
+
+func (shortStep) MinToHalfspace(vec.Vector, float64, *Bounds) (vec.Vector, error) {
+	return vec.Vector{-1}, nil
+}
+
+// A probe solves a built-in cost in place and any other through its own
+// MinToHalfspace, copied into the probe's buffer; a strategy of the wrong
+// dimension is an error, not a panic.
+func TestCostMinToHalfspaceDispatch(t *testing.T) {
+	n := vec.Vector{1, 1}
+	s := vec.New(2)
+	for _, c := range []struct {
+		cost Cost
+		want vec.Vector
+	}{{L2Cost{}, vec.Vector{-1, -1}}, {doubledL2{}, vec.Vector{-2, -2}}} {
+		if err := costMinToHalfspace(c.cost, s, n, -2, nil); err != nil || !vec.Equal(s, c.want) {
+			t.Errorf("%T: step %v (err %v), want %v", c.cost, s, err, c.want)
+		}
+	}
+	if err := costMinToHalfspace(shortStep{}, s, n, -2, nil); err == nil {
+		t.Error("a one-dimensional step for a two-dimensional strategy was accepted")
 	}
 }

@@ -26,8 +26,11 @@ func (in *boundInput) byte() byte {
 // ties and duplicate objects common.
 func (in *boundInput) eighth() float64 { return float64(int8(in.byte())) / 8 }
 
-// move reads a probe's strategy component: an eighth, or ±1e200 for the
-// extreme byte values, whose squares overflow D to +Inf.
+// move reads a probe's strategy component or the round's offset from the
+// target: an eighth, or ±1e200 for the extreme byte values. In a probe its
+// square overflows D to +Inf; in the round's coefficients it puts the keys
+// of the rows that weight that coordinate hundreds of binades above the
+// others, so the histogram's buckets turn coarse.
 func (in *boundInput) move() float64 {
 	switch b := int8(in.byte()); b {
 	case math.MaxInt8:
@@ -44,13 +47,16 @@ func (in *boundInput) move() float64 {
 //
 //	d, objects, queries, target, removed-query mask, base hits, min hits,
 //	max cost (127 = +Inf), object attributes, per query k and weights,
-//	the round's strategy, then probes of (cost, strategy).
+//	the round's offset from the target, then probes of (cost, strategy).
 //
 // Weights may be zero or negative, objects may repeat, and k may exceed the
 // competitors (always-hit rows). The skyband holds every object, so the
-// table is exact whatever the weights' signs. Every probe's bound must be at
-// least its HitsExact count, and best and cheapest must pick what a full
-// count picks.
+// table is exact whatever the weights' signs. The round's one pass over the
+// table must agree with its hit counts, every probe's histogram bound must
+// be at least its HitsExact count, and best and cheapest must pick what a
+// full count picks. Named seeds cover coarse buckets (keys spread over more
+// than 2⁶⁰ in IEEE bits), equal keys, a single key, an infinite D, and a
+// probe whose D falls in the bucket of the keys it can hit.
 func FuzzHitBound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := boundInput(data)
@@ -96,10 +102,18 @@ func FuzzHitBound(f *testing.F) {
 		tab, _ := deriveHitTable(ctx, idx, target)
 		at := make(vec.Vector, d)
 		for k := range at {
-			at[k] = w.Coeff(target)[k] + in.eighth()
+			at[k] = w.Coeff(target)[k] + in.move()
 		}
 		rs := &roundScratch{tab: tab, rec: newRecorder(), dim: d}
-		tab.roundBound(at, &rs.bound)
+		unhit, scores := tab.round(at, &rs.bound, nil, nil)
+		if hit := tab.hits(at); hit+len(unhit) != w.LiveQueries() {
+			t.Fatalf("round at %v: %d unhit, table counts %d hits of %d live queries", at, len(unhit), hit, w.LiveQueries())
+		}
+		for slot, j := range unhit {
+			if s := vec.Dot(at, w.Query(j).Point); math.Float64bits(s) != math.Float64bits(scores[slot]) {
+				t.Fatalf("round at %v: query %d scored %v, vec.Dot %v", at, j, scores[slot], s)
+			}
+		}
 		var full []Candidate
 		for len(in) > 0 && len(full) < 12 {
 			c := in.eighth()

@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"iq/internal/bitset"
 	"iq/internal/obs"
 	"iq/internal/subdomain"
 	"iq/internal/vec"
@@ -88,13 +87,10 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 	rs := &roundScratch{tab: tab, rec: rec}
 	workers := clampWorkers(req.Workers, w.NumQueries())
 	d := len(w.Attrs(req.Target))
-	hit := bitset.New(w.NumQueries())
 	at := w.Coeff(req.Target)
-	curHits := tab.hitSet(at, hit)
-	res := &Result{Strategy: vec.New(d), BaseHits: curHits, Hits: curHits}
-
-	cur := vec.New(d)
-
+	res := &Result{Strategy: vec.New(d)}
+	res.BaseHits = tab.hits(at)
+	res.Hits = res.BaseHits
 	for {
 		res.Iterations++
 		if res.Iterations > w.NumQueries()+8 {
@@ -107,29 +103,22 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		if err := generateCandidates(rctx, w, workers, cur, at, hit, req.Cost, req.Bounds, rs); err != nil {
+		if err := generateCandidates(rctx, w, workers, res.Strategy, at, req.Cost, req.Bounds, rs); err != nil {
 			rsp.End()
 			return nil, err
 		}
-		best, ok := rs.best(rctx, curHits)
+		best, ok := rs.best(rctx, res.Hits)
 		if !ok {
 			rsp.End()
 			break // no candidate gains hits: every query hit or infeasible
 		}
+		var err error
 		if best.Cost <= req.Budget {
-			cur = best.Strategy
-			curHits = best.Hits
-			coeff, err := w.Space().Embed(vec.Add(w.Attrs(req.Target), cur))
-			if err != nil {
+			if at, err = apply(w, req.Target, res, best, req.Cost); err != nil {
 				rsp.End()
 				return res, err
 			}
-			tab.hitSet(coeff, hit)
-			at = coeff
-			res.Strategy = vec.Clone(cur)
-			res.Cost = req.Cost.Of(cur)
-			res.Hits = curHits
-			rsp.SetAttr("hits", curHits)
+			rsp.SetAttr("hits", res.Hits)
 			rsp.End()
 			continue
 		}
@@ -139,22 +128,14 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		// query index — unique within a round — so the pick is
 		// deterministic at any worker count (see DESIGN.md, "Deterministic
 		// parallelism").
-		fill, found := rs.cheapest(rctx, curHits+1, req.Budget)
+		fill, found := rs.cheapest(rctx, res.Hits+1, req.Budget)
 		if found {
-			cur = fill.Strategy
-			curHits = fill.Hits
-			coeff, err := w.Space().Embed(vec.Add(w.Attrs(req.Target), cur))
-			if err != nil {
+			if at, err = apply(w, req.Target, res, fill, req.Cost); err != nil {
 				rsp.End()
 				return res, err
 			}
-			tab.hitSet(coeff, hit)
-			at = coeff
-			res.Strategy = vec.Clone(cur)
-			res.Cost = req.Cost.Of(cur)
-			res.Hits = curHits
 		}
-		rsp.SetAttr("hits", curHits)
+		rsp.SetAttr("hits", res.Hits)
 		rsp.End()
 		if !found {
 			break // nothing affordable gains a hit

@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"iq/internal/bitset"
 	"iq/internal/obs"
 	"iq/internal/subdomain"
 	"iq/internal/vec"
@@ -109,17 +108,14 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 	rs := &roundScratch{tab: tab, rec: rec}
 	workers := clampWorkers(req.Workers, w.NumQueries())
 	d := len(w.Attrs(req.Target))
-	hit := bitset.New(w.NumQueries())
 	at := w.Coeff(req.Target)
-	curHits := tab.hitSet(at, hit)
-	res := &Result{Strategy: vec.New(d), BaseHits: curHits, Hits: curHits}
+	res := &Result{Strategy: vec.New(d)}
+	res.BaseHits = tab.hits(at)
+	res.Hits = res.BaseHits
 	if res.Hits >= req.Tau {
 		return res, nil // already satisfied with the zero strategy
 	}
-
-	cur := vec.New(d)
-
-	for curHits < req.Tau {
+	for res.Hits < req.Tau {
 		res.Iterations++
 		if err := checkpoint(ctx, "mincost", res.Iterations); err != nil {
 			return nil, err
@@ -128,14 +124,14 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		if err := generateCandidates(rctx, w, workers, cur, at, hit, req.Cost, req.Bounds, rs); err != nil {
+		if err := generateCandidates(rctx, w, workers, res.Strategy, at, req.Cost, req.Bounds, rs); err != nil {
 			rsp.End()
 			return nil, err
 		}
-		best, ok := rs.best(rctx, curHits)
+		best, ok := rs.best(rctx, res.Hits)
 		if !ok {
 			rsp.End()
-			return res, fmt.Errorf("core: stalled at %d of %d hits: %w", curHits, req.Tau, ErrGoalUnreachable)
+			return res, fmt.Errorf("core: stalled at %d of %d hits: %w", res.Hits, req.Tau, ErrGoalUnreachable)
 		}
 		if best.Hits > req.Tau {
 			// Anti-overshoot (Algorithm 3 lines 10–13): prefer the
@@ -146,19 +142,12 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 				best = c
 			}
 		}
-		cur = best.Strategy
-		curHits = best.Hits
-		coeff, err := w.Space().Embed(vec.Add(w.Attrs(req.Target), cur))
-		if err != nil {
+		var err error
+		if at, err = apply(w, req.Target, res, best, req.Cost); err != nil {
 			rsp.End()
 			return res, err
 		}
-		tab.hitSet(coeff, hit)
-		at = coeff
-		res.Strategy = vec.Clone(cur)
-		res.Cost = req.Cost.Of(cur)
-		res.Hits = curHits
-		rsp.SetAttr("hits", curHits)
+		rsp.SetAttr("hits", res.Hits)
 		rsp.End()
 		if res.Iterations > w.NumQueries()+req.Tau+8 {
 			return res, fmt.Errorf("core: iteration guard tripped: %w", ErrGoalUnreachable)

@@ -153,6 +153,12 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 				baseCostOthers += other.Cost.Of(st.cur[k])
 			}
 		}
+		// In a linear space solveHit starts from the score at the target's
+		// current coefficients, which are its own plus its strategy.
+		var at vec.Vector
+		if w.Space().Linear() {
+			at = vec.Add(w.Coeff(spec.Target), st.cur[i])
+		}
 		for j := 0; j < w.NumQueries(); j++ {
 			if st.union[j] > 0 || w.IsQueryRemoved(j) {
 				continue // already hit by some target, or removed
@@ -167,7 +173,12 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 				psp.SetAttr("target", spec.Target)
 				psp.SetAttr("query", j)
 			}
-			u, err := solveHit(w, st.tabs[i], st.cur[i], j, spec.Cost, spec.Bounds, &st.sc)
+			score := 0.0
+			if at != nil {
+				score = vec.Dot(at, w.Query(j).Point)
+			}
+			u := make(vec.Vector, len(st.cur[i]))
+			err := solveHit(u, w, st.tabs[i], st.cur[i], j, score, spec.Cost, spec.Bounds, &st.sc)
 			rec.thresholdHit()
 			t1 := rec.solveDone(t0)
 			if err != nil || !spec.Bounds.Contains(u) {

@@ -37,8 +37,12 @@ func refCandidates(t *testing.T, w *topk.Workload, tab *hitTable, cur vec.Vector
 		if hit[j] || w.IsQueryRemoved(j) {
 			continue
 		}
-		u, err := solveHit(w, tab, cur, j, cost, bounds, nil)
-		if err != nil || !bounds.Contains(u) {
+		score := 0.0
+		if w.Space().Linear() {
+			score = vec.Dot(vec.Add(w.Coeff(tab.target), cur), w.Query(j).Point)
+		}
+		u := vec.New(len(cur))
+		if err := solveHit(u, w, tab, cur, j, score, cost, bounds, nil); err != nil || !bounds.Contains(u) {
 			continue
 		}
 		c := cost.Of(u)

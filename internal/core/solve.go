@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"iq/internal/bitset"
 	"iq/internal/obs"
 	"iq/internal/topk"
 	"iq/internal/vec"
@@ -45,78 +44,65 @@ func absF(x float64) float64 {
 }
 
 // probeScratch is one worker's reusable buffers for the per-probe subproblem
-// (solveHit's shifted coefficients and bounds). A probeScratch is owned by
-// one goroutine; callers without one may pass nil and pay the original
-// allocations.
+// (solveHit's shifted bounds). A probeScratch is owned by one goroutine;
+// callers without one may pass nil and pay the allocations.
 type probeScratch struct {
-	coeff  vec.Vector // coeff(target)+cur for the linear closed form
 	lo, hi vec.Vector // shifted bounds backing stores
 	bounds Bounds     // aliases lo/hi so no Bounds escapes per probe
 }
 
-// solveHit finds a low-cost cumulative strategy u (relative to the target's
-// original attributes) such that the target improved by u hits query j,
-// against the threshold in the target's hit table tab.
-// cur is the currently accumulated strategy; the returned u extends it
-// (u = cur for queries already hit). The cost minimised is Cost(u), the
-// total cost of the final strategy, matching Definitions 2–3. Each call is
-// one threshold lookup; callers account for it.
-func solveHit(w *topk.Workload, tab *hitTable, cur vec.Vector, j int, cost Cost, bounds *Bounds, sc *probeScratch) (vec.Vector, error) {
-	space := w.Space()
+// solveHit writes into u a low-cost cumulative strategy (relative to the
+// target's original attributes) such that the target improved by u hits
+// query j, against the threshold in the target's hit table tab.
+// cur is the currently accumulated strategy; u extends it (u = cur for a
+// query with no k-th competitor). In a linear space score is c·q_j at the
+// target's current coefficients c = p+cur, summed as vec.Dot sums it; other
+// spaces do not read it. The cost minimised is Cost(u), the total cost of
+// the final strategy, matching Definitions 2–3. Each call is one threshold
+// lookup; callers account for it.
+func solveHit(u vec.Vector, w *topk.Workload, tab *hitTable, cur vec.Vector, j int, score float64, cost Cost, bounds *Bounds, sc *probeScratch) error {
 	q := w.Query(j)
-	target := tab.target
 	threshold, bounded := tab.threshold(j)
 	if !bounded {
-		return vec.Clone(cur), nil // fewer than k competitors: already hit
+		copy(u, cur) // fewer than k competitors: already hit
+		return nil
 	}
-	if space.Linear() {
-		// Incremental step from the current improved position p' = p+cur
-		// (Algorithm 3 line 5 solves from p', not from the original p):
-		// q·(p + cur + δ) < threshold  ⇔  q·δ ≤ rhs. With non-negative
-		// query weights the minimal L2 step only decreases attribute
-		// values, so previously gained hits are preserved.
-		//
-		// Every arithmetic step below matches the scratch-free formulation
-		// (vec.Add/vec.Sub temporaries) term by term, so enabling scratch
-		// reuse cannot change a single bit of the result.
-		coeff := w.Coeff(target)
-		var coeffCur vec.Vector
-		if sc != nil {
-			coeffCur = growVec(sc.coeff, len(coeff))
-			sc.coeff = coeffCur
-			for i := range coeff {
-				coeffCur[i] = coeff[i] + cur[i]
-			}
-		} else {
-			coeffCur = vec.Add(coeff, cur)
-		}
-		rhs := threshold - vec.Dot(coeffCur, q.Point) - strictMargin(threshold)
-		var shifted *Bounds
-		if bounds != nil {
-			if sc != nil {
-				sc.lo = growVec(sc.lo, len(bounds.Lo))
-				sc.hi = growVec(sc.hi, len(bounds.Hi))
-				for i := range bounds.Lo {
-					sc.lo[i] = bounds.Lo[i] - cur[i]
-					sc.hi[i] = bounds.Hi[i] - cur[i]
-				}
-				sc.bounds = Bounds{Lo: sc.lo, Hi: sc.hi}
-				shifted = &sc.bounds
-			} else {
-				shifted = &Bounds{Lo: vec.Sub(bounds.Lo, cur), Hi: vec.Sub(bounds.Hi, cur)}
-			}
-		}
-		delta, err := cost.MinToHalfspace(q.Point, rhs, shifted)
+	if !w.Space().Linear() {
+		v, err := solveHitNonLinear(w, tab.target, cur, q, threshold, cost, bounds)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		// Every MinToHalfspace implementation returns a fresh vector, so
-		// accumulating cur into it in place is safe, and float addition is
-		// commutative, so delta+cur is bit-identical to vec.Add(cur, delta).
-		vec.AddInPlace(delta, cur)
-		return delta, nil
+		copy(u, v)
+		return nil
 	}
-	return solveHitNonLinear(w, target, cur, q, threshold, cost, bounds)
+	// Incremental step from the current improved position p' = p+cur
+	// (Algorithm 3 line 5 solves from p', not from the original p):
+	// q·(p + cur + δ) < threshold  ⇔  q·δ ≤ rhs. With non-negative query
+	// weights the minimal L2 step only decreases attribute values, so
+	// previously gained hits are preserved.
+	rhs := threshold - score - strictMargin(threshold)
+	var shifted *Bounds
+	if bounds != nil {
+		if sc != nil {
+			sc.lo = growVec(sc.lo, len(bounds.Lo))
+			sc.hi = growVec(sc.hi, len(bounds.Hi))
+			for i := range bounds.Lo {
+				sc.lo[i] = bounds.Lo[i] - cur[i]
+				sc.hi[i] = bounds.Hi[i] - cur[i]
+			}
+			sc.bounds = Bounds{Lo: sc.lo, Hi: sc.hi}
+			shifted = &sc.bounds
+		} else {
+			shifted = &Bounds{Lo: vec.Sub(bounds.Lo, cur), Hi: vec.Sub(bounds.Hi, cur)}
+		}
+	}
+	if err := costMinToHalfspace(cost, u, q.Point, rhs, shifted); err != nil {
+		return err
+	}
+	// Float addition is commutative, so δ+cur is bit-identical to
+	// vec.Add(cur, δ).
+	vec.AddInPlace(u, cur)
+	return nil
 }
 
 // finiteStep reports whether a probe's strategy u and its cost c are finite.
@@ -224,18 +210,27 @@ type Candidate struct {
 }
 
 // roundScratch carries one solve's greedy rounds: the target's hit table and
-// the solve's recorder, the round's slot-indexed candidates (cands[slot]
-// probes unhit[slot]; valid marks those not pruned) with their improved
-// coefficients, and the buffers reused across rounds. One roundScratch is
-// owned by one solve; the candidates are valid until the next
-// generateCandidates call.
+// the solve's recorder; the round being generated (its inputs, the queries
+// the target does not hit with their scores, the slot-indexed candidates —
+// cands[slot] probes unhit[slot], valid marks those not pruned — and their
+// strategies and improved coefficients, slot-major); and the buffers reused
+// across rounds. One roundScratch is owned by one solve; the candidates,
+// strategies included, are valid until the next generateCandidates call.
 type roundScratch struct {
-	tab    *hitTable
-	rec    *recorder
+	tab *hitTable
+	rec *recorder
+
+	w      *topk.Workload
+	cur    vec.Vector
+	cost   Cost
+	bounds *Bounds
 	unhit  []int
+	score  []float64 // c·q_j of unhit[slot] at the round's coefficients
 	cands  []Candidate
 	valid  []bool
+	strats vec.Vector // slot-major, sdim per slot
 	coeffs vec.Vector // slot-major, dim per slot
+	sdim   int
 	dim    int
 	bound  hitBound
 	queue  queue
@@ -251,140 +246,142 @@ type tally struct {
 // generateCandidates implements the shared inner loop of Algorithms 3 and 4
 // (lines 4–8): for every query not currently hit, the min-cost strategy that
 // hits it, with an upper bound on its hit count from the round's hitBound
-// around at, the target's current coefficients. The exact counts are left to
-// best and cheapest. With more than one worker the per-query work fans out
-// across goroutines, which share the read-only table and bound; each worker
-// owns one probeScratch.
+// around at, the target's current coefficients. One pass over the target's
+// hit table (hitTable.round) finds the unhit queries, their scores at at and
+// the bound. The exact counts are left to best and cheapest. With more than
+// one worker the per-query work fans out across goroutines, which share the
+// read-only table and bound; each worker owns one probeScratch.
 //
-// The round's candidates land in rs.cands, indexed by slot; the Strategy
-// vectors inside them are freshly allocated per probe and safe to retain.
-// Bit-for-bit determinism is preserved: probes still land in slot-indexed
-// order and the scratch paths reproduce the original arithmetic exactly.
+// The round's candidates land in rs.cands, indexed by slot, and each probe
+// writes its strategy and improved coefficients into the slot's share of
+// rs.strats and rs.coeffs: a warm round with an unbounded built-in cost
+// allocates nothing, and a solver clones the candidate it applies.
+// Bit-for-bit determinism is preserved: probes land in slot-indexed order
+// and every path reproduces the same arithmetic.
 //
 // Cancellation is checked before every probe, serial or parallel: workers
 // stop picking up slots as soon as ctx fails, and a cancelled fan-out
 // returns the translated context error, so the solvers discard the round's
 // partial work instead of greedily applying a winner chosen from whatever
 // subset happened to finish.
-func generateCandidates(ctx context.Context, w *topk.Workload, workers int, cur, at vec.Vector, hit *bitset.Bits, cost Cost, bounds *Bounds, rs *roundScratch) error {
+func generateCandidates(ctx context.Context, w *topk.Workload, workers int, cur, at vec.Vector, cost Cost, bounds *Bounds, rs *roundScratch) error {
 	start := time.Now()
-	tab, rec := rs.tab, rs.rec
-	rs.unhit = rs.unhit[:0]
-	for j := 0; j < w.NumQueries(); j++ {
-		if !hit.Get(j) && !w.IsQueryRemoved(j) {
-			rs.unhit = append(rs.unhit, j)
-		}
-	}
-	unhit := rs.unhit
 	ctx, csp := obs.StartSpan(ctx, "candidates")
-	csp.SetAttr("unhit", len(unhit))
-	csp.SetAttr("workers", workers)
 	defer csp.End()
-	if cap(rs.cands) < len(unhit) {
-		rs.cands = make([]Candidate, len(unhit))
-		rs.valid = make([]bool, len(unhit))
+	rs.unhit, rs.score = rs.tab.round(at, &rs.bound, rs.unhit[:0], rs.score[:0])
+	n := len(rs.unhit)
+	if csp != nil {
+		// SetAttr boxes its ints, which allocates from 256 up.
+		csp.SetAttr("unhit", n)
+		csp.SetAttr("workers", workers)
 	}
-	rs.cands = rs.cands[:len(unhit)]
-	rs.valid = rs.valid[:len(unhit)]
-	cands, valid := rs.cands, rs.valid
-	for i := range valid {
-		valid[i] = false
-	}
-	if len(rs.probes) < workers {
-		rs.probes = make([]probeScratch, workers)
-	}
-	dim := len(at)
-	rs.dim = dim
-	rs.coeffs = growVec(rs.coeffs, len(unhit)*dim)
-	tab.roundBound(at, &rs.bound)
-	rec.solve.Add(int64(time.Since(start)))
-	linear := w.Space().Linear()
-	attrs := w.Attrs(tab.target)
-	probe := func(pctx context.Context, wkr, slot int, t *tally) {
-		fireProbe(slot)
-		t.probes++
-		j := unhit[slot]
-		_, psp := obs.StartSpan(pctx, "probe")
-		if psp != nil {
-			// SetAttr boxes j, which allocates from 256 up.
-			psp.SetAttr("query", j)
-		}
-		u, err := solveHit(w, tab, cur, j, cost, bounds, &rs.probes[wkr])
-		if err != nil {
-			t.pruned++
-			psp.SetAttr("pruned", "infeasible")
-			psp.End()
-			return // infeasible for this query (e.g. bounds); skip
-		}
-		if !bounds.Contains(u) {
-			t.pruned++
-			psp.SetAttr("pruned", "bounds")
-			psp.End()
-			return
-		}
-		c := cost.Of(u)
-		if !finiteStep(u, c) {
-			t.pruned++
-			psp.SetAttr("pruned", "nonfinite")
-			psp.End()
-			return
-		}
-		coeff := rs.coeffs[slot*dim : (slot+1)*dim : (slot+1)*dim]
-		if linear {
-			// A linear space's Embed is the identity (a dimension check plus
-			// a clone), so the improved coefficients can be summed straight
-			// into the slot's buffer — same values, no temporaries.
-			for i := range attrs {
-				coeff[i] = attrs[i] + u[i]
-			}
-		} else {
-			e, err := w.Space().Embed(vec.Add(attrs, u))
-			if err != nil {
-				t.pruned++
-				psp.SetAttr("pruned", "embed")
-				psp.End()
-				return
-			}
-			copy(coeff, e)
-		}
-		cands[slot] = ranked(j, u, c, rs.bound.upper(coeff))
-		valid[slot] = true
-		psp.End()
-	}
-	serial := workers <= 1 || len(unhit) < 2*workers
+	serial := workers <= 1 || n < 2*workers
 	if serial {
 		workers = 1
 	}
-	// Each worker times its whole share of the fan-out and adds its counters
-	// once, so the probe loop reads no clock and touches no shared counter.
-	run := func(wctx context.Context, wkr int) {
-		t0 := time.Now()
-		var t tally
-		for slot := wkr; slot < len(unhit); slot += workers {
-			if ctx.Err() != nil {
-				break
-			}
-			probe(wctx, wkr, slot, &t)
-		}
-		rec.fanOut(t, time.Since(t0))
+	if cap(rs.cands) < n {
+		rs.cands = make([]Candidate, n)
+		rs.valid = make([]bool, n)
 	}
+	rs.cands, rs.valid = rs.cands[:n], rs.valid[:n]
+	clear(rs.valid)
+	if len(rs.probes) < workers {
+		rs.probes = make([]probeScratch, workers)
+	}
+	rs.w, rs.cur, rs.cost, rs.bounds = w, cur, cost, bounds
+	rs.sdim, rs.dim = len(cur), len(at)
+	rs.strats = growVec(rs.strats, n*rs.sdim)
+	rs.coeffs = growVec(rs.coeffs, n*rs.dim)
+	rs.rec.solve.Add(int64(time.Since(start)))
 	if serial {
-		run(ctx, 0)
+		rs.share(ctx, 0, 1)
 	} else {
-		var wg sync.WaitGroup
-		for wkr := 0; wkr < workers; wkr++ {
-			wg.Add(1)
-			go func(wkr int) {
-				defer wg.Done()
-				wctx, wsp := obs.StartSpan(ctx, "worker")
-				wsp.SetAttr("worker", wkr)
-				defer wsp.End()
-				run(wctx, wkr)
-			}(wkr)
-		}
-		wg.Wait()
+		rs.fan(ctx, workers)
 	}
 	return CtxErr(ctx)
+}
+
+// fan runs the round's probes on workers goroutines and waits for them.
+// It is its own function so that the serial path allocates no closure.
+func (rs *roundScratch) fan(ctx context.Context, workers int) {
+	var wg sync.WaitGroup
+	for wkr := 0; wkr < workers; wkr++ {
+		wg.Add(1)
+		go func(wkr int) {
+			defer wg.Done()
+			wctx, wsp := obs.StartSpan(ctx, "worker")
+			wsp.SetAttr("worker", wkr)
+			defer wsp.End()
+			rs.share(wctx, wkr, workers)
+		}(wkr)
+	}
+	wg.Wait()
+}
+
+// share probes worker wkr's slots of the round (wkr, wkr+workers, …) until
+// ctx fails. It times its whole share and adds its counters to the recorder
+// once, so the probe loop reads no clock and touches no shared counter.
+func (rs *roundScratch) share(ctx context.Context, wkr, workers int) {
+	t0 := time.Now()
+	var t tally
+	for slot := wkr; slot < len(rs.unhit); slot += workers {
+		if ctx.Err() != nil {
+			break
+		}
+		rs.probe(ctx, wkr, slot, &t)
+	}
+	rs.rec.fanOut(t, time.Since(t0))
+}
+
+// probe solves the subproblem of the round's slot into the slot's strategy
+// and coefficients and ranks it, or prunes it.
+func (rs *roundScratch) probe(ctx context.Context, wkr, slot int, t *tally) {
+	fireProbe(slot)
+	t.probes++
+	j := rs.unhit[slot]
+	_, psp := obs.StartSpan(ctx, "probe")
+	if psp != nil {
+		// SetAttr boxes j, which allocates from 256 up.
+		psp.SetAttr("query", j)
+	}
+	defer psp.End()
+	u := rs.strats[slot*rs.sdim : (slot+1)*rs.sdim : (slot+1)*rs.sdim]
+	if err := solveHit(u, rs.w, rs.tab, rs.cur, j, rs.score[slot], rs.cost, rs.bounds, &rs.probes[wkr]); err != nil {
+		t.pruned++
+		psp.SetAttr("pruned", "infeasible")
+		return // infeasible for this query (e.g. bounds); skip
+	}
+	if !rs.bounds.Contains(u) {
+		t.pruned++
+		psp.SetAttr("pruned", "bounds")
+		return
+	}
+	c := rs.cost.Of(u)
+	if !finiteStep(u, c) {
+		t.pruned++
+		psp.SetAttr("pruned", "nonfinite")
+		return
+	}
+	coeff := rs.coeffs[slot*rs.dim : (slot+1)*rs.dim : (slot+1)*rs.dim]
+	attrs := rs.w.Attrs(rs.tab.target)
+	if rs.w.Space().Linear() {
+		// A linear space's Embed is the identity (a dimension check plus
+		// a clone), so the improved coefficients can be summed straight
+		// into the slot's buffer — same values, no temporaries.
+		for i := range attrs {
+			coeff[i] = attrs[i] + u[i]
+		}
+	} else {
+		e, err := rs.w.Space().Embed(vec.Add(attrs, u))
+		if err != nil {
+			t.pruned++
+			psp.SetAttr("pruned", "embed")
+			return
+		}
+		copy(coeff, e)
+	}
+	rs.cands[slot] = ranked(j, u, c, rs.bound.upper(coeff))
+	rs.valid[slot] = true
 }
 
 // ranked returns the candidate for query j with strategy u at cost c whose
@@ -395,6 +392,19 @@ func ranked(j int, u vec.Vector, c float64, bound int) Candidate {
 		ratio = c / float64(bound)
 	}
 	return Candidate{Query: j, Strategy: u, Cost: c, bound: bound, ratio: ratio}
+}
+
+// apply moves res to c, the round's pick, and returns the target's
+// coefficients there. The pick's strategy lives in the round's buffers, so
+// it is cloned; on error res is left as it was.
+func apply(w *topk.Workload, target int, res *Result, c Candidate, cost Cost) (vec.Vector, error) {
+	cur := vec.Clone(c.Strategy)
+	at, err := w.Space().Embed(vec.Add(w.Attrs(target), cur))
+	if err != nil {
+		return nil, err
+	}
+	res.Strategy, res.Cost, res.Hits = cur, cost.Of(cur), c.Hits
+	return at, nil
 }
 
 // hits returns the exact hit count of the candidate in slot, counting it

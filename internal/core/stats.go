@@ -13,6 +13,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -197,16 +198,12 @@ func endSolveSpan(sp *obs.Span, st SolveStats, err error) {
 func finishSolve(ctx context.Context, op string, target int, start time.Time, rec *recorder, rounds int, err error) SolveStats {
 	wall := time.Since(start)
 	st := rec.stats(rounds, wall, err)
-	obs.Default.Counter("iq_solve_total",
-		"Solves by operation and outcome.", "op", op, "outcome", outcomeOf(err)).Inc()
-	obs.Default.Histogram("iq_solve_duration_seconds",
-		"Solve wall time by operation.", obs.SolveDurationBuckets, "op", op).Observe(wall.Seconds())
-	obs.Default.Counter("iq_solve_rounds_total",
-		"Greedy rounds executed.", "op", op).Add(int64(st.Rounds))
-	obs.Default.Counter("iq_solve_probes_total",
-		"Candidate probes attempted.", "op", op).Add(int64(st.Probes))
-	obs.Default.Counter("iq_solve_pruned_total",
-		"Candidate probes discarded before hit counting.", "op", op).Add(int64(st.Pruned))
+	m := solveSeriesFor(op, outcomeOf(err))
+	m.total.Inc()
+	m.duration.Observe(wall.Seconds())
+	m.rounds.Add(int64(st.Rounds))
+	m.probes.Add(int64(st.Probes))
+	m.pruned.Add(int64(st.Pruned))
 	mThresholdCacheHits.Add(int64(st.ThresholdCacheHits))
 	obs.Log(ctx).DebugContext(ctx, "solve finished",
 		"op", op,
@@ -218,4 +215,50 @@ func finishSolve(ctx context.Context, op string, target int, start time.Time, re
 		"wall_ms", wall.Milliseconds(),
 	)
 	return st
+}
+
+// solveSeries are the process-wide series one (op, outcome) pair of solves
+// publishes to.
+type solveSeries struct {
+	total                  *obs.Counter
+	duration               *obs.Histogram
+	rounds, probes, pruned *obs.Counter
+}
+
+// solveSeriesCache resolves each (op, outcome) pair's series once, on its
+// first solve, so /metrics shows the same series as a lookup per solve
+// would; a registry lookup renders and sorts its labels under the
+// registry's process-wide lock.
+var solveSeriesCache struct {
+	sync.RWMutex
+	m map[[2]string]*solveSeries
+}
+
+func solveSeriesFor(op, outcome string) *solveSeries {
+	key := [2]string{op, outcome}
+	solveSeriesCache.RLock()
+	m := solveSeriesCache.m[key]
+	solveSeriesCache.RUnlock()
+	if m != nil {
+		return m
+	}
+	m = &solveSeries{
+		total: obs.Default.Counter("iq_solve_total",
+			"Solves by operation and outcome.", "op", op, "outcome", outcome),
+		duration: obs.Default.Histogram("iq_solve_duration_seconds",
+			"Solve wall time by operation.", obs.SolveDurationBuckets, "op", op),
+		rounds: obs.Default.Counter("iq_solve_rounds_total",
+			"Greedy rounds executed.", "op", op),
+		probes: obs.Default.Counter("iq_solve_probes_total",
+			"Candidate probes attempted.", "op", op),
+		pruned: obs.Default.Counter("iq_solve_pruned_total",
+			"Candidate probes discarded before hit counting.", "op", op),
+	}
+	solveSeriesCache.Lock()
+	defer solveSeriesCache.Unlock()
+	if solveSeriesCache.m == nil {
+		solveSeriesCache.m = map[[2]string]*solveSeries{}
+	}
+	solveSeriesCache.m[key] = m
+	return m
 }

@@ -228,12 +228,32 @@ func VarsOf(n Node) map[string]struct{} {
 
 // --- Parser ---
 
+// maxNodes caps the nodes one Parse builds and the parenthesised groups open
+// at once. Parse and every walk of a tree (Eval, String, Vars, Linearize)
+// recurse once per level, so the cap bounds their stack whatever the input:
+// a megabyte of "(" would otherwise recurse a million levels deep.
+const maxNodes = 1024
+
+// errTooLarge is Parse's error for input past maxNodes.
+var errTooLarge = fmt.Errorf("expr: expression has more than %d nodes or nested groups", maxNodes)
+
 type parser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	nodes int // nodes started so far
+	open  int // parenthesised groups open
 }
 
-// Parse parses source text into an AST.
+// node counts one more node against maxNodes. The parser calls it when it
+// starts a node, before it recurses into the node's operands.
+func (p *parser) node() error {
+	if p.nodes++; p.nodes > maxNodes {
+		return errTooLarge
+	}
+	return nil
+}
+
+// Parse parses source text into an AST of at most maxNodes nodes.
 func Parse(src string) (Node, error) {
 	p := &parser{src: src}
 	n, err := p.parseExpr()
@@ -271,56 +291,34 @@ func (p *parser) peek() byte {
 }
 
 func (p *parser) parseExpr() (Node, error) {
-	left, err := p.parseTerm()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.peek() {
-		case '+':
-			p.pos++
-			right, err := p.parseTerm()
-			if err != nil {
-				return nil, err
-			}
-			left = Binary{Op: '+', L: left, R: right}
-		case '-':
-			p.pos++
-			right, err := p.parseTerm()
-			if err != nil {
-				return nil, err
-			}
-			left = Binary{Op: '-', L: left, R: right}
-		default:
-			return left, nil
-		}
-	}
+	return p.parseChain('+', '-', p.parseTerm)
 }
 
 func (p *parser) parseTerm() (Node, error) {
-	left, err := p.parseFactor()
+	return p.parseChain('*', '/', p.parseFactor)
+}
+
+// parseChain parses a left-associative chain of operands joined by op1 or
+// op2.
+func (p *parser) parseChain(op1, op2 byte, operand func() (Node, error)) (Node, error) {
+	left, err := operand()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		switch p.peek() {
-		case '*':
-			p.pos++
-			right, err := p.parseFactor()
-			if err != nil {
-				return nil, err
-			}
-			left = Binary{Op: '*', L: left, R: right}
-		case '/':
-			p.pos++
-			right, err := p.parseFactor()
-			if err != nil {
-				return nil, err
-			}
-			left = Binary{Op: '/', L: left, R: right}
-		default:
+		op := p.peek()
+		if op != op1 && op != op2 {
 			return left, nil
 		}
+		if err := p.node(); err != nil {
+			return nil, err
+		}
+		p.pos++
+		right, err := operand()
+		if err != nil {
+			return nil, err
+		}
+		left = Binary{Op: op, L: left, R: right}
 	}
 }
 
@@ -330,6 +328,9 @@ func (p *parser) parseFactor() (Node, error) {
 		return nil, err
 	}
 	if p.peek() == '^' {
+		if err := p.node(); err != nil {
+			return nil, err
+		}
 		p.pos++
 		exp, err := p.parseFactor() // right-associative
 		if err != nil {
@@ -342,6 +343,9 @@ func (p *parser) parseFactor() (Node, error) {
 
 func (p *parser) parseUnary() (Node, error) {
 	if p.peek() == '-' {
+		if err := p.node(); err != nil {
+			return nil, err
+		}
 		p.pos++
 		x, err := p.parseUnary()
 		if err != nil {
@@ -356,19 +360,29 @@ func (p *parser) parsePrimary() (Node, error) {
 	c := p.peek()
 	switch {
 	case c == '(':
+		if p.open++; p.open > maxNodes {
+			return nil, errTooLarge
+		}
 		p.pos++
 		n, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
+		p.open--
 		if p.peek() != ')' {
 			return nil, fmt.Errorf("expr: missing ')' at offset %d", p.pos)
 		}
 		p.pos++
 		return n, nil
 	case c >= '0' && c <= '9' || c == '.':
+		if err := p.node(); err != nil {
+			return nil, err
+		}
 		return p.parseNumber()
 	case isIdentStart(rune(c)):
+		if err := p.node(); err != nil {
+			return nil, err
+		}
 		return p.parseIdentOrCall()
 	case c == 0:
 		return nil, errors.New("expr: unexpected end of input")

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -69,6 +70,47 @@ func TestParseErrors(t *testing.T) {
 				continue
 			}
 			t.Errorf("Parse(%q): expected error", src)
+		}
+	}
+}
+
+// Parse caps the nodes it builds and the groups open at once, so no input
+// can make it, or a walk of its tree, recurse deeper than the cap: each case
+// below would otherwise recurse once per level. Inputs at the cap parse, and
+// their String parses back.
+func TestParseCapsNodes(t *testing.T) {
+	sum := func(terms int) string { return strings.Repeat("1+", terms-1) + "1" }
+	over := map[string]string{
+		"1<<20 nested groups": strings.Repeat("(", 1<<20) + "1" + strings.Repeat(")", 1<<20),
+		"unclosed groups":     strings.Repeat("(", 1<<20),
+		"2000-term sum":       sum(2000),
+		"2000 negations":      strings.Repeat("-", 2000) + "1",
+		"2000-long power":     strings.Repeat("1^", 1999) + "1",
+		"2000 nested calls":   strings.Repeat("abs(", 2000) + "1" + strings.Repeat(")", 2000),
+		"513-term sum":        sum(513),
+	}
+	for name, src := range over {
+		if _, err := Parse(src); !errors.Is(err, errTooLarge) {
+			t.Errorf("%s: Parse error %v, want %v", name, err, errTooLarge)
+		}
+	}
+	at := map[string]string{
+		"1024 nested groups": strings.Repeat("(", maxNodes) + "1" + strings.Repeat(")", maxNodes),
+		"512-term sum":       sum(512),
+		"1023 negations":     strings.Repeat("-", maxNodes-1) + "x",
+		"512-long power":     strings.Repeat("2^", 511) + "1",
+	}
+	for name, src := range at {
+		n, err := Parse(src)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if _, err := Parse(n.String()); err != nil {
+			t.Errorf("%s: String does not parse back: %v", name, err)
+		}
+		if _, err := n.Eval(map[string]float64{"x": 1}); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

@@ -164,9 +164,40 @@ func TestSolveFree(t *testing.T) {
 	}
 }
 
+// The closed forms write into a destination; these run them on a fresh
+// vector filled with NaN, so every test below also checks that no stale
+// entry of the destination survives.
+func dirty(d int) vec.Vector {
+	s := vec.New(d)
+	for i := range s {
+		s[i] = math.NaN()
+	}
+	return s
+}
+
+func minL2(n vec.Vector, rhs float64) (vec.Vector, error) {
+	s := dirty(len(n))
+	return s, MinL2ToHalfspace(s, n, rhs)
+}
+
+func minL1(n vec.Vector, rhs float64) (vec.Vector, error) {
+	s := dirty(len(n))
+	return s, MinL1ToHalfspace(s, n, rhs)
+}
+
+func minWeightedL2(n, alpha vec.Vector, rhs float64) (vec.Vector, error) {
+	s := dirty(len(n))
+	return s, MinWeightedL2ToHalfspace(s, n, alpha, rhs)
+}
+
+func boxedMinL2(n vec.Vector, rhs float64, lo, hi vec.Vector) (vec.Vector, error) {
+	s := dirty(len(n))
+	return s, BoxedMinL2ToHalfspace(s, n, rhs, lo, hi)
+}
+
 func TestMinL2ToHalfspace(t *testing.T) {
 	// n·s ≤ −2 with n=(1,1): s = −(1,1), ‖s‖=√2.
-	s, err := MinL2ToHalfspace(vec.Vector{1, 1}, -2)
+	s, err := minL2(vec.Vector{1, 1}, -2)
 	if err != nil {
 		t.Fatalf("err=%v", err)
 	}
@@ -174,12 +205,12 @@ func TestMinL2ToHalfspace(t *testing.T) {
 		t.Errorf("s=%v", s)
 	}
 	// Already satisfied.
-	s, err = MinL2ToHalfspace(vec.Vector{1, 1}, 0.5)
+	s, err = minL2(vec.Vector{1, 1}, 0.5)
 	if err != nil || !vec.IsZero(s) {
 		t.Errorf("s=%v err=%v", s, err)
 	}
 	// Degenerate.
-	if _, err := MinL2ToHalfspace(vec.Vector{0, 0}, -1); !errors.Is(err, ErrNoDirection) {
+	if _, err := minL2(vec.Vector{0, 0}, -1); !errors.Is(err, ErrNoDirection) {
 		t.Errorf("err=%v", err)
 	}
 }
@@ -198,7 +229,7 @@ func TestQuickMinL2Optimality(t *testing.T) {
 			continue
 		}
 		rhs := -rng.Float64() * 3
-		s, err := MinL2ToHalfspace(n, rhs)
+		s, err := minL2(n, rhs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,17 +250,17 @@ func TestQuickMinL2Optimality(t *testing.T) {
 
 func TestMinL1ToHalfspace(t *testing.T) {
 	// n=(1,3), rhs=−6: cheapest on coord 1: s=(0,−2), cost 2.
-	s, err := MinL1ToHalfspace(vec.Vector{1, 3}, -6)
+	s, err := minL1(vec.Vector{1, 3}, -6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !vec.ApproxEqual(s, vec.Vector{0, -2}, 1e-9) {
 		t.Errorf("s=%v", s)
 	}
-	if _, err := MinL1ToHalfspace(vec.Vector{0, 0}, -1); err == nil {
+	if _, err := minL1(vec.Vector{0, 0}, -1); err == nil {
 		t.Error("expected error for zero normal")
 	}
-	s, _ = MinL1ToHalfspace(vec.Vector{1, 1}, 1)
+	s, _ = minL1(vec.Vector{1, 1}, 1)
 	if !vec.IsZero(s) {
 		t.Errorf("satisfied constraint should return zero: %v", s)
 	}
@@ -237,7 +268,7 @@ func TestMinL1ToHalfspace(t *testing.T) {
 
 func TestMinWeightedL2(t *testing.T) {
 	// Heavier α on coord 0 pushes change to coord 1.
-	s, err := MinWeightedL2ToHalfspace(vec.Vector{1, 1}, vec.Vector{100, 1}, -1)
+	s, err := minWeightedL2(vec.Vector{1, 1}, vec.Vector{100, 1}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +278,10 @@ func TestMinWeightedL2(t *testing.T) {
 	if vec.Dot(vec.Vector{1, 1}, s) > -1+1e-9 {
 		t.Errorf("constraint violated: %v", s)
 	}
-	if _, err := MinWeightedL2ToHalfspace(vec.Vector{1}, vec.Vector{-1}, -1); err == nil {
+	if _, err := minWeightedL2(vec.Vector{1}, vec.Vector{-1}, -1); err == nil {
 		t.Error("negative alpha accepted")
 	}
-	if _, err := MinWeightedL2ToHalfspace(vec.Vector{1, 2}, vec.Vector{1}, -1); err == nil {
+	if _, err := minWeightedL2(vec.Vector{1, 2}, vec.Vector{1}, -1); err == nil {
 		t.Error("alpha dim mismatch accepted")
 	}
 }
@@ -259,7 +290,7 @@ func TestBoxedMinL2(t *testing.T) {
 	n := vec.Vector{1, 1}
 	lo := vec.Vector{-0.5, -10}
 	hi := vec.Vector{10, 10}
-	s, err := BoxedMinL2ToHalfspace(n, -2, lo, hi)
+	s, err := boxedMinL2(n, -2, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,16 +305,22 @@ func TestBoxedMinL2(t *testing.T) {
 		t.Errorf("s=%v want (-0.5,-1.5)", s)
 	}
 	// Infeasible box.
-	if _, err := BoxedMinL2ToHalfspace(n, -100, vec.Vector{-1, -1}, vec.Vector{1, 1}); !errors.Is(err, ErrInfeasible) {
+	if _, err := boxedMinL2(n, -100, vec.Vector{-1, -1}, vec.Vector{1, 1}); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err=%v", err)
 	}
 	// Frozen attribute (lo=hi=0 on coord 0).
-	s, err = BoxedMinL2ToHalfspace(n, -2, vec.Vector{0, -10}, vec.Vector{0, 10})
+	s, err = boxedMinL2(n, -2, vec.Vector{0, -10}, vec.Vector{0, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s[0] != 0 || math.Abs(s[1]+2) > 1e-6 {
 		t.Errorf("frozen attr: %v", s)
+	}
+	// ‖n‖² underflows to 0, so the active-set iteration stops before its
+	// first write; the zero strategy still meets the halfspace.
+	s, err = boxedMinL2(vec.Vector{1e-170, 1e-170}, -1e-170, vec.Vector{-1, -1}, vec.Vector{1, 1})
+	if err != nil || !vec.IsZero(s) {
+		t.Errorf("underflowing normal: s=%v err=%v, want zero", s, err)
 	}
 }
 
@@ -300,7 +337,7 @@ func TestMinCostToHalfspaceMatchesClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := MinL2ToHalfspace(n, rhs)
+		want, _ := minL2(n, rhs)
 		if vec.Norm2(got) > vec.Norm2(want)+1e-4 {
 			t.Errorf("iter %d: numeric %v worse than closed form %v", iter, vec.Norm2(got), vec.Norm2(want))
 		}

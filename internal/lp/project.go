@@ -21,54 +21,66 @@ import (
 // right-hand side is negative: no strategy can satisfy it.
 var ErrNoDirection = errors.New("lp: constraint normal is zero and rhs is unsatisfiable")
 
-// MinL2ToHalfspace returns the minimum-Euclidean-norm s with n·s ≤ rhs.
-// When rhs ≥ 0 the zero vector is already feasible. Otherwise the optimum is
-// the projection of the origin onto the constraint boundary:
+// The closed forms below write their solution into s, which has len(n)
+// entries: the greedy solvers call them once per candidate probe. Only
+// BoxedMinL2ToHalfspace allocates (its per-coordinate flags). On an error
+// the contents of s are unspecified.
+
+// MinL2ToHalfspace writes into s the minimum-Euclidean-norm s with
+// n·s ≤ rhs. When rhs ≥ 0 the zero vector is already feasible. Otherwise the
+// optimum is the projection of the origin onto the constraint boundary:
 // s = rhs·n / ‖n‖².
-func MinL2ToHalfspace(n vec.Vector, rhs float64) (vec.Vector, error) {
+func MinL2ToHalfspace(s, n vec.Vector, rhs float64) error {
 	if rhs >= 0 {
-		return vec.New(len(n)), nil
+		clear(s)
+		return nil
 	}
 	nn := vec.Dot(n, n)
 	if nn == 0 {
-		return nil, ErrNoDirection
+		return ErrNoDirection
 	}
-	return vec.Scale(n, rhs/nn), nil
+	c := rhs / nn
+	for i, x := range n {
+		s[i] = x * c
+	}
+	return nil
 }
 
-// MinWeightedL2ToHalfspace minimises sqrt(Σ αᵢ sᵢ²) subject to n·s ≤ rhs,
-// with all αᵢ > 0. By the substitution uᵢ = √αᵢ·sᵢ this reduces to the plain
-// L2 projection with normal nᵢ/√αᵢ.
-func MinWeightedL2ToHalfspace(n vec.Vector, alpha vec.Vector, rhs float64) (vec.Vector, error) {
+// MinWeightedL2ToHalfspace writes into s the minimiser of sqrt(Σ αᵢ sᵢ²)
+// subject to n·s ≤ rhs, with all αᵢ > 0. By the substitution uᵢ = √αᵢ·sᵢ
+// this reduces to the plain L2 projection with normal nᵢ/√αᵢ.
+func MinWeightedL2ToHalfspace(s, n, alpha vec.Vector, rhs float64) error {
 	if rhs >= 0 {
-		return vec.New(len(n)), nil
+		clear(s)
+		return nil
 	}
 	if len(alpha) != len(n) {
-		return nil, errors.New("lp: alpha dimension mismatch")
+		return errors.New("lp: alpha dimension mismatch")
 	}
 	denom := 0.0
 	for i := range n {
 		if alpha[i] <= 0 {
-			return nil, errors.New("lp: weighted L2 requires positive weights")
+			return errors.New("lp: weighted L2 requires positive weights")
 		}
 		denom += n[i] * n[i] / alpha[i]
 	}
 	if denom == 0 {
-		return nil, ErrNoDirection
+		return ErrNoDirection
 	}
-	s := make(vec.Vector, len(n))
 	for i := range n {
 		s[i] = rhs * n[i] / (alpha[i] * denom)
 	}
-	return s, nil
+	return nil
 }
 
-// MinL1ToHalfspace minimises Σ|sᵢ| subject to n·s ≤ rhs. The optimum puts
-// all the change on the coordinate with the largest |nᵢ| (most score change
-// per unit cost): s_j = rhs/n_j at j = argmax |nᵢ|.
-func MinL1ToHalfspace(n vec.Vector, rhs float64) (vec.Vector, error) {
+// MinL1ToHalfspace writes into s the minimiser of Σ|sᵢ| subject to
+// n·s ≤ rhs. The optimum puts all the change on the coordinate with the
+// largest |nᵢ| (most score change per unit cost): s_j = rhs/n_j at
+// j = argmax |nᵢ|.
+func MinL1ToHalfspace(s, n vec.Vector, rhs float64) error {
+	clear(s)
 	if rhs >= 0 {
-		return vec.New(len(n)), nil
+		return nil
 	}
 	best, bestAbs := -1, 0.0
 	for i, x := range n {
@@ -77,33 +89,32 @@ func MinL1ToHalfspace(n vec.Vector, rhs float64) (vec.Vector, error) {
 		}
 	}
 	if best == -1 {
-		return nil, ErrNoDirection
+		return ErrNoDirection
 	}
-	s := vec.New(len(n))
 	s[best] = rhs / n[best]
-	return s, nil
+	return nil
 }
 
-// BoxedMinL2ToHalfspace minimises ‖s‖₂ subject to n·s ≤ rhs and lo ≤ s ≤ hi
-// (component bounds model the paper's "valid improvement strategy"
-// restrictions: frozen attributes have lo=hi=0). It uses a projected
-// alternating scheme: project onto the halfspace, clamp to the box, and
-// re-project residual demand onto the still-free coordinates. Returns
-// ErrInfeasible when the box cannot satisfy the halfspace.
-func BoxedMinL2ToHalfspace(n vec.Vector, rhs float64, lo, hi vec.Vector) (vec.Vector, error) {
+// BoxedMinL2ToHalfspace writes into s the minimiser of ‖s‖₂ subject to
+// n·s ≤ rhs and lo ≤ s ≤ hi (component bounds model the paper's "valid
+// improvement strategy" restrictions: frozen attributes have lo=hi=0). It
+// uses a projected alternating scheme: project onto the halfspace, clamp to
+// the box, and re-project residual demand onto the still-free coordinates.
+// Returns ErrInfeasible when the box cannot satisfy the halfspace.
+func BoxedMinL2ToHalfspace(s, n vec.Vector, rhs float64, lo, hi vec.Vector) error {
 	d := len(n)
 	if rhs >= 0 {
-		s := vec.New(d)
 		// Zero must lie in the box.
 		for i := 0; i < d; i++ {
+			s[i] = 0
 			if lo[i] > 0 || hi[i] < 0 {
 				s[i] = math.Min(math.Max(0, lo[i]), hi[i])
 			}
 		}
 		if vec.Dot(n, s) <= rhs {
-			return s, nil
+			return nil
 		}
-		// Fall through to the general routine with the clamped start.
+		// Fall through to the general routine.
 	}
 	// Feasibility: the minimum of n·s over the box.
 	minVal := 0.0
@@ -115,7 +126,7 @@ func BoxedMinL2ToHalfspace(n vec.Vector, rhs float64, lo, hi vec.Vector) (vec.Ve
 		}
 	}
 	if minVal > rhs {
-		return nil, ErrInfeasible
+		return ErrInfeasible
 	}
 	// Active-set iteration: start from the unconstrained projection; clamp
 	// out-of-box coordinates and redistribute the remaining requirement on
@@ -124,7 +135,9 @@ func BoxedMinL2ToHalfspace(n vec.Vector, rhs float64, lo, hi vec.Vector) (vec.Ve
 	for i := range free {
 		free[i] = true
 	}
-	s := vec.New(d)
+	// Start from zero: when ‖n‖² underflows, the first pass breaks before
+	// it writes s.
+	clear(s)
 	for iter := 0; iter <= d; iter++ {
 		// Requirement on the free coordinates.
 		need := rhs
@@ -143,7 +156,7 @@ func BoxedMinL2ToHalfspace(n vec.Vector, rhs float64, lo, hi vec.Vector) (vec.Ve
 			if need >= -1e-12 {
 				break
 			}
-			return nil, ErrInfeasible
+			return ErrInfeasible
 		}
 		scale := 0.0
 		if need < 0 {
@@ -172,9 +185,9 @@ func BoxedMinL2ToHalfspace(n vec.Vector, rhs float64, lo, hi vec.Vector) (vec.Ve
 		}
 	}
 	if vec.Dot(n, s) > rhs+1e-7 {
-		return nil, ErrInfeasible
+		return ErrInfeasible
 	}
-	return s, nil
+	return nil
 }
 
 // CostFunc is a user-defined cost of applying strategy s; it must be convex
@@ -192,11 +205,11 @@ func MinCostToHalfspace(cost CostFunc, n vec.Vector, rhs float64) (vec.Vector, e
 	if rhs >= 0 {
 		return vec.New(len(n)), nil
 	}
-	s, err := MinL2ToHalfspace(n, rhs)
-	if err != nil {
+	d := len(n)
+	s := vec.New(d)
+	if err := MinL2ToHalfspace(s, n, rhs); err != nil {
 		return nil, err
 	}
-	d := len(n)
 	best := cost(s)
 	// Coordinate-exchange refinement on the hyperplane n·s = rhs.
 	improved := true

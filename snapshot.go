@@ -76,7 +76,13 @@ func (s spaceSpec) build() (Space, error) {
 	case "linear":
 		return LinearSpace{D: s.Dim}, nil
 	case "expr":
-		return topk.NewExprSpace(s.Utility, s.AttrNames)
+		// The utility is parsed again, so it meets expr.Parse's cap on
+		// nodes and open groups like any new one.
+		sp, err := topk.NewExprSpace(s.Utility, s.AttrNames)
+		if err != nil {
+			return nil, fmt.Errorf("iq: snapshot utility: %w", err)
+		}
+		return sp, nil
 	case "hetero":
 		children := make([]Space, len(s.Children))
 		for i, c := range s.Children {

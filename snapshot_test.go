@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"iq/internal/dataset"
+	"iq/internal/expr"
 	"iq/internal/vec"
 )
 
@@ -518,6 +519,28 @@ func TestLoadHostileInputs(t *testing.T) {
 				t.Fatal("Load accepted hostile input")
 			}
 		})
+	}
+}
+
+// Load parses a snapshot's utility again, so expr.Parse's cap on nodes and
+// open groups covers it: a snapshot written before the cap with a longer
+// utility fails Load as corrupt, naming the utility and wrapping Parse's
+// error, and recovery passes over such a checkpoint like any corrupt one.
+func TestLoadUtilityOverParseCap(t *testing.T) {
+	utility := "w1*a" + strings.Repeat(" + w2*b", 300) // 1,203 nodes
+	_, capErr := expr.Parse(utility)
+	if capErr == nil {
+		t.Fatal("a 1,203-node utility parsed")
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snapshot{Version: snapshotVersion,
+		Space:   spaceSpec{Kind: "expr", Utility: utility, AttrNames: []string{"a", "b"}},
+		Objects: []Vector{{1, 2}}, Removed: []bool{false}}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(&buf)
+	if !errors.Is(err, ErrCorruptSnapshot) || !errors.Is(err, capErr) || !strings.Contains(err.Error(), "snapshot utility") {
+		t.Fatalf("Load error %v, want a corrupt snapshot wrapping the utility's %v", err, capErr)
 	}
 }
 
