@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test short race stress fuzz bench metricscheck tracecheck crashcheck healthcheck perfbench
+.PHONY: check build fmt vet test short race stress fuzz bench metricscheck tracecheck crashcheck perfbench
 
 # check is the CI entry point: build everything, check formatting, vet, run
 # the suite under the race detector (-short: the stress tests are excluded
@@ -10,7 +10,7 @@ GO ?= go
 # and finally drive live servers through the script gates.
 # Every test run carries an explicit -timeout so a hung solve fails fast
 # with a goroutine dump instead of stalling CI at the per-package default.
-check: build fmt vet race short stress fuzz metricscheck tracecheck crashcheck healthcheck perfbench
+check: build fmt vet race short stress fuzz metricscheck tracecheck crashcheck perfbench
 
 build:
 	$(GO) build ./...
@@ -38,11 +38,14 @@ stress:
 
 # fuzz runs ten seconds of coverage-guided inputs per native fuzz target;
 # every test run already replays their seed corpora (testdata/fuzz).
+# FuzzLoad skips minimising new inputs: shrinking a gob snapshot stalls the
+# workers, and with it the step ran about 4k execs in 10 s, not 100k.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHitBound$$' -fuzztime 10s -timeout 5m ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSkybandUpdate$$' -fuzztime 10s -timeout 5m ./internal/subdomain
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime 10s -timeout 5m ./cmd/iqserver
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -timeout 5m ./internal/expr
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m .
 
 # metricscheck boots a real iqserver and validates its /metrics output with
 # iqtool -scrape-metrics (a built-in Prometheus text parser — no curl or
@@ -67,14 +70,6 @@ tracecheck:
 # the deployed binary survives a real SIGKILL.
 crashcheck:
 	./scripts/crashcheck.sh
-
-# healthcheck is the live SLO drill: boot an iqserver with an impossible
-# latency target, drive real solves until the multi-window burn-rate alert
-# fires (asserted on both /v1/stats/slo and the WARN log stream), then
-# kill -9 and restart over the same data dir to prove the telemetry history
-# journal survived (scripts/healthcheck.sh).
-healthcheck:
-	./scripts/healthcheck.sh
 
 # perfbench compiles and vets the repository benchmark. perfbench/ is its
 # own Go module, so the root build, vet and test targets never see it; an

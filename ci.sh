@@ -23,6 +23,9 @@ go test -run '^$' -fuzz '^FuzzHitBound$' -fuzztime 10s -timeout 5m ./internal/co
 go test -run '^$' -fuzz '^FuzzSkybandUpdate$' -fuzztime 10s -timeout 5m ./internal/subdomain
 go test -run '^$' -fuzz '^FuzzHandlers$' -fuzztime 10s -timeout 5m ./cmd/iqserver
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -timeout 5m ./internal/expr
+# FuzzLoad skips minimising new inputs: shrinking a gob snapshot stalls
+# the workers, and with it the step ran about 4k execs in 10 s, not 100k.
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m .
 # Live observability gate: boot a real iqserver and validate its /metrics
 # exposition with iqtool's built-in parser (fails on unparseable output or
 # a registry with no engine series).
@@ -34,11 +37,6 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -timeout 5m ./internal/expr
 # same data dir, and require the acknowledged epoch and a bit-identical
 # reference solve.
 ./scripts/crashcheck.sh
-# Live SLO/telemetry gate: boot a real iqserver with an impossible latency
-# target, drive solves until the burn-rate alert fires (on the stats
-# surface and the log stream), then kill -9 and restart to prove the
-# telemetry history journal survived.
-./scripts/healthcheck.sh
 # Benchmark compile gate: perfbench/ is its own Go module, so the steps
 # above never build it. Vet it and run its short tests so an engine API
 # change cannot break the benchmark unnoticed.

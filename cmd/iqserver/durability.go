@@ -107,12 +107,6 @@ func (s *server) checkpointLoop(ctx context.Context, every time.Duration, logger
 		if err := store.CheckpointCtx(ctx); err != nil {
 			logger.Warn("background checkpoint failed", "err", err)
 		}
-		// Ride the same cadence to compact the telemetry journal: both are
-		// "bound the on-disk tail" maintenance, and a shared tick keeps the
-		// I/O bursts aligned.
-		if s.sampler != nil {
-			s.sampler.Compact()
-		}
 	}
 }
 

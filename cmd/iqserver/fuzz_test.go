@@ -45,7 +45,6 @@ func FuzzHandlers(f *testing.F) {
 	load := datasetJSON(f, 30, 20)
 	cfg := defaultConfig()
 	cfg.requestTimeout = time.Second
-	cfg.historyInterval = 0
 	cfg.maxBodyBytes = 64 << 10 // keeps a fuzzed /v1/load small enough to index quickly
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	f.Fuzz(func(t *testing.T, routeIdx uint8, body []byte) {

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -20,53 +19,20 @@ import (
 
 // appConfig is the full operational envelope, one field per flag.
 type appConfig struct {
-	addr             string
-	requestTimeout   time.Duration
-	drainTimeout     time.Duration
-	maxInflight      int
-	maxBodyBytes     int64
-	maxBatchItems    int
-	logFormat        string
-	logLevel         string
-	pprof            bool
-	debugTraces      bool
-	traceAll         bool
-	slowSolve        time.Duration
-	dur              durabilityConfig
-	historyInterval  time.Duration
-	historyRetention time.Duration
-	sloLatencyTarget string
-	version          bool
-	// sloTargets is the parsed form of sloLatencyTarget, filled by main.
-	sloTargets map[string]time.Duration
-}
-
-// parseLatencyTargets reads the -slo-latency-target flag: either one duration
-// applied to every solve op ("5ms") or explicit per-op pairs
-// ("mincost=5ms,maxhit=2ms").
-func parseLatencyTargets(s string) (map[string]time.Duration, error) {
-	targets := map[string]time.Duration{}
-	if !strings.Contains(s, "=") {
-		d, err := time.ParseDuration(s)
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("latency target must be a positive duration, got %q", s)
-		}
-		targets["mincost"] = d
-		targets["maxhit"] = d
-		return targets, nil
-	}
-	for _, pair := range strings.Split(s, ",") {
-		op, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			return nil, fmt.Errorf("latency target %q is not op=duration", pair)
-		}
-		d, err := time.ParseDuration(val)
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("latency target for %q must be a positive duration, got %q", op, val)
-		}
-		targets[op] = d
-	}
-	return targets, nil
+	addr           string
+	requestTimeout time.Duration
+	drainTimeout   time.Duration
+	maxInflight    int
+	maxBodyBytes   int64
+	maxBatchItems  int
+	logFormat      string
+	logLevel       string
+	pprof          bool
+	debugTraces    bool
+	traceAll       bool
+	slowSolve      time.Duration
+	dur            durabilityConfig
+	version        bool
 }
 
 // newLogger builds the process root logger: structured slog (JSON by
@@ -96,18 +62,14 @@ func newLogger(cfg appConfig) (*slog.Logger, error) {
 // is unbounded (the operator opted out of deadlines entirely).
 func newHTTPServer(cfg appConfig, logger *slog.Logger) (*http.Server, *server) {
 	api := newServer(logger, serverConfig{
-		requestTimeout:    cfg.requestTimeout,
-		maxInflight:       cfg.maxInflight,
-		maxBodyBytes:      cfg.maxBodyBytes,
-		maxBatchItems:     cfg.maxBatchItems,
-		enablePprof:       cfg.pprof,
-		debugTraces:       cfg.debugTraces,
-		traceAll:          cfg.traceAll,
-		slowSolve:         cfg.slowSolve,
-		historyInterval:   cfg.historyInterval,
-		historyRetention:  cfg.historyRetention,
-		historyPath:       historyPathFor(cfg.dur.dataDir),
-		sloLatencyTargets: cfg.sloTargets,
+		requestTimeout: cfg.requestTimeout,
+		maxInflight:    cfg.maxInflight,
+		maxBodyBytes:   cfg.maxBodyBytes,
+		maxBatchItems:  cfg.maxBatchItems,
+		enablePprof:    cfg.pprof,
+		debugTraces:    cfg.debugTraces,
+		traceAll:       cfg.traceAll,
+		slowSolve:      cfg.slowSolve,
 	})
 	var writeTimeout time.Duration
 	if cfg.requestTimeout > 0 {
@@ -122,15 +84,6 @@ func newHTTPServer(cfg appConfig, logger *slog.Logger) (*http.Server, *server) {
 		IdleTimeout:       2 * time.Minute,
 		ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelError),
 	}, api
-}
-
-// historyPathFor places the telemetry journal alongside the WAL and
-// checkpoints; in-memory mode keeps history in memory too.
-func historyPathFor(dataDir string) string {
-	if dataDir == "" {
-		return ""
-	}
-	return iq.HistoryPath(dataDir)
 }
 
 // run serves ln until ctx is cancelled (SIGINT/SIGTERM in production), then
@@ -190,12 +143,6 @@ func main() {
 		"group-commit window for -fsync interval: acknowledged writes may be lost within at most this window on power failure")
 	flag.DurationVar(&cfg.dur.checkpointEvery, "checkpoint-every", 5*time.Minute,
 		"background checkpoint cadence bounding WAL replay time after a crash (0 disables; only with -data-dir)")
-	flag.DurationVar(&cfg.historyInterval, "history-interval", defaults.historyInterval,
-		"telemetry sampling period for /v1/stats/history and SLO evaluation (0 disables the health subsystem)")
-	flag.DurationVar(&cfg.historyRetention, "history-retention", defaults.historyRetention,
-		"how far back telemetry history is retained; must cover the longest SLO window (6h)")
-	flag.StringVar(&cfg.sloLatencyTarget, "slo-latency-target", "5ms",
-		"latency SLO threshold for solves: one duration for all ops (\"5ms\") or per-op pairs (\"mincost=5ms,maxhit=2ms\")")
 	flag.BoolVar(&cfg.version, "version", false, "print version and exit")
 	flag.Parse()
 
@@ -203,12 +150,6 @@ func main() {
 		fmt.Printf("iqserver %s (%s)\n", iq.Version, iq.GoVersion())
 		return
 	}
-	var err error
-	if cfg.sloTargets, err = parseLatencyTargets(cfg.sloLatencyTarget); err != nil {
-		slog.Error("invalid -slo-latency-target", "err", err)
-		os.Exit(1)
-	}
-
 	logger, err := newLogger(cfg)
 	if err != nil {
 		slog.Error("invalid logging flags", "err", err)
@@ -229,9 +170,6 @@ func main() {
 		// probes answer) while /readyz reports 503 until replay completes.
 		api.startRecovery(ctx, cfg.dur, logger, osExit)
 	}
-	// The health ticker starts with the listener: the first interval covers
-	// boot, and every sample lands in the journal next to the WAL.
-	api.startHealth()
 	logger.Info("listening",
 		"addr", ln.Addr().String(),
 		"request_timeout", cfg.requestTimeout,
@@ -241,10 +179,8 @@ func main() {
 		"data_dir", cfg.dur.dataDir,
 	)
 	err = run(ctx, srv, ln, cfg.drainTimeout, logger)
-	// Health closes first (final sample covers the drained requests), then the
-	// store: in-flight mutations have been acknowledged, so the final fsync
-	// makes every ack durable regardless of -fsync policy.
-	api.closeHealth(logger)
+	// In-flight mutations have been acknowledged; the store's final fsync
+	// on close makes every ack durable regardless of -fsync policy.
 	api.closeStore(logger)
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("server failed", "err", err)

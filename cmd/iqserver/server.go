@@ -57,8 +57,6 @@ import (
 
 	"iq"
 	"iq/internal/obs"
-	"iq/internal/obs/history"
-	"iq/internal/obs/slo"
 )
 
 // serverConfig bounds one server's resource envelope. The zero value of a
@@ -96,36 +94,15 @@ type serverConfig struct {
 	// a WARN line with its full work profile (and trace ID when captured).
 	// 0 disables.
 	slowSolve time.Duration
-	// historyInterval is the telemetry sampling period; every interval the
-	// history sampler snapshots the registry off the hot path and records
-	// per-interval deltas. 0 disables the health subsystem entirely
-	// (history, SLO evaluation, and their endpoints).
-	historyInterval time.Duration
-	// historyRetention bounds how far back the in-memory history ring (and
-	// the persisted journal after compaction) reaches. Must cover the
-	// longest SLO window (6h) for burn rates to be meaningful.
-	historyRetention time.Duration
-	// historyPath is the telemetry journal file; "" keeps history in memory
-	// only. main derives it from -data-dir via iq.HistoryPath.
-	historyPath string
-	// sloLatencyTargets maps solve op -> the latency threshold the latency
-	// SLOs count a solve as "good" under.
-	sloLatencyTargets map[string]time.Duration
 }
 
 func defaultConfig() serverConfig {
 	return serverConfig{
-		requestTimeout:   30 * time.Second,
-		maxInflight:      16,
-		maxBodyBytes:     8 << 20, // 8 MiB: a /v1/load of ~100k 3-d objects
-		maxBatchItems:    64,
-		debugTraces:      true,
-		historyInterval:  10 * time.Second,
-		historyRetention: 6 * time.Hour,
-		sloLatencyTargets: map[string]time.Duration{
-			"mincost": 5 * time.Millisecond,
-			"maxhit":  5 * time.Millisecond,
-		},
+		requestTimeout: 30 * time.Second,
+		maxInflight:    16,
+		maxBodyBytes:   8 << 20, // 8 MiB: a /v1/load of ~100k 3-d objects
+		maxBatchItems:  64,
+		debugTraces:    true,
 	}
 }
 
@@ -169,13 +146,6 @@ type server struct {
 	inflight chan struct{}
 	// rec is the flight recorder backing /debug/traces; nil when disabled.
 	rec *flightRecorder
-	// sampler captures per-interval registry deltas into the history ring
-	// (and the on-disk journal when historyPath is set); nil when the health
-	// subsystem is disabled.
-	sampler *history.Sampler
-	// slo evaluates burn-rate objectives over the sampler's output; nil when
-	// the health subsystem is disabled.
-	slo *slo.Evaluator
 	// start stamps process boot for /v1/stats' uptime_seconds.
 	start time.Time
 }
@@ -203,7 +173,6 @@ func newServer(logger *slog.Logger, cfg serverConfig) *server {
 	if cfg.debugTraces {
 		s.rec = newFlightRecorder()
 	}
-	s.initHealth()
 	return s
 }
 
@@ -215,9 +184,6 @@ func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	s.route(mux, "POST /v1/load", http.HandlerFunc(s.handleLoad))
 	s.route(mux, "GET /v1/stats", http.HandlerFunc(s.handleStats))
-	s.route(mux, "GET /v1/stats/history", http.HandlerFunc(s.handleHistoryStats))
-	s.route(mux, "GET /v1/stats/slo", http.HandlerFunc(s.handleSLOStats))
-	s.route(mux, "GET /debug/health", http.HandlerFunc(s.handleDebugHealth))
 	s.route(mux, "POST /v1/mincost", s.admit(http.HandlerFunc(s.handleMinCost)))
 	s.route(mux, "POST /v1/maxhit", s.admit(http.HandlerFunc(s.handleMaxHit)))
 	s.route(mux, "POST /v1/solve/batch", s.admit(http.HandlerFunc(s.handleSolveBatch)))

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"iq"
@@ -86,6 +87,51 @@ func TestLoadAndStats(t *testing.T) {
 	}
 	if stats.Objects != 100 || stats.Queries != 40 || stats.Candidates == 0 {
 		t.Errorf("stats %+v", stats)
+	}
+}
+
+func getJSONBody(t *testing.T, url string, out interface{}) *http.Response {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != nil && resp.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(body, out); err != nil {
+			t.Fatalf("decoding %s: %v\n%s", url, err, body)
+		}
+	}
+	return resp
+}
+
+// TestStatsReportsVersion: /v1/stats carries the build identity.
+func TestStatsReportsVersion(t *testing.T) {
+	ts := testServer(t)
+	loadDataset(t, ts, 100, 40)
+	var stats map[string]interface{}
+	if resp := getJSONBody(t, ts.URL+"/v1/stats", &stats); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/stats status %d", resp.StatusCode)
+	}
+	v, _ := stats["version"].(string)
+	gv, _ := stats["go_version"].(string)
+	if v == "" || gv == "" {
+		t.Fatalf("stats missing build identity: version=%q go_version=%q", v, gv)
+	}
+	// And /metrics carries the same identity as iq_build_info.
+	vals := scrape(t, ts.URL)
+	found := false
+	for key := range vals {
+		if strings.HasPrefix(key, "iq_build_info{") && strings.Contains(key, `version="`+v+`"`) {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("iq_build_info for version %q missing from /metrics", v)
 	}
 }
 

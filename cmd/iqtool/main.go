@@ -32,38 +32,7 @@ func main() {
 	crashStateFile := flag.String("crash-state", "crash-acked.txt",
 		"acknowledged-epoch log written by -crash-spray and read by -crash-verify")
 	crashFar := flag.Int("crash-far", 0, "far-object id for -crash-spray (from -crash-drive output)")
-	watchURL := flag.String("watch", "",
-		"poll this iqserver base URL and redraw a terminal health dashboard (SLO posture + history sparklines)")
-	watchInterval := flag.Duration("watch-interval", 2*time.Second, "refresh period for -watch")
-	watchCount := flag.Int("watch-count", 0, "number of -watch frames to draw before exiting (0 = forever)")
-	healthDriveURL := flag.String("health-drive", "",
-		"load the demo dataset into the iqserver at this base URL, drive solves until a burn-rate alert fires, and print the reference JSON (scripts/healthcheck.sh)")
-	healthVerifyURL := flag.String("health-verify", "",
-		"assert the restarted iqserver at this base URL still serves the pre-kill telemetry history from -health-ref")
-	healthRefFile := flag.String("health-ref", "health-ref.json",
-		"reference JSON written by -health-drive and read by -health-verify")
 	flag.Parse()
-	if *watchURL != "" {
-		if err := healthWatch(os.Stdout, *watchURL, *watchInterval, *watchCount, *scrapeWait); err != nil {
-			fmt.Fprintf(os.Stderr, "iqtool: watch %s: %v\n", *watchURL, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *healthDriveURL != "" {
-		if err := healthDrive(os.Stdout, *healthDriveURL, *seed, *scrapeWait); err != nil {
-			fmt.Fprintf(os.Stderr, "iqtool: health-drive: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *healthVerifyURL != "" {
-		if err := healthVerify(*healthVerifyURL, *healthRefFile, *scrapeWait); err != nil {
-			fmt.Fprintf(os.Stderr, "iqtool: health-verify: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *crashDriveURL != "" {
 		if err := crashDrive(os.Stdout, *crashDriveURL, *seed, *scrapeWait); err != nil {
 			fmt.Fprintf(os.Stderr, "iqtool: crash-drive: %v\n", err)

@@ -177,18 +177,6 @@ func checkpointName(gen uint64) string {
 	return fmt.Sprintf("checkpoint-%016x.snap", gen)
 }
 
-// HistoryFileName is the telemetry-history journal iqserver keeps beside the
-// WAL. Its lifecycle is deliberately decoupled from the generation machinery:
-// generation pruning matches only the checkpoint-*.snap and WAL name
-// patterns, so the journal survives checkpoint rotation and dataset
-// re-attachment — performance history spans generations by design — while
-// removeStaleTmp still sweeps its abandoned ".tmp-" compaction debris after
-// a crash.
-const HistoryFileName = "history.jsonl"
-
-// HistoryPath locates the telemetry-history journal inside a data directory.
-func HistoryPath(dir string) string { return filepath.Join(dir, HistoryFileName) }
-
 func parseCheckpointName(name string) (uint64, bool) {
 	if !strings.HasPrefix(name, "checkpoint-") || !strings.HasSuffix(name, ".snap") {
 		return 0, false

@@ -1,6 +1,7 @@
 package iq
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -225,6 +226,28 @@ func TestDurableRoundTripExactEpoch(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Data directories written by older servers also hold a telemetry
+	// journal and, after a crash mid-compaction, its temporary file. The
+	// journal matches neither the checkpoint nor the WAL names the store
+	// prunes, so it must stay byte-identical; the temporary file is a
+	// ".tmp-" leftover, which Open sweeps like its own.
+	journal := filepath.Join(dir, "history.jsonl")
+	journalBytes := []byte(`{"v":1,"format":"iq-history"}` + "\n" + `{"t":1700000000000,"dt":10}` + "\n")
+	journalTmp := journal + ".tmp-1"
+	for _, path := range []string{journal, journalTmp} {
+		if err := os.WriteFile(path, journalBytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkJournal := func(when string) {
+		t.Helper()
+		if got, err := os.ReadFile(journal); err != nil || !bytes.Equal(got, journalBytes) {
+			t.Fatalf("%s: history.jsonl = %q, %v; want it untouched", when, got, err)
+		}
+		if _, err := os.Stat(journalTmp); !os.IsNotExist(err) {
+			t.Fatalf("%s: %s not swept: %v", when, filepath.Base(journalTmp), err)
+		}
+	}
 
 	store2, err := Open(dir, quietOpts(FsyncAlways))
 	if err != nil {
@@ -238,6 +261,7 @@ func TestDurableRoundTripExactEpoch(t *testing.T) {
 	if got := sys2.Epoch(); got != wantEpoch {
 		t.Fatalf("recovered epoch %d, want %d", got, wantEpoch)
 	}
+	checkJournal("after reopen")
 	stats := store2.RecoveryStats()
 	if !stats.Recovered || stats.ReplayedTxns != crashScriptSteps {
 		t.Fatalf("recovery stats = %+v", stats)
@@ -253,6 +277,10 @@ func TestDurableRoundTripExactEpoch(t *testing.T) {
 	if got := sys2.Epoch(); got != wantEpoch+1 {
 		t.Fatalf("post-recovery epoch %d, want %d", got, wantEpoch+1)
 	}
+	if err := store2.Checkpoint(); err != nil {
+		t.Fatalf("post-recovery checkpoint: %v", err)
+	}
+	checkJournal("after a checkpoint")
 }
 
 func TestCheckpointTruncatesAndRecovers(t *testing.T) {

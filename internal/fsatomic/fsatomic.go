@@ -1,9 +1,9 @@
 // Package fsatomic is the crash-safe file-replacement primitive shared by
-// the snapshot writer, the checkpoint store, and the telemetry-history
-// journal: write to a temporary file in the destination directory, fsync it,
-// rename it over the destination, and fsync the directory entry. A crash at
-// any point leaves either the old complete file or the new complete file —
-// never a half-written one that could later masquerade as valid state.
+// the snapshot writer and the checkpoint store: write to a temporary file in
+// the destination directory, fsync it, rename it over the destination, and
+// fsync the directory entry. A crash at any point leaves either the old
+// complete file or the new complete file — never a half-written one that
+// could later masquerade as valid state.
 package fsatomic
 
 import (

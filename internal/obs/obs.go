@@ -37,8 +37,8 @@ var DurationBuckets = []float64{
 // SolveDurationBuckets extends DurationBuckets downward with 50µs/100µs/250µs
 // bounds for the solve-duration families: a warm cached solve completes in
 // 0.2–0.6ms, so with the default layout the entire warm path collapses into
-// the bottom two buckets and quantile estimates (and the latency SLO built on
-// them) lose all resolution exactly where production traffic lives.
+// the bottom two buckets and quantile estimates lose all resolution exactly
+// where production traffic lives.
 var SolveDurationBuckets = append([]float64{
 	0.00005, 0.0001, 0.00025,
 }, DurationBuckets...)
@@ -72,9 +72,12 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current gauge reading.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// FloatGauge is a gauge holding a float64 (e.g. a remaining error-budget
-// fraction). It shares the integer Gauge's TYPE (gauge) in the exposition;
-// the value is stored as float bits in one atomic word.
+// FloatGauge is a gauge holding a float64. It shares the integer Gauge's
+// TYPE (gauge) in the exposition; the value is stored as float bits in one
+// atomic word. No code registers one; it stays until the benchmark's
+// host probe leaves the engine's binary (ROADMAP, ledger step 1): removing
+// it moves the probe and the engine code in the benchmark binary, and the
+// probe's readings depend on where its code lies.
 type FloatGauge struct{ bits atomic.Uint64 }
 
 // Set replaces the gauge value.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -142,5 +143,81 @@ func TestParseRejects(t *testing.T) {
 	}
 	if err := ValidateExposition(strings.NewReader("")); err == nil {
 		t.Error("empty exposition accepted")
+	}
+}
+
+func TestFloatGaugeSetAndExposition(t *testing.T) {
+	r := NewRegistry()
+	g := r.FloatGauge("test_budget", "Remaining budget fraction.", "slo", "availability")
+	g.Set(0.4375)
+	if v := g.Value(); v != 0.4375 {
+		t.Fatalf("FloatGauge.Value = %v, want 0.4375", v)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if !strings.Contains(out, "# TYPE test_budget gauge") {
+		t.Fatalf("FloatGauge not exposed as TYPE gauge:\n%s", out)
+	}
+	if !strings.Contains(out, `test_budget{slo="availability"} 0.4375`) {
+		t.Fatalf("FloatGauge value not rendered:\n%s", out)
+	}
+	// The exposition stays structurally valid (the CI scrape gate's check).
+	vals, err := ParseExposition(strings.NewReader(out))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	if vals[`test_budget{slo="availability"}`] != 0.4375 {
+		t.Fatalf("parsed value wrong: %v", vals)
+	}
+	// Negative values (overspent budget) round-trip too.
+	g.Set(-0.25)
+	sb.Reset()
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), `test_budget{slo="availability"} -0.25`) {
+		t.Fatalf("negative FloatGauge not rendered:\n%s", sb.String())
+	}
+}
+
+func TestSolveDurationBucketsSubMillisecond(t *testing.T) {
+	// The solve families must resolve the warm path (0.2–0.6ms): the layout
+	// starts at 50µs/100µs/250µs and stays strictly ascending.
+	want := []float64{0.00005, 0.0001, 0.00025, 0.0005}
+	for i, w := range want {
+		if SolveDurationBuckets[i] != w {
+			t.Fatalf("SolveDurationBuckets[%d] = %v, want %v", i, SolveDurationBuckets[i], w)
+		}
+	}
+	if !sort.Float64sAreSorted(SolveDurationBuckets) {
+		t.Fatalf("SolveDurationBuckets not ascending: %v", SolveDurationBuckets)
+	}
+	// DurationBuckets is shared; building the solve layout must not have
+	// mutated it.
+	if DurationBuckets[0] != 0.0005 {
+		t.Fatalf("DurationBuckets mutated: %v", DurationBuckets[:3])
+	}
+
+	// Exposition of a sub-ms observation lands in the 250µs bucket, not the
+	// bottom of the old layout.
+	r := NewRegistry()
+	h := r.Histogram("test_solve_seconds", "t", SolveDurationBuckets, "op", "mincost")
+	h.Observe(0.0002)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, line := range []string{
+		`test_solve_seconds_bucket{op="mincost",le="5e-05"} 0`,
+		`test_solve_seconds_bucket{op="mincost",le="0.0001"} 0`,
+		`test_solve_seconds_bucket{op="mincost",le="0.00025"} 1`,
+	} {
+		if !strings.Contains(out, line) {
+			t.Fatalf("missing %q in exposition:\n%s", line, out)
+		}
 	}
 }

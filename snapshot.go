@@ -171,9 +171,8 @@ func (s *System) SaveFile(path string) error {
 }
 
 // writeFileAtomic is the tmp + fsync + rename + dir-fsync dance shared by
-// SaveFile and the checkpoint writer. The implementation lives in
-// internal/fsatomic so packages that must not import iq (the telemetry
-// history journal) share the identical crash-safety contract.
+// SaveFile and the checkpoint writer; the implementation lives in
+// internal/fsatomic.
 func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return fsatomic.WriteFile(path, write)
 }

@@ -621,3 +621,49 @@ func TestLoadClassifiesCorruptionVsIO(t *testing.T) {
 		t.Fatalf("reader fault: err = %v, want the underlying I/O error", err)
 	}
 }
+
+// FuzzLoad feeds arbitrary bytes to Load, the parser recovery runs on every
+// checkpoint file. Load must never panic: it either fails as corrupt (a
+// bytes.Reader never fails a read, so no failure here is an I/O fault) or
+// returns a System that saves, loads again to the same epoch and sizes, and
+// saves again to the same bytes. It does not compare Hits with HitsExact:
+// zero, negative and tied query weights break that today (ROADMAP.md,
+// skyband soundness). The named seeds in testdata/fuzz/FuzzLoad hold a small
+// v3 snapshot and its first half, the v1 snapshot of TestLoadVersion1Compat,
+// an expression-space snapshot, the corrupt snapshots of
+// TestLoadHostileInputs, and object and query tombstone slices longer than
+// the slices they flag. Byte mutations rarely lengthen a gob slice (its
+// length and the message's both have to change), so named seeds cover
+// decodeSnapshot's length checks.
+func FuzzLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		sys, err := Load(bytes.NewReader(in))
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("Load error %v does not wrap ErrCorruptSnapshot", err)
+			}
+			return
+		}
+		var first, second bytes.Buffer
+		if err := sys.Save(&first); err != nil {
+			t.Fatalf("Save of a loaded System: %v", err)
+		}
+		again, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Load of a saved System: %v", err)
+		}
+		if again.Epoch() != sys.Epoch() || again.NumObjects() != sys.NumObjects() ||
+			again.NumQueries() != sys.NumQueries() {
+			t.Fatalf("reload: epoch %d, %d objects, %d queries; want %d, %d, %d",
+				again.Epoch(), again.NumObjects(), again.NumQueries(),
+				sys.Epoch(), sys.NumObjects(), sys.NumQueries())
+		}
+		if err := again.Save(&second); err != nil {
+			t.Fatalf("Save of a reloaded System: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("a reloaded System saves %d bytes that differ from the %d it loaded",
+				second.Len(), first.Len())
+		}
+	})
+}
