@@ -38,14 +38,16 @@ stress:
 
 # fuzz runs ten seconds of coverage-guided inputs per native fuzz target;
 # every test run already replays their seed corpora (testdata/fuzz).
-# FuzzLoad skips minimising new inputs: shrinking a gob snapshot stalls the
-# workers, and with it the step ran about 4k execs in 10 s, not 100k.
+# FuzzLoad and FuzzLoadFields skip minimising new inputs: shrinking a gob
+# snapshot stalls the workers, and with it the step ran about 4k execs in
+# 10 s, not 100k.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHitBound$$' -fuzztime 10s -timeout 5m ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSkybandUpdate$$' -fuzztime 10s -timeout 5m ./internal/subdomain
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime 10s -timeout 5m ./cmd/iqserver
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -timeout 5m ./internal/expr
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m .
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadFields$$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m .
 
 # metricscheck boots a real iqserver and validates its /metrics output with
 # iqtool -scrape-metrics (a built-in Prometheus text parser — no curl or

@@ -23,9 +23,11 @@ go test -run '^$' -fuzz '^FuzzHitBound$' -fuzztime 10s -timeout 5m ./internal/co
 go test -run '^$' -fuzz '^FuzzSkybandUpdate$' -fuzztime 10s -timeout 5m ./internal/subdomain
 go test -run '^$' -fuzz '^FuzzHandlers$' -fuzztime 10s -timeout 5m ./cmd/iqserver
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -timeout 5m ./internal/expr
-# FuzzLoad skips minimising new inputs: shrinking a gob snapshot stalls
-# the workers, and with it the step ran about 4k execs in 10 s, not 100k.
+# FuzzLoad and FuzzLoadFields skip minimising new inputs: shrinking a gob
+# snapshot stalls the workers, and with it the step ran about 4k execs in
+# 10 s, not 100k.
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m .
+go test -run '^$' -fuzz '^FuzzLoadFields$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m .
 # Live observability gate: boot a real iqserver and validate its /metrics
 # exposition with iqtool's built-in parser (fails on unparseable output or
 # a registry with no engine series).

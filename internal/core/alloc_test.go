@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -66,14 +67,17 @@ func TestSolveHitAllocsLinearWarm(t *testing.T) {
 	}
 }
 
-// A cache-warm greedy round (generateCandidates over the full unhit set on
-// the serial path, then the round's pick) allocates nothing, whatever its
-// probe count: the round's one pass over the table, its bound and its
-// selection heap reuse their buffers, each probe writes its strategy and
-// improved coefficients into the round's slot buffers, and untraced spans
-// box no attribute (SetAttr boxes an int, which allocates from 256 up, so a
-// boxed unhit count or query index shows at 600 queries).
+// A cache-warm greedy round — the pass (generateCandidates), best, the
+// anti-overshoot cheapest pass, and every probe their bounds make them
+// solve — allocates nothing with an unbounded built-in cost, whatever its
+// probe count: the round's one pass over the table, its bounds, its
+// selection heap and its batches reuse their buffers, each probe writes its
+// strategy and improved coefficients into the round's slot buffers, and
+// untraced spans box no attribute (SetAttr boxes an int, which allocates
+// from 256 up, so a boxed unhit count or query index shows at 600 queries).
+// The first round's probe bounds are taken once per solve, in the warm-up.
 func TestGenerateCandidatesAllocsPerRoundWarm(t *testing.T) {
+	costs := []Cost{L2Cost{}, L1Cost{}, WeightedL2Cost{Alpha: vec.Vector{1, 2, 3}}}
 	for _, queries := range []int{50, 600} {
 		rng := rand.New(rand.NewSource(22))
 		idx := fixture(t, rng, 80, queries, 3, 3)
@@ -82,25 +86,60 @@ func TestGenerateCandidatesAllocsPerRoundWarm(t *testing.T) {
 		w := idx.Workload()
 		rec := newRecorder()
 		tab := hitTableFor(ctx, idx, target, rec)
-		rs := &roundScratch{tab: tab, rec: rec}
 		base := tab.hits(w.Coeff(target))
 		cur := make(vec.Vector, 3)
-		round := func() {
-			if err := generateCandidates(ctx, w, 1, cur, w.Coeff(target), L2Cost{}, nil, rs); err != nil {
-				t.Fatal(err)
+		for _, cost := range costs {
+			rs := &roundScratch{tab: tab, rec: rec}
+			round := func() {
+				generateCandidates(ctx, w, 1, cur, w.Coeff(target), cost, nil, rs)
+				best, ok, err := rs.best(ctx, base)
+				if err != nil || !ok {
+					t.Fatalf("round found no candidate gaining a hit (%v)", err)
+				}
+				if _, ok, err := rs.cheapest(ctx, best.Hits, math.Inf(1)); err != nil || !ok {
+					t.Fatalf("the best candidate does not qualify as the cheapest (%v)", err)
+				}
 			}
-			if _, ok := rs.best(ctx, base); !ok {
-				t.Fatal("round found no candidate gaining a hit")
+			round() // fill every scratch buffer
+			solved := 0
+			for _, st := range rs.state {
+				if st != slotOpen {
+					solved++
+				}
+			}
+			if solved == 0 {
+				t.Fatal("fixture produced no candidates; pick a different target")
+			}
+			if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+				t.Errorf("%d queries, %T: warm round allocates %.0f times (%d of %d probes solved); want 0",
+					queries, cost, allocs, solved, len(rs.state))
 			}
 		}
-		round() // fill every scratch buffer
-		if len(rs.cands) == 0 {
-			t.Fatal("fixture produced no candidates; pick a different target")
+	}
+}
+
+// An expression cost names its variables once, in NewExprCost: Of
+// allocates only its environment map (a header and one group), not a
+// formatted name per variable.
+// The numeric minimiser behind its MinToHalfspace writes its line-search
+// points into reused buffers, so with a cost that allocates nothing a call
+// allocates its four vectors however many golden-section steps it takes.
+func TestExprCostAllocs(t *testing.T) {
+	c, err := NewExprCost("s1^2 + 2*s2^2 + s3^2", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := vec.Vector{0.1, -0.2, 0.3}
+	if allocs := testing.AllocsPerRun(100, func() { c.Of(s) }); allocs > 2 {
+		t.Errorf("ExprCost.Of allocates %.0f times per call; want <= 2", allocs)
+	}
+	n := vec.Vector{0.5, 0.3, 0.2}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := lp.MinCostToHalfspace(vec.Norm1, n, -0.4); err != nil {
+			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-			t.Errorf("%d queries: warm round allocates %.0f times (%d probes); want 0",
-				queries, allocs, len(rs.cands))
-		}
+	}); allocs > 4 {
+		t.Errorf("lp.MinCostToHalfspace allocates %.0f times per call; want <= 4", allocs)
 	}
 }
 

@@ -34,7 +34,10 @@ package core
 // score at the target's current coefficients decides whether the row is hit,
 // starts its probe's right-hand side, and gives the row a key in a histogram
 // from which hitBound bounds every probe's hits, so the round counts exactly
-// only the candidates that can win it (see hitBound).
+// only the candidates that can win it (see hitBound). The same pass bounds
+// every unhit row's probe before it is solved, its cost from below and its
+// hits from above (probeBounds), so the round solves only the probes that
+// can win it.
 
 import (
 	"context"
@@ -247,24 +250,115 @@ const (
 // margin and to every D, and rows whose norm is below it always count.
 const slack = 0x1p-400
 
+// unhitRows is one greedy round's rows that the target does not hit,
+// slot-indexed in row order, with what the round's pass knows of each row's
+// probe before it is solved.
+type unhitRows struct {
+	query []int     // the row's query
+	score []float64 // c·q at the round's coefficients c
+	lower []float64 // ≤ Cost.Of(u) for the probe's strategy u; −Inf if unknown
+	cap   []int     // ≥ hitBound.upper at the probe's coefficients
+	lim   []float64 // the probe's step bound, scaled as upper scales D
+}
+
+// probeBounds is what one solve's cost and space tell its rounds about every
+// probe before it is solved. With a linear space and a built-in cost, a probe
+// u that hits row r — q·(p+u) below the row's threshold, p the target's own
+// coefficients — has, by Hölder,
+//
+//	Cost(u) ≥ |q·u|/‖q‖_* ≥ (p·q − T_r)/‖q‖_*
+//
+// in the norm ‖·‖_* dual to the cost's (costDuals): one constant per
+// (target, row), whose numerator is the row's score in the solve's first
+// round, where the target is at p. And the unbounded closed forms move the
+// target by at most |rhs|/(σ‖q‖_*) in L2, which bounds the D of the probe's
+// hitBound.upper before the probe is solved. See round for the rounding.
+type probeBounds struct {
+	on    bool // the rows have bounds: a linear space and a built-in cost
+	first bool // the next round is the solve's first; it fills gap
+	// Per bounded row of the table: s₁ − ε(Σ|p_i·q_i| + |s₁|), with s₁ the
+	// row's score at p; and ‖q‖_*.
+	gap, dual []float64
+	sigma     float64 // the closed form's step factor (costDuals); 0 with strategy bounds
+	tol       float64 // absolute allowance for the closed form's n·δ ≤ rhs
+	pnorm     float64 // Σ|p_i|
+}
+
+// init sets pb for a solve on w with cost and strategy bounds, from table t
+// and the target's own coefficients p.
+func (pb *probeBounds) init(w *topk.Workload, t *hitTable, cost Cost, bounds *Bounds, p vec.Vector) {
+	if !w.Space().Linear() {
+		return
+	}
+	dual, sigma := costDuals(cost, t.pts, t.norm)
+	if sigma == 0 {
+		return
+	}
+	eps := float64(len(p)+4) * 0x1p-50
+	*pb = probeBounds{on: true, first: true, gap: make([]float64, len(t.pts)), dual: dual, sigma: sigma, tol: eps * 0x1p-20}
+	if bounds != nil {
+		// The boxed closed forms accept n·δ ≤ rhs + 1e-7 (L2, weighted L2)
+		// and rhs + 1e-9 (the L1 fill), and their steps have no closed form.
+		pb.sigma, pb.tol = 0, 0x1p-22
+	}
+	for _, x := range p {
+		pb.pnorm += math.Abs(x)
+	}
+}
+
 // round is one greedy round's single read of the table, with the target at
 // coefficients at. Each bounded row's score s_r = at·q_r is summed once, in
 // the order hit sums it, and serves every reader of the round: the row is
 // hit iff s_r < bound_r, exactly as hits counts it; an unhit row's query and
-// score are appended to unhit and scores, for its probe's right-hand side
-// T_j − s_r − margin (Eq. 14); and the row's key fills b.
+// score are appended to u, for its probe's right-hand side
+// T_j − s_r − margin (Eq. 14); the row's key fills b; and, when pb is on,
+// the row's probe gets its bounds in u (probeBounds), lower ≤ Cost.Of(u) and
+// cap ≥ b.upper at its coefficients, from the histogram's count at the
+// probe's step bound. A row without them gets lower = −Inf and the round's
+// largest cap.
 //
-// Rounding: a score s = fl(Σ x_i·q_i) is within γ_d·Σ|x_i·q_i| of the exact
-// dot product (γ_d ≈ d·2⁻⁵³), and Σ|c′_i·q_i| ≤ Σ|c_i·q_i| + D‖q‖. So a hit,
-// fl(c′·q) < bound, implies fl(c·q) − bound − 2γ_d·Σ|c_i·q_i| <
-// D‖q‖(1+γ_d). margin = ε·(Σ|c_i·q_i| + |fl(c·q)| + |bound|) with
-// ε = (d+4)·2⁻⁵⁰ covers that term and the key's own subtraction; the
-// factor 1+ε on D covers the rest (the norms and the division). A row the
-// target hits has s − bound < 0, so its key is negative: it is fixed.
-func (t *hitTable) round(at vec.Vector, b *hitBound, unhit []int, scores []float64) ([]int, []float64) {
+// Rounding of the hit bound: a score s = fl(Σ x_i·q_i) is within
+// γ_d·Σ|x_i·q_i| of the exact dot product (γ_d ≈ d·2⁻⁵³), and
+// Σ|c′_i·q_i| ≤ Σ|c_i·q_i| + D‖q‖. So a hit, fl(c′·q) < bound, implies
+// fl(c·q) − bound − 2γ_d·Σ|c_i·q_i| < D‖q‖(1+γ_d).
+// margin = ε·(Σ|c_i·q_i| + |fl(c·q)| + |bound|) with ε = (d+4)·2⁻⁵⁰ covers
+// that term and the key's own subtraction; the factor 1+ε on D covers the
+// rest (the norms and the division). A row the target hits has
+// s − bound < 0, so its key is negative: it is fixed.
+//
+// Rounding of the probe bounds (DESIGN.md, "Hot path & caches", has the
+// whole argument): the probe's strategy u = fl(δ + cur) carries every
+// rounding of the score s, of rhs, of the closed form's δ and of the sums
+// p+cur and δ+cur, each at most a few units of 2⁻⁵³ times
+// Σ|p_i·q_i|, |s₁|, Σ|c_i·q_i|, |s|, |bound| or Σ|q_i·u_i|, plus the closed
+// form's absolute allowance tol. The first four enter the numerator as
+// gap's and margin's ε terms; Σ|q_i·u_i| ≤ ‖q‖_*·‖u‖ and the rounding of
+// ‖q‖_*, of Cost.Of and of the division enter as the factor 1−ε. A bound
+// below 2⁻⁴⁰⁰ is dropped, so Cost.Of(u) is not near underflow. For the step
+// bound, the closed form's δ has length at most |rhs|/(σ‖q‖_*) up to its
+// own rounding, |rhs| ≤ s − bound + margin + strictMargin(bound), and the
+// probe's D differs from ‖δ‖ by at most ε·(Σ|at_i| + Σ|p_i|) (drift), so
+// (|rhs|/(σ‖q‖_*) + drift)(1+ε) ≥ D and its lim is at least the probe's.
+// Rows whose norm is below slack have neither bound.
+func (t *hitTable) round(at vec.Vector, b *hitBound, pb *probeBounds, u *unhitRows) {
 	eps := float64(len(at)+4) * 0x1p-50
 	b.at, b.fixed, b.grow = at, len(t.always), 1+eps
 	b.keys = b.keys[:0]
+	if n := len(t.pts); cap(u.query) < n {
+		// Sized once per solve: a round has at most one unhit row per row.
+		*u = unhitRows{query: make([]int, 0, n), score: make([]float64, 0, n),
+			lower: make([]float64, 0, n), cap: make([]int, 0, n), lim: make([]float64, 0, n)}
+	}
+	u.query, u.score, u.lower, u.lim = u.query[:0], u.score[:0], u.lower[:0], u.lim[:0]
+	first := pb.first
+	pb.first = false
+	drift := 0.0
+	if pb.on {
+		for _, x := range at {
+			drift += math.Abs(x)
+		}
+		drift = eps*(drift+pb.pnorm) + slack
+	}
 	for r, q := range t.pts {
 		s, a := 0.0, 0.0
 		for i, x := range at {
@@ -272,22 +366,44 @@ func (t *hitTable) round(at vec.Vector, b *hitBound, unhit []int, scores []float
 			s += p
 			a += math.Abs(p)
 		}
-		if s < t.bound[r] {
+		bound := t.bound[r]
+		if first {
+			pb.gap[r] = s - eps*(a+math.Abs(s))
+		}
+		if s < bound {
 			b.fixed++
 			continue
 		}
-		unhit = append(unhit, t.rows[r])
-		scores = append(scores, s)
-		margin := eps*(a+math.Abs(s)+math.Abs(t.bound[r])) + slack
-		key := (s - t.bound[r] - margin) / t.norm[r]
+		margin := eps*(a+math.Abs(s)+math.Abs(bound)) + slack
+		key := (s - bound - margin) / t.norm[r]
 		if key > 0 && key <= math.MaxFloat64 && t.norm[r] >= slack {
 			b.keys = append(b.keys, math.Float64bits(key))
 		} else {
 			b.fixed++
 		}
+		lower, lim := math.Inf(-1), math.Inf(1)
+		if pb.on && t.norm[r] >= slack {
+			if l := (pb.gap[r] - bound - margin - pb.tol) / pb.dual[r] * (1 - eps); l >= slack && l <= math.MaxFloat64 {
+				lower = l
+			}
+			if pb.sigma > 0 {
+				// Beyond 2⁵⁰⁰ the probe's D² may overflow, and D bounds
+				// nothing.
+				if step := (s-bound+margin+strictMargin(bound))/(pb.dual[r]*pb.sigma) + drift; step <= 0x1p500 {
+					lim = step*b.grow*b.grow + slack
+				}
+			}
+		}
+		u.query = append(u.query, t.rows[r])
+		u.score = append(u.score, s)
+		u.lower = append(u.lower, lower)
+		u.lim = append(u.lim, lim)
 	}
 	b.index()
-	return unhit, scores
+	u.cap = u.cap[:0]
+	for _, lim := range u.lim {
+		u.cap = append(u.cap, b.count(lim))
+	}
 }
 
 // index builds the histogram of b.keys.
@@ -312,19 +428,23 @@ func (b *hitBound) index() {
 }
 
 // upper returns the most queries a target with coefficients c can hit: the
-// fixed rows plus every key in the bucket of D(1+ε) and below. A D that is
-// not finite bounds nothing, so every row counts.
+// fixed rows plus every key in the bucket of D(1+ε) and below.
 func (b *hitBound) upper(c vec.Vector) int {
 	dd := 0.0
 	for i, x := range c {
 		e := x - b.at[i]
 		dd += e * e
 	}
-	lim := math.Sqrt(dd)*b.grow + slack
+	return b.count(math.Sqrt(dd)*b.grow + slack)
+}
+
+// count returns the fixed rows plus every key in lim's bucket and below, and
+// every row when lim is not finite. lim is positive, so its bits order it
+// among the keys; count only grows with lim.
+func (b *hitBound) count(lim float64) int {
 	if !(lim <= math.MaxFloat64) {
 		return b.fixed + len(b.keys)
 	}
-	// lim is positive, so its bits order it among the keys.
 	x := math.Float64bits(lim)
 	switch {
 	case len(b.keys) == 0 || x < b.lo:

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"iq/internal/expr"
 	"iq/internal/lp"
@@ -123,6 +124,65 @@ func costMinToHalfspace(cost Cost, s, n vec.Vector, rhs float64, bounds *Bounds)
 	}
 	copy(s, u)
 	return nil
+}
+
+// costDuals returns what a built-in cost tells a greedy round about its
+// probes before any is solved (see probeBounds): for every row point q_r of
+// pts, whose Euclidean norms are norm, the norm ‖q_r‖_* dual to the cost's,
+// and σ > 0 such that the cost's unbounded closed form moves a probe at most
+// |rhs|/(σ‖q_r‖_*) in L2. By Hölder, |q·u| ≤ ‖q‖_*·Cost(u). σ is 0 for a
+// cost with no such bounds: every cost that is not built in, and a weighted
+// cost whose weights leave [2⁻¹⁰⁰, 2¹⁰⁰], where its closed form's sums can
+// underflow. The switch matches the built-in types exactly, as
+// costMinToHalfspace does.
+func costDuals(cost Cost, pts []vec.Vector, norm []float64) ([]float64, float64) {
+	switch c := cost.(type) {
+	case L2Cost:
+		return c.duals(norm)
+	case L1Cost:
+		return c.duals(pts)
+	case WeightedL2Cost:
+		return c.duals(pts)
+	}
+	return nil, 0
+}
+
+// duals: the L2 norm is its own dual, and the closed form's step is
+// rhs·q/‖q‖², of length |rhs|/‖q‖.
+func (L2Cost) duals(norm []float64) ([]float64, float64) { return norm, 1 }
+
+// duals: the dual of the L1 norm is the largest |q_i|, and the closed form
+// moves that one coordinate by |rhs|/max|q_i|.
+func (L1Cost) duals(pts []vec.Vector) ([]float64, float64) {
+	dual := make([]float64, len(pts))
+	for r, q := range pts {
+		for _, x := range q {
+			dual[r] = max(dual[r], math.Abs(x))
+		}
+	}
+	return dual, 1
+}
+
+// duals: the dual of sqrt(Σ αᵢsᵢ²) is sqrt(Σ qᵢ²/αᵢ), summed as the closed
+// form sums it. The closed form's step is rhs·(qᵢ/αᵢ)ᵢ/Σ qᵢ²/αᵢ, of length
+// at most |rhs|/(‖q‖_*·√min α), since Σ qᵢ²/αᵢ² ≤ Σ (qᵢ²/αᵢ)/min α.
+func (c WeightedL2Cost) duals(pts []vec.Vector) ([]float64, float64) {
+	lo := math.Inf(1)
+	for _, a := range c.Alpha {
+		if !(a >= 0x1p-100 && a <= 0x1p100) {
+			return nil, 0
+		}
+		lo = min(lo, a)
+	}
+	dual := make([]float64, len(pts))
+	for r, q := range pts {
+		t := 0.0
+		for i, x := range q {
+			t += x * x / c.Alpha[i]
+		}
+		dual[r] = math.Sqrt(t)
+	}
+	return dual, math.Sqrt(lo)
 }
 
 // L2Cost is the paper's experimental cost function (Equation 30):
@@ -283,8 +343,8 @@ func (c WeightedL2Cost) minToHalfspace(s, n vec.Vector, rhs float64, bounds *Bou
 // function" path. The expression must be convex in s for the numeric solver
 // to find global optima.
 type ExprCost struct {
-	node expr.Node
-	dim  int
+	node  expr.Node
+	names []string // s1…sd
 }
 
 // NewExprCost parses a cost expression using variables s1…sd.
@@ -293,21 +353,16 @@ func NewExprCost(src string, dim int) (*ExprCost, error) {
 	if err != nil {
 		return nil, err
 	}
-	vars := expr.VarsOf(node)
-	for v := range vars {
-		ok := false
-		for i := 1; i <= dim; i++ {
-			if v == fmt.Sprintf("s%d", i) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+	c := &ExprCost{node: node, names: make([]string, dim)}
+	for i := range c.names {
+		c.names[i] = fmt.Sprintf("s%d", i+1)
+	}
+	for v := range expr.VarsOf(node) {
+		if !slices.Contains(c.names, v) {
 			return nil, fmt.Errorf("core: cost expression references unknown variable %q", v)
 		}
 	}
 	// The cost of doing nothing must be zero.
-	c := &ExprCost{node: node, dim: dim}
 	if z := c.Of(vec.New(dim)); math.Abs(z) > 1e-9 {
 		return nil, fmt.Errorf("core: cost expression is %g at the zero strategy, want 0", z)
 	}
@@ -317,9 +372,9 @@ func NewExprCost(src string, dim int) (*ExprCost, error) {
 // Of implements Cost. Evaluation errors (which indicate a malformed user
 // expression) surface as +Inf so the strategy is never selected.
 func (c *ExprCost) Of(s vec.Vector) float64 {
-	env := make(map[string]float64, c.dim)
-	for i := 0; i < c.dim; i++ {
-		env[fmt.Sprintf("s%d", i+1)] = s[i]
+	env := make(map[string]float64, len(c.names))
+	for i, name := range c.names {
+		env[name] = s[i]
 	}
 	v, err := c.node.Eval(env)
 	if err != nil || math.IsNaN(v) {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"iq/internal/subdomain"
@@ -42,8 +44,21 @@ func (in *boundInput) move() float64 {
 	}
 }
 
-// FuzzHitBound checks the greedy round's hit bound and lazy selection
-// against brute force on a small linear workload decoded from the input:
+// attr reads an object attribute: an eighth, or ±1e16 for the extreme byte
+// values, where a score's rounding error is a whole unit.
+func (in *boundInput) attr() float64 {
+	switch b := int8(in.byte()); b {
+	case math.MaxInt8:
+		return 1e16
+	case math.MinInt8:
+		return -1e16
+	default:
+		return float64(b) / 8
+	}
+}
+
+// FuzzHitBound checks the greedy round's bounds and lazy selection against
+// brute force on a small linear workload decoded from the input:
 //
 //	d, objects, queries, target, removed-query mask, base hits, min hits,
 //	max cost (127 = +Inf), object attributes, per query k and weights,
@@ -51,12 +66,25 @@ func (in *boundInput) move() float64 {
 //
 // Weights may be zero or negative, objects may repeat, and k may exceed the
 // competitors (always-hit rows). The skyband holds every object, so the
-// table is exact whatever the weights' signs. The round's one pass over the
-// table must agree with its hit counts, every probe's histogram bound must
-// be at least its HitsExact count, and best and cheapest must pick what a
-// full count picks. Named seeds cover coarse buckets (keys spread over more
-// than 2⁶⁰ in IEEE bits), equal keys, a single key, an infinite D, and a
-// probe whose D falls in the bucket of the keys it can hit.
+// table is exact whatever the weights' signs.
+//
+// Two rounds are opened for L2, L1 and weighted L2 costs, each without and
+// with strategy bounds: the solve's first, at the target's own
+// coefficients, and one with the target moved by the offset. Each round's
+// one pass over the table must agree with its hit counts and vec.Dot
+// scores; every probe the pass bounds must, once solved, cost at least its
+// lower bound and have a histogram bound at most its cap; and best and
+// cheapest must pick, and count, what they pick and count with every probe
+// solved first, which must be the pick of a full count. Then the input's own
+// probes, ranked around the offset round: each histogram bound must be at
+// least its HitsExact count, and best and cheapest must pick what a full
+// count picks.
+//
+// Named seeds cover coarse buckets (keys spread over more than 2⁶⁰ in IEEE
+// bits), equal keys, a single key, an infinite D, a probe whose D falls in
+// the bucket of the keys it can hit, equal lower-bound keys, a row whose
+// gap at the target's own coefficients is zero or negative, scores near
+// 1e16, and a step bound on a bucket edge.
 func FuzzHitBound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := boundInput(data)
@@ -75,7 +103,7 @@ func FuzzHitBound(f *testing.F) {
 		for i := range attrs {
 			attrs[i] = make(vec.Vector, d)
 			for k := range attrs[i] {
-				attrs[i][k] = in.eighth()
+				attrs[i][k] = in.attr()
 			}
 		}
 		queries := make([]topk.Query, m)
@@ -100,20 +128,21 @@ func FuzzHitBound(f *testing.F) {
 		}
 		ctx := context.Background()
 		tab, _ := deriveHitTable(ctx, idx, target)
-		at := make(vec.Vector, d)
-		for k := range at {
-			at[k] = w.Coeff(target)[k] + in.move()
+		cur := make(vec.Vector, d)
+		for k := range cur {
+			cur[k] = in.move()
 		}
-		rs := &roundScratch{tab: tab, rec: newRecorder(), dim: d}
-		unhit, scores := tab.round(at, &rs.bound, nil, nil)
-		if hit := tab.hits(at); hit+len(unhit) != w.LiveQueries() {
-			t.Fatalf("round at %v: %d unhit, table counts %d hits of %d live queries", at, len(unhit), hit, w.LiveQueries())
-		}
-		for slot, j := range unhit {
-			if s := vec.Dot(at, w.Query(j).Point); math.Float64bits(s) != math.Float64bits(scores[slot]) {
-				t.Fatalf("round at %v: query %d scored %v, vec.Dot %v", at, j, scores[slot], s)
+		// The offset round's coefficients, summed as apply sums them.
+		at := vec.Add(w.Attrs(target), cur)
+		for _, cost := range []Cost{L2Cost{}, L1Cost{}, WeightedL2Cost{Alpha: vec.Vector{0.5, 4, 2}[:d]}} {
+			for _, bounds := range []*Bounds{nil, boxOf(d)} {
+				checkLazyRounds(t, w, tab, cost, bounds, cur, at, baseHits, minHits, maxCost)
 			}
 		}
+
+		// The input's probes, ranked around the offset round.
+		rs := &roundScratch{tab: tab, rec: newRecorder(), dim: d}
+		tab.round(at, &rs.bound, &probeBounds{}, &unhitRows{})
 		var full []Candidate
 		for len(in) > 0 && len(full) < 12 {
 			c := in.eighth()
@@ -134,24 +163,120 @@ func FuzzHitBound(f *testing.F) {
 				t.Fatalf("probe %v from %v: bound %d below HitsExact %d", u, at, bound, exact)
 			}
 			cand := ranked(len(full), u, c, bound)
+			rs.rows.query = append(rs.rows.query, len(full))
+			rs.state = append(rs.state, slotRanked)
 			rs.cands = append(rs.cands, cand)
-			rs.valid = append(rs.valid, true)
 			rs.coeffs = append(rs.coeffs, coeff...)
 			cand.Hits = exact
 			full = append(full, cand)
 		}
-		same := func(pass string, got, want Candidate, gotOK, wantOK bool) {
-			t.Helper()
-			if gotOK != wantOK || gotOK && (got.Query != want.Query || got.Hits != want.Hits ||
-				math.Float64bits(got.Cost) != math.Float64bits(want.Cost)) {
-				t.Fatalf("%s: pruned pick %+v (%v), full pick %+v (%v)", pass, got, gotOK, want, wantOK)
+		got, gotOK, _ := rs.best(ctx, baseHits)
+		want, wantOK := refBestRatio(full, baseHits)
+		samePick(t, "probes: best", got, want, gotOK, wantOK)
+		got, gotOK, _ = rs.cheapest(ctx, minHits, maxCost)
+		want, wantOK = refCheapest(full, minHits, maxCost)
+		samePick(t, "probes: cheapest", got, want, gotOK, wantOK)
+	})
+}
+
+// boxOf is the strategy bounds FuzzHitBound's bounded rounds use: each
+// attribute may fall by 2 or rise by 1/2.
+func boxOf(d int) *Bounds {
+	b := &Bounds{Lo: make(vec.Vector, d), Hi: make(vec.Vector, d)}
+	for i := range b.Lo {
+		b.Lo[i], b.Hi[i] = -2, 0.5
+	}
+	return b
+}
+
+// samePick fails t unless the pruned pick got equals the full pick want.
+func samePick(t *testing.T, pass string, got, want Candidate, gotOK, wantOK bool) {
+	t.Helper()
+	if gotOK != wantOK || gotOK && (got.Query != want.Query || got.Hits != want.Hits ||
+		math.Float64bits(got.Cost) != math.Float64bits(want.Cost)) {
+		t.Fatalf("%s: pruned pick %+v (%v), full pick %+v (%v)", pass, got, gotOK, want, wantOK)
+	}
+}
+
+// checkLazyRounds opens a solve's first round, at the target's own
+// coefficients, and a second at at with strategy cur, twice: lazily, and
+// with every probe solved before selection. In each round it checks the
+// pass against the table, every solved probe against its bounds, and the
+// lazy picks and counts against the eager ones and the eager picks against
+// a full count.
+func checkLazyRounds(t *testing.T, w *topk.Workload, tab *hitTable, cost Cost, bounds *Bounds, cur, at vec.Vector, baseHits, minHits int, maxCost float64) {
+	t.Helper()
+	ctx := context.Background()
+	lazy := &roundScratch{tab: tab, rec: newRecorder()}
+	eager := &roundScratch{tab: tab, rec: newRecorder()}
+	rounds := []struct{ cur, at vec.Vector }{{make(vec.Vector, len(cur)), w.Coeff(tab.target)}, {cur, at}}
+	for ri, r := range rounds {
+		name := fmt.Sprintf("%T bounds=%v round %d", cost, bounds != nil, ri+1)
+		generateCandidates(ctx, w, 1, r.cur, r.at, cost, bounds, lazy)
+		generateCandidates(ctx, w, 1, r.cur, r.at, cost, bounds, eager)
+		if hit := tab.hits(r.at); hit+len(lazy.rows.query) != w.LiveQueries() {
+			t.Fatalf("%s at %v: %d unhit, table counts %d hits of %d live queries", name, r.at, len(lazy.rows.query), hit, w.LiveQueries())
+		}
+		for slot, j := range lazy.rows.query {
+			if s := vec.Dot(r.at, w.Query(j).Point); math.Float64bits(s) != math.Float64bits(lazy.rows.score[slot]) {
+				t.Fatalf("%s at %v: query %d scored %v, vec.Dot %v", name, r.at, j, lazy.rows.score[slot], s)
 			}
 		}
-		got, gotOK := rs.best(ctx, baseHits)
+		all := make([]int, len(eager.state))
+		for slot := range all {
+			all[slot] = slot
+		}
+		if err := eager.solve(ctx, all); err != nil {
+			t.Fatal(err)
+		}
+		var full []Candidate
+		for slot, st := range eager.state {
+			if st != slotRanked {
+				continue
+			}
+			c := eager.cands[slot]
+			if lower := eager.rows.lower[slot]; lower > c.Cost {
+				t.Fatalf("%s: query %d's probe %v costs %v, below its lower bound %v", name, c.Query, c.Strategy, c.Cost, lower)
+			}
+			if hitCap := eager.rows.cap[slot]; c.bound > hitCap {
+				t.Fatalf("%s: query %d's probe %v has hit bound %d, above its cap %d", name, c.Query, c.Strategy, c.bound, hitCap)
+			}
+			exact, err := w.HitsExact(vec.Add(w.Attrs(tab.target), c.Strategy), tab.target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Hits = exact
+			full = append(full, c)
+		}
+		lb, lok, err := lazy.best(ctx, baseHits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eb, eok, _ := eager.best(ctx, baseHits)
+		samePick(t, name+": lazy best", lb, eb, lok, eok)
 		want, wantOK := refBestRatio(full, baseHits)
-		same("best", got, want, gotOK, wantOK)
-		got, gotOK = rs.cheapest(ctx, minHits, maxCost)
+		samePick(t, name+": best", eb, want, eok, wantOK)
+		lc, lok, err := lazy.cheapest(ctx, minHits, maxCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ec, eok, _ := eager.cheapest(ctx, minHits, maxCost)
+		samePick(t, name+": lazy cheapest", lc, ec, lok, eok)
 		want, wantOK = refCheapest(full, minHits, maxCost)
-		same("cheapest", got, want, gotOK, wantOK)
-	})
+		samePick(t, name+": cheapest", ec, want, eok, wantOK)
+		if l, e := countedSlots(lazy), countedSlots(eager); !slices.Equal(l, e) {
+			t.Fatalf("%s: lazy round counted slots %v, eager %v", name, l, e)
+		}
+	}
+}
+
+// countedSlots lists the slots whose candidates a round counted exactly.
+func countedSlots(rs *roundScratch) []int {
+	var out []int
+	for slot, st := range rs.state {
+		if st == slotRanked && rs.cands[slot].counted {
+			out = append(out, slot)
+		}
+	}
+	return out
 }

@@ -44,8 +44,8 @@ func CtxErr(ctx context.Context) error {
 // iteration granularity op names the greedy loop ("mincost", "maxhit",
 // "mincost-multi", "maxhit-multi") and the second argument counts rounds
 // from 1 within one solve. At probe granularity op is "probe" and the second
-// argument is the probe's slot in the current candidate fan-out; probe
-// callbacks may run concurrently from worker goroutines.
+// argument is the probe's slot in the current greedy round; probe callbacks
+// may run concurrently from worker goroutines.
 type IterationHook func(op string, iteration int)
 
 // iterHook is the installed fault-injection hook; nil in production. It is
@@ -91,8 +91,8 @@ func MutationCheckpoint(ctx context.Context, iteration int) error {
 	return checkpoint(ctx, "mutation", iteration)
 }
 
-// fireProbe notifies the hook of one candidate probe inside the fan-out of
-// generateCandidates. Unlike checkpoint it carries no context — the caller
+// fireProbe notifies the hook of one candidate probe as a greedy round's
+// selection solves it. Unlike checkpoint it carries no context — the caller
 // checks cancellation itself — and it may be invoked concurrently.
 func fireProbe(slot int) {
 	if p := iterHook.Load(); p != nil {

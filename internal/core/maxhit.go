@@ -103,16 +103,16 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		if err := generateCandidates(rctx, w, workers, res.Strategy, at, req.Cost, req.Bounds, rs); err != nil {
+		generateCandidates(rctx, w, workers, res.Strategy, at, req.Cost, req.Bounds, rs)
+		best, ok, err := rs.best(rctx, res.Hits)
+		if err != nil {
 			rsp.End()
 			return nil, err
 		}
-		best, ok := rs.best(rctx, res.Hits)
 		if !ok {
 			rsp.End()
 			break // no candidate gains hits: every query hit or infeasible
 		}
-		var err error
 		if best.Cost <= req.Budget {
 			if at, err = apply(w, req.Target, res, best, req.Cost); err != nil {
 				rsp.End()
@@ -128,7 +128,11 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		// query index — unique within a round — so the pick is
 		// deterministic at any worker count (see DESIGN.md, "Deterministic
 		// parallelism").
-		fill, found := rs.cheapest(rctx, res.Hits+1, req.Budget)
+		fill, found, err := rs.cheapest(rctx, res.Hits+1, req.Budget)
+		if err != nil {
+			rsp.End()
+			return nil, err
+		}
 		if found {
 			if at, err = apply(w, req.Target, res, fill, req.Cost); err != nil {
 				rsp.End()

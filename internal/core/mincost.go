@@ -124,11 +124,12 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		if err := generateCandidates(rctx, w, workers, res.Strategy, at, req.Cost, req.Bounds, rs); err != nil {
+		generateCandidates(rctx, w, workers, res.Strategy, at, req.Cost, req.Bounds, rs)
+		best, ok, err := rs.best(rctx, res.Hits)
+		if err != nil {
 			rsp.End()
 			return nil, err
 		}
-		best, ok := rs.best(rctx, res.Hits)
 		if !ok {
 			rsp.End()
 			return res, fmt.Errorf("core: stalled at %d of %d hits: %w", res.Hits, req.Tau, ErrGoalUnreachable)
@@ -138,11 +139,15 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 			// cheapest candidate that reaches τ without overshooting cost;
 			// equal costs break by query index for determinism. The best
 			// candidate qualifies, so one is always found.
-			if c, ok := rs.cheapest(rctx, req.Tau, math.Inf(1)); ok {
+			c, ok, err := rs.cheapest(rctx, req.Tau, math.Inf(1))
+			if err != nil {
+				rsp.End()
+				return nil, err
+			}
+			if ok {
 				best = c
 			}
 		}
-		var err error
 		if at, err = apply(w, req.Target, res, best, req.Cost); err != nil {
 			rsp.End()
 			return res, err

@@ -56,11 +56,17 @@ func TestParallelMaxHitMatchesSerial(t *testing.T) {
 	}
 }
 
+// unboundedL2 is the L2 cost as a user type: a greedy round has no probe
+// bounds for it, so its first batch is every unhit row, fanned out across
+// the workers.
+type unboundedL2 struct{ L2Cost }
+
 // TestDeterministicParallelismAcrossSeeds is the property test backing the
 // tie-break rules documented in DESIGN.md ("Deterministic parallelism"):
 // for every seed and every worker count, MinCost and MaxHit must be
 // bit-identical to their serial runs — same strategy vector, same cost,
-// same hit count, and identical error outcomes.
+// same hit count, and identical error outcomes — and must solve and count
+// the same probes (Stats.Probes, Stats.Counted).
 func TestDeterministicParallelismAcrossSeeds(t *testing.T) {
 	workerCounts := []int{2, 4, 8}
 	for seed := int64(1); seed <= 5; seed++ {
@@ -71,35 +77,39 @@ func TestDeterministicParallelismAcrossSeeds(t *testing.T) {
 			tau := 4 + rng.Intn(10)
 			budget := 0.2 + rng.Float64()*0.6
 
-			serialMC, errMC := MinCostIQ(idx, MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}})
-			serialMH, errMH := MaxHitIQ(idx, MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}})
-			for _, workers := range workerCounts {
-				parMC, perr := MinCostIQ(idx, MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}, Workers: workers})
-				if (errMC == nil) != (perr == nil) {
-					t.Fatalf("seed %d workers=%d: MinCost error diverged: serial=%v parallel=%v",
-						seed, workers, errMC, perr)
-				}
-				if errMC == nil {
-					if !vec.Equal(serialMC.Strategy, parMC.Strategy) ||
-						serialMC.Cost != parMC.Cost || serialMC.Hits != parMC.Hits {
-						t.Fatalf("seed %d workers=%d target=%d tau=%d: MinCost diverged\n serial %v cost=%v hits=%d\n parallel %v cost=%v hits=%d",
-							seed, workers, target, tau,
-							serialMC.Strategy, serialMC.Cost, serialMC.Hits,
-							parMC.Strategy, parMC.Cost, parMC.Hits)
+			for _, cost := range []Cost{L2Cost{}, unboundedL2{}} {
+				serialMC, errMC := MinCostIQ(idx, MinCostRequest{Target: target, Tau: tau, Cost: cost})
+				serialMH, errMH := MaxHitIQ(idx, MaxHitRequest{Target: target, Budget: budget, Cost: cost})
+				for _, workers := range workerCounts {
+					parMC, perr := MinCostIQ(idx, MinCostRequest{Target: target, Tau: tau, Cost: cost, Workers: workers})
+					if (errMC == nil) != (perr == nil) {
+						t.Fatalf("seed %d workers=%d: MinCost error diverged: serial=%v parallel=%v",
+							seed, workers, errMC, perr)
 					}
-				}
-				parMH, perr := MaxHitIQ(idx, MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}, Workers: workers})
-				if (errMH == nil) != (perr == nil) {
-					t.Fatalf("seed %d workers=%d: MaxHit error diverged: serial=%v parallel=%v",
-						seed, workers, errMH, perr)
-				}
-				if errMH == nil {
-					if !vec.Equal(serialMH.Strategy, parMH.Strategy) ||
-						serialMH.Cost != parMH.Cost || serialMH.Hits != parMH.Hits {
-						t.Fatalf("seed %d workers=%d target=%d budget=%v: MaxHit diverged\n serial %v cost=%v hits=%d\n parallel %v cost=%v hits=%d",
-							seed, workers, target, budget,
-							serialMH.Strategy, serialMH.Cost, serialMH.Hits,
-							parMH.Strategy, parMH.Cost, parMH.Hits)
+					if errMC == nil {
+						if !vec.Equal(serialMC.Strategy, parMC.Strategy) ||
+							serialMC.Cost != parMC.Cost || serialMC.Hits != parMC.Hits ||
+							serialMC.Stats.Probes != parMC.Stats.Probes || serialMC.Stats.Counted != parMC.Stats.Counted {
+							t.Fatalf("seed %d workers=%d target=%d tau=%d: MinCost diverged\n serial %v cost=%v hits=%d probes=%d counted=%d\n parallel %v cost=%v hits=%d probes=%d counted=%d",
+								seed, workers, target, tau,
+								serialMC.Strategy, serialMC.Cost, serialMC.Hits, serialMC.Stats.Probes, serialMC.Stats.Counted,
+								parMC.Strategy, parMC.Cost, parMC.Hits, parMC.Stats.Probes, parMC.Stats.Counted)
+						}
+					}
+					parMH, perr := MaxHitIQ(idx, MaxHitRequest{Target: target, Budget: budget, Cost: cost, Workers: workers})
+					if (errMH == nil) != (perr == nil) {
+						t.Fatalf("seed %d workers=%d: MaxHit error diverged: serial=%v parallel=%v",
+							seed, workers, errMH, perr)
+					}
+					if errMH == nil {
+						if !vec.Equal(serialMH.Strategy, parMH.Strategy) ||
+							serialMH.Cost != parMH.Cost || serialMH.Hits != parMH.Hits ||
+							serialMH.Stats.Probes != parMH.Stats.Probes || serialMH.Stats.Counted != parMH.Stats.Counted {
+							t.Fatalf("seed %d workers=%d target=%d budget=%v: MaxHit diverged\n serial %v cost=%v hits=%d probes=%d counted=%d\n parallel %v cost=%v hits=%d probes=%d counted=%d",
+								seed, workers, target, budget,
+								serialMH.Strategy, serialMH.Cost, serialMH.Hits, serialMH.Stats.Probes, serialMH.Stats.Counted,
+								parMH.Strategy, parMH.Cost, parMH.Hits, parMH.Stats.Probes, parMH.Stats.Counted)
+						}
 					}
 				}
 			}

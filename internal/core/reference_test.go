@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iq/internal/subdomain"
@@ -368,6 +370,95 @@ func TestGreedyMatchesReference(t *testing.T) {
 						}()
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestLazySelectionMatchesEager drives the greedy rounds of the
+// TestGreedyMatchesReference fixtures twice: lazily, as the solvers do, and
+// with every probe of each round solved before selection. In every round,
+// best, the anti-overshoot cheapest pass and the Max-Hit fill pass must pick
+// the same candidate, and the round must count the same slots, while the
+// lazy round solves no more probes than the eager one.
+func TestLazySelectionMatchesEager(t *testing.T) {
+	negative, err := NewExprCost("s1^2 + s2^2 + 0.01*s1", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := []Cost{L2Cost{}, L1Cost{}, WeightedL2Cost{Alpha: vec.Vector{1, 3}}, negative}
+	bounds := []*Bounds{nil, {Lo: vec.Vector{-0.4, -0.25}, Hi: vec.Vector{0.05, 0.05}}}
+	spaces := []func(rng *rand.Rand) *subdomain.Index{
+		func(rng *rand.Rand) *subdomain.Index { return fixture(t, rng, 60, 36, 2, 3) },
+		func(rng *rand.Rand) *subdomain.Index { return polyFixture(t, rng, 30, 16) },
+	}
+	ctx := context.Background()
+	for si, build := range spaces {
+		for _, cost := range costs {
+			for _, b := range bounds {
+				rng := rand.New(rand.NewSource(int64(100 + si)))
+				idx := build(rng)
+				w := idx.Workload()
+				targets, taus, budgets := greedyTargets(t, rng, idx)
+				for i, target := range targets {
+					name := fmt.Sprintf("space %d %T bounds=%v target %d", si, cost, b != nil, target)
+					tab := hitTableFor(ctx, idx, target, nil)
+					lazy := &roundScratch{tab: tab, rec: newRecorder()}
+					eager := &roundScratch{tab: tab, rec: newRecorder()}
+					cur := vec.New(len(w.Attrs(target)))
+					at := w.Coeff(target)
+					hits := tab.hits(at)
+					for round := 1; hits < taus[i]; round++ {
+						generateCandidates(ctx, w, 3, cur, at, cost, b, lazy)
+						generateCandidates(ctx, w, 3, cur, at, cost, b, eager)
+						all := make([]int, len(eager.state))
+						for slot := range all {
+							all[slot] = slot
+						}
+						if err := eager.solve(ctx, all); err != nil {
+							t.Fatal(err)
+						}
+						picks := []struct {
+							pass string
+							run  func(rs *roundScratch) (Candidate, bool, error)
+						}{
+							{"best", func(rs *roundScratch) (Candidate, bool, error) { return rs.best(ctx, hits) }},
+							{"anti-overshoot", func(rs *roundScratch) (Candidate, bool, error) {
+								return rs.cheapest(ctx, taus[i], math.Inf(1))
+							}},
+							{"fill", func(rs *roundScratch) (Candidate, bool, error) {
+								return rs.cheapest(ctx, hits+1, budgets[i])
+							}},
+						}
+						var pick Candidate
+						found := false
+						for _, p := range picks {
+							got, gotOK, err := p.run(lazy)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, wantOK, _ := p.run(eager)
+							samePick(t, fmt.Sprintf("%s round %d %s", name, round, p.pass), got, want, gotOK, wantOK)
+							if p.pass == "best" {
+								pick, found = got, gotOK
+							}
+						}
+						if l, e := countedSlots(lazy), countedSlots(eager); !slices.Equal(l, e) {
+							t.Fatalf("%s round %d: lazy round counted slots %v, eager %v", name, round, l, e)
+						}
+						if l, e := lazy.rec.probes.Load(), eager.rec.probes.Load(); l > e {
+							t.Fatalf("%s round %d: lazy rounds solved %d probes, eager %d", name, round, l, e)
+						}
+						if !found {
+							break
+						}
+						cur = vec.Clone(pick.Strategy)
+						if at, err = w.Space().Embed(vec.Add(w.Attrs(target), cur)); err != nil {
+							t.Fatal(err)
+						}
+						hits = pick.Hits
+					}
+				}
 			}
 		}
 	}

@@ -49,6 +49,7 @@ func absF(x float64) float64 {
 type probeScratch struct {
 	lo, hi vec.Vector // shifted bounds backing stores
 	bounds Bounds     // aliases lo/hi so no Bounds escapes per probe
+	done   tally      // the worker's probes since the last account
 }
 
 // solveHit writes into u a low-cost cumulative strategy (relative to the
@@ -209,101 +210,121 @@ type Candidate struct {
 	counted  bool
 }
 
+// A round's slot is open until a selection pass solves its probe, which
+// prunes it or ranks it as a candidate.
+const (
+	slotOpen uint8 = iota
+	slotPruned
+	slotRanked
+)
+
 // roundScratch carries one solve's greedy rounds: the target's hit table and
-// the solve's recorder; the round being generated (its inputs, the queries
-// the target does not hit with their scores, the slot-indexed candidates —
-// cands[slot] probes unhit[slot], valid marks those not pruned — and their
-// strategies and improved coefficients, slot-major); and the buffers reused
-// across rounds. One roundScratch is owned by one solve; the candidates,
-// strategies included, are valid until the next generateCandidates call.
+// the solve's recorder; the solve's probe bounds, fixed by its first round;
+// the round being selected (its inputs, the queries the target does not hit
+// with their scores and bounds, each slot's state and candidate — cands[slot]
+// probes rows.query[slot] — and their strategies and improved coefficients,
+// slot-major); and the buffers reused across rounds. One roundScratch is
+// owned by one solve; the candidates, strategies included, are valid until
+// the next generateCandidates call.
 type roundScratch struct {
 	tab *hitTable
 	rec *recorder
+	pb  probeBounds
 
-	w      *topk.Workload
-	cur    vec.Vector
-	cost   Cost
-	bounds *Bounds
-	unhit  []int
-	score  []float64 // c·q_j of unhit[slot] at the round's coefficients
-	cands  []Candidate
-	valid  []bool
-	strats vec.Vector // slot-major, sdim per slot
-	coeffs vec.Vector // slot-major, dim per slot
-	sdim   int
-	dim    int
-	bound  hitBound
-	queue  queue
-	probes []probeScratch // indexed by worker
+	w       *topk.Workload
+	cur     vec.Vector
+	cost    Cost
+	bounds  *Bounds
+	workers int
+	rows    unhitRows
+	state   []uint8
+	cands   []Candidate
+	strats  vec.Vector // slot-major, sdim per slot
+	coeffs  vec.Vector // slot-major, dim per slot
+	sdim    int
+	dim     int
+	opened  bool // the solve's first round has run
+	bound   hitBound
+	queue   queue
+	batch   []int
+	probes  []probeScratch // indexed by worker
 }
 
-// tally is one fan-out worker's share of a round's counters; it reaches the
-// recorder once, when the worker finishes.
+// tally is one fan-out worker's count of its probes; a selection pass adds
+// every worker's to the recorder once, when it ends (account).
 type tally struct {
 	probes, pruned int64
 }
 
-// generateCandidates implements the shared inner loop of Algorithms 3 and 4
-// (lines 4–8): for every query not currently hit, the min-cost strategy that
-// hits it, with an upper bound on its hit count from the round's hitBound
-// around at, the target's current coefficients. One pass over the target's
-// hit table (hitTable.round) finds the unhit queries, their scores at at and
-// the bound. The exact counts are left to best and cheapest. With more than
-// one worker the per-query work fans out across goroutines, which share the
-// read-only table and bound; each worker owns one probeScratch.
+// generateCandidates opens one round of the inner loop of Algorithms 3 and 4
+// (lines 4–8): the candidates are, for every query not currently hit, the
+// min-cost strategy that hits it, extending cur, with an upper bound on its
+// hit count from the round's hitBound around at, the target's current
+// coefficients. One pass over the target's hit table (hitTable.round) finds
+// the unhit queries, their scores at at and the bound, and bounds every
+// row's probe before it is solved: its cost from below and its hits from
+// above (probeBounds). No probe is solved here: best and cheapest solve a
+// row's probe when its bounds bring it to the head of their order, and the
+// exact counts are theirs too. The solve's first round must have the target
+// at its own coefficients, where the cost bounds are taken.
 //
 // The round's candidates land in rs.cands, indexed by slot, and each probe
 // writes its strategy and improved coefficients into the slot's share of
 // rs.strats and rs.coeffs: a warm round with an unbounded built-in cost
 // allocates nothing, and a solver clones the candidate it applies.
-// Bit-for-bit determinism is preserved: probes land in slot-indexed order
-// and every path reproduces the same arithmetic.
-//
-// Cancellation is checked before every probe, serial or parallel: workers
-// stop picking up slots as soon as ctx fails, and a cancelled fan-out
-// returns the translated context error, so the solvers discard the round's
-// partial work instead of greedily applying a winner chosen from whatever
-// subset happened to finish.
-func generateCandidates(ctx context.Context, w *topk.Workload, workers int, cur, at vec.Vector, cost Cost, bounds *Bounds, rs *roundScratch) error {
+func generateCandidates(ctx context.Context, w *topk.Workload, workers int, cur, at vec.Vector, cost Cost, bounds *Bounds, rs *roundScratch) {
 	start := time.Now()
-	ctx, csp := obs.StartSpan(ctx, "candidates")
+	_, csp := obs.StartSpan(ctx, "candidates")
 	defer csp.End()
-	rs.unhit, rs.score = rs.tab.round(at, &rs.bound, rs.unhit[:0], rs.score[:0])
-	n := len(rs.unhit)
+	if !rs.opened {
+		rs.pb.init(w, rs.tab, cost, bounds, at)
+		rs.opened = true
+	}
+	rs.tab.round(at, &rs.bound, &rs.pb, &rs.rows)
+	n := len(rs.rows.query)
 	if csp != nil {
 		// SetAttr boxes its ints, which allocates from 256 up.
 		csp.SetAttr("unhit", n)
 		csp.SetAttr("workers", workers)
 	}
-	serial := workers <= 1 || n < 2*workers
-	if serial {
-		workers = 1
-	}
 	if cap(rs.cands) < n {
 		rs.cands = make([]Candidate, n)
-		rs.valid = make([]bool, n)
+		rs.state = make([]uint8, n)
 	}
-	rs.cands, rs.valid = rs.cands[:n], rs.valid[:n]
-	clear(rs.valid)
+	rs.cands, rs.state = rs.cands[:n], rs.state[:n]
+	clear(rs.state)
 	if len(rs.probes) < workers {
 		rs.probes = make([]probeScratch, workers)
 	}
-	rs.w, rs.cur, rs.cost, rs.bounds = w, cur, cost, bounds
+	rs.w, rs.cur, rs.cost, rs.bounds, rs.workers = w, cur, cost, bounds, workers
 	rs.sdim, rs.dim = len(cur), len(at)
 	rs.strats = growVec(rs.strats, n*rs.sdim)
 	rs.coeffs = growVec(rs.coeffs, n*rs.dim)
 	rs.rec.solve.Add(int64(time.Since(start)))
-	if serial {
-		rs.share(ctx, 0, 1)
+}
+
+// solve solves the probes of the slots in batch, fanned out over the round's
+// workers when the batch is large enough, and returns the translated context
+// error if ctx failed: a round whose batch was cancelled fails, so the
+// solvers discard its partial work instead of greedily applying a winner
+// chosen from whatever subset happened to finish.
+//
+// Cancellation is checked before every probe, serial or parallel: workers
+// stop picking up slots as soon as ctx fails. Bit-for-bit determinism is
+// preserved: probes land in slot-indexed order and every path reproduces the
+// same arithmetic.
+func (rs *roundScratch) solve(ctx context.Context, batch []int) error {
+	if workers := rs.workers; workers > 1 && len(batch) >= 2*workers {
+		rs.fan(ctx, batch, workers)
 	} else {
-		rs.fan(ctx, workers)
+		rs.share(ctx, batch, 0, 1)
 	}
 	return CtxErr(ctx)
 }
 
-// fan runs the round's probes on workers goroutines and waits for them.
+// fan runs the batch's probes on workers goroutines and waits for them.
 // It is its own function so that the serial path allocates no closure.
-func (rs *roundScratch) fan(ctx context.Context, workers int) {
+func (rs *roundScratch) fan(ctx context.Context, batch []int, workers int) {
 	var wg sync.WaitGroup
 	for wkr := 0; wkr < workers; wkr++ {
 		wg.Add(1)
@@ -312,25 +333,39 @@ func (rs *roundScratch) fan(ctx context.Context, workers int) {
 			wctx, wsp := obs.StartSpan(ctx, "worker")
 			wsp.SetAttr("worker", wkr)
 			defer wsp.End()
-			rs.share(wctx, wkr, workers)
+			rs.share(wctx, batch, wkr, workers)
 		}(wkr)
 	}
 	wg.Wait()
 }
 
-// share probes worker wkr's slots of the round (wkr, wkr+workers, …) until
-// ctx fails. It times its whole share and adds its counters to the recorder
-// once, so the probe loop reads no clock and touches no shared counter.
-func (rs *roundScratch) share(ctx context.Context, wkr, workers int) {
-	t0 := time.Now()
+// share probes worker wkr's slots of the batch (wkr, wkr+workers, …) until
+// ctx fails, and adds its count to the worker's tally once, so the probe
+// loop reads no clock and touches no shared counter.
+func (rs *roundScratch) share(ctx context.Context, batch []int, wkr, workers int) {
 	var t tally
-	for slot := wkr; slot < len(rs.unhit); slot += workers {
+	for i := wkr; i < len(batch); i += workers {
 		if ctx.Err() != nil {
 			break
 		}
-		rs.probe(ctx, wkr, slot, &t)
+		rs.probe(ctx, wkr, batch[i], &t)
 	}
-	rs.rec.fanOut(t, time.Since(t0))
+	rs.probes[wkr].done.probes += t.probes
+	rs.probes[wkr].done.pruned += t.pruned
+}
+
+// account adds a selection pass to the recorder when it ends: every
+// worker's probes, and the pass's wall time since t0 net of its exact
+// counts, which had added up to eval0 before the pass. Timing the pass
+// rather than each batch keeps the clock out of a batch of one probe.
+func (rs *roundScratch) account(t0 time.Time, eval0 int64) {
+	var t tally
+	for i := range rs.probes {
+		t.probes += rs.probes[i].done.probes
+		t.pruned += rs.probes[i].done.pruned
+		rs.probes[i].done = tally{}
+	}
+	rs.rec.fanOut(t, time.Since(t0)-time.Duration(rs.rec.eval.Load()-eval0))
 }
 
 // probe solves the subproblem of the round's slot into the slot's strategy
@@ -338,7 +373,8 @@ func (rs *roundScratch) share(ctx context.Context, wkr, workers int) {
 func (rs *roundScratch) probe(ctx context.Context, wkr, slot int, t *tally) {
 	fireProbe(slot)
 	t.probes++
-	j := rs.unhit[slot]
+	rs.state[slot] = slotPruned
+	j := rs.rows.query[slot]
 	_, psp := obs.StartSpan(ctx, "probe")
 	if psp != nil {
 		// SetAttr boxes j, which allocates from 256 up.
@@ -346,7 +382,7 @@ func (rs *roundScratch) probe(ctx context.Context, wkr, slot int, t *tally) {
 	}
 	defer psp.End()
 	u := rs.strats[slot*rs.sdim : (slot+1)*rs.sdim : (slot+1)*rs.sdim]
-	if err := solveHit(u, rs.w, rs.tab, rs.cur, j, rs.score[slot], rs.cost, rs.bounds, &rs.probes[wkr]); err != nil {
+	if err := solveHit(u, rs.w, rs.tab, rs.cur, j, rs.rows.score[slot], rs.cost, rs.bounds, &rs.probes[wkr]); err != nil {
 		t.pruned++
 		psp.SetAttr("pruned", "infeasible")
 		return // infeasible for this query (e.g. bounds); skip
@@ -381,7 +417,7 @@ func (rs *roundScratch) probe(ctx context.Context, wkr, slot int, t *tally) {
 		copy(coeff, e)
 	}
 	rs.cands[slot] = ranked(j, u, c, rs.bound.upper(coeff))
-	rs.valid[slot] = true
+	rs.state[slot] = slotRanked
 }
 
 // ranked returns the candidate for query j with strategy u at cost c whose
@@ -425,35 +461,132 @@ func (rs *roundScratch) hits(ctx context.Context, slot int) int {
 	return c.Hits
 }
 
+// order is one selection pass over a round: the candidates it admits, those
+// that may reach minHits hits at a cost of at most maxCost, and the key it
+// takes them in, (key, query) ascending: Cost/bound when perHit (best), else
+// Cost (cheapest). A slot whose probe is not solved yet enters under a key
+// from its bounds (open) that is at most the key its candidate will have.
+type order struct {
+	perHit  bool
+	minHits int
+	maxCost float64
+}
+
+// open returns the key of an open slot whose probe costs at least lower and
+// hits at most hitCap, and whether its candidate may be admitted.
+func (o order) open(lower float64, hitCap int) (float64, bool) {
+	switch {
+	case hitCap < o.minHits || lower > o.maxCost:
+		return 0, false
+	case !o.perHit:
+		return lower, true
+	case lower <= 0:
+		return math.Inf(-1), true
+	}
+	return lower / float64(hitCap), true
+}
+
+// ranked returns the key of candidate c and whether it is admitted.
+func (o order) ranked(c *Candidate) (float64, bool) {
+	switch {
+	case c.bound < o.minHits || c.Cost > o.maxCost:
+		return 0, false
+	case o.perHit:
+		return c.ratio, true
+	}
+	return c.Cost, true
+}
+
+// enqueue fills the round's selection heap with every slot o admits: a
+// ranked slot under its exact key, an open one under its bound key.
+func (rs *roundScratch) enqueue(o order) queue {
+	if cap(rs.queue) < len(rs.state) {
+		// Every slot at most once, and a pass never pushes more than it
+		// popped: q never outgrows this.
+		rs.queue = make(queue, 0, len(rs.state))
+	}
+	q := rs.queue[:0]
+	for slot, st := range rs.state {
+		key, ok := 0.0, false
+		switch st {
+		case slotOpen:
+			key, ok = o.open(rs.rows.lower[slot], rs.rows.cap[slot])
+		case slotRanked:
+			key, ok = o.ranked(&rs.cands[slot])
+		}
+		if ok {
+			q = append(q, queued{key, rs.rows.query[slot], slot})
+		}
+	}
+	q.init()
+	return q
+}
+
+// next returns the first entry of q, with its candidate ranked, or false once
+// q is empty or its first key is above limit. An open slot at the head is
+// solved first, in one batch with the open slots that share its key, and
+// re-enters q under its exact key if o admits it. An open slot's key is at
+// most its exact key, so ranked candidates leave q in exact (key, query)
+// order, as they would had every probe been solved first, and no probe whose
+// bound key is above limit is solved.
+func (rs *roundScratch) next(ctx context.Context, q *queue, o order, limit float64) (queued, bool, error) {
+	for len(*q) > 0 && (*q)[0].key <= limit {
+		head := (*q)[0]
+		if rs.state[head.slot] == slotRanked {
+			return head, true, nil
+		}
+		batch := rs.batch[:0]
+		for len(*q) > 0 && (*q)[0].key == head.key && rs.state[(*q)[0].slot] == slotOpen {
+			batch = append(batch, q.pop())
+		}
+		rs.batch = batch
+		if err := rs.solve(ctx, batch); err != nil {
+			return queued{}, false, err
+		}
+		for _, slot := range batch {
+			if rs.state[slot] != slotRanked {
+				continue
+			}
+			if key, ok := o.ranked(&rs.cands[slot]); ok {
+				q.push(queued{key, rs.rows.query[slot], slot})
+			}
+		}
+	}
+	return queued{}, false, nil
+}
+
 // best returns the round's candidate minimising cost per hit (Algorithm 3
 // line 9 / Algorithm 4 line 9); candidates that gain no hits over baseHits
 // are skipped. Ties are broken deterministically — lower cost, then lower
 // query index — so parallel and serial candidate generation always pick the
 // same winner (see DESIGN.md, "Deterministic parallelism").
 //
-// Only candidates that can win are counted: in ascending Cost/bound order,
-// a lower bound on Cost/Hits, until that bound is strictly above the best
-// ratio found. A candidate with Cost ≤ 0 has no such bound and is always
-// counted. The pick equals the one from counting every candidate.
-func (rs *roundScratch) best(ctx context.Context, baseHits int) (Candidate, bool) {
-	q := rs.queue[:0]
-	for slot := range rs.cands {
-		if c := &rs.cands[slot]; rs.valid[slot] && c.bound > baseHits {
-			q = append(q, queued{c.ratio, c.Query, slot})
-		}
-	}
-	rs.queue = q // keep the grown buffer
-	q.init()
+// Only candidates that can win are solved and counted: in ascending
+// Cost/bound order, a lower bound on Cost/Hits, until that bound is strictly
+// above the best ratio found; a row whose probe is not solved yet waits
+// under lower/cap, a lower bound on its Cost/bound. A candidate with
+// Cost ≤ 0 has no such bound and is always counted. The pick and the counts
+// equal those from solving every probe first, and the pick equals the one
+// from counting every candidate. A context that fails while a probe batch
+// is solved fails the round.
+func (rs *roundScratch) best(ctx context.Context, baseHits int) (Candidate, bool, error) {
+	defer rs.account(time.Now(), rs.rec.eval.Load())
+	o := order{perHit: true, minHits: baseHits + 1, maxCost: math.Inf(1)}
+	q := rs.enqueue(o)
 	best := Candidate{}
-	bestVal := 0.0
+	bestVal := math.Inf(1)
 	found := false
-	for len(q) > 0 {
-		slot := q.pop()
-		c := &rs.cands[slot]
-		if found && c.ratio > bestVal {
-			break // every candidate left has a ratio above bestVal too
+	for {
+		e, ok, err := rs.next(ctx, &q, o, bestVal)
+		if err != nil {
+			return Candidate{}, false, err
 		}
-		h := rs.hits(ctx, slot)
+		if !ok {
+			return best, found, nil // every key left is above bestVal
+		}
+		q.pop()
+		c := &rs.cands[e.slot]
+		h := rs.hits(ctx, e.slot)
 		if h <= baseHits {
 			continue // no progress; a ratio over stale hits would stall
 		}
@@ -465,28 +598,28 @@ func (rs *roundScratch) best(ctx context.Context, baseHits int) (Candidate, bool
 			best, bestVal, found = *c, ratio, true
 		}
 	}
-	return best, found
 }
 
 // cheapest returns the round's minimum (Cost, Query) candidate with at least
 // minHits hits and cost at most maxCost: the Min-Cost anti-overshoot pick and
-// the Max-Hit fill pick. Candidates are counted in that order, so only those
-// up to the first that qualifies are.
-func (rs *roundScratch) cheapest(ctx context.Context, minHits int, maxCost float64) (Candidate, bool) {
-	q := rs.queue[:0]
-	for slot := range rs.cands {
-		if c := &rs.cands[slot]; rs.valid[slot] && c.bound >= minHits && c.Cost <= maxCost {
-			q = append(q, queued{c.Cost, c.Query, slot})
+// the Max-Hit fill pick. Candidates are solved and counted in that order, a
+// row whose probe is not solved yet waiting under its cost's lower bound, so
+// only those up to the first that qualifies are. A context that fails while
+// a probe batch is solved fails the round.
+func (rs *roundScratch) cheapest(ctx context.Context, minHits int, maxCost float64) (Candidate, bool, error) {
+	defer rs.account(time.Now(), rs.rec.eval.Load())
+	o := order{minHits: minHits, maxCost: maxCost}
+	q := rs.enqueue(o)
+	for {
+		e, ok, err := rs.next(ctx, &q, o, math.Inf(1))
+		if err != nil || !ok {
+			return Candidate{}, false, err
+		}
+		q.pop()
+		if rs.hits(ctx, e.slot) >= minHits {
+			return rs.cands[e.slot], true, nil
 		}
 	}
-	rs.queue = q
-	q.init()
-	for len(q) > 0 {
-		if slot := q.pop(); rs.hits(ctx, slot) >= minHits {
-			return rs.cands[slot], true
-		}
-	}
-	return Candidate{}, false
 }
 
 // queued is a candidate waiting in a round's selection queue, ordered by
@@ -503,7 +636,8 @@ func (a queued) before(b queued) bool {
 }
 
 // queue is a binary min-heap of queued candidates, so a round takes them in
-// order and only as far as it counts: O(n) to build, O(log n) per pop.
+// order and only as far as it counts: O(n) to build, O(log n) per pop and
+// push.
 type queue []queued
 
 func (q queue) init() {
@@ -521,6 +655,20 @@ func (q *queue) pop() int {
 	*q = h[:n]
 	q.down(0)
 	return top
+}
+
+// push adds e to q.
+func (q *queue) push(e queued) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
 }
 
 func (q queue) down(i int) {

@@ -6,9 +6,9 @@ package core
 // process-wide obs registry (solve totals by outcome, duration histograms,
 // threshold-cache hits) so /metrics shows where time goes. Collection must
 // never perturb results — the recorder only counts and times; it makes no
-// decisions. The greedy fan-out adds to it once per worker and round, and
-// each exact hit count once; the process-wide series are published once per
-// solve.
+// decisions. A greedy round adds to it once per pass over the table and
+// once per selection pass, and each exact hit count once; the process-wide
+// series are published once per solve.
 
 import (
 	"context"
@@ -21,28 +21,32 @@ import (
 )
 
 // SolveStats profiles one solve. Stage wall times cover the two halves of
-// the greedy search: SolveHitWall is the candidate fan-out — the per-query
-// min-cost subproblem (Equations 13–14) of every probe and its hit bound —
+// the greedy search: SolveHitWall is the candidate fan-out — each round's
+// pass over the threshold table with its bounds, and the per-query min-cost
+// subproblem (Equations 13–14) of every probe solved with its hit bound —
 // and EvalWall the exact Eq. 6 hit counts against the threshold table.
 type SolveStats struct {
 	// Rounds counts greedy iterations (Algorithm 3/4 outer loops).
 	Rounds int `json:"rounds"`
 	// Probes counts per-query candidate solves attempted, including ones
-	// discarded as infeasible.
+	// discarded as infeasible. A probe is counted when it is solved, not
+	// once per unhit query: a greedy round solves only the probes whose
+	// bounds let them reach the head of its selection order.
 	Probes int `json:"probes"`
 	// Pruned counts probes discarded before ranking: the per-query
 	// subproblem was infeasible, violated bounds, or failed to embed.
 	Pruned int `json:"pruned"`
-	// Candidates counts probes ranked: those that survived to a hit bound.
-	// Pruned + Candidates = Probes.
+	// Candidates counts probes ranked: those solved that survived to a hit
+	// bound. Pruned + Candidates = Probes.
 	Candidates int `json:"candidates"`
 	// Counted counts exact hit counts: the candidates a round had to count
 	// to pick its winner (every candidate, for the multi-target solvers).
 	Counted int `json:"counted"`
 	// Wall is the solve's total wall time.
 	Wall time.Duration `json:"wall_ns"`
-	// SolveHitWall accumulates time in the candidate fan-out: per-query
-	// min-cost subproblems and hit bounds.
+	// SolveHitWall accumulates wall time in the candidate fan-out: each
+	// round's pass, and its selection passes net of their exact counts —
+	// the per-query min-cost subproblems solved, with their hit bounds.
 	SolveHitWall time.Duration `json:"solve_hit_wall_ns"`
 	// EvalWall accumulates time in exact hit counts.
 	EvalWall time.Duration `json:"eval_wall_ns"`
@@ -92,9 +96,9 @@ func (r *recorder) thresholdMisses(n int) {
 
 func newRecorder() *recorder { return &recorder{} }
 
-// fanOut adds one worker's share of a round: its probes, one threshold
+// fanOut adds one selection pass's probes: their number, one threshold
 // lookup each, the pruned ones, the rest as ranked candidates, and the
-// worker's wall time.
+// pass's wall time net of its exact counts.
 func (r *recorder) fanOut(t tally, d time.Duration) {
 	r.probes.Add(t.probes)
 	r.pruned.Add(t.pruned)

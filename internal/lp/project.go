@@ -192,7 +192,7 @@ func BoxedMinL2ToHalfspace(s, n vec.Vector, rhs float64, lo, hi vec.Vector) erro
 
 // CostFunc is a user-defined cost of applying strategy s; it must be convex
 // with Cost(0) == 0 and non-decreasing in |sᵢ| for the solvers here to find
-// global optima.
+// global optima. It must not keep s, which the solvers reuse.
 type CostFunc func(s vec.Vector) float64
 
 // MinCostToHalfspace minimises an arbitrary convex cost subject to
@@ -201,6 +201,10 @@ type CostFunc func(s vec.Vector) float64
 // coordinate-exchange: starting from the L2 projection, it iteratively tries
 // transferring requirement between coordinate pairs while the cost improves.
 // For the closed-form families, prefer the dedicated functions.
+//
+// The line searches write their points into two reused buffers, trial and
+// cand, so a call allocates four vectors however many steps they take; each
+// point s + t·dir is summed as vec.Add(s, vec.Scale(dir, t)) sums it.
 func MinCostToHalfspace(cost CostFunc, n vec.Vector, rhs float64) (vec.Vector, error) {
 	if rhs >= 0 {
 		return vec.New(len(n)), nil
@@ -211,6 +215,13 @@ func MinCostToHalfspace(cost CostFunc, n vec.Vector, rhs float64) (vec.Vector, e
 		return nil, err
 	}
 	best := cost(s)
+	dir, trial, cand := vec.New(d), vec.New(d), vec.New(d)
+	step := func(dst vec.Vector, t float64) vec.Vector {
+		for k := range dst {
+			dst[k] = s[k] + float64(dir[k]*t)
+		}
+		return dst
+	}
 	// Coordinate-exchange refinement on the hyperplane n·s = rhs.
 	improved := true
 	for pass := 0; pass < 40 && improved; pass++ {
@@ -225,17 +236,16 @@ func MinCostToHalfspace(cost CostFunc, n vec.Vector, rhs float64) (vec.Vector, e
 				}
 				// Move delta along direction eᵢ − (nᵢ/nⱼ)eⱼ which keeps
 				// n·s constant; line-search the delta by golden section.
-				dir := vec.New(d)
+				clear(dir)
 				dir[i] = 1
 				dir[j] = -n[i] / n[j]
 				lo, hi := -vec.Norm2(s)-1, vec.Norm2(s)+1
 				f := func(t float64) float64 {
-					return cost(vec.Add(s, vec.Scale(dir, t)))
+					return cost(step(trial, t))
 				}
 				t := goldenSection(f, lo, hi, 1e-9)
-				cand := vec.Add(s, vec.Scale(dir, t))
-				if c := cost(cand); c < best-1e-12 {
-					s, best = cand, c
+				if c := cost(step(cand, t)); c < best-1e-12 {
+					s, cand, best = cand, s, c
 					improved = true
 				}
 			}

@@ -636,34 +636,108 @@ func TestLoadClassifiesCorruptionVsIO(t *testing.T) {
 // length and the message's both have to change), so named seeds cover
 // decodeSnapshot's length checks.
 func FuzzLoad(f *testing.F) {
-	f.Fuzz(func(t *testing.T, in []byte) {
-		sys, err := Load(bytes.NewReader(in))
-		if err != nil {
-			if !errors.Is(err, ErrCorruptSnapshot) {
-				t.Fatalf("Load error %v does not wrap ErrCorruptSnapshot", err)
+	f.Fuzz(checkLoad)
+}
+
+// checkLoad is FuzzLoad's property: Load of in either fails as corrupt or
+// returns a System that saves, loads again to the same epoch and sizes, and
+// saves again to the same bytes.
+func checkLoad(t *testing.T, in []byte) {
+	sys, err := Load(bytes.NewReader(in))
+	if err != nil {
+		if !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("Load error %v does not wrap ErrCorruptSnapshot", err)
+		}
+		return
+	}
+	var first, second bytes.Buffer
+	if err := sys.Save(&first); err != nil {
+		t.Fatalf("Save of a loaded System: %v", err)
+	}
+	again, err := Load(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("Load of a saved System: %v", err)
+	}
+	if again.Epoch() != sys.Epoch() || again.NumObjects() != sys.NumObjects() ||
+		again.NumQueries() != sys.NumQueries() {
+		t.Fatalf("reload: epoch %d, %d objects, %d queries; want %d, %d, %d",
+			again.Epoch(), again.NumObjects(), again.NumQueries(),
+			sys.Epoch(), sys.NumObjects(), sys.NumQueries())
+	}
+	if err := again.Save(&second); err != nil {
+		t.Fatalf("Save of a reloaded System: %v", err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("a reloaded System saves %d bytes that differ from the %d it loaded",
+			second.Len(), first.Len())
+	}
+}
+
+// FuzzLoadFields checks FuzzLoad's property on snapshots built field by
+// field: the fuzzer picks the version, the epoch, the object count and
+// dimension, the lengths of both tombstone slices (nil when the length byte
+// is 255), and the index options, and vals supplies the attributes, the
+// tombstones, and the query ids, Ks and points, each point of dimension
+// qdim. The snapshot is gob-encoded as Save encodes it. Lengthening a slice
+// in FuzzLoad's bytes means rewriting two gob length prefixes, so byte
+// mutations rarely reach decodeSnapshot's length checks; here they are one
+// mutation away.
+func FuzzLoadFields(f *testing.F) {
+	f.Add(uint8(3), uint64(2), uint8(4), uint8(2), uint8(4), uint8(3), uint8(2), uint8(3), int8(0), int8(1), int8(0),
+		[]byte{8, 4, 2, 6, 1, 7, 5, 3, 0b0100, 8, 0, 0, 1, 8, 4, 1, 2, 4, 4, 2, 1, 0b010})
+	f.Fuzz(func(t *testing.T, version uint8, epoch uint64, objects, dim, removed, queries, qdim, queryRemoved uint8,
+		fanout, slack, maxInter int8, vals []byte) {
+		next := func() int8 {
+			if len(vals) == 0 {
+				return 0
 			}
-			return
+			b := int8(vals[0])
+			vals = vals[1:]
+			return b
 		}
-		var first, second bytes.Buffer
-		if err := sys.Save(&first); err != nil {
-			t.Fatalf("Save of a loaded System: %v", err)
+		flags := func(n uint8) []bool {
+			if n == 255 {
+				return nil
+			}
+			out := make([]bool, n%12)
+			var b uint8
+			for i := range out {
+				if i%8 == 0 {
+					b = uint8(next())
+				}
+				out[i] = b>>(i%8)&1 == 1
+			}
+			return out
 		}
-		again, err := Load(bytes.NewReader(first.Bytes()))
-		if err != nil {
-			t.Fatalf("Load of a saved System: %v", err)
+		d := int(dim % 4)
+		snap := snapshot{
+			Version: int(version % 5),
+			Epoch:   epoch,
+			Space:   spaceSpec{Kind: "linear", Dim: d},
+			Objects: make([]vec.Vector, objects%9),
+			Options: IndexOptions{TreeFanout: int(fanout), Slack: int(slack), MaxIntersections: int(maxInter)},
 		}
-		if again.Epoch() != sys.Epoch() || again.NumObjects() != sys.NumObjects() ||
-			again.NumQueries() != sys.NumQueries() {
-			t.Fatalf("reload: epoch %d, %d objects, %d queries; want %d, %d, %d",
-				again.Epoch(), again.NumObjects(), again.NumQueries(),
-				sys.Epoch(), sys.NumObjects(), sys.NumQueries())
+		for i := range snap.Objects {
+			snap.Objects[i] = make(vec.Vector, d)
+			for k := range snap.Objects[i] {
+				snap.Objects[i][k] = float64(next()) / 8
+			}
 		}
-		if err := again.Save(&second); err != nil {
-			t.Fatalf("Save of a reloaded System: %v", err)
+		snap.Removed = flags(removed)
+		for j := 0; j < int(queries%7); j++ {
+			pt := make(vec.Vector, qdim%4)
+			for k := range pt {
+				pt[k] = float64(next()) / 8
+			}
+			snap.QueryID = append(snap.QueryID, int(next()))
+			snap.QueryK = append(snap.QueryK, int(next()))
+			snap.QueryPt = append(snap.QueryPt, pt)
 		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("a reloaded System saves %d bytes that differ from the %d it loaded",
-				second.Len(), first.Len())
+		snap.QueryRemoved = flags(queryRemoved)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
 		}
+		checkLoad(t, buf.Bytes())
 	})
 }
