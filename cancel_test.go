@@ -16,7 +16,7 @@ import (
 func timeZero() time.Time { return time.Unix(0, 1) }
 
 // cancelFixture builds the acceptance-scale workload: ≥2k queries, so one
-// uncancelled greedy round alone is thousands of per-query solves. The
+// uncancelled greedy round alone is hundreds of per-query solves. The
 // object count stays small and the intersection cap bounds index build time;
 // the solver cost this test cares about scales with the query count.
 func cancelFixture(t *testing.T) *System {
@@ -50,19 +50,18 @@ func TestCancelMidSolveLeavesSystemUntouched(t *testing.T) {
 	epochBefore := sys.Epoch()
 	attrsBefore := sys.Attrs(0)
 
-	const (
-		cancelAt = 40 // probes before cancellation; an uncancelled round runs ~2000
-		workers  = 2
-	)
+	// Probes before cancellation. Uncancelled, the first round solves 574
+	// probes of its 2048 unhit rows for Min-Cost and 552 for Max-Hit.
+	const cancelAt = 40
 	for _, tc := range []struct {
 		name  string
 		solve func(ctx context.Context) (*Result, error)
 	}{
 		{"mincost", func(ctx context.Context) (*Result, error) {
-			return sys.MinCostCtx(ctx, MinCostRequest{Target: 0, Tau: 200, Cost: L2Cost{}, Workers: workers})
+			return sys.MinCostCtx(ctx, MinCostRequest{Target: 0, Tau: 200, Cost: L2Cost{}})
 		}},
 		{"maxhit", func(ctx context.Context) (*Result, error) {
-			return sys.MaxHitCtx(ctx, MaxHitRequest{Target: 0, Budget: 1, Cost: L2Cost{}, Workers: workers})
+			return sys.MaxHitCtx(ctx, MaxHitRequest{Target: 0, Budget: 1, Cost: L2Cost{}})
 		}},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -91,15 +90,12 @@ func TestCancelMidSolveLeavesSystemUntouched(t *testing.T) {
 		if res != nil {
 			t.Fatalf("%s: partial result %+v not discarded", tc.name, res)
 		}
-		// Early-exit bound: a worker checks ctx before each probe and the
-		// hook fires first thing in a probe, so once cancel() has returned
-		// each worker starts at most the one probe whose check it had
-		// already passed. Counting from cancel()'s return rather than from
-		// the cancelAt-th probe keeps the bound independent of how long the
-		// cancelling worker is descheduled between the two; a solve that
-		// ignored cancellation would run ~2000 more.
-		if got := late.Load(); got > workers {
-			t.Fatalf("%s: %d probes started after cancel() returned, want ≤ %d", tc.name, got, workers)
+		// Early-exit bound: a solve runs its probes on its own goroutine and
+		// checks ctx before each, so no probe starts after the one whose hook
+		// cancelled; a solve that ignored cancellation would run hundreds
+		// more in the same round.
+		if got := late.Load(); got != 0 {
+			t.Fatalf("%s: %d probes started after cancel() returned, want 0", tc.name, got)
 		}
 	}
 

@@ -23,7 +23,7 @@ func TestBatchEndpointMatchesSingleSolves(t *testing.T) {
 	req := batchRequest{Items: []batchItemWire{
 		{Op: "mincost", Target: 5, Tau: 6},
 		{Op: "maxhit", Target: 2, Budget: 0.5},
-		{Op: "mincost", Target: 5, Tau: 6, Workers: 4}, // repeat: cache-warm
+		{Op: "mincost", Target: 5, Tau: 6}, // repeat: cache-warm
 	}}
 	resp, body := post(t, ts.URL+"/v1/solve/batch", req)
 	if resp.StatusCode != http.StatusOK {

@@ -92,6 +92,7 @@ func TestErrorSurfaceTable(t *testing.T) {
 	}{
 		{"malformed JSON", loaded.URL + "/v1/mincost", `{nope`, http.StatusBadRequest},
 		{"unknown field", loaded.URL + "/v1/mincost", `{"target":0,"tau":1,"bogus":true}`, http.StatusBadRequest},
+		{"removed workers field", loaded.URL + "/v1/mincost", `{"target":0,"tau":1,"workers":2}`, http.StatusBadRequest},
 		{"trailing object", loaded.URL + "/v1/mincost", `{"target":0,"tau":1}{"target":9,"tau":1}`, http.StatusBadRequest},
 		{"trailing garbage", loaded.URL + "/v1/commit", `{"target":0,"strategy":[0,0,0]} [1,2]`, http.StatusBadRequest},
 		{"oversized body", tinyBody.URL + "/v1/mincost",

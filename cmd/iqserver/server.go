@@ -8,8 +8,8 @@
 //
 //	POST /v1/load        {objects, queries}            -> {objects, queries}
 //	GET  /v1/stats                                     -> index statistics
-//	POST /v1/mincost     {target, tau, cost?, frozen?, workers?, timeout_ms?}
-//	POST /v1/maxhit      {target, budget, cost?, frozen?, workers?, timeout_ms?}
+//	POST /v1/mincost     {target, tau, cost?, frozen?, timeout_ms?}
+//	POST /v1/maxhit      {target, budget, cost?, frozen?, timeout_ms?}
 //	POST /v1/solve/batch {items: [{op, target, tau|budget, ...}], timeout_ms?}
 //	POST /v1/evaluate    {target, strategy}            -> {hits}
 //	POST /v1/commit      {target, strategy}            -> {hits}
@@ -381,8 +381,8 @@ func (s *server) warnIfSlow(ctx context.Context, op string, target int, st iq.So
 // admit bounds the number of concurrently running solver requests. The
 // refusal is immediate — no queueing — so under overload clients get a fast
 // 429 + Retry-After and can back off, instead of piling onto a server that
-// is already saturated (the engine parallelises within a solve; stacking
-// solves only adds memory pressure and tail latency).
+// is already saturated (stacking solves beyond the cores only adds memory
+// pressure and tail latency).
 func (s *server) admit(next http.Handler) http.Handler {
 	if s.inflight == nil {
 		return next
@@ -420,12 +420,11 @@ type costWire struct {
 }
 
 type iqRequest struct {
-	Target  int       `json:"target"`
-	Tau     int       `json:"tau,omitempty"`
-	Budget  float64   `json:"budget,omitempty"`
-	Cost    *costWire `json:"cost,omitempty"`
-	Frozen  []int     `json:"frozen,omitempty"`
-	Workers int       `json:"workers,omitempty"`
+	Target int       `json:"target"`
+	Tau    int       `json:"tau,omitempty"`
+	Budget float64   `json:"budget,omitempty"`
+	Cost   *costWire `json:"cost,omitempty"`
+	Frozen []int     `json:"frozen,omitempty"`
 	// TimeoutMS tightens the server's request timeout for this solve; it
 	// is capped at (never extends) the -request-timeout flag.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -445,13 +444,12 @@ type iqResponse struct {
 // match the single-solve endpoints. TimeoutMS is intentionally absent — the
 // batch shares one deadline, set by batchRequest.TimeoutMS.
 type batchItemWire struct {
-	Op      string    `json:"op"`
-	Target  int       `json:"target"`
-	Tau     int       `json:"tau,omitempty"`
-	Budget  float64   `json:"budget,omitempty"`
-	Cost    *costWire `json:"cost,omitempty"`
-	Frozen  []int     `json:"frozen,omitempty"`
-	Workers int       `json:"workers,omitempty"`
+	Op     string    `json:"op"`
+	Target int       `json:"target"`
+	Tau    int       `json:"tau,omitempty"`
+	Budget float64   `json:"budget,omitempty"`
+	Cost   *costWire `json:"cost,omitempty"`
+	Frozen []int     `json:"frozen,omitempty"`
 }
 
 type batchRequest struct {
@@ -767,7 +765,7 @@ func (s *server) handleMinCost(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := s.solveContext(r, req.TimeoutMS)
 		defer cancel()
 		res, err := sys.MinCostCtx(ctx, iq.MinCostRequest{
-			Target: req.Target, Tau: req.Tau, Cost: cost, Bounds: bounds, Workers: req.Workers,
+			Target: req.Target, Tau: req.Tau, Cost: cost, Bounds: bounds,
 		})
 		if err != nil {
 			s.writeErr(w, statusFor(err), err)
@@ -800,7 +798,7 @@ func (s *server) handleMaxHit(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := s.solveContext(r, req.TimeoutMS)
 		defer cancel()
 		res, err := sys.MaxHitCtx(ctx, iq.MaxHitRequest{
-			Target: req.Target, Budget: req.Budget, Cost: cost, Bounds: bounds, Workers: req.Workers,
+			Target: req.Target, Budget: req.Budget, Cost: cost, Bounds: bounds,
 		})
 		if err != nil {
 			s.writeErr(w, statusFor(err), err)
@@ -854,11 +852,11 @@ func (s *server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 			switch it.Op {
 			case "mincost":
 				items[i].MinCost = &iq.MinCostRequest{
-					Target: it.Target, Tau: it.Tau, Cost: cost, Bounds: bounds, Workers: it.Workers,
+					Target: it.Target, Tau: it.Tau, Cost: cost, Bounds: bounds,
 				}
 			case "maxhit":
 				items[i].MaxHit = &iq.MaxHitRequest{
-					Target: it.Target, Budget: it.Budget, Cost: cost, Bounds: bounds, Workers: it.Workers,
+					Target: it.Target, Budget: it.Budget, Cost: cost, Bounds: bounds,
 				}
 			default:
 				s.writeErr(w, http.StatusBadRequest,

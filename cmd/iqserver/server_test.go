@@ -172,11 +172,10 @@ func TestMaxHitWithOptions(t *testing.T) {
 	ts := testServer(t)
 	loadDataset(t, ts, 80, 30)
 	req := iqRequest{
-		Target:  2,
-		Budget:  0.5,
-		Cost:    &costWire{Weighted: iq.Vector{1, 2, 3}},
-		Frozen:  []int{0},
-		Workers: 3,
+		Target: 2,
+		Budget: 0.5,
+		Cost:   &costWire{Weighted: iq.Vector{1, 2, 3}},
+		Frozen: []int{0},
 	}
 	resp, body := post(t, ts.URL+"/v1/maxhit", req)
 	if resp.StatusCode != http.StatusOK {

@@ -70,8 +70,8 @@ func TestSolveHitAllocsLinearWarm(t *testing.T) {
 // A cache-warm greedy round — the pass (generateCandidates), best, the
 // anti-overshoot cheapest pass, and every probe their bounds make them
 // solve — allocates nothing with an unbounded built-in cost, whatever its
-// probe count: the round's one pass over the table, its bounds, its
-// selection heap and its batches reuse their buffers, each probe writes its
+// probe count: the round's one pass over the table, its bounds and its
+// selection heap reuse their buffers, each probe writes its
 // strategy and improved coefficients into the round's slot buffers, and
 // untraced spans box no attribute (SetAttr boxes an int, which allocates
 // from 256 up, so a boxed unhit count or query index shows at 600 queries).
@@ -91,7 +91,7 @@ func TestGenerateCandidatesAllocsPerRoundWarm(t *testing.T) {
 		for _, cost := range costs {
 			rs := &roundScratch{tab: tab, rec: rec}
 			round := func() {
-				generateCandidates(ctx, w, 1, cur, w.Coeff(target), cost, nil, rs)
+				generateCandidates(ctx, w, cur, w.Coeff(target), cost, nil, rs)
 				best, ok, err := rs.best(ctx, base)
 				if err != nil || !ok {
 					t.Fatalf("round found no candidate gaining a hit (%v)", err)

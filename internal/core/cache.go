@@ -68,7 +68,7 @@ const (
 )
 
 // hitTable is one target's Eq. 6 thresholds on one index snapshot. It is
-// immutable and shared by every worker of every solve on the snapshot.
+// immutable and shared by every solve on the snapshot.
 type hitTable struct {
 	epoch  uint64
 	target int

@@ -24,11 +24,10 @@ func sameResult(a, b *Result) bool {
 		a.Hits == b.Hits && a.BaseHits == b.BaseHits
 }
 
-// TestSolveCacheBitIdentical is the counterpart of the deterministic
-// parallelism property test: across seeds, targets, and worker counts, a
-// solve served from stored tables must return bit-identical results to a
-// solve on a from-scratch rebuild of the snapshot — same strategy vector,
-// same cost, same hit counts, same error outcome.
+// TestSolveCacheBitIdentical: across seeds and targets, a solve served from
+// stored tables must return bit-identical results to a solve on a
+// from-scratch rebuild of the snapshot — same strategy vector, same cost,
+// same hit counts, same error outcome.
 func TestSolveCacheBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -37,35 +36,33 @@ func TestSolveCacheBitIdentical(t *testing.T) {
 			target := rng.Intn(idx.Workload().NumObjects())
 			tau := 4 + rng.Intn(10)
 			budget := 0.2 + rng.Float64()*0.6
-			for _, workers := range []int{1, 4} {
-				mcReq := MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}, Workers: workers}
-				mhReq := MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}, Workers: workers}
+			mcReq := MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}}
+			mhReq := MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}}
 
-				fresh := rebuilt(t, idx)
-				coldMC, coldMCErr := MinCostIQ(fresh, mcReq)
-				coldMH, coldMHErr := MaxHitIQ(fresh, mhReq)
-				// Twice: the first solve may derive the table, the second
-				// reads it stored.
-				for pass := 0; pass < 2; pass++ {
-					mc, err := MinCostIQ(idx, mcReq)
-					if (err == nil) != (coldMCErr == nil) {
-						t.Fatalf("seed %d trial %d workers %d pass %d: MinCost error diverged: stored=%v rebuilt=%v",
-							seed, trial, workers, pass, err, coldMCErr)
-					}
-					if !sameResult(coldMC, mc) {
-						t.Fatalf("seed %d trial %d workers %d pass %d: MinCost diverged\n rebuilt %v cost=%v hits=%d\n stored  %v cost=%v hits=%d",
-							seed, trial, workers, pass,
-							coldMC.Strategy, coldMC.Cost, coldMC.Hits,
-							mc.Strategy, mc.Cost, mc.Hits)
-					}
-					mh, err := MaxHitIQ(idx, mhReq)
-					if (err == nil) != (coldMHErr == nil) {
-						t.Fatalf("seed %d trial %d workers %d pass %d: MaxHit error diverged: stored=%v rebuilt=%v",
-							seed, trial, workers, pass, err, coldMHErr)
-					}
-					if !sameResult(coldMH, mh) {
-						t.Fatalf("seed %d trial %d workers %d pass %d: MaxHit diverged", seed, trial, workers, pass)
-					}
+			fresh := rebuilt(t, idx)
+			coldMC, coldMCErr := MinCostIQ(fresh, mcReq)
+			coldMH, coldMHErr := MaxHitIQ(fresh, mhReq)
+			// Twice: the first solve may derive the table, the second reads
+			// it stored.
+			for pass := 0; pass < 2; pass++ {
+				mc, err := MinCostIQ(idx, mcReq)
+				if (err == nil) != (coldMCErr == nil) {
+					t.Fatalf("seed %d trial %d pass %d: MinCost error diverged: stored=%v rebuilt=%v",
+						seed, trial, pass, err, coldMCErr)
+				}
+				if !sameResult(coldMC, mc) {
+					t.Fatalf("seed %d trial %d pass %d: MinCost diverged\n rebuilt %v cost=%v hits=%d\n stored  %v cost=%v hits=%d",
+						seed, trial, pass,
+						coldMC.Strategy, coldMC.Cost, coldMC.Hits,
+						mc.Strategy, mc.Cost, mc.Hits)
+				}
+				mh, err := MaxHitIQ(idx, mhReq)
+				if (err == nil) != (coldMHErr == nil) {
+					t.Fatalf("seed %d trial %d pass %d: MaxHit error diverged: stored=%v rebuilt=%v",
+						seed, trial, pass, err, coldMHErr)
+				}
+				if !sameResult(coldMH, mh) {
+					t.Fatalf("seed %d trial %d pass %d: MaxHit diverged", seed, trial, pass)
 				}
 			}
 		}
@@ -213,7 +210,7 @@ func TestHitTableConcurrentFirstUse(t *testing.T) {
 		if tab != tabs[0] {
 			t.Fatalf("caller %d got a different table", i)
 		}
-		misses += int(recs[i].thrMisses.Load())
+		misses += int(recs[i].thrMisses)
 	}
 	if want := idx.Workload().NumQueries(); misses != want {
 		t.Fatalf("%d rows derived across %d concurrent first uses, want %d (one derivation)", misses, callers, want)
@@ -270,7 +267,7 @@ func TestFarCommitKeepsRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := MinCostRequest{Target: rng.Intn(40), Tau: 5, Cost: L2Cost{}, Workers: 2}
+	req := MinCostRequest{Target: rng.Intn(40), Tau: 5, Cost: L2Cost{}}
 	warm, err := MinCostIQ(idx, req)
 	if err != nil {
 		t.Fatal(err)

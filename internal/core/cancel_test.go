@@ -119,40 +119,38 @@ func TestCancelAtIteration(t *testing.T) {
 	}
 }
 
-// TestCancelMidFanOut cancels during candidate generation (probe
-// granularity). Cancelled at the fifth probe, the fan-out stops early: the
-// probe counter stays far below the number of unhit queries, serial and
-// parallel alike; the parallel case uses an expression cost, which has no
-// probe bounds, so its rounds fan every unhit row out at once. Cancelled
-// inside the last probe a solve's lazy rounds solve, the probe's batch
-// completes, but the round it serves must fail with ErrCanceled and no
-// Result, although its selection needs no further probe and the solve
-// would end with that round.
-func TestCancelMidFanOut(t *testing.T) {
+// TestCancelMidRound cancels during a greedy round's selection (probe
+// granularity). A solve runs its probes one at a time on its own goroutine
+// and checks its context before each, so no probe starts after the one
+// whose hook cancelled, with L2 and with an expression cost alike; the
+// expression cost has no probe bounds, so its rounds solve every unhit row.
+// Cancelled inside the last probe a solve's lazy rounds solve, the round it
+// serves must fail with ErrCanceled and no Result, although its selection
+// needs no further probe and the solve would end with that round.
+func TestCancelMidRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	idx := fixture(t, rng, 60, 50, 3, 3)
 	expr, err := NewExprCost("s1^2 + s2^2 + s3^2", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mincost := func(workers int, cost Cost) func(ctx context.Context) (*Result, error) {
+	mincost := func(cost Cost) func(ctx context.Context) (*Result, error) {
 		return func(ctx context.Context) (*Result, error) {
-			return MinCostIQCtx(ctx, idx, MinCostRequest{Target: 0, Tau: 30, Cost: cost, Workers: workers})
+			return MinCostIQCtx(ctx, idx, MinCostRequest{Target: 0, Tau: 30, Cost: cost})
 		}
 	}
 	maxhit := func(ctx context.Context) (*Result, error) {
 		return MaxHitIQCtx(ctx, idx, MaxHitRequest{Target: 0, Budget: 0.5, Cost: L2Cost{}})
 	}
 	cases := []struct {
-		name    string
-		run     func(ctx context.Context) (*Result, error)
-		workers int
-		last    bool // cancel in the solve's last probe, not its fifth
+		name string
+		run  func(ctx context.Context) (*Result, error)
+		last bool // cancel in the solve's last probe, not its fifth
 	}{
-		{"fifth/workers=1", mincost(1, L2Cost{}), 1, false},
-		{"fifth/workers=4", mincost(4, expr), 4, false},
-		{"last/mincost", mincost(1, L2Cost{}), 1, true},
-		{"last/maxhit", maxhit, 1, true},
+		{"fifth/L2", mincost(L2Cost{}), false},
+		{"fifth/expr", mincost(expr), false},
+		{"last/mincost", mincost(L2Cost{}), true},
+		{"last/maxhit", maxhit, true},
 	}
 	for _, c := range cases {
 		at := int64(5)
@@ -176,10 +174,8 @@ func TestCancelMidFanOut(t *testing.T) {
 		if !errors.Is(err, ErrCanceled) || res != nil {
 			t.Fatalf("%s: cancelled in probe %d: res=%v err=%v", c.name, at, res, err)
 		}
-		// Workers stop picking up slots once the context fails; with W
-		// workers at most W in-flight probes straggle past the cancel.
-		if got := probes.Load(); got > at+int64(c.workers) {
-			t.Fatalf("%s: %d probes ran after cancel at %d", c.name, got, at)
+		if got := probes.Load(); got != at {
+			t.Fatalf("%s: %d probes started, want %d: none after the cancelling one", c.name, got, at)
 		}
 	}
 }

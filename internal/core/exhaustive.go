@@ -108,10 +108,10 @@ func exhaustiveMinCostSolve(ctx context.Context, idx *subdomain.Index, req MinCo
 		s, err := solveJoint(req.Cost, ns, bs)
 		rec.solveDone(t0)
 		if err != nil {
-			rec.pruned.Add(1)
+			rec.pruned++
 			return true
 		}
-		rec.cands.Add(1)
+		rec.cands++
 		if c := req.Cost.Of(s); c < bestCost {
 			bestCost, bestS = c, s
 		}
@@ -193,10 +193,10 @@ func exhaustiveMaxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHit
 			s, err := solveJoint(req.Cost, ns, bs)
 			rec.solveDone(t0)
 			if err != nil {
-				rec.pruned.Add(1)
+				rec.pruned++
 				return true
 			}
-			rec.cands.Add(1)
+			rec.cands++
 			if c := req.Cost.Of(s); c <= req.Budget && c < bestCost {
 				bestCost, bestS = c, s
 			}

@@ -212,8 +212,8 @@ func checkLazyRounds(t *testing.T, w *topk.Workload, tab *hitTable, cost Cost, b
 	rounds := []struct{ cur, at vec.Vector }{{make(vec.Vector, len(cur)), w.Coeff(tab.target)}, {cur, at}}
 	for ri, r := range rounds {
 		name := fmt.Sprintf("%T bounds=%v round %d", cost, bounds != nil, ri+1)
-		generateCandidates(ctx, w, 1, r.cur, r.at, cost, bounds, lazy)
-		generateCandidates(ctx, w, 1, r.cur, r.at, cost, bounds, eager)
+		generateCandidates(ctx, w, r.cur, r.at, cost, bounds, lazy)
+		generateCandidates(ctx, w, r.cur, r.at, cost, bounds, eager)
 		if hit := tab.hits(r.at); hit+len(lazy.rows.query) != w.LiveQueries() {
 			t.Fatalf("%s at %v: %d unhit, table counts %d hits of %d live queries", name, r.at, len(lazy.rows.query), hit, w.LiveQueries())
 		}
@@ -222,13 +222,7 @@ func checkLazyRounds(t *testing.T, w *topk.Workload, tab *hitTable, cost Cost, b
 				t.Fatalf("%s at %v: query %d scored %v, vec.Dot %v", name, r.at, j, lazy.rows.score[slot], s)
 			}
 		}
-		all := make([]int, len(eager.state))
-		for slot := range all {
-			all[slot] = slot
-		}
-		if err := eager.solve(ctx, all); err != nil {
-			t.Fatal(err)
-		}
+		solveAll(t, eager)
 		var full []Candidate
 		for slot, st := range eager.state {
 			if st != slotRanked {
@@ -266,6 +260,16 @@ func checkLazyRounds(t *testing.T, w *topk.Workload, tab *hitTable, cost Cost, b
 		samePick(t, name+": cheapest", ec, want, eok, wantOK)
 		if l, e := countedSlots(lazy), countedSlots(eager); !slices.Equal(l, e) {
 			t.Fatalf("%s: lazy round counted slots %v, eager %v", name, l, e)
+		}
+	}
+}
+
+// solveAll solves every probe of the round rs opened, before any selection.
+func solveAll(t *testing.T, rs *roundScratch) {
+	t.Helper()
+	for slot := range rs.state {
+		if err := rs.solve(context.Background(), slot); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -5,7 +5,7 @@ package core
 // the exhaustive option) are polynomial but still expensive loops over the
 // whole workload; callers that run them under a deadline need a way to stop
 // mid-solve. The contract is: cancellation is observed at every iteration
-// boundary and inside the per-query candidate fan-out, the partial greedy
+// boundary and before every per-query candidate probe, the partial greedy
 // state is discarded (a cancelled solve returns a nil Result), and the error
 // wraps both the engine sentinel (ErrCanceled / ErrDeadlineExceeded) and the
 // context's own error so callers can match either family with errors.Is.
@@ -44,8 +44,9 @@ func CtxErr(ctx context.Context) error {
 // iteration granularity op names the greedy loop ("mincost", "maxhit",
 // "mincost-multi", "maxhit-multi") and the second argument counts rounds
 // from 1 within one solve. At probe granularity op is "probe" and the second
-// argument is the probe's slot in the current greedy round; probe callbacks
-// may run concurrently from worker goroutines.
+// argument is the probe's slot in the current greedy round. A solve calls
+// the hook on its own goroutine, but concurrent solves, such as the items of
+// a batch, may call it concurrently.
 type IterationHook func(op string, iteration int)
 
 // iterHook is the installed fault-injection hook; nil in production. It is
@@ -92,8 +93,8 @@ func MutationCheckpoint(ctx context.Context, iteration int) error {
 }
 
 // fireProbe notifies the hook of one candidate probe as a greedy round's
-// selection solves it. Unlike checkpoint it carries no context — the caller
-// checks cancellation itself — and it may be invoked concurrently.
+// selection solves it. Unlike checkpoint it carries no context: the caller
+// checks cancellation itself.
 func fireProbe(slot int) {
 	if p := iterHook.Load(); p != nil {
 		(*p)("probe", slot)

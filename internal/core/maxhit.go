@@ -18,11 +18,6 @@ type MaxHitRequest struct {
 	Budget float64
 	Cost   Cost
 	Bounds *Bounds
-	// Workers fans candidate evaluation out across goroutines (≤1 =
-	// serial; degenerate values are clamped to [1, max(2, GOMAXPROCS)]
-	// and never beyond the query count). The result is bit-identical
-	// regardless of worker count.
-	Workers int
 }
 
 // MaxHitIQ answers a Max-Hit improvement query with the greedy heuristic of
@@ -35,10 +30,10 @@ func MaxHitIQ(idx *subdomain.Index, req MaxHitRequest) (*Result, error) {
 // of Algorithm 4: while budget remains, apply the candidate strategy with
 // the lowest cost per hit; when the best-ratio candidate no longer fits, a
 // final fill pass applies the cheapest remaining candidate that still fits
-// and gains a hit (lines 13–17). Cancellation is observed at every greedy
-// round and inside the candidate fan-out; a cancelled solve discards its
-// partial strategy and returns a nil Result with
-// ErrCanceled/ErrDeadlineExceeded wrapping ctx.Err().
+// and gains a hit (lines 13–17). The solve runs on the caller's goroutine.
+// Cancellation is observed at every greedy round and before every probe; a
+// cancelled solve discards its partial strategy and returns a nil Result
+// with ErrCanceled/ErrDeadlineExceeded wrapping ctx.Err().
 //
 // One deliberate deviation from the paper's literal pseudocode: budgets are
 // checked against the cost of the *cumulative* strategy Cost(s*+s) rather
@@ -85,7 +80,6 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 	w := idx.Workload()
 	tab := hitTableFor(ctx, idx, req.Target, rec)
 	rs := &roundScratch{tab: tab, rec: rec}
-	workers := clampWorkers(req.Workers, w.NumQueries())
 	d := len(w.Attrs(req.Target))
 	at := w.Coeff(req.Target)
 	res := &Result{Strategy: vec.New(d)}
@@ -103,7 +97,7 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		generateCandidates(rctx, w, workers, res.Strategy, at, req.Cost, req.Bounds, rs)
+		generateCandidates(rctx, w, res.Strategy, at, req.Cost, req.Bounds, rs)
 		best, ok, err := rs.best(rctx, res.Hits)
 		if err != nil {
 			rsp.End()
@@ -126,8 +120,7 @@ func maxHitSolve(ctx context.Context, idx *subdomain.Index, req MaxHitRequest, r
 		// remaining candidate that fits and gains a hit, and re-enter the
 		// loop in case the new position unlocks more. Equal costs order by
 		// query index — unique within a round — so the pick is
-		// deterministic at any worker count (see DESIGN.md, "Deterministic
-		// parallelism").
+		// deterministic (see DESIGN.md, "Deterministic selection").
 		fill, found, err := rs.cheapest(rctx, res.Hits+1, req.Budget)
 		if err != nil {
 			rsp.End()

@@ -19,11 +19,6 @@ type MinCostRequest struct {
 	Cost   Cost
 	// Bounds restricts valid strategies (nil = unbounded).
 	Bounds *Bounds
-	// Workers fans candidate evaluation out across goroutines (≤1 =
-	// serial; degenerate values are clamped to [1, max(2, GOMAXPROCS)]
-	// and never beyond the query count). The result is bit-identical
-	// regardless of worker count.
-	Workers int
 }
 
 // Result reports an improvement query's outcome.
@@ -69,10 +64,10 @@ func MinCostIQ(idx *subdomain.Index, req MinCostRequest) (*Result, error) {
 // hit, counting hits against the target's Eq. 6 threshold table only for
 // the candidates a hit bound leaves in the running; the paper's
 // anti-overshoot rule returns the cheapest candidate reaching τ rather than
-// overshooting it. Cancellation is observed at every greedy round and inside
-// the candidate fan-out; a cancelled solve discards its partial strategy and
-// returns a nil Result with ErrCanceled/ErrDeadlineExceeded wrapping
-// ctx.Err().
+// overshooting it. The solve runs on the caller's goroutine. Cancellation is
+// observed at every greedy round and before every probe; a cancelled solve
+// discards its partial strategy and returns a nil Result with
+// ErrCanceled/ErrDeadlineExceeded wrapping ctx.Err().
 func MinCostIQCtx(ctx context.Context, idx *subdomain.Index, req MinCostRequest) (*Result, error) {
 	start := time.Now()
 	ctx, span := startSolveSpan(ctx, "mincost")
@@ -106,7 +101,6 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 	}
 	tab := hitTableFor(ctx, idx, req.Target, rec)
 	rs := &roundScratch{tab: tab, rec: rec}
-	workers := clampWorkers(req.Workers, w.NumQueries())
 	d := len(w.Attrs(req.Target))
 	at := w.Coeff(req.Target)
 	res := &Result{Strategy: vec.New(d)}
@@ -124,7 +118,7 @@ func minCostSolve(ctx context.Context, idx *subdomain.Index, req MinCostRequest,
 		// loop would pile up until the solve returns.
 		rctx, rsp := obs.StartSpan(ctx, "round")
 		rsp.SetAttr("round", res.Iterations)
-		generateCandidates(rctx, w, workers, res.Strategy, at, req.Cost, req.Bounds, rs)
+		generateCandidates(rctx, w, res.Strategy, at, req.Cost, req.Bounds, rs)
 		best, ok, err := rs.best(rctx, res.Hits)
 		if err != nil {
 			rsp.End()

@@ -182,21 +182,21 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 			rec.thresholdHit()
 			t1 := rec.solveDone(t0)
 			if err != nil || !spec.Bounds.Contains(u) {
-				rec.pruned.Add(1)
+				rec.pruned++
 				psp.SetAttr("pruned", "infeasible")
 				psp.End()
 				continue
 			}
 			uCost := spec.Cost.Of(u)
 			if !finiteStep(u, uCost) {
-				rec.pruned.Add(1)
+				rec.pruned++
 				psp.SetAttr("pruned", "nonfinite")
 				psp.End()
 				continue
 			}
 			coeff, err := w.Space().Embed(vec.Add(w.Attrs(spec.Target), u))
 			if err != nil {
-				rec.pruned.Add(1)
+				rec.pruned++
 				psp.SetAttr("pruned", "embed")
 				psp.End()
 				continue
@@ -207,7 +207,7 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 				esp.SetAttr("hits", h)
 			}
 			esp.End()
-			rec.cands.Add(1)
+			rec.cands++
 			rec.countDone(t1)
 			psp.End()
 			evals++

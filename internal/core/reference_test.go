@@ -280,14 +280,19 @@ func greedyTargets(t *testing.T, rng *rand.Rand, idx *subdomain.Index) (targets,
 	return nil, nil, nil
 }
 
+// unboundedL2 is the L2 cost as a user type: a greedy round has no probe
+// bounds for it, so every open row waits under the key −Inf and best solves
+// every probe, one at a time in query order.
+type unboundedL2 struct{ L2Cost }
+
 // TestGreedyMatchesReference is the greedy solvers' differential matrix:
 // MinCostIQ and MaxHitIQ against the reference Algorithms 3/4 above, over
-// L2, L1, weighted L2 and an expression cost that goes negative; without and
-// with bounds; 1 and 3 workers; on the solved snapshot, whose tables are
-// stored across the solves, and on a from-scratch rebuild of it; a linear
-// and a polynomial space; before and after a commit. Strategy and cost bits,
-// hits, base hits and rounds must be identical. It subsumes the pairwise
-// stored-vs-rebuilt and parallel-vs-serial checks.
+// L2, L1, weighted L2, L2 as a user cost with no probe bounds and an
+// expression cost that goes negative; without and with bounds; on the solved
+// snapshot, whose tables are stored across the solves, and on a
+// from-scratch rebuild of it; a linear and a polynomial space; before and
+// after a commit. Strategy and cost bits, hits, base hits and rounds must be
+// identical. It subsumes the pairwise stored-vs-rebuilt checks.
 func TestGreedyMatchesReference(t *testing.T) {
 	negative, err := NewExprCost("s1^2 + s2^2 + 0.01*s1", 2)
 	if err != nil {
@@ -300,6 +305,7 @@ func TestGreedyMatchesReference(t *testing.T) {
 		{"L2", L2Cost{}},
 		{"L1", L1Cost{}},
 		{"WeightedL2", WeightedL2Cost{Alpha: vec.Vector{1, 3}}},
+		{"unboundedL2", unboundedL2{}},
 		{"expr", negative},
 	}
 	bounds := []*Bounds{nil, {Lo: vec.Vector{-0.4, -0.25}, Hi: vec.Vector{0.05, 0.05}}}
@@ -352,18 +358,15 @@ func TestGreedyMatchesReference(t *testing.T) {
 										refs["mc"+key], refErrs["mc"+key] = refMinCost(t, at, mc)
 										refs["mh"+key] = refMaxHit(t, at, mh)
 									}
-									for _, workers := range []int{1, 3} {
-										mc.Workers, mh.Workers = workers, workers
-										got, err := MinCostIQ(at, mc)
-										if d := sameAnswer(got, refs["mc"+key], err, refErrs["mc"+key]); d != "" {
-											t.Errorf("fresh=%v phase=%d target=%d tau=%d workers=%d MinCost: %s",
-												fresh, phase, target, mc.Tau, workers, d)
-										}
-										got, err = MaxHitIQ(at, mh)
-										if d := sameAnswer(got, refs["mh"+key], err, nil); d != "" {
-											t.Errorf("fresh=%v phase=%d target=%d budget=%v workers=%d MaxHit: %s",
-												fresh, phase, target, mh.Budget, workers, d)
-										}
+									got, err := MinCostIQ(at, mc)
+									if d := sameAnswer(got, refs["mc"+key], err, refErrs["mc"+key]); d != "" {
+										t.Errorf("fresh=%v phase=%d target=%d tau=%d MinCost: %s",
+											fresh, phase, target, mc.Tau, d)
+									}
+									got, err = MaxHitIQ(at, mh)
+									if d := sameAnswer(got, refs["mh"+key], err, nil); d != "" {
+										t.Errorf("fresh=%v phase=%d target=%d budget=%v MaxHit: %s",
+											fresh, phase, target, mh.Budget, d)
 									}
 								}
 							}
@@ -386,7 +389,7 @@ func TestLazySelectionMatchesEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := []Cost{L2Cost{}, L1Cost{}, WeightedL2Cost{Alpha: vec.Vector{1, 3}}, negative}
+	costs := []Cost{L2Cost{}, L1Cost{}, WeightedL2Cost{Alpha: vec.Vector{1, 3}}, unboundedL2{}, negative}
 	bounds := []*Bounds{nil, {Lo: vec.Vector{-0.4, -0.25}, Hi: vec.Vector{0.05, 0.05}}}
 	spaces := []func(rng *rand.Rand) *subdomain.Index{
 		func(rng *rand.Rand) *subdomain.Index { return fixture(t, rng, 60, 36, 2, 3) },
@@ -409,15 +412,9 @@ func TestLazySelectionMatchesEager(t *testing.T) {
 					at := w.Coeff(target)
 					hits := tab.hits(at)
 					for round := 1; hits < taus[i]; round++ {
-						generateCandidates(ctx, w, 3, cur, at, cost, b, lazy)
-						generateCandidates(ctx, w, 3, cur, at, cost, b, eager)
-						all := make([]int, len(eager.state))
-						for slot := range all {
-							all[slot] = slot
-						}
-						if err := eager.solve(ctx, all); err != nil {
-							t.Fatal(err)
-						}
+						generateCandidates(ctx, w, cur, at, cost, b, lazy)
+						generateCandidates(ctx, w, cur, at, cost, b, eager)
+						solveAll(t, eager)
 						picks := []struct {
 							pass string
 							run  func(rs *roundScratch) (Candidate, bool, error)
@@ -446,7 +443,7 @@ func TestLazySelectionMatchesEager(t *testing.T) {
 						if l, e := countedSlots(lazy), countedSlots(eager); !slices.Equal(l, e) {
 							t.Fatalf("%s round %d: lazy round counted slots %v, eager %v", name, round, l, e)
 						}
-						if l, e := lazy.rec.probes.Load(), eager.rec.probes.Load(); l > e {
+						if l, e := lazy.rec.probes, eager.rec.probes; l > e {
 							t.Fatalf("%s round %d: lazy rounds solved %d probes, eager %d", name, round, l, e)
 						}
 						if !found {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"iq/internal/obs"
@@ -43,13 +41,12 @@ func absF(x float64) float64 {
 	return x
 }
 
-// probeScratch is one worker's reusable buffers for the per-probe subproblem
-// (solveHit's shifted bounds). A probeScratch is owned by one goroutine;
-// callers without one may pass nil and pay the allocations.
+// probeScratch is one solve's reusable buffers for the per-probe subproblem
+// (solveHit's shifted bounds); callers without one may pass nil and pay the
+// allocations.
 type probeScratch struct {
 	lo, hi vec.Vector // shifted bounds backing stores
 	bounds Bounds     // aliases lo/hi so no Bounds escapes per probe
-	done   tally      // the worker's probes since the last account
 }
 
 // solveHit writes into u a low-cost cumulative strategy (relative to the
@@ -231,29 +228,21 @@ type roundScratch struct {
 	rec *recorder
 	pb  probeBounds
 
-	w       *topk.Workload
-	cur     vec.Vector
-	cost    Cost
-	bounds  *Bounds
-	workers int
-	rows    unhitRows
-	state   []uint8
-	cands   []Candidate
-	strats  vec.Vector // slot-major, sdim per slot
-	coeffs  vec.Vector // slot-major, dim per slot
-	sdim    int
-	dim     int
-	opened  bool // the solve's first round has run
-	bound   hitBound
-	queue   queue
-	batch   []int
-	probes  []probeScratch // indexed by worker
-}
-
-// tally is one fan-out worker's count of its probes; a selection pass adds
-// every worker's to the recorder once, when it ends (account).
-type tally struct {
-	probes, pruned int64
+	w      *topk.Workload
+	cur    vec.Vector
+	cost   Cost
+	bounds *Bounds
+	rows   unhitRows
+	state  []uint8
+	cands  []Candidate
+	strats vec.Vector // slot-major, sdim per slot
+	coeffs vec.Vector // slot-major, dim per slot
+	sdim   int
+	dim    int
+	opened bool // the solve's first round has run
+	bound  hitBound
+	queue  queue
+	sc     probeScratch
 }
 
 // generateCandidates opens one round of the inner loop of Algorithms 3 and 4
@@ -272,7 +261,7 @@ type tally struct {
 // writes its strategy and improved coefficients into the slot's share of
 // rs.strats and rs.coeffs: a warm round with an unbounded built-in cost
 // allocates nothing, and a solver clones the candidate it applies.
-func generateCandidates(ctx context.Context, w *topk.Workload, workers int, cur, at vec.Vector, cost Cost, bounds *Bounds, rs *roundScratch) {
+func generateCandidates(ctx context.Context, w *topk.Workload, cur, at vec.Vector, cost Cost, bounds *Bounds, rs *roundScratch) {
 	start := time.Now()
 	_, csp := obs.StartSpan(ctx, "candidates")
 	defer csp.End()
@@ -285,7 +274,6 @@ func generateCandidates(ctx context.Context, w *topk.Workload, workers int, cur,
 	if csp != nil {
 		// SetAttr boxes its ints, which allocates from 256 up.
 		csp.SetAttr("unhit", n)
-		csp.SetAttr("workers", workers)
 	}
 	if cap(rs.cands) < n {
 		rs.cands = make([]Candidate, n)
@@ -293,86 +281,39 @@ func generateCandidates(ctx context.Context, w *topk.Workload, workers int, cur,
 	}
 	rs.cands, rs.state = rs.cands[:n], rs.state[:n]
 	clear(rs.state)
-	if len(rs.probes) < workers {
-		rs.probes = make([]probeScratch, workers)
-	}
-	rs.w, rs.cur, rs.cost, rs.bounds, rs.workers = w, cur, cost, bounds, workers
+	rs.w, rs.cur, rs.cost, rs.bounds = w, cur, cost, bounds
 	rs.sdim, rs.dim = len(cur), len(at)
 	rs.strats = growVec(rs.strats, n*rs.sdim)
 	rs.coeffs = growVec(rs.coeffs, n*rs.dim)
-	rs.rec.solve.Add(int64(time.Since(start)))
+	rs.rec.solve += int64(time.Since(start))
 }
 
-// solve solves the probes of the slots in batch, fanned out over the round's
-// workers when the batch is large enough, and returns the translated context
-// error if ctx failed: a round whose batch was cancelled fails, so the
-// solvers discard its partial work instead of greedily applying a winner
-// chosen from whatever subset happened to finish.
-//
-// Cancellation is checked before every probe, serial or parallel: workers
-// stop picking up slots as soon as ctx fails. Bit-for-bit determinism is
-// preserved: probes land in slot-indexed order and every path reproduces the
-// same arithmetic.
-func (rs *roundScratch) solve(ctx context.Context, batch []int) error {
-	if workers := rs.workers; workers > 1 && len(batch) >= 2*workers {
-		rs.fan(ctx, batch, workers)
-	} else {
-		rs.share(ctx, batch, 0, 1)
+// solve solves the probe of one slot of the round unless ctx has failed, and
+// returns the translated context error if ctx failed before or during the
+// probe: a cancelled round fails, so the solvers discard its partial work
+// instead of greedily applying a winner chosen from the probes that finished.
+func (rs *roundScratch) solve(ctx context.Context, slot int) error {
+	if err := CtxErr(ctx); err != nil {
+		return err
 	}
+	rs.probe(ctx, slot)
 	return CtxErr(ctx)
 }
 
-// fan runs the batch's probes on workers goroutines and waits for them.
-// It is its own function so that the serial path allocates no closure.
-func (rs *roundScratch) fan(ctx context.Context, batch []int, workers int) {
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			wctx, wsp := obs.StartSpan(ctx, "worker")
-			wsp.SetAttr("worker", wkr)
-			defer wsp.End()
-			rs.share(wctx, batch, wkr, workers)
-		}(wkr)
-	}
-	wg.Wait()
-}
-
-// share probes worker wkr's slots of the batch (wkr, wkr+workers, …) until
-// ctx fails, and adds its count to the worker's tally once, so the probe
-// loop reads no clock and touches no shared counter.
-func (rs *roundScratch) share(ctx context.Context, batch []int, wkr, workers int) {
-	var t tally
-	for i := wkr; i < len(batch); i += workers {
-		if ctx.Err() != nil {
-			break
-		}
-		rs.probe(ctx, wkr, batch[i], &t)
-	}
-	rs.probes[wkr].done.probes += t.probes
-	rs.probes[wkr].done.pruned += t.pruned
-}
-
-// account adds a selection pass to the recorder when it ends: every
-// worker's probes, and the pass's wall time since t0 net of its exact
-// counts, which had added up to eval0 before the pass. Timing the pass
-// rather than each batch keeps the clock out of a batch of one probe.
+// account adds a selection pass's wall time since t0 to the recorder, net of
+// its exact counts, which had added up to eval0 before the pass. Timing the
+// pass rather than each probe keeps the clock out of the probe loop.
 func (rs *roundScratch) account(t0 time.Time, eval0 int64) {
-	var t tally
-	for i := range rs.probes {
-		t.probes += rs.probes[i].done.probes
-		t.pruned += rs.probes[i].done.pruned
-		rs.probes[i].done = tally{}
-	}
-	rs.rec.fanOut(t, time.Since(t0)-time.Duration(rs.rec.eval.Load()-eval0))
+	rs.rec.solve += int64(time.Since(t0)) - (rs.rec.eval - eval0)
 }
 
 // probe solves the subproblem of the round's slot into the slot's strategy
-// and coefficients and ranks it, or prunes it.
-func (rs *roundScratch) probe(ctx context.Context, wkr, slot int, t *tally) {
+// and coefficients and ranks it, or prunes it. Each probe is one threshold
+// lookup.
+func (rs *roundScratch) probe(ctx context.Context, slot int) {
 	fireProbe(slot)
-	t.probes++
+	rs.rec.probes++
+	rs.rec.thrHits++
 	rs.state[slot] = slotPruned
 	j := rs.rows.query[slot]
 	_, psp := obs.StartSpan(ctx, "probe")
@@ -382,19 +323,19 @@ func (rs *roundScratch) probe(ctx context.Context, wkr, slot int, t *tally) {
 	}
 	defer psp.End()
 	u := rs.strats[slot*rs.sdim : (slot+1)*rs.sdim : (slot+1)*rs.sdim]
-	if err := solveHit(u, rs.w, rs.tab, rs.cur, j, rs.rows.score[slot], rs.cost, rs.bounds, &rs.probes[wkr]); err != nil {
-		t.pruned++
+	if err := solveHit(u, rs.w, rs.tab, rs.cur, j, rs.rows.score[slot], rs.cost, rs.bounds, &rs.sc); err != nil {
+		rs.rec.pruned++
 		psp.SetAttr("pruned", "infeasible")
 		return // infeasible for this query (e.g. bounds); skip
 	}
 	if !rs.bounds.Contains(u) {
-		t.pruned++
+		rs.rec.pruned++
 		psp.SetAttr("pruned", "bounds")
 		return
 	}
 	c := rs.cost.Of(u)
 	if !finiteStep(u, c) {
-		t.pruned++
+		rs.rec.pruned++
 		psp.SetAttr("pruned", "nonfinite")
 		return
 	}
@@ -410,7 +351,7 @@ func (rs *roundScratch) probe(ctx context.Context, wkr, slot int, t *tally) {
 	} else {
 		e, err := rs.w.Space().Embed(vec.Add(attrs, u))
 		if err != nil {
-			t.pruned++
+			rs.rec.pruned++
 			psp.SetAttr("pruned", "embed")
 			return
 		}
@@ -418,6 +359,7 @@ func (rs *roundScratch) probe(ctx context.Context, wkr, slot int, t *tally) {
 	}
 	rs.cands[slot] = ranked(j, u, c, rs.bound.upper(coeff))
 	rs.state[slot] = slotRanked
+	rs.rec.cands++
 }
 
 // ranked returns the candidate for query j with strategy u at cost c whose
@@ -524,32 +466,26 @@ func (rs *roundScratch) enqueue(o order) queue {
 
 // next returns the first entry of q, with its candidate ranked, or false once
 // q is empty or its first key is above limit. An open slot at the head is
-// solved first, in one batch with the open slots that share its key, and
-// re-enters q under its exact key if o admits it. An open slot's key is at
-// most its exact key, so ranked candidates leave q in exact (key, query)
-// order, as they would had every probe been solved first, and no probe whose
-// bound key is above limit is solved.
+// solved first and re-enters q under its exact key if o admits it. q orders
+// by (key, query) and an open slot's key is at most its exact key, so ranked
+// candidates leave q in exact (key, query) order, as they would had every
+// probe been solved first, and no probe whose bound key is above limit is
+// solved.
 func (rs *roundScratch) next(ctx context.Context, q *queue, o order, limit float64) (queued, bool, error) {
 	for len(*q) > 0 && (*q)[0].key <= limit {
 		head := (*q)[0]
 		if rs.state[head.slot] == slotRanked {
 			return head, true, nil
 		}
-		batch := rs.batch[:0]
-		for len(*q) > 0 && (*q)[0].key == head.key && rs.state[(*q)[0].slot] == slotOpen {
-			batch = append(batch, q.pop())
-		}
-		rs.batch = batch
-		if err := rs.solve(ctx, batch); err != nil {
+		q.pop()
+		if err := rs.solve(ctx, head.slot); err != nil {
 			return queued{}, false, err
 		}
-		for _, slot := range batch {
-			if rs.state[slot] != slotRanked {
-				continue
-			}
-			if key, ok := o.ranked(&rs.cands[slot]); ok {
-				q.push(queued{key, rs.rows.query[slot], slot})
-			}
+		if rs.state[head.slot] != slotRanked {
+			continue
+		}
+		if key, ok := o.ranked(&rs.cands[head.slot]); ok {
+			q.push(queued{key, head.query, head.slot})
 		}
 	}
 	return queued{}, false, nil
@@ -558,8 +494,8 @@ func (rs *roundScratch) next(ctx context.Context, q *queue, o order, limit float
 // best returns the round's candidate minimising cost per hit (Algorithm 3
 // line 9 / Algorithm 4 line 9); candidates that gain no hits over baseHits
 // are skipped. Ties are broken deterministically — lower cost, then lower
-// query index — so parallel and serial candidate generation always pick the
-// same winner (see DESIGN.md, "Deterministic parallelism").
+// query index — so the pick does not depend on the order probes are solved
+// in (see DESIGN.md, "Deterministic selection").
 //
 // Only candidates that can win are solved and counted: in ascending
 // Cost/bound order, a lower bound on Cost/Hits, until that bound is strictly
@@ -567,10 +503,10 @@ func (rs *roundScratch) next(ctx context.Context, q *queue, o order, limit float
 // under lower/cap, a lower bound on its Cost/bound. A candidate with
 // Cost ≤ 0 has no such bound and is always counted. The pick and the counts
 // equal those from solving every probe first, and the pick equals the one
-// from counting every candidate. A context that fails while a probe batch
-// is solved fails the round.
+// from counting every candidate. A context that fails while a probe is
+// solved fails the round.
 func (rs *roundScratch) best(ctx context.Context, baseHits int) (Candidate, bool, error) {
-	defer rs.account(time.Now(), rs.rec.eval.Load())
+	defer rs.account(time.Now(), rs.rec.eval)
 	o := order{perHit: true, minHits: baseHits + 1, maxCost: math.Inf(1)}
 	q := rs.enqueue(o)
 	best := Candidate{}
@@ -605,9 +541,9 @@ func (rs *roundScratch) best(ctx context.Context, baseHits int) (Candidate, bool
 // the Max-Hit fill pick. Candidates are solved and counted in that order, a
 // row whose probe is not solved yet waiting under its cost's lower bound, so
 // only those up to the first that qualifies are. A context that fails while
-// a probe batch is solved fails the round.
+// a probe is solved fails the round.
 func (rs *roundScratch) cheapest(ctx context.Context, minHits int, maxCost float64) (Candidate, bool, error) {
-	defer rs.account(time.Now(), rs.rec.eval.Load())
+	defer rs.account(time.Now(), rs.rec.eval)
 	o := order{minHits: minHits, maxCost: maxCost}
 	q := rs.enqueue(o)
 	for {
@@ -686,27 +622,4 @@ func (q queue) down(i int) {
 		q[i], q[m] = q[m], q[i]
 		i = m
 	}
-}
-
-// clampWorkers bounds a request's Workers knob to sane values: anything
-// below 1 (including negative) means serial, and there is no point starting
-// more workers than there are queries to probe or CPUs to run them on.
-// GOMAXPROCS is the throughput ceiling, but at least two workers are always
-// allowed so the concurrent path stays exercised (and race-testable) on
-// single-CPU hosts — extra goroutines are harmless there, just not faster.
-func clampWorkers(workers, queries int) int {
-	if workers < 1 {
-		return 1
-	}
-	ceil := runtime.GOMAXPROCS(0)
-	if ceil < 2 {
-		ceil = 2
-	}
-	if workers > ceil {
-		workers = ceil
-	}
-	if queries > 0 && workers > queries {
-		workers = queries
-	}
-	return workers
 }

@@ -14,14 +14,13 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iq/internal/obs"
 )
 
 // SolveStats profiles one solve. Stage wall times cover the two halves of
-// the greedy search: SolveHitWall is the candidate fan-out — each round's
+// the greedy search: SolveHitWall is candidate generation — each round's
 // pass over the threshold table with its bounds, and the per-query min-cost
 // subproblem (Equations 13–14) of every probe solved with its hit bound —
 // and EvalWall the exact Eq. 6 hit counts against the threshold table.
@@ -44,7 +43,7 @@ type SolveStats struct {
 	Counted int `json:"counted"`
 	// Wall is the solve's total wall time.
 	Wall time.Duration `json:"wall_ns"`
-	// SolveHitWall accumulates wall time in the candidate fan-out: each
+	// SolveHitWall accumulates wall time in candidate generation: each
 	// round's pass, and its selection passes net of their exact counts —
 	// the per-query min-cost subproblems solved, with their hit bounds.
 	SolveHitWall time.Duration `json:"solve_hit_wall_ns"`
@@ -63,26 +62,26 @@ type SolveStats struct {
 	CancelCause string `json:"cancel_cause,omitempty"`
 }
 
-// recorder accumulates one solve's counters. Its fields are atomics because
-// the candidate fan-out's workers add their tallies concurrently.
+// recorder accumulates one solve's counters. A solve runs on its caller's
+// goroutine, so one goroutine owns each recorder.
 type recorder struct {
-	probes  atomic.Int64
-	pruned  atomic.Int64
-	cands   atomic.Int64
-	counted atomic.Int64
-	solve   atomic.Int64 // ns in the candidate fan-out
-	eval    atomic.Int64 // ns in exact hit counts
+	probes  int64
+	pruned  int64
+	cands   int64
+	counted int64
+	solve   int64 // ns in candidate generation
+	eval    int64 // ns in exact hit counts
 	// Threshold-cache traffic attributable to this solve; finishSolve
 	// publishes the hits to the process-wide counter.
-	thrHits   atomic.Int64
-	thrMisses atomic.Int64
+	thrHits   int64
+	thrMisses int64
 }
 
 // thresholdHit records one threshold lookup served from a stored hit table.
 // Nil-safe, like thresholdMisses.
 func (r *recorder) thresholdHit() {
 	if r != nil {
-		r.thrHits.Add(1)
+		r.thrHits++
 	}
 }
 
@@ -90,54 +89,43 @@ func (r *recorder) thresholdHit() {
 // counts outside a solve pass a nil recorder.
 func (r *recorder) thresholdMisses(n int) {
 	if r != nil {
-		r.thrMisses.Add(int64(n))
+		r.thrMisses += int64(n)
 	}
 }
 
 func newRecorder() *recorder { return &recorder{} }
 
-// fanOut adds one selection pass's probes: their number, one threshold
-// lookup each, the pruned ones, the rest as ranked candidates, and the
-// pass's wall time net of its exact counts.
-func (r *recorder) fanOut(t tally, d time.Duration) {
-	r.probes.Add(t.probes)
-	r.pruned.Add(t.pruned)
-	r.cands.Add(t.probes - t.pruned)
-	r.thrHits.Add(t.probes)
-	r.solve.Add(int64(d))
-}
-
-// probeStart returns the probe's start instant; the serial multi-target and
+// probeStart returns the probe's start instant; the multi-target and
 // exhaustive solvers time each probe.
 func (r *recorder) probeStart() time.Time {
-	r.probes.Add(1)
+	r.probes++
 	return time.Now()
 }
 
 func (r *recorder) solveDone(t0 time.Time) time.Time {
 	t1 := time.Now()
-	r.solve.Add(t1.Sub(t0).Nanoseconds())
+	r.solve += t1.Sub(t0).Nanoseconds()
 	return t1
 }
 
 // countDone records one exact hit count that started at t0.
 func (r *recorder) countDone(t0 time.Time) {
-	r.counted.Add(1)
-	r.eval.Add(time.Since(t0).Nanoseconds())
+	r.counted++
+	r.eval += time.Since(t0).Nanoseconds()
 }
 
 func (r *recorder) stats(rounds int, wall time.Duration, err error) SolveStats {
 	return SolveStats{
 		Rounds:               rounds,
-		Probes:               int(r.probes.Load()),
-		Pruned:               int(r.pruned.Load()),
-		Candidates:           int(r.cands.Load()),
-		Counted:              int(r.counted.Load()),
+		Probes:               int(r.probes),
+		Pruned:               int(r.pruned),
+		Candidates:           int(r.cands),
+		Counted:              int(r.counted),
 		Wall:                 wall,
-		SolveHitWall:         time.Duration(r.solve.Load()),
-		EvalWall:             time.Duration(r.eval.Load()),
-		ThresholdCacheHits:   int(r.thrHits.Load()),
-		ThresholdCacheMisses: int(r.thrMisses.Load()),
+		SolveHitWall:         time.Duration(r.solve),
+		EvalWall:             time.Duration(r.eval),
+		ThresholdCacheHits:   int(r.thrHits),
+		ThresholdCacheMisses: int(r.thrMisses),
 		CancelCause:          cancelCause(err),
 	}
 }

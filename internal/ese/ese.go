@@ -23,10 +23,10 @@ import (
 )
 
 // Evaluator-side work counters, exported at /metrics. Pair-level events
-// (slab searches, root prunes) are far too hot for a shared atomic — the
-// candidate fan-out would serialise on the cache line — so each evaluator
-// accumulates them in plain local fields and flushes once per evaluation
-// (see flushPending).
+// (slab searches, root prunes) are far too hot for a shared atomic —
+// concurrent evaluations would serialise on the cache line — so each
+// evaluator accumulates them in plain local fields and flushes once per
+// evaluation (see flushPending).
 var (
 	mEvaluatorsBuilt = obs.Default.Counter("iq_ese_evaluators_built_total",
 		"ESE evaluators constructed.")

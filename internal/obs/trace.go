@@ -66,9 +66,9 @@ func (s *Span) End() {
 	s.tr.commit(s)
 }
 
-// Trace is one bounded buffer of spans, safe for concurrent recording from
-// the solver's parallel candidate fan-out. Build one with NewTrace, attach
-// it with WithTrace, and read it back — after the traced work completed —
+// Trace is one bounded buffer of spans, safe for concurrent recording, such
+// as from the items of a solve batch. Build one with NewTrace, attach it
+// with WithTrace, and read it back — after the traced work completed —
 // through the exporters.
 type Trace struct {
 	id    string

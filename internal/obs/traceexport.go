@@ -4,8 +4,8 @@
 // ("X" complete events, microsecond timestamps), which loads directly in
 // Perfetto (ui.perfetto.dev) and chrome://tracing. The viewers nest events
 // on a thread track purely by interval containment, so spans that overlap
-// without nesting — parallel candidate probes from different workers — must
-// land on different tids. assignLanes does that: a greedy sweep that keeps
+// without nesting — the solves of concurrent batch items — must land on
+// different tids. assignLanes does that: a greedy sweep that keeps
 // every tid's intervals laminar (nested or disjoint), preferring the
 // parent's lane so sequential call chains render as one deep stack.
 //

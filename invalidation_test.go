@@ -113,7 +113,7 @@ func randomMutation(t *testing.T, rng *rand.Rand, sys *System) string {
 }
 
 // TestInvalidationBitIdentical is the write path's correctness bar: across
-// seeds and worker counts, interleaving mutations with solves, the System —
+// seeds, interleaving mutations with two solves each, the System —
 // whose rows each mutation maintained and whose tables are stored across
 // solves — must answer bit-identically to a from-scratch rebuild of the same
 // epoch. A row the maintenance got wrong shows up here as a stale threshold
@@ -124,12 +124,12 @@ func TestInvalidationBitIdentical(t *testing.T) {
 		sys := stressFixture(t, 500+seed)
 		for step := 0; step < 8; step++ {
 			op := randomMutation(t, rng, sys)
-			for _, workers := range []int{1, 4} {
+			for solve := 0; solve < 2; solve++ {
 				target := rng.Intn(sys.NumObjects())
 				if sys.Workload().IsRemoved(target) {
 					continue
 				}
-				req := MinCostRequest{Target: target, Tau: 3 + rng.Intn(6), Cost: L2Cost{}, Workers: workers}
+				req := MinCostRequest{Target: target, Tau: 3 + rng.Intn(6), Cost: L2Cost{}}
 
 				// Two passes: the first may derive the table, the second
 				// reads it stored. Both must match the rebuild.
@@ -138,12 +138,12 @@ func TestInvalidationBitIdentical(t *testing.T) {
 				cold, coldErr := rebuiltSystem(t, sys).MinCost(req)
 
 				if (err1 == nil) != (coldErr == nil) || (err2 == nil) != (coldErr == nil) {
-					t.Fatalf("seed %d step %d (%s) workers %d: error mismatch warm1=%v warm2=%v rebuilt=%v",
-						seed, step, op, workers, err1, err2, coldErr)
+					t.Fatalf("seed %d step %d (%s) solve %d: error mismatch warm1=%v warm2=%v rebuilt=%v",
+						seed, step, op, solve, err1, err2, coldErr)
 				}
 				if !identicalResults(cold, warm1) || !identicalResults(cold, warm2) {
-					t.Fatalf("seed %d step %d (%s) workers %d target %d: maintained diverged from rebuilt\n rebuilt %+v\n warm1   %+v\n warm2   %+v",
-						seed, step, op, workers, target, cold, warm1, warm2)
+					t.Fatalf("seed %d step %d (%s) solve %d target %d: maintained diverged from rebuilt\n rebuilt %+v\n warm1   %+v\n warm2   %+v",
+						seed, step, op, solve, target, cold, warm1, warm2)
 				}
 			}
 		}
@@ -369,7 +369,7 @@ func TestStressSolvesDuringBatchedCommits(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < solvesPerG; i++ {
 				target := rng.Intn(40)
-				if _, err := sys.MinCost(MinCostRequest{Target: target, Tau: 3, Cost: L2Cost{}, Workers: 2}); err != nil {
+				if _, err := sys.MinCost(MinCostRequest{Target: target, Tau: 3, Cost: L2Cost{}}); err != nil {
 					t.Errorf("reader solve failed: %v", err)
 					return
 				}

@@ -318,8 +318,8 @@ func (s *System) MinCost(req MinCostRequest) (*Result, error) {
 	return s.MinCostCtx(context.Background(), req)
 }
 
-// MinCostCtx is MinCost under a context: the greedy loop of Algorithm 3 and
-// its candidate fan-out observe ctx at every round, so a cancellation or
+// MinCostCtx is MinCost under a context: the greedy loop of Algorithm 3
+// observes ctx at every round and before every probe, so a cancellation or
 // deadline stops the solve promptly. A cancelled solve returns a nil Result
 // and an error matching ErrCanceled/ErrDeadlineExceeded (and the
 // corresponding context error); partial greedy progress is discarded and the
@@ -374,9 +374,10 @@ func (s *System) SolveBatch(items []BatchItem) []BatchResult {
 // hit tables, so a batch of N solves pays the cold-path cost at most once
 // per distinct target. Items run on a worker
 // pool of min(GOMAXPROCS, len(items)) goroutines with results delivered in
-// item order regardless of completion order; per-solve parallelism stays
-// per-request via Workers. Per-item failures land in the item's
-// BatchResult; the batch itself never fails. Cancellation marks every
+// item order regardless of completion order. Each solve runs on one
+// goroutine, so a batch is how a caller spreads solves over more cores.
+// Per-item failures land in the item's BatchResult; the batch itself never
+// fails. Cancellation marks every
 // not-yet-started item with the translated context error.
 func (s *System) SolveBatchCtx(ctx context.Context, items []BatchItem) []BatchResult {
 	st := s.view()

@@ -153,7 +153,7 @@ func TestStressReadersWriters(t *testing.T) {
 }
 
 // TestStressMinCostDuringCommits runs full greedy solves (the heaviest read
-// path, with parallel candidate generation) while commits land, asserting
+// path) while commits land, asserting
 // each solve is internally consistent with the epoch it started from.
 func TestStressMinCostDuringCommits(t *testing.T) {
 	if testing.Short() {
@@ -183,14 +183,14 @@ func TestStressMinCostDuringCommits(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	for it := 0; it < 12; it++ {
 		target := rng.Intn(10)
-		res, err := sys.MinCost(MinCostRequest{Target: target, Tau: 4, Cost: L2Cost{}, Workers: 4})
+		res, err := sys.MinCost(MinCostRequest{Target: target, Tau: 4, Cost: L2Cost{}})
 		if err != nil {
 			t.Fatalf("MinCost(%d): %v", target, err)
 		}
 		if res.Hits < 4 {
 			t.Fatalf("MinCost(%d): %d hits < tau 4", target, res.Hits)
 		}
-		if _, err := sys.MaxHit(MaxHitRequest{Target: target, Budget: 0.5, Cost: L2Cost{}, Workers: 4}); err != nil {
+		if _, err := sys.MaxHit(MaxHitRequest{Target: target, Budget: 0.5, Cost: L2Cost{}}); err != nil {
 			t.Fatalf("MaxHit(%d): %v", target, err)
 		}
 	}
