@@ -40,7 +40,9 @@ stress:
 # every test run already replays their seed corpora (testdata/fuzz).
 # FuzzLoad and FuzzLoadFields skip minimising new inputs: shrinking a gob
 # snapshot stalls the workers, and with it the step ran about 4k execs in
-# 10 s, not 100k.
+# 10 s, not 100k. FuzzReadSegment skips it too: each input is a file on
+# disk, and with minimising the workers stalled at 0 execs/s after about
+# 10 s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHitBound$$' -fuzztime 10s -timeout 5m ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSkybandUpdate$$' -fuzztime 10s -timeout 5m ./internal/subdomain
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -timeout 5m ./internal/expr
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m .
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadFields$$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m .
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m ./internal/wal
 
 # metricscheck boots a real iqserver and validates its /metrics output with
 # iqtool -scrape-metrics (a built-in Prometheus text parser — no curl or

@@ -32,7 +32,7 @@ func cancelFixture(t *testing.T) *System {
 		queries[j] = Query{ID: j, K: 1 + rng.Intn(3),
 			Point: Vector{0.05 + 0.95*rng.Float64(), 0.05 + 0.95*rng.Float64(), 0.05 + 0.95*rng.Float64()}}
 	}
-	sys, err := NewWithOptions(LinearSpace{D: d}, objects, queries, IndexOptions{MaxIntersections: 4000})
+	sys, err := NewWithOptions(LinearSpace{D: d}, objects, queries, IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

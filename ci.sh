@@ -28,6 +28,9 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -timeout 5m ./internal/expr
 # 10 s, not 100k.
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m .
 go test -run '^$' -fuzz '^FuzzLoadFields$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m .
+# FuzzReadSegment skips minimising too: each input is a file on disk, and
+# with minimising the workers stalled at 0 execs/s after about 10 s.
+go test -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m ./internal/wal
 # Live observability gate: boot a real iqserver and validate its /metrics
 # exposition with iqtool's built-in parser (fails on unparseable output or
 # a registry with no engine series).

@@ -690,7 +690,7 @@ func (s *server) withSystemExclusive(w http.ResponseWriter, fn func(*iq.System))
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.withSystem(w, func(sys *iq.System) {
-		// Not IndexStats: it runs Algorithm 1 once per epoch.
+		// Not IndexStats: every call runs Algorithm 1.
 		payload := map[string]any{
 			"objects":        sys.NumObjects(),
 			"queries":        sys.NumQueries(),

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"iq/internal/baseline"
-	"iq/internal/core"
 	"iq/internal/dataset"
 	"iq/internal/ese"
 	"iq/internal/rta"
@@ -20,49 +19,79 @@ import (
 // beyond the paper's own figures: they quantify how much each index
 // ingredient contributes.
 
-// AblationFanout measures indexing time and Min-Cost IQ time across R-tree
-// fan-outs.
+// AblationFanout measures indexing time — the skyband, the rows and
+// Algorithm 1's partition — and the time of one ESE hit count across
+// R-tree fan-outs. ESE's affected-subspace searches are the tree's only
+// reader, so every fan-out evaluates the same strategies for the same
+// targets.
 func AblationFanout(cfg Config, progress io.Writer) (*Figure, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 40))
 	fig := &Figure{ID: "ablation-fanout", Title: "Ablation: R-tree fan-out"}
 	buildPanel := Panel{Title: "(a) Indexing time", XLabel: "fan-out", YLabel: "seconds"}
-	queryPanel := Panel{Title: "(b) IQ time", XLabel: "fan-out", YLabel: "ms"}
+	evalPanel := Panel{Title: "(b) Time per H(p+s) evaluation", XLabel: "fan-out", YLabel: "ms"}
 
 	objs := dataset.Objects(dataset.Independent, cfg.DefaultObjects, cfg.Dim, rng)
 	queries := dataset.UNQueries(cfg.DefaultQueries, cfg.Dim, cfg.KMax, false, rng)
+	targets := make([]int, cfg.IQsPerPoint)
+	for i := range targets {
+		targets[i] = rng.Intn(len(objs))
+	}
+	strategies := drawStrategies(rng, 60, cfg.Dim)
 	for _, fanout := range []int{4, 8, 16, 32, 64} {
 		w, err := buildLinearWorkload(objs, queries)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		idx, err := subdomain.Build(w, subdomain.Options{TreeFanout: fanout})
+		idx, err := subdomain.Build(w, subdomain.Options{})
 		if err != nil {
 			return nil, err
 		}
-		idx.Partition(context.Background())
+		part := subdomain.NewPartition(context.Background(), idx, subdomain.PartitionOptions{TreeFanout: fanout})
 		buildPanel.addPoint("Efficient-IQ", float64(fanout), time.Since(start).Seconds())
 
 		var total time.Duration
 		count := 0
-		for i := 0; i < cfg.IQsPerPoint; i++ {
-			target := rng.Intn(w.NumObjects())
-			tau := cfg.randTau(rng, w.NumQueries())
-			qs := time.Now()
-			if _, err := core.MinCostIQ(idx, core.MinCostRequest{Target: target, Tau: tau, Cost: core.L2Cost{}}); err == nil {
-				total += time.Since(qs)
-				count++
+		for _, target := range targets {
+			ev, err := ese.New(part, target)
+			if err != nil {
+				return nil, err
 			}
+			evalStart := time.Now()
+			for _, s := range strategies {
+				if _, err := ev.Hits(s); err != nil {
+					return nil, err
+				}
+			}
+			total += time.Since(evalStart)
+			count += len(strategies)
 		}
 		if count > 0 {
-			queryPanel.addPoint("Efficient-IQ", float64(fanout), float64(total.Milliseconds())/float64(count))
+			evalPanel.addPoint("ESE", float64(fanout), float64(total.Microseconds())/1000/float64(count))
 		}
 		if progress != nil {
 			fmt.Fprintf(progress, "ablation-fanout: %d done\n", fanout)
 		}
 	}
-	fig.Panels = []Panel{buildPanel, queryPanel}
+	fig.Panels = []Panel{buildPanel, evalPanel}
 	return fig, nil
+}
+
+// drawStrategies draws n improvement strategies in dim attributes whose
+// scales span tiny tweaks to near-dominating improvements: the paper notes
+// RTA "will drop significantly" as H(p+s) grows, so a probe set must cover
+// high-hit strategies too.
+func drawStrategies(rng *rand.Rand, n, dim int) []vec.Vector {
+	strategies := make([]vec.Vector, n)
+	for i := range strategies {
+		scale := 0.8 * float64(i+1) / float64(n)
+		s := make(vec.Vector, dim)
+		for d := range s {
+			s[d] = -rng.Float64() * scale
+		}
+		strategies[i] = s
+	}
+	return strategies
 }
 
 // AblationIntersectionCap measures how capping Algorithm 1's intersection
@@ -82,11 +111,11 @@ func AblationIntersectionCap(cfg Config, progress io.Writer) (*Figure, error) {
 			return nil, err
 		}
 		start := time.Now()
-		idx, err := subdomain.Build(w, subdomain.Options{MaxIntersections: cap})
+		idx, err := subdomain.Build(w, subdomain.Options{})
 		if err != nil {
 			return nil, err
 		}
-		subs := idx.NumSubdomains()
+		subs := subdomain.NewPartition(context.Background(), idx, subdomain.PartitionOptions{MaxIntersections: cap}).NumSubdomains()
 		x := float64(cap)
 		timePanel.addPoint("Efficient-IQ", x, time.Since(start).Seconds())
 		subPanel.addPoint("Efficient-IQ", x, float64(subs))
@@ -122,26 +151,16 @@ func EvaluatorCost(cfg Config, progress io.Writer) (*Figure, error) {
 			return nil, err
 		}
 		// The partition is index build work, not evaluator setup.
-		idx.Partition(context.Background())
+		part := subdomain.NewPartition(context.Background(), idx, subdomain.PartitionOptions{})
 		target := rng.Intn(n)
 
 		// Pre-draw the probe strategies so every evaluator sees the same
-		// inputs. Scales span tiny tweaks to near-dominating improvements:
-		// the paper notes RTA "will drop significantly" as H(p+s) grows,
-		// so the probe must cover high-hit strategies too.
-		strategies := make([]vec.Vector, probes)
-		for i := range strategies {
-			scale := 0.8 * float64(i+1) / probes
-			s := make(vec.Vector, cfg.Dim)
-			for d := range s {
-				s[d] = -rng.Float64() * scale
-			}
-			strategies[i] = s
-		}
+		// inputs.
+		strategies := drawStrategies(rng, probes, cfg.Dim)
 
 		// ESE: setup (evaluator construction) + per-evaluation cost.
 		start := time.Now()
-		ev, err := ese.New(idx, target)
+		ev, err := ese.New(part, target)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +234,7 @@ func AblationSkybandSlack(cfg Config, progress io.Writer) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx.Partition(context.Background())
+		subdomain.NewPartition(context.Background(), idx, subdomain.PartitionOptions{})
 		candPanel.addPoint("Efficient-IQ", float64(slack), float64(len(idx.Candidates())))
 		timePanel.addPoint("Efficient-IQ", float64(slack), time.Since(start).Seconds())
 		if progress != nil {

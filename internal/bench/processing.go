@@ -327,7 +327,7 @@ func Fig13(cfg Config, progress io.Writer) (*Figure, error) {
 				costHits += res.Cost / float64(res.Hits)
 			}
 		}
-		timePanel.addPoint("Efficient-IQ", float64(dim), float64(total.Milliseconds())/float64(count))
+		timePanel.addPoint("Efficient-IQ", float64(dim), float64(total.Microseconds())/1000/float64(count))
 		costPanel.addPoint("Efficient-IQ", float64(dim), costHits/float64(count))
 		if progress != nil {
 			fmt.Fprintf(progress, "fig13: dim=%d done\n", dim)

@@ -1,11 +1,12 @@
 // Package core implements the paper's primary contribution: Improvement
 // Queries. A Min-Cost IQ (Algorithm 3) finds a cheap improvement strategy
 // that makes a target object hit at least τ top-k queries; a Max-Hit IQ
-// (Algorithm 4) maximises hit queries under a cost budget. Both build on the
-// subdomain index and the ESE evaluator, iterate greedy candidate strategies
-// with the best cost-per-hit ratio, and support user-defined cost functions,
-// validity bounds (frozen or range-limited attributes), multiple target
-// objects (Section 5.1), and non-linear utility spaces (Section 5.2/5.3).
+// (Algorithm 4) maximises hit queries under a cost budget. Both count hits
+// with the Eq. 6 hit table derived from the index's per-query rows (see
+// cache.go), iterate greedy candidate strategies with the best cost-per-hit
+// ratio, and support user-defined cost functions, validity bounds (frozen
+// or range-limited attributes), multiple target objects (Section 5.1), and
+// non-linear utility spaces (Section 5.2/5.3).
 // An exhaustive branch-and-bound solver provides the paper's "optimal
 // strategy" option for tiny inputs.
 package core

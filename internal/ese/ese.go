@@ -3,18 +3,20 @@
 // object hits, without re-evaluating every query. For each competitor
 // function f_l, the area between the old intersection hyperplane (Eq. 2) and
 // the post-improvement one (Eq. 3) — the affected subspace — is retrieved
-// from the query R-tree; queries inside it have the relative order of f_i and
-// f_l switched (Fact 2), which adjusts the target's rank. Ranks are shared
-// per subdomain, so at most one evaluation happens per subdomain, exactly as
-// the paper prescribes.
+// from the query R-tree of an Algorithm 1 partition; queries inside it have
+// the relative order of f_i and f_l switched (Fact 2), which adjusts the
+// target's rank. Ranks are shared per subdomain, so at most one evaluation
+// happens per subdomain, exactly as the paper prescribes.
+//
+// No solve reads this package: the solvers count hits with the Eq. 6 hit
+// table (internal/core). It serves the figure runner (internal/bench),
+// the benchmark's per-layer replay, and the tests as a second hit counter.
 package ese
 
 import (
 	"context"
 	"fmt"
-	"math"
 
-	"iq/internal/bitset"
 	"iq/internal/obs"
 	"iq/internal/rtree"
 	"iq/internal/subdomain"
@@ -22,50 +24,19 @@ import (
 	"iq/internal/vec"
 )
 
-// Evaluator-side work counters, exported at /metrics. Pair-level events
-// (slab searches, root prunes) are far too hot for a shared atomic —
-// concurrent evaluations would serialise on the cache line — so each
-// evaluator accumulates them in plain local fields and flushes once per
-// evaluation (see flushPending).
-var (
-	mEvaluatorsBuilt = obs.Default.Counter("iq_ese_evaluators_built_total",
-		"ESE evaluators constructed.")
-	mRebuilds = obs.Default.Counter("iq_ese_rebuilds_total",
-		"Evaluator cache rebuilds forced by index epoch changes.")
-	mEvaluations = obs.Default.Counter("iq_ese_evaluations_total",
-		"Hit-count evaluations (Algorithm 2 runs).")
-	mSlabSearches = obs.Default.Counter("iq_ese_slab_searches_total",
-		"R-tree slab searches for affected subspaces.")
-	mRootPrunes = obs.Default.Counter("iq_ese_root_prunes_total",
-		"Competitor pairs pruned by the root slab precheck.")
-	mQueriesTouched = obs.Default.Counter("iq_ese_queries_touched_total",
-		"Queries visited during rank-switch collection.")
-	mRankCacheHits = obs.Default.Counter("iq_ese_rank_cache_hits_total",
-		"Per-subdomain rank cache hits.")
-	mRankCacheMisses = obs.Default.Counter("iq_ese_rank_cache_misses_total",
-		"Per-subdomain rank cache misses (one top-k evaluation each).")
-	mHitMemoHits = obs.Default.Counter("iq_ese_hit_memo_hits_total",
-		"Hit-count evaluations answered from the per-evaluator coefficient memo.")
-)
-
-// hitMemoMax bounds the per-evaluator coefficient→hits memo. Entries are a
-// few dozen bytes each, so the worst case per evaluator stays well under a
-// megabyte; the memo is dropped wholesale on every epoch rebuild.
-const hitMemoMax = 1 << 13
-
 // Evaluator computes hit counts for improvement strategies applied to one
-// target object. It caches per-subdomain target ranks (one evaluation per
-// subdomain) and the base hit count, both reused across the many strategy
-// candidates Algorithms 3 and 4 probe.
+// target object. It owns the partition it evaluates against and caches the
+// per-subdomain target ranks (one evaluation per subdomain) and the base hit
+// set, all reused across the strategies it is asked about.
 type Evaluator struct {
 	idx    *subdomain.Index
 	w      *topk.Workload
 	target int
-	// epoch tags the cached state below with the index epoch it was
-	// derived from; every public entry point rebuilds when the index has
-	// mutated since (Algorithm 2's cached rankings are only valid within
-	// one index epoch).
-	epoch uint64
+	// part is the Algorithm 1 partition the cached state below derives
+	// from. Every public entry point rebuilds both when the index has
+	// mutated since part was built (Algorithm 2's cached rankings are only
+	// valid within one index epoch).
+	part *subdomain.Partition
 
 	// rankBySub caches the target's candidate-restricted rank per
 	// subdomain. Sharing one rank per subdomain is valid only when the
@@ -78,9 +49,6 @@ type Evaluator struct {
 	rankByQuery []int
 	baseHits    int
 	baseSet     map[int]bool // query indices hit by the unimproved target
-	// baseBits mirrors baseSet as a bitset so the solvers' hot round loops
-	// can copy the base hit set without allocating a map.
-	baseBits *bitset.Bits
 
 	// pairNormal caches coeff(target) − coeff(l) per competitor l: the
 	// normal of the old intersection hyperplane (Eq. 2), fixed across the
@@ -98,68 +66,64 @@ type Evaluator struct {
 	deltaBuf []int32
 	touched  []int
 
-	// hitMemo caches HitsWithCoeff results by the improved coefficient
-	// vector's bit pattern. Hit counts are a pure function of (epoch,
-	// target, newCoeff), so within one epoch a memoised answer is the
-	// previously computed one. Cleared by rebuild on epoch change.
-	hitMemo map[string]int
-	keyBuf  []byte // scratch for the memo key (no alloc on the hit path)
-
-	// Pair-level event counts staged locally (the evaluator is owned by
-	// one goroutine) and flushed to the package counters per evaluation.
-	pendSlab  int64
-	pendPrune int64
-
 	// ctx carries the creator's trace (if any) for ese/rebuild spans; an
 	// evaluator is owned by one goroutine, so retaining the creator's
 	// context here is sound. Never nil.
 	ctx context.Context
 }
 
-// New builds an evaluator for the given target object index.
-func New(idx *subdomain.Index, target int) (*Evaluator, error) {
-	return NewCtx(context.Background(), idx, target)
+// New builds an evaluator for the given target object over a partition the
+// caller built, so that the caller can time Algorithm 1 apart from the
+// evaluator's setup. A partition of an earlier epoch than its index's is
+// rebuilt, with the same options, on the evaluator's first use.
+func New(p *subdomain.Partition, target int) (*Evaluator, error) {
+	if err := checkTarget(p.Index().Workload(), target); err != nil {
+		return nil, err
+	}
+	return newEvaluator(context.Background(), p, target), nil
 }
 
-// NewCtx is New with tracing: when ctx carries a trace, construction records
-// an "ese/build" span and later epoch-forced rebuilds record "ese/rebuild"
-// spans against the same trace, each with the index's "index/partition"
-// span inside when the evaluator is the partition's first reader.
+// NewCtx builds an evaluator for the given target over a partition of the
+// index's current state with the default options. When ctx carries a trace,
+// construction records an "ese/build" span with the partition's
+// "index/partition" span inside, and later epoch-forced rebuilds record
+// "ese/rebuild" spans against the same trace.
 func NewCtx(ctx context.Context, idx *subdomain.Index, target int) (*Evaluator, error) {
-	w := idx.Workload()
+	if err := checkTarget(idx.Workload(), target); err != nil {
+		return nil, err
+	}
+	spCtx, sp := obs.StartSpan(ctx, "ese/build")
+	defer sp.End()
+	sp.SetAttr("target", target)
+	return newEvaluator(ctx, subdomain.NewPartition(spCtx, idx, subdomain.PartitionOptions{}), target), nil
+}
+
+func checkTarget(w *topk.Workload, target int) error {
 	if target < 0 || target >= w.NumObjects() {
-		return nil, fmt.Errorf("ese: target %d out of range", target)
+		return fmt.Errorf("ese: target %d out of range", target)
 	}
 	if w.IsRemoved(target) {
-		return nil, fmt.Errorf("ese: target %d is removed", target)
+		return fmt.Errorf("ese: target %d is removed", target)
 	}
-	e := &Evaluator{idx: idx, w: w, target: target, ctx: ctx}
-	spCtx, sp := obs.StartSpan(ctx, "ese/build")
-	sp.SetAttr("target", target)
-	idx.Partition(spCtx)
+	return nil
+}
+
+func newEvaluator(ctx context.Context, p *subdomain.Partition, target int) *Evaluator {
+	idx := p.Index()
+	e := &Evaluator{idx: idx, w: idx.Workload(), target: target, part: p, ctx: ctx}
 	e.rebuild()
-	sp.End()
-	mEvaluatorsBuilt.Inc()
-	return e, nil
+	return e
 }
 
 // rebuild recomputes every cached structure from the index's current state
-// and tags the evaluator with the index epoch.
+// and the evaluator's partition.
 func (e *Evaluator) rebuild() {
 	w, idx := e.w, e.idx
-	e.epoch = idx.Epoch()
 	e.rankBySub = map[int]int{}
 	e.rankByQuery = nil
 	e.baseHits = 0
 	e.baseSet = map[int]bool{}
-	if e.baseBits == nil {
-		e.baseBits = bitset.New(w.NumQueries())
-	} else {
-		e.baseBits.Grow(w.NumQueries())
-		e.baseBits.Reset()
-	}
 	e.pairNormal = make(map[int]vec.Vector, len(idx.Candidates()))
-	e.hitMemo = make(map[string]int)
 	e.deltaBuf = make([]int32, w.NumQueries())
 	e.touched = e.touched[:0]
 	dim := w.Space().QueryDim()
@@ -179,7 +143,7 @@ func (e *Evaluator) rebuild() {
 		e.rankByQuery = make([]int, w.NumQueries())
 	}
 	for j := 0; j < w.NumQueries(); j++ {
-		s := idx.SubdomainOf(j)
+		s := e.part.SubdomainOf(j)
 		if s == nil {
 			if e.rankByQuery != nil {
 				e.rankByQuery[j] = -1
@@ -196,25 +160,24 @@ func (e *Evaluator) rebuild() {
 		if rank <= w.Query(j).K {
 			e.baseHits++
 			e.baseSet[j] = true
-			e.baseBits.Set(j)
 		}
 	}
 }
 
-// ensureFresh invalidates and rebuilds the caches when the index has
-// mutated (a commit, or an object/query add/remove) since they were
-// computed. Under the epoch-snapshot System this never fires — each write
-// produces a new immutable index — but direct Index users who mutate in
-// place get correct answers instead of stale ranks or out-of-range buffer
-// accesses.
+// ensureFresh rebuilds the partition, with its options, and the caches when
+// the index has mutated (a commit, or an object/query add/remove) since the
+// partition was built. Under the epoch-snapshot System this never fires —
+// each write produces a new immutable index — but direct Index users who
+// mutate in place get correct answers instead of stale ranks or
+// out-of-range buffer accesses.
 func (e *Evaluator) ensureFresh() {
-	if e.idx.Epoch() != e.epoch {
-		mRebuilds.Inc()
-		spCtx, sp := obs.StartSpan(e.ctx, "ese/rebuild")
-		e.idx.Partition(spCtx)
-		e.rebuild()
-		sp.End()
+	if e.idx.Epoch() == e.part.Epoch() {
+		return
 	}
+	spCtx, sp := obs.StartSpan(e.ctx, "ese/rebuild")
+	defer sp.End()
+	e.part = subdomain.NewPartition(spCtx, e.idx, e.part.Options())
+	e.rebuild()
 }
 
 // baseRank returns the target's pre-improvement candidate rank at query j.
@@ -222,7 +185,7 @@ func (e *Evaluator) baseRank(j int) int {
 	if e.rankByQuery != nil {
 		return e.rankByQuery[j]
 	}
-	s := e.idx.SubdomainOf(j)
+	s := e.part.SubdomainOf(j)
 	if s == nil {
 		return -1
 	}
@@ -232,27 +195,10 @@ func (e *Evaluator) baseRank(j int) int {
 // Target returns the target object index.
 func (e *Evaluator) Target() int { return e.target }
 
-// Index returns the subdomain index the evaluator was built against.
-func (e *Evaluator) Index() *subdomain.Index { return e.idx }
-
 // BaseHits returns H(p_i), the hit count of the unimproved target.
 func (e *Evaluator) BaseHits() int {
 	e.ensureFresh()
 	return e.baseHits
-}
-
-// BaseHit reports whether the unimproved target hits query j.
-func (e *Evaluator) BaseHit(j int) bool {
-	e.ensureFresh()
-	return e.baseSet[j]
-}
-
-// BaseHitSet fills dst with the unimproved target's hit set — the bitset
-// equivalent of querying BaseHit for every j — growing dst to the workload's
-// query count.
-func (e *Evaluator) BaseHitSet(dst *bitset.Bits) {
-	e.ensureFresh()
-	dst.CopyFrom(e.baseBits)
 }
 
 // rankFor returns (and caches) the target-coefficient rank within subdomain
@@ -260,10 +206,8 @@ func (e *Evaluator) BaseHitSet(dst *bitset.Bits) {
 // the "evaluate at most one query per subdomain" step of Algorithm 2.
 func (e *Evaluator) rankFor(s *subdomain.Subdomain, coeff vec.Vector) int {
 	if r, ok := e.rankBySub[s.ID]; ok {
-		mRankCacheHits.Inc()
 		return r
 	}
-	mRankCacheMisses.Inc()
 	rep := e.w.Query(s.Representative()).Point
 	r := e.w.RankAmong(e.idx.Candidates(), coeff, e.target, rep)
 	e.rankBySub[s.ID] = r
@@ -286,20 +230,46 @@ func (e *Evaluator) Hits(s vec.Vector) (int, error) {
 // rank switches, and patch the cached per-subdomain ranks.
 func (e *Evaluator) HitsWithCoeff(newCoeff vec.Vector) int {
 	e.ensureFresh()
-	oldCoeff := e.w.Coeff(e.target)
-	if vec.Equal(oldCoeff, newCoeff) {
-		return e.baseHits
-	}
-	key := e.memoKey(newCoeff)
-	if h, ok := e.hitMemo[string(key)]; ok {
-		mHitMemoHits.Inc()
-		return h
-	}
-	touched := e.computeDeltas(newCoeff)
 	// H(p_i + s) = baseHits adjusted by the queries whose hit status flips
 	// (Fact 1: queries outside every affected subspace keep their result).
 	hits := e.baseHits
-	for _, j := range touched {
+	e.switches(newCoeff, func(j int, hit bool) {
+		if hit && !e.baseSet[j] {
+			hits++
+		} else if !hit && e.baseSet[j] {
+			hits--
+		}
+	})
+	return hits
+}
+
+// HitSet returns the indices of queries hit after moving the target to
+// newCoeff.
+func (e *Evaluator) HitSet(newCoeff vec.Vector) map[int]bool {
+	e.ensureFresh()
+	out := make(map[int]bool, e.baseHits)
+	for j := range e.baseSet {
+		out[j] = true
+	}
+	e.switches(newCoeff, func(j int, hit bool) {
+		if hit {
+			out[j] = true
+		} else {
+			delete(out, j)
+		}
+	})
+	return out
+}
+
+// switches calls fn for every query at which the target's rank changes when
+// its coefficients move to newCoeff, with whether the improved target hits
+// that query.
+func (e *Evaluator) switches(newCoeff vec.Vector, fn func(j int, hit bool)) {
+	if vec.Equal(e.w.Coeff(e.target), newCoeff) {
+		return
+	}
+	defer e.resetDeltas()
+	for _, j := range e.computeDeltas(newCoeff) {
 		d := int(e.deltaBuf[j])
 		if d == 0 {
 			continue
@@ -311,65 +281,14 @@ func (e *Evaluator) HitsWithCoeff(newCoeff vec.Vector) int {
 		if rank < 0 {
 			continue
 		}
-		k := e.w.Query(j).K
-		before := rank <= k
-		after := rank+d <= k
-		if !before && after {
-			hits++
-		} else if before && !after {
-			hits--
-		}
-	}
-	e.flushPending(len(touched))
-	e.resetDeltas()
-	if len(e.hitMemo) < hitMemoMax {
-		e.hitMemo[string(key)] = hits
-	}
-	return hits
-}
-
-// memoKey serialises newCoeff's exact bit pattern into the evaluator's key
-// scratch buffer. Float64bits keys distinguish every representable vector —
-// a colliding key is a byte-identical vector, whose hit count is identical —
-// and map lookups through string(keyBuf) do not allocate. The one
-// numerically-equal-but-bitwise-distinct pair, -0.0 vs +0.0, is normalised
-// to +0.0: every score and sign computation treats them identically, so
-// splitting them across two memo entries would only waste a slot and a cold
-// evaluation.
-func (e *Evaluator) memoKey(newCoeff vec.Vector) []byte {
-	buf := e.keyBuf[:0]
-	for _, x := range newCoeff {
-		b := math.Float64bits(x)
-		if b == 1<<63 { // -0.0 == +0.0; key them identically
-			b = 0
-		}
-		buf = append(buf,
-			byte(b), byte(b>>8), byte(b>>16), byte(b>>24),
-			byte(b>>32), byte(b>>40), byte(b>>48), byte(b>>56))
-	}
-	e.keyBuf = buf
-	return buf
-}
-
-// flushPending publishes one evaluation's staged counters: a handful of
-// atomic adds per evaluation instead of one per competitor pair.
-func (e *Evaluator) flushPending(touched int) {
-	mEvaluations.Inc()
-	mQueriesTouched.Add(int64(touched))
-	if e.pendSlab != 0 {
-		mSlabSearches.Add(e.pendSlab)
-		e.pendSlab = 0
-	}
-	if e.pendPrune != 0 {
-		mRootPrunes.Add(e.pendPrune)
-		e.pendPrune = 0
+		fn(j, rank+d <= e.w.Query(j).K)
 	}
 }
 
 // computeDeltas fills deltaBuf with the target's per-query rank changes and
 // returns the touched query indices. Callers must resetDeltas afterwards.
 func (e *Evaluator) computeDeltas(newCoeff vec.Vector) []int {
-	tree := e.idx.Tree()
+	tree := e.part.Tree()
 	e.scratchNewCoeff = newCoeff
 	e.touched = e.touched[:0]
 	for _, l := range e.idx.Candidates() {
@@ -386,75 +305,6 @@ func (e *Evaluator) resetDeltas() {
 		e.deltaBuf[j] = 0
 	}
 	e.touched = e.touched[:0]
-}
-
-// HitSet returns the indices of queries hit after moving the target to
-// newCoeff; used by the combinatorial (multi-target) algorithms which must
-// de-duplicate hits across targets.
-func (e *Evaluator) HitSet(newCoeff vec.Vector) map[int]bool {
-	e.ensureFresh()
-	oldCoeff := e.w.Coeff(e.target)
-	out := make(map[int]bool, e.baseHits)
-	for j := range e.baseSet {
-		out[j] = true
-	}
-	if vec.Equal(oldCoeff, newCoeff) {
-		return out
-	}
-	touched := e.computeDeltas(newCoeff)
-	e.flushPending(len(touched))
-	defer e.resetDeltas()
-	for _, j := range touched {
-		d := int(e.deltaBuf[j])
-		if d == 0 {
-			continue
-		}
-		e.deltaBuf[j] = 0 // idempotent under duplicate touched entries
-		rank := e.baseRank(j)
-		if rank < 0 {
-			continue
-		}
-		k := e.w.Query(j).K
-		if rank+d <= k {
-			out[j] = true
-		} else {
-			delete(out, j)
-		}
-	}
-	return out
-}
-
-// HitSetBits is HitSet for the allocation-free solver hot path: it fills dst
-// (grown to the workload's query count) with the indices of queries hit after
-// moving the target to newCoeff, instead of building a fresh map. The bit
-// contents are exactly the key set HitSet would return.
-func (e *Evaluator) HitSetBits(newCoeff vec.Vector, dst *bitset.Bits) {
-	e.ensureFresh()
-	dst.CopyFrom(e.baseBits)
-	oldCoeff := e.w.Coeff(e.target)
-	if vec.Equal(oldCoeff, newCoeff) {
-		return
-	}
-	touched := e.computeDeltas(newCoeff)
-	e.flushPending(len(touched))
-	defer e.resetDeltas()
-	for _, j := range touched {
-		d := int(e.deltaBuf[j])
-		if d == 0 {
-			continue
-		}
-		e.deltaBuf[j] = 0 // idempotent under duplicate touched entries
-		rank := e.baseRank(j)
-		if rank < 0 {
-			continue
-		}
-		k := e.w.Query(j).K
-		if rank+d <= k {
-			dst.Set(j)
-		} else {
-			dst.Clear(j)
-		}
-	}
 }
 
 // pairNormalFor returns (caching) the old intersection normal for pair
@@ -523,10 +373,8 @@ func (e *Evaluator) collectSwitches(tree *rtree.Tree, l int) {
 	// small strategies is that the pair's relative order is fixed over the
 	// whole domain both before and after, and no tree walk is needed.
 	if !slabsMayIntersectBox(oldN, newN, e.domainLo, e.domainHi) {
-		e.pendPrune++
 		return
 	}
-	e.pendSlab++
 	target := e.target
 	tieBreak := target < l // order on exact score ties
 	boxPred := func(lo, hi vec.Vector) bool {
@@ -557,9 +405,7 @@ func (e *Evaluator) collectSwitches(tree *rtree.Tree, l int) {
 func alwaysTrue(rtree.Entry) bool { return true }
 
 // RanksCached reports how many base ranks the evaluator currently holds
-// (per-subdomain for candidate targets, per-query otherwise). The work
-// counters that used to live here are process-wide obs series now — see the
-// iq_ese_* counters at the top of this file.
+// (per-subdomain for candidate targets, per-query otherwise).
 func (e *Evaluator) RanksCached() int {
 	if e.rankByQuery != nil {
 		return len(e.rankByQuery)

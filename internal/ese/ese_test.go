@@ -1,10 +1,13 @@
 package ese
 
 import (
-	"math"
+	"bytes"
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"iq/internal/obs"
 	"iq/internal/subdomain"
 	"iq/internal/topk"
 	"iq/internal/vec"
@@ -39,12 +42,19 @@ func buildFixture(t *testing.T, rng *rand.Rand, n, m, d, maxK int) *subdomain.In
 	return idx
 }
 
+// partition runs Algorithm 1 over the index's current state with the
+// default options.
+func partition(idx *subdomain.Index) *subdomain.Partition {
+	return subdomain.NewPartition(context.Background(), idx, subdomain.PartitionOptions{})
+}
+
 func TestBaseHitsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	idx := buildFixture(t, rng, 120, 80, 3, 4)
 	w := idx.Workload()
+	p := partition(idx)
 	for target := 0; target < 20; target++ {
-		e, err := New(idx, target)
+		e, err := New(p, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,9 +74,10 @@ func TestHitsMatchBruteForceRandomStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	idx := buildFixture(t, rng, 100, 70, 3, 4)
 	w := idx.Workload()
+	p := partition(idx)
 	for trial := 0; trial < 120; trial++ {
 		target := rng.Intn(w.NumObjects())
-		e, err := New(idx, target)
+		e, err := New(p, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,9 +107,10 @@ func TestHitSetMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	idx := buildFixture(t, rng, 80, 60, 3, 3)
 	w := idx.Workload()
+	p := partition(idx)
 	for trial := 0; trial < 40; trial++ {
 		target := rng.Intn(w.NumObjects())
-		e, err := New(idx, target)
+		e, err := New(p, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +142,7 @@ func TestHitSetMatchesBruteForce(t *testing.T) {
 func TestZeroStrategyIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	idx := buildFixture(t, rng, 60, 40, 2, 3)
-	e, err := New(idx, 5)
+	e, err := New(partition(idx), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +159,7 @@ func TestDominatingImprovementHitsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	idx := buildFixture(t, rng, 50, 30, 3, 2)
 	w := idx.Workload()
-	e, err := New(idx, 0)
+	e, err := New(partition(idx), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +201,10 @@ func TestNonLinearSpaceStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := partition(idx)
 	for trial := 0; trial < 40; trial++ {
 		target := rng.Intn(n)
-		e, err := New(idx, target)
+		e, err := New(p, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,41 +231,36 @@ func TestNonLinearSpaceStrategies(t *testing.T) {
 func TestEvaluatorErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	idx := buildFixture(t, rng, 20, 10, 2, 2)
-	if _, err := New(idx, -1); err == nil {
+	p := partition(idx)
+	if _, err := New(p, -1); err == nil {
 		t.Error("negative target accepted")
 	}
-	if _, err := New(idx, 999); err == nil {
+	if _, err := New(p, 999); err == nil {
 		t.Error("out-of-range target accepted")
+	}
+	if _, err := NewCtx(context.Background(), idx, 999); err == nil {
+		t.Error("NewCtx accepted an out-of-range target")
 	}
 	if err := idx.RemoveObject(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(idx, 3); err == nil {
+	if _, err := New(p, 3); err == nil {
 		t.Error("removed target accepted")
+	}
+	if _, err := NewCtx(context.Background(), idx, 3); err == nil {
+		t.Error("NewCtx accepted a removed target")
 	}
 }
 
 func TestStatsProgress(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	idx := buildFixture(t, rng, 40, 30, 2, 2)
-	built0 := mEvaluatorsBuilt.Value()
-	evals0 := mEvaluations.Value()
-	slabs0 := mSlabSearches.Value()
-	e, err := New(idx, 0)
+	e, err := New(partition(idx), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Hits(vec.Vector{-0.2, -0.2}); err != nil {
 		t.Fatal(err)
-	}
-	if mEvaluatorsBuilt.Value() == built0 {
-		t.Error("iq_ese_evaluators_built_total did not advance")
-	}
-	if mEvaluations.Value() == evals0 {
-		t.Error("iq_ese_evaluations_total did not advance")
-	}
-	if mSlabSearches.Value() == slabs0 {
-		t.Error("iq_ese_slab_searches_total did not advance")
 	}
 	if e.RanksCached() == 0 {
 		t.Error("no ranks cached after construction")
@@ -271,7 +279,7 @@ func TestEvaluatorCacheInvalidatedByCommit(t *testing.T) {
 	idx := buildFixture(t, rng, 80, 50, 3, 3)
 	w := idx.Workload()
 	target := 5
-	e, err := New(idx, target)
+	e, err := New(partition(idx), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,13 +322,15 @@ func TestEvaluatorCacheInvalidatedByCommit(t *testing.T) {
 
 // Adding and removing queries/objects after evaluator construction must
 // neither panic (the delta buffer is sized to the query count at build
-// time) nor return stale counts.
+// time) nor return stale counts, and the evaluator's rebuilt partition keeps
+// the options it was built with.
 func TestEvaluatorSurvivesSubdomainUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	idx := buildFixture(t, rng, 60, 30, 3, 3)
 	w := idx.Workload()
 	target := 3
-	e, err := New(idx, target)
+	opts := subdomain.PartitionOptions{TreeFanout: 4, MaxIntersections: 50}
+	e, err := New(subdomain.NewPartition(context.Background(), idx, opts), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,36 +355,46 @@ func TestEvaluatorSurvivesSubdomainUpdates(t *testing.T) {
 	if got != want {
 		t.Fatalf("after updates: ESE %d, brute force %d", got, want)
 	}
+	if e.part.Epoch() != idx.Epoch() || e.part.Options() != opts {
+		t.Fatalf("rebuilt partition: epoch %d options %+v, want epoch %d options %+v",
+			e.part.Epoch(), e.part.Options(), idx.Epoch(), opts)
+	}
 }
 
-// TestHitMemoNegativeZero pins the memo-key normalisation: IEEE-754 gives
-// -0.0 and +0.0 distinct bit patterns but identical scoring behaviour, so a
-// coefficient that differs only in a zero's sign must share one memo entry
-// and one answer. Before normalisation the memo split such probes into two
-// entries, halving its effective capacity on workloads whose strategies zero
-// out axes.
-func TestHitMemoNegativeZero(t *testing.T) {
+// TestNewCtxBuildsItsPartition: NewCtx runs Algorithm 1 with the default
+// options inside its "ese/build" span, and its evaluator counts like one
+// built by New over a partition the caller built.
+func TestNewCtxBuildsItsPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	idx := buildFixture(t, rng, 60, 40, 3, 3)
-	e, err := New(idx, 0)
+	tr := obs.NewTrace("ese", 64)
+	traced, err := NewCtx(obs.WithTrace(context.Background(), tr), idx, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coeff := vec.Clone(idx.Workload().Coeff(0))
-	coeff[1] = 0.0
-	pos := e.HitsWithCoeff(coeff)
-	if len(e.hitMemo) != 1 {
-		t.Fatalf("expected 1 memo entry after first probe, got %d", len(e.hitMemo))
+	var tree bytes.Buffer
+	if err := obs.WriteTree(&tree, tr); err != nil {
+		t.Fatal(err)
 	}
-	neg := vec.Clone(coeff)
-	neg[1] = math.Copysign(0, -1)
-	if math.Float64bits(neg[1]) == math.Float64bits(coeff[1]) {
-		t.Fatal("test setup failed to produce a negative zero")
+	if !strings.Contains(tree.String(), "  ese/build ") || !strings.Contains(tree.String(), "\n    index/partition ") {
+		t.Fatalf("want index/partition inside ese/build:\n%s", tree.String())
 	}
-	if got := e.HitsWithCoeff(neg); got != pos {
-		t.Fatalf("hits diverged on zero sign: +0 gave %d, -0 gave %d", pos, got)
+	plain, err := New(partition(idx), 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(e.hitMemo) != 1 {
-		t.Fatalf("-0.0 probe split the memo: %d entries", len(e.hitMemo))
+	for trial := 0; trial < 20; trial++ {
+		s := vec.Vector{-0.3 * rng.Float64(), -0.3 * rng.Float64(), -0.3 * rng.Float64()}
+		a, err := traced.Hits(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := plain.Hits(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatalf("trial %d: NewCtx evaluator counts %d, New %d", trial, a, b)
+		}
 	}
 }

@@ -1,11 +1,11 @@
 package subdomain
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
 
-	"iq/internal/rtree"
 	"iq/internal/topk"
 	"iq/internal/vec"
 )
@@ -39,6 +39,12 @@ func buildRandom(t *testing.T, rng *rand.Rand, n, m, d, maxK int, opts Options) 
 	return idx
 }
 
+// partition runs Algorithm 1 over the index's current state with the
+// default options.
+func partition(x *Index) *Partition {
+	return NewPartition(context.Background(), x, PartitionOptions{})
+}
+
 func TestBuildInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, cfg := range []struct{ n, m, d, maxK int }{
@@ -47,15 +53,16 @@ func TestBuildInvariant(t *testing.T) {
 		{100, 60, 4, 2},
 	} {
 		idx := buildRandom(t, rng, cfg.n, cfg.m, cfg.d, cfg.maxK, Options{})
-		if err := idx.CheckInvariant(); err != nil {
+		p := partition(idx)
+		if err := p.CheckInvariant(); err != nil {
 			t.Errorf("cfg %+v: %v", cfg, err)
 		}
-		if idx.NumSubdomains() == 0 {
+		if p.NumSubdomains() == 0 {
 			t.Errorf("cfg %+v: no subdomains", cfg)
 		}
 		// Every query is mapped.
 		for j := 0; j < idx.Workload().NumQueries(); j++ {
-			if idx.SubdomainOf(j) == nil {
+			if p.SubdomainOf(j) == nil {
 				t.Errorf("cfg %+v: query %d unmapped", cfg, j)
 			}
 		}
@@ -68,8 +75,9 @@ func TestSubdomainsShareResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	idx := buildRandom(t, rng, 150, 120, 3, 4, Options{})
 	w := idx.Workload()
+	p := partition(idx)
 	for j := 0; j < w.NumQueries(); j++ {
-		s := idx.SubdomainOf(j)
+		s := p.SubdomainOf(j)
 		rep := s.Representative()
 		if rep == j {
 			continue
@@ -87,19 +95,20 @@ func TestSubdomainsShareResults(t *testing.T) {
 
 func TestCappedIntersectionsStillSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	idx := buildRandom(t, rng, 100, 80, 3, 3, Options{MaxIntersections: 5})
-	if err := idx.CheckInvariant(); err != nil {
+	idx := buildRandom(t, rng, 100, 80, 3, 3, Options{})
+	p := NewPartition(context.Background(), idx, PartitionOptions{MaxIntersections: 5})
+	if err := p.CheckInvariant(); err != nil {
 		t.Errorf("capped build unsound: %v", err)
 	}
-	if idx.IntersectionsProcessed() > 5 {
-		t.Errorf("processed %d intersections, cap was 5", idx.IntersectionsProcessed())
+	if p.Intersections() > 5 {
+		t.Errorf("processed %d intersections, cap was 5", p.Intersections())
 	}
 }
 
 func TestUnrefinedUncappedStillSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	idx := buildRandom(t, rng, 80, 60, 2, 3, Options{})
-	if err := idx.checkInvariant(idx.algorithm1(false)); err != nil {
+	if err := idx.algorithm1(PartitionOptions{}, false).CheckInvariant(); err != nil {
 		t.Errorf("uncapped Algorithm 1 should be exact: %v", err)
 	}
 }
@@ -108,7 +117,7 @@ func TestStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	idx := buildRandom(t, rng, 60, 40, 3, 3, Options{})
 	st := idx.Stats()
-	if st.Queries != 40 || st.Subdomains != idx.NumSubdomains() ||
+	if st.Queries != 40 || st.Subdomains != partition(idx).NumSubdomains() ||
 		st.Candidates != len(idx.Candidates()) || st.SizeBytes <= 0 || st.TreeNodes <= 0 {
 		t.Errorf("stats %+v", st)
 	}
@@ -123,15 +132,15 @@ func TestEmptyQuerySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.NumSubdomains() != 0 {
-		t.Errorf("subdomains=%d for empty query set", idx.NumSubdomains())
+	if n := partition(idx).NumSubdomains(); n != 0 {
+		t.Errorf("subdomains=%d for empty query set", n)
 	}
 }
 
 func TestAddQueryJoinsOrCreates(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	idx := buildRandom(t, rng, 100, 50, 3, 3, Options{})
-	before := idx.NumSubdomains()
+	before := partition(idx).NumSubdomains()
 
 	// Duplicate an existing query point: must join its subdomain.
 	w := idx.Workload()
@@ -140,13 +149,14 @@ func TestAddQueryJoinsOrCreates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.SubdomainOf(j).ID != idx.SubdomainOf(dupOf).ID {
+	p := partition(idx)
+	if p.SubdomainOf(j).ID != p.SubdomainOf(dupOf).ID {
 		t.Error("duplicate query did not join its twin's subdomain")
 	}
-	if idx.NumSubdomains() != before {
-		t.Errorf("subdomain count changed: %d -> %d", before, idx.NumSubdomains())
+	if p.NumSubdomains() != before {
+		t.Errorf("subdomain count changed: %d -> %d", before, p.NumSubdomains())
 	}
-	if err := idx.CheckInvariant(); err != nil {
+	if err := p.CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,7 +165,7 @@ func TestAddQueryJoinsOrCreates(t *testing.T) {
 	if _, err := idx.AddQuery(topk.Query{ID: 1000, K: 1, Point: randVec(rng, 3)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.CheckInvariant(); err != nil {
+	if err := partition(idx).CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -166,7 +176,7 @@ func TestRemoveQuery(t *testing.T) {
 	if err := idx.RemoveQuery(5); err != nil {
 		t.Fatal(err)
 	}
-	if idx.SubdomainOf(5) != nil {
+	if partition(idx).SubdomainOf(5) != nil {
 		t.Error("removed query still mapped")
 	}
 	if err := idx.RemoveQuery(5); err == nil {
@@ -175,19 +185,20 @@ func TestRemoveQuery(t *testing.T) {
 	if err := idx.RemoveQuery(-1); err == nil {
 		t.Error("negative index accepted")
 	}
-	if err := idx.CheckInvariant(); err != nil {
+	if err := partition(idx).CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
 	// Removing every query in a subdomain deletes it.
+	p := partition(idx)
 	for j := 0; j < idx.Workload().NumQueries(); j++ {
-		if idx.SubdomainOf(j) != nil {
+		if p.SubdomainOf(j) != nil {
 			if err := idx.RemoveQuery(j); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if idx.NumSubdomains() != 0 {
-		t.Errorf("%d subdomains after removing all queries", idx.NumSubdomains())
+	if n := partition(idx).NumSubdomains(); n != 0 {
+		t.Errorf("%d subdomains after removing all queries", n)
 	}
 }
 
@@ -202,11 +213,11 @@ func TestAddObjectRepartitions(t *testing.T) {
 	if !idx.IsCandidate(id) {
 		t.Error("dominating object not in candidate set")
 	}
-	if err := idx.CheckInvariant(); err != nil {
+	if err := partition(idx).CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
 	// A dominated object must not disturb anything.
-	before := idx.NumSubdomains()
+	before := partition(idx).NumSubdomains()
 	id2, err := idx.AddObject(vec.Vector{0.999, 0.999, 0.999})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +225,7 @@ func TestAddObjectRepartitions(t *testing.T) {
 	if idx.IsCandidate(id2) {
 		t.Error("hopeless object entered candidate set")
 	}
-	if idx.NumSubdomains() != before {
+	if partition(idx).NumSubdomains() != before {
 		t.Error("dominated object changed the partition")
 	}
 }
@@ -230,7 +241,7 @@ func TestRemoveObjectMergesAndStaysSound(t *testing.T) {
 	if idx.IsCandidate(cand) {
 		t.Error("removed object still candidate")
 	}
-	if err := idx.CheckInvariant(); err != nil {
+	if err := partition(idx).CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
 	if err := idx.RemoveObject(cand); err == nil {
@@ -248,11 +259,11 @@ func TestRemoveObjectMergesAndStaysSound(t *testing.T) {
 		}
 	}
 	if non >= 0 {
-		before := idx.NumSubdomains()
+		before := partition(idx).NumSubdomains()
 		if err := idx.RemoveObject(non); err != nil {
 			t.Fatal(err)
 		}
-		if idx.NumSubdomains() != before {
+		if partition(idx).NumSubdomains() != before {
 			t.Error("non-candidate removal changed partition")
 		}
 	}
@@ -273,7 +284,7 @@ func TestUpdatesMatchRebuild(t *testing.T) {
 			}
 		case 1:
 			j := rng.Intn(w.NumQueries())
-			if idx.SubdomainOf(j) != nil {
+			if !w.IsQueryRemoved(j) {
 				if err := idx.RemoveQuery(j); err != nil {
 					t.Fatal(err)
 				}
@@ -290,36 +301,40 @@ func TestUpdatesMatchRebuild(t *testing.T) {
 				}
 			}
 		}
-		if err := idx.CheckInvariant(); err != nil {
+		if err := partition(idx).CheckInvariant(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 }
 
-// TestPartitionConcurrentFirstUse: readers racing to a snapshot's first
-// partition read all get the one partition it builds.
-func TestPartitionConcurrentFirstUse(t *testing.T) {
+// TestPartitionConcurrentBuilds: building a partition only reads the index,
+// so readers of one published snapshot may build partitions of it
+// concurrently (the race detector checks the reads), and every reader gets
+// the same grouping.
+func TestPartitionConcurrentBuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	idx := buildRandom(t, rng, 80, 60, 3, 3, Options{})
-	trees := make([]*rtree.Tree, 8)
+	parts := make([]*Partition, 8)
 	var wg sync.WaitGroup
-	for i := range trees {
+	for i := range parts {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if idx.SubdomainOf(i) == nil {
-				t.Errorf("query %d unmapped", i)
-			}
-			trees[i] = idx.Tree()
+			parts[i] = partition(idx)
 		}(i)
 	}
 	wg.Wait()
-	for i, tr := range trees {
-		if tr != trees[0] {
-			t.Fatalf("reader %d saw a second partition", i)
+	for i, p := range parts {
+		if err := p.CheckInvariant(); err != nil {
+			t.Fatalf("reader %d: %v", i, err)
 		}
-	}
-	if err := idx.CheckInvariant(); err != nil {
-		t.Fatal(err)
+		if p.NumSubdomains() != parts[0].NumSubdomains() {
+			t.Fatalf("reader %d: %d subdomains, reader 0 %d", i, p.NumSubdomains(), parts[0].NumSubdomains())
+		}
+		for j := range idx.Workload().NumQueries() {
+			if p.SubdomainOf(j).ID != parts[0].SubdomainOf(j).ID {
+				t.Fatalf("reader %d put query %d in another subdomain", i, j)
+			}
+		}
 	}
 }

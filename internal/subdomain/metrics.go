@@ -12,7 +12,7 @@ var (
 	mBuilds = obs.Default.Counter("iq_index_builds_total",
 		"Index constructions (candidate skyband and per-query rows).")
 	mBuildSeconds = obs.Default.Histogram("iq_index_build_seconds",
-		"Wall time of index constructions: the candidate skyband and the per-query rows; Algorithm 1 runs on the partition's first read.", nil)
+		"Wall time of index constructions: the candidate skyband and the per-query rows.", nil)
 	mClones = obs.Default.Counter("iq_index_clones_total",
 		"Copy-on-write index clones taken by the write path.")
 	mCloneSeconds = obs.Default.Histogram("iq_index_clone_seconds",

@@ -1,6 +1,7 @@
 package subdomain
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestSweepPathForNormalizedWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.checkInvariant(idx.algorithm1(false)); err != nil {
+	if err := idx.algorithm1(PartitionOptions{}, false).CheckInvariant(); err != nil {
 		t.Fatalf("sweep-based partition unsound: %v", err)
 	}
 	// The hull-segment detector must have fired.
@@ -75,7 +76,7 @@ func TestBoxFilterPrunesButStaysSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.checkInvariant(idx.algorithm1(false)); err != nil {
+	if err := idx.algorithm1(PartitionOptions{}, false).CheckInvariant(); err != nil {
 		t.Fatalf("box-filtered partition unsound: %v", err)
 	}
 	cands := len(idx.Candidates())
@@ -100,8 +101,8 @@ func TestHullSegmentDegenerateCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.NumSubdomains() != 1 {
-		t.Errorf("identical queries should share one subdomain, got %d", idx.NumSubdomains())
+	if n := partition(idx).NumSubdomains(); n != 1 {
+		t.Errorf("identical queries should share one subdomain, got %d", n)
 	}
 }
 
@@ -126,12 +127,14 @@ func TestSweepAndBruteAgreeOnSubdomains(t *testing.T) {
 	}
 	// Rebuild with refinement (which is signature-exact) as the reference.
 	w2, _ := topk.NewWorkload(topk.LinearSpace{D: 2}, attrs, queries)
-	idxRef, err := Build(w2, Options{MaxIntersections: 1}) // force refinement to do the work
+	idxRef, err := Build(w2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idxSweep.NumSubdomains() != idxRef.NumSubdomains() {
-		t.Errorf("sweep partition has %d subdomains, signature reference %d",
-			idxSweep.NumSubdomains(), idxRef.NumSubdomains())
+	sweep := partition(idxSweep).NumSubdomains()
+	// A one-split cap forces the refinement to do the work.
+	ref := NewPartition(context.Background(), idxRef, PartitionOptions{MaxIntersections: 1}).NumSubdomains()
+	if sweep != ref {
+		t.Errorf("sweep partition has %d subdomains, signature reference %d", sweep, ref)
 	}
 }

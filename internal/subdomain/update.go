@@ -12,9 +12,8 @@ import (
 )
 
 // This file implements the data-updating operations of Section 4.3. They
-// keep the candidate skyband and the per-query rows current; the partition is
-// dropped and rebuilt from the new state on its next read. Every operation
-// has a Ctx variant recording an "index/<op>" span when the context carries
+// keep the candidate skyband and the per-query rows current and advance the
+// epoch. Every operation has a Ctx variant recording an "index/<op>" span when the context carries
 // a trace; the plain variants delegate with context.Background() so
 // existing call sites keep working untraced. The object and query adds and
 // the object mutations stamp rows_changed and rows_rescanned on their spans.

@@ -247,7 +247,7 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("seed %d mutation %d: batch assigned id %d, sequential %d", seed, i, results[i].ID, id)
 			}
 		}
-		if err := batched.Index().CheckInvariant(); err != nil {
+		if err := checkPartition(batched.Index()); err != nil {
 			t.Fatalf("seed %d: batched index invariant: %v", seed, err)
 		}
 		for trial := 0; trial < 4; trial++ {
@@ -395,7 +395,7 @@ func TestStressSolvesDuringBatchedCommits(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if err := sys.Index().CheckInvariant(); err != nil {
+	if err := checkPartition(sys.Index()); err != nil {
 		t.Fatal(err)
 	}
 	req := MinCostRequest{Target: 11, Tau: 4, Cost: L2Cost{}}

@@ -9,11 +9,12 @@
 //   - MaxHit: the adjustment hitting the most queries within a cost budget
 //     (Algorithm 4).
 //
-// Both are NP-hard; the library answers them with the paper's geometric
+// Both are NP-hard; the library answers them with the paper's greedy
 // heuristics: objects are interpreted as functions over the query weight
-// space, queries are grouped into subdomains sharing one ranking
-// (Algorithm 1), and candidate strategies are scored with Efficient
-// Strategy Evaluation (Algorithm 2) instead of re-evaluating the workload.
+// space, only the k-skyband of the objects can enter a top-k result, and
+// each candidate strategy's hit count is read from a per-target table of
+// the score each query's top-k demands (Eq. 6) instead of re-evaluating the
+// workload.
 //
 // Scores are lower-is-better: a top-k query returns the k objects with the
 // smallest score, and an improvement typically decreases attribute values.
@@ -752,9 +753,9 @@ func (s *System) NumQueries() int { return s.view().w.NumQueries() }
 // Attrs returns a copy of an object's current attributes.
 func (s *System) Attrs(id int) Vector { return vec.Clone(s.view().w.Attrs(id)) }
 
-// IndexStats reports the subdomain index footprint. The first call per
-// snapshot runs Algorithm 1 to build the partition it measures, which no
-// solve reads.
+// IndexStats reports the subdomain index footprint. Every call runs
+// Algorithm 1 over the current snapshot to build the partition it measures,
+// which no solve reads.
 func (s *System) IndexStats() IndexStats { return s.view().idx.Stats() }
 
 // Internal accessors for the benchmark harness and tools.

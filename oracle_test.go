@@ -1,12 +1,14 @@
 package iq
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"iq/internal/dataset"
 	"iq/internal/ese"
+	"iq/internal/subdomain"
 	"iq/internal/vec"
 )
 
@@ -14,12 +16,13 @@ import (
 // targets — Hits, EvaluateStrategy and an ESE evaluator on random
 // strategies, and a greedy solve's Hits and BaseHits — with brute-force
 // HitsExact on the same snapshot (Eq. 6 by definition). It also checks the
-// grouping invariant of the snapshot's partition, which the ESE evaluator
-// builds on first use. strategy draws one candidate strategy.
+// grouping invariant of the Algorithm 1 partition the ESE evaluators share.
+// strategy draws one candidate strategy.
 func checkHitOracle(t *testing.T, rng *rand.Rand, sys *System, strategies int, strategy func() Vector) {
 	t.Helper()
 	idx := sys.Index()
 	w := idx.Workload()
+	part := subdomain.NewPartition(context.Background(), idx, subdomain.PartitionOptions{})
 	exact := func(target int, s Vector) int {
 		t.Helper()
 		h, err := w.HitsExact(vec.Add(w.Attrs(target), s), target)
@@ -39,7 +42,7 @@ func checkHitOracle(t *testing.T, rng *rand.Rand, sys *System, strategies int, s
 		if h, err := sys.Hits(target); err != nil || h != base {
 			t.Fatalf("target %d: Hits %d (%v), HitsExact %d", target, h, err, base)
 		}
-		ev, err := ese.New(idx, target)
+		ev, err := ese.New(part, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,9 +75,15 @@ func checkHitOracle(t *testing.T, rng *rand.Rand, sys *System, strategies int, s
 				target, mh.Hits, mh.BaseHits, exact(target, mh.Strategy), base)
 		}
 	}
-	if err := idx.CheckInvariant(); err != nil {
+	if err := part.CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkPartition runs Algorithm 1 over the index's current state and checks
+// the grouping invariant of the partition it builds.
+func checkPartition(idx *subdomain.Index) error {
+	return subdomain.NewPartition(context.Background(), idx, subdomain.PartitionOptions{}).CheckInvariant()
 }
 
 // uniformStrategy draws strategies of mixed scale and sign in d dimensions.

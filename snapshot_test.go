@@ -301,37 +301,42 @@ func TestLoadVersion1Compat(t *testing.T) {
 	}
 }
 
-// TestLoadShardedSnapshot: checkpoints written by a server running the
-// former in-process sharded engine carry Options.Shards and
-// Options.RegionBase. gob skips fields the decoding type no longer has, so
-// such a checkpoint must load as the monolithic engine at the saved epoch
-// and answer exactly like the System it was saved from.
+// legacySnapshot is the on-disk layout of checkpoints written by earlier
+// versions, field for field: every one carries Options.TreeFanout and
+// Options.MaxIntersections, which configured the Algorithm 1 partition the
+// index then held, and those of the former in-process sharded engine also
+// carry Options.SkipRefinement, Options.Shards and Options.RegionBase.
+type legacySnapshot struct {
+	Version      int
+	Epoch        uint64
+	Space        spaceSpec
+	Objects      []Vector
+	Removed      []bool
+	QueryID      []int
+	QueryK       []int
+	QueryPt      []Vector
+	QueryRemoved []bool
+	Options      legacyOptions
+}
+
+type legacyOptions struct {
+	TreeFanout       int
+	Slack            int
+	MaxIntersections int
+	SkipRefinement   bool
+	Shards           int
+	RegionBase       uint64
+}
+
+// TestLoadShardedSnapshot: gob skips fields the decoding type no longer
+// has, so a checkpoint in the legacy layout, with every legacy option set,
+// must load at the saved epoch and answer exactly like the System it was
+// saved from.
 func TestLoadShardedSnapshot(t *testing.T) {
-	// The on-disk layout of those checkpoints, field for field.
-	type legacyOptions struct {
-		TreeFanout       int
-		Slack            int
-		MaxIntersections int
-		SkipRefinement   bool
-		Shards           int
-		RegionBase       uint64
-	}
-	type legacySnapshot struct {
-		Version      int
-		Epoch        uint64
-		Space        spaceSpec
-		Objects      []Vector
-		Removed      []bool
-		QueryID      []int
-		QueryK       []int
-		QueryPt      []Vector
-		QueryRemoved []bool
-		Options      legacyOptions
-	}
 	rng := rand.New(rand.NewSource(11))
 	objs := dataset.Objects(dataset.Independent, 80, 3, rng)
 	queries := dataset.UNQueries(60, 3, 5, false, rng)
-	sys, err := NewWithOptions(LinearSpace{D: 3}, objs, queries, IndexOptions{TreeFanout: 8})
+	sys, err := NewWithOptions(LinearSpace{D: 3}, objs, queries, IndexOptions{Slack: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,9 +358,12 @@ func TestLoadShardedSnapshot(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&legacy); err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Options.TreeFanout != 8 {
-		t.Fatalf("saved TreeFanout %d after writes, want 8", legacy.Options.TreeFanout)
+	if legacy.Options.Slack != 2 {
+		t.Fatalf("saved Slack %d after writes, want 2", legacy.Options.Slack)
 	}
+	legacy.Options.TreeFanout = 8
+	legacy.Options.MaxIntersections = 64
+	legacy.Options.SkipRefinement = true
 	legacy.Options.Shards = 4
 	legacy.Options.RegionBase = 3 << 40
 	buf.Reset()
@@ -678,10 +686,11 @@ func checkLoad(t *testing.T, in []byte) {
 // dimension, the lengths of both tombstone slices (nil when the length byte
 // is 255), and the index options, and vals supplies the attributes, the
 // tombstones, and the query ids, Ks and points, each point of dimension
-// qdim. The snapshot is gob-encoded as Save encodes it. Lengthening a slice
-// in FuzzLoad's bytes means rewriting two gob length prefixes, so byte
-// mutations rarely reach decodeSnapshot's length checks; here they are one
-// mutation away.
+// qdim. The snapshot is gob-encoded in the legacy layout, so the fuzzed
+// options include the partition's former TreeFanout and MaxIntersections.
+// Lengthening a slice in FuzzLoad's bytes means rewriting two gob length
+// prefixes, so byte mutations rarely reach decodeSnapshot's length checks;
+// here they are one mutation away.
 func FuzzLoadFields(f *testing.F) {
 	f.Add(uint8(3), uint64(2), uint8(4), uint8(2), uint8(4), uint8(3), uint8(2), uint8(3), int8(0), int8(1), int8(0),
 		[]byte{8, 4, 2, 6, 1, 7, 5, 3, 0b0100, 8, 0, 0, 1, 8, 4, 1, 2, 4, 4, 2, 1, 0b010})
@@ -710,12 +719,12 @@ func FuzzLoadFields(f *testing.F) {
 			return out
 		}
 		d := int(dim % 4)
-		snap := snapshot{
+		snap := legacySnapshot{
 			Version: int(version % 5),
 			Epoch:   epoch,
 			Space:   spaceSpec{Kind: "linear", Dim: d},
 			Objects: make([]vec.Vector, objects%9),
-			Options: IndexOptions{TreeFanout: int(fanout), Slack: int(slack), MaxIntersections: int(maxInter)},
+			Options: legacyOptions{TreeFanout: int(fanout), Slack: int(slack), MaxIntersections: int(maxInter)},
 		}
 		for i := range snap.Objects {
 			snap.Objects[i] = make(vec.Vector, d)
