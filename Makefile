@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check build fmt vet test short race stress fuzz bench metricscheck tracecheck crashcheck perfbench
+.PHONY: check build fmt vet test short race stress fuzz bench benchsmoke metricscheck tracecheck crashcheck perfbench
 
 # check is the CI entry point: build everything, check formatting, vet, run
 # the suite under the race detector (-short: the stress tests are excluded
 # there) and once more without it (the allocation pins are //go:build
 # !race), then re-run the concurrency stress tests twice to shake out
 # scheduling-dependent interleavings, fuzz each native fuzz target briefly,
-# and finally drive live servers through the script gates.
+# run the core benchmarks once so they cannot rot, and finally drive live
+# servers through the script gates.
 # Every test run carries an explicit -timeout so a hung solve fails fast
 # with a goroutine dump instead of stalling CI at the per-package default.
-check: build fmt vet race short stress fuzz metricscheck tracecheck crashcheck perfbench
+check: build fmt vet race short stress fuzz benchsmoke metricscheck tracecheck crashcheck perfbench
 
 build:
 	$(GO) build ./...
@@ -84,4 +85,9 @@ perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 bench:
-	$(GO) test -bench=. -benchmem ./internal/bench/
+	$(GO) test -bench=. -benchmem ./internal/bench/ ./internal/core/
+
+# benchsmoke runs every internal/core benchmark for one iteration: it checks
+# that they build and run, not how fast.
+benchsmoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 5m ./internal/core

@@ -31,6 +31,9 @@ go test -run '^$' -fuzz '^FuzzLoadFields$' -fuzztime 10s -fuzzminimizetime 0 -ti
 # FuzzReadSegment skips minimising too: each input is a file on disk, and
 # with minimising the workers stalled at 0 execs/s after about 10 s.
 go test -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m ./internal/wal
+# Benchmark smoke: run every internal/core benchmark once, so they keep
+# building and running (the timings are not checked).
+go test -run '^$' -bench . -benchtime 1x -timeout 5m ./internal/core
 # Live observability gate: boot a real iqserver and validate its /metrics
 # exposition with iqtool's built-in parser (fails on unparseable output or
 # a registry with no engine series).

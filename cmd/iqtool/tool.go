@@ -274,9 +274,9 @@ func (s *session) cmdBuild() error {
 		return err
 	}
 	s.sys = sys
-	st := sys.IndexStats()
-	fmt.Fprintf(s.out, "index built: %d subdomains over %d queries, %d candidate objects, %d bytes\n",
-		st.Subdomains, st.Queries, st.Candidates, st.SizeBytes)
+	// IndexStats would run Algorithm 1, which no solve needs; stats does.
+	fmt.Fprintf(s.out, "index built: %d queries, %d candidate objects\n",
+		sys.NumQueries(), len(sys.Index().Candidates()))
 	return nil
 }
 

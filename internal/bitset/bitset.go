@@ -1,14 +1,13 @@
-// Package bitset provides a small fixed-capacity bitset used by the solver
-// hot path. The greedy rounds of Algorithms 3 and 4 track "which queries are
-// already hit" once per probe; a map[int]bool there costs an allocation and
-// a hash per lookup, while a []uint64 word array costs neither. The type is
-// deliberately minimal — exactly the operations the round loop needs — and
-// is not safe for concurrent mutation (each solve owns its own Bits).
+// Package bitset provides a small fixed-capacity bitset over query indices.
+// The multi-target solver keeps one hit set per target and one per
+// candidate, and hitTable.hitSet fills them; a map[int]bool there costs an
+// allocation and a hash per lookup, while a []uint64 word array costs
+// neither. The type is deliberately minimal — exactly the operations those
+// users need — and is not safe for concurrent mutation (each solve owns its
+// own Bits).
 package bitset
 
-import "math/bits"
-
-// Bits is a fixed-capacity bitset over [0, Len).
+// Bits is a fixed-capacity bitset over [0, n).
 type Bits struct {
 	words []uint64
 	n     int
@@ -21,9 +20,6 @@ func New(n int) *Bits {
 	}
 	return &Bits{words: make([]uint64, (n+63)/64), n: n}
 }
-
-// Len returns the capacity in bits.
-func (b *Bits) Len() int { return b.n }
 
 // Reset clears every bit, keeping the backing array.
 func (b *Bits) Reset() {
@@ -55,14 +51,6 @@ func (b *Bits) Set(i int) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Clear clears bit i.
-func (b *Bits) Clear(i int) {
-	if i < 0 || i >= b.n {
-		panic("bitset: Clear out of range")
-	}
-	b.words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
 // Get reports bit i. Out-of-range indices read as false, so callers sized
 // for an older, smaller workload fail soft rather than panic.
 func (b *Bits) Get(i int) bool {
@@ -70,26 +58,4 @@ func (b *Bits) Get(i int) bool {
 		return false
 	}
 	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// Count returns the number of set bits.
-func (b *Bits) Count() int {
-	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// CopyFrom makes b an exact copy of src, growing b as needed.
-func (b *Bits) CopyFrom(src *Bits) {
-	b.Grow(src.n)
-	b.n = src.n
-	for i := range b.words {
-		if i < len(src.words) {
-			b.words[i] = src.words[i]
-		} else {
-			b.words[i] = 0
-		}
-	}
 }

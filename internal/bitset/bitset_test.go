@@ -5,10 +5,21 @@ import (
 	"testing"
 )
 
+// count returns the number of set bits below n, read through Get.
+func count(b *Bits, n int) int {
+	c := 0
+	for i := 0; i < n; i++ {
+		if b.Get(i) {
+			c++
+		}
+	}
+	return c
+}
+
 func TestBasicOps(t *testing.T) {
 	b := New(130)
-	if b.Len() != 130 || b.Count() != 0 {
-		t.Fatalf("fresh bits: len=%d count=%d", b.Len(), b.Count())
+	if c := count(b, 130); c != 0 {
+		t.Fatalf("fresh bits: count=%d", c)
 	}
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
 		b.Set(i)
@@ -16,16 +27,16 @@ func TestBasicOps(t *testing.T) {
 			t.Fatalf("bit %d not set", i)
 		}
 	}
-	if b.Count() != 8 {
-		t.Fatalf("count = %d, want 8", b.Count())
+	if c := count(b, 130); c != 8 {
+		t.Fatalf("count = %d, want 8", c)
 	}
-	b.Clear(64)
-	if b.Get(64) || b.Count() != 7 {
-		t.Fatalf("clear(64) failed: get=%v count=%d", b.Get(64), b.Count())
+	b.Set(64) // setting a set bit changes nothing
+	if c := count(b, 130); c != 8 {
+		t.Fatalf("count after re-set = %d, want 8", c)
 	}
 	b.Reset()
-	if b.Count() != 0 {
-		t.Fatalf("reset left %d bits", b.Count())
+	if c := count(b, 130); c != 0 {
+		t.Fatalf("reset left %d bits", c)
 	}
 }
 
@@ -34,15 +45,18 @@ func TestOutOfRange(t *testing.T) {
 	if b.Get(-1) || b.Get(10) || b.Get(1<<20) {
 		t.Fatal("out-of-range Get must read false")
 	}
-	for _, fn := range []func(){func() { b.Set(10) }, func() { b.Clear(-1) }} {
+	for _, i := range []int{-1, 10} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatal("out-of-range mutation must panic")
+					t.Fatalf("Set(%d) must panic", i)
 				}
 			}()
-			fn()
+			b.Set(i)
 		}()
+	}
+	if New(-5).Get(0) {
+		t.Fatal("a negative capacity must hold no bits")
 	}
 }
 
@@ -51,10 +65,7 @@ func TestGrowPreserves(t *testing.T) {
 	b.Set(1)
 	b.Set(4)
 	b.Grow(200)
-	if b.Len() != 200 {
-		t.Fatalf("len = %d, want 200", b.Len())
-	}
-	if !b.Get(1) || !b.Get(4) || b.Get(100) {
+	if !b.Get(1) || !b.Get(4) || count(b, 200) != 2 {
 		t.Fatal("grow lost or invented bits")
 	}
 	b.Set(199)
@@ -62,52 +73,43 @@ func TestGrowPreserves(t *testing.T) {
 		t.Fatal("bit beyond old capacity not settable")
 	}
 	b.Grow(50) // shrink is a no-op
-	if b.Len() != 200 || !b.Get(199) {
+	if !b.Get(199) || count(b, 200) != 3 {
 		t.Fatal("shrinking Grow must be a no-op")
 	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	src := New(100)
-	src.Set(3)
-	src.Set(99)
-	dst := New(10)
-	dst.Set(5)
-	dst.CopyFrom(src)
-	if dst.Len() != 100 || !dst.Get(3) || !dst.Get(99) || dst.Get(5) {
-		t.Fatal("CopyFrom is not an exact copy")
-	}
-	// Copy into a larger destination must clear the tail words.
-	big := New(300)
-	big.Set(250)
-	big.CopyFrom(src)
-	if big.Get(250) || big.Count() != 2 {
-		t.Fatalf("CopyFrom into larger dst left stale bits (count=%d)", big.Count())
+	// A Reset bitset grown into its spare words reads clear there.
+	b.Reset()
+	b.Grow(256)
+	if count(b, 256) != 0 {
+		t.Fatal("grow after reset invented bits")
 	}
 }
 
-// Model check against map semantics under a random op stream.
+// Model check against map semantics under a random op stream of Set, Get,
+// Reset and Grow.
 func TestAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const n = 257
+	n := 257
 	b := New(n)
 	m := map[int]bool{}
 	for op := 0; op < 5000; op++ {
 		i := rng.Intn(n)
-		switch rng.Intn(3) {
+		switch rng.Intn(20) {
 		case 0:
+			b.Reset()
+			clear(m)
+		case 1:
+			n += rng.Intn(70)
+			b.Grow(n)
+		case 2, 3, 4, 5, 6, 7, 8, 9:
 			b.Set(i)
 			m[i] = true
-		case 1:
-			b.Clear(i)
-			delete(m, i)
 		default:
 			if b.Get(i) != m[i] {
 				t.Fatalf("op %d: Get(%d) = %v, want %v", op, i, b.Get(i), m[i])
 			}
 		}
 	}
-	if b.Count() != len(m) {
-		t.Fatalf("count = %d, want %d", b.Count(), len(m))
+	if c := count(b, n); c != len(m) {
+		t.Fatalf("count = %d, want %d", c, len(m))
 	}
 }

@@ -21,9 +21,18 @@ package core
 // entries is always hit: a table costs O(queries·K), with no band scan.
 //
 // Exactness: each row's bound folds topk.Better's id tie-break into the
-// strict score comparison, and scores are summed by vec.Dot exactly as
-// topk.Workload.HitsExact sums them, so a table count equals HitsExact bit
+// strict score comparison, and scores are summed exactly as vec.Dot sums
+// them for topk.Workload.HitsExact, so a table count equals HitsExact bit
 // for bit.
+//
+// Layout: the counting form holds the bounded rows' query points in one
+// row-major []float64, dim coordinates per row, with no per-row pointer, and
+// every count and every round scores a row with one kernel (score3,
+// scoreN). At d = 3 — every benchmark workload, Table 2 and the paper's
+// default — the kernel writes the three products out and loads the
+// coefficients once per pass; any other dimension loops over the row. Both
+// start from 0 and add c_i·q_i for i = 0, 1, … one term at a time, which is
+// vec.Dot's loop, so both give vec.Dot's bits.
 //
 // Lifetime: a table is derived on first use and stored on its snapshot
 // (subdomain.Index.Memo), so it dies with the snapshot; an in-place index
@@ -78,9 +87,11 @@ type hitTable struct {
 	kth   []float64
 	kthID []int
 	// The counting form: the live bounded queries in ascending order with
-	// their points, bounds and point norms, and the live always-hit queries.
+	// their points, row-major in pts (dim coordinates per row), their bounds
+	// and point norms, and the live always-hit queries.
 	rows   []int
-	pts    []vec.Vector
+	dim    int
+	pts    []float64
 	bound  []float64
 	norm   []float64
 	always []int
@@ -90,7 +101,7 @@ type hitTable struct {
 func newHitTable(idx *subdomain.Index, target int) *hitTable {
 	n := idx.Workload().NumQueries()
 	return &hitTable{
-		epoch: idx.Epoch(), target: target,
+		epoch: idx.Epoch(), target: target, dim: idx.Workload().Space().QueryDim(),
 		state: make([]uint8, n), kth: make([]float64, n), kthID: make([]int, n),
 	}
 }
@@ -134,7 +145,7 @@ func deriveHitTable(ctx context.Context, idx *subdomain.Index, target int) (*hit
 // index derives the counting form from the row states and thresholds.
 func (t *hitTable) index(w *topk.Workload) {
 	t.rows = make([]int, 0, len(t.state))
-	t.pts = make([]vec.Vector, 0, len(t.state))
+	t.pts = make([]float64, 0, t.dim*len(t.state))
 	t.bound = make([]float64, 0, len(t.state))
 	t.norm = make([]float64, 0, len(t.state))
 	for j, s := range t.state {
@@ -149,7 +160,7 @@ func (t *hitTable) index(w *topk.Workload) {
 				b = math.Nextafter(b, math.Inf(1))
 			}
 			t.rows = append(t.rows, j)
-			t.pts = append(t.pts, w.Query(j).Point)
+			t.pts = append(t.pts, w.Query(j).Point...)
 			t.bound = append(t.bound, b)
 			t.norm = append(t.norm, vec.Norm2(w.Query(j).Point))
 		}
@@ -162,24 +173,58 @@ func (t *hitTable) threshold(j int) (float64, bool) {
 	return t.kth[j], t.state[j] == rowBounded
 }
 
-// hit reports whether a target with embedded coefficients coeff hits row r.
-// The score is vec.Dot's sum, in its order, so it is bit-identical to the
-// score HitsExact compares; it is written out so the counting loops inline
-// it.
-func (t *hitTable) hit(coeff vec.Vector, r int) bool {
-	q := t.pts[r]
-	s := 0.0
-	for i, c := range coeff {
-		s += c * q[i]
-	}
-	return s < t.bound[r]
+// pt returns row r's query point, a read-only view of pts.
+func (t *hitTable) pt(r int) vec.Vector {
+	return t.pts[r*t.dim : (r+1)*t.dim : (r+1)*t.dim]
 }
 
-// hits returns H for a target whose embedded coefficients are coeff.
+// score3 and scoreN are the table's scoring kernel. Each returns the score
+// s = c·q of a row point q at coefficients c, and a = Σ|c_i·q_i|, the size
+// of its rounding error. s is vec.Dot's sum, term by term in its order, so
+// it is bit-identical to the score HitsExact compares. score3 serves tables
+// of dimension 3, with the three terms written out over coefficients the
+// caller loads once per pass; scoreN is the loop of every other dimension.
+// Both inline, so a caller that drops a does not sum it; max(p, −p), unlike
+// math.Abs, keeps score3 within the inlining budget, and it is |p| for every
+// product p that is not NaN (a NaN product makes s and a NaN either way).
+func score3(c0, c1, c2 float64, q []float64) (s, a float64) {
+	q = q[:3]
+	p0, p1, p2 := c0*q[0], c1*q[1], c2*q[2]
+	s += p0
+	s += p1
+	s += p2
+	return s, max(p0, -p0) + max(p1, -p1) + max(p2, -p2)
+}
+
+func scoreN(c, q []float64) (s, a float64) {
+	for i, x := range c {
+		p := x * q[i]
+		s += p
+		a += math.Abs(p)
+	}
+	return s, a
+}
+
+// row3 returns row r's point in a table of dimension 3.
+func (t *hitTable) row3(r int) []float64 { return t.pts[3*r : 3*r+3 : 3*r+3] }
+
+// hits returns H for a target whose embedded coefficients are coeff. Its
+// loops are kept apart from hitSet's so that they count with a conditional
+// move, not a branch on each comparison: a count costs the same whichever
+// rows are hit.
 func (t *hitTable) hits(coeff vec.Vector) int {
 	h := len(t.always)
-	for r := range t.bound {
-		if t.hit(coeff, r) {
+	if t.dim == 3 {
+		c0, c1, c2 := coeff[0], coeff[1], coeff[2]
+		for r, b := range t.bound {
+			if s, _ := score3(c0, c1, c2, t.row3(r)); s < b {
+				h++
+			}
+		}
+		return h
+	}
+	for r, b := range t.bound {
+		if s, _ := scoreN(coeff, t.pt(r)); s < b {
 			h++
 		}
 	}
@@ -194,9 +239,19 @@ func (t *hitTable) hitSet(coeff vec.Vector, dst *bitset.Bits) int {
 	for _, j := range t.always {
 		dst.Set(j)
 	}
+	var c0, c1, c2 float64
+	if t.dim == 3 {
+		c0, c1, c2 = coeff[0], coeff[1], coeff[2]
+	}
 	h := len(t.always)
 	for r, j := range t.rows {
-		if t.hit(coeff, r) {
+		var s float64
+		if t.dim == 3 {
+			s, _ = score3(c0, c1, c2, t.row3(r))
+		} else {
+			s, _ = scoreN(coeff, t.pt(r))
+		}
+		if s < t.bound[r] {
 			dst.Set(j)
 			h++
 		}
@@ -290,12 +345,12 @@ func (pb *probeBounds) init(w *topk.Workload, t *hitTable, cost Cost, bounds *Bo
 	if !w.Space().Linear() {
 		return
 	}
-	dual, sigma := costDuals(cost, t.pts, t.norm)
+	dual, sigma := costDuals(cost, t)
 	if sigma == 0 {
 		return
 	}
 	eps := float64(len(p)+4) * 0x1p-50
-	*pb = probeBounds{on: true, first: true, gap: make([]float64, len(t.pts)), dual: dual, sigma: sigma, tol: eps * 0x1p-20}
+	*pb = probeBounds{on: true, first: true, gap: make([]float64, len(t.bound)), dual: dual, sigma: sigma, tol: eps * 0x1p-20}
 	if bounds != nil {
 		// The boxed closed forms accept n·δ ≤ rhs + 1e-7 (L2, weighted L2)
 		// and rhs + 1e-9 (the L1 fill), and their steps have no closed form.
@@ -344,7 +399,7 @@ func (t *hitTable) round(at vec.Vector, b *hitBound, pb *probeBounds, u *unhitRo
 	eps := float64(len(at)+4) * 0x1p-50
 	b.at, b.fixed, b.grow = at, len(t.always), 1+eps
 	b.keys = b.keys[:0]
-	if n := len(t.pts); cap(u.query) < n {
+	if n := len(t.bound); cap(u.query) < n {
 		// Sized once per solve: a round has at most one unhit row per row.
 		*u = unhitRows{query: make([]int, 0, n), score: make([]float64, 0, n),
 			lower: make([]float64, 0, n), cap: make([]int, 0, n), lim: make([]float64, 0, n)}
@@ -359,14 +414,17 @@ func (t *hitTable) round(at vec.Vector, b *hitBound, pb *probeBounds, u *unhitRo
 		}
 		drift = eps*(drift+pb.pnorm) + slack
 	}
-	for r, q := range t.pts {
-		s, a := 0.0, 0.0
-		for i, x := range at {
-			p := x * q[i]
-			s += p
-			a += math.Abs(p)
+	var c0, c1, c2 float64
+	if t.dim == 3 {
+		c0, c1, c2 = at[0], at[1], at[2]
+	}
+	for r, bound := range t.bound {
+		var s, a float64
+		if t.dim == 3 {
+			s, a = score3(c0, c1, c2, t.row3(r))
+		} else {
+			s, a = scoreN(at, t.pt(r))
 		}
-		bound := t.bound[r]
 		if first {
 			pb.gap[r] = s - eps*(a+math.Abs(s))
 		}
@@ -422,8 +480,10 @@ func (b *hitBound) index() {
 	for _, k := range b.keys {
 		cum[(k-b.lo)>>b.shift]++
 	}
-	for i := 1; i < len(cum); i++ {
-		cum[i] += cum[i-1]
+	total := int32(0)
+	for i, c := range cum {
+		total += c
+		cum[i] = total
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"iq/internal/dataset"
 	"iq/internal/subdomain"
 	"iq/internal/topk"
 	"iq/internal/vec"
@@ -413,5 +414,38 @@ func TestDerivedTablesMatchBandScan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// hitCountSink keeps BenchmarkHitCount's counts alive.
+var hitCountSink int
+
+// BenchmarkHitCount times one exact Eq. 6 count, hitTable.hits, on the table
+// of an IN × UN workload of 1,000 objects (k ≤ 10), for the first skyband
+// object with its coefficients scaled by 0.8. At d = 3 the count runs the
+// written-out kernel, at d = 5 the loop.
+func BenchmarkHitCount(b *testing.B) {
+	for _, d := range []int{3, 5} {
+		for _, m := range []int{200, 10_000} {
+			b.Run(fmt.Sprintf("d=%d/queries=%d", d, m), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				objs := dataset.Objects(dataset.Independent, 1000, d, rng)
+				w, err := topk.NewWorkload(topk.LinearSpace{D: d}, objs, dataset.UNQueries(m, d, 10, false, rng))
+				if err != nil {
+					b.Fatal(err)
+				}
+				idx, err := subdomain.Build(w, subdomain.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				target := idx.Candidates()[0]
+				tab := hitTableFor(context.Background(), idx, target, nil)
+				coeff := vec.Scale(w.Coeff(target), 0.8)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					hitCountSink = tab.hits(coeff)
+				}
+			})
+		}
 	}
 }

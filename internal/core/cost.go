@@ -128,36 +128,36 @@ func costMinToHalfspace(cost Cost, s, n vec.Vector, rhs float64, bounds *Bounds)
 }
 
 // costDuals returns what a built-in cost tells a greedy round about its
-// probes before any is solved (see probeBounds): for every row point q_r of
-// pts, whose Euclidean norms are norm, the norm ‖q_r‖_* dual to the cost's,
-// and σ > 0 such that the cost's unbounded closed form moves a probe at most
+// probes before any is solved (see probeBounds): for every bounded row of
+// table t, with query point q_r, the norm ‖q_r‖_* dual to the cost's, and
+// σ > 0 such that the cost's unbounded closed form moves a probe at most
 // |rhs|/(σ‖q_r‖_*) in L2. By Hölder, |q·u| ≤ ‖q‖_*·Cost(u). σ is 0 for a
 // cost with no such bounds: every cost that is not built in, and a weighted
 // cost whose weights leave [2⁻¹⁰⁰, 2¹⁰⁰], where its closed form's sums can
 // underflow. The switch matches the built-in types exactly, as
 // costMinToHalfspace does.
-func costDuals(cost Cost, pts []vec.Vector, norm []float64) ([]float64, float64) {
+func costDuals(cost Cost, t *hitTable) ([]float64, float64) {
 	switch c := cost.(type) {
 	case L2Cost:
-		return c.duals(norm)
+		return c.duals(t)
 	case L1Cost:
-		return c.duals(pts)
+		return c.duals(t)
 	case WeightedL2Cost:
-		return c.duals(pts)
+		return c.duals(t)
 	}
 	return nil, 0
 }
 
 // duals: the L2 norm is its own dual, and the closed form's step is
 // rhs·q/‖q‖², of length |rhs|/‖q‖.
-func (L2Cost) duals(norm []float64) ([]float64, float64) { return norm, 1 }
+func (L2Cost) duals(t *hitTable) ([]float64, float64) { return t.norm, 1 }
 
 // duals: the dual of the L1 norm is the largest |q_i|, and the closed form
 // moves that one coordinate by |rhs|/max|q_i|.
-func (L1Cost) duals(pts []vec.Vector) ([]float64, float64) {
-	dual := make([]float64, len(pts))
-	for r, q := range pts {
-		for _, x := range q {
+func (L1Cost) duals(t *hitTable) ([]float64, float64) {
+	dual := make([]float64, len(t.bound))
+	for r := range dual {
+		for _, x := range t.pt(r) {
 			dual[r] = max(dual[r], math.Abs(x))
 		}
 	}
@@ -167,7 +167,7 @@ func (L1Cost) duals(pts []vec.Vector) ([]float64, float64) {
 // duals: the dual of sqrt(Σ αᵢsᵢ²) is sqrt(Σ qᵢ²/αᵢ), summed as the closed
 // form sums it. The closed form's step is rhs·(qᵢ/αᵢ)ᵢ/Σ qᵢ²/αᵢ, of length
 // at most |rhs|/(‖q‖_*·√min α), since Σ qᵢ²/αᵢ² ≤ Σ (qᵢ²/αᵢ)/min α.
-func (c WeightedL2Cost) duals(pts []vec.Vector) ([]float64, float64) {
+func (c WeightedL2Cost) duals(t *hitTable) ([]float64, float64) {
 	lo := math.Inf(1)
 	for _, a := range c.Alpha {
 		if !(a >= 0x1p-100 && a <= 0x1p100) {
@@ -175,13 +175,13 @@ func (c WeightedL2Cost) duals(pts []vec.Vector) ([]float64, float64) {
 		}
 		lo = min(lo, a)
 	}
-	dual := make([]float64, len(pts))
-	for r, q := range pts {
-		t := 0.0
-		for i, x := range q {
-			t += x * x / c.Alpha[i]
+	dual := make([]float64, len(t.bound))
+	for r := range dual {
+		s := 0.0
+		for i, x := range t.pt(r) {
+			s += x * x / c.Alpha[i]
 		}
-		dual[r] = math.Sqrt(t)
+		dual[r] = math.Sqrt(s)
 	}
 	return dual, math.Sqrt(lo)
 }

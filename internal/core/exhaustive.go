@@ -223,7 +223,7 @@ func constraintSystem(ctx context.Context, idx *subdomain.Index, target int, rec
 	tab := hitTableFor(ctx, idx, target, rec)
 	coeff := idx.Workload().Coeff(target)
 	for r, j := range tab.rows {
-		t, q := tab.kth[j], tab.pts[r]
+		t, q := tab.kth[j], tab.pt(r)
 		normals = append(normals, q)
 		rhs = append(rhs, t-vec.Dot(coeff, q)-strictMargin(t))
 	}

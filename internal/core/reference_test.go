@@ -285,40 +285,61 @@ func greedyTargets(t *testing.T, rng *rand.Rand, idx *subdomain.Index) (targets,
 // every probe, one at a time in query order.
 type unboundedL2 struct{ L2Cost }
 
+// greedySpace is one fixture of the greedy oracle tests, with costs,
+// strategy bounds and a commit move sized to its attribute dimension.
+type greedySpace struct {
+	name   string
+	build  func(rng *rand.Rand) *subdomain.Index
+	costs  []namedCost
+	bounds []*Bounds
+	move   vec.Vector // committed when the first target has no Min-Cost answer
+}
+
+type namedCost struct {
+	name string
+	cost Cost
+}
+
+// greedySpaces returns the greedy oracle tests' fixtures: 2-d and 3-d linear
+// spaces, whose rounds have probe bounds, and a polynomial space with 3
+// coefficients over 2 attributes, which has none. Each space has L2, L1,
+// weighted L2, L2 as a user cost with no probe bounds and an expression
+// cost that goes negative, and runs without and with strategy bounds.
+func greedySpaces(t *testing.T) []greedySpace {
+	t.Helper()
+	costs := func(alpha vec.Vector, negative string) []namedCost {
+		c, err := NewExprCost(negative, len(alpha))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []namedCost{{"L2", L2Cost{}}, {"L1", L1Cost{}}, {"WeightedL2", WeightedL2Cost{Alpha: alpha}},
+			{"unboundedL2", unboundedL2{}}, {"expr", c}}
+	}
+	costs2 := costs(vec.Vector{1, 3}, "s1^2 + s2^2 + 0.01*s1")
+	bounds2 := []*Bounds{nil, {Lo: vec.Vector{-0.4, -0.25}, Hi: vec.Vector{0.05, 0.05}}}
+	return []greedySpace{
+		{"linear", func(rng *rand.Rand) *subdomain.Index { return fixture(t, rng, 60, 36, 2, 3) },
+			costs2, bounds2, vec.Vector{-0.05, -0.02}},
+		{"poly", func(rng *rand.Rand) *subdomain.Index { return polyFixture(t, rng, 30, 16) },
+			costs2, bounds2, vec.Vector{-0.05, -0.02}},
+		{"linear3", func(rng *rand.Rand) *subdomain.Index { return fixture(t, rng, 60, 36, 3, 3) },
+			costs(vec.Vector{1, 3, 2}, "s1^2 + s2^2 + s3^2 + 0.01*s1"),
+			[]*Bounds{nil, {Lo: vec.Vector{-0.4, -0.25, -0.3}, Hi: vec.Vector{0.05, 0.05, 0.05}}},
+			vec.Vector{-0.05, -0.02, -0.03}},
+	}
+}
+
 // TestGreedyMatchesReference is the greedy solvers' differential matrix:
 // MinCostIQ and MaxHitIQ against the reference Algorithms 3/4 above, over
-// L2, L1, weighted L2, L2 as a user cost with no probe bounds and an
-// expression cost that goes negative; without and with bounds; on the solved
-// snapshot, whose tables are stored across the solves, and on a
-// from-scratch rebuild of it; a linear and a polynomial space; before and
-// after a commit. Strategy and cost bits, hits, base hits and rounds must be
-// identical. It subsumes the pairwise stored-vs-rebuilt checks.
+// the greedySpaces fixtures and their costs, without and with bounds; on the
+// solved snapshot, whose tables are stored across the solves, and on a
+// from-scratch rebuild of it; before and after a commit. Strategy and cost
+// bits, hits, base hits and rounds must be identical. It subsumes the
+// pairwise stored-vs-rebuilt checks.
 func TestGreedyMatchesReference(t *testing.T) {
-	negative, err := NewExprCost("s1^2 + s2^2 + 0.01*s1", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := []struct {
-		name string
-		cost Cost
-	}{
-		{"L2", L2Cost{}},
-		{"L1", L1Cost{}},
-		{"WeightedL2", WeightedL2Cost{Alpha: vec.Vector{1, 3}}},
-		{"unboundedL2", unboundedL2{}},
-		{"expr", negative},
-	}
-	bounds := []*Bounds{nil, {Lo: vec.Vector{-0.4, -0.25}, Hi: vec.Vector{0.05, 0.05}}}
-	spaces := []struct {
-		name  string
-		build func(rng *rand.Rand) *subdomain.Index
-	}{
-		{"linear", func(rng *rand.Rand) *subdomain.Index { return fixture(t, rng, 60, 36, 2, 3) }},
-		{"poly", func(rng *rand.Rand) *subdomain.Index { return polyFixture(t, rng, 30, 16) }},
-	}
-	for si, sp := range spaces {
-		for _, cst := range costs {
-			for _, b := range bounds {
+	for si, sp := range greedySpaces(t) {
+		for _, cst := range sp.costs {
+			for _, b := range sp.bounds {
 				name := fmt.Sprintf("%s/%s/bounds=%v", sp.name, cst.name, b != nil)
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(100 + si)))
@@ -341,7 +362,7 @@ func TestGreedyMatchesReference(t *testing.T) {
 									// none) after the tables were stored on
 									// idx, so the solves run on rows the
 									// update maintained.
-									move := vec.Vector{-0.05, -0.02}
+									move := sp.move
 									if refErrs["mc0/0"] == nil {
 										move = refs["mc0/0"].Strategy
 									}
@@ -385,26 +406,16 @@ func TestGreedyMatchesReference(t *testing.T) {
 // the same candidate, and the round must count the same slots, while the
 // lazy round solves no more probes than the eager one.
 func TestLazySelectionMatchesEager(t *testing.T) {
-	negative, err := NewExprCost("s1^2 + s2^2 + 0.01*s1", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := []Cost{L2Cost{}, L1Cost{}, WeightedL2Cost{Alpha: vec.Vector{1, 3}}, unboundedL2{}, negative}
-	bounds := []*Bounds{nil, {Lo: vec.Vector{-0.4, -0.25}, Hi: vec.Vector{0.05, 0.05}}}
-	spaces := []func(rng *rand.Rand) *subdomain.Index{
-		func(rng *rand.Rand) *subdomain.Index { return fixture(t, rng, 60, 36, 2, 3) },
-		func(rng *rand.Rand) *subdomain.Index { return polyFixture(t, rng, 30, 16) },
-	}
 	ctx := context.Background()
-	for si, build := range spaces {
-		for _, cost := range costs {
-			for _, b := range bounds {
+	for si, sp := range greedySpaces(t) {
+		for _, cst := range sp.costs {
+			for _, b := range sp.bounds {
 				rng := rand.New(rand.NewSource(int64(100 + si)))
-				idx := build(rng)
+				idx := sp.build(rng)
 				w := idx.Workload()
 				targets, taus, budgets := greedyTargets(t, rng, idx)
 				for i, target := range targets {
-					name := fmt.Sprintf("space %d %T bounds=%v target %d", si, cost, b != nil, target)
+					name := fmt.Sprintf("%s/%s bounds=%v target %d", sp.name, cst.name, b != nil, target)
 					tab := hitTableFor(ctx, idx, target, nil)
 					lazy := &roundScratch{tab: tab, rec: newRecorder()}
 					eager := &roundScratch{tab: tab, rec: newRecorder()}
@@ -412,8 +423,8 @@ func TestLazySelectionMatchesEager(t *testing.T) {
 					at := w.Coeff(target)
 					hits := tab.hits(at)
 					for round := 1; hits < taus[i]; round++ {
-						generateCandidates(ctx, w, cur, at, cost, b, lazy)
-						generateCandidates(ctx, w, cur, at, cost, b, eager)
+						generateCandidates(ctx, w, cur, at, cst.cost, b, lazy)
+						generateCandidates(ctx, w, cur, at, cst.cost, b, eager)
 						solveAll(t, eager)
 						picks := []struct {
 							pass string
@@ -450,6 +461,7 @@ func TestLazySelectionMatchesEager(t *testing.T) {
 							break
 						}
 						cur = vec.Clone(pick.Strategy)
+						var err error
 						if at, err = w.Space().Embed(vec.Add(w.Attrs(target), cur)); err != nil {
 							t.Fatal(err)
 						}
