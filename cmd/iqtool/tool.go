@@ -274,7 +274,7 @@ func (s *session) cmdBuild() error {
 		return err
 	}
 	s.sys = sys
-	// IndexStats would run Algorithm 1, which no solve needs; stats does.
+	// Not IndexStats: it runs Algorithm 1, which only the stats command needs.
 	fmt.Fprintf(s.out, "index built: %d queries, %d candidate objects\n",
 		sys.NumQueries(), len(sys.Index().Candidates()))
 	return nil

@@ -84,7 +84,8 @@ func (in *boundInput) attr() float64 {
 // bits), equal keys, a single key, an infinite D, a probe whose D falls in
 // the bucket of the keys it can hit, equal lower-bound keys, a row whose
 // gap at the target's own coefficients is zero or negative, scores near
-// 1e16, and a step bound on a bucket edge.
+// 1e16, a step bound on a bucket edge, and a d = 3 score near 1e16 whose
+// bits depend on the order its terms are summed in.
 func FuzzHitBound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := boundInput(data)
