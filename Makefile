@@ -7,8 +7,8 @@ GO ?= go
 # there) and once more without it (the allocation pins are //go:build
 # !race), then re-run the concurrency stress tests twice to shake out
 # scheduling-dependent interleavings, fuzz each native fuzz target briefly,
-# run the core benchmarks once so they cannot rot, and finally drive live
-# servers through the script gates.
+# run the core benchmarks and the root micro-benchmarks once so they cannot
+# rot, and finally drive live servers through the script gates.
 # Every test run carries an explicit -timeout so a hung solve fails fast
 # with a goroutine dump instead of stalling CI at the per-package default.
 check: build fmt vet race short stress fuzz benchsmoke metricscheck tracecheck crashcheck perfbench
@@ -52,6 +52,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m .
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadFields$$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m .
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzObjectsCSV$$' -fuzztime 10s -timeout 5m .
+	$(GO) test -run '^$$' -fuzz '^FuzzQueriesCSV$$' -fuzztime 10s -timeout 5m .
+	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime 10s -timeout 5m ./internal/sqlmini
 
 # metricscheck boots a real iqserver and validates its /metrics output with
 # iqtool -scrape-metrics (a built-in Prometheus text parser — no curl or
@@ -84,10 +87,14 @@ crashcheck:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
+# bench runs the root package's figure benchmarks and micro-benchmarks and
+# every internal/core benchmark.
 bench:
-	$(GO) test -bench=. -benchmem ./internal/bench/ ./internal/core/
+	$(GO) test -bench=. -benchmem . ./internal/core/
 
-# benchsmoke runs every internal/core benchmark for one iteration: it checks
-# that they build and run, not how fast.
+# benchsmoke runs every internal/core benchmark and the root package's
+# micro-benchmarks for one iteration: it checks that they build and run, not
+# how fast.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 5m ./internal/core
+	$(GO) test -run '^$$' -bench 'IndexBuild|ESEHits|MinCostIQ|MaxHitIQ|TopKEvaluate' -benchtime 1x -timeout 5m .

@@ -108,7 +108,7 @@ func buildBenchWorkload(b *testing.B, n, m int) (*topk.Workload, *subdomain.Inde
 	if err != nil {
 		b.Fatal(err)
 	}
-	idx, err := subdomain.Build(w, subdomain.Options{})
+	idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx, err := subdomain.Build(w, subdomain.Options{})
+		idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func BenchmarkMinCostIQ(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		target := i % idx.Workload().NumObjects()
-		if _, err := core.MinCostIQ(idx, core.MinCostRequest{Target: target, Tau: 20, Cost: core.L2Cost{}}); err != nil {
+		if _, err := core.MinCostIQCtx(context.Background(), idx, core.MinCostRequest{Target: target, Tau: 20, Cost: core.L2Cost{}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func BenchmarkMaxHitIQ(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		target := i % idx.Workload().NumObjects()
-		if _, err := core.MaxHitIQ(idx, core.MaxHitRequest{Target: target, Budget: 0.5, Cost: core.L2Cost{}}); err != nil {
+		if _, err := core.MaxHitIQCtx(context.Background(), idx, core.MaxHitRequest{Target: target, Budget: 0.5, Cost: core.L2Cost{}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,9 +31,14 @@ go test -run '^$' -fuzz '^FuzzLoadFields$' -fuzztime 10s -fuzzminimizetime 0 -ti
 # FuzzReadSegment skips minimising too: each input is a file on disk, and
 # with minimising the workers stalled at 0 execs/s after about 10 s.
 go test -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 10s -fuzzminimizetime 0 -timeout 5m ./internal/wal
-# Benchmark smoke: run every internal/core benchmark once, so they keep
-# building and running (the timings are not checked).
+go test -run '^$' -fuzz '^FuzzObjectsCSV$' -fuzztime 10s -timeout 5m .
+go test -run '^$' -fuzz '^FuzzQueriesCSV$' -fuzztime 10s -timeout 5m .
+go test -run '^$' -fuzz '^FuzzSelect$' -fuzztime 10s -timeout 5m ./internal/sqlmini
+# Benchmark smoke: run every internal/core benchmark and the root package's
+# micro-benchmarks once, so they keep building and running (the timings are
+# not checked).
 go test -run '^$' -bench . -benchtime 1x -timeout 5m ./internal/core
+go test -run '^$' -bench 'IndexBuild|ESEHits|MinCostIQ|MaxHitIQ|TopKEvaluate' -benchtime 1x -timeout 5m .
 # Live observability gate: boot a real iqserver and validate its /metrics
 # exposition with iqtool's built-in parser (fails on unparseable output or
 # a registry with no engine series).

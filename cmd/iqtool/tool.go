@@ -8,6 +8,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -405,7 +406,7 @@ func (s *session) cmdMinCost(args []string) error {
 		return nil
 	}
 	specs := s.specs()
-	res, err := s.sys.MinCostMulti(specs, tau)
+	res, err := s.sys.MinCostMultiCtx(context.Background(), specs, tau)
 	if err != nil {
 		return err
 	}
@@ -433,7 +434,7 @@ func (s *session) cmdMaxHit(args []string) error {
 		return nil
 	}
 	specs := s.specs()
-	res, err := s.sys.MaxHitMulti(specs, budget)
+	res, err := s.sys.MaxHitMultiCtx(context.Background(), specs, budget)
 	if err != nil {
 		return err
 	}
@@ -496,7 +497,7 @@ func (s *session) cmdEval(args []string, commit bool) error {
 		return err
 	}
 	if commit {
-		if err := s.sys.Commit(target, strategy); err != nil {
+		if err := s.sys.CommitCtx(context.Background(), target, strategy); err != nil {
 			return err
 		}
 		h, err := s.sys.Hits(target)
@@ -548,7 +549,10 @@ func (s *session) cmdTopK(args []string) error {
 	if err != nil {
 		return err
 	}
-	ids := s.sys.Evaluate(iq.Query{K: k, Point: point})
+	ids, err := s.sys.EvaluateCtx(context.Background(), iq.Query{K: k, Point: point})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(s.out, "top-%d: %v\n", k, ids)
 	return nil
 }

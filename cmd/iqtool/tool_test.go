@@ -128,6 +128,29 @@ quit
 	}
 }
 
+// TestTopKChecksQuery runs topk with a point of the wrong dimension and with
+// a NaN weight: each must print an error and leave the session running.
+func TestTopKChecksQuery(t *testing.T) {
+	script := `
+gen objects in 50 3
+gen queries un 20 5
+build
+topk 2 0.5,0.5
+topk 1 NaN,0.5,0.5
+quit
+`
+	out := runScript(t, script)
+	if n := strings.Count(out, "error:"); n != 2 {
+		t.Errorf("got %d errors, want 2:\n%s", n, out)
+	}
+	if strings.Contains(out, "top-1:") || strings.Contains(out, "top-2:") {
+		t.Errorf("a malformed query printed a result:\n%s", out)
+	}
+	if !strings.Contains(out, "bye") {
+		t.Errorf("session did not reach quit:\n%s", out)
+	}
+}
+
 func TestLoadCSVCommands(t *testing.T) {
 	dir := t.TempDir()
 	objPath := dir + "/objects.csv"

@@ -21,7 +21,7 @@ func walFixture(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	store, err := iq.Open(dir, iq.OpenOptions{Fsync: iq.FsyncOff, Logger: logger})
+	store, err := iq.OpenCtx(context.Background(), dir, iq.OpenOptions{Fsync: iq.FsyncOff, Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +39,10 @@ func walFixture(t *testing.T) string {
 	if err := store.Attach(ctx, sys); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Commit(0, iq.Vector{-0.01, -0.01, -0.01}); err != nil {
+	if err := sys.CommitCtx(ctx, 0, iq.Vector{-0.01, -0.01, -0.01}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.ApplyBatch([]iq.Mutation{
+	if _, err := sys.ApplyBatchCtx(ctx, []iq.Mutation{
 		{AddObject: &iq.AddObjectMutation{Attrs: iq.Vector{0.5, 0.5, 0.5}}},
 		{Commit: &iq.CommitMutation{Target: 1, Strategy: iq.Vector{-0.02, 0, 0}}},
 	}); err != nil {

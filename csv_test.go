@@ -1,8 +1,11 @@
 package iq
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"iq/internal/vec"
 )
 
 func TestObjectsCSV(t *testing.T) {
@@ -126,4 +129,50 @@ func TestCSVRoundTripIntoSystem(t *testing.T) {
 	if res.Hits < 2 {
 		t.Errorf("hits=%d", res.Hits)
 	}
+}
+
+// FuzzObjectsCSV checks that ObjectsCSV never panics and that a table it
+// accepts has finite rows of the header's width. Seeds live in
+// testdata/fuzz/FuzzObjectsCSV.
+func FuzzObjectsCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		objs, names, err := ObjectsCSV(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		if len(names) == 0 {
+			t.Fatal("accepted a table without attribute columns")
+		}
+		for i, row := range objs {
+			if len(row) != len(names) {
+				t.Fatalf("row %d has %d attributes, header names %d", i, len(row), len(names))
+			}
+			if !vec.AllFinite(row) {
+				t.Fatalf("row %d is not finite: %v", i, row)
+			}
+		}
+	})
+}
+
+// FuzzQueriesCSV checks that QueriesCSV never panics and that the queries
+// it accepts have k ≥ 1 and finite points, all of one width. Seeds live in
+// testdata/fuzz/FuzzQueriesCSV.
+func FuzzQueriesCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		qs, err := QueriesCSV(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, q := range qs {
+			if q.K < 1 {
+				t.Fatalf("query %d has k=%d", i, q.K)
+			}
+			if len(q.Point) == 0 || len(q.Point) != len(qs[0].Point) {
+				t.Fatalf("query %d has %d weights, query 0 has %d", i, len(q.Point), len(qs[0].Point))
+			}
+			if !vec.AllFinite(q.Point) {
+				t.Fatalf("query %d is not finite: %v", i, q.Point)
+			}
+		}
+	})
 }

@@ -24,9 +24,9 @@ import (
 //	checkpoint-<gen>.snap   atomic snapshot of one epoch (snapshot.go format)
 //	wal-<gen>-<seq>.log     mutation log segments (internal/wal format)
 //
-// Every committed transaction — one mutation, or one ApplyBatch — is
+// Every committed transaction — one mutation, or one ApplyBatchCtx — is
 // appended to the WAL, stamped with the epoch it publishes, before the
-// epoch becomes visible. Open recovers by loading the newest valid
+// epoch becomes visible. OpenCtx recovers by loading the newest valid
 // checkpoint and replaying the generation's WAL tail through the ordinary
 // mutation paths, so a restarted process lands on the exact pre-crash epoch
 // with the same workload — and, because solves are workload-determined,
@@ -36,7 +36,7 @@ import (
 // server-side /v1/load) starts generation g+1: its checkpoint is written
 // first, then its empty log, and only then are generation g's files
 // deleted — at every instant the directory holds at least one complete,
-// recoverable generation. Within a generation, Checkpoint rotates the log
+// recoverable generation. Within a generation, CheckpointCtx rotates the log
 // to a new segment while the writer lock is held (so no transaction spans
 // the rotation and every record in retired segments is already published),
 // writes the snapshot atomically, and prunes the segments the snapshot made
@@ -70,7 +70,7 @@ const (
 // ParseFsyncPolicy maps "always" / "interval" / "off" to a FsyncPolicy.
 var ParseFsyncPolicy = wal.ParsePolicy
 
-// OpenOptions configures Open and the Store it returns.
+// OpenOptions configures OpenCtx and the Store it returns.
 type OpenOptions struct {
 	// Fsync is the WAL durability policy; the zero value is FsyncAlways.
 	Fsync FsyncPolicy
@@ -97,7 +97,7 @@ func (o OpenOptions) walOptions() wal.Options {
 	return wal.Options{Policy: o.Fsync, Interval: o.FsyncInterval, Logger: o.Logger}
 }
 
-// RecoveryStats summarises what Open found and did. The JSON shape is the
+// RecoveryStats summarises what OpenCtx found and did. The JSON shape is the
 // /v1/stats "recovery" payload.
 type RecoveryStats struct {
 	// Recovered reports whether a dataset was found; false for a fresh
@@ -118,7 +118,7 @@ type RecoveryStats struct {
 	TruncatedRecords int   `json:"truncated_records"`
 	TruncatedBytes   int64 `json:"truncated_bytes"`
 	RolledBackTxns   int   `json:"rolled_back_txns"`
-	// Duration is wall time spent in Open.
+	// Duration is wall time spent in OpenCtx.
 	Duration time.Duration `json:"duration_ns"`
 }
 
@@ -144,8 +144,8 @@ var (
 )
 
 // Store is a System's durable home: it owns the data directory, the active
-// WAL generation, and the checkpoint cycle. Obtain one with Open, attach a
-// freshly built System with Attach (or use the one Open recovered), and
+// WAL generation, and the checkpoint cycle. Obtain one with OpenCtx, attach
+// a freshly built System with Attach (or use the one OpenCtx recovered), and
 // Close it on shutdown. Store methods are safe for concurrent use with each
 // other and with System reads/writes.
 //
@@ -170,7 +170,7 @@ type Store struct {
 	lastCheckpointAt time.Time // when that checkpoint became durable
 	closed           bool
 
-	stats RecoveryStats // written once by Open
+	stats RecoveryStats // written once by OpenCtx
 }
 
 func checkpointName(gen uint64) string {
@@ -189,16 +189,12 @@ func parseCheckpointName(name string) (uint64, bool) {
 	return g, true
 }
 
-// Open recovers (or initialises) the data directory and returns its Store.
-// An empty directory yields a Store with no System — attach one with Attach
-// once a dataset exists. See OpenCtx for recovery semantics.
-func Open(dir string, opts OpenOptions) (*Store, error) {
-	return OpenCtx(context.Background(), dir, opts)
-}
-
-// OpenCtx is Open under a context: recovery records "recover" spans into the
-// context's trace, and the replayed mutations observe ctx like any other
-// write — cancelling it aborts recovery cleanly.
+// OpenCtx recovers (or initialises) the data directory and returns its
+// Store. An empty directory yields a Store with no System — attach one with
+// Attach once a dataset exists. Recovery records a "recover" span into the
+// context's trace, with the checkpoint's index rebuild ("index/build") and
+// the replay ("recover/replay") nested under it, and the replayed mutations
+// observe ctx like any other write — cancelling it aborts recovery cleanly.
 //
 // Recovery picks the highest generation whose checkpoint loads, replays that
 // generation's WAL tail on top of it, and deletes every other generation's
@@ -248,7 +244,7 @@ func OpenCtx(ctx context.Context, dir string, opts OpenOptions) (*Store, error) 
 	for i := len(cpGens) - 1; i >= 0; i-- {
 		g := cpGens[i]
 		path := filepath.Join(dir, checkpointName(g))
-		loaded, err := LoadFile(path)
+		loaded, err := LoadFile(ctx, path)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptSnapshot) {
 				return nil, fmt.Errorf("iq: reading checkpoint %s: %w (not provably corrupt; refusing to fall back and prune newer data)", path, err)
@@ -341,7 +337,7 @@ func (s *Store) System() *System {
 	return s.system
 }
 
-// RecoveryStats reports what Open found and did.
+// RecoveryStats reports what OpenCtx found and did.
 func (s *Store) RecoveryStats() RecoveryStats { return s.stats }
 
 // Dir returns the data directory.
@@ -464,16 +460,13 @@ func (s *Store) logTxn(ctx context.Context, epoch uint64, muts []Mutation) error
 	return wlog.Append(recs)
 }
 
-// Checkpoint writes a snapshot of the current epoch and truncates the WAL
-// prefix it covers; see CheckpointCtx.
-func (s *Store) Checkpoint() error { return s.CheckpointCtx(context.Background()) }
-
-// CheckpointCtx rotates the log under the writer lock (so retired segments
-// hold only published transactions with epochs ≤ the snapshot's), writes
-// the snapshot atomically, and prunes the retired segments. Writers are
-// blocked only for the rotation — the snapshot serialises against a pinned
-// immutable epoch while mutations continue. A no-op if nothing was written
-// since the last checkpoint.
+// CheckpointCtx writes a snapshot of the current epoch and truncates the
+// WAL prefix it covers. It rotates the log under the writer lock (so
+// retired segments hold only published transactions with epochs ≤ the
+// snapshot's), writes the snapshot atomically, and prunes the retired
+// segments. Writers are blocked only for the rotation — the snapshot
+// serialises against a pinned immutable epoch while mutations continue. A
+// no-op if nothing was written since the last checkpoint.
 func (s *Store) CheckpointCtx(ctx context.Context) error {
 	_, span := obs.StartSpan(ctx, "checkpoint")
 	defer span.End()

@@ -189,7 +189,7 @@ func assertSameWorkload(t *testing.T, label string, got, want *System) {
 }
 
 func TestOpenEmptyDir(t *testing.T) {
-	store, err := Open(t.TempDir(), quietOpts(FsyncAlways))
+	store, err := OpenCtx(context.Background(), t.TempDir(), quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestDurableRoundTripExactEpoch(t *testing.T) {
 	const seed = 11
 	dir := t.TempDir()
 	ctx := context.Background()
-	store, err := Open(dir, quietOpts(FsyncAlways))
+	store, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestDurableRoundTripExactEpoch(t *testing.T) {
 		}
 	}
 
-	store2, err := Open(dir, quietOpts(FsyncAlways))
+	store2, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestDurableRoundTripExactEpoch(t *testing.T) {
 	if got := sys2.Epoch(); got != wantEpoch+1 {
 		t.Fatalf("post-recovery epoch %d, want %d", got, wantEpoch+1)
 	}
-	if err := store2.Checkpoint(); err != nil {
+	if err := store2.CheckpointCtx(ctx); err != nil {
 		t.Fatalf("post-recovery checkpoint: %v", err)
 	}
 	checkJournal("after a checkpoint")
@@ -287,7 +287,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	const seed = 12
 	dir := t.TempDir()
 	ctx := context.Background()
-	store, err := Open(dir, quietOpts(FsyncAlways))
+	store, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 	for i := 0; i < crashScriptSteps; i++ {
 		if i == crashCheckpointBefore {
-			if err := store.Checkpoint(); err != nil {
+			if err := store.CheckpointCtx(ctx); err != nil {
 				t.Fatalf("checkpoint: %v", err)
 			}
 		}
@@ -309,7 +309,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store2, err := Open(dir, quietOpts(FsyncAlways))
+	store2, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 	assertSameWorkload(t, "checkpointed", store2.System(), oracleAt(t, seed, crashScriptSteps))
 	// An idempotent second checkpoint at the same epoch is a no-op.
-	if err := store2.Checkpoint(); err != nil {
+	if err := store2.CheckpointCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -334,7 +334,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 func TestAttachNewGenerationReplacesOld(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	store, err := Open(dir, quietOpts(FsyncAlways))
+	store, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestAttachNewGenerationReplacesOld(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, checkpointName(1))); !os.IsNotExist(err) {
 		t.Fatalf("old checkpoint still present: %v", err)
 	}
-	store2, err := Open(dir, quietOpts(FsyncAlways))
+	store2, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestAttachNewGenerationReplacesOld(t *testing.T) {
 func TestWritesFailAfterStoreClose(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	store, err := Open(dir, quietOpts(FsyncAlways))
+	store, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestWALWithoutCheckpointRefused(t *testing.T) {
 	}
 	l.Append([]wal.Record{{Epoch: 1, Kind: wal.KindMutation, Body: []byte("orphan")}})
 	l.Close()
-	if _, err := Open(dir, quietOpts(FsyncAlways)); err == nil {
+	if _, err := OpenCtx(context.Background(), dir, quietOpts(FsyncAlways)); err == nil {
 		t.Fatal("orphan WAL without a checkpoint must refuse to open")
 	}
 }
@@ -441,7 +441,7 @@ func crashRun(t *testing.T, dir string, seed int64, pol FsyncPolicy, crashAt int
 	})
 	defer restore()
 
-	store, err := Open(dir, quietOpts(pol))
+	store, err := OpenCtx(ctx, dir, quietOpts(pol))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -458,7 +458,7 @@ func crashRun(t *testing.T, dir string, seed int64, pol FsyncPolicy, crashAt int
 	}
 	for i := 0; i < crashScriptSteps; i++ {
 		if i == crashCheckpointBefore {
-			if err := store.Checkpoint(); err != nil {
+			if err := store.CheckpointCtx(ctx); err != nil {
 				if !dead {
 					t.Fatalf("Checkpoint: %v", err)
 				}
@@ -510,7 +510,7 @@ func TestCrashInjectionProperty(t *testing.T) {
 						t.Fatalf("injection point %d/%d never fired", k, total)
 					}
 
-					store, err := Open(dir, quietOpts(pol))
+					store, err := OpenCtx(context.Background(), dir, quietOpts(pol))
 					if err != nil {
 						t.Fatalf("point %d: recovery failed: %v", k, err)
 					}
@@ -548,7 +548,7 @@ func TestTornTailFuzzer(t *testing.T) {
 	const seed = 7
 	base := t.TempDir()
 	ctx := context.Background()
-	store, err := Open(base, quietOpts(FsyncOff))
+	store, err := OpenCtx(ctx, base, quietOpts(FsyncOff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func TestTornTailFuzzer(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		st, err := Open(dir, quietOpts(FsyncAlways))
+		st, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 		if err != nil {
 			// A loud failure is acceptable; a panic or silent divergence is not.
 			continue
@@ -639,7 +639,7 @@ func TestSaveFileLoadFileAtomic(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("dir has %d entries, want 1", len(entries))
 	}
-	loaded, err := LoadFile(path)
+	loaded, err := LoadFile(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,13 +649,13 @@ func TestSaveFileLoadFileAtomic(t *testing.T) {
 	}
 	// Overwrite keeps the old file intact until the new one is complete:
 	// after a second save the file still loads.
-	if err := sys.Commit(0, Vector{-0.01, -0.01, -0.01}); err != nil {
+	if err := sys.CommitCtx(context.Background(), 0, Vector{-0.01, -0.01, -0.01}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := LoadFile(path)
+	reloaded, err := LoadFile(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +672,7 @@ func TestRepeatedRecoveryAfterRotationCrash(t *testing.T) {
 	const seed = 51
 	dir := t.TempDir()
 	ctx := context.Background()
-	store, err := Open(dir, quietOpts(FsyncAlways))
+	store, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,7 +697,7 @@ func TestRepeatedRecoveryAfterRotationCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store1, err := Open(dir, quietOpts(FsyncAlways))
+	store1, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatalf("first restart: %v", err)
 	}
@@ -710,7 +710,7 @@ func TestRepeatedRecoveryAfterRotationCrash(t *testing.T) {
 
 	// Before the fix this Open failed with "segment shorter than header" —
 	// permanently, until an operator deleted the leftover by hand.
-	store2, err := Open(dir, quietOpts(FsyncAlways))
+	store2, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatalf("second restart: %v", err)
 	}
@@ -729,7 +729,7 @@ func TestTransientCheckpointReadErrorAbortsRecovery(t *testing.T) {
 	const seed = 61
 	dir := t.TempDir()
 	ctx := context.Background()
-	store, err := Open(dir, quietOpts(FsyncAlways))
+	store, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +751,7 @@ func TestTransientCheckpointReadErrorAbortsRecovery(t *testing.T) {
 	if err := os.Mkdir(bogus, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, quietOpts(FsyncAlways)); err == nil {
+	if _, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways)); err == nil {
 		t.Fatal("transient checkpoint read error must abort recovery, not fall back")
 	}
 
@@ -759,7 +759,7 @@ func TestTransientCheckpointReadErrorAbortsRecovery(t *testing.T) {
 	if err := os.Remove(bogus); err != nil {
 		t.Fatal(err)
 	}
-	store2, err := Open(dir, quietOpts(FsyncAlways))
+	store2, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatalf("recovery after clearing fault: %v", err)
 	}
@@ -778,7 +778,7 @@ func TestCorruptNewerCheckpointFallsBack(t *testing.T) {
 	const seed = 62
 	dir := t.TempDir()
 	ctx := context.Background()
-	store, err := Open(dir, quietOpts(FsyncAlways))
+	store, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -797,7 +797,7 @@ func TestCorruptNewerCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store2, err := Open(dir, quietOpts(FsyncAlways))
+	store2, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatalf("recovery should fall back past a corrupt checkpoint: %v", err)
 	}
@@ -819,7 +819,7 @@ func TestCorruptNewerCheckpointFallsBack(t *testing.T) {
 func TestConcurrentAttach(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	store, err := Open(dir, quietOpts(FsyncAlways))
+	store, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -854,7 +854,7 @@ func TestConcurrentAttach(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store2, err := Open(dir, quietOpts(FsyncAlways))
+	store2, err := OpenCtx(ctx, dir, quietOpts(FsyncAlways))
 	if err != nil {
 		t.Fatalf("recovery after concurrent attaches: %v", err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -87,7 +88,7 @@ func main() {
 	for i, t := range targets {
 		specs[i] = iq.TargetSpec{Target: t, Cost: cost}
 	}
-	multi, err := sys.MaxHitMulti(specs, 3.0)
+	multi, err := sys.MaxHitMultiCtx(context.Background(), specs, 3.0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func main() {
 	fmt.Printf("  total cost %.4f, combined customers won %d\n", multi.TotalCost, multi.TotalHits)
 
 	// Commit the flagship improvement and confirm the market moved.
-	if err := sys.Commit(flagship, res.Strategy); err != nil {
+	if err := sys.CommitCtx(context.Background(), flagship, res.Strategy); err != nil {
 		log.Fatal(err)
 	}
 	after, err := sys.Hits(flagship)

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -70,7 +71,7 @@ func main() {
 		queries = append(queries, iq.Query{ID: 100 + i, K: 1 + rng.Intn(3), Point: point})
 	}
 
-	sys, err := iq.New(space, cars, queries)
+	sys, err := iq.NewWithOptionsCtx(context.Background(), space, cars, queries, iq.IndexOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -120,11 +121,11 @@ func main() {
 	// incumbent drops out. The index updates incrementally (Section 4.3).
 	for i := 0; i < 20; i++ {
 		w := iq.Vector{0.1, 0.2, 0.6, 0.1} // climate-first bloc
-		if _, err := sys.AddQuery(iq.Query{ID: 1000 + i, K: 1, Point: w}); err != nil {
+		if _, err := sys.AddQueryCtx(context.Background(), iq.Query{ID: 1000 + i, K: 1, Point: w}); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := sys.RemoveObject(3); err != nil {
+	if err := sys.RemoveObjectCtx(context.Background(), 3); err != nil {
 		log.Fatal(err)
 	}
 	h, err := sys.Hits(us)

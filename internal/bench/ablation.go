@@ -43,7 +43,7 @@ func AblationFanout(cfg Config, progress io.Writer) (*Figure, error) {
 			return nil, err
 		}
 		start := time.Now()
-		idx, err := subdomain.Build(w, subdomain.Options{})
+		idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +111,7 @@ func AblationIntersectionCap(cfg Config, progress io.Writer) (*Figure, error) {
 			return nil, err
 		}
 		start := time.Now()
-		idx, err := subdomain.Build(w, subdomain.Options{})
+		idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +146,7 @@ func EvaluatorCost(cfg Config, progress io.Writer) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx, err := subdomain.Build(w, subdomain.Options{})
+		idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +230,7 @@ func AblationSkybandSlack(cfg Config, progress io.Writer) (*Figure, error) {
 			return nil, err
 		}
 		start := time.Now()
-		idx, err := subdomain.Build(w, subdomain.Options{Slack: slack})
+		idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{Slack: slack})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -22,7 +23,7 @@ import (
 // included, and reports its size.
 func buildIQIndex(w *topk.Workload) (time.Duration, int, error) {
 	start := time.Now()
-	idx, err := subdomain.Build(w, subdomain.Options{})
+	idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 	if err != nil {
 		return 0, 0, err
 	}

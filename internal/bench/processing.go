@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -37,7 +38,7 @@ type schemeAccum struct {
 // Max-Hit) through every scheme over the given workload and returns per-
 // scheme averages: (milliseconds per IQ, cost per hit query).
 func runPoint(cfg Config, w *topk.Workload, rng *rand.Rand) (map[string]schemeAccum, error) {
-	idx, err := subdomain.Build(w, subdomain.Options{})
+	idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -71,14 +72,14 @@ func runPoint(cfg Config, w *topk.Workload, rng *rand.Rand) (map[string]schemeAc
 		// Efficient-IQ (the proposed technique).
 		start := time.Now()
 		if minCost {
-			res, err := core.MinCostIQ(idx, core.MinCostRequest{Target: target, Tau: tau, Cost: core.L2Cost{}})
+			res, err := core.MinCostIQCtx(context.Background(), idx, core.MinCostRequest{Target: target, Tau: tau, Cost: core.L2Cost{}})
 			if err == nil {
 				record("Efficient-IQ", time.Since(start), res.Cost, res.Hits)
 			} else {
 				record("Efficient-IQ", time.Since(start), 0, 0)
 			}
 		} else {
-			res, err := core.MaxHitIQ(idx, core.MaxHitRequest{Target: target, Budget: beta, Cost: core.L2Cost{}})
+			res, err := core.MaxHitIQCtx(context.Background(), idx, core.MaxHitRequest{Target: target, Budget: beta, Cost: core.L2Cost{}})
 			if err == nil {
 				record("Efficient-IQ", time.Since(start), res.Cost, res.Hits)
 			} else {
@@ -309,7 +310,7 @@ func Fig13(cfg Config, progress io.Writer) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx, err := subdomain.Build(w, subdomain.Options{})
+		idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +321,7 @@ func Fig13(cfg Config, progress io.Writer) (*Figure, error) {
 			target := rng.Intn(w.NumObjects())
 			tau := cfg.randTau(rng, w.NumQueries())
 			start := time.Now()
-			res, err := core.MinCostIQ(idx, core.MinCostRequest{Target: target, Tau: tau, Cost: core.L2Cost{}})
+			res, err := core.MinCostIQCtx(context.Background(), idx, core.MinCostRequest{Target: target, Tau: tau, Cost: core.L2Cost{}})
 			total += time.Since(start)
 			count++
 			if err == nil && res.Hits > 0 {

@@ -156,12 +156,12 @@ func TestWarmSolveAllocsBelowUncached(t *testing.T) {
 		run  func(idx *subdomain.Index)
 	}{
 		{"MinCost", func(idx *subdomain.Index) {
-			if _, err := MinCostIQ(idx, MinCostRequest{Target: 4, Tau: 8, Cost: L2Cost{}}); err != nil {
+			if _, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 4, Tau: 8, Cost: L2Cost{}}); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"MaxHit", func(idx *subdomain.Index) {
-			if _, err := MaxHitIQ(idx, MaxHitRequest{Target: 4, Budget: 0.3, Cost: L2Cost{}}); err != nil {
+			if _, err := MaxHitIQCtx(context.Background(), idx, MaxHitRequest{Target: 4, Budget: 0.3, Cost: L2Cost{}}); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -173,7 +173,7 @@ func TestWarmSolveAllocsBelowUncached(t *testing.T) {
 		// cloned before the count starts.
 		clones := make([]*subdomain.Index, 6)
 		for i := range clones {
-			clones[i] = idx.Clone(idx.Workload().Clone())
+			clones[i] = idx.CloneCtx(context.Background(), idx.Workload().Clone())
 		}
 		uncached := testing.AllocsPerRun(5, func() {
 			s.run(clones[0])

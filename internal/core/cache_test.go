@@ -41,12 +41,12 @@ func TestSolveCacheBitIdentical(t *testing.T) {
 			mhReq := MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}}
 
 			fresh := rebuilt(t, idx)
-			coldMC, coldMCErr := MinCostIQ(fresh, mcReq)
-			coldMH, coldMHErr := MaxHitIQ(fresh, mhReq)
+			coldMC, coldMCErr := MinCostIQCtx(context.Background(), fresh, mcReq)
+			coldMH, coldMHErr := MaxHitIQCtx(context.Background(), fresh, mhReq)
 			// Twice: the first solve may derive the table, the second reads
 			// it stored.
 			for pass := 0; pass < 2; pass++ {
-				mc, err := MinCostIQ(idx, mcReq)
+				mc, err := MinCostIQCtx(context.Background(), idx, mcReq)
 				if (err == nil) != (coldMCErr == nil) {
 					t.Fatalf("seed %d trial %d pass %d: MinCost error diverged: stored=%v rebuilt=%v",
 						seed, trial, pass, err, coldMCErr)
@@ -57,7 +57,7 @@ func TestSolveCacheBitIdentical(t *testing.T) {
 						coldMC.Strategy, coldMC.Cost, coldMC.Hits,
 						mc.Strategy, mc.Cost, mc.Hits)
 				}
-				mh, err := MaxHitIQ(idx, mhReq)
+				mh, err := MaxHitIQCtx(context.Background(), idx, mhReq)
 				if (err == nil) != (coldMHErr == nil) {
 					t.Fatalf("seed %d trial %d pass %d: MaxHit error diverged: stored=%v rebuilt=%v",
 						seed, trial, pass, err, coldMHErr)
@@ -76,7 +76,7 @@ func TestSolveCacheBitIdentical(t *testing.T) {
 func TestThresholdCacheWarmStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	idx := fixture(t, rng, 80, 50, 3, 3)
-	first, err := MinCostIQ(idx, MinCostRequest{Target: 3, Tau: 8, Cost: L2Cost{}})
+	first, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 3, Tau: 8, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestThresholdCacheWarmStats(t *testing.T) {
 	if first.Stats.Rounds > 1 && first.Stats.ThresholdCacheHits == 0 {
 		t.Errorf("multi-round solve reused no thresholds across rounds: %+v", first.Stats)
 	}
-	second, err := MinCostIQ(idx, MinCostRequest{Target: 3, Tau: 8, Cost: L2Cost{}})
+	second, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 3, Tau: 8, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,25 +115,25 @@ func TestThresholdCacheInvalidationOnMutation(t *testing.T) {
 	}{
 		{"update-object", func(t *testing.T) {
 			// Move a competitor: most thresholds involving it change.
-			if err := idx.UpdateObject(11, vec.Vector{0.9, 0.9, 0.9}); err != nil {
+			if err := idx.UpdateObjectCtx(context.Background(), 11, vec.Vector{0.9, 0.9, 0.9}); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"add-query", func(t *testing.T) {
 			// Grow the workload: stored tables are now the wrong length.
 			q := topk.Query{ID: 9000, K: 2, Point: vec.Vector{0.2, 0.3, 0.5}}
-			if _, err := idx.AddQuery(q); err != nil {
+			if _, err := idx.AddQueryCtx(context.Background(), q); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"remove-query", func(t *testing.T) {
-			if err := idx.RemoveQuery(2); err != nil {
+			if err := idx.RemoveQueryCtx(context.Background(), 2); err != nil {
 				t.Fatal(err)
 			}
 		}},
 	}
 
-	if _, err := MinCostIQ(idx, req); err != nil { // store the table
+	if _, err := MinCostIQCtx(context.Background(), idx, req); err != nil { // store the table
 		t.Fatal(err)
 	}
 	for _, m := range mutate {
@@ -142,8 +142,8 @@ func TestThresholdCacheInvalidationOnMutation(t *testing.T) {
 		if idx.Epoch() == epoch {
 			t.Fatalf("%s did not advance the epoch", m.name)
 		}
-		stored, storedErr := MinCostIQ(idx, req)
-		fresh, freshErr := MinCostIQ(rebuilt(t, idx), req)
+		stored, storedErr := MinCostIQCtx(context.Background(), idx, req)
+		fresh, freshErr := MinCostIQCtx(context.Background(), rebuilt(t, idx), req)
 		if (storedErr == nil) != (freshErr == nil) {
 			t.Fatalf("%s: error diverged: stored=%v rebuilt=%v", m.name, storedErr, freshErr)
 		}
@@ -264,12 +264,12 @@ func sameRows(a, b *subdomain.Index) int {
 func TestFarCommitKeepsRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	idx := fixture(t, rng, 80, 50, 3, 3)
-	farID, err := idx.AddObject(farAttrs(idx))
+	farID, err := idx.AddObjectCtx(context.Background(), farAttrs(idx))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := MinCostRequest{Target: rng.Intn(40), Tau: 5, Cost: L2Cost{}}
-	warm, err := MinCostIQ(idx, req)
+	warm, err := MinCostIQCtx(context.Background(), idx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestFarCommitKeepsRows(t *testing.T) {
 	if j := sameRows(idx, next); j >= 0 {
 		t.Fatalf("far-object commit changed query %d's row: %v -> %v", j, idx.Row(j), next.Row(j))
 	}
-	res, err := MinCostIQ(next, req)
+	res, err := MinCostIQCtx(context.Background(), next, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func gridIndex(t *testing.T, rng *rand.Rand, levels int) (*subdomain.Index, func
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := subdomain.Build(w, subdomain.Options{})
+	idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestDerivedTablesMatchBandScan(t *testing.T) {
 				idx, point, query := gridIndex(t, rng, levels)
 				checkDerivedTables(t, idx, fmt.Sprintf("seed %d build", seed))
 				for op := 0; op < 40; op++ {
-					next := idx.Clone(idx.Workload().Clone())
+					next := idx.CloneCtx(context.Background(), idx.Workload().Clone())
 					w := next.Workload()
 					id := rng.Intn(w.NumObjects())
 					var name string
@@ -379,30 +379,30 @@ func TestDerivedTablesMatchBandScan(t *testing.T) {
 							continue
 						}
 						name = fmt.Sprintf("update %d", id)
-						err = next.UpdateObject(id, point())
+						err = next.UpdateObjectCtx(context.Background(), id, point())
 					case 2:
 						name = "add object"
-						_, err = next.AddObject(point())
+						_, err = next.AddObjectCtx(context.Background(), point())
 					case 3:
 						if w.IsRemoved(id) || w.LiveObjects() < 3 {
 							continue
 						}
 						name = fmt.Sprintf("remove object %d", id)
-						err = next.RemoveObject(id)
+						err = next.RemoveObjectCtx(context.Background(), id)
 					case 4:
 						q := query()
 						if rng.Intn(4) == 0 {
 							q.K = w.MaxK() + 1 // deepens the band
 						}
 						name = fmt.Sprintf("add query k=%d", q.K)
-						_, err = next.AddQuery(q)
+						_, err = next.AddQueryCtx(context.Background(), q)
 					default:
 						j := rng.Intn(w.NumQueries())
 						if w.IsQueryRemoved(j) || w.LiveQueries() < 2 {
 							continue
 						}
 						name = fmt.Sprintf("remove query %d", j)
-						err = next.RemoveQuery(j)
+						err = next.RemoveQueryCtx(context.Background(), j)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -434,7 +434,7 @@ func BenchmarkHitCount(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				idx, err := subdomain.Build(w, subdomain.Options{})
+				idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

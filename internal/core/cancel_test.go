@@ -207,7 +207,7 @@ func TestIterationHookRestore(t *testing.T) {
 	restore()
 	rng := rand.New(rand.NewSource(16))
 	idx := fixture(t, rng, 30, 20, 3, 2)
-	if _, err := MinCostIQ(idx, MinCostRequest{Target: 0, Tau: 5, Cost: L2Cost{}}); err != nil {
+	if _, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: 5, Cost: L2Cost{}}); err != nil {
 		t.Fatal(err)
 	}
 	if fired.Load() != 0 {

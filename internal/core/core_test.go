@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -38,7 +39,7 @@ func fixture(t *testing.T, rng *rand.Rand, n, m, d, maxK int) *subdomain.Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := subdomain.Build(w, subdomain.Options{})
+	idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestMinCostReachesTau(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		target := rng.Intn(w.NumObjects())
 		tau := 3 + rng.Intn(10)
-		res, err := MinCostIQ(idx, MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}})
+		res, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -76,7 +77,7 @@ func TestMinCostReachesTau(t *testing.T) {
 func TestMinCostZeroTauAndAlreadySatisfied(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	idx := fixture(t, rng, 50, 30, 2, 2)
-	res, err := MinCostIQ(idx, MinCostRequest{Target: 0, Tau: 0, Cost: L2Cost{}})
+	res, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: 0, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestMinCostZeroTauAndAlreadySatisfied(t *testing.T) {
 		t.Errorf("tau=0 should return zero strategy: %+v", res)
 	}
 	// tau == current hits → zero strategy.
-	res2, err := MinCostIQ(idx, MinCostRequest{Target: 0, Tau: res.BaseHits, Cost: L2Cost{}})
+	res2, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: res.BaseHits, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +97,16 @@ func TestMinCostZeroTauAndAlreadySatisfied(t *testing.T) {
 func TestMinCostErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	idx := fixture(t, rng, 30, 20, 2, 2)
-	if _, err := MinCostIQ(idx, MinCostRequest{Target: -1, Tau: 1, Cost: L2Cost{}}); err == nil {
+	if _, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: -1, Tau: 1, Cost: L2Cost{}}); err == nil {
 		t.Error("bad target accepted")
 	}
-	if _, err := MinCostIQ(idx, MinCostRequest{Target: 0, Tau: 9999, Cost: L2Cost{}}); !errors.Is(err, ErrGoalUnreachable) {
+	if _, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: 9999, Cost: L2Cost{}}); !errors.Is(err, ErrGoalUnreachable) {
 		t.Errorf("tau>m: %v", err)
 	}
-	if _, err := MinCostIQ(idx, MinCostRequest{Target: 0, Tau: -1, Cost: L2Cost{}}); err == nil {
+	if _, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: -1, Cost: L2Cost{}}); err == nil {
 		t.Error("negative tau accepted")
 	}
-	if _, err := MinCostIQ(idx, MinCostRequest{Target: 0, Tau: 1, Cost: nil}); err == nil {
+	if _, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: 1, Cost: nil}); err == nil {
 		t.Error("nil cost accepted")
 	}
 }
@@ -131,15 +132,15 @@ func TestMalformedBoundsAndWeightsRejected(t *testing.T) {
 		{"NaN weight", WeightedL2Cost{Alpha: vec.Vector{nan, 1}}, nil},
 	}
 	for _, c := range cases {
-		_, err := MinCostIQ(idx, MinCostRequest{Target: 0, Tau: 3, Cost: c.cost, Bounds: c.bounds})
+		_, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: 3, Cost: c.cost, Bounds: c.bounds})
 		if err == nil || errors.Is(err, ErrGoalUnreachable) {
 			t.Errorf("MinCost with %s: err = %v, want an input error", c.name, err)
 		}
-		if _, err := MaxHitIQ(idx, MaxHitRequest{Target: 0, Budget: 1, Cost: c.cost, Bounds: c.bounds}); err == nil {
+		if _, err := MaxHitIQCtx(context.Background(), idx, MaxHitRequest{Target: 0, Budget: 1, Cost: c.cost, Bounds: c.bounds}); err == nil {
 			t.Errorf("MaxHit with %s accepted", c.name)
 		}
 		specs := []TargetSpec{{Target: 0, Cost: c.cost, Bounds: c.bounds}}
-		if _, err := CombinatorialMaxHitIQ(idx, specs, 1); err == nil {
+		if _, err := CombinatorialMaxHitIQCtx(context.Background(), idx, specs, 1); err == nil {
 			t.Errorf("MaxHitMulti with %s accepted", c.name)
 		}
 	}
@@ -153,7 +154,7 @@ func TestMinCostWithFrozenAttributesInfeasible(t *testing.T) {
 	target := 0
 	base, _ := w.HitsExact(w.Attrs(target), target)
 	bounds := Frozen(2, 0, 1)
-	_, err := MinCostIQ(idx, MinCostRequest{Target: target, Tau: base + 3, Cost: L2Cost{}, Bounds: bounds})
+	_, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: target, Tau: base + 3, Cost: L2Cost{}, Bounds: bounds})
 	if !errors.Is(err, ErrGoalUnreachable) {
 		t.Errorf("frozen object should be unimprovable: %v", err)
 	}
@@ -165,7 +166,7 @@ func TestMinCostWithPartialFreeze(t *testing.T) {
 	w := idx.Workload()
 	target := 1
 	bounds := Frozen(3, 2) // attribute 2 frozen
-	res, err := MinCostIQ(idx, MinCostRequest{Target: target, Tau: 5, Cost: L2Cost{}, Bounds: bounds})
+	res, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: target, Tau: 5, Cost: L2Cost{}, Bounds: bounds})
 	if err != nil {
 		t.Fatalf("partial freeze: %v", err)
 	}
@@ -188,7 +189,7 @@ func TestMaxHitRespectsBudget(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		target := rng.Intn(w.NumObjects())
 		budget := 0.1 + rng.Float64()*1.5
-		res, err := MaxHitIQ(idx, MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}})
+		res, err := MaxHitIQCtx(context.Background(), idx, MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -208,7 +209,7 @@ func TestMaxHitRespectsBudget(t *testing.T) {
 func TestMaxHitZeroBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	idx := fixture(t, rng, 40, 30, 2, 2)
-	res, err := MaxHitIQ(idx, MaxHitRequest{Target: 0, Budget: 0, Cost: L2Cost{}})
+	res, err := MaxHitIQCtx(context.Background(), idx, MaxHitRequest{Target: 0, Budget: 0, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,16 +217,16 @@ func TestMaxHitZeroBudget(t *testing.T) {
 		t.Errorf("zero budget must return zero strategy: %v", res.Strategy)
 	}
 	small := fixture(t, rng, 5, 3, 2, 2) // within the exhaustive solver's reach
-	solvers := map[string]func(*subdomain.Index, MaxHitRequest) (*Result, error){
-		"MaxHit": MaxHitIQ, "ExhaustiveMaxHit": ExhaustiveMaxHit,
+	solvers := map[string]func(context.Context, *subdomain.Index, MaxHitRequest) (*Result, error){
+		"MaxHit": MaxHitIQCtx, "ExhaustiveMaxHit": ExhaustiveMaxHitCtx,
 	}
 	for name, solve := range solvers {
 		for _, budget := range []float64{-1, math.NaN()} {
-			if _, err := solve(small, MaxHitRequest{Target: 0, Budget: budget, Cost: L2Cost{}}); err == nil {
+			if _, err := solve(context.Background(), small, MaxHitRequest{Target: 0, Budget: budget, Cost: L2Cost{}}); err == nil {
 				t.Errorf("%s accepted budget %g", name, budget)
 			}
 		}
-		if _, err := solve(small, MaxHitRequest{Target: 0, Budget: math.Inf(1), Cost: L2Cost{}}); err != nil {
+		if _, err := solve(context.Background(), small, MaxHitRequest{Target: 0, Budget: math.Inf(1), Cost: L2Cost{}}); err != nil {
 			t.Errorf("%s rejected the unbounded budget: %v", name, err)
 		}
 	}
@@ -235,7 +236,7 @@ func TestMaxHitLargeBudgetHitsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	idx := fixture(t, rng, 50, 25, 2, 2)
 	w := idx.Workload()
-	res, err := MaxHitIQ(idx, MaxHitRequest{Target: 0, Budget: 1e6, Cost: L2Cost{}})
+	res, err := MaxHitIQCtx(context.Background(), idx, MaxHitRequest{Target: 0, Budget: 1e6, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestMinCostMonotoneInTau(t *testing.T) {
 	idx := fixture(t, rng, 60, 40, 3, 3)
 	prev := 0.0
 	for _, tau := range []int{2, 5, 10, 20} {
-		res, err := MinCostIQ(idx, MinCostRequest{Target: 2, Tau: tau, Cost: L2Cost{}})
+		res, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 2, Tau: tau, Cost: L2Cost{}})
 		if err != nil {
 			t.Fatalf("tau=%d: %v", tau, err)
 		}
@@ -270,14 +271,14 @@ func TestGreedyNearExhaustiveOptimum(t *testing.T) {
 		w := idx.Workload()
 		target := rng.Intn(w.NumObjects())
 		tau := 2 + rng.Intn(3)
-		exact, err := ExhaustiveMinCost(idx, MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}})
+		exact, err := ExhaustiveMinCostCtx(context.Background(), idx, MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}})
 		if err != nil {
 			t.Fatalf("trial %d exhaustive: %v", trial, err)
 		}
 		if exact.Hits < tau {
 			t.Fatalf("trial %d: exhaustive result hits %d < tau %d", trial, exact.Hits, tau)
 		}
-		greedy, err := MinCostIQ(idx, MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}})
+		greedy, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}})
 		if err != nil {
 			t.Fatalf("trial %d greedy: %v", trial, err)
 		}
@@ -301,14 +302,14 @@ func TestExhaustiveMaxHitOptimal(t *testing.T) {
 		w := idx.Workload()
 		target := rng.Intn(w.NumObjects())
 		budget := 0.2 + rng.Float64()*0.5
-		exact, err := ExhaustiveMaxHit(idx, MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}})
+		exact, err := ExhaustiveMaxHitCtx(context.Background(), idx, MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if exact.Cost > budget+1e-9 {
 			t.Fatalf("trial %d: exhaustive exceeded budget", trial)
 		}
-		greedy, err := MaxHitIQ(idx, MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}})
+		greedy, err := MaxHitIQCtx(context.Background(), idx, MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -322,14 +323,14 @@ func TestExhaustiveMaxHitOptimal(t *testing.T) {
 func TestExhaustiveGuards(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	idx := fixture(t, rng, 20, 10, 2, 2)
-	if _, err := ExhaustiveMinCost(idx, MinCostRequest{Target: 0, Tau: 3, Cost: L2Cost{}, Bounds: Frozen(2)}); !errors.Is(err, ErrExhaustiveUnsupported) {
+	if _, err := ExhaustiveMinCostCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: 3, Cost: L2Cost{}, Bounds: Frozen(2)}); !errors.Is(err, ErrExhaustiveUnsupported) {
 		t.Errorf("bounds: %v", err)
 	}
-	if _, err := ExhaustiveMinCost(idx, MinCostRequest{Target: 0, Tau: 99, Cost: L2Cost{}}); !errors.Is(err, ErrGoalUnreachable) {
+	if _, err := ExhaustiveMinCostCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: 99, Cost: L2Cost{}}); !errors.Is(err, ErrGoalUnreachable) {
 		t.Errorf("tau>m: %v", err)
 	}
 	big := fixture(t, rng, 20, 60, 2, 2)
-	if _, err := ExhaustiveMinCost(big, MinCostRequest{Target: 0, Tau: 30, Cost: L2Cost{}}); !errors.Is(err, ErrExhaustiveTooLarge) {
+	if _, err := ExhaustiveMinCostCtx(context.Background(), big, MinCostRequest{Target: 0, Tau: 30, Cost: L2Cost{}}); !errors.Is(err, ErrExhaustiveTooLarge) {
 		t.Errorf("size guard: %v", err)
 	}
 }
@@ -364,7 +365,7 @@ func TestExhaustiveIgnoresRemovedQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, err := subdomain.Build(w, subdomain.Options{})
+			idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +373,7 @@ func TestExhaustiveIgnoresRemovedQueries(t *testing.T) {
 		}
 		removed := build(queries)
 		for j := 0; j < 4; j++ {
-			if err := removed.RemoveQuery(j); err != nil {
+			if err := removed.RemoveQueryCtx(context.Background(), j); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -380,16 +381,16 @@ func TestExhaustiveIgnoresRemovedQueries(t *testing.T) {
 		target := rng.Intn(len(attrs))
 		for tau := 1; tau <= 6; tau++ {
 			req := MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}}
-			a, errA := ExhaustiveMinCost(removed, req)
-			b, errB := ExhaustiveMinCost(rebuilt, req)
+			a, errA := ExhaustiveMinCostCtx(context.Background(), removed, req)
+			b, errB := ExhaustiveMinCostCtx(context.Background(), rebuilt, req)
 			if !same(a, b, errA, errB) {
 				t.Fatalf("seed %d tau %d: MinCost with removed queries %+v (%v), rebuilt %+v (%v)", seed, tau, a, errA, b, errB)
 			}
 		}
 		for _, budget := range []float64{0.05, 0.2, 1} {
 			req := MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}}
-			a, errA := ExhaustiveMaxHit(removed, req)
-			b, errB := ExhaustiveMaxHit(rebuilt, req)
+			a, errA := ExhaustiveMaxHitCtx(context.Background(), removed, req)
+			b, errB := ExhaustiveMaxHitCtx(context.Background(), rebuilt, req)
 			if !same(a, b, errA, errB) {
 				t.Fatalf("seed %d budget %g: MaxHit with removed queries %+v (%v), rebuilt %+v (%v)", seed, budget, a, errA, b, errB)
 			}
@@ -400,14 +401,14 @@ func TestExhaustiveIgnoresRemovedQueries(t *testing.T) {
 func TestExhaustiveL1Cost(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	idx := fixture(t, rng, 15, 6, 2, 2)
-	res, err := ExhaustiveMinCost(idx, MinCostRequest{Target: 0, Tau: 3, Cost: L1Cost{}})
+	res, err := ExhaustiveMinCostCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: 3, Cost: L1Cost{}})
 	if err != nil {
 		t.Fatalf("L1 exhaustive: %v", err)
 	}
 	if res.Hits < 3 {
 		t.Errorf("hits=%d", res.Hits)
 	}
-	greedy, err := MinCostIQ(idx, MinCostRequest{Target: 0, Tau: 3, Cost: L1Cost{}})
+	greedy, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: 3, Cost: L1Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +426,7 @@ func TestCombinatorialMinCost(t *testing.T) {
 		{Target: 2, Cost: WeightedL2Cost{Alpha: vec.Vector{1, 2, 3}}},
 	}
 	tau := 12
-	res, err := CombinatorialMinCostIQ(idx, specs, tau)
+	res, err := CombinatorialMinCostIQCtx(context.Background(), idx, specs, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +455,7 @@ func TestCombinatorialMaxHit(t *testing.T) {
 		{Target: 4, Cost: L2Cost{}},
 	}
 	budget := 1.0
-	res, err := CombinatorialMaxHitIQ(idx, specs, budget)
+	res, err := CombinatorialMaxHitIQCtx(context.Background(), idx, specs, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +464,7 @@ func TestCombinatorialMaxHit(t *testing.T) {
 	}
 	// Multi-target with a decent budget should beat either single target
 	// alone with the same budget — or at least match.
-	single, err := MaxHitIQ(idx, MaxHitRequest{Target: 3, Budget: budget, Cost: L2Cost{}})
+	single, err := MaxHitIQCtx(context.Background(), idx, MaxHitRequest{Target: 3, Budget: budget, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,19 +478,19 @@ func TestCombinatorialMaxHit(t *testing.T) {
 func TestCombinatorialErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	idx := fixture(t, rng, 20, 10, 2, 2)
-	if _, err := CombinatorialMinCostIQ(idx, nil, 1); err == nil {
+	if _, err := CombinatorialMinCostIQCtx(context.Background(), idx, nil, 1); err == nil {
 		t.Error("empty target list accepted")
 	}
 	specs := []TargetSpec{{Target: 0, Cost: L2Cost{}}, {Target: 0, Cost: L2Cost{}}}
-	if _, err := CombinatorialMinCostIQ(idx, specs, 1); err == nil {
+	if _, err := CombinatorialMinCostIQCtx(context.Background(), idx, specs, 1); err == nil {
 		t.Error("duplicate targets accepted")
 	}
 	for _, budget := range []float64{-1, math.NaN()} {
-		if _, err := CombinatorialMaxHitIQ(idx, []TargetSpec{{Target: 0, Cost: L2Cost{}}}, budget); err == nil {
+		if _, err := CombinatorialMaxHitIQCtx(context.Background(), idx, []TargetSpec{{Target: 0, Cost: L2Cost{}}}, budget); err == nil {
 			t.Errorf("budget %g accepted", budget)
 		}
 	}
-	if _, err := CombinatorialMinCostIQ(idx, []TargetSpec{{Target: 0, Cost: L2Cost{}}}, 999); err == nil {
+	if _, err := CombinatorialMinCostIQCtx(context.Background(), idx, []TargetSpec{{Target: 0, Cost: L2Cost{}}}, 999); err == nil {
 		t.Error("unreachable tau accepted")
 	}
 }

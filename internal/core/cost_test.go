@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -203,7 +204,7 @@ func TestMinCostWithExprCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MinCostIQ(idx, MinCostRequest{Target: 0, Tau: 5, Cost: c})
+	res, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: 5, Cost: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestMinCostWithExprCost(t *testing.T) {
 		t.Errorf("hits=%d", res.Hits)
 	}
 	// The expensive third attribute should move less than with plain L2.
-	plain, err := MinCostIQ(idx, MinCostRequest{Target: 0, Tau: 5, Cost: L2Cost{}})
+	plain, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: 5, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}

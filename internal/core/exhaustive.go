@@ -30,17 +30,11 @@ var ErrExhaustiveUnsupported = errors.New("core: exhaustive search supports L2/L
 // exhaustiveLimit bounds the number of subsets enumerated.
 const exhaustiveLimit = 2_000_000
 
-// ExhaustiveMinCost finds the optimal min-cost strategy by enumerating every
-// τ-subset of queries and exactly solving the joint constraint system. Only
-// linear spaces with L1/L2 costs and no bounds are supported. It is
-// ExhaustiveMinCostCtx without a cancellation point.
-func ExhaustiveMinCost(idx *subdomain.Index, req MinCostRequest) (*Result, error) {
-	return ExhaustiveMinCostCtx(context.Background(), idx, req)
-}
-
-// ExhaustiveMinCostCtx is ExhaustiveMinCost with cancellation: the subset
-// enumeration — the exponential part — aborts when ctx fails, discarding any
-// best-so-far strategy.
+// ExhaustiveMinCostCtx finds the optimal min-cost strategy by enumerating
+// every τ-subset of queries and exactly solving the joint constraint
+// system. Only linear spaces with L1/L2 costs and no bounds are supported.
+// The subset enumeration — the exponential part — aborts when ctx fails,
+// discarding any best-so-far strategy.
 func ExhaustiveMinCostCtx(ctx context.Context, idx *subdomain.Index, req MinCostRequest) (*Result, error) {
 	start := time.Now()
 	ctx, span := startSolveSpan(ctx, "mincost-exhaustive")
@@ -127,16 +121,10 @@ func exhaustiveMinCostSolve(ctx context.Context, idx *subdomain.Index, req MinCo
 	return finishExhaustive(idx, req.Target, req.Cost, bestS)
 }
 
-// ExhaustiveMaxHit finds the optimal max-hit strategy: the largest h for
-// which some h-subset of queries is jointly hittable within the budget,
-// searched from the largest subset size downward. It is ExhaustiveMaxHitCtx
-// without a cancellation point.
-func ExhaustiveMaxHit(idx *subdomain.Index, req MaxHitRequest) (*Result, error) {
-	return ExhaustiveMaxHitCtx(context.Background(), idx, req)
-}
-
-// ExhaustiveMaxHitCtx is ExhaustiveMaxHit with cancellation: the per-size
-// subset enumerations abort when ctx fails, discarding partial search state.
+// ExhaustiveMaxHitCtx finds the optimal max-hit strategy: the largest h
+// for which some h-subset of queries is jointly hittable within the budget,
+// searched from the largest subset size downward. The per-size subset
+// enumerations abort when ctx fails, discarding partial search state.
 func ExhaustiveMaxHitCtx(ctx context.Context, idx *subdomain.Index, req MaxHitRequest) (*Result, error) {
 	start := time.Now()
 	ctx, span := startSolveSpan(ctx, "maxhit-exhaustive")

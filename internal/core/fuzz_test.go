@@ -123,7 +123,7 @@ func FuzzHitBound(f *testing.F) {
 				w.RemoveQuery(j)
 			}
 		}
-		idx, err := subdomain.Build(w, subdomain.Options{Slack: n})
+		idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{Slack: n})
 		if err != nil {
 			t.Fatal(err)
 		}

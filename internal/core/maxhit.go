@@ -20,12 +20,6 @@ type MaxHitRequest struct {
 	Bounds *Bounds
 }
 
-// MaxHitIQ answers a Max-Hit improvement query with the greedy heuristic of
-// Algorithm 4; it is MaxHitIQCtx without a cancellation point.
-func MaxHitIQ(idx *subdomain.Index, req MaxHitRequest) (*Result, error) {
-	return MaxHitIQCtx(context.Background(), idx, req)
-}
-
 // MaxHitIQCtx answers a Max-Hit improvement query with the greedy heuristic
 // of Algorithm 4: while budget remains, apply the candidate strategy with
 // the lowest cost per hit; when the best-ratio candidate no longer fits, a

@@ -52,12 +52,6 @@ func (r *Result) CostPerHit() float64 {
 
 func inf() float64 { return math.Inf(1) }
 
-// MinCostIQ answers a Min-Cost improvement query with the greedy heuristic
-// of Algorithm 3; it is MinCostIQCtx without a cancellation point.
-func MinCostIQ(idx *subdomain.Index, req MinCostRequest) (*Result, error) {
-	return MinCostIQCtx(context.Background(), idx, req)
-}
-
 // MinCostIQCtx answers a Min-Cost improvement query with the greedy
 // heuristic of Algorithm 3: each round generates, for every unhit query, the
 // cheapest strategy hitting it, and applies the one with the lowest cost per

@@ -232,16 +232,10 @@ func (st *multiState) generate(ctx context.Context, rec *recorder) ([]multiCandi
 	return out, evals, nil
 }
 
-// CombinatorialMinCostIQ finds per-target strategies whose combined hits
-// reach tau with low total cost (Section 5.1, first procedure); it is
-// CombinatorialMinCostIQCtx without a cancellation point.
-func CombinatorialMinCostIQ(idx *subdomain.Index, specs []TargetSpec, tau int) (*MultiResult, error) {
-	return CombinatorialMinCostIQCtx(context.Background(), idx, specs, tau)
-}
-
-// CombinatorialMinCostIQCtx is CombinatorialMinCostIQ with per-iteration and
-// per-candidate cancellation; a cancelled solve discards its partial
-// strategies and returns a nil MultiResult.
+// CombinatorialMinCostIQCtx finds per-target strategies whose combined
+// hits reach tau with low total cost (Section 5.1, first procedure). It
+// observes ctx at every iteration and before every candidate; a cancelled
+// solve discards its partial strategies and returns a nil MultiResult.
 func CombinatorialMinCostIQCtx(ctx context.Context, idx *subdomain.Index, specs []TargetSpec, tau int) (*MultiResult, error) {
 	start := time.Now()
 	ctx, span := startSolveSpan(ctx, "mincost-multi")
@@ -318,16 +312,9 @@ func combMinCostSolve(ctx context.Context, idx *subdomain.Index, specs []TargetS
 	return res, nil
 }
 
-// CombinatorialMaxHitIQ maximises the combined hit count under a shared
-// budget (Section 5.1, second procedure); it is CombinatorialMaxHitIQCtx
-// without a cancellation point.
-func CombinatorialMaxHitIQ(idx *subdomain.Index, specs []TargetSpec, budget float64) (*MultiResult, error) {
-	return CombinatorialMaxHitIQCtx(context.Background(), idx, specs, budget)
-}
-
-// CombinatorialMaxHitIQCtx is CombinatorialMaxHitIQ with per-iteration and
-// per-candidate cancellation; a cancelled solve discards its partial
-// strategies and returns a nil MultiResult.
+// CombinatorialMaxHitIQCtx maximises the combined hit count under a shared
+// budget (Section 5.1, second procedure). Cancellation semantics match
+// CombinatorialMinCostIQCtx.
 func CombinatorialMaxHitIQCtx(ctx context.Context, idx *subdomain.Index, specs []TargetSpec, budget float64) (*MultiResult, error) {
 	start := time.Now()
 	ctx, span := startSolveSpan(ctx, "maxhit-multi")

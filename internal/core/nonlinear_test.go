@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,7 +36,7 @@ func polyFixture(t *testing.T, rng *rand.Rand, n, m int) *subdomain.Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := subdomain.Build(w, subdomain.Options{})
+	idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestMinCostNonLinearSpace(t *testing.T) {
 	w := idx.Workload()
 	for trial := 0; trial < 5; trial++ {
 		target := rng.Intn(w.NumObjects())
-		res, err := MinCostIQ(idx, MinCostRequest{Target: target, Tau: 8, Cost: L2Cost{}})
+		res, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: target, Tau: 8, Cost: L2Cost{}})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -68,7 +69,7 @@ func TestMinCostNonLinearSpace(t *testing.T) {
 func TestMaxHitNonLinearSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	idx := polyFixture(t, rng, 50, 30)
-	res, err := MaxHitIQ(idx, MaxHitRequest{Target: 3, Budget: 0.4, Cost: L2Cost{}})
+	res, err := MaxHitIQCtx(context.Background(), idx, MaxHitRequest{Target: 3, Budget: 0.4, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestNonLinearWithBounds(t *testing.T) {
 	target := 5
 	// Attribute 0 frozen: the non-linear solver must respect it.
 	bounds := Frozen(2, 0)
-	res, err := MinCostIQ(idx, MinCostRequest{Target: target, Tau: 5, Cost: L2Cost{}, Bounds: bounds})
+	res, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: target, Tau: 5, Cost: L2Cost{}, Bounds: bounds})
 	if err != nil {
 		// Frozen attr may genuinely make the goal unreachable; that is a
 		// legitimate outcome, but when it succeeds the bound must hold.
@@ -124,14 +125,14 @@ func TestNonLinearEmbedFailureSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := subdomain.Build(w, subdomain.Options{})
+	idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Bounds keep attributes in the sqrt domain.
 	lo := vec.Vector{-0.25, -0.25}
 	hi := vec.Vector{1, 1}
-	res, err := MinCostIQ(idx, MinCostRequest{Target: 0, Tau: 4, Cost: L2Cost{},
+	res, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 0, Tau: 4, Cost: L2Cost{},
 		Bounds: &Bounds{Lo: lo, Hi: hi}})
 	if err != nil {
 		t.Skipf("unreachable under domain bounds: %v", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 // Property-based tests over the improvement-query contracts.
 
-// Property: for random workloads and goals, MinCostIQ either returns a
+// Property: for random workloads and goals, MinCostIQCtx either returns a
 // strategy whose true hit count meets τ, or reports ErrGoalUnreachable.
 func TestQuickMinCostContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -35,13 +36,13 @@ func TestQuickMinCostContract(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		idx, err := subdomain.Build(w, subdomain.Options{})
+		idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 		if err != nil {
 			return false
 		}
 		target := r.Intn(n)
 		tau := int(tauRaw) % (m + 1)
-		res, err := MinCostIQ(idx, MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}})
+		res, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: target, Tau: tau, Cost: L2Cost{}})
 		if err != nil {
 			return errors.Is(err, ErrGoalUnreachable)
 		}
@@ -56,7 +57,7 @@ func TestQuickMinCostContract(t *testing.T) {
 	}
 }
 
-// Property: MaxHitIQ never exceeds its budget and never loses hits.
+// Property: MaxHitIQCtx never exceeds its budget and never loses hits.
 func TestQuickMaxHitContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	cfg := &quick.Config{MaxCount: 15, Rand: rng}
@@ -77,13 +78,13 @@ func TestQuickMaxHitContract(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		idx, err := subdomain.Build(w, subdomain.Options{})
+		idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 		if err != nil {
 			return false
 		}
 		target := r.Intn(n)
 		budget := float64(budgetRaw) / 128.0 // [0, ~2)
-		res, err := MaxHitIQ(idx, MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}})
+		res, err := MaxHitIQCtx(context.Background(), idx, MaxHitRequest{Target: target, Budget: budget, Cost: L2Cost{}})
 		if err != nil {
 			return false
 		}
@@ -118,7 +119,7 @@ func TestQuickBoundsAlwaysRespected(t *testing.T) {
 		}
 		bounds := &Bounds{Lo: lo, Hi: hi}
 		tau := 1 + int(tauRaw)%10
-		res, err := MinCostIQ(idx, MinCostRequest{Target: 3, Tau: tau, Cost: L2Cost{}, Bounds: bounds})
+		res, err := MinCostIQCtx(context.Background(), idx, MinCostRequest{Target: 3, Tau: tau, Cost: L2Cost{}, Bounds: bounds})
 		if err != nil {
 			return errors.Is(err, ErrGoalUnreachable)
 		}

@@ -237,8 +237,8 @@ func sameAnswer(got, want *Result, gotErr, wantErr error) string {
 // them.
 func commitTarget(t *testing.T, idx *subdomain.Index, target int, s vec.Vector) *subdomain.Index {
 	t.Helper()
-	next := idx.Clone(idx.Workload().Clone())
-	if err := next.UpdateObject(target, vec.Add(idx.Workload().Attrs(target), s)); err != nil {
+	next := idx.CloneCtx(context.Background(), idx.Workload().Clone())
+	if err := next.UpdateObjectCtx(context.Background(), target, vec.Add(idx.Workload().Attrs(target), s)); err != nil {
 		t.Fatal(err)
 	}
 	return next
@@ -249,7 +249,7 @@ func commitTarget(t *testing.T, idx *subdomain.Index, target int, s vec.Vector) 
 // it has no stored tables.
 func rebuilt(t *testing.T, idx *subdomain.Index) *subdomain.Index {
 	t.Helper()
-	fresh, err := subdomain.Build(idx.Workload().Clone(), subdomain.Options{})
+	fresh, err := subdomain.BuildCtx(context.Background(), idx.Workload().Clone(), subdomain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func greedySpaces(t *testing.T) []greedySpace {
 }
 
 // TestGreedyMatchesReference is the greedy solvers' differential matrix:
-// MinCostIQ and MaxHitIQ against the reference Algorithms 3/4 above, over
+// MinCostIQCtx and MaxHitIQCtx against the reference Algorithms 3/4 above, over
 // the greedySpaces fixtures and their costs, without and with bounds; on the
 // solved snapshot, whose tables are stored across the solves, and on a
 // from-scratch rebuild of it; before and after a commit. Strategy and cost
@@ -379,12 +379,12 @@ func TestGreedyMatchesReference(t *testing.T) {
 										refs["mc"+key], refErrs["mc"+key] = refMinCost(t, at, mc)
 										refs["mh"+key] = refMaxHit(t, at, mh)
 									}
-									got, err := MinCostIQ(at, mc)
+									got, err := MinCostIQCtx(context.Background(), at, mc)
 									if d := sameAnswer(got, refs["mc"+key], err, refErrs["mc"+key]); d != "" {
 										t.Errorf("fresh=%v phase=%d target=%d tau=%d MinCost: %s",
 											fresh, phase, target, mc.Tau, d)
 									}
-									got, err = MaxHitIQ(at, mh)
+									got, err = MaxHitIQCtx(context.Background(), at, mh)
 									if d := sameAnswer(got, refs["mh"+key], err, nil); d != "" {
 										t.Errorf("fresh=%v phase=%d target=%d budget=%v MaxHit: %s",
 											fresh, phase, target, mh.Budget, d)

@@ -35,7 +35,7 @@ func buildFixture(t *testing.T, rng *rand.Rand, n, m, d, maxK int) *subdomain.In
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := subdomain.Build(w, subdomain.Options{})
+	idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestNonLinearSpaceStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := subdomain.Build(w, subdomain.Options{})
+	idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestEvaluatorErrors(t *testing.T) {
 	if _, err := NewCtx(context.Background(), idx, 999); err == nil {
 		t.Error("NewCtx accepted an out-of-range target")
 	}
-	if err := idx.RemoveObject(3); err != nil {
+	if err := idx.RemoveObjectCtx(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(p, 3); err == nil {
@@ -289,7 +289,7 @@ func TestEvaluatorCacheInvalidatedByCommit(t *testing.T) {
 	// shift under the evaluator's cached per-subdomain ranks.
 	other := 17
 	improved := vec.Scale(w.Attrs(other), 0.1)
-	if err := idx.UpdateObject(other, improved); err != nil {
+	if err := idx.UpdateObjectCtx(context.Background(), other, improved); err != nil {
 		t.Fatal(err)
 	}
 
@@ -334,13 +334,13 @@ func TestEvaluatorSurvivesSubdomainUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.AddQuery(topk.Query{ID: 500, K: 2, Point: vec.Vector{0.4, 0.3, 0.3}}); err != nil {
+	if _, err := idx.AddQueryCtx(context.Background(), topk.Query{ID: 500, K: 2, Point: vec.Vector{0.4, 0.3, 0.3}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.AddObject(vec.Vector{0.15, 0.2, 0.25}); err != nil {
+	if _, err := idx.AddObjectCtx(context.Background(), vec.Vector{0.15, 0.2, 0.25}); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.RemoveQuery(7); err != nil {
+	if err := idx.RemoveQueryCtx(context.Background(), 7); err != nil {
 		t.Fatal(err)
 	}
 	s := vec.Vector{-0.2, -0.1, -0.15}

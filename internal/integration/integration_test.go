@@ -49,7 +49,7 @@ func TestPipelineAllDistributions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, err := subdomain.Build(w, subdomain.Options{})
+			idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestPipelineAllDistributions(t *testing.T) {
 			}
 			for trial := 0; trial < 3; trial++ {
 				target := rng.Intn(w.NumObjects())
-				res, err := core.MinCostIQ(idx, core.MinCostRequest{Target: target, Tau: 10, Cost: core.L2Cost{}})
+				res, err := core.MinCostIQCtx(context.Background(), idx, core.MinCostRequest{Target: target, Tau: 10, Cost: core.L2Cost{}})
 				if err != nil {
 					t.Fatalf("%s trial %d: %v", wl.name, trial, err)
 				}
@@ -69,7 +69,7 @@ func TestPipelineAllDistributions(t *testing.T) {
 				if truth != res.Hits || truth < 10 {
 					t.Fatalf("%s trial %d: reported %d, true %d", wl.name, trial, res.Hits, truth)
 				}
-				mh, err := core.MaxHitIQ(idx, core.MaxHitRequest{Target: target, Budget: 0.4, Cost: core.L2Cost{}})
+				mh, err := core.MaxHitIQCtx(context.Background(), idx, core.MaxHitRequest{Target: target, Budget: 0.4, Cost: core.L2Cost{}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +92,7 @@ func TestUpdateStormKeepsAnswersExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := subdomain.Build(w, subdomain.Options{})
+	idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,31 +106,31 @@ func TestUpdateStormKeepsAnswersExact(t *testing.T) {
 	for step := 0; step < 25; step++ {
 		switch rng.Intn(5) {
 		case 0:
-			if _, err := idx.AddObject(randPoint()); err != nil {
+			if _, err := idx.AddObjectCtx(context.Background(), randPoint()); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
 			i := rng.Intn(w.NumObjects())
 			if !w.IsRemoved(i) && w.LiveObjects() > 30 {
-				if err := idx.RemoveObject(i); err != nil {
+				if err := idx.RemoveObjectCtx(context.Background(), i); err != nil {
 					t.Fatal(err)
 				}
 			}
 		case 2:
-			if _, err := idx.AddQuery(topk.Query{ID: 500 + step, K: 1 + rng.Intn(4), Point: randPoint()}); err != nil {
+			if _, err := idx.AddQueryCtx(context.Background(), topk.Query{ID: 500 + step, K: 1 + rng.Intn(4), Point: randPoint()}); err != nil {
 				t.Fatal(err)
 			}
 		case 3:
 			j := rng.Intn(w.NumQueries())
 			if !w.IsQueryRemoved(j) {
-				if err := idx.RemoveQuery(j); err != nil {
+				if err := idx.RemoveQueryCtx(context.Background(), j); err != nil {
 					t.Fatal(err)
 				}
 			}
 		case 4:
 			i := rng.Intn(w.NumObjects())
 			if !w.IsRemoved(i) {
-				if err := idx.UpdateObject(i, randPoint()); err != nil {
+				if err := idx.UpdateObjectCtx(context.Background(), i, randPoint()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -143,7 +143,7 @@ func TestUpdateStormKeepsAnswersExact(t *testing.T) {
 		if w.IsRemoved(target) {
 			continue
 		}
-		res, err := core.MaxHitIQ(idx, core.MaxHitRequest{Target: target, Budget: 0.3, Cost: core.L2Cost{}})
+		res, err := core.MaxHitIQCtx(context.Background(), idx, core.MaxHitRequest{Target: target, Budget: 0.3, Cost: core.L2Cost{}})
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -168,7 +168,7 @@ func TestSchemesAgreeOnStrategySearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := subdomain.Build(w, subdomain.Options{})
+	idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSchemesAgreeOnStrategySearch(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		target := rng.Intn(w.NumObjects())
 		tau := 6 + rng.Intn(8)
-		eff, err := core.MinCostIQ(idx, core.MinCostRequest{Target: target, Tau: tau, Cost: core.L2Cost{}})
+		eff, err := core.MinCostIQCtx(context.Background(), idx, core.MinCostRequest{Target: target, Tau: tau, Cost: core.L2Cost{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,12 +228,12 @@ func TestNonLinearPipelineWithPolySpace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := subdomain.Build(w, subdomain.Options{})
+		idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		target := rng.Intn(100)
-		res, err := core.MinCostIQ(idx, core.MinCostRequest{Target: target, Tau: 6, Cost: core.L2Cost{}})
+		res, err := core.MinCostIQCtx(context.Background(), idx, core.MinCostRequest{Target: target, Tau: 6, Cost: core.L2Cost{}})
 		if err != nil {
 			t.Fatalf("dim %d: %v", dim, err)
 		}
@@ -258,17 +258,17 @@ func TestCommitSequenceConvergesMarket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := subdomain.Build(w, subdomain.Options{})
+	idx, err := subdomain.BuildCtx(context.Background(), w, subdomain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 5; round++ {
 		target := rng.Intn(w.NumObjects())
-		res, err := core.MinCostIQ(idx, core.MinCostRequest{Target: target, Tau: 8, Cost: core.L2Cost{}})
+		res, err := core.MinCostIQCtx(context.Background(), idx, core.MinCostRequest{Target: target, Tau: 8, Cost: core.L2Cost{}})
 		if err != nil {
 			continue // a prior commit may have made this target's goal moot
 		}
-		if err := idx.UpdateObject(target, vec.Add(w.Attrs(target), res.Strategy)); err != nil {
+		if err := idx.UpdateObjectCtx(context.Background(), target, vec.Add(w.Attrs(target), res.Strategy)); err != nil {
 			t.Fatalf("round %d commit: %v", round, err)
 		}
 		if err := checkPartition(idx); err != nil {

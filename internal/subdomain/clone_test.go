@@ -1,6 +1,7 @@
 package subdomain
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,7 +24,7 @@ func cloneFixture(t *testing.T, rng *rand.Rand, n, m int) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Build(w, Options{})
+	idx, err := BuildCtx(context.Background(), w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestCloneIndependence(t *testing.T) {
 	origSigs := signatureOf(idx)
 	origStats := idx.Stats()
 
-	clone := idx.Clone(idx.Workload().Clone())
+	clone := idx.CloneCtx(context.Background(), idx.Workload().Clone())
 	if clone.Epoch() != idx.Epoch() {
 		t.Fatalf("epoch drifted on clone: %d vs %d", clone.Epoch(), idx.Epoch())
 	}
@@ -58,19 +59,19 @@ func TestCloneIndependence(t *testing.T) {
 	}
 
 	// Mutate the clone heavily.
-	if err := clone.UpdateObject(4, vec.Vector{0.01, 0.02, 0.01}); err != nil {
+	if err := clone.UpdateObjectCtx(context.Background(), 4, vec.Vector{0.01, 0.02, 0.01}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clone.AddObject(vec.Vector{0.05, 0.05, 0.9}); err != nil {
+	if _, err := clone.AddObjectCtx(context.Background(), vec.Vector{0.05, 0.05, 0.9}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clone.AddQuery(topk.Query{ID: 900, K: 2, Point: vec.Vector{0.2, 0.3, 0.5}}); err != nil {
+	if _, err := clone.AddQueryCtx(context.Background(), topk.Query{ID: 900, K: 2, Point: vec.Vector{0.2, 0.3, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := clone.RemoveQuery(3); err != nil {
+	if err := clone.RemoveQueryCtx(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := clone.RemoveObject(9); err != nil {
+	if err := clone.RemoveObjectCtx(context.Background(), 9); err != nil {
 		t.Fatal(err)
 	}
 	if err := partition(clone).CheckInvariant(); err != nil {

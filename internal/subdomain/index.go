@@ -60,14 +60,9 @@ type Index struct {
 	memo sync.Map
 }
 
-// Build constructs the index over the workload: the candidate skyband and
-// the rows.
-func Build(w *topk.Workload, opts Options) (*Index, error) {
-	return BuildCtx(context.Background(), w, opts)
-}
-
-// BuildCtx is Build with tracing: when ctx carries a trace, construction
-// records an "index/build" span stamped with the resulting shape.
+// BuildCtx constructs the index over the workload: the candidate skyband
+// and the rows. When ctx carries a trace, construction records an
+// "index/build" span stamped with the resulting shape.
 func BuildCtx(ctx context.Context, w *topk.Workload, opts Options) (*Index, error) {
 	start := time.Now()
 	_, sp := obs.StartSpan(ctx, "index/build")
@@ -116,8 +111,8 @@ func (x *Index) Workload() *topk.Workload { return x.w }
 
 // Memo returns the index's store for state that the layers above derive
 // from this snapshot — the solvers key their hit tables by target here — so
-// that the state lives exactly as long as the snapshot. Clone never copies
-// it. Entries do not follow in-place mutations: consumers check Epoch.
+// that the state lives exactly as long as the snapshot. CloneCtx never
+// copies it. Entries do not follow in-place mutations: consumers check Epoch.
 func (x *Index) Memo() *sync.Map { return &x.memo }
 
 // Epoch returns the index's mutation counter. It changes whenever an
@@ -125,21 +120,17 @@ func (x *Index) Memo() *sync.Map { return &x.memo }
 // derived from the index.
 func (x *Index) Epoch() uint64 { return x.epoch }
 
-// Clone returns an independent copy of the index bound to workload w, which
-// must be a Clone of the index's current workload (the two structures are
-// updated in lockstep, so they must be snapshotted together). The copy
-// holds its own candidate skyband and dominator counts, shares the parent's
-// rows until a mutation replaces them, and starts with an empty Memo.
-// Mutating either index afterwards never affects the other. This is the write-path primitive for epoch-based
-// snapshots: writers clone, mutate the clone, and publish it, while
-// in-flight readers keep their immutable epoch.
-func (x *Index) Clone(w *topk.Workload) *Index {
-	return x.CloneCtx(context.Background(), w)
-}
-
-// CloneCtx is Clone with tracing: when ctx carries a trace, the copy records
-// an "index/clone" span (the write path's fixed cost under the epoch
-// snapshot scheme).
+// CloneCtx returns an independent copy of the index bound to workload w,
+// which must be a Clone of the index's current workload (the two
+// structures are updated in lockstep, so they must be snapshotted
+// together). The copy holds its own candidate skyband and dominator counts,
+// shares the parent's rows until a mutation replaces them, and starts with
+// an empty Memo. Mutating either index afterwards never affects the other.
+// This is the write-path primitive for epoch-based snapshots: writers
+// clone, mutate the clone, and publish it, while in-flight readers keep
+// their immutable epoch. When ctx carries a trace, the copy records an
+// "index/clone" span (the write path's fixed cost under the epoch snapshot
+// scheme).
 func (x *Index) CloneCtx(ctx context.Context, w *topk.Workload) *Index {
 	start := time.Now()
 	_, sp := obs.StartSpan(ctx, "index/clone")

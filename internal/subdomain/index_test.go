@@ -32,7 +32,7 @@ func buildRandom(t *testing.T, rng *rand.Rand, n, m, d, maxK int, opts Options) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Build(w, opts)
+	idx, err := BuildCtx(context.Background(), w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestEmptyQuerySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Build(w, Options{})
+	idx, err := BuildCtx(context.Background(), w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestAddQueryJoinsOrCreates(t *testing.T) {
 	// Duplicate an existing query point: must join its subdomain.
 	w := idx.Workload()
 	dupOf := 17
-	j, err := idx.AddQuery(topk.Query{ID: 999, K: 2, Point: w.Query(dupOf).Point})
+	j, err := idx.AddQueryCtx(context.Background(), topk.Query{ID: 999, K: 2, Point: w.Query(dupOf).Point})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestAddQueryJoinsOrCreates(t *testing.T) {
 
 	// A far-away query point typically creates a fresh subdomain; either
 	// way the invariant must hold.
-	if _, err := idx.AddQuery(topk.Query{ID: 1000, K: 1, Point: randVec(rng, 3)}); err != nil {
+	if _, err := idx.AddQueryCtx(context.Background(), topk.Query{ID: 1000, K: 1, Point: randVec(rng, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := partition(idx).CheckInvariant(); err != nil {
@@ -173,16 +173,16 @@ func TestAddQueryJoinsOrCreates(t *testing.T) {
 func TestRemoveQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	idx := buildRandom(t, rng, 80, 40, 3, 3, Options{})
-	if err := idx.RemoveQuery(5); err != nil {
+	if err := idx.RemoveQueryCtx(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	if partition(idx).SubdomainOf(5) != nil {
 		t.Error("removed query still mapped")
 	}
-	if err := idx.RemoveQuery(5); err == nil {
+	if err := idx.RemoveQueryCtx(context.Background(), 5); err == nil {
 		t.Error("double removal accepted")
 	}
-	if err := idx.RemoveQuery(-1); err == nil {
+	if err := idx.RemoveQueryCtx(context.Background(), -1); err == nil {
 		t.Error("negative index accepted")
 	}
 	if err := partition(idx).CheckInvariant(); err != nil {
@@ -192,7 +192,7 @@ func TestRemoveQuery(t *testing.T) {
 	p := partition(idx)
 	for j := 0; j < idx.Workload().NumQueries(); j++ {
 		if p.SubdomainOf(j) != nil {
-			if err := idx.RemoveQuery(j); err != nil {
+			if err := idx.RemoveQueryCtx(context.Background(), j); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -206,7 +206,7 @@ func TestAddObjectRepartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	idx := buildRandom(t, rng, 60, 50, 3, 3, Options{})
 	// A dominating object certainly enters the skyband.
-	id, err := idx.AddObject(vec.Vector{0.001, 0.001, 0.001})
+	id, err := idx.AddObjectCtx(context.Background(), vec.Vector{0.001, 0.001, 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestAddObjectRepartitions(t *testing.T) {
 	}
 	// A dominated object must not disturb anything.
 	before := partition(idx).NumSubdomains()
-	id2, err := idx.AddObject(vec.Vector{0.999, 0.999, 0.999})
+	id2, err := idx.AddObjectCtx(context.Background(), vec.Vector{0.999, 0.999, 0.999})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestRemoveObjectMergesAndStaysSound(t *testing.T) {
 	idx := buildRandom(t, rng, 60, 50, 3, 3, Options{})
 	// Remove a candidate object.
 	cand := idx.Candidates()[0]
-	if err := idx.RemoveObject(cand); err != nil {
+	if err := idx.RemoveObjectCtx(context.Background(), cand); err != nil {
 		t.Fatal(err)
 	}
 	if idx.IsCandidate(cand) {
@@ -244,10 +244,10 @@ func TestRemoveObjectMergesAndStaysSound(t *testing.T) {
 	if err := partition(idx).CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.RemoveObject(cand); err == nil {
+	if err := idx.RemoveObjectCtx(context.Background(), cand); err == nil {
 		t.Error("double object removal accepted")
 	}
-	if err := idx.RemoveObject(-3); err == nil {
+	if err := idx.RemoveObjectCtx(context.Background(), -3); err == nil {
 		t.Error("bad id accepted")
 	}
 	// Removing a non-candidate is a cheap no-op structurally.
@@ -260,7 +260,7 @@ func TestRemoveObjectMergesAndStaysSound(t *testing.T) {
 	}
 	if non >= 0 {
 		before := partition(idx).NumSubdomains()
-		if err := idx.RemoveObject(non); err != nil {
+		if err := idx.RemoveObjectCtx(context.Background(), non); err != nil {
 			t.Fatal(err)
 		}
 		if partition(idx).NumSubdomains() != before {
@@ -279,24 +279,24 @@ func TestUpdatesMatchRebuild(t *testing.T) {
 	for step := 0; step < 20; step++ {
 		switch rng.Intn(4) {
 		case 0:
-			if _, err := idx.AddQuery(topk.Query{ID: 2000 + step, K: 1 + rng.Intn(3), Point: randVec(rng, 3)}); err != nil {
+			if _, err := idx.AddQueryCtx(context.Background(), topk.Query{ID: 2000 + step, K: 1 + rng.Intn(3), Point: randVec(rng, 3)}); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
 			j := rng.Intn(w.NumQueries())
 			if !w.IsQueryRemoved(j) {
-				if err := idx.RemoveQuery(j); err != nil {
+				if err := idx.RemoveQueryCtx(context.Background(), j); err != nil {
 					t.Fatal(err)
 				}
 			}
 		case 2:
-			if _, err := idx.AddObject(randVec(rng, 3)); err != nil {
+			if _, err := idx.AddObjectCtx(context.Background(), randVec(rng, 3)); err != nil {
 				t.Fatal(err)
 			}
 		case 3:
 			i := rng.Intn(w.NumObjects())
 			if !w.IsRemoved(i) && w.LiveObjects() > 10 {
-				if err := idx.RemoveObject(i); err != nil {
+				if err := idx.RemoveObjectCtx(context.Background(), i); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -5,9 +5,9 @@ import "iq/internal/obs"
 // Index-side observability: build/clone latencies and the skyband gauge for
 // /metrics. The gauge reports the most recently built or mutated index —
 // under the epoch-snapshot System that is the live epoch, which is the one
-// worth watching. Timings are recorded unconditionally; Build and Clone are
-// cold paths (one per workload load or write commit), so the time.Now pair
-// is noise next to the skyband computation itself.
+// worth watching. Timings are recorded unconditionally; BuildCtx and
+// CloneCtx are cold paths (one per workload load or write commit), so the
+// time.Now pair is noise next to the skyband computation itself.
 var (
 	mBuilds = obs.Default.Counter("iq_index_builds_total",
 		"Index constructions (candidate skyband and per-query rows).")

@@ -31,7 +31,7 @@ func TestSweepPathForNormalizedWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The sweep alone must produce a sound grouping (no refinement).
-	idx, err := Build(w, Options{})
+	idx, err := BuildCtx(context.Background(), w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestBoxFilterPrunesButStaysSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Build(w, Options{})
+	idx, err := BuildCtx(context.Background(), w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestHullSegmentDegenerateCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Build(w, Options{})
+	idx, err := BuildCtx(context.Background(), w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +121,13 @@ func TestSweepAndBruteAgreeOnSubdomains(t *testing.T) {
 		queries[j] = topk.Query{ID: j, K: 1 + rng.Intn(3), Point: vec.Vector{w1, 1 - w1}}
 	}
 	w1, _ := topk.NewWorkload(topk.LinearSpace{D: 2}, attrs, queries)
-	idxSweep, err := Build(w1, Options{})
+	idxSweep, err := BuildCtx(context.Background(), w1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Rebuild with refinement (which is signature-exact) as the reference.
 	w2, _ := topk.NewWorkload(topk.LinearSpace{D: 2}, attrs, queries)
-	idxRef, err := Build(w2, Options{})
+	idxRef, err := BuildCtx(context.Background(), w2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

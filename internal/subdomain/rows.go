@@ -15,7 +15,7 @@ import (
 // Queries", Chester et al.).
 //
 // Rows are immutable: a mutation replaces each row it changes with a fresh
-// slice, so Clone copies only the row headers and a published snapshot's
+// slice, so CloneCtx copies only the row headers and a published snapshot's
 // rows never change under its readers.
 
 // Entry is one band member's score at a query, summed by vec.Dot exactly as

@@ -35,11 +35,11 @@ func TestFarMutationsKeepRows(t *testing.T) {
 		checkRows(t, x, step)
 	}
 	mutate := func() {
-		x = x.Clone(x.Workload().Clone())
+		x = x.CloneCtx(context.Background(), x.Workload().Clone())
 	}
 
 	mutate()
-	id, err := x.AddObject(vec.Vector{100, 100, 100})
+	id, err := x.AddObjectCtx(context.Background(), vec.Vector{100, 100, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +48,12 @@ func TestFarMutationsKeepRows(t *testing.T) {
 	}
 	kept("add")
 	mutate()
-	if err := x.UpdateObject(id, vec.Vector{90, 95, 92}); err != nil {
+	if err := x.UpdateObjectCtx(context.Background(), id, vec.Vector{90, 95, 92}); err != nil {
 		t.Fatal(err)
 	}
 	kept("update")
 	mutate()
-	if err := x.RemoveObject(id); err != nil {
+	if err := x.RemoveObjectCtx(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
 	kept("remove")
@@ -69,7 +69,7 @@ func TestMutationSpansCountRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := Build(w, Options{})
+	x, err := BuildCtx(context.Background(), w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package subdomain
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -199,7 +200,7 @@ func runBandScript(t testing.TB, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := Build(w, Options{})
+	x, err := BuildCtx(context.Background(), w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func runBandScript(t testing.TB, data []byte) {
 	for op := 0; op < 80 && !s.done(); op++ {
 		parent, before := x, copyRows(x)
 		w = x.Workload().Clone()
-		x = x.Clone(w)
+		x = x.CloneCtx(context.Background(), w)
 		var step string
 		switch s.next() % 5 {
 		case 0:
@@ -216,29 +217,29 @@ func runBandScript(t testing.TB, data []byte) {
 				continue
 			}
 			step = fmt.Sprintf("op %d: update %d %v -> %v", op, id, w.Attrs(id), p)
-			err = x.UpdateObject(id, p)
+			err = x.UpdateObjectCtx(context.Background(), id, p)
 		case 1:
 			p := s.point(d)
 			step = fmt.Sprintf("op %d: add %v", op, p)
-			_, err = x.AddObject(p)
+			_, err = x.AddObjectCtx(context.Background(), p)
 		case 2:
 			id := s.next() % w.NumObjects()
 			if w.IsRemoved(id) || w.LiveObjects() == 1 {
 				continue
 			}
 			step = fmt.Sprintf("op %d: remove %d %v", op, id, w.Attrs(id))
-			err = x.RemoveObject(id)
+			err = x.RemoveObjectCtx(context.Background(), id)
 		case 3:
 			q := s.query(d, 1000+op)
 			step = fmt.Sprintf("op %d: add query k=%d (MaxK %d)", op, q.K, w.MaxK())
-			_, err = x.AddQuery(q)
+			_, err = x.AddQueryCtx(context.Background(), q)
 		default:
 			j := s.next() % w.NumQueries()
 			if w.IsQueryRemoved(j) {
 				continue
 			}
 			step = fmt.Sprintf("op %d: remove query %d", op, j)
-			err = x.RemoveQuery(j)
+			err = x.RemoveQueryCtx(context.Background(), j)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)

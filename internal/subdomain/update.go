@@ -13,21 +13,15 @@ import (
 
 // This file implements the data-updating operations of Section 4.3. They
 // keep the candidate skyband and the per-query rows current and advance the
-// epoch. Every operation has a Ctx variant recording an "index/<op>" span when the context carries
-// a trace; the plain variants delegate with context.Background() so
-// existing call sites keep working untraced. The object and query adds and
-// the object mutations stamp rows_changed and rows_rescanned on their spans.
+// epoch. Every operation takes a context and records an "index/<op>" span
+// when the context carries a trace. The object and query adds and the
+// object mutations stamp rows_changed and rows_rescanned on their spans.
 //
 // Object mutations keep the skyband exact by dominance counting (see move)
 // and each row exact by its band's leavers and entrants (see updateRows);
 // only an added query that deepens the band recomputes both from scratch.
 
-// AddQuery inserts a new top-k query into the workload and the index.
-func (x *Index) AddQuery(q topk.Query) (int, error) {
-	return x.AddQueryCtx(context.Background(), q)
-}
-
-// AddQueryCtx is AddQuery with tracing.
+// AddQueryCtx inserts a new top-k query into the workload and the index.
 func (x *Index) AddQueryCtx(ctx context.Context, q topk.Query) (int, error) {
 	_, sp := obs.StartSpan(ctx, "index/add_query")
 	defer sp.End()
@@ -52,14 +46,10 @@ func (x *Index) AddQueryCtx(ctx context.Context, q topk.Query) (int, error) {
 	return j, nil
 }
 
-// RemoveQuery removes query j from the index (the workload keeps the entry
-// but the index stops considering it; callers normally use fresh indices per
-// workload epoch). It returns an error when the query is unknown.
-func (x *Index) RemoveQuery(j int) error {
-	return x.RemoveQueryCtx(context.Background(), j)
-}
-
-// RemoveQueryCtx is RemoveQuery with tracing.
+// RemoveQueryCtx removes query j from the index (the workload keeps the
+// entry but the index stops considering it; callers normally use fresh
+// indices per workload epoch). It returns an error when the query is
+// unknown.
 func (x *Index) RemoveQueryCtx(ctx context.Context, j int) error {
 	_, sp := obs.StartSpan(ctx, "index/remove_query")
 	defer sp.End()
@@ -73,14 +63,9 @@ func (x *Index) RemoveQueryCtx(ctx context.Context, j int) error {
 	return nil
 }
 
-// AddObject inserts a new object into the workload and updates the index:
-// the object joins the candidate skyband unless enough candidates dominate
-// it, and then the candidates it pushes to the band's depth leave.
-func (x *Index) AddObject(attrs vec.Vector) (int, error) {
-	return x.AddObjectCtx(context.Background(), attrs)
-}
-
-// AddObjectCtx is AddObject with tracing.
+// AddObjectCtx inserts a new object into the workload and updates the
+// index: the object joins the candidate skyband unless enough candidates
+// dominate it, and then the candidates it pushes to the band's depth leave.
 func (x *Index) AddObjectCtx(ctx context.Context, attrs vec.Vector) (int, error) {
 	_, sp := obs.StartSpan(ctx, "index/add_object")
 	defer sp.End()
@@ -101,14 +86,9 @@ func (x *Index) AddObjectCtx(ctx context.Context, attrs vec.Vector) (int, error)
 	return id, nil
 }
 
-// UpdateObject changes an object's attributes in place (same id) and
+// UpdateObjectCtx changes an object's attributes in place (same id) and
 // updates the candidate skyband. Committing an improvement strategy to the
 // dataset goes through here.
-func (x *Index) UpdateObject(id int, attrs vec.Vector) error {
-	return x.UpdateObjectCtx(context.Background(), id, attrs)
-}
-
-// UpdateObjectCtx is UpdateObject with tracing.
 func (x *Index) UpdateObjectCtx(ctx context.Context, id int, attrs vec.Vector) error {
 	_, sp := obs.StartSpan(ctx, "index/update_object")
 	defer sp.End()
@@ -138,13 +118,8 @@ func (x *Index) UpdateObjectCtx(ctx context.Context, id int, attrs vec.Vector) e
 	return nil
 }
 
-// RemoveObject tombstones an object and, when the object was a candidate,
-// updates the candidate skyband.
-func (x *Index) RemoveObject(id int) error {
-	return x.RemoveObjectCtx(context.Background(), id)
-}
-
-// RemoveObjectCtx is RemoveObject with tracing.
+// RemoveObjectCtx tombstones an object and, when the object was a
+// candidate, updates the candidate skyband.
 func (x *Index) RemoveObjectCtx(ctx context.Context, id int) error {
 	_, sp := obs.StartSpan(ctx, "index/remove_object")
 	defer sp.End()

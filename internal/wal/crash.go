@@ -12,9 +12,9 @@ package wal
 //
 // The crash property test drives this: it first counts the boundaries a
 // deterministic workload crosses, then re-runs the workload once per
-// boundary, "dying" there, recovering with Open, and asserting the recovered
-// epoch, workload, and solve results are bit-identical to an uncrashed
-// oracle truncated at the same prefix.
+// boundary, "dying" there, recovering with OpenCtx, and asserting the
+// recovered epoch, workload, and solve results are bit-identical to an
+// uncrashed oracle truncated at the same prefix.
 
 import (
 	"errors"

@@ -32,7 +32,7 @@ func rebuiltSystem(t *testing.T, sys *System) *System {
 	t.Helper()
 	st := sys.view()
 	w := st.w.Clone()
-	idx, err := subdomain.Build(w, st.opts)
+	idx, err := subdomain.BuildCtx(context.Background(), w, st.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +74,12 @@ func randomMutation(t *testing.T, rng *rand.Rand, sys *System) string {
 			}
 			strategy := Vector{0, 0, 0}
 			strategy[rng.Intn(3)] = (rng.Float64() - 0.7) * 0.2
-			if err := sys.Commit(target, strategy); err != nil {
+			if err := sys.CommitCtx(context.Background(), target, strategy); err != nil {
 				t.Fatal(err)
 			}
 			return "commit"
 		case 2:
-			if _, err := sys.AddObject(Vector{rng.Float64(), rng.Float64(), rng.Float64()}); err != nil {
+			if _, err := sys.AddObjectCtx(context.Background(), Vector{rng.Float64(), rng.Float64(), rng.Float64()}); err != nil {
 				t.Fatal(err)
 			}
 			return "add-object"
@@ -88,14 +88,14 @@ func randomMutation(t *testing.T, rng *rand.Rand, sys *System) string {
 			if sys.Workload().IsRemoved(id) || sys.Workload().LiveObjects() < 10 {
 				continue
 			}
-			if err := sys.RemoveObject(id); err != nil {
+			if err := sys.RemoveObjectCtx(context.Background(), id); err != nil {
 				t.Fatal(err)
 			}
 			return "remove-object"
 		case 4:
 			q := Query{ID: 10000 + rng.Intn(1<<20), K: 1 + rng.Intn(3),
 				Point: Vector{0.05 + 0.95*rng.Float64(), 0.05 + 0.95*rng.Float64(), 0.05 + 0.95*rng.Float64()}}
-			if _, err := sys.AddQuery(q); err != nil {
+			if _, err := sys.AddQueryCtx(context.Background(), q); err != nil {
 				t.Fatal(err)
 			}
 			return "add-query"
@@ -104,7 +104,7 @@ func randomMutation(t *testing.T, rng *rand.Rand, sys *System) string {
 			if sys.Workload().IsQueryRemoved(j) {
 				continue
 			}
-			if err := sys.RemoveQuery(j); err != nil {
+			if err := sys.RemoveQueryCtx(context.Background(), j); err != nil {
 				t.Fatal(err)
 			}
 			return "remove-query"
@@ -162,7 +162,7 @@ func TestCommitKeepsWarmPath(t *testing.T) {
 			far[i] = max(far[i], a+1000)
 		}
 	}
-	farID, err := sys.AddObject(far)
+	farID, err := sys.AddObjectCtx(context.Background(), far)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestCommitKeepsWarmPath(t *testing.T) {
 	}
 	rows := rowsOf(sys.Index())
 	for _, step := range []Vector{{1, 0, 0}, {-1, 0, 0}} {
-		if err := sys.Commit(farID, step); err != nil {
+		if err := sys.CommitCtx(context.Background(), farID, step); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestCommitKeepsWarmPath(t *testing.T) {
 }
 
 // TestApplyBatchMatchesSequential drives the same mutation list through
-// ApplyBatch on one System and one-at-a-time on another, then requires both
+// ApplyBatchCtx on one System and one-at-a-time on another, then requires both
 // to agree on every solve — the batched path (one clone for every mutation)
 // must be observationally identical.
 func TestApplyBatchMatchesSequential(t *testing.T) {
@@ -220,7 +220,7 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 		}
 
 		epochBefore := batched.Epoch()
-		results, err := batched.ApplyBatch(muts)
+		results, err := batched.ApplyBatchCtx(context.Background(), muts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,13 +232,13 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 			var err error
 			switch {
 			case m.Commit != nil:
-				id, err = -1, sequential.Commit(m.Commit.Target, m.Commit.Strategy)
+				id, err = -1, sequential.CommitCtx(context.Background(), m.Commit.Target, m.Commit.Strategy)
 			case m.AddObject != nil:
-				id, err = sequential.AddObject(m.AddObject.Attrs)
+				id, err = sequential.AddObjectCtx(context.Background(), m.AddObject.Attrs)
 			case m.AddQuery != nil:
-				id, err = sequential.AddQuery(m.AddQuery.Query)
+				id, err = sequential.AddQueryCtx(context.Background(), m.AddQuery.Query)
 			default:
-				id, err = -1, sequential.RemoveQuery(m.RemoveQuery.Index)
+				id, err = -1, sequential.RemoveQueryCtx(context.Background(), m.RemoveQuery.Index)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -281,14 +281,14 @@ func TestApplyBatchRejectsMalformed(t *testing.T) {
 			{Commit: &CommitMutation{Target: -1, Strategy: Vector{0, 0, 0}}}}, // bad target after good op
 		{{Commit: &CommitMutation{Target: 0, Strategy: Vector{0, 0}}}}, // bad dimension
 	} {
-		if _, err := sys.ApplyBatch(muts); err == nil {
+		if _, err := sys.ApplyBatchCtx(context.Background(), muts); err == nil {
 			t.Fatalf("malformed batch %+v accepted", muts)
 		}
 	}
 	if sys.Epoch() != epoch {
 		t.Fatal("failed batches must not publish an epoch")
 	}
-	if res, err := sys.ApplyBatch(nil); err != nil || res != nil {
+	if res, err := sys.ApplyBatchCtx(context.Background(), nil); err != nil || res != nil {
 		t.Fatalf("empty batch: got (%v, %v), want (nil, nil)", res, err)
 	}
 	if sys.Epoch() != epoch {
@@ -340,7 +340,7 @@ func TestBatchCancelDiscardsDirtySet(t *testing.T) {
 	}
 
 	// The retry (no cancellation) applies cleanly.
-	if _, err := sys.ApplyBatch(muts); err != nil {
+	if _, err := sys.ApplyBatchCtx(context.Background(), muts); err != nil {
 		t.Fatal(err)
 	}
 	if sys.Epoch() != epoch+1 {
@@ -387,7 +387,7 @@ func TestStressSolvesDuringBatchedCommits(t *testing.T) {
 				s[rng.Intn(3)] = (rng.Float64() - 0.6) * 0.1
 				muts = append(muts, Mutation{Commit: &CommitMutation{Target: rng.Intn(40), Strategy: s}})
 			}
-			if _, err := sys.ApplyBatch(muts); err != nil {
+			if _, err := sys.ApplyBatchCtx(context.Background(), muts); err != nil {
 				t.Errorf("batch %d failed: %v", b, err)
 				return
 			}

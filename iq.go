@@ -171,17 +171,24 @@ type IndexOptions = subdomain.Options
 type IndexStats = subdomain.Stats
 
 // System bundles a workload (objects + queries + embedding space) with its
-// subdomain index and answers improvement queries. Build one with New or
-// NewLinear.
+// subdomain index and answers improvement queries. Build one with NewLinear
+// or NewWithOptionsCtx, or restore one with Load.
 //
-// A System is safe for unbounded concurrent use. Reads (MinCost, MaxHit,
-// Evaluate, Hits, EvaluateStrategy, TopK, Stats, …) run lock-free against an
-// immutable epoch snapshot of the workload and index; writes (Commit,
-// AddObject, RemoveObject, AddQuery, RemoveQuery) serialise behind a mutex,
-// apply copy-on-write to a clone of the current epoch, and atomically
-// publish the result. A commit that lands mid-read therefore never corrupts
-// the in-progress evaluation: the reader finishes against the epoch it
-// started with, and the next read observes the new one.
+// Every engine call has one form, which takes a context.Context: solves and
+// writes observe its cancellation and deadline and record spans into its
+// Trace. NewLinear, MinCost, MaxHit, EvaluateStrategy and CommitAndCount
+// also run without one, under context.Background(), and Hits runs only so,
+// because the repository benchmark (perfbench) calls them in that form.
+//
+// A System is safe for unbounded concurrent use. Reads (MinCostCtx,
+// MaxHitCtx, SolveBatchCtx, EvaluateCtx, EvaluateStrategyCtx, Hits,
+// IndexStats, …) run lock-free against an immutable epoch snapshot of the
+// workload and index; writes (CommitCtx, CommitAndCountCtx, AddObjectCtx,
+// RemoveObjectCtx, AddQueryCtx, RemoveQueryCtx, ApplyBatchCtx) serialise
+// behind a mutex, apply copy-on-write to a clone of the current epoch, and
+// atomically publish the result. A commit that lands mid-read therefore
+// never corrupts the in-progress evaluation: the reader finishes against
+// the epoch it started with, and the next read observes the new one.
 type System struct {
 	// mu serialises writers; readers never take it.
 	mu  sync.Mutex
@@ -279,19 +286,10 @@ func (s *System) apply(ctx context.Context, m Mutation) (int, *state, error) {
 // same epoch were answered from the same immutable snapshot.
 func (s *System) Epoch() uint64 { return s.view().epoch }
 
-// New builds a System over an arbitrary embedding space.
-func New(space Space, objects []Vector, queries []Query) (*System, error) {
-	return NewWithOptions(space, objects, queries, IndexOptions{})
-}
-
-// NewWithOptions builds a System with explicit index options.
-func NewWithOptions(space Space, objects []Vector, queries []Query, opts IndexOptions) (*System, error) {
-	return NewWithOptionsCtx(context.Background(), space, objects, queries, opts)
-}
-
-// NewWithOptionsCtx is NewWithOptions under a context: when the context
-// carries a Trace, subdomain-index construction records an "index/build"
-// span into it, so tools can profile startup alongside solves.
+// NewWithOptionsCtx builds a System over an arbitrary embedding space with
+// explicit index options (the zero IndexOptions gives the defaults). When
+// the context carries a Trace, subdomain-index construction records an
+// "index/build" span into it, so tools can profile startup alongside solves.
 func NewWithOptionsCtx(ctx context.Context, space Space, objects []Vector, queries []Query, opts IndexOptions) (*System, error) {
 	w, err := topk.NewWorkload(space, objects, queries)
 	if err != nil {
@@ -310,21 +308,20 @@ func NewLinear(objects []Vector, queries []Query) (*System, error) {
 	if len(objects) == 0 {
 		return nil, fmt.Errorf("iq: no objects")
 	}
-	return New(LinearSpace{D: len(objects[0])}, objects, queries)
+	return NewWithOptionsCtx(context.Background(), LinearSpace{D: len(objects[0])}, objects, queries, IndexOptions{})
 }
 
-// MinCost answers a Min-Cost improvement query (Definition 2 /
-// Algorithm 3).
+// MinCost is MinCostCtx under context.Background().
 func (s *System) MinCost(req MinCostRequest) (*Result, error) {
 	return s.MinCostCtx(context.Background(), req)
 }
 
-// MinCostCtx is MinCost under a context: the greedy loop of Algorithm 3
-// observes ctx at every round and before every probe, so a cancellation or
-// deadline stops the solve promptly. A cancelled solve returns a nil Result
-// and an error matching ErrCanceled/ErrDeadlineExceeded (and the
-// corresponding context error); partial greedy progress is discarded and the
-// System is unchanged.
+// MinCostCtx answers a Min-Cost improvement query (Definition 2 /
+// Algorithm 3). The greedy loop observes ctx at every round and before
+// every probe, so a cancellation or deadline stops the solve promptly. A
+// cancelled solve returns a nil Result and an error matching
+// ErrCanceled/ErrDeadlineExceeded (and the corresponding context error);
+// partial greedy progress is discarded and the System is unchanged.
 func (s *System) MinCostCtx(ctx context.Context, req MinCostRequest) (*Result, error) {
 	return s.view().solveMinCost(ctx, req)
 }
@@ -334,13 +331,13 @@ func (st *state) solveMinCost(ctx context.Context, req MinCostRequest) (*Result,
 	return core.MinCostIQCtx(ctx, st.idx, req)
 }
 
-// MaxHit answers a Max-Hit improvement query (Definition 3 / Algorithm 4).
+// MaxHit is MaxHitCtx under context.Background().
 func (s *System) MaxHit(req MaxHitRequest) (*Result, error) {
 	return s.MaxHitCtx(context.Background(), req)
 }
 
-// MaxHitCtx is MaxHit under a context; cancellation semantics match
-// MinCostCtx.
+// MaxHitCtx answers a Max-Hit improvement query (Definition 3 /
+// Algorithm 4); cancellation semantics match MinCostCtx.
 func (s *System) MaxHitCtx(ctx context.Context, req MaxHitRequest) (*Result, error) {
 	return s.view().solveMaxHit(ctx, req)
 }
@@ -361,12 +358,6 @@ type BatchItem struct {
 type BatchResult struct {
 	Result *Result
 	Err    error
-}
-
-// SolveBatch answers several independent improvement queries against one
-// epoch snapshot; see SolveBatchCtx.
-func (s *System) SolveBatch(items []BatchItem) []BatchResult {
-	return s.SolveBatchCtx(context.Background(), items)
 }
 
 // SolveBatchCtx answers several independent improvement queries against a
@@ -424,76 +415,45 @@ func (st *state) solveBatchItem(ctx context.Context, i int, it BatchItem) BatchR
 	}
 }
 
-// MinCostMulti answers a combinatorial Min-Cost IQ over several targets
-// (Section 5.1).
-func (s *System) MinCostMulti(specs []TargetSpec, tau int) (*MultiResult, error) {
-	return s.MinCostMultiCtx(context.Background(), specs, tau)
-}
-
-// MinCostMultiCtx is MinCostMulti under a context; cancellation semantics
-// match MinCostCtx.
+// MinCostMultiCtx answers a combinatorial Min-Cost IQ over several targets
+// (Section 5.1); cancellation semantics match MinCostCtx.
 func (s *System) MinCostMultiCtx(ctx context.Context, specs []TargetSpec, tau int) (*MultiResult, error) {
 	return core.CombinatorialMinCostIQCtx(ctx, s.view().idx, specs, tau)
 }
 
-// MaxHitMulti answers a combinatorial Max-Hit IQ over several targets.
-func (s *System) MaxHitMulti(specs []TargetSpec, budget float64) (*MultiResult, error) {
-	return s.MaxHitMultiCtx(context.Background(), specs, budget)
-}
-
-// MaxHitMultiCtx is MaxHitMulti under a context; cancellation semantics
-// match MinCostCtx.
+// MaxHitMultiCtx answers a combinatorial Max-Hit IQ over several targets
+// (Section 5.1); cancellation semantics match MinCostCtx.
 func (s *System) MaxHitMultiCtx(ctx context.Context, specs []TargetSpec, budget float64) (*MultiResult, error) {
 	return core.CombinatorialMaxHitIQCtx(ctx, s.view().idx, specs, budget)
 }
 
-// MinCostExhaustive runs the optimal (exponential-time) solver; only
-// feasible for very small inputs, as the paper notes.
-func (s *System) MinCostExhaustive(req MinCostRequest) (*Result, error) {
-	return s.MinCostExhaustiveCtx(context.Background(), req)
-}
-
-// MinCostExhaustiveCtx is MinCostExhaustive under a context; the subset
-// enumeration aborts when ctx fails. The exponential solver is where a
-// deadline matters most.
+// MinCostExhaustiveCtx runs the optimal (exponential-time) Min-Cost
+// solver; only feasible for very small inputs, as the paper notes. The
+// subset enumeration aborts when ctx fails. The exponential solver is where
+// a deadline matters most.
 func (s *System) MinCostExhaustiveCtx(ctx context.Context, req MinCostRequest) (*Result, error) {
 	return core.ExhaustiveMinCostCtx(ctx, s.view().idx, req)
 }
 
-// MaxHitExhaustive runs the optimal Max-Hit solver for tiny inputs.
-func (s *System) MaxHitExhaustive(req MaxHitRequest) (*Result, error) {
-	return s.MaxHitExhaustiveCtx(context.Background(), req)
-}
-
-// MaxHitExhaustiveCtx is MaxHitExhaustive under a context; cancellation
-// semantics match MinCostExhaustiveCtx.
+// MaxHitExhaustiveCtx runs the optimal Max-Hit solver for tiny inputs;
+// cancellation semantics match MinCostExhaustiveCtx.
 func (s *System) MaxHitExhaustiveCtx(ctx context.Context, req MaxHitRequest) (*Result, error) {
 	return core.ExhaustiveMaxHitCtx(ctx, s.view().idx, req)
 }
 
 // Hits returns H(p), the number of queries object target currently hits.
+// It counts against the target's hit table on the current snapshot; repeat
+// counts against an unchanged epoch reuse the table.
 func (s *System) Hits(target int) (int, error) {
-	return s.HitsCtx(context.Background(), target)
+	return core.CountHits(context.Background(), s.view().idx, target, nil)
 }
 
-// HitsCtx is Hits under a context. It counts against the target's hit
-// table on the current snapshot, whose build records a span when the context
-// carries a trace; repeat counts against an unchanged epoch reuse the table.
-func (s *System) HitsCtx(ctx context.Context, target int) (int, error) {
-	return core.CountHits(ctx, s.view().idx, target, nil)
-}
-
-// Evaluate answers a plain top-k query against the dataset.
-func (s *System) Evaluate(q Query) []int {
-	res := s.view().w.Evaluate(q)
-	return res.Ordered
-}
-
-// EvaluateCtx is Evaluate under a context. A single top-k evaluation is far
+// EvaluateCtx answers a plain top-k query against the dataset, returning
+// the result's object ids best first. A single top-k evaluation is far
 // cheaper than a solve, so the context is observed once at entry — enough
-// for a server to shed queued work after its deadline passed. Unlike
-// Evaluate, it validates q the way AddQuery does (dimension, finite point,
-// k ≥ 1) and returns an error instead of panicking on malformed input.
+// for a server to shed queued work after its deadline passed. It validates
+// q the way AddQueryCtx does (dimension, finite point, k ≥ 1) and returns
+// an error instead of panicking on malformed input.
 func (s *System) EvaluateCtx(ctx context.Context, q Query) ([]int, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
@@ -505,15 +465,15 @@ func (s *System) EvaluateCtx(ctx context.Context, q Query) ([]int, error) {
 	return w.Evaluate(q).Ordered, nil
 }
 
-// EvaluateStrategy returns H(p+strategy) without committing anything — the
-// "what would happen if" primitive (Eq. 6 against the target's hit table).
+// EvaluateStrategy is EvaluateStrategyCtx under context.Background().
 func (s *System) EvaluateStrategy(target int, strategy Vector) (int, error) {
 	return s.EvaluateStrategyCtx(context.Background(), target, strategy)
 }
 
-// EvaluateStrategyCtx is EvaluateStrategy under a context, observed at entry
-// and between the hit-table lookup and the hit count — the two non-trivial
-// stages of a what-if evaluation.
+// EvaluateStrategyCtx returns H(p+strategy) without committing anything —
+// the "what would happen if" primitive (Eq. 6 against the target's hit
+// table). The context is observed at entry and between the hit-table lookup
+// and the hit count — the two non-trivial stages of a what-if evaluation.
 func (s *System) EvaluateStrategyCtx(ctx context.Context, target int, strategy Vector) (int, error) {
 	st := s.view()
 	if err := checkStrategy(st.w, target, strategy); err != nil {
@@ -541,28 +501,23 @@ func checkStrategy(w *topk.Workload, target int, strategy Vector) error {
 	return nil
 }
 
-// Commit permanently applies a strategy to a target, publishing a new
-// epoch with the updated dataset and index.
-func (s *System) Commit(target int, strategy Vector) error {
-	return s.CommitCtx(context.Background(), target, strategy)
-}
-
-// CommitCtx is Commit under a context; the index clone and update record
-// spans when the context carries a trace.
+// CommitCtx permanently applies a strategy to a target, publishing a new
+// epoch with the updated dataset and index; the index clone and update
+// record spans when the context carries a trace.
 func (s *System) CommitCtx(ctx context.Context, target int, strategy Vector) error {
 	_, _, err := s.apply(ctx, Mutation{Commit: &CommitMutation{Target: target, Strategy: strategy}})
 	return err
 }
 
-// CommitAndCount applies a strategy and returns the target's hit count in
-// the newly published epoch, atomically with respect to other writers.
+// CommitAndCount is CommitAndCountCtx under context.Background().
 func (s *System) CommitAndCount(target int, strategy Vector) (int, error) {
 	return s.CommitAndCountCtx(context.Background(), target, strategy)
 }
 
-// CommitAndCountCtx is CommitAndCount under a context; tracing semantics
-// match CommitCtx. The count runs on the epoch the commit published, against
-// the target's hit table derived from that epoch's rows.
+// CommitAndCountCtx applies a strategy and returns the target's hit count
+// in the newly published epoch, atomically with respect to other writers;
+// tracing semantics match CommitCtx. The count runs on the epoch the commit
+// published, against the target's hit table derived from that epoch's rows.
 func (s *System) CommitAndCountCtx(ctx context.Context, target int, strategy Vector) (int, error) {
 	_, published, err := s.apply(ctx, Mutation{Commit: &CommitMutation{Target: target, Strategy: strategy}})
 	if err != nil {
@@ -573,56 +528,35 @@ func (s *System) CommitAndCountCtx(ctx context.Context, target int, strategy Vec
 	return core.CountHits(context.WithoutCancel(ctx), published.idx, target, nil)
 }
 
-// AddObject inserts a new object and returns its index.
-func (s *System) AddObject(attrs Vector) (int, error) {
-	return s.AddObjectCtx(context.Background(), attrs)
-}
-
-// AddObjectCtx is AddObject under a context; tracing semantics match
-// CommitCtx.
+// AddObjectCtx inserts a new object and returns its index; tracing
+// semantics match CommitCtx.
 func (s *System) AddObjectCtx(ctx context.Context, attrs Vector) (int, error) {
 	id, _, err := s.apply(ctx, Mutation{AddObject: &AddObjectMutation{Attrs: attrs}})
 	return id, err
 }
 
-// RemoveObject tombstones an object.
-func (s *System) RemoveObject(id int) error {
-	return s.RemoveObjectCtx(context.Background(), id)
-}
-
-// RemoveObjectCtx is RemoveObject under a context; tracing semantics match
-// CommitCtx.
+// RemoveObjectCtx tombstones an object; tracing semantics match CommitCtx.
 func (s *System) RemoveObjectCtx(ctx context.Context, id int) error {
 	_, _, err := s.apply(ctx, Mutation{RemoveObject: &RemoveObjectMutation{ID: id}})
 	return err
 }
 
-// AddQuery inserts a new top-k query and returns its index.
-func (s *System) AddQuery(q Query) (int, error) {
-	return s.AddQueryCtx(context.Background(), q)
-}
-
-// AddQueryCtx is AddQuery under a context; tracing semantics match
-// CommitCtx.
+// AddQueryCtx inserts a new top-k query and returns its index; tracing
+// semantics match CommitCtx.
 func (s *System) AddQueryCtx(ctx context.Context, q Query) (int, error) {
 	j, _, err := s.apply(ctx, Mutation{AddQuery: &AddQueryMutation{Query: q}})
 	return j, err
 }
 
-// RemoveQuery removes a query from the workload index.
-func (s *System) RemoveQuery(j int) error {
-	return s.RemoveQueryCtx(context.Background(), j)
-}
-
-// RemoveQueryCtx is RemoveQuery under a context; tracing semantics match
-// CommitCtx.
+// RemoveQueryCtx removes a query from the workload index; tracing
+// semantics match CommitCtx.
 func (s *System) RemoveQueryCtx(ctx context.Context, j int) error {
 	_, _, err := s.apply(ctx, Mutation{RemoveQuery: &RemoveQueryMutation{Index: j}})
 	return err
 }
 
 // Mutation is one write operation of a batch; exactly one field must be
-// set. See ApplyBatch.
+// set. See ApplyBatchCtx.
 type Mutation struct {
 	Commit       *CommitMutation
 	AddObject    *AddObjectMutation
@@ -631,28 +565,28 @@ type Mutation struct {
 	RemoveQuery  *RemoveQueryMutation
 }
 
-// CommitMutation applies an improvement strategy to a target (Commit).
+// CommitMutation applies an improvement strategy to a target (CommitCtx).
 type CommitMutation struct {
 	Target   int
 	Strategy Vector
 }
 
-// AddObjectMutation inserts a new object (AddObject).
+// AddObjectMutation inserts a new object (AddObjectCtx).
 type AddObjectMutation struct {
 	Attrs Vector
 }
 
-// RemoveObjectMutation tombstones an object (RemoveObject).
+// RemoveObjectMutation tombstones an object (RemoveObjectCtx).
 type RemoveObjectMutation struct {
 	ID int
 }
 
-// AddQueryMutation inserts a new top-k query (AddQuery).
+// AddQueryMutation inserts a new top-k query (AddQueryCtx).
 type AddQueryMutation struct {
 	Query Query
 }
 
-// RemoveQueryMutation removes a query (RemoveQuery).
+// RemoveQueryMutation removes a query (RemoveQueryCtx).
 type RemoveQueryMutation struct {
 	Index int
 }
@@ -661,12 +595,6 @@ type RemoveQueryMutation struct {
 // assigned by AddObject/AddQuery mutations and -1 for the others.
 type MutationResult struct {
 	ID int
-}
-
-// ApplyBatch applies several mutations as one atomic write; see
-// ApplyBatchCtx.
-func (s *System) ApplyBatch(muts []Mutation) ([]MutationResult, error) {
-	return s.ApplyBatchCtx(context.Background(), muts)
 }
 
 // ApplyBatchCtx applies N mutations to one workload/index clone and

@@ -67,7 +67,7 @@ func TestCommitChangesFutureQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := sys.Hits(2)
-	if err := sys.Commit(2, res.Strategy); err != nil {
+	if err := sys.CommitCtx(context.Background(), 2, res.Strategy); err != nil {
 		t.Fatal(err)
 	}
 	after, err := sys.Hits(2)
@@ -87,21 +87,21 @@ func TestCommitChangesFutureQueries(t *testing.T) {
 func TestSystemUpdatesAndStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	sys := smallSystem(t, rng, 60, 30)
-	id, err := sys.AddObject(Vector{0.2, 0.2, 0.2})
+	id, err := sys.AddObjectCtx(context.Background(), Vector{0.2, 0.2, 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != 60 {
 		t.Fatalf("id=%d", id)
 	}
-	qid, err := sys.AddQuery(Query{ID: 999, K: 2, Point: Vector{0.5, 0.3, 0.2}})
+	qid, err := sys.AddQueryCtx(context.Background(), Query{ID: 999, K: 2, Point: Vector{0.5, 0.3, 0.2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RemoveQuery(qid); err != nil {
+	if err := sys.RemoveQueryCtx(context.Background(), qid); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RemoveObject(id); err != nil {
+	if err := sys.RemoveObjectCtx(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
 	st := sys.IndexStats()
@@ -120,14 +120,14 @@ func TestMultiTargetFacade(t *testing.T) {
 		{Target: 0, Cost: L2Cost{}},
 		{Target: 1, Cost: L2Cost{}},
 	}
-	res, err := sys.MinCostMulti(specs, 10)
+	res, err := sys.MinCostMultiCtx(context.Background(), specs, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TotalHits < 10 {
 		t.Fatalf("union hits %d", res.TotalHits)
 	}
-	mh, err := sys.MaxHitMulti(specs, 0.8)
+	mh, err := sys.MaxHitMultiCtx(context.Background(), specs, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +139,14 @@ func TestMultiTargetFacade(t *testing.T) {
 func TestExhaustiveFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	sys := smallSystem(t, rng, 20, 8)
-	res, err := sys.MinCostExhaustive(MinCostRequest{Target: 0, Tau: 3, Cost: L2Cost{}})
+	res, err := sys.MinCostExhaustiveCtx(context.Background(), MinCostRequest{Target: 0, Tau: 3, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Hits < 3 {
 		t.Fatalf("hits=%d", res.Hits)
 	}
-	mh, err := sys.MaxHitExhaustive(MaxHitRequest{Target: 0, Budget: 0.4, Cost: L2Cost{}})
+	mh, err := sys.MaxHitExhaustiveCtx(context.Background(), MaxHitRequest{Target: 0, Budget: 0.4, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestNonLinearFacade(t *testing.T) {
 		{ID: 0, K: 1, Point: Vector{0.5, 0.5}},
 		{ID: 1, K: 2, Point: Vector{0.9, 0.1}},
 	}
-	sys, err := New(space, objs, queries)
+	sys, err := NewWithOptionsCtx(context.Background(), space, objs, queries, IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSolveBatchParallelMatchesSequential(t *testing.T) {
 	}
 	items = append(items, BatchItem{}) // sets neither solve
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	par := sys.SolveBatch(items)
+	par := sys.SolveBatchCtx(context.Background(), items)
 	for i, it := range items {
 		var want *Result
 		var err error
@@ -259,7 +259,7 @@ func TestRejectsNonFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(space, []Vector{{0.5, 0, 0.3}}, nil); err == nil {
+	if _, err := NewWithOptionsCtx(context.Background(), space, []Vector{{0.5, 0, 0.3}}, nil, IndexOptions{}); err == nil {
 		t.Error("object embedding to an Inf coefficient accepted")
 	}
 
@@ -268,17 +268,20 @@ func TestRejectsNonFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One commit of [1e308, 0] is finite; the second overflows to +Inf.
-	if err := sys.Commit(0, Vector{1e308, 0}); err != nil {
+	if err := sys.CommitCtx(context.Background(), 0, Vector{1e308, 0}); err != nil {
 		t.Fatal(err)
 	}
 	epoch := sys.Epoch()
 	rejected := map[string]error{
-		"overflowing commit": sys.Commit(0, Vector{1e308, 0}),
-		"NaN strategy":       sys.Commit(1, Vector{nan, 0}),
-		"Inf object":         func() error { _, err := sys.AddObject(Vector{inf, 0.5}); return err }(),
-		"NaN query":          func() error { _, err := sys.AddQuery(Query{K: 1, Point: Vector{nan, 0.5}}); return err }(),
+		"overflowing commit": sys.CommitCtx(context.Background(), 0, Vector{1e308, 0}),
+		"NaN strategy":       sys.CommitCtx(context.Background(), 1, Vector{nan, 0}),
+		"Inf object":         func() error { _, err := sys.AddObjectCtx(context.Background(), Vector{inf, 0.5}); return err }(),
+		"NaN query": func() error {
+			_, err := sys.AddQueryCtx(context.Background(), Query{K: 1, Point: Vector{nan, 0.5}})
+			return err
+		}(),
 		"NaN batch commit": func() error {
-			_, err := sys.ApplyBatch([]Mutation{{Commit: &CommitMutation{Target: 2, Strategy: Vector{0, nan}}}})
+			_, err := sys.ApplyBatchCtx(context.Background(), []Mutation{{Commit: &CommitMutation{Target: 2, Strategy: Vector{0, nan}}}})
 			return err
 		}(),
 		"NaN what-if": func() error { _, err := sys.EvaluateStrategy(1, Vector{nan, 0}); return err }(),
@@ -302,7 +305,11 @@ func TestRejectsNonFinite(t *testing.T) {
 		}
 		want := 0
 		for _, q := range queries {
-			for _, id := range sys.Evaluate(q) {
+			ids, err := sys.EvaluateCtx(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range ids {
 				if id == target {
 					want++
 				}

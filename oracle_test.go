@@ -151,7 +151,7 @@ func TestHitTableMatchesHitsExact(t *testing.T) {
 			queries[j] = Query{ID: j, K: 1 + rng.Intn(3),
 				Point: Vector{0.1 + 0.9*rng.Float64(), 0.1 + 0.9*rng.Float64(), 0.1 + 0.9*rng.Float64()}}
 		}
-		sys, err := New(space, objects, queries)
+		sys, err := NewWithOptionsCtx(context.Background(), space, objects, queries, IndexOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestHitTableMatchesHitsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.AddQuery(Query{ID: 900, K: 20, Point: Vector{0.3, 0.3, 0.4}}); err != nil {
+		if _, err := sys.AddQueryCtx(context.Background(), Query{ID: 900, K: 20, Point: Vector{0.3, 0.3, 0.4}}); err != nil {
 			t.Fatal(err)
 		}
 		w := sys.Workload()
@@ -196,7 +196,7 @@ func TestHitTableMatchesHitsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, k := range []int{math.MaxInt32, math.MaxInt} {
-			if _, err := sys.AddQuery(Query{ID: 900 + i, K: k, Point: Vector{0.3, 0.3, 0.4}}); err != nil {
+			if _, err := sys.AddQueryCtx(context.Background(), Query{ID: 900 + i, K: k, Point: Vector{0.3, 0.3, 0.4}}); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := len(sys.Index().Candidates()), sys.Workload().LiveObjects(); got != want {
@@ -204,13 +204,13 @@ func TestHitTableMatchesHitsExact(t *testing.T) {
 			}
 			checkHitOracle(t, rng, sys, 20, uniformStrategy(rng, 3))
 		}
-		if err := sys.Commit(1, Vector{-0.2, -0.1, -0.15}); err != nil {
+		if err := sys.CommitCtx(context.Background(), 1, Vector{-0.2, -0.1, -0.15}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.AddObject(Vector{0.9, 0.95, 0.9}); err != nil {
+		if _, err := sys.AddObjectCtx(context.Background(), Vector{0.9, 0.95, 0.9}); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.RemoveObject(2); err != nil {
+		if err := sys.RemoveObjectCtx(context.Background(), 2); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := len(sys.Index().Candidates()), sys.Workload().LiveObjects(); got != want {
@@ -229,13 +229,16 @@ func TestHitTableMatchesHitsExact(t *testing.T) {
 			name string
 			do   func() error
 		}{
-			{"commit", func() error { return sys.Commit(1, Vector{-0.2, -0.1, -0.15}) }},
-			{"add-object", func() error { _, err := sys.AddObject(Vector{0.1, 0.2, 0.1}); return err }},
-			{"remove-object", func() error { return sys.RemoveObject(2) }},
-			{"add-query", func() error { _, err := sys.AddQuery(Query{ID: 900, K: 2, Point: point()}); return err }},
-			{"remove-query", func() error { return sys.RemoveQuery(3) }},
+			{"commit", func() error { return sys.CommitCtx(context.Background(), 1, Vector{-0.2, -0.1, -0.15}) }},
+			{"add-object", func() error { _, err := sys.AddObjectCtx(context.Background(), Vector{0.1, 0.2, 0.1}); return err }},
+			{"remove-object", func() error { return sys.RemoveObjectCtx(context.Background(), 2) }},
+			{"add-query", func() error {
+				_, err := sys.AddQueryCtx(context.Background(), Query{ID: 900, K: 2, Point: point()})
+				return err
+			}},
+			{"remove-query", func() error { return sys.RemoveQueryCtx(context.Background(), 3) }},
 			{"apply-batch", func() error {
-				_, err := sys.ApplyBatch([]Mutation{
+				_, err := sys.ApplyBatchCtx(context.Background(), []Mutation{
 					{Commit: &CommitMutation{Target: 0, Strategy: Vector{-0.1, 0, -0.1}}},
 					{AddObject: &AddObjectMutation{Attrs: Vector{0.3, 0.05, 0.2}}},
 					{AddQuery: &AddQueryMutation{Query: Query{ID: 901, K: 1, Point: point()}}},

@@ -1,6 +1,7 @@
 package iq
 
 import (
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -261,13 +262,14 @@ func decodeSnapshot(r io.Reader) (snap snapshot, err error) {
 
 // Load reads a snapshot written by Save and rebuilds the System (including
 // its subdomain index). The restored System resumes at the saved epoch
-// (version ≥ 3; older snapshots restore to epoch 0).
+// (version ≥ 3; older snapshots restore to epoch 0). When ctx carries a
+// Trace, the index rebuild records an "index/build" span into it.
 //
 // Failures are classified: if the underlying reader itself errored, that
 // I/O error is returned as-is; everything else — bytes that decode as
 // garbage, validation failures, unbuildable content — wraps
 // ErrCorruptSnapshot, marking the input provably invalid.
-func Load(r io.Reader) (*System, error) {
+func Load(ctx context.Context, r io.Reader) (*System, error) {
 	cr := &cappedReader{r: r, left: MaxSnapshotBytes}
 	snap, err := decodeSnapshot(cr)
 	if err != nil {
@@ -276,7 +278,7 @@ func Load(r io.Reader) (*System, error) {
 		}
 		return nil, fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 	}
-	sys, err := buildFromSnapshot(snap)
+	sys, err := buildFromSnapshot(ctx, snap)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 	}
@@ -284,20 +286,20 @@ func Load(r io.Reader) (*System, error) {
 }
 
 // LoadFile is Load against a file path, pairing with SaveFile.
-func LoadFile(path string) (*System, error) {
+func LoadFile(ctx context.Context, path string) (*System, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	sys, err := Load(f)
+	sys, err := Load(ctx, f)
 	if err != nil {
 		return nil, fmt.Errorf("iq: loading %s: %w", path, err)
 	}
 	return sys, nil
 }
 
-func buildFromSnapshot(snap snapshot) (*System, error) {
+func buildFromSnapshot(ctx context.Context, snap snapshot) (*System, error) {
 	space, err := snap.Space.build()
 	if err != nil {
 		return nil, err
@@ -315,16 +317,16 @@ func buildFromSnapshot(snap snapshot) (*System, error) {
 			w.RemoveObject(i)
 		}
 	}
-	idx, err := subdomain.Build(w, snap.Options)
+	idx, err := subdomain.BuildCtx(ctx, w, snap.Options)
 	if err != nil {
 		return nil, err
 	}
 	// Version ≥ 2 carries query tombstones: the index is built over every
 	// query slot (keeping indices stable) and removals are re-applied here,
-	// mirroring the runtime RemoveQuery path.
+	// mirroring the runtime RemoveQueryCtx path.
 	for j, removed := range snap.QueryRemoved {
 		if removed {
-			if err := idx.RemoveQuery(j); err != nil {
+			if err := idx.RemoveQueryCtx(ctx, j); err != nil {
 				return nil, fmt.Errorf("iq: replaying query tombstone %d: %w", j, err)
 			}
 		}

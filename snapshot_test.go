@@ -2,6 +2,7 @@ package iq
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"math/rand"
@@ -18,17 +19,17 @@ func TestSaveLoadRoundTripLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sys := smallSystem(t, rng, 80, 40)
 	// Mutate a bit first: remove an object and a query, commit a strategy.
-	if err := sys.RemoveObject(3); err != nil {
+	if err := sys.RemoveObjectCtx(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RemoveQuery(7); err != nil {
+	if err := sys.RemoveQueryCtx(context.Background(), 7); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sys.MinCost(MinCostRequest{Target: 5, Tau: 6, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Commit(5, res.Strategy); err != nil {
+	if err := sys.CommitCtx(context.Background(), 5, res.Strategy); err != nil {
 		t.Fatal(err)
 	}
 
@@ -36,7 +37,7 @@ func TestSaveLoadRoundTripLinear(t *testing.T) {
 	if err := sys.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestSaveLoadExprSpace(t *testing.T) {
 		queries[j] = Query{ID: j, K: 1 + rng.Intn(3),
 			Point: Vector{rng.Float64(), rng.Float64()}}
 	}
-	sys, err := New(space, objs, queries)
+	sys, err := NewWithOptionsCtx(context.Background(), space, objs, queries, IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestSaveLoadExprSpace(t *testing.T) {
 	if err := sys.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestSaveLoadHeterogeneous(t *testing.T) {
 		p, _ := h.Lift(j%2, Vector{rng.Float64(), rng.Float64()})
 		queries = append(queries, Query{ID: j, K: 2, Point: p})
 	}
-	sys, err := New(h, objs, queries)
+	sys, err := NewWithOptionsCtx(context.Background(), h, objs, queries, IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestSaveLoadHeterogeneous(t *testing.T) {
 	if err := sys.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +169,10 @@ func TestSaveLoadHeterogeneous(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(strings.NewReader("garbage")); err == nil {
+	if _, err := Load(context.Background(), strings.NewReader("garbage")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := Load(strings.NewReader("")); err == nil {
+	if _, err := Load(context.Background(), strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
 	}
 }
@@ -213,7 +214,7 @@ func TestSaveLoadExprCostAnswers(t *testing.T) {
 		queries[j] = Query{ID: j, K: 1 + rng.Intn(3),
 			Point: Vector{0.05 + rng.Float64(), 0.05 + rng.Float64()}}
 	}
-	sys, err := New(space, objs, queries)
+	sys, err := NewWithOptionsCtx(context.Background(), space, objs, queries, IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestSaveLoadExprCostAnswers(t *testing.T) {
 	if err := sys.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestLoadVersion1Compat(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Load(&buf)
+	sys, err := Load(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,17 +337,17 @@ func TestLoadShardedSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	objs := dataset.Objects(dataset.Independent, 80, 3, rng)
 	queries := dataset.UNQueries(60, 3, 5, false, rng)
-	sys, err := NewWithOptions(LinearSpace{D: 3}, objs, queries, IndexOptions{Slack: 2})
+	sys, err := NewWithOptionsCtx(context.Background(), LinearSpace{D: 3}, objs, queries, IndexOptions{Slack: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.AddQuery(Query{ID: 901, K: 2, Point: Vector{0.4, 0.3, 0.3}}); err != nil {
+	if _, err := sys.AddQueryCtx(context.Background(), Query{ID: 901, K: 2, Point: Vector{0.4, 0.3, 0.3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RemoveQuery(5); err != nil {
+	if err := sys.RemoveQueryCtx(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Commit(1, Vector{-0.02, -0.01, 0}); err != nil {
+	if err := sys.CommitCtx(context.Background(), 1, Vector{-0.02, -0.01, 0}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -371,7 +372,7 @@ func TestLoadShardedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := Load(&buf)
+	got, err := Load(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestSnapshotRejectsFutureVersion(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&buf); err == nil {
+	if _, err := Load(context.Background(), &buf); err == nil {
 		t.Fatal("future snapshot version accepted")
 	}
 }
@@ -424,7 +425,7 @@ func TestSaveLoadQueryIndexStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sys := smallSystem(t, rng, 60, 30)
 	for _, j := range []int{4, 17, 22} {
-		if err := sys.RemoveQuery(j); err != nil {
+		if err := sys.RemoveQueryCtx(context.Background(), j); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -432,16 +433,16 @@ func TestSaveLoadQueryIndexStability(t *testing.T) {
 	if err := sys.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Removing the same further query index on both sides must remove the
 	// same logical query.
-	if err := sys.RemoveQuery(23); err != nil {
+	if err := sys.RemoveQueryCtx(context.Background(), 23); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.RemoveQuery(23); err != nil {
+	if err := loaded.RemoveQueryCtx(context.Background(), 23); err != nil {
 		t.Fatal(err)
 	}
 	for _, target := range []int{0, 7, 19} {
@@ -523,7 +524,7 @@ func TestLoadHostileInputs(t *testing.T) {
 					t.Fatalf("Load panicked: %v", p)
 				}
 			}()
-			if _, err := Load(bytes.NewReader(tc.input)); err == nil {
+			if _, err := Load(context.Background(), bytes.NewReader(tc.input)); err == nil {
 				t.Fatal("Load accepted hostile input")
 			}
 		})
@@ -546,7 +547,7 @@ func TestLoadUtilityOverParseCap(t *testing.T) {
 		Objects: []Vector{{1, 2}}, Removed: []bool{false}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load(&buf)
+	_, err := Load(context.Background(), &buf)
 	if !errors.Is(err, ErrCorruptSnapshot) || !errors.Is(err, capErr) || !strings.Contains(err.Error(), "snapshot utility") {
 		t.Fatalf("Load error %v, want a corrupt snapshot wrapping the utility's %v", err, capErr)
 	}
@@ -566,7 +567,7 @@ func (r endlessReader) Read(p []byte) (int, error) {
 func TestLoadBoundedAgainstEndlessStream(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
-		_, err := Load(endlessReader{b: 0xff})
+		_, err := Load(context.Background(), endlessReader{b: 0xff})
 		done <- err
 	}()
 	select {
@@ -583,7 +584,7 @@ func TestSnapshotCarriesEpoch(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	sys := smallSystem(t, rng, 20, 10)
 	for i := 0; i < 3; i++ {
-		if err := sys.Commit(i, Vector{-0.01, -0.01, -0.01}); err != nil {
+		if err := sys.CommitCtx(context.Background(), i, Vector{-0.01, -0.01, -0.01}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -591,7 +592,7 @@ func TestSnapshotCarriesEpoch(t *testing.T) {
 	if err := sys.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +600,7 @@ func TestSnapshotCarriesEpoch(t *testing.T) {
 		t.Fatalf("restored epoch %d, want 3", got)
 	}
 	// The restored System keeps counting from there.
-	if err := loaded.Commit(0, Vector{-0.01, -0.01, -0.01}); err != nil {
+	if err := loaded.CommitCtx(context.Background(), 0, Vector{-0.01, -0.01, -0.01}); err != nil {
 		t.Fatal(err)
 	}
 	if got := loaded.Epoch(); got != 4 {
@@ -617,11 +618,11 @@ func (r erringReader) Read([]byte) (int, error) { return 0, r.err }
 // untagged. Recovery relies on the distinction to decide between falling
 // back to an older checkpoint and aborting.
 func TestLoadClassifiesCorruptionVsIO(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("garbage, not gob"))); !errors.Is(err, ErrCorruptSnapshot) {
+	if _, err := Load(context.Background(), bytes.NewReader([]byte("garbage, not gob"))); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("garbage input: err = %v, want ErrCorruptSnapshot", err)
 	}
 	boom := errors.New("simulated EIO")
-	_, err := Load(erringReader{err: boom})
+	_, err := Load(context.Background(), erringReader{err: boom})
 	if err == nil || errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("reader fault: err = %v, must not be classified as corruption", err)
 	}
@@ -651,7 +652,7 @@ func FuzzLoad(f *testing.F) {
 // returns a System that saves, loads again to the same epoch and sizes, and
 // saves again to the same bytes.
 func checkLoad(t *testing.T, in []byte) {
-	sys, err := Load(bytes.NewReader(in))
+	sys, err := Load(context.Background(), bytes.NewReader(in))
 	if err != nil {
 		if !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("Load error %v does not wrap ErrCorruptSnapshot", err)
@@ -662,7 +663,7 @@ func checkLoad(t *testing.T, in []byte) {
 	if err := sys.Save(&first); err != nil {
 		t.Fatalf("Save of a loaded System: %v", err)
 	}
-	again, err := Load(bytes.NewReader(first.Bytes()))
+	again, err := Load(context.Background(), bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatalf("Load of a saved System: %v", err)
 	}

@@ -96,7 +96,9 @@ func TestStressReadersWriters(t *testing.T) {
 				// observe torn state regardless of writer activity.
 				q := Query{ID: 1000 + it, K: 1 + rng.Intn(3),
 					Point: Vector{0.1 + rng.Float64(), 0.1 + rng.Float64(), 0.1 + rng.Float64()}}
-				if res := sys.Evaluate(q); len(res) > q.K {
+				if res, err := sys.EvaluateCtx(context.Background(), q); err != nil {
+					t.Errorf("Evaluate: %v", err)
+				} else if len(res) > q.K {
 					t.Errorf("Evaluate returned %d > k=%d objects", len(res), q.K)
 				}
 				if _, err := sys.Hits(target % 10); err != nil { // first 10 objects never tombstoned
@@ -117,17 +119,17 @@ func TestStressReadersWriters(t *testing.T) {
 					// Commit a small strategy to a never-removed object.
 					target := 10 + rng.Intn(10)
 					s := Vector{-0.05 * rng.Float64(), -0.05 * rng.Float64(), -0.05 * rng.Float64()}
-					if err := sys.Commit(target, s); err != nil {
+					if err := sys.CommitCtx(context.Background(), target, s); err != nil {
 						t.Errorf("Commit(%d): %v", target, err)
 					}
 				case 1:
-					if _, err := sys.AddObject(Vector{rng.Float64(), rng.Float64(), rng.Float64()}); err != nil {
+					if _, err := sys.AddObjectCtx(context.Background(), Vector{rng.Float64(), rng.Float64(), rng.Float64()}); err != nil {
 						t.Errorf("AddObject: %v", err)
 					}
 				default:
 					q := Query{ID: 5000 + int(seed)*100 + it, K: 1 + rng.Intn(3),
 						Point: Vector{0.05 + 0.95*rng.Float64(), 0.05 + 0.95*rng.Float64(), 0.05 + 0.95*rng.Float64()}}
-					if _, err := sys.AddQuery(q); err != nil {
+					if _, err := sys.AddQueryCtx(context.Background(), q); err != nil {
 						t.Errorf("AddQuery: %v", err)
 					}
 				}
@@ -174,7 +176,7 @@ func TestStressMinCostDuringCommits(t *testing.T) {
 			default:
 			}
 			target := 20 + rng.Intn(10)
-			if err := sys.Commit(target, Vector{-0.02, -0.02, -0.02}); err != nil {
+			if err := sys.CommitCtx(context.Background(), target, Vector{-0.02, -0.02, -0.02}); err != nil {
 				t.Errorf("Commit(%d): %v", target, err)
 			}
 		}
@@ -214,7 +216,7 @@ func TestStressSolvesDuringRecovery(t *testing.T) {
 	)
 	ctx := context.Background()
 	dir := t.TempDir()
-	store, err := Open(dir, quietOpts(FsyncOff))
+	store, err := OpenCtx(ctx, dir, quietOpts(FsyncOff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +226,12 @@ func TestStressSolvesDuringRecovery(t *testing.T) {
 	}
 	for i := 0; i < historyWrites; i++ {
 		if i == checkpointAfter {
-			if err := store.Checkpoint(); err != nil {
+			if err := store.CheckpointCtx(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}
 		target := 10 + i
-		if err := sys.Commit(target, Vector{-0.02, -0.01, -0.015}); err != nil {
+		if err := sys.CommitCtx(ctx, target, Vector{-0.02, -0.01, -0.015}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,7 +267,7 @@ func TestStressSolvesDuringRecovery(t *testing.T) {
 	}
 	done := make(chan opened, 1)
 	go func() {
-		st, err := Open(dir, OpenOptions{Fsync: FsyncOff, FsyncInterval: time.Hour,
+		st, err := OpenCtx(ctx, dir, OpenOptions{Fsync: FsyncOff, FsyncInterval: time.Hour,
 			Logger:           quietLogger(),
 			checkpointLoaded: func(s *System) { recovered.Store(s) }})
 		done <- opened{st, err}

@@ -60,13 +60,14 @@ func TestTracedSolveProducesDeepTrace(t *testing.T) {
 }
 
 // TestTracedCommitRecordsIndexSpans checks the write path: a traced build
-// records the skyband computation and a traced Commit the index clone and
-// update, and neither runs Algorithm 1 — no solve reads its partition.
+// records the skyband computation, a traced Commit the index clone and
+// update, and a traced recovery the checkpoint's index rebuild under its
+// "recover" span; none runs Algorithm 1 — no solve reads its partition.
 func TestTracedCommitRecordsIndexSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	objs := dataset.Objects(dataset.Independent, 80, 3, rng)
 	queries := dataset.UNQueries(40, 3, 5, false, rng)
-	traced := func(name string, want []string, depth int, fn func(context.Context) error) {
+	traced := func(name string, want []string, depth int, fn func(context.Context) error) *Trace {
 		t.Helper()
 		tr := NewTrace(name, 0)
 		if err := fn(WithTrace(context.Background(), tr)); err != nil {
@@ -85,6 +86,7 @@ func TestTracedCommitRecordsIndexSpans(t *testing.T) {
 				t.Errorf("%s trace records %q:\n%s", name, banned, buf.String())
 			}
 		}
+		return tr
 	}
 
 	var sys *System
@@ -100,6 +102,40 @@ func TestTracedCommitRecordsIndexSpans(t *testing.T) {
 	traced("commit", []string{"index/clone", "index/update_object"}, 1, func(ctx context.Context) error {
 		return sys.CommitCtx(ctx, 2, res.Strategy)
 	})
+
+	// A restart rebuilds the index from the checkpoint, then replays the
+	// commit logged after it.
+	dir := t.TempDir()
+	ctx := context.Background()
+	store, err := OpenCtx(ctx, dir, quietOpts(FsyncOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Attach(ctx, sys); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CommitCtx(ctx, 3, res.Strategy); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr := traced("recover", []string{"recover", "index/build", "recover/replay"}, 2, func(ctx context.Context) error {
+		recovered, err := OpenCtx(ctx, dir, quietOpts(FsyncOff))
+		if err != nil {
+			return err
+		}
+		return recovered.Close()
+	})
+	var tree bytes.Buffer
+	if err := WriteTree(&tree, tr); err != nil {
+		t.Fatal(err)
+	}
+	// WriteTree indents a root span by two spaces and each level below it
+	// by two more.
+	if !strings.Contains(tree.String(), "\n  recover ") || !strings.Contains(tree.String(), "\n    index/build ") {
+		t.Errorf("index/build is not a child of recover:\n%s", tree.String())
+	}
 }
 
 // TestExhaustiveSolveStats asserts the work profile on the exhaustive path:
@@ -108,7 +144,7 @@ func TestTracedCommitRecordsIndexSpans(t *testing.T) {
 func TestExhaustiveSolveStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	sys := smallSystem(t, rng, 20, 8)
-	res, err := sys.MinCostExhaustive(MinCostRequest{Target: 0, Tau: 3, Cost: L2Cost{}})
+	res, err := sys.MinCostExhaustiveCtx(context.Background(), MinCostRequest{Target: 0, Tau: 3, Cost: L2Cost{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +172,7 @@ func TestMultiTargetSolveStats(t *testing.T) {
 		{Target: 0, Cost: L2Cost{}},
 		{Target: 1, Cost: L2Cost{}},
 	}
-	res, err := sys.MinCostMulti(specs, 10)
+	res, err := sys.MinCostMultiCtx(context.Background(), specs, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
