@@ -15,17 +15,23 @@ import (
 )
 
 // A batch must return per-item results identical to the single-solve
-// endpoints answering the same requests against the same snapshot.
+// endpoints answering the same requests against the same snapshot, for
+// every cost selector and with frozen attributes.
 func TestBatchEndpointMatchesSingleSolves(t *testing.T) {
 	ts := testServer(t)
 	loadDataset(t, ts, 100, 40)
 
-	req := batchRequest{Items: []batchItemWire{
+	items := []batchItemWire{
 		{Op: "mincost", Target: 5, Tau: 6},
 		{Op: "maxhit", Target: 2, Budget: 0.5},
 		{Op: "mincost", Target: 5, Tau: 6}, // repeat: cache-warm
-	}}
-	resp, body := post(t, ts.URL+"/v1/solve/batch", req)
+		{Op: "mincost", Target: 5, Tau: 6, Cost: &costWire{Name: "l1"}},
+		{Op: "maxhit", Target: 2, Budget: 0.5, Cost: &costWire{Weighted: iq.Vector{1, 2, 3}}},
+		{Op: "mincost", Target: 3, Tau: 4, Cost: &costWire{Expr: "sqrt(s1^2 + s2^2 + s3^2)"}},
+		{Op: "maxhit", Target: 2, Budget: 0.5, Frozen: []int{0}},
+		{Op: "mincost", Target: 5, Tau: 6, Frozen: []int{1}},
+	}
+	resp, body := post(t, ts.URL+"/v1/solve/batch", batchRequest{Items: items})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %d %s", resp.StatusCode, body)
 	}
@@ -33,44 +39,34 @@ func TestBatchEndpointMatchesSingleSolves(t *testing.T) {
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
-	if len(br.Results) != 3 {
-		t.Fatalf("got %d results, want 3", len(br.Results))
-	}
-	for i, r := range br.Results {
-		if r.Error != "" {
-			t.Fatalf("item %d failed: %s", i, r.Error)
-		}
+	if len(br.Results) != len(items) {
+		t.Fatalf("got %d results, want %d", len(br.Results), len(items))
 	}
 
 	// Same solves through the single endpoints.
-	resp, body = post(t, ts.URL+"/v1/mincost", iqRequest{Target: 5, Tau: 6})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("mincost: %d %s", resp.StatusCode, body)
-	}
-	var single iqResponse
-	if err := json.Unmarshal(body, &single); err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{0, 2} {
+	for i, it := range items {
 		got := br.Results[i]
+		if got.Error != "" {
+			t.Fatalf("item %d failed: %s", i, got.Error)
+		}
+		resp, body := post(t, ts.URL+"/v1/"+it.Op, iqRequest{Target: it.Target, Tau: it.Tau,
+			Budget: it.Budget, Cost: it.Cost, Frozen: it.Frozen})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("item %d through /v1/%s: %d %s", i, it.Op, resp.StatusCode, body)
+		}
+		var single iqResponse
+		if err := json.Unmarshal(body, &single); err != nil {
+			t.Fatal(err)
+		}
 		if got.Cost != single.Cost || got.Hits != single.Hits || len(got.Strategy) != len(single.Strategy) {
-			t.Errorf("batch item %d diverged from /v1/mincost: %+v vs %+v", i, got, single)
+			t.Errorf("batch item %d diverged from /v1/%s: %+v vs %+v", i, it.Op, got, single)
+			continue
 		}
 		for d := range single.Strategy {
 			if got.Strategy[d] != single.Strategy[d] {
 				t.Errorf("batch item %d strategy[%d] = %v, single = %v", i, d, got.Strategy[d], single.Strategy[d])
 			}
 		}
-	}
-	resp, body = post(t, ts.URL+"/v1/maxhit", iqRequest{Target: 2, Budget: 0.5})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("maxhit: %d %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &single); err != nil {
-		t.Fatal(err)
-	}
-	if br.Results[1].Cost != single.Cost || br.Results[1].Hits != single.Hits {
-		t.Errorf("batch item 1 diverged from /v1/maxhit: %+v vs %+v", br.Results[1], single)
 	}
 }
 

@@ -65,9 +65,9 @@ func (s *server) startRecovery(ctx context.Context, cfg durabilityConfig, logger
 			return
 		}
 		s.mu.Lock()
-		s.store = store
+		s.store.Store(store)
 		if sys := store.System(); sys != nil {
-			s.sys = sys
+			s.sys.Store(sys)
 		}
 		s.mu.Unlock()
 		s.recovering.Store(false)
@@ -100,7 +100,7 @@ func (s *server) checkpointLoop(ctx context.Context, every time.Duration, logger
 			return
 		case <-t.C:
 		}
-		store := s.durStore()
+		store := s.currentStore()
 		if store == nil || s.system() == nil {
 			continue
 		}
@@ -110,19 +110,11 @@ func (s *server) checkpointLoop(ctx context.Context, every time.Duration, logger
 	}
 }
 
-// durStore returns the durable store, nil when running in-memory or while
-// recovery is still in flight.
-func (s *server) durStore() *iq.Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.store
-}
-
 // closeStore flushes and closes the WAL on shutdown, making every
 // acknowledged write durable regardless of fsync policy. Safe to call when
 // durability is disabled or recovery never finished.
 func (s *server) closeStore(logger *slog.Logger) {
-	store := s.durStore()
+	store := s.currentStore()
 	if store == nil {
 		return
 	}

@@ -51,17 +51,19 @@ func mustErrorBody(t *testing.T, label string, body []byte) {
 	}
 }
 
-// blockSolve installs a fault hook that parks the first matching solver
-// iteration until release is called. started is closed once the solve is
-// parked inside the engine; release is idempotent and also runs at cleanup,
-// so a failing test cannot deadlock the parked goroutine.
-func blockSolve(t *testing.T, op string) (started chan struct{}, release func()) {
+// park installs a fault hook that parks the first engine checkpoint op
+// reaches at iteration iter until release is called: ("mincost", 1) is a
+// Min-Cost solve's first round, ("mutation", -1) a single write's check
+// before it publishes. started is closed once the request is parked inside
+// the engine; release is idempotent and also runs at cleanup, so a failing
+// test cannot deadlock the parked goroutine.
+func park(t *testing.T, op string, iter int) (started chan struct{}, release func()) {
 	t.Helper()
 	started = make(chan struct{})
 	gate := make(chan struct{})
 	var startOnce, relOnce sync.Once
-	restore := core.SetIterationHook(func(gotOp string, iter int) {
-		if gotOp == op && iter == 1 {
+	restore := core.SetIterationHook(func(gotOp string, gotIter int) {
+		if gotOp == op && gotIter == iter {
 			startOnce.Do(func() { close(started) })
 			<-gate
 		}
@@ -102,6 +104,13 @@ func TestErrorSurfaceTable(t *testing.T) {
 		{"bad cost name", loaded.URL + "/v1/mincost", `{"target":5,"tau":1,"cost":{"name":"bogus"}}`, http.StatusBadRequest},
 		{"zero cost weight", loaded.URL + "/v1/mincost", `{"target":5,"tau":6,"cost":{"weighted":[0,1,1]}}`, http.StatusBadRequest},
 		{"topk wrong dimension", loaded.URL + "/v1/topk", `{"k":1,"point":[0.5]}`, http.StatusBadRequest},
+		{"maxhit bad cost name", loaded.URL + "/v1/maxhit", `{"target":5,"budget":0.5,"cost":{"name":"bogus"}}`, http.StatusBadRequest},
+		{"maxhit weights wrong dimension", loaded.URL + "/v1/maxhit", `{"target":5,"budget":0.5,"cost":{"weighted":[1,1]}}`, http.StatusBadRequest},
+		{"maxhit no dataset", empty.URL + "/v1/maxhit", `{"target":0,"budget":0.5}`, http.StatusConflict},
+		{"object wrong dimension", loaded.URL + "/v1/objects", `{"attrs":[0.5]}`, http.StatusBadRequest},
+		{"object no dataset", empty.URL + "/v1/objects", `{"attrs":[0.5,0.5,0.5]}`, http.StatusConflict},
+		{"query wrong dimension", loaded.URL + "/v1/queries", `{"id":900,"k":1,"point":[0.5]}`, http.StatusBadRequest},
+		{"query no dataset", empty.URL + "/v1/queries", `{"id":900,"k":1,"point":[0.3,0.3,0.4]}`, http.StatusConflict},
 	}
 	for _, tc := range cases {
 		resp, body := postRaw(t, tc.url, tc.body)
@@ -122,7 +131,7 @@ func TestAdmissionControl(t *testing.T) {
 	})
 	loadDataset(t, ts, 100, 40)
 
-	started, release := blockSolve(t, "mincost")
+	started, release := park(t, "mincost", 1)
 	solveDone := make(chan int, 1)
 	go func() {
 		resp, err := http.Post(ts.URL+"/v1/mincost", "application/json",
@@ -160,6 +169,60 @@ func TestAdmissionControl(t *testing.T) {
 	// Capacity released: a fresh solve is admitted again.
 	if resp, body := postRaw(t, ts.URL+"/v1/mincost", `{"target":5,"tau":6}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release solve: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestReadsDuringParkedCommit: reads never wait on a writer. A commit is
+// parked inside the engine, after its clone and index update and before it
+// publishes, with the server's write lock held; meanwhile every read route
+// answers, and the commit still lands once released.
+func TestReadsDuringParkedCommit(t *testing.T) {
+	ts := testServer(t)
+	loadDataset(t, ts, 100, 40)
+
+	started, release := park(t, "mutation", -1)
+	commitDone := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/commit", "application/json",
+			strings.NewReader(`{"target":5,"strategy":[-0.01,-0.01,-0.01]}`))
+		if err != nil {
+			commitDone <- -1
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		commitDone <- resp.StatusCode
+	}()
+	<-started
+
+	// A read that waited on the commit would hang until release; the client
+	// timeout turns that into a failure.
+	client := &http.Client{Timeout: 2 * time.Second}
+	for _, rq := range []struct{ method, path, body string }{
+		{"POST", "/v1/topk", `{"k":2,"point":[0.4,0.3,0.3]}`},
+		{"GET", "/v1/stats", ""},
+		{"GET", "/readyz", ""},
+		{"GET", "/metrics", ""},
+	} {
+		req, err := http.NewRequest(rq.method, ts.URL+rq.path, strings.NewReader(rq.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Errorf("%s %s while a commit is parked: %v", rq.method, rq.path, err)
+			continue
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s %s while a commit is parked: status %d", rq.method, rq.path, resp.StatusCode)
+		}
+	}
+
+	release()
+	if status := <-commitDone; status != http.StatusOK {
+		t.Fatalf("parked commit finished with %d, want 200", status)
 	}
 }
 
@@ -314,11 +377,11 @@ func TestHealthAndReadiness(t *testing.T) {
 // 200, and run() must return nil only after the drain.
 func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	cfg := appConfig{
+	cfg := appConfig{serverConfig: serverConfig{
 		requestTimeout: time.Minute,
 		maxInflight:    4,
 		maxBodyBytes:   8 << 20,
-	}
+	}}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +403,7 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 		t.Fatalf("load over the wire: %d", resp.StatusCode)
 	}
 
-	started, release := blockSolve(t, "mincost")
+	started, release := park(t, "mincost", 1)
 	solveDone := make(chan int, 1)
 	go func() {
 		c := &http.Client{Transport: &http.Transport{}}
@@ -427,14 +490,17 @@ func TestMetricsAndPprofSmoke(t *testing.T) {
 	if resp, body := postRaw(t, plain.URL+"/v1/load", "{}"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty load: %d %s", resp.StatusCode, body)
 	}
-	resp, err := http.Get(plain.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// No dataset is loaded yet: the series registered at init across every
+	// package already render as one parseable exposition (scrape fails on
+	// anything else) that carries the engine's iq_ series.
+	engine := 0
+	for name := range scrape(t, plain.URL) {
+		if strings.HasPrefix(name, "iq_") {
+			engine++
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics: %d", resp.StatusCode)
+	if engine == 0 {
+		t.Fatal("/metrics before any load has no iq_ series")
 	}
 	if resp, _ := http.Get(plain.URL + "/debug/pprof/"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("pprof served without the gate: %d", resp.StatusCode)
@@ -443,7 +509,7 @@ func TestMetricsAndPprofSmoke(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.enablePprof = true
 	gated := testServerCfg(t, cfg)
-	resp, err = http.Get(gated.URL + "/debug/pprof/")
+	resp, err := http.Get(gated.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,22 +17,16 @@ import (
 	"iq/internal/obs"
 )
 
-// appConfig is the full operational envelope, one field per flag.
+// appConfig is the full operational envelope, one field per flag: the
+// API server's envelope plus what only the process needs.
 type appConfig struct {
-	addr           string
-	requestTimeout time.Duration
-	drainTimeout   time.Duration
-	maxInflight    int
-	maxBodyBytes   int64
-	maxBatchItems  int
-	logFormat      string
-	logLevel       string
-	pprof          bool
-	debugTraces    bool
-	traceAll       bool
-	slowSolve      time.Duration
-	dur            durabilityConfig
-	version        bool
+	serverConfig
+	addr         string
+	drainTimeout time.Duration
+	logFormat    string
+	logLevel     string
+	dur          durabilityConfig
+	version      bool
 }
 
 // newLogger builds the process root logger: structured slog (JSON by
@@ -61,16 +55,7 @@ func newLogger(cfg appConfig) (*slog.Logger, error) {
 // request timeout plus slack for serialisation; with no request timeout it
 // is unbounded (the operator opted out of deadlines entirely).
 func newHTTPServer(cfg appConfig, logger *slog.Logger) (*http.Server, *server) {
-	api := newServer(logger, serverConfig{
-		requestTimeout: cfg.requestTimeout,
-		maxInflight:    cfg.maxInflight,
-		maxBodyBytes:   cfg.maxBodyBytes,
-		maxBatchItems:  cfg.maxBatchItems,
-		enablePprof:    cfg.pprof,
-		debugTraces:    cfg.debugTraces,
-		traceAll:       cfg.traceAll,
-		slowSolve:      cfg.slowSolve,
-	})
+	api := newServer(logger, cfg.serverConfig)
 	var writeTimeout time.Duration
 	if cfg.requestTimeout > 0 {
 		writeTimeout = cfg.requestTimeout + 10*time.Second
@@ -111,29 +96,28 @@ func run(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Dura
 }
 
 func main() {
-	defaults := defaultConfig()
-	var cfg appConfig
+	cfg := appConfig{serverConfig: defaultConfig()}
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.DurationVar(&cfg.requestTimeout, "request-timeout", defaults.requestTimeout,
+	flag.DurationVar(&cfg.requestTimeout, "request-timeout", cfg.requestTimeout,
 		"per-request solve deadline; a request's timeout_ms may tighten but never exceed it (0 disables)")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second,
 		"how long graceful shutdown waits for in-flight requests before severing them")
-	flag.IntVar(&cfg.maxInflight, "max-inflight", defaults.maxInflight,
+	flag.IntVar(&cfg.maxInflight, "max-inflight", cfg.maxInflight,
 		"max concurrently admitted solver requests; excess get 429 (0 = unlimited)")
-	flag.Int64Var(&cfg.maxBodyBytes, "max-body-bytes", defaults.maxBodyBytes,
+	flag.Int64Var(&cfg.maxBodyBytes, "max-body-bytes", cfg.maxBodyBytes,
 		"max request body size in bytes; larger bodies get 413 (0 = unlimited)")
-	flag.IntVar(&cfg.maxBatchItems, "max-batch", defaults.maxBatchItems,
+	flag.IntVar(&cfg.maxBatchItems, "max-batch", cfg.maxBatchItems,
 		"max solve items per /v1/solve/batch request; larger batches get 400 (0 = unlimited)")
 	flag.StringVar(&cfg.logFormat, "log-format", "json", "log output format: json or text")
 	flag.StringVar(&cfg.logLevel, "log-level", "info",
 		"minimum log level: debug, info, warn, or error (debug includes per-solve engine lines)")
-	flag.BoolVar(&cfg.pprof, "pprof", false,
+	flag.BoolVar(&cfg.enablePprof, "pprof", cfg.enablePprof,
 		"mount net/http/pprof under /debug/pprof/ (trusted networks only)")
-	flag.BoolVar(&cfg.debugTraces, "debug-traces", defaults.debugTraces,
+	flag.BoolVar(&cfg.debugTraces, "debug-traces", cfg.debugTraces,
 		"enable the flight recorder at /debug/traces (requests opt in with X-IQ-Trace: 1 or trace=1)")
-	flag.BoolVar(&cfg.traceAll, "trace-all", false,
+	flag.BoolVar(&cfg.traceAll, "trace-all", cfg.traceAll,
 		"capture a trace of every /v1 request without per-request opt-in (debugging sessions only)")
-	flag.DurationVar(&cfg.slowSolve, "slow-solve-threshold", 0,
+	flag.DurationVar(&cfg.slowSolve, "slow-solve-threshold", cfg.slowSolve,
 		"log completed solves slower than this at WARN with their work profile (0 disables)")
 	flag.StringVar(&cfg.dur.dataDir, "data-dir", "",
 		"directory for the mutation WAL and checkpoints; empty runs in-memory (mutations lost on exit)")
@@ -175,7 +159,7 @@ func main() {
 		"request_timeout", cfg.requestTimeout,
 		"max_inflight", cfg.maxInflight,
 		"max_body_bytes", cfg.maxBodyBytes,
-		"pprof", cfg.pprof,
+		"pprof", cfg.enablePprof,
 		"data_dir", cfg.dur.dataDir,
 	)
 	err = run(ctx, srv, ln, cfg.drainTimeout, logger)

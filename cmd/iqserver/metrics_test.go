@@ -78,7 +78,7 @@ func TestThrottleIncrementsCounters(t *testing.T) {
 	loadDataset(t, ts, 100, 40)
 	before := scrape(t, ts.URL)
 
-	started, release := blockSolve(t, "mincost")
+	started, release := park(t, "mincost", 1)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

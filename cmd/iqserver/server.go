@@ -60,8 +60,8 @@ import (
 )
 
 // serverConfig bounds one server's resource envelope. The zero value of a
-// field disables that bound (no deadline, unlimited admission); main always
-// passes explicit values from flags.
+// field disables that bound (no deadline, unlimited admission); main starts
+// from defaultConfig(), as the tests do, and its flags override the fields.
 type serverConfig struct {
 	// requestTimeout caps every solver request's deadline; a request's
 	// timeout_ms may tighten it but never loosen it. 0 = no deadline.
@@ -123,19 +123,20 @@ var (
 
 // server wraps a System with an HTTP handler. iq.System is itself safe for
 // concurrent use (reads run against immutable epoch snapshots; writes
-// publish new epochs), so the server's RWMutex only guards the sys pointer
-// swap on /v1/load — read handlers fetch the pointer under a momentary
-// RLock and then compute WITHOUT holding any lock, so a slow MinCost never
-// blocks other requests. Mutating handlers hold the write lock for their
-// whole read-modify-write span (never upgrading from RLock), which both
-// serialises them against /v1/load and keeps multi-step handlers such as
-// commit-then-recount atomic.
+// publish new epochs), so readers load the sys and store pointers
+// atomically and compute without holding any lock: a solve, a top-k, a
+// stats read or a scrape never waits on a commit's clone, index update or
+// WAL fsync. mu is taken only by writers — the write routes, /v1/load and
+// recovery's publish — and held for each write's whole read-modify-write
+// span, which serialises the write routes against /v1/load and keeps
+// multi-step writes atomic: a commit's recount and a batch's reported
+// epoch belong to the epoch that write published.
 type server struct {
-	mu  sync.RWMutex
-	sys *iq.System
+	mu  sync.Mutex
+	sys atomic.Pointer[iq.System]
 	// store is the durable backing (-data-dir), nil in in-memory mode and
-	// while recovery is still replaying the WAL. Guarded by mu like sys.
-	store *iq.Store
+	// while recovery is still replaying the WAL.
+	store atomic.Pointer[iq.Store]
 	// recovering is true from boot until WAL replay completes; /readyz
 	// answers 503 while it is set so load balancers hold traffic.
 	recovering atomic.Bool
@@ -150,20 +151,11 @@ type server struct {
 	start time.Time
 }
 
-// system returns the current System pointer without holding the lock past
-// the fetch; nil when nothing is loaded.
-func (s *server) system() *iq.System {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sys
-}
+// system returns the current System pointer; nil when nothing is loaded.
+func (s *server) system() *iq.System { return s.sys.Load() }
 
 // currentStore returns the durable Store pointer (nil in in-memory mode).
-func (s *server) currentStore() *iq.Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.store
-}
+func (s *server) currentStore() *iq.Store { return s.store.Load() }
 
 func newServer(logger *slog.Logger, cfg serverConfig) *server {
 	s := &server{log: logger, cfg: cfg, start: time.Now()}
@@ -184,8 +176,8 @@ func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	s.route(mux, "POST /v1/load", http.HandlerFunc(s.handleLoad))
 	s.route(mux, "GET /v1/stats", http.HandlerFunc(s.handleStats))
-	s.route(mux, "POST /v1/mincost", s.admit(http.HandlerFunc(s.handleMinCost)))
-	s.route(mux, "POST /v1/maxhit", s.admit(http.HandlerFunc(s.handleMaxHit)))
+	s.route(mux, "POST /v1/mincost", s.admit(s.handleSolve("mincost")))
+	s.route(mux, "POST /v1/maxhit", s.admit(s.handleSolve("maxhit")))
 	s.route(mux, "POST /v1/solve/batch", s.admit(http.HandlerFunc(s.handleSolveBatch)))
 	s.route(mux, "POST /v1/evaluate", http.HandlerFunc(s.handleEvaluate))
 	s.route(mux, "POST /v1/commit", http.HandlerFunc(s.handleCommit))
@@ -642,18 +634,18 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	if s.store != nil {
+	if store := s.store.Load(); store != nil {
 		// Attach before publishing: the dataset starts its own WAL
 		// generation (checkpoint of the loaded state + empty log), so every
 		// subsequent mutation is durable from the first acknowledged write.
-		if err := s.store.Attach(r.Context(), sys); err != nil {
+		if err := store.Attach(r.Context(), sys); err != nil {
 			s.mu.Unlock()
 			s.writeErr(w, http.StatusInternalServerError,
 				fmt.Errorf("attaching dataset to durable store: %w", err))
 			return
 		}
 	}
-	s.sys = sys
+	s.sys.Store(sys)
 	s.mu.Unlock()
 	s.log.InfoContext(r.Context(), "dataset loaded",
 		"objects", len(req.Objects), "queries", len(queries))
@@ -663,29 +655,38 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+var errNoDataset = errors.New("no dataset loaded; POST /v1/load first")
+
 // withSystem runs fn against the current System without holding any server
-// lock during the computation: fn reads from the epoch snapshot the System
-// hands it, so arbitrarily many reads proceed in parallel with each other
-// and with commits.
+// lock: fn reads from the epoch snapshot the System hands it, so
+// arbitrarily many reads proceed in parallel with each other and with
+// writes.
 func (s *server) withSystem(w http.ResponseWriter, fn func(*iq.System)) {
 	sys := s.system()
 	if sys == nil {
-		s.writeErr(w, http.StatusConflict, errors.New("no dataset loaded; POST /v1/load first"))
+		s.writeErr(w, http.StatusConflict, errNoDataset)
 		return
 	}
 	fn(sys)
 }
 
-// withSystemExclusive runs fn under the server write lock, held for the
-// handler's full read-modify-write span.
-func (s *server) withSystemExclusive(w http.ResponseWriter, fn func(*iq.System)) {
+// write is every write route's answer: it runs apply against the current
+// System under the server write lock, then answers 409 with no dataset, 400
+// when apply fails, and apply's value as JSON otherwise.
+func (s *server) write(w http.ResponseWriter, apply func(*iq.System) (any, error)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sys == nil {
-		s.writeErr(w, http.StatusConflict, errors.New("no dataset loaded; POST /v1/load first"))
+	sys := s.sys.Load()
+	if sys == nil {
+		s.writeErr(w, http.StatusConflict, errNoDataset)
 		return
 	}
-	fn(s.sys)
+	v, err := apply(sys)
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, v)
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -699,9 +700,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"uptime_seconds": time.Since(s.start).Seconds(),
 			"version":        iq.Version,
 			"go_version":     iq.GoVersion(),
-			// Every registered series, flattened name{labels} -> value:
-			// the /metrics content for clients that prefer JSON.
-			"counters": obs.Default.Snapshot(),
 		}
 		if store := s.currentStore(); store != nil {
 			payload["recovery"] = store.RecoveryStats()
@@ -711,20 +709,20 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-func (s *server) buildCost(sys *iq.System, cw *costWire) (iq.Cost, error) {
-	if cw == nil || (cw.Name == "" && cw.Weighted == nil && cw.Expr == "") {
-		return iq.L2Cost{}, nil
-	}
+// buildCost turns a cost selector into the engine's cost over d attributes;
+// no selector means L2.
+func buildCost(cw *costWire, d int) (iq.Cost, error) {
 	switch {
+	case cw == nil:
+		return iq.L2Cost{}, nil
 	case cw.Expr != "":
-		d := len(sys.Attrs(0))
 		return iq.NewExprCost(cw.Expr, d)
 	case cw.Weighted != nil:
-		if len(cw.Weighted) != len(sys.Attrs(0)) {
-			return nil, fmt.Errorf("weighted cost needs %d weights", len(sys.Attrs(0)))
+		if len(cw.Weighted) != d {
+			return nil, fmt.Errorf("weighted cost needs %d weights", d)
 		}
 		return iq.WeightedL2Cost{Alpha: cw.Weighted}, nil
-	case cw.Name == "l2":
+	case cw.Name == "" || cw.Name == "l2":
 		return iq.L2Cost{}, nil
 	case cw.Name == "l1":
 		return iq.L1Cost{}, nil
@@ -733,83 +731,69 @@ func (s *server) buildCost(sys *iq.System, cw *costWire) (iq.Cost, error) {
 	}
 }
 
-func (s *server) buildBounds(sys *iq.System, frozen []int) (*iq.Bounds, error) {
-	if len(frozen) == 0 {
-		return nil, nil
-	}
+// buildSolve turns one solve's wire form into the engine's request: the
+// cost selector, the frozen attributes as strategy bounds, and the op
+// ("mincost" uses Tau, "maxhit" uses Budget). The single-solve routes and
+// every /v1/solve/batch item build their solves here.
+func buildSolve(sys *iq.System, it batchItemWire) (iq.BatchItem, error) {
 	d := len(sys.Attrs(0))
-	for _, i := range frozen {
-		if i < 0 || i >= d {
-			return nil, fmt.Errorf("frozen attribute %d out of range", i)
-		}
+	cost, err := buildCost(it.Cost, d)
+	if err != nil {
+		return iq.BatchItem{}, err
 	}
-	return iq.Frozen(d, frozen...), nil
+	var bounds *iq.Bounds
+	if len(it.Frozen) > 0 {
+		for _, i := range it.Frozen {
+			if i < 0 || i >= d {
+				return iq.BatchItem{}, fmt.Errorf("frozen attribute %d out of range", i)
+			}
+		}
+		bounds = iq.Frozen(d, it.Frozen...)
+	}
+	switch it.Op {
+	case "mincost":
+		return iq.BatchItem{MinCost: &iq.MinCostRequest{
+			Target: it.Target, Tau: it.Tau, Cost: cost, Bounds: bounds,
+		}}, nil
+	case "maxhit":
+		return iq.BatchItem{MaxHit: &iq.MaxHitRequest{
+			Target: it.Target, Budget: it.Budget, Cost: cost, Bounds: bounds,
+		}}, nil
+	default:
+		return iq.BatchItem{}, fmt.Errorf("op must be \"mincost\" or \"maxhit\", got %q", it.Op)
+	}
 }
 
-func (s *server) handleMinCost(w http.ResponseWriter, r *http.Request) {
-	var req iqRequest
-	if !s.decode(w, r, &req) {
-		return
+// handleSolve answers /v1/mincost or /v1/maxhit, as op names: one solve
+// run as a batch of one, under the request's own deadline.
+func (s *server) handleSolve(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req iqRequest
+		if !s.decode(w, r, &req) {
+			return
+		}
+		s.withSystem(w, func(sys *iq.System) {
+			item, err := buildSolve(sys, batchItemWire{Op: op, Target: req.Target,
+				Tau: req.Tau, Budget: req.Budget, Cost: req.Cost, Frozen: req.Frozen})
+			if err != nil {
+				s.writeErr(w, http.StatusBadRequest, err)
+				return
+			}
+			ctx, cancel := s.solveContext(r, req.TimeoutMS)
+			defer cancel()
+			br := sys.SolveBatchCtx(ctx, []iq.BatchItem{item})[0]
+			if br.Err != nil {
+				s.writeErr(w, statusFor(br.Err), br.Err)
+				return
+			}
+			res := br.Result
+			s.warnIfSlow(ctx, op, req.Target, res.Stats)
+			s.writeJSON(w, http.StatusOK, iqResponse{
+				Strategy: res.Strategy, Cost: res.Cost, Hits: res.Hits,
+				BaseHits: res.BaseHits, Iterations: res.Iterations, Stats: res.Stats,
+			})
+		})
 	}
-	s.withSystem(w, func(sys *iq.System) {
-		cost, err := s.buildCost(sys, req.Cost)
-		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		bounds, err := s.buildBounds(sys, req.Frozen)
-		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		ctx, cancel := s.solveContext(r, req.TimeoutMS)
-		defer cancel()
-		res, err := sys.MinCostCtx(ctx, iq.MinCostRequest{
-			Target: req.Target, Tau: req.Tau, Cost: cost, Bounds: bounds,
-		})
-		if err != nil {
-			s.writeErr(w, statusFor(err), err)
-			return
-		}
-		s.warnIfSlow(ctx, "mincost", req.Target, res.Stats)
-		s.writeJSON(w, http.StatusOK, iqResponse{
-			Strategy: res.Strategy, Cost: res.Cost, Hits: res.Hits,
-			BaseHits: res.BaseHits, Iterations: res.Iterations, Stats: res.Stats,
-		})
-	})
-}
-
-func (s *server) handleMaxHit(w http.ResponseWriter, r *http.Request) {
-	var req iqRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	s.withSystem(w, func(sys *iq.System) {
-		cost, err := s.buildCost(sys, req.Cost)
-		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		bounds, err := s.buildBounds(sys, req.Frozen)
-		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		ctx, cancel := s.solveContext(r, req.TimeoutMS)
-		defer cancel()
-		res, err := sys.MaxHitCtx(ctx, iq.MaxHitRequest{
-			Target: req.Target, Budget: req.Budget, Cost: cost, Bounds: bounds,
-		})
-		if err != nil {
-			s.writeErr(w, statusFor(err), err)
-			return
-		}
-		s.warnIfSlow(ctx, "maxhit", req.Target, res.Stats)
-		s.writeJSON(w, http.StatusOK, iqResponse{
-			Strategy: res.Strategy, Cost: res.Cost, Hits: res.Hits,
-			BaseHits: res.BaseHits, Iterations: res.Iterations, Stats: res.Stats,
-		})
-	})
 }
 
 // handleSolveBatch answers N independent solves against one epoch snapshot
@@ -834,39 +818,21 @@ func (s *server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.withSystem(w, func(sys *iq.System) {
-		items := make([]iq.BatchItem, len(req.Items))
-		resp := batchResponse{Results: make([]batchItemResponse, len(req.Items))}
 		// Build every item up front so a malformed item is a 400 before any
 		// solving starts, not a partial batch.
+		items := make([]iq.BatchItem, len(req.Items))
 		for i, it := range req.Items {
-			cost, err := s.buildCost(sys, it.Cost)
+			item, err := buildSolve(sys, it)
 			if err != nil {
 				s.writeErr(w, http.StatusBadRequest, fmt.Errorf("item %d: %w", i, err))
 				return
 			}
-			bounds, err := s.buildBounds(sys, it.Frozen)
-			if err != nil {
-				s.writeErr(w, http.StatusBadRequest, fmt.Errorf("item %d: %w", i, err))
-				return
-			}
-			switch it.Op {
-			case "mincost":
-				items[i].MinCost = &iq.MinCostRequest{
-					Target: it.Target, Tau: it.Tau, Cost: cost, Bounds: bounds,
-				}
-			case "maxhit":
-				items[i].MaxHit = &iq.MaxHitRequest{
-					Target: it.Target, Budget: it.Budget, Cost: cost, Bounds: bounds,
-				}
-			default:
-				s.writeErr(w, http.StatusBadRequest,
-					fmt.Errorf("item %d: op must be \"mincost\" or \"maxhit\", got %q", i, it.Op))
-				return
-			}
+			items[i] = item
 		}
 		ctx, cancel := s.solveContext(r, req.TimeoutMS)
 		defer cancel()
 		mBatchItems.Add(int64(len(items)))
+		resp := batchResponse{Results: make([]batchItemResponse, len(items))}
 		for i, br := range sys.SolveBatchCtx(ctx, items) {
 			if br.Err != nil {
 				resp.Results[i] = batchItemResponse{Error: br.Err.Error()}
@@ -903,17 +869,34 @@ func (s *server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.withSystemExclusive(w, func(sys *iq.System) {
+	s.write(w, func(sys *iq.System) (any, error) {
 		// Commit and recount in one atomic step: the reported hit count
 		// is from exactly the epoch this commit published.
 		hits, err := sys.CommitAndCountCtx(r.Context(), req.Target, req.Strategy)
 		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, err)
-			return
+			return nil, err
 		}
 		s.log.InfoContext(r.Context(), "strategy committed", "target", req.Target)
-		s.writeJSON(w, http.StatusOK, map[string]int{"hits": hits})
+		return map[string]int{"hits": hits}, nil
 	})
+}
+
+// mutation converts one /v1/commit/batch write to the engine's form.
+func (m mutationWire) mutation() (iq.Mutation, error) {
+	switch m.Op {
+	case "commit":
+		return iq.Mutation{Commit: &iq.CommitMutation{Target: m.Target, Strategy: m.Strategy}}, nil
+	case "add_object":
+		return iq.Mutation{AddObject: &iq.AddObjectMutation{Attrs: m.Attrs}}, nil
+	case "remove_object":
+		return iq.Mutation{RemoveObject: &iq.RemoveObjectMutation{ID: m.ID}}, nil
+	case "add_query":
+		return iq.Mutation{AddQuery: &iq.AddQueryMutation{Query: iq.Query{ID: m.QueryID, K: m.K, Point: m.Point}}}, nil
+	case "remove_query":
+		return iq.Mutation{RemoveQuery: &iq.RemoveQueryMutation{Index: m.Index}}, nil
+	default:
+		return iq.Mutation{}, fmt.Errorf("unknown op %q", m.Op)
+	}
 }
 
 // handleCommitBatch applies several mutations as one atomic epoch via
@@ -937,28 +920,17 @@ func (s *server) handleCommitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	muts := make([]iq.Mutation, len(req.Mutations))
 	for i, m := range req.Mutations {
-		switch m.Op {
-		case "commit":
-			muts[i].Commit = &iq.CommitMutation{Target: m.Target, Strategy: m.Strategy}
-		case "add_object":
-			muts[i].AddObject = &iq.AddObjectMutation{Attrs: m.Attrs}
-		case "remove_object":
-			muts[i].RemoveObject = &iq.RemoveObjectMutation{ID: m.ID}
-		case "add_query":
-			muts[i].AddQuery = &iq.AddQueryMutation{Query: iq.Query{ID: m.QueryID, K: m.K, Point: m.Point}}
-		case "remove_query":
-			muts[i].RemoveQuery = &iq.RemoveQueryMutation{Index: m.Index}
-		default:
-			s.writeErr(w, http.StatusBadRequest,
-				fmt.Errorf("mutation %d: unknown op %q", i, m.Op))
+		mut, err := m.mutation()
+		if err != nil {
+			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("mutation %d: %w", i, err))
 			return
 		}
+		muts[i] = mut
 	}
-	s.withSystemExclusive(w, func(sys *iq.System) {
+	s.write(w, func(sys *iq.System) (any, error) {
 		results, err := sys.ApplyBatchCtx(r.Context(), muts)
 		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, err)
-			return
+			return nil, err
 		}
 		resp := commitBatchResponse{
 			Results: make([]mutationResultWire, len(results)),
@@ -969,7 +941,7 @@ func (s *server) handleCommitBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.log.InfoContext(r.Context(), "mutation batch committed",
 			"mutations", len(muts), "epoch", resp.Epoch)
-		s.writeJSON(w, http.StatusOK, resp)
+		return resp, nil
 	})
 }
 
@@ -980,13 +952,9 @@ func (s *server) handleAddObject(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.withSystemExclusive(w, func(sys *iq.System) {
+	s.write(w, func(sys *iq.System) (any, error) {
 		id, err := sys.AddObjectCtx(r.Context(), req.Attrs)
-		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, map[string]int{"id": id})
+		return map[string]int{"id": id}, err
 	})
 }
 
@@ -995,13 +963,9 @@ func (s *server) handleAddQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.withSystemExclusive(w, func(sys *iq.System) {
+	s.write(w, func(sys *iq.System) (any, error) {
 		idx, err := sys.AddQueryCtx(r.Context(), iq.Query{ID: req.ID, K: req.K, Point: req.Point})
-		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, map[string]int{"index": idx})
+		return map[string]int{"index": idx}, err
 	})
 }
 

@@ -64,8 +64,7 @@ func loadDataset(t *testing.T, ts *httptest.Server, n, m int) {
 	}
 }
 
-// statsWire decodes the numeric fields of /v1/stats, skipping the nested
-// counters object.
+// statsWire decodes the dataset fields of /v1/stats.
 type statsWire struct {
 	Objects    int `json:"objects"`
 	Queries    int `json:"queries"`

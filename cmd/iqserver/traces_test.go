@@ -94,7 +94,7 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 		t.Errorf("trace download Content-Type %q", ct)
 	}
 	parsed, err := obs.ValidateTraceEvent(data,
-		[]string{"solve/mincost", "round", "probe"}, 3)
+		[]string{"solve/mincost", "round", "probe", "eval", "table/build"}, 3)
 	if err != nil {
 		t.Fatalf("downloaded trace invalid: %v", err)
 	}

@@ -66,23 +66,23 @@ func postJSON(base, path string, body any, out any) error {
 	return nil
 }
 
-// waitReady polls /readyz until the server reports ready — in the restart
-// leg that means WAL replay has finished — or the deadline passes.
-func waitReady(base string, wait time.Duration) error {
+// waitOK polls path until the server answers 200 or the deadline passes.
+// The pre-load leg polls /healthz, which answers as soon as the process
+// listens; the restart leg polls /readyz, which stays 503 until WAL replay
+// has finished.
+func waitOK(base, path string, wait time.Duration) error {
 	deadline := time.Now().Add(wait)
 	for {
-		resp, err := http.Get(base + "/readyz")
+		resp, err := http.Get(base + path)
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
 				return nil
 			}
+			err = fmt.Errorf("status %d", resp.StatusCode)
 		}
 		if time.Now().After(deadline) {
-			if err != nil {
-				return fmt.Errorf("server not ready after %v: %v", wait, err)
-			}
-			return fmt.Errorf("server not ready after %v", wait)
+			return fmt.Errorf("%s not OK after %v: %v", path, wait, err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -103,54 +103,10 @@ func statsEpoch(base string) (uint64, error) {
 	return st.Epoch, nil
 }
 
-func crashSolve(base string) (crashState, error) {
-	var res struct {
-		Strategy iq.Vector `json:"strategy"`
-		Cost     float64   `json:"cost"`
-		Hits     int       `json:"hits"`
-	}
-	resp, err := http.Post(base+"/v1/mincost", "application/json",
-		strings.NewReader(crashSolveBody))
-	if err != nil {
-		return crashState{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return crashState{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return crashState{}, fmt.Errorf("mincost: %d %s", resp.StatusCode, data)
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		return crashState{}, err
-	}
-	return crashState{Cost: res.Cost, Hits: res.Hits, Strategy: res.Strategy}, nil
-}
-
-// waitUp polls /healthz until the process answers at all — the pre-load leg
-// cannot use /readyz, which stays 503 until a dataset exists.
-func waitUp(base string, wait time.Duration) error {
-	deadline := time.Now().Add(wait)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("server not up after %v: %v", wait, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
 // crashDrive loads the workload, applies a deterministic history, and prints
 // the reference state as JSON on stdout.
 func crashDrive(w io.Writer, base string, seed int64, wait time.Duration) error {
-	if err := waitUp(base, wait); err != nil {
+	if err := waitOK(base, "/healthz", wait); err != nil {
 		return err
 	}
 	objs, queries := demoWorkload(seed)
@@ -198,14 +154,16 @@ func crashDrive(w io.Writer, base string, seed int64, wait time.Duration) error 
 			return err
 		}
 	}
-	st, err := crashSolve(base)
-	if err != nil {
+	var st crashState
+	if err := postJSON(base, "/v1/mincost", json.RawMessage(crashSolveBody), &st); err != nil {
 		return err
 	}
 	st.FarID = added.ID
-	if st.Epoch, err = statsEpoch(base); err != nil {
+	epoch, err := statsEpoch(base)
+	if err != nil {
 		return err
 	}
+	st.Epoch = epoch
 	return json.NewEncoder(w).Encode(st)
 }
 
@@ -244,7 +202,7 @@ func crashSpray(base, stateFile string, farID int) error {
 // crashVerify asserts the restarted server recovered everything that was
 // acknowledged before the kill.
 func crashVerify(base, driveFile, sprayFile string, wait time.Duration) error {
-	if err := waitReady(base, wait); err != nil {
+	if err := waitOK(base, "/readyz", wait); err != nil {
 		return err
 	}
 	buf, err := os.ReadFile(driveFile)
@@ -273,8 +231,8 @@ func crashVerify(base, driveFile, sprayFile string, wait time.Duration) error {
 	if epoch < floor {
 		return fmt.Errorf("recovered epoch %d below acknowledged floor %d: acknowledged writes were lost", epoch, floor)
 	}
-	got, err := crashSolve(base)
-	if err != nil {
+	var got crashState
+	if err := postJSON(base, "/v1/mincost", json.RawMessage(crashSolveBody), &got); err != nil {
 		return err
 	}
 	if got.Cost != want.Cost || got.Hits != want.Hits {

@@ -9,14 +9,10 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 1, "random seed for generated workloads")
-	scrapeURL := flag.String("scrape-metrics", "",
-		"fetch this /metrics URL (retrying until the server is up), validate the Prometheus exposition, and exit")
 	scrapeWait := flag.Duration("scrape-timeout", 15*time.Second,
-		"how long -scrape-metrics keeps retrying before giving up")
+		"how long -crash-drive waits for the server to answer and -crash-verify waits for it to finish recovery")
 	traceOut := flag.String("trace", "",
 		"run a demo Min-Cost solve under a trace, write Perfetto-loadable trace_event JSON to this file, and exit")
-	traceSrv := flag.String("trace-server", "",
-		"drive a live iqserver at this base URL: load a demo dataset, capture a traced solve, download and validate it from /debug/traces")
 	walDumpDir := flag.String("wal-dump", "",
 		"print every WAL record in this data directory (epoch, op, payload size, CRC status) and exit")
 	walVerifyDir := flag.String("wal-verify", "",
@@ -64,26 +60,6 @@ func main() {
 	if *walVerifyDir != "" {
 		if err := walVerify(os.Stdout, *walVerifyDir); err != nil {
 			fmt.Fprintf(os.Stderr, "iqtool: wal-verify %s: %v\n", *walVerifyDir, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scrapeURL != "" {
-		n, err := scrapeMetrics(*scrapeURL, *scrapeWait)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "iqtool: scrape %s: %v\n", *scrapeURL, err)
-			os.Exit(1)
-		}
-		fmt.Printf("scraped %s: %d series, exposition valid\n", *scrapeURL, n)
-		return
-	}
-	if *traceSrv != "" {
-		out := *traceOut
-		if out == "" {
-			out = "server.trace.json"
-		}
-		if err := traceServer(*traceSrv, out, *seed, *scrapeWait); err != nil {
-			fmt.Fprintf(os.Stderr, "iqtool: trace-server %s: %v\n", *traceSrv, err)
 			os.Exit(1)
 		}
 		return

@@ -640,9 +640,10 @@ func decodeMutation(body []byte) (m Mutation, err error) {
 	return m, nil
 }
 
-// applyLoggedTxn re-applies one committed transaction through the same code
-// paths that produced it, so the replayed state is identical to the
-// pre-crash state.
+// applyLoggedTxn re-applies one committed transaction through ApplyBatchCtx,
+// so the replayed state is identical to the pre-crash state. A standalone
+// record is a batch of one: like the write that logged it, it publishes one
+// epoch.
 func applyLoggedTxn(ctx context.Context, sys *System, t wal.Txn) error {
 	muts := make([]Mutation, len(t.Mutations))
 	for i, body := range t.Mutations {
@@ -652,30 +653,8 @@ func applyLoggedTxn(ctx context.Context, sys *System, t wal.Txn) error {
 		}
 		muts[i] = m
 	}
-	if t.Batch {
-		_, err := sys.ApplyBatchCtx(ctx, muts)
-		return err
-	}
-	if len(muts) != 1 {
-		return fmt.Errorf("iq: standalone WAL transaction carries %d mutations", len(muts))
-	}
-	m := muts[0]
-	switch {
-	case m.Commit != nil:
-		return sys.CommitCtx(ctx, m.Commit.Target, m.Commit.Strategy)
-	case m.AddObject != nil:
-		_, err := sys.AddObjectCtx(ctx, m.AddObject.Attrs)
-		return err
-	case m.RemoveObject != nil:
-		return sys.RemoveObjectCtx(ctx, m.RemoveObject.ID)
-	case m.AddQuery != nil:
-		_, err := sys.AddQueryCtx(ctx, m.AddQuery.Query)
-		return err
-	case m.RemoveQuery != nil:
-		return sys.RemoveQueryCtx(ctx, m.RemoveQuery.Index)
-	default:
-		return fmt.Errorf("iq: WAL mutation record sets no operation")
-	}
+	_, err := sys.ApplyBatchCtx(ctx, muts)
+	return err
 }
 
 // DecodeWALMutation renders one WAL record body as an operator-readable op

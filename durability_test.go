@@ -50,7 +50,8 @@ func durFixture(t *testing.T, seed int64) *System {
 
 // The deterministic mutation script the crash tests replay: a mix of single
 // mutations and atomic batches, one transaction (= one epoch) per step.
-const crashScriptSteps = 7
+// Every op is logged at least once as a standalone record.
+const crashScriptSteps = 8
 
 // crashCheckpointBefore is the step index before which the durable runs
 // write a checkpoint, so recovery exercises checkpoint + tail replay.
@@ -83,6 +84,8 @@ func applyCrashStep(ctx context.Context, sys *System, i int) error {
 		return err
 	case 6:
 		return sys.CommitCtx(ctx, 4, Vector{-0.01, -0.02, -0.03})
+	case 7:
+		return sys.RemoveObjectCtx(ctx, 5)
 	default:
 		return fmt.Errorf("no crash-script step %d", i)
 	}

@@ -102,8 +102,8 @@ func escapeHelp(help string) string {
 }
 
 // Snapshot returns every series as a flat map of rendered series name →
-// value. Histograms contribute their _count and _sum. iqserver's /v1/stats
-// embeds this so JSON clients get the counters without parsing the text
+// value. Histograms contribute their _count and _sum, so in-process readers
+// such as perfbench's loop get the counters without parsing the text
 // format.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
@@ -239,7 +239,7 @@ func stripLE(labels string) string {
 }
 
 // ValidateExposition checks that rd contains well-formed, non-empty
-// Prometheus text output. The CI gate runs this against a live /metrics.
+// Prometheus text output.
 func ValidateExposition(rd io.Reader) error {
 	values, err := ParseExposition(rd)
 	if err != nil {

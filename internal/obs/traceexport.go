@@ -308,7 +308,7 @@ func ParseTraceEvent(data []byte) (*ParsedTrace, error) {
 
 // ValidateTraceEvent parses data and additionally requires at least one of
 // each of the given span names and a minimum nesting depth. It is the shared
-// assertion behind iqtool's -trace-server mode and scripts/tracecheck.sh.
+// assertion behind iqtool's -trace mode and iqserver's flight-recorder tests.
 func ValidateTraceEvent(data []byte, wantNames []string, minDepth int) (*ParsedTrace, error) {
 	p, err := ParseTraceEvent(data)
 	if err != nil {
